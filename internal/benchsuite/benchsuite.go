@@ -339,6 +339,7 @@ func Targets() []Target {
 		Target{Name: "BenchmarkServe/ingest_warm_traced", File: ServeFile, Fn: ServeIngestWarm(true)},
 		Target{Name: "BenchmarkServe/ingest_warm_unobserved", File: ServeFile, Fn: ServeIngestObserved(false)},
 		Target{Name: "BenchmarkServe/ingest_warm_observed", File: ServeFile, Fn: ServeIngestObserved(true)},
+		Target{Name: "BenchmarkServe/ingest_fresh_canonical", File: ServeFile, Fn: ServeIngestFresh},
 		Target{Name: "BenchmarkCluster/ingest_n1", File: ClusterFile, Fn: ClusterIngest(1, 1)},
 		Target{Name: "BenchmarkCluster/ingest_n4_rf1", File: ClusterFile, Fn: ClusterIngest(4, 1)},
 		Target{Name: "BenchmarkCluster/ingest_n4_rf2", File: ClusterFile, Fn: ClusterIngest(4, 2)},

@@ -65,24 +65,33 @@ func NewPreprocessor() *Preprocessor {
 	}
 }
 
-// Add feeds one trace into the funnel. readErr, when non-nil, is the
-// error that prevented decoding the trace (decode failures count as
-// corrupted). Add reports whether the trace was accepted as valid.
-func (p *Preprocessor) Add(j *darshan.Job, readErr error) bool {
-	p.stats.Total++
+// EvictionReason is the funnel's validity rule for one trace: "" when
+// the trace is valid, otherwise the FunnelStats.ByReason key it is
+// evicted under. readErr, when non-nil, is the error that prevented
+// decoding the trace (decode failures count as corrupted). Callers that
+// analyze a single trace outside a Preprocessor (the serve worker) apply
+// this same rule.
+func EvictionReason(j *darshan.Job, readErr error) string {
 	if readErr != nil {
-		p.stats.Corrupted++
-		p.stats.ByReason["unreadable"]++
-		return false
+		return "unreadable"
 	}
 	if err := darshan.Validate(j); err != nil {
-		p.stats.Corrupted++
 		var verr *darshan.ValidationError
 		if errors.As(err, &verr) {
-			p.stats.ByReason[verr.Kind.String()]++
-		} else {
-			p.stats.ByReason["invalid"]++
+			return verr.Kind.String()
 		}
+		return "invalid"
+	}
+	return ""
+}
+
+// Add feeds one trace into the funnel (see EvictionReason for readErr)
+// and reports whether the trace was accepted as valid.
+func (p *Preprocessor) Add(j *darshan.Job, readErr error) bool {
+	p.stats.Total++
+	if reason := EvictionReason(j, readErr); reason != "" {
+		p.stats.Corrupted++
+		p.stats.ByReason[reason]++
 		return false
 	}
 	p.stats.Valid++

@@ -380,6 +380,10 @@ type cursor struct {
 	version uint16
 	st      *decodeState
 	err     error
+	// noncanon is set when the body decoded so far cannot be what
+	// appendBody writes for the job it produced: metadata keys out of
+	// strictly ascending order, or a field narrowed on decode.
+	noncanon bool
 }
 
 func (c *cursor) fail(err error) {
@@ -508,12 +512,19 @@ func (c *cursor) decodeBody(j *Job) {
 		} else {
 			clear(j.Metadata)
 		}
+		prev := ""
 		for i := uint32(0); i < nMeta; i++ {
 			k := c.str()
 			v := c.str()
 			if c.err != nil {
 				return
 			}
+			// The encoder emits each key once, sorted: a repeated or
+			// descending key re-encodes differently.
+			if i > 0 && k <= prev {
+				c.noncanon = true
+			}
+			prev = k
 			j.Metadata[k] = v
 		}
 	}
@@ -535,7 +546,11 @@ func (c *cursor) decodeBody(j *Job) {
 	}
 	for i := range j.Records {
 		r := &j.Records[i]
-		r.Module = Module(c.u32())
+		m := c.u32()
+		if m > math.MaxUint8 {
+			c.noncanon = true // Module is a uint8: the value is narrowed here
+		}
+		r.Module = Module(m)
 		r.Path = c.str()
 		r.Rank = int32(c.u32())
 		cc := &r.C
@@ -578,38 +593,52 @@ func (c *cursor) decodeBody(j *Job) {
 // callers run Validate separately so that corruption statistics can be
 // collected (the paper's step 1).
 func DecodeInto(j *Job, data []byte) error {
+	_, err := DecodeCanonical(j, data)
+	return err
+}
+
+// DecodeCanonical is DecodeInto that also reports, as a by-product of
+// the same pass, whether data is byte for byte the canonical encoding of
+// the job it decoded — what MarshalBinary(j) would write. That holds
+// when the header carries the current FormatVersion and no flag bit (raw
+// body), the metadata keys are strictly ascending, the body is consumed
+// exactly (anything else is a decode error) and no field was narrowed on
+// the way in (a module value above 255 decodes, but re-encodes as its
+// low byte). The verdict is conservative: it may be false for an input
+// that happens to re-encode identically, never true for one that does
+// not — callers use it to content-address the input without re-encoding.
+func DecodeCanonical(j *Job, data []byte) (canonical bool, err error) {
 	if len(data) < 4 {
-		return fmt.Errorf("darshan: reading magic: %w", io.ErrUnexpectedEOF)
+		return false, fmt.Errorf("darshan: reading magic: %w", io.ErrUnexpectedEOF)
 	}
 	if [4]byte(data[:4]) != Magic {
-		return ErrBadMagic
+		return false, ErrBadMagic
 	}
 	if len(data) < headerLen {
-		return fmt.Errorf("darshan: reading header: %w", io.ErrUnexpectedEOF)
+		return false, fmt.Errorf("darshan: reading header: %w", io.ErrUnexpectedEOF)
 	}
 	version := binary.LittleEndian.Uint16(data[4:6])
 	flags := binary.LittleEndian.Uint16(data[6:8])
 	if version < minFormatVersion || version > FormatVersion {
-		return fmt.Errorf("%w: %d", ErrBadVersion, version)
+		return false, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 	st := decodeStatePool.Get().(*decodeState)
 	defer putDecodeState(st)
 	body := data[headerLen:]
 	if flags&flagGzip != 0 {
-		var err error
 		if body, err = st.inflate(body); err != nil {
-			return err
+			return false, err
 		}
 	}
 	c := cursor{data: body, version: version, st: st}
 	c.decodeBody(j)
 	if c.err != nil {
-		return c.err
+		return false, c.err
 	}
 	if c.off != len(body) {
-		return fmt.Errorf("darshan: %d trailing bytes after body", len(body)-c.off)
+		return false, fmt.Errorf("darshan: %d trailing bytes after body", len(body)-c.off)
 	}
-	return nil
+	return version == FormatVersion && flags == 0 && !c.noncanon, nil
 }
 
 // UnmarshalBinary parses a binary-log-encoded job.

@@ -2,6 +2,7 @@ package darshan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -50,15 +51,92 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
+// nonCanonicalSeeds returns decodable (or, for the trailing byte,
+// rejected) variants of one canonical encoding, each differing from
+// what MarshalBinary writes for the job it decodes to in exactly one of
+// the ways the canonicity verdict has to notice.
+func nonCanonicalSeeds(tb testing.TB) map[string][]byte {
+	j := &Job{
+		JobID: 9, User: "bob", Exe: "/bin/app", NProcs: 2, Runtime: 10,
+		Metadata: map[string]string{"key-a": "1", "key-b": "2"},
+		Records: []FileRecord{{Module: ModMPIIO, Path: "/p", Rank: 1,
+			C: Counters{Opens: 1, Closes: 1, OpenStart: 1, OpenEnd: 2, CloseStart: 3, CloseEnd: 4}}},
+	}
+	canonical, err := MarshalBinary(j)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	patch := func(fn func(b []byte) []byte) []byte {
+		return fn(append([]byte(nil), canonical...))
+	}
+	// The first record starts where the encoding of the record-less job
+	// ends; its first field is the module.
+	bare := *j
+	bare.Records = nil
+	prefix, err := MarshalBinary(&bare)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	moduleOff := len(prefix)
+	return map[string][]byte{
+		"module 256": patch(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[moduleOff:], 256)
+			return b
+		}),
+		"swapped metadata keys": patch(func(b []byte) []byte {
+			return bytes.Replace(b, []byte("key-a"), []byte("key-c"), 1)
+		}),
+		"duplicated metadata key": patch(func(b []byte) []byte {
+			return bytes.Replace(b, []byte("key-b"), []byte("key-a"), 1)
+		}),
+		"set flag bit": patch(func(b []byte) []byte {
+			b[6] |= 1 << 1 // not the gzip bit: the body stays raw
+			return b
+		}),
+		"version 1": patch(func(b []byte) []byte {
+			b[4], b[5] = 1, 0
+			return b[:len(b)-8] // v1 records carry no DXT lists
+		}),
+		"trailing byte": patch(func(b []byte) []byte {
+			return append(b, 0)
+		}),
+	}
+}
+
+// TestDecodeCanonicalVerdict pins the verdict on the seeds above and on
+// the encoder's own output.
+func TestDecodeCanonicalVerdict(t *testing.T) {
+	for _, s := range fuzzSeeds(t)[:1] {
+		var j Job
+		if canonical, err := DecodeCanonical(&j, s); err != nil || !canonical {
+			t.Fatalf("MarshalBinary output: canonical=%v err=%v", canonical, err)
+		}
+	}
+	for name, s := range nonCanonicalSeeds(t) {
+		var j Job
+		canonical, err := DecodeCanonical(&j, s)
+		if canonical {
+			t.Errorf("%s: reported canonical", name)
+		}
+		if (err != nil) != (name == "trailing byte") {
+			t.Errorf("%s: err = %v", name, err)
+		}
+	}
+}
+
 func FuzzDecodeBinary(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
+		f.Add(s)
+	}
+	for _, s := range nonCanonicalSeeds(f) {
 		f.Add(s)
 	}
 	f.Add([]byte("MOSD"))
 	f.Add([]byte("MOSD\x02\x00\x00\x00"))
 	f.Add([]byte("not a log"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		j, err := UnmarshalBinary(data)
+		j := new(Job)
+		canonical, err := DecodeCanonical(j, data)
 		if err != nil {
 			return
 		}
@@ -68,6 +146,12 @@ func FuzzDecodeBinary(f *testing.F) {
 		enc1, err := MarshalBinary(j)
 		if err != nil {
 			t.Fatalf("re-encoding decoded job: %v", err)
+		}
+		// The canonicity verdict may be conservatively false, never
+		// wrongly true: ingest content-addresses a canonical upload by
+		// hashing the input instead of this re-encoding.
+		if canonical && !bytes.Equal(enc1, data) {
+			t.Fatal("decoder reported canonical for an input that re-encodes differently")
 		}
 		j2, err := UnmarshalBinary(enc1)
 		if err != nil {

@@ -110,8 +110,9 @@ func (s *Server) readMultipartUploads(r *http.Request) ([]upload, []IngestItem, 
 }
 
 // handleIngestBatch ingests many traces in one request. All blobs are
-// decoded first, then persisted through store.PutTraceBatch — a single
-// staged write acknowledged by one group-committed fsync — and finally
+// decoded and content-addressed first, then persisted through the
+// store's keyed batch put — a single staged write acknowledged by one
+// group-committed fsync — and finally
 // queued for categorization with the same per-item semantics as the
 // single-trace endpoint (cached / pending / accepted / rejected).
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
@@ -168,28 +169,25 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	items = append(items, bad...)
 	var (
 		jobs  []decoded
+		ids   []store.TraceID
 		blobs [][]byte
 	)
 	for _, up := range ups {
-		job, err := decodeBlob(up.data)
-		if err != nil {
-			items = append(items, IngestItem{Name: up.name, Status: StatusUnreadable, Error: err.Error()})
-			continue
-		}
-		id, canonical, err := store.TraceKey(job)
+		job, id, blob, err := decodeUpload(up.data)
 		if err != nil {
 			items = append(items, IngestItem{Name: up.name, Status: StatusUnreadable, Error: err.Error()})
 			continue
 		}
 		items = append(items, IngestItem{Name: up.name, ID: id})
 		jobs = append(jobs, decoded{item: len(items) - 1, job: job})
-		blobs = append(blobs, canonical)
+		ids = append(ids, id)
+		blobs = append(blobs, blob)
 	}
 	if len(blobs) > 0 {
 		// Durability before acknowledgment, amortized: one write, one
 		// group-committed fsync for the entire batch (traced as one
 		// store.commit span covering every frame).
-		if _, _, err := s.st.PutTraceBatchCtx(r.Context(), blobs); err != nil {
+		if _, err := s.st.PutTraceBatchKeyedCtx(r.Context(), ids, blobs); err != nil {
 			for _, d := range jobs {
 				items[d.item].Status = StatusRejected
 				items[d.item].Error = err.Error()

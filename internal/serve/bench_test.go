@@ -149,7 +149,11 @@ func BenchmarkPutTraceBatch(b *testing.B) {
 		if end > b.N {
 			end = b.N
 		}
-		if _, _, err := st.PutTraceBatch(blobs[i:end]); err != nil {
+		ids := make([]store.TraceID, 0, batch)
+		for _, blob := range blobs[i:end] {
+			ids = append(ids, store.HashBytes(blob))
+		}
+		if _, err := st.PutTraceBatchKeyedCtx(context.Background(), ids, blobs[i:end]); err != nil {
 			b.Fatal(err)
 		}
 	}

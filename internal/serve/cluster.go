@@ -36,8 +36,9 @@ type routedItem struct {
 	name string
 	id   store.TraceID // content address of blob, computed once at the entry node
 	job  *darshan.Job
-	blob []byte // canonical encoding; on the inbound RPC path it aliases the
-	// connection read buffer and is only valid until the handler returns —
+	blob []byte // canonical encoding; it aliases the request's upload buffer
+	// (a canonical upload is its own blob) or, on the inbound RPC path, the
+	// connection read buffer, and is only valid until the handler returns —
 	// anything shipped asynchronously copies it first (see replicate).
 }
 
@@ -96,17 +97,12 @@ func (cn *clusterNode) ingestRouted(ctx context.Context, reqID string, ups []upl
 	items := make([]IngestItem, len(ups))
 	var routed []*routedItem
 	for i, up := range ups {
-		job, err := decodeBlob(up.data)
+		job, id, blob, err := decodeUpload(up.data)
 		if err != nil {
 			items[i] = IngestItem{Name: up.name, Status: StatusUnreadable, Error: err.Error()}
 			continue
 		}
-		id, canonical, err := store.TraceKey(job)
-		if err != nil {
-			items[i] = IngestItem{Name: up.name, Status: StatusUnreadable, Error: err.Error()}
-			continue
-		}
-		routed = append(routed, &routedItem{idx: i, name: up.name, id: id, job: job, blob: canonical})
+		routed = append(routed, &routedItem{idx: i, name: up.name, id: id, job: job, blob: blob})
 	}
 	groups := make(map[string][]*routedItem)
 	var local []*routedItem
@@ -295,9 +291,9 @@ func (cn *clusterNode) replicate(ctx context.Context, reqID string, group []*rou
 	}
 	wg.Wait()
 	for pid, g := range asyncG {
-		// Best-effort copies outlive the request: on the inbound RPC path
-		// the blobs alias a connection read buffer that is reused as soon
-		// as the handler returns.
+		// Best-effort copies outlive the request: the blobs alias the
+		// upload buffer or a connection read buffer, either of which is
+		// reused as soon as the handler returns.
 		blobs := make([][]byte, len(g.blobs))
 		for i, b := range g.blobs {
 			blobs[i] = append([]byte(nil), b...)
@@ -388,7 +384,7 @@ func (cn *clusterNode) HandleIngest(ctx context.Context, reqID string, ids []str
 			items[i] = IngestItem{Status: StatusUnreadable, Error: "malformed trace ID"}
 			continue
 		}
-		job, err := decodeBlob(blob)
+		job, _, err := decodeBlob(blob)
 		if err != nil {
 			items[i] = IngestItem{Status: StatusUnreadable, Error: err.Error()}
 			continue

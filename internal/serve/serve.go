@@ -12,8 +12,9 @@
 // — backed by the content-addressed result store (internal/store) and
 // the inverted category index (internal/index). Ingested traces are
 // persisted synchronously (content addressing makes re-ingest
-// idempotent), then categorized asynchronously by a bounded worker
-// queue feeding the existing engine pipeline; a full queue answers
+// idempotent), then categorized asynchronously by the workers of a
+// bounded queue — each applies the engine's funnel rule and Categorize
+// executor to its one trace directly (worker.go); a full queue answers
 // 429 with Retry-After, which is the service's backpressure, exactly
 // like a full inter-stage channel throttles the batch engine.
 //
@@ -27,12 +28,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -72,9 +71,9 @@ type Config struct {
 	// Executor, when non-nil, replaces the in-process Categorize
 	// backend — pass a dist Master to categorize on remote workers.
 	Executor engine.Executor
-	// Telemetry, when non-nil, observes every per-ingest engine run
-	// (per-trace spans, engine stage metrics) and hosts the serve
-	// metrics in its registry.
+	// Telemetry, when non-nil, observes every categorization as the
+	// engine's observer (per-trace spans, engine stage metrics) and
+	// hosts the serve metrics in its registry.
 	Telemetry *telemetry.Telemetry
 	// Metrics, when non-nil (and Telemetry is nil), hosts the serve
 	// metrics. With both nil a private registry is created.
@@ -153,22 +152,6 @@ type IngestItem struct {
 	RequestID string        `json:"request_id,omitempty"`
 }
 
-// ingestJob is one queued categorization. reqID names the HTTP request
-// (or synthetic origin, e.g. "backfill") that enqueued it, so worker
-// log lines correlate with the ingest request that caused them. When
-// the enqueuing request was traced, t carries its trace (one reference
-// held until the worker finishes) and parent the span to hang the
-// worker's spans under; enq timestamps admission for the queue-wait
-// span and histogram.
-type ingestJob struct {
-	id     store.TraceID
-	job    *darshan.Job
-	reqID  string
-	t      *reqtrace.Trace
-	parent reqtrace.SpanID
-	enq    time.Time
-}
-
 // Server is a running analysis service (HTTP handler + worker pool).
 type Server struct {
 	st  *store.Store
@@ -176,9 +159,10 @@ type Server struct {
 	cfg core.Config
 	fp  string
 	log *slog.Logger
-	tel *telemetry.Telemetry
 
 	exec       engine.Executor
+	exExec     engine.ExplainExecutor // exec's explain capability; nil: plain Categorize
+	obs        engine.Observer        // the telemetry bundle, or a no-op
 	maxUpload  int64
 	queueCap   int
 	queue      chan ingestJob
@@ -254,6 +238,17 @@ func New(cfg Config) (*Server, error) {
 	if exec == nil {
 		exec = engine.Local{Workers: 1}
 	}
+	// Explanation collection is an opt-in executor capability, asserted
+	// once like the engine does per run: executors without it (the
+	// distributed master) categorize plainly and store no explanation.
+	var exExec engine.ExplainExecutor
+	if cfg.Explain {
+		exExec, _ = exec.(engine.ExplainExecutor)
+	}
+	var obs engine.Observer = engine.NopObserver{}
+	if cfg.Telemetry != nil {
+		obs = cfg.Telemetry
+	}
 	reg := cfg.Metrics
 	if cfg.Telemetry != nil {
 		reg = cfg.Telemetry.Registry()
@@ -269,8 +264,9 @@ func New(cfg Config) (*Server, error) {
 		cfg:       analysis,
 		fp:        analysis.Fingerprint(),
 		log:       cfg.Log,
-		tel:       cfg.Telemetry,
 		exec:      exec,
+		exExec:    exExec,
+		obs:       obs,
 		maxUpload: maxUpload,
 		queueCap:  depth,
 		queue:     make(chan ingestJob, depth),
@@ -339,6 +335,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	if !cfg.DisableAlerts {
 		s.startAlerts(cfg.AlertOptions)
+	}
+	// The worker pool is the engine's stages for as long as the server
+	// runs: they start here and finish when Shutdown has drained it.
+	for _, st := range engine.Stages() {
+		s.obs.StageStarted(st)
 	}
 	for w := 0; w < workers; w++ {
 		s.workerWG.Add(1)
@@ -539,114 +540,6 @@ func (s *Server) failureOf(id store.TraceID) (string, bool) {
 	return r, ok
 }
 
-// worker drains the ingest queue: each trace runs through the engine
-// pipeline (funnel validation + categorization, observed by the
-// telemetry bundle when configured), and the result is persisted and
-// indexed. Workers exit when the queue is closed and drained, or when
-// the run context is cancelled (forced shutdown).
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for {
-		select {
-		case item, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			s.queueDepth.Dec()
-			s.process(item)
-		case <-s.runCtx.Done():
-			return
-		}
-	}
-}
-
-// process categorizes one queued trace through the engine pipeline.
-// For traced jobs it resumes the request's trace across the queue
-// boundary — on the server's run context, never the (long-cancelled)
-// request context — recording the queue wait, a worker span covering
-// the engine run, the engine's per-stage spans, the result's group
-// commit, and the index update, then releases the reference held at
-// enqueue so the trace can finalize into the flight recorder.
-func (s *Server) process(item ingestJob) {
-	defer s.unmarkPending(item.id)
-	wait := time.Since(item.enq)
-	s.queueWaitSecs.Observe(wait.Seconds())
-	ctx := s.runCtx
-	if item.t != nil {
-		defer item.t.Release()
-		item.t.AddCompleted(item.parent, "queue.wait", item.enq, wait)
-		ctx = reqtrace.ContextWithParent(s.runCtx, item.t, item.parent)
-	}
-	ctx, wsp := reqtrace.StartSpan(ctx, "worker.categorize", reqtrace.Str("trace", string(item.id)))
-	defer wsp.End()
-	start := time.Now()
-	opts := engine.Options{
-		Config: s.cfg, Workers: 1, Executor: s.exec,
-		Explain: s.explainOn, ExplainOptions: s.exOpts,
-	}
-	if s.tel != nil {
-		opts.Observer = s.tel
-	}
-	if item.t != nil {
-		spans := engineSpans{t: item.t, parent: wsp.ID()}
-		if opts.Observer != nil {
-			opts.Observer = engine.MultiObserver(opts.Observer, spans)
-		} else {
-			opts.Observer = spans
-		}
-	}
-	res, err := engine.Run(ctx, engine.Jobs([]*darshan.Job{item.job}), opts)
-	s.categorizeSecs.Observe(time.Since(start).Seconds())
-	switch {
-	case s.runCtx.Err() != nil:
-		return // forced shutdown: trace blob is durable, next startup backfills
-	case err != nil:
-		wsp.SetError(err)
-		s.recordFailure(item.id, err.Error())
-		if s.log != nil {
-			s.log.Warn("categorization failed", "request_id", item.reqID, "id", string(item.id), "err", err)
-		}
-		return
-	case len(res.Apps) == 0:
-		s.recordFailure(item.id, "evicted by the funnel (corrupted or invalid trace)")
-		if s.log != nil {
-			s.log.Warn("trace evicted by funnel", "request_id", item.reqID, "id", string(item.id))
-		}
-		return
-	}
-	result := res.Apps[0].Result
-	if err := s.st.PutResultCtx(ctx, item.id, s.fp, result); err != nil {
-		wsp.SetError(err)
-		s.recordFailure(item.id, err.Error())
-		if s.log != nil {
-			s.log.Error("persisting result failed", "request_id", item.reqID, "id", string(item.id), "err", err)
-		}
-		return
-	}
-	if expl := res.Apps[0].Explanation; expl != nil {
-		size, err := s.st.PutExplanation(item.id, s.fp, expl)
-		if err != nil {
-			// The result is durable; a lost explanation only degrades
-			// inspectability, so log and continue rather than fail the trace.
-			if s.log != nil {
-				s.log.Error("persisting explanation failed", "request_id", item.reqID, "id", string(item.id), "err", err)
-			}
-		} else {
-			s.exMetrics.Observe(expl.EvidenceCount(), expl.NearMissCount(), size)
-		}
-	}
-	s.cacheMisses.Inc()
-	s.ix.AddCtx(ctx, item.id, result.Categories)
-	if s.cluster != nil {
-		// Replicas never re-categorize: ship them the result.
-		s.cluster.pushResult(item.reqID, item.id)
-	}
-	if s.log != nil {
-		s.log.Debug("trace categorized", "request_id", item.reqID, "id", string(item.id),
-			"categories", len(result.Categories), "dur", time.Since(start))
-	}
-}
-
 // Shutdown drains the service gracefully, mirroring dist.Server: stop
 // accepting ingests, finish the backfill pass, process every queued
 // trace, then stop the workers. When ctx expires first, in-flight
@@ -684,6 +577,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.runCancel()
+	for _, st := range engine.Stages() {
+		s.obs.StageFinished(st)
+	}
 	if s.log != nil {
 		s.log.Info("serve drained", "err", err)
 	}
@@ -765,9 +661,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case s.isPending(id):
-		writeJSON(w, http.StatusAccepted, struct {
-			Status string `json:"status"`
-		}{Status: "pending"})
+		writePending(w)
 	case s.st.HasResult(id, s.fp):
 		// Categorized before explanations existed (or with explain
 		// disabled): re-ingesting under an explain-enabled server heals.
@@ -779,6 +673,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 				Status string `json:"status"`
 				Error  string `json:"error"`
 			}{Status: "failed", Error: reason})
+			return
+		}
+		if s.st.HasTrace(id) {
+			writePending(w)
 			return
 		}
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown trace"})
@@ -797,45 +695,13 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodeBlob parses one uploaded trace, sniffing the format: MOSD
-// magic → binary codec, leading '{' → JSON, otherwise darshan-parser
-// text. A decode that yields no file records is rejected — the text
-// parser is deliberately lenient about unknown lines, so this is what
-// distinguishes a trace from arbitrary text.
-func decodeBlob(data []byte) (*darshan.Job, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	var (
-		j   *darshan.Job
-		err error
-	)
-	switch {
-	case len(data) >= 4 && bytes.Equal(data[:4], darshan.Magic[:]):
-		j, err = darshan.UnmarshalBinary(data)
-	case len(trimmed) > 0 && trimmed[0] == '{':
-		j, err = darshan.ReadJSON(bytes.NewReader(data))
-	default:
-		j, err = darshan.ReadParserText(bytes.NewReader(data))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(j.Records) == 0 {
-		return nil, errors.New("trace holds no file records")
-	}
-	return j, nil
-}
-
 // ingestOne persists and enqueues a single decoded upload. reqID is
 // the originating request's ID, carried to the worker's log lines; ctx
 // carries the request trace (when tracing is on) so the store commit
 // and the queued categorization hang off the right spans.
 func (s *Server) ingestOne(ctx context.Context, name string, data []byte, reqID string) IngestItem {
 	dstart := time.Now()
-	job, err := decodeBlob(data)
-	if err != nil {
-		return IngestItem{Name: name, Status: StatusUnreadable, Error: err.Error()}
-	}
-	id, canonical, err := store.TraceKey(job)
+	job, id, blob, err := decodeUpload(data)
 	if err != nil {
 		return IngestItem{Name: name, Status: StatusUnreadable, Error: err.Error()}
 	}
@@ -843,7 +709,7 @@ func (s *Server) ingestOne(ctx context.Context, name string, data []byte, reqID 
 		reqtrace.Int("bytes", int64(len(data))))
 	// Durability before acknowledgment: once the blob is stored, the
 	// trace survives any crash (backfill completes it).
-	if _, _, err := s.st.PutTraceBytesCtx(ctx, canonical); err != nil {
+	if _, err := s.st.PutTraceBatchKeyedCtx(ctx, []store.TraceID{id}, [][]byte{blob}); err != nil {
 		return IngestItem{Name: name, ID: id, Status: StatusRejected, Error: err.Error()}
 	}
 	return s.queueTrace(ctx, name, id, job, reqID)
@@ -907,11 +773,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else {
-		data, err := io.ReadAll(io.LimitReader(r.Body, s.maxUpload+1))
+		data, pooled, err := s.readUpload(r)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
+		defer releaseUpload(pooled)
 		if int64(len(data)) > s.maxUpload {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
 				errorResponse{Error: fmt.Sprintf("trace exceeds %d byte upload limit", s.maxUpload)})
@@ -986,9 +853,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.isPending(id) {
-		writeJSON(w, http.StatusAccepted, struct {
-			Status string `json:"status"`
-		}{Status: "pending"})
+		writePending(w)
 		return
 	}
 	if reason, failed := s.failureOf(id); failed {
@@ -1010,7 +875,24 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	if s.st.HasTrace(id) {
+		writePending(w)
+		return
+	}
 	writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown trace"})
+}
+
+// writePending answers 202 for a trace whose categorization has not
+// landed yet. That covers more than the pending set: a durably stored
+// trace without a result or a recorded failure is one the startup
+// backfill (or, on a replica, the owner's result push or the repair
+// loop) has not reached yet — after a kill -9, exactly the IDs clients
+// are polling — and "unknown trace" would tell them an acknowledged
+// trace was lost.
+func writePending(w http.ResponseWriter) {
+	writeJSON(w, http.StatusAccepted, struct {
+		Status string `json:"status"`
+	}{Status: "pending"})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -16,17 +16,20 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
-// waitRecorded polls the flight recorder until n traces have completed.
-func waitRecorded(t *testing.T, rec *reqtrace.Recorder, n int64) {
+// waitFor polls cond (bounded) until it holds. Tests wait on the one
+// thing they go on to read — a trace's own dump file, a trace's own
+// entry in the recorder — never on a counter that other requests (the
+// result polls of waitResult, say) advance too.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if rec.Recorded() >= n {
+		if cond() {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("recorder stuck at %d traces, want %d", rec.Recorded(), n)
+	t.Fatalf("timed out waiting for %s", what)
 }
 
 func TestTraceparentEchoAndPropagation(t *testing.T) {
@@ -99,11 +102,16 @@ func TestSlowIngestProducesFlightDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitResult(t, ts.URL, id)
-	waitRecorded(t, rec, 1)
 
-	// The ingest trace finalized after its async work; its dump must
-	// contain the full path edge → queue wait → engine → commit → index.
+	// The ingest trace finalizes after its async work — later than the
+	// result becomes readable — and its dump is renamed into place later
+	// still; its dump must contain the full path edge → queue wait →
+	// engine → commit → index.
 	path := filepath.Join(flightDir, "req-"+tid.String()+".trace.json")
+	waitFor(t, "the ingest's flight dump "+path, func() bool {
+		_, err := os.Stat(path)
+		return err == nil
+	})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		ents, _ := os.ReadDir(flightDir)
@@ -235,12 +243,12 @@ func TestBatchIngestItemSpansAndRequestID(t *testing.T) {
 		}
 		waitResult(t, ts.URL, id)
 	}
-	waitRecorded(t, rec, 1)
-
-	det, ok := rec.Get(tid.String())
-	if !ok {
-		t.Fatalf("batch trace %s not in recorder", tid)
-	}
+	var det reqtrace.Detail
+	waitFor(t, "batch trace "+tid.String()+" in the recorder", func() bool {
+		var ok bool
+		det, ok = rec.Get(tid.String())
+		return ok
+	})
 	items, workers := 0, 0
 	for _, sp := range det.SpanTree {
 		if strings.HasPrefix(sp.Name, "item:") {

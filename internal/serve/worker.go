@@ -1,0 +1,188 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"github.com/mosaic-hpc/mosaic/internal/core"
+	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/engine"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
+	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
+	"github.com/mosaic-hpc/mosaic/internal/store"
+)
+
+// ingestJob is one queued categorization. reqID names the HTTP request
+// (or synthetic origin, e.g. "backfill") that enqueued it, so worker
+// log lines correlate with the ingest request that caused them. When
+// the enqueuing request was traced, t carries its trace (one reference
+// held until the worker finishes) and parent the span to hang the
+// worker's spans under; enq timestamps admission for the queue-wait
+// span and histogram.
+type ingestJob struct {
+	id     store.TraceID
+	job    *darshan.Job
+	reqID  string
+	t      *reqtrace.Trace
+	parent reqtrace.SpanID
+	enq    time.Time
+}
+
+// worker drains the ingest queue: each trace is validated and
+// categorized on this goroutine (see categorizeTrace), and the outcome
+// is persisted and indexed. Workers exit when the queue is closed and
+// drained, or when the run context is cancelled (forced shutdown).
+func (s *Server) worker() {
+	defer s.workerWG.Done()
+	for {
+		select {
+		case item, ok := <-s.queue:
+			if !ok {
+				return
+			}
+			s.queueDepth.Dec()
+			s.process(item)
+		case <-s.runCtx.Done():
+			return
+		}
+	}
+}
+
+// categorizeTrace is what the engine pipeline does for a corpus of one
+// trace, without the pipeline: the funnel of one trace is its
+// validation (core.EvictionReason, the rule core.Preprocessor applies)
+// and its Categorize stage is one call into the executor. obs receives
+// the per-item events engine.Run would emit for the same job — scan and
+// decode pass it through, the funnel takes it in and emits it unless it
+// is evicted, categorize and aggregate count it — and, when it is a
+// SpanObserver, the decode, funnel and categorize spans, so the
+// mosaic_engine_* metrics, the slow log and the "engine:<stage>" request
+// spans read the same either way. evicted is the funnel's reason ("":
+// the trace was valid); err is a categorization failure or ctx's error.
+func (s *Server) categorizeTrace(ctx context.Context, job *darshan.Job, obs engine.Observer) (res *core.Result, expl *explain.Explanation, evicted string, err error) {
+	span, _ := obs.(engine.SpanObserver)
+	name := job.User + "/" + job.AppName()
+
+	obs.ItemOut(engine.StageScan)
+	obs.ItemIn(engine.StageDecode)
+	if span != nil {
+		span.ItemSpan(engine.StageDecode, name, time.Now(), 0) // already decoded at the edge
+	}
+	obs.ItemOut(engine.StageDecode)
+
+	obs.ItemIn(engine.StageFunnel)
+	var start time.Time
+	if span != nil {
+		start = time.Now()
+	}
+	evicted = core.EvictionReason(job, nil)
+	if span != nil {
+		span.ItemSpan(engine.StageFunnel, name, start, time.Since(start))
+	}
+	if evicted != "" {
+		return nil, nil, evicted, nil
+	}
+	obs.ItemOut(engine.StageFunnel)
+
+	obs.ItemIn(engine.StageCategorize)
+	if span != nil {
+		start = time.Now()
+	}
+	if s.exExec != nil {
+		res, expl, err = s.exExec.CategorizeExplained(ctx, job, s.cfg, s.exOpts)
+	} else {
+		res, err = s.exec.Categorize(ctx, job, s.cfg)
+	}
+	if span != nil {
+		span.ItemSpan(engine.StageCategorize, name, start, time.Since(start))
+	}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, nil, "", cerr
+		}
+		obs.ItemError(engine.StageCategorize, err)
+		return nil, nil, "", fmt.Errorf("engine: app %s: %w", name, err)
+	}
+	obs.ItemOut(engine.StageCategorize)
+	obs.ItemIn(engine.StageAggregate)
+	obs.ItemOut(engine.StageAggregate)
+	return res, expl, "", nil
+}
+
+// process categorizes one queued trace. For traced jobs it resumes the
+// request's trace across the queue boundary — on the server's run
+// context, never the (long-cancelled) request context — recording the
+// queue wait, a worker span covering the categorization, the engine's
+// per-stage spans, the outcome's group commit, and the index update,
+// then releases the reference held at enqueue so the trace can finalize
+// into the flight recorder.
+func (s *Server) process(item ingestJob) {
+	defer s.unmarkPending(item.id)
+	wait := time.Since(item.enq)
+	s.queueWaitSecs.Observe(wait.Seconds())
+	ctx := s.runCtx
+	if item.t != nil {
+		defer item.t.Release()
+		item.t.AddCompleted(item.parent, "queue.wait", item.enq, wait)
+		ctx = reqtrace.ContextWithParent(s.runCtx, item.t, item.parent)
+	}
+	ctx, wsp := reqtrace.StartSpan(ctx, "worker.categorize", reqtrace.Str("trace", string(item.id)))
+	defer wsp.End()
+	start := time.Now()
+	obs := s.obs
+	if item.t != nil {
+		obs = engine.MultiObserver(obs, engineSpans{t: item.t, parent: wsp.ID()})
+	}
+	result, expl, evicted, err := s.categorizeTrace(ctx, item.job, obs)
+	s.categorizeSecs.Observe(time.Since(start).Seconds())
+	switch {
+	case s.runCtx.Err() != nil:
+		return // forced shutdown: trace blob is durable, next startup backfills
+	case err != nil:
+		wsp.SetError(err)
+		s.recordFailure(item.id, err.Error())
+		if s.log != nil {
+			s.log.Warn("categorization failed", "request_id", item.reqID, "id", string(item.id), "err", err)
+		}
+		return
+	case evicted != "":
+		s.recordFailure(item.id, "evicted by the funnel (corrupted or invalid trace)")
+		if s.log != nil {
+			s.log.Warn("trace evicted by funnel", "request_id", item.reqID, "id", string(item.id), "reason", evicted)
+		}
+		return
+	}
+	// One commit per categorized trace: result and explanation land
+	// together (or, cut short by a crash, not at all — backfill re-queues
+	// a trace without a result).
+	size, explErr, err := s.st.PutOutcomeCtx(ctx, item.id, s.fp, result, expl)
+	if err != nil {
+		wsp.SetError(err)
+		s.recordFailure(item.id, err.Error())
+		if s.log != nil {
+			s.log.Error("persisting result failed", "request_id", item.reqID, "id", string(item.id), "err", err)
+		}
+		return
+	}
+	switch {
+	case explErr != nil:
+		// The result is durable; a lost explanation only degrades
+		// inspectability, so log and continue rather than fail the trace.
+		if s.log != nil {
+			s.log.Error("persisting explanation failed", "request_id", item.reqID, "id", string(item.id), "err", explErr)
+		}
+	case expl != nil:
+		s.exMetrics.Observe(expl.EvidenceCount(), expl.NearMissCount(), size)
+	}
+	s.cacheMisses.Inc()
+	s.ix.AddCtx(ctx, item.id, result.Categories)
+	if s.cluster != nil {
+		// Replicas never re-categorize: ship them the result.
+		s.cluster.pushResult(item.reqID, item.id)
+	}
+	if s.log != nil {
+		s.log.Debug("trace categorized", "request_id", item.reqID, "id", string(item.id),
+			"categories", len(result.Categories), "dur", time.Since(start))
+	}
+}

@@ -1,0 +1,164 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/mosaic-hpc/mosaic/internal/core"
+	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/engine"
+	"github.com/mosaic-hpc/mosaic/internal/gen"
+)
+
+// archetypeJob builds one run of a generator archetype.
+func archetypeJob(arch gen.Archetype, seed int64) *darshan.Job {
+	rng := rand.New(rand.NewSource(seed))
+	p := arch.Params(rng)
+	b := gen.NewBuilder(rng, "u", arch.Exe, uint64(seed), p.Ranks, p.RuntimeBase)
+	arch.Build(b, p)
+	return b.Job()
+}
+
+// failingExec fails every categorization.
+type failingExec struct{}
+
+func (failingExec) Categorize(context.Context, *darshan.Job, core.Config) (*core.Result, error) {
+	return nil, errors.New("executor down")
+}
+func (failingExec) Concurrency() int { return 1 }
+
+// TestWorkerDirectPathMatchesEngine is the differential test behind the
+// worker's shortcut: categorizeTrace and engine.Run over engine.Jobs of
+// the same job must agree on the result, the explanation, the eviction
+// reason and the error, and leave the same per-stage item counts in an
+// engine.Stats observer — for every generator archetype and for every
+// corruption kind the funnel knows.
+func TestWorkerDirectPathMatchesEngine(t *testing.T) {
+	type tc struct {
+		name string
+		job  *darshan.Job
+		exec engine.Executor
+		kind darshan.CorruptionKind
+	}
+	var cases []tc
+	for i, arch := range gen.DefaultArchetypes() {
+		cases = append(cases, tc{name: "archetype/" + arch.Name, job: archetypeJob(arch, int64(i+1))})
+	}
+	corruptions := map[darshan.CorruptionKind]func(j *darshan.Job){
+		darshan.CorruptBadHeader:     func(j *darshan.Job) { j.Runtime = -1 },
+		darshan.CorruptBadTimestamps: func(j *darshan.Job) { j.Records[0].C.WriteStart = math.NaN() },
+		darshan.CorruptEarlyDealloc:  func(j *darshan.Job) { j.Records[0].C.CloseStart, j.Records[0].C.CloseEnd = 50, 51 },
+		darshan.CorruptAfterEnd:      func(j *darshan.Job) { j.Records[0].C.WriteEnd, j.Records[0].C.CloseEnd = 500, 501 },
+		darshan.CorruptNegativeCount: func(j *darshan.Job) { j.Records[0].C.BytesRead = -1 },
+		darshan.CorruptInverted:      func(j *darshan.Job) { j.Records[0].C.WriteEnd = 80 },
+		darshan.CorruptBadModule:     func(j *darshan.Job) { j.Records[0].Module = darshan.Module(99) },
+	}
+	for kind := darshan.CorruptBadHeader; kind <= darshan.CorruptBadModule; kind++ {
+		mutate, ok := corruptions[kind]
+		if !ok {
+			t.Fatalf("no mutation for corruption kind %s", kind)
+		}
+		j := testJob(900 + int(kind))
+		mutate(j)
+		var verr *darshan.ValidationError
+		if err := darshan.Validate(j); !errors.As(err, &verr) || verr.Kind != kind {
+			t.Fatalf("mutation for %s validates as %v", kind, err)
+		}
+		cases = append(cases, tc{name: "corrupt/" + kind.String(), job: j, kind: kind})
+	}
+	cases = append(cases, tc{name: "executor error", job: testJob(950), exec: failingExec{}})
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := newTestServer(t, Config{
+				Workers: 1, NoBackfill: true, Explain: true, DisableAlerts: true, Executor: c.exec,
+			})
+			defer s.Shutdown(context.Background())
+			ctx := context.Background()
+
+			direct := engine.NewStats()
+			res, expl, evicted, err := s.categorizeTrace(ctx, c.job, direct)
+
+			piped := engine.NewStats()
+			run, runErr := engine.Run(ctx, engine.Jobs([]*darshan.Job{c.job}), engine.Options{
+				Config: s.cfg, Workers: 1, Executor: s.exec, Observer: piped,
+				Explain: true, ExplainOptions: s.exOpts,
+			})
+
+			for _, st := range engine.Stages() {
+				d, p := direct.Stage(st), piped.Stage(st)
+				if d.In != p.In || d.Out != p.Out || d.Errors != p.Errors {
+					t.Errorf("stage %s: direct in/out/err = %d/%d/%d, engine %d/%d/%d",
+						st, d.In, d.Out, d.Errors, p.In, p.Out, p.Errors)
+				}
+			}
+			if (err == nil) != (runErr == nil) || (err != nil && err.Error() != runErr.Error()) {
+				t.Fatalf("direct err = %v, engine err = %v", err, runErr)
+			}
+			if err != nil {
+				return
+			}
+			wantEvicted := ""
+			for reason := range run.Funnel.ByReason {
+				wantEvicted = reason
+			}
+			if evicted != wantEvicted {
+				t.Fatalf("direct eviction reason %q, engine %q", evicted, wantEvicted)
+			}
+			if c.kind != darshan.CorruptNone && evicted != c.kind.String() {
+				t.Fatalf("evicted as %q, want %q", evicted, c.kind)
+			}
+			if evicted != "" {
+				if res != nil || expl != nil || len(run.Apps) != 0 {
+					t.Fatalf("evicted trace produced output: direct %v/%v, engine %d apps", res, expl, len(run.Apps))
+				}
+				return
+			}
+			if len(run.Apps) != 1 {
+				t.Fatalf("engine produced %d apps, want 1", len(run.Apps))
+			}
+			sameJSON(t, "result", res, run.Apps[0].Result)
+			sameJSON(t, "explanation", expl, run.Apps[0].Explanation)
+			if expl == nil {
+				t.Fatal("explain-enabled server produced no explanation")
+			}
+		})
+	}
+}
+
+func sameJSON(t *testing.T, what string, a, b any) {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ja, jb) {
+		t.Fatalf("%s differs:\n direct %s\n engine %s", what, ja, jb)
+	}
+}
+
+// TestWorkerPlainExecutorStoresNoExplanation: an executor without the
+// explain capability categorizes plainly even on an explain-enabled
+// server, as the engine's own capability check does.
+func TestWorkerPlainExecutorStoresNoExplanation(t *testing.T) {
+	plain := &blockingExec{release: make(chan struct{})}
+	close(plain.release)
+	s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, Explain: true, Executor: plain})
+	defer s.Shutdown(context.Background())
+	res, expl, evicted, err := s.categorizeTrace(context.Background(), testJob(960), engine.NopObserver{})
+	if err != nil || evicted != "" || res == nil {
+		t.Fatalf("res=%v evicted=%q err=%v", res, evicted, err)
+	}
+	if expl != nil {
+		t.Fatalf("plain executor produced an explanation: %+v", expl)
+	}
+}

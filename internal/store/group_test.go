@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +20,21 @@ func encodedJob(t *testing.T, seed int) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// putTraceBatch content-addresses blobs the way the ingest edge does and
+// stores them through the keyed batch put.
+func putTraceBatch(t *testing.T, s *Store, blobs [][]byte) ([]TraceID, []bool) {
+	t.Helper()
+	ids := make([]TraceID, len(blobs))
+	for i, b := range blobs {
+		ids[i] = HashBytes(b)
+	}
+	dup, err := s.PutTraceBatchKeyedCtx(context.Background(), ids, blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids, dup
 }
 
 // copyDir clones a store directory byte-for-byte: the "what the disk
@@ -63,10 +79,7 @@ func TestPutTraceBatch(t *testing.T) {
 		encodedJob(t, 1), // duplicate within the batch
 		encodedJob(t, 3),
 	}
-	ids, dup, err := s.PutTraceBatch(blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids, dup := putTraceBatch(t, s, blobs)
 	if ids[0] != pre {
 		t.Fatal("content address must not depend on the ingest path")
 	}
@@ -98,9 +111,7 @@ func TestPutTraceBatchSingleFsync(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		blobs = append(blobs, encodedJob(t, i))
 	}
-	if _, _, err := s.PutTraceBatch(blobs); err != nil {
-		t.Fatal(err)
-	}
+	putTraceBatch(t, s, blobs)
 	st := s.Stats()
 	if st.GroupSyncs != 1 {
 		t.Fatalf("a batch must cost one fsync, got %d", st.GroupSyncs)
@@ -123,10 +134,7 @@ func TestBatchCrashRecovery(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		blobs = append(blobs, encodedJob(t, i))
 	}
-	ids, _, err := s.PutTraceBatch(blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids, _ := putTraceBatch(t, s, blobs)
 	s.Close()
 
 	segPath := filepath.Join(dir, "000001.seg")
@@ -159,7 +167,7 @@ func TestBatchCrashRecovery(t *testing.T) {
 }
 
 // TestSyncBatchDurableWithoutClose is the acked-durability contract:
-// once PutTraceBatch returns under Options.Sync, a crash (no Close, no
+// once the batch put returns under Options.Sync, a crash (no Close, no
 // further writes) loses nothing — the snapshot of the disk already
 // holds every acked trace.
 func TestSyncBatchDurableWithoutClose(t *testing.T) {
@@ -172,10 +180,7 @@ func TestSyncBatchDurableWithoutClose(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		blobs = append(blobs, encodedJob(t, i))
 	}
-	ids, _, err := s.PutTraceBatch(blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids, _ := putTraceBatch(t, s, blobs)
 	crashed := copyDir(t, dir) // snapshot before any clean shutdown
 	s.Close()
 

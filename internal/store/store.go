@@ -66,9 +66,19 @@ func (id TraceID) Valid() bool {
 
 // HashBytes returns the content address of an encoded trace blob.
 func HashBytes(data []byte) TraceID {
+	hashPasses.Add(1)
 	sum := sha256.Sum256(data)
 	return TraceID(hex.EncodeToString(sum[:]))
 }
+
+// hashPasses counts HashBytes calls process-wide. It only ever grows;
+// readers compare two readings.
+var hashPasses atomic.Int64
+
+// HashPasses returns how many blobs this process has content-addressed
+// so far. The write path is meant to hash each blob once between socket
+// and segment; tests hold it to that by the difference of two readings.
+func HashPasses() int64 { return hashPasses.Load() }
 
 // TraceKey canonically encodes a job and returns its content address
 // alongside the encoding, so callers that go on to persist the blob
@@ -108,9 +118,9 @@ type Options struct {
 	CacheBytes int64
 	// Sync makes every Put durable before it returns: an append is only
 	// acknowledged after an fsync covering it. Syncs are group-committed —
-	// concurrent writers (and every record of a PutTraceBatch) share one
-	// fsync, so durability costs one disk flush per batch, not per
-	// record. Without Sync the log is still crash-consistent (torn tails
+	// concurrent writers (and every record of one batch or outcome put)
+	// share one fsync, so durability costs one disk flush per batch, not
+	// per record. Without Sync the log is still crash-consistent (torn tails
 	// are dropped on recovery).
 	Sync bool
 }
@@ -433,38 +443,71 @@ func (s *Store) trimWbuf(buf []byte) {
 	}
 }
 
-// appendLocked stages, writes and indexes one framed record, returning
-// its sequence number. Callers hold s.mu; when Options.Sync is set they
-// must call waitDurable(seq) after releasing it — acknowledgment before
-// durability is the group-commit protocol's only caller obligation.
-func (s *Store) appendLocked(kind byte, key string, value []byte) (int64, error) {
+// record is one log entry on its way into the segment.
+type record struct {
+	kind  byte
+	key   string
+	value []byte
+}
+
+// appendLocked stages recs, in order, into the write buffer, hands them
+// to the segment in one write(2) and indexes them, returning the
+// sequence number of the last frame and the bytes written. Callers hold
+// s.mu; when Options.Sync is set they must call waitDurable(seq) after
+// releasing it — acknowledgment before durability is the group-commit
+// protocol's only caller obligation. Frames of one call are contiguous
+// in the log, so recovery keeps a prefix of them and nothing else.
+func (s *Store) appendLocked(recs ...record) (seq, written int64, err error) {
 	if s.closed {
-		return 0, fmt.Errorf("store: closed")
+		return 0, 0, fmt.Errorf("store: closed")
 	}
-	if err := checkRecord(key, value); err != nil {
-		return 0, err
-	}
-	frame := appendFrame(s.wbuf[:0], kind, key, value)
-	frameLen := int64(len(frame))
-	_, err := s.active.Write(frame)
-	s.trimWbuf(frame)
-	if err != nil {
-		return 0, fmt.Errorf("store: appending record: %w", err)
-	}
-	s.indexPut(key, loc{
-		seg:    len(s.readers),
-		valOff: s.size + frameHeaderLen + framePayloadMin + int64(len(key)),
-		valLen: len(value),
-	})
-	s.size += frameLen
-	s.seq++
-	seq := s.seq
-	if s.size >= s.opts.MaxSegmentBytes {
-		if err := s.openSegment(len(s.readers) + 1); err != nil {
-			return seq, err
+	for i := range recs {
+		if err := checkRecord(recs[i].key, recs[i].value); err != nil {
+			return 0, 0, err
 		}
 	}
-	return seq, nil
+	buf := s.wbuf[:0]
+	for i := range recs {
+		buf = appendFrame(buf, recs[i].kind, recs[i].key, recs[i].value)
+	}
+	written = int64(len(buf))
+	_, err = s.active.Write(buf)
+	s.trimWbuf(buf)
+	if err != nil {
+		return 0, 0, fmt.Errorf("store: appending %d record(s): %w", len(recs), err)
+	}
+	seg, off := len(s.readers), s.size
+	for i := range recs {
+		r := &recs[i]
+		valOff := off + frameHeaderLen + framePayloadMin + int64(len(r.key))
+		s.indexPut(r.key, loc{seg: seg, valOff: valOff, valLen: len(r.value)})
+		off = valOff + int64(len(r.value)) + frameCRCLen
+	}
+	s.size += written
+	s.seq += int64(len(recs))
+	seq = s.seq
+	if s.size >= s.opts.MaxSegmentBytes {
+		if err := s.openSegment(len(s.readers) + 1); err != nil {
+			return seq, written, err
+		}
+	}
+	return seq, written, nil
+}
+
+// putRecords appends recs as one commit — one lock acquisition, one
+// write, one durable wait — and leaves their values in the read cache.
+// kind labels the "store.commit" span of a traced ctx.
+func (s *Store) putRecords(ctx context.Context, kind string, recs ...record) error {
+	s.mu.Lock()
+	seq, written, err := s.appendLocked(recs...)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for _, r := range recs {
+		s.cache.put(r.key, r.value)
+	}
+	return s.commitCtx(ctx, seq, kind, int64(len(recs)), written)
 }
 
 // waitDurable blocks until the durable watermark covers seq: the heart
@@ -559,27 +602,20 @@ func (s *Store) PutTraceBytes(data []byte) (TraceID, bool, error) {
 // PutTraceBytesCtx is PutTraceBytes under a request-trace context:
 // when ctx carries an active reqtrace trace, the commit (group-commit
 // watermark wait + fsync under Options.Sync) is recorded as a
-// "store.commit" span. Untraced contexts pay nothing.
+// "store.commit" span. Untraced contexts pay nothing. It hashes data
+// and hands over to the keyed put; callers that already hold the
+// content address call PutTraceBatchKeyedCtx and skip the hash.
 func (s *Store) PutTraceBytesCtx(ctx context.Context, data []byte) (TraceID, bool, error) {
 	id := HashBytes(data)
-	key := traceKeyOf(id)
-	s.mu.Lock()
-	if _, ok := s.index[key]; ok {
-		s.mu.Unlock()
-		return id, true, nil
-	}
-	seq, err := s.appendLocked(kindTrace, key, data)
-	s.mu.Unlock()
-	if err != nil {
-		return id, false, err
-	}
-	return id, false, s.commitCtx(ctx, seq, "traces", 1, int64(len(data)))
+	var dup [1]bool
+	err := s.putTraces(ctx, []TraceID{id}, [][]byte{data}, dup[:])
+	return id, dup[0], err
 }
 
 // commitCtx acknowledges one append: under Options.Sync it blocks in
 // waitDurable until the group-commit watermark covers seq. When ctx
 // carries an active request trace the wait is recorded as a
-// "store.commit" span annotated with the record count, payload bytes
+// "store.commit" span annotated with the record count, appended bytes
 // and how many leader fsyncs the store issued while this commit
 // waited (group_syncs — 0 means the cohort rode someone else's
 // flush). The traced-ness check runs first so untraced callers (the
@@ -611,34 +647,19 @@ func (s *Store) commitCtx(ctx context.Context, seq int64, kind string, records, 
 	return err
 }
 
-// PutTraceBatch stores many encoded trace blobs in one staged write
-// and — under Options.Sync — one shared fsync, so the per-record
-// syscall and durability costs amortize across the whole group. It
-// returns each blob's content address and whether it was already
-// present (in the store, or earlier in the same batch). On error,
-// nothing from the batch is acknowledged.
-func (s *Store) PutTraceBatch(blobs [][]byte) ([]TraceID, []bool, error) {
-	return s.PutTraceBatchCtx(context.Background(), blobs)
-}
-
-// PutTraceBatchCtx is PutTraceBatch under a request-trace context: the
-// batch's group commit (one staged write, one shared fsync) is
-// recorded as a "store.commit" span annotated with the batch size.
-func (s *Store) PutTraceBatchCtx(ctx context.Context, blobs [][]byte) ([]TraceID, []bool, error) {
-	ids := make([]TraceID, len(blobs))
-	for i, b := range blobs {
-		ids[i] = HashBytes(b)
-	}
-	dup, err := s.putTraceBatchKeyed(ctx, ids, blobs)
-	return ids, dup, err
-}
-
-// PutTraceBatchKeyedCtx is PutTraceBatchCtx for callers that already
-// hold each blob's content address: the SHA-256 pass over every blob
-// is skipped. The IDs are trusted, not re-derived — the cluster
-// protocol computes them once at the entry node from the canonical
-// encoding it forwards — so this must never be fed IDs from outside
-// that protocol.
+// PutTraceBatchKeyedCtx stores many encoded trace blobs, each under the
+// content address the caller already holds, in one staged write and —
+// under Options.Sync — one shared fsync, so the per-record syscall and
+// durability costs amortize across the whole group; the batch's group
+// commit is recorded as one "store.commit" span on a traced ctx. It
+// reports per blob whether it was already present (in the store, or
+// earlier in the same batch). On error, nothing from the batch is
+// acknowledged. This is the serve tier's one trace write: the ingest
+// edge computes each ID once (HashBytes of the canonical encoding, which
+// is what TraceKey returns) and the store copies the blob into its
+// staging buffer before returning, so the caller may recycle it. The
+// IDs are trusted, not re-derived — never feed it IDs that did not come
+// from HashBytes/TraceKey or from a peer inside the cluster protocol.
 func (s *Store) PutTraceBatchKeyedCtx(ctx context.Context, ids []TraceID, blobs [][]byte) ([]bool, error) {
 	if len(ids) != len(blobs) {
 		return nil, fmt.Errorf("store: keyed batch: %d ids for %d blobs", len(ids), len(blobs))
@@ -648,73 +669,40 @@ func (s *Store) PutTraceBatchKeyedCtx(ctx context.Context, ids []TraceID, blobs 
 			return nil, fmt.Errorf("store: keyed batch: invalid trace ID %q", string(id))
 		}
 	}
-	return s.putTraceBatchKeyed(ctx, ids, blobs)
+	dup := make([]bool, len(blobs))
+	return dup, s.putTraces(ctx, ids, blobs, dup)
 }
 
-func (s *Store) putTraceBatchKeyed(ctx context.Context, ids []TraceID, blobs [][]byte) ([]bool, error) {
-	dup := make([]bool, len(blobs))
+// putTraces is the one trace write under every PutTrace* entry point:
+// blobs not yet stored (and not repeated earlier in the call) become one
+// appendLocked call, the rest are flagged in dup.
+func (s *Store) putTraces(ctx context.Context, ids []TraceID, blobs [][]byte, dup []bool) error {
+	recs := make([]record, 0, len(blobs))
+	seen := make(map[TraceID]bool, len(blobs)) // duplicates within the call
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return dup, fmt.Errorf("store: closed")
+		return fmt.Errorf("store: closed")
 	}
-	buf := s.wbuf[:0]
-	type staged struct {
-		key    string
-		valOff int64
-		valLen int
-	}
-	frames := make([]staged, 0, len(blobs))
-	seen := make(map[TraceID]bool, len(blobs))
-	base := s.size
 	for i, b := range blobs {
 		key := traceKeyOf(ids[i])
 		if _, ok := s.index[key]; ok || seen[ids[i]] {
 			dup[i] = true
 			continue
 		}
-		if err := checkRecord(key, b); err != nil {
-			s.trimWbuf(buf)
-			s.mu.Unlock()
-			return dup, err
-		}
 		seen[ids[i]] = true
-		frameOff := base + int64(len(buf))
-		buf = appendFrame(buf, kindTrace, key, b)
-		frames = append(frames, staged{
-			key:    key,
-			valOff: frameOff + frameHeaderLen + framePayloadMin + int64(len(key)),
-			valLen: len(b),
-		})
+		recs = append(recs, record{kind: kindTrace, key: key, value: b})
 	}
-	if len(frames) == 0 {
-		s.trimWbuf(buf)
+	if len(recs) == 0 {
 		s.mu.Unlock()
-		return dup, nil
+		return nil
 	}
-	written := int64(len(buf))
-	_, err := s.active.Write(buf)
-	s.trimWbuf(buf)
-	if err != nil {
-		s.mu.Unlock()
-		return dup, fmt.Errorf("store: appending batch: %w", err)
-	}
-	seg := len(s.readers)
-	for _, fr := range frames {
-		s.indexPut(fr.key, loc{seg: seg, valOff: fr.valOff, valLen: fr.valLen})
-	}
-	s.size += written
-	s.seq += int64(len(frames))
-	seq := s.seq
-	var rotateErr error
-	if s.size >= s.opts.MaxSegmentBytes {
-		rotateErr = s.openSegment(len(s.readers) + 1)
-	}
+	seq, written, err := s.appendLocked(recs...)
 	s.mu.Unlock()
-	if rotateErr != nil {
-		return dup, rotateErr
+	if err != nil {
+		return err
 	}
-	return dup, s.commitCtx(ctx, seq, "traces", int64(len(frames)), written)
+	return s.commitCtx(ctx, seq, "traces", int64(len(recs)), written)
 }
 
 // PutTrace canonically encodes and stores a job.
@@ -771,19 +759,38 @@ func (s *Store) PutResult(id TraceID, fp string, res *core.Result) error {
 // PutResultCtx is PutResult under a request-trace context: the commit
 // is recorded as a "store.commit" span (kind=result).
 func (s *Store) PutResultCtx(ctx context.Context, id TraceID, fp string, res *core.Result) error {
+	_, _, err := s.PutOutcomeCtx(ctx, id, fp, res, nil)
+	return err
+}
+
+// PutOutcomeCtx stores what categorizing one trace produced — its result
+// and, when expl is non-nil, its explanation — as one commit: the result
+// frame and then the explanation frame are staged under one lock,
+// written with one write(2), indexed together and acknowledged by one
+// durable wait. Recovery therefore finds both, neither, or (a tail torn
+// inside the second frame) the result alone — never an explanation
+// without its result. It returns the explanation's serialized size,
+// which feeds the explanation-size telemetry. A lost explanation only
+// degrades inspectability, so one that cannot be encoded does not fail
+// the trace: the result is committed alone and the encoding error comes
+// back as explErr.
+func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *core.Result, expl *explain.Explanation) (explSize int, explErr, err error) {
 	data, err := json.Marshal(res)
 	if err != nil {
-		return fmt.Errorf("store: encoding result %s: %w", id, err)
+		return 0, nil, fmt.Errorf("store: encoding result %s: %w", id, err)
 	}
-	key := resultKeyOf(id, fp)
-	s.mu.Lock()
-	seq, err := s.appendLocked(kindResult, key, data)
-	s.mu.Unlock()
-	if err != nil {
-		return err
+	var pair [2]record
+	recs := append(pair[:0], record{kind: kindResult, key: resultKeyOf(id, fp), value: data})
+	if expl != nil {
+		edata, merr := json.Marshal(expl)
+		if merr != nil {
+			explErr = fmt.Errorf("store: encoding explanation %s: %w", id, merr)
+		} else {
+			recs = append(recs, record{kind: kindExplain, key: explainKeyOf(id, fp), value: edata})
+			explSize = len(edata)
+		}
 	}
-	s.cache.put(key, data)
-	return s.commitCtx(ctx, seq, "result", 1, int64(len(data)))
+	return explSize, explErr, s.putRecords(ctx, "result", recs...)
 }
 
 // PutResultBytesCtx stores an already-serialized result verbatim — the
@@ -795,15 +802,7 @@ func (s *Store) PutResultBytesCtx(ctx context.Context, id TraceID, fp string, da
 	if _, err := DecodeResult(data); err != nil {
 		return err
 	}
-	key := resultKeyOf(id, fp)
-	s.mu.Lock()
-	seq, err := s.appendLocked(kindResult, key, data)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.cache.put(key, data)
-	return s.commitCtx(ctx, seq, "result", 1, int64(len(data)))
+	return s.putRecords(ctx, "result", record{kind: kindResult, key: resultKeyOf(id, fp), value: data})
 }
 
 // GetResultBytes returns the stored result encoding of (trace,
@@ -828,23 +827,17 @@ func (s *Store) GetResultBytes(id TraceID, fp string) ([]byte, bool, error) {
 // config fingerprint) — the same key scheme as results, under its own
 // record kind, so explanation and result always pair up. It returns
 // the serialized size, which feeds the explanation-size telemetry.
+// Writers that hold the result too use PutOutcomeCtx, which commits the
+// pair together.
 func (s *Store) PutExplanation(id TraceID, fp string, e *explain.Explanation) (int, error) {
 	data, err := json.Marshal(e)
 	if err != nil {
 		return 0, fmt.Errorf("store: encoding explanation %s: %w", id, err)
 	}
-	key := explainKeyOf(id, fp)
-	s.mu.Lock()
-	seq, err := s.appendLocked(kindExplain, key, data)
-	s.mu.Unlock()
+	err = s.putRecords(context.Background(), "explanation",
+		record{kind: kindExplain, key: explainKeyOf(id, fp), value: data})
 	if err != nil {
 		return 0, err
-	}
-	s.cache.put(key, data)
-	if s.opts.Sync {
-		if err := s.waitDurable(seq); err != nil {
-			return 0, err
-		}
 	}
 	return len(data), nil
 }
