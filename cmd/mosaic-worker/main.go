@@ -1,6 +1,7 @@
 // Command mosaic-worker runs a distributed categorization worker: it
-// listens for RPC connections from a mosaic master (see the
-// examples/distributed program) and categorizes the traces it receives.
+// listens for connections from a mosaic master (see the
+// examples/distributed program), speaking the cluster's frame protocol,
+// and categorizes the traces it receives.
 // This is the role Dispy workers played in the paper's Python
 // implementation.
 //
@@ -32,12 +33,11 @@ import (
 
 // version is the worker build version, overridable at link time via
 // -ldflags "-X main.version=...".
-var version = "1.2.0"
+var version = "2.0.0"
 
 func main() {
 	var (
 		listen       = flag.String("listen", ":7464", "TCP address to listen on")
-		frame        = flag.Bool("frame", false, "speak the cluster's binary frame transport instead of net/rpc (masters dial with DialFrame)")
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /healthz and pprof on this address (empty: disabled)")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat    = flag.String("log-format", "text", "log format: text or json")
@@ -72,20 +72,9 @@ func main() {
 		os.Exit(1)
 	}
 	// Log the *resolved* address: ":0" style flags resolve to a real port.
-	log.Info("serving", "addr", l.Addr().String(), "frame", *frame, "version", version)
+	log.Info("serving", "addr", l.Addr().String(), "version", version)
 
-	// Both servers share the Serve/Shutdown shape; -frame selects the
-	// cluster's binary frame transport over classic net/rpc.
-	type worker interface {
-		Serve(net.Listener) error
-		Shutdown(context.Context) error
-	}
-	var srv worker
-	if *frame {
-		srv = dist.NewFrameServer(log, reg)
-	} else {
-		srv = dist.NewServer(log, reg)
-	}
+	srv := dist.NewServer(log, reg)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
 

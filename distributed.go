@@ -2,22 +2,19 @@ package mosaic
 
 import (
 	"net"
-	"time"
 
 	"github.com/mosaic-hpc/mosaic/internal/dist"
 	"github.com/mosaic-hpc/mosaic/internal/ring"
 )
 
 // Distributed categorization, re-exported: a master streams traces to
-// workers over net/rpc, the role Dispy played for the paper's Python
-// implementation.
+// workers over the cluster's frame transport, the role Dispy played for
+// the paper's Python implementation.
 type (
 	// WorkerClient is a connection to one categorization worker.
 	WorkerClient = dist.Client
 	// Master fans traces out over a set of workers.
 	Master = dist.Master
-	// Outcome is the per-trace result returned by a Master run.
-	Outcome = dist.Outcome
 )
 
 // ServeWorker serves categorization requests on the listener until it is
@@ -31,16 +28,15 @@ func ListenAndServeWorker(addr string) error { return dist.ListenAndServe(addr) 
 // DialWorker connects to a worker.
 func DialWorker(addr string) (*WorkerClient, error) { return dist.Dial(addr) }
 
-// NewMaster wraps worker connections with a pipeline configuration.
+// NewMaster wraps worker connections. The configuration a run applies is
+// the one in its Options; cfg is not kept.
 func NewMaster(clients []*WorkerClient, cfg Config) *Master {
 	return dist.NewMaster(clients, cfg)
 }
 
 // Cluster subsystem, re-exported: the consistent-hash routing table and
 // static membership of a sharded, replicated serve tier (see
-// internal/ring and the serve package's cluster mode), plus the frame
-// transport the whole cluster — remote categorization included —
-// speaks.
+// internal/ring and the serve package's cluster mode).
 type (
 	// ClusterNode is one member of a cluster's static membership.
 	ClusterNode = ring.Node
@@ -54,14 +50,4 @@ type (
 // rf fall back to ring defaults when <= 0.
 func NewClusterTable(nodes []ClusterNode, vnodes, rf int) (*ClusterTable, error) {
 	return ring.NewTable(nodes, vnodes, rf)
-}
-
-// ServeFrameWorker serves categorization requests over the cluster's
-// binary frame transport until the listener closes. It blocks.
-func ServeFrameWorker(l net.Listener) error { return dist.ServeFrame(l) }
-
-// DialFrameWorker connects to a frame-transport worker (lazily; timeout
-// bounds dial and each call, <= 0 means 10s).
-func DialFrameWorker(addr string, timeout time.Duration) *WorkerClient {
-	return dist.DialFrame(addr, timeout)
 }

@@ -156,122 +156,6 @@ func TestEstimateBandwidth(t *testing.T) {
 	}
 }
 
-func TestKMeansSeparatesBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts, truth := blobs(rng, 3, 40, 10, 0.3)
-	res, inertia, err := KMeans(pts, KMeansConfig{K: 3, Seed: 1, Restarts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inertia <= 0 {
-		t.Fatalf("inertia = %g", inertia)
-	}
-	if ari := AdjustedRandIndex(res.Labels, truth); ari < 0.99 {
-		t.Fatalf("kmeans ARI = %g", ari)
-	}
-}
-
-func TestKMeansKLargerThanN(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 1}}
-	res, _, err := KMeans(pts, KMeansConfig{K: 10, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centers) > 2 {
-		t.Fatalf("centers = %d, want <= 2", len(res.Centers))
-	}
-}
-
-func TestKMeansErrors(t *testing.T) {
-	if _, _, err := KMeans([]Point{{1}}, KMeansConfig{K: 0}); err != ErrBadK {
-		t.Fatal("K=0 accepted")
-	}
-	res, _, err := KMeans(nil, KMeansConfig{K: 2})
-	if err != nil || len(res.Labels) != 0 {
-		t.Fatal("empty input")
-	}
-}
-
-func TestKMeansDeterministicWithSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts, _ := blobs(rng, 2, 30, 8, 0.5)
-	a, ia, _ := KMeans(pts, KMeansConfig{K: 2, Seed: 42})
-	b, ib, _ := KMeans(pts, KMeansConfig{K: 2, Seed: 42})
-	if ia != ib || AdjustedRandIndex(a.Labels, b.Labels) != 1 {
-		t.Fatal("same seed should give identical clustering")
-	}
-}
-
-func TestGridQuantize(t *testing.T) {
-	pts := []Point{{0.1, 0.1}, {0.2, 0.2}, {5.1, 5.1}}
-	res, err := GridQuantize(pts, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Labels[0] != res.Labels[1] || res.Labels[0] == res.Labels[2] {
-		t.Fatalf("labels = %v", res.Labels)
-	}
-	// Boundary brittleness: points straddling a cell edge split even
-	// though they are close — the weakness the ablation demonstrates.
-	edge := []Point{{0.999, 0}, {1.001, 0}}
-	res, err = GridQuantize(edge, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Labels[0] == res.Labels[1] {
-		t.Fatal("grid should split straddling points (expected weakness)")
-	}
-}
-
-func TestGridQuantizeErrors(t *testing.T) {
-	if _, err := GridQuantize([]Point{{1, 2}}, []float64{1}); err == nil {
-		t.Fatal("cell dimension mismatch accepted")
-	}
-	if _, err := GridQuantize([]Point{{1}}, []float64{0}); err == nil {
-		t.Fatal("zero cell accepted")
-	}
-	if _, err := GridQuantize([]Point{{1}}, []float64{-1}); err == nil {
-		t.Fatal("negative cell accepted")
-	}
-	res, err := GridQuantize(nil, []float64{1})
-	if err != nil || len(res.Labels) != 0 {
-		t.Fatal("empty input")
-	}
-	// Negative coordinates must not collide with positive cells.
-	res, err = GridQuantize([]Point{{-0.5}, {0.5}}, []float64{1})
-	if err != nil || res.Labels[0] == res.Labels[1] {
-		t.Fatal("negative cell collided with positive")
-	}
-}
-
-func TestSilhouette(t *testing.T) {
-	// Two tight, well separated pairs: silhouette near 1.
-	pts := []Point{{0, 0}, {0.1, 0}, {10, 0}, {10.1, 0}}
-	labels := []int{0, 0, 1, 1}
-	if s := Silhouette(pts, labels); s < 0.9 {
-		t.Fatalf("silhouette = %g, want ~1", s)
-	}
-	// Deliberately wrong labels: negative score.
-	bad := []int{0, 1, 0, 1}
-	if s := Silhouette(pts, bad); s >= 0 {
-		t.Fatalf("bad labeling silhouette = %g, want < 0", s)
-	}
-	if Silhouette(pts, []int{0, 0, 0, 0}) != 0 {
-		t.Fatal("single cluster should score 0")
-	}
-	if Silhouette(pts[:1], []int{0}) != 0 {
-		t.Fatal("single point should score 0")
-	}
-}
-
-func TestInertia(t *testing.T) {
-	pts := []Point{{0, 0}, {2, 0}}
-	res := &Result{Labels: []int{0, 0}, Centers: []Point{{1, 0}}}
-	if got := Inertia(pts, res); got != 2 {
-		t.Fatalf("inertia = %g, want 2", got)
-	}
-}
-
 func TestAdjustedRandIndex(t *testing.T) {
 	if ari := AdjustedRandIndex([]int{0, 0, 1, 1}, []int{1, 1, 0, 0}); ari != 1 {
 		t.Fatalf("relabeled identical partitions ARI = %g", ari)

@@ -1,83 +1,8 @@
 package cluster
 
-import "math"
-
-// Cluster-quality metrics used by the ablation benches to compare Mean
-// Shift against the K-Means and grid baselines.
-
-// Silhouette returns the mean silhouette coefficient of the clustering in
-// [-1, 1]; higher is better. Points in singleton clusters contribute 0
-// (scikit-learn convention). Returns 0 when there are fewer than 2
-// clusters or fewer than 2 points.
-func Silhouette(points []Point, labels []int) float64 {
-	n := len(points)
-	if n < 2 || len(labels) != n {
-		return 0
-	}
-	k := 0
-	for _, l := range labels {
-		if l+1 > k {
-			k = l + 1
-		}
-	}
-	if k < 2 {
-		return 0
-	}
-	sizes := make([]int, k)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	var total float64
-	for i := 0; i < n; i++ {
-		li := labels[i]
-		if sizes[li] <= 1 {
-			continue // contributes 0
-		}
-		// Mean distance to own cluster (a) and nearest other cluster (b).
-		sum := make([]float64, k)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			sum[labels[j]] += Dist(points[i], points[j])
-		}
-		a := sum[li] / float64(sizes[li]-1)
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == li || sizes[c] == 0 {
-				continue
-			}
-			if m := sum[c] / float64(sizes[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue
-		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-		}
-	}
-	return total / float64(n)
-}
-
-// Inertia returns the sum of squared distances of points to the center of
-// their assigned cluster.
-func Inertia(points []Point, res *Result) float64 {
-	var s float64
-	for i, p := range points {
-		l := res.Labels[i]
-		if l >= 0 && l < len(res.Centers) {
-			s += Dist2(p, res.Centers[l])
-		}
-	}
-	return s
-}
-
 // AdjustedRandIndex compares two labelings of the same points; 1 means
-// identical partitions, ~0 means random agreement. Used to score detected
-// periodic groups against generator ground truth in ablation tests.
+// identical partitions, ~0 means random agreement. The Mean Shift tests use
+// it to score detected groups against generator ground truth.
 func AdjustedRandIndex(a, b []int) float64 {
 	if len(a) != len(b) || len(a) == 0 {
 		return 0

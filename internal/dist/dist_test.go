@@ -2,13 +2,19 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
+	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
+	"github.com/mosaic-hpc/mosaic/internal/ring"
+	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
 func startWorker(t *testing.T) string {
@@ -78,46 +84,79 @@ func TestClientRejectsCorrupted(t *testing.T) {
 	}
 }
 
+// categorizeAll pushes jobs through the master's executor entry point
+// from as many goroutines as it asks for, the way the engine's Categorize
+// stage does, and returns each job's error.
+func categorizeAll(m *Master, jobs []*darshan.Job) []error {
+	errs := make([]error, len(jobs))
+	sem := make(chan struct{}, m.Concurrency())
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, j *darshan.Job) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			_, errs[i] = m.Categorize(context.Background(), j, core.DefaultConfig())
+		}(i, j)
+	}
+	wg.Wait()
+	return errs
+}
+
 func TestMasterRunFanOut(t *testing.T) {
 	clients := make([]*Client, 0, 2)
+	regs := make([]*telemetry.Registry, 0, 2)
 	for i := 0; i < 2; i++ {
-		c, err := Dial(startWorker(t))
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		reg := telemetry.NewRegistry()
+		go NewServer(nil, reg).Serve(l) //nolint:errcheck // closed by cleanup
+		c, err := Dial(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		clients = append(clients, c)
+		regs = append(regs, reg)
 	}
 	m := NewMaster(clients, core.DefaultConfig())
+	m.PerWorker = 3
 
 	const n = 40
-	jobs := make(chan *darshan.Job)
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			j := testJob(uint64(i))
-			if i%4 == 0 {
-				j.NProcs = 0 // corrupt every 4th
-			}
-			jobs <- j
+	jobs := make([]*darshan.Job, n)
+	for i := range jobs {
+		jobs[i] = testJob(uint64(i))
+		if i%4 == 0 {
+			jobs[i].NProcs = 0 // corrupt every 4th
 		}
-	}()
-	var ok, evicted, failed int
-	for out := range m.Run(jobs, 3) {
+	}
+	var ok, rejected int
+	for i, err := range categorizeAll(m, jobs) {
 		switch {
-		case out.Err != nil:
-			failed++
-		case out.Result == nil:
-			evicted++
-		default:
+		case err == nil:
 			ok++
+		case i%4 == 0 && strings.Contains(err.Error(), "rejected"):
+			rejected++
+		default:
+			t.Fatalf("job %d: %v", i, err)
 		}
 	}
-	if failed != 0 {
-		t.Fatalf("failures: %d", failed)
+	if ok != 30 || rejected != 10 {
+		t.Fatalf("ok=%d rejected=%d", ok, rejected)
 	}
-	if ok != 30 || evicted != 10 {
-		t.Fatalf("ok=%d evicted=%d", ok, evicted)
+	// Round-robin homes and no failover: each worker served half.
+	for i, reg := range regs {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if want := "mosaic_dist_worker_rpc_total 20"; !strings.Contains(b.String(), want) {
+			t.Fatalf("worker %d: missing %q in\n%s", i, want, b.String())
+		}
 	}
 }
 
@@ -166,26 +205,14 @@ func TestMasterFailover(t *testing.T) {
 	cDead.Close()
 
 	const n = 20
-	jobs := make(chan *darshan.Job)
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			jobs <- testJob(uint64(i))
-		}
-	}()
-	var ok, failed int
-	for out := range m.Run(jobs, 2) {
-		if out.Err != nil {
-			failed++
-		} else if out.Result != nil {
-			ok++
-		}
+	jobs := make([]*darshan.Job, n)
+	for i := range jobs {
+		jobs[i] = testJob(uint64(i))
 	}
-	if failed != 0 {
-		t.Fatalf("%d jobs failed despite a live worker", failed)
-	}
-	if ok != n {
-		t.Fatalf("ok = %d, want %d", ok, n)
+	for i, err := range categorizeAll(m, jobs) {
+		if err != nil {
+			t.Fatalf("job %d failed despite a live worker: %v", i, err)
+		}
 	}
 	if m.LiveWorkers() != 1 {
 		t.Fatalf("live workers = %d, want 1", m.LiveWorkers())
@@ -205,17 +232,47 @@ func TestMasterAllWorkersDead(t *testing.T) {
 	l.Close()
 	c.Close()
 	m := NewMaster([]*Client{c}, core.DefaultConfig())
-	jobs := make(chan *darshan.Job, 1)
-	jobs <- testJob(1)
-	close(jobs)
-	var failed int
-	for out := range m.Run(jobs, 1) {
-		if out.Err != nil {
-			failed++
-		}
+	if _, err := m.Categorize(context.Background(), testJob(1), core.DefaultConfig()); err == nil {
+		t.Fatal("categorize succeeded with no live workers")
 	}
-	if failed != 1 {
-		t.Fatalf("failed = %d, want 1 (no live workers)", failed)
+	if m.LiveWorkers() != 0 {
+		t.Fatalf("live workers = %d, want 0", m.LiveWorkers())
+	}
+}
+
+// TestCategorizeCarriesRequestID: the categorize frame is stamped with
+// the request ID and trace context of the request trace in ctx, so the
+// worker's side of the call can be matched to the originating request.
+func TestCategorizeCarriesRequestID(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	srv := NewServer(nil, nil)
+	var gotRID, gotTP string
+	srv.Handle(ring.OpCategorize, "categorize", func(_ context.Context, f *ring.Frame) ([]byte, error) {
+		gotRID, gotTP = f.RequestID, f.Traceparent
+		return json.Marshal(CategorizeReply{Reason: "not looked at"})
+	})
+	go srv.Serve(l) //nolint:errcheck // closed by cleanup
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	tr := reqtrace.New(reqtrace.StartOptions{Method: "POST", Route: "/v1/traces", RequestID: "req-7"})
+	ctx := reqtrace.NewContext(context.Background(), tr)
+	if _, reason, err := c.CategorizeContext(ctx, testJob(1), core.DefaultConfig()); err != nil || reason == "" {
+		t.Fatalf("categorize: reason=%q err=%v", reason, err)
+	}
+	tr.FinishRoot(200)
+	if gotRID != "req-7" {
+		t.Errorf("worker saw request ID %q, want req-7", gotRID)
+	}
+	if tid, _, ok := reqtrace.ParseTraceparent(gotTP); !ok || tid != tr.ID() {
+		t.Errorf("worker saw traceparent %q, want trace %s", gotTP, tr.ID())
 	}
 }
 

@@ -13,6 +13,10 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
+// TestServerGracefulDrain: a worker reports its master connections and
+// RPCs, and Shutdown — whose drain unit is the in-flight frame (see
+// ring's TestServerShutdown*) — does not wait for a master that merely
+// stays connected.
 func TestServerGracefulDrain(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -32,12 +36,16 @@ func TestServerGracefulDrain(t *testing.T) {
 		t.Fatalf("categorize before drain: %v %q", err, reason)
 	}
 
-	// Metrics captured the connection and the RPC.
+	// Scraped twice: the accepted total is synced by delta, not re-added.
 	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		b.Reset()
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, want := range []string{
+		"mosaic_dist_worker_connections 1",
 		"mosaic_dist_worker_connections_total 1",
 		"mosaic_dist_worker_rpc_total 1",
 	} {
@@ -46,53 +54,19 @@ func TestServerGracefulDrain(t *testing.T) {
 		}
 	}
 
-	// Shutdown drains: the open connection is allowed to finish; once the
-	// client closes, Shutdown and Serve both return cleanly.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	drained := make(chan error, 1)
-	go func() { drained <- srv.Shutdown(ctx) }()
-	time.Sleep(20 * time.Millisecond) // let Shutdown observe the open conn
-	c.Close()
-	if err := <-drained; err != nil {
-		t.Fatalf("drain: %v", err)
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain with an idle master connected: %v", err)
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("serve after drain: %v", err)
 	}
-
-	// New connections are refused after shutdown.
+	if _, _, err := c.Categorize(testJob(2), core.DefaultConfig()); err == nil {
+		t.Fatal("categorize succeeded after shutdown")
+	}
 	if _, err := Dial(l.Addr().String()); err == nil {
 		t.Fatal("dial succeeded after shutdown")
-	}
-}
-
-func TestServerShutdownForcesAfterTimeout(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(nil, nil)
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(l) }()
-
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, _, err := c.Categorize(testJob(1), core.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-
-	// The client stays connected; a short deadline forces the close.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err == nil {
-		t.Fatal("shutdown returned nil despite a lingering connection")
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("serve: %v", err)
 	}
 }
 

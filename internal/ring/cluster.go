@@ -295,12 +295,12 @@ func (c *Cluster) callPeer(ctx context.Context, p *peer, op byte, opName, reqID 
 	start := time.Now()
 	resp, err := p.client.Call(ctx, op, opName, reqID, body)
 	c.met.RPCSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		if !errors.Is(err, ErrNotFound) {
-			c.met.RPCErrors.Inc()
-		}
+	// A miss is an answer, and a call its own caller cancelled (the loser
+	// of a hedged fetch, a client that hung up) says nothing about the peer.
+	if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, context.Canceled) {
+		c.met.RPCErrors.Inc()
 		var re *RemoteError
-		if !errors.As(err, &re) && !errors.Is(err, ErrNotFound) {
+		if !errors.As(err, &re) {
 			c.markDown(p, err)
 		}
 	}
@@ -444,7 +444,7 @@ func appendPairs(body []byte, ids []string, blobs [][]byte) ([]byte, error) {
 // splitPairs decodes an alternating id/blob body built by appendPairs.
 // The blob slices alias body; the ids are copied out.
 func splitPairs(body []byte) ([]string, [][]byte, error) {
-	parts, err := SplitBlobs(body)
+	parts, err := SplitBlobs(body, maxPairItems)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -128,22 +128,31 @@ func ParseFrame(buf []byte) (Frame, int, error) {
 	return f, 4 + int(n), nil
 }
 
-// AppendBlob appends one length-prefixed blob to a frame body — the
-// same [u32 length][bytes] shape as the serve tier's batch encoding,
-// so a batch upload body can be re-framed for forwarding without
-// re-encoding the traces.
+// AppendBlob appends one length-prefixed blob, [u32 length][bytes], to
+// a blob list: the body format of the multi-part operations and of the
+// serve tier's x-mosaic-batch uploads alike.
 func AppendBlob(dst, blob []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
 	return append(dst, blob...)
 }
 
-// SplitBlobs decodes a frame body of length-prefixed blobs. The
-// returned slices alias body.
-func SplitBlobs(body []byte) ([][]byte, error) {
+// maxPairItems caps the blobs of one OpIngest/OpReplicate body: an id
+// and a blob for each trace of the largest batch the HTTP edge accepts
+// (1024 traces; hint replay ships 64 at a time).
+const maxPairItems = 2 * 1024
+
+// SplitBlobs decodes a frame body of length-prefixed blobs, rejecting
+// one that holds more than maxItems: each blob costs a 24-byte slice
+// header here however short it is on the wire, so the caller states how
+// many its operation can carry. The returned slices alias body.
+func SplitBlobs(body []byte, maxItems int) ([][]byte, error) {
 	var out [][]byte
 	for len(body) > 0 {
 		if len(body) < 4 {
 			return nil, fmt.Errorf("ring: truncated blob length at item %d", len(out))
+		}
+		if len(out) == maxItems {
+			return nil, fmt.Errorf("ring: body holds more than %d blobs", maxItems)
 		}
 		n := int(binary.LittleEndian.Uint32(body))
 		body = body[4:]

@@ -3,6 +3,7 @@ package ring
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -28,6 +29,22 @@ func TestFrameRoundTrip(t *testing.T) {
 			!bytes.Equal(got.Body, want.Body) {
 			t.Fatalf("case %d: round trip mismatch: %+v", i, got)
 		}
+	}
+}
+
+// TestFrameGoldenBytes pins the wire format: nodes and workers of
+// different builds must keep understanding each other.
+func TestFrameGoldenBytes(t *testing.T) {
+	got := AppendFrame(nil, &Frame{Op: OpIngest, Status: StatusNotFound, RequestID: "r1", Traceparent: "tp", Body: []byte("B")})
+	want := []byte{
+		11, 0, 0, 0, // length of everything after this field
+		OpIngest, StatusNotFound,
+		2, 0, 'r', '1',
+		2, 0, 't', 'p',
+		'B',
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame = %v, want %v", got, want)
 	}
 }
 
@@ -94,7 +111,7 @@ func TestBlobsRoundTrip(t *testing.T) {
 	for _, b := range blobs {
 		body = AppendBlob(body, b)
 	}
-	got, err := SplitBlobs(body)
+	got, err := SplitBlobs(body, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +123,30 @@ func TestBlobsRoundTrip(t *testing.T) {
 			t.Errorf("blob %d: %q != %q", i, got[i], blobs[i])
 		}
 	}
-	if _, err := SplitBlobs([]byte{1, 0}); err == nil {
+	if _, err := SplitBlobs([]byte{1, 0}, 1); err == nil {
 		t.Error("truncated blob length accepted")
 	}
-	if _, err := SplitBlobs(binary.LittleEndian.AppendUint32(nil, 100)); err == nil {
+	if _, err := SplitBlobs(binary.LittleEndian.AppendUint32(nil, 100), 1); err == nil {
 		t.Error("blob overrun accepted")
+	}
+}
+
+// TestSplitBlobsItemCap: a body of nothing but zero-length blobs is four
+// bytes an item on the wire and a slice header each in memory. SplitBlobs
+// stops at its caller's cap instead of building the six-fold list.
+func TestSplitBlobsItemCap(t *testing.T) {
+	body := make([]byte, 4*(1<<20)) // 1 Mi empty blobs
+	if got, err := SplitBlobs(body[:4*maxPairItems], maxPairItems); err != nil || len(got) != maxPairItems {
+		t.Fatalf("a body at the cap: %d blobs, %v", len(got), err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := SplitBlobs(body, maxPairItems)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a body past the cap was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(body))/8 {
+		t.Fatalf("rejecting a %d byte body allocated %d bytes", len(body), grew)
 	}
 }

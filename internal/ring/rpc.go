@@ -57,8 +57,8 @@ type ServerOptions struct {
 
 // Server accepts frame-RPC connections and dispatches frames to
 // registered handlers, one connection per goroutine, frames on a
-// connection served in order. Shutdown drains like dist.Server; Kill
-// is the crash path used by failure tests.
+// connection served in order. Shutdown drains in-flight frames; Kill is
+// the crash path used by failure tests.
 type Server struct {
 	opts     ServerOptions
 	handlers [256]Handler
@@ -67,6 +67,7 @@ type Server struct {
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
+	accepted int64 // connections ever tracked
 	closing  bool
 	drained  sync.WaitGroup
 	frames   sync.WaitGroup // in-flight dispatches (drain unit: Shutdown)
@@ -98,8 +99,17 @@ func (s *Server) track(c net.Conn) bool {
 		return false
 	}
 	s.conns[c] = struct{}{}
+	s.accepted++
 	s.drained.Add(1)
 	return true
+}
+
+// Conns reports how many connections are open now and how many have
+// been accepted since the server started.
+func (s *Server) Conns() (open int, accepted int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns), s.accepted
 }
 
 func (s *Server) untrack(c net.Conn) {
@@ -144,43 +154,73 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// serveConn reads frames off one connection and answers each in order.
-// The read buffer grows to the largest frame seen and parses
+// readFrame returns the frame at the front of buf, reading from r for
+// as long as ParseFrame reports it incomplete. It is the one read loop
+// of the transport, under the server's connections and the client's
+// calls alike: buf grows to the largest frame seen and is parsed
 // incrementally, so a slow peer trickling a large replication batch
-// costs no re-scans.
-func (s *Server) serveConn(c net.Conn) error {
-	buf := make([]byte, 0, 16<<10)
-	var out []byte
+// costs no re-scans. The returned buffer replaces buf (it may have been
+// reallocated); the frame occupies its first n bytes and Body aliases
+// them. A peer that hangs up comes back as a bare io.EOF, which means
+// "done" to a server and "no answer" to a client.
+func readFrame(r io.Reader, buf []byte) (Frame, int, []byte, error) {
 	for {
-		f, n, err := ParseFrame(buf)
+		if f, n, err := ParseFrame(buf); err != nil || n != 0 {
+			return f, n, buf, err
+		}
+		if len(buf) == cap(buf) || cap(buf) < 16<<10 {
+			// Full, or a client's buffer that a small request sized: no
+			// frame is read through less than 16 KiB.
+			grown := make([]byte, len(buf), max(2*cap(buf), 16<<10))
+			copy(grown, buf)
+			buf = grown
+		}
+		got, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+got]
+		if got == 0 {
+			if err == nil {
+				err = io.ErrNoProgress
+			}
+			return Frame{}, 0, buf, err
+		}
+	}
+}
+
+// serveConn reads frames off one connection and answers each in order.
+func (s *Server) serveConn(c net.Conn) error {
+	var buf, out []byte
+	for {
+		f, n, grown, err := readFrame(c, buf)
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		if n == 0 {
-			if len(buf) == cap(buf) {
-				grown := make([]byte, len(buf), cap(buf)*2)
-				copy(grown, buf)
-				buf = grown
-			}
-			r, err := c.Read(buf[len(buf):cap(buf)])
-			if r > 0 {
-				buf = buf[:len(buf)+r]
-				continue
-			}
-			if err == io.EOF {
-				return nil
-			}
-			return err
+		if !s.beginFrame() {
+			return nil // draining: the peer's call fails over or retries
 		}
-		s.frames.Add(1)
 		out = s.dispatch(out[:0], &f)
 		_, err = c.Write(out)
 		s.frames.Done()
 		if err != nil {
 			return err
 		}
-		buf = append(buf[:0], buf[n:]...)
+		buf = append(grown[:0], grown[n:]...)
 	}
+}
+
+// beginFrame counts a frame into the set Shutdown drains, unless the
+// drain has begun: taking the count under the lock that sets closing
+// orders every Add before Shutdown's Wait.
+func (s *Server) beginFrame() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closing {
+		return false
+	}
+	s.frames.Add(1)
+	return true
 }
 
 // dispatch runs one frame through its handler — opening and finishing
@@ -228,9 +268,9 @@ func (s *Server) dispatch(out []byte, f *Frame) []byte {
 }
 
 // Shutdown stops accepting, waits for in-flight frames to finish (or
-// ctx to expire), then closes every connection. Peers hold pooled
-// persistent connections that never close on their own, so the drain
-// unit is the frame, not the connection.
+// ctx to expire, which it reports), then closes every connection. Peers
+// hold pooled persistent connections that never close on their own, so
+// the drain unit is the frame, not the connection.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closing = true
@@ -259,7 +299,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, c := range conns {
 		c.Close()
 	}
-	s.drained.Wait()
+	if err == nil {
+		// Every connection goroutine is between frames and exits on the
+		// close. After a forced close one may sit in a handler that
+		// outlived ctx; the deadline is the caller's, so it is not waited on.
+		s.drained.Wait()
+	}
 	return err
 }
 
@@ -331,7 +376,7 @@ func (c *Client) get(ctx context.Context) (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ring: dialing %s: %w", c.addr, err)
 	}
-	return &clientConn{c: conn, buf: make([]byte, 0, 16<<10)}, nil
+	return &clientConn{c: conn}, nil
 }
 
 func (c *Client) put(cc *clientConn) {
@@ -392,8 +437,15 @@ func (c *Client) Call(ctx context.Context, op byte, opName, reqID string, body [
 
 // roundTrip writes one frame and reads one response on a pooled
 // connection. Transport errors close the connection; protocol-level
-// errors (StatusError) keep it pooled.
+// errors (StatusError) keep it pooled. A ctx that ends mid-call ends the
+// call: the connection's deadline is forced into the past, the blocked
+// read or write fails at once, and the connection — whose peer may still
+// answer the abandoned request — never returns to the pool.
 func (c *Client) roundTrip(ctx context.Context, req *Frame) (Frame, error) {
+	if err := ctx.Err(); err != nil {
+		// Already over: not worth a pooled connection and the redial.
+		return Frame{}, fmt.Errorf("ring: call to %s: %w", c.addr, err)
+	}
 	cc, err := c.get(ctx)
 	if err != nil {
 		return Frame{}, err
@@ -406,44 +458,40 @@ func (c *Client) roundTrip(ctx context.Context, req *Frame) (Frame, error) {
 		cc.c.Close()
 		return Frame{}, err
 	}
+	stop := context.AfterFunc(ctx, func() { cc.c.SetDeadline(time.Unix(1, 0)) })
+	resp, err := cc.exchange(req)
+	if !stop() {
+		cc.c.Close()
+		return Frame{}, fmt.Errorf("ring: call to %s: %w", c.addr, ctx.Err())
+	}
+	if err != nil {
+		cc.c.Close()
+		return Frame{}, fmt.Errorf("ring: peer %s: %w", c.addr, err)
+	}
+	c.put(cc)
+	return resp, nil
+}
+
+// exchange sends req and reads the response through the connection's
+// buffer, which keeps its grown storage for the next call: a client that
+// ships 1 MB ingest batches would otherwise re-grow it from scratch
+// every time.
+func (cc *clientConn) exchange(req *Frame) (Frame, error) {
 	out := AppendFrame(cc.buf[:0], req)
-	// Keep the grown storage with the pooled connection: a client that
-	// ships 1 MB ingest batches would otherwise re-grow the frame buffer
-	// from scratch on every call.
 	cc.buf = out[:0]
 	if _, err := cc.c.Write(out); err != nil {
-		cc.c.Close()
-		return Frame{}, fmt.Errorf("ring: writing to %s: %w", c.addr, err)
+		return Frame{}, fmt.Errorf("writing: %w", err)
 	}
-	buf := cc.buf[:0]
-	for {
-		f, n, perr := ParseFrame(buf)
-		if perr != nil {
-			cc.c.Close()
-			return Frame{}, perr
-		}
-		if n != 0 {
-			// Copy the body out of the pooled buffer before the
-			// connection is reused.
-			f.Body = append([]byte(nil), f.Body...)
-			cc.buf = buf[:0]
-			c.put(cc)
-			return f, nil
-		}
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), cap(buf)*2)
-			copy(grown, buf)
-			buf = grown
-		}
-		r, rerr := cc.c.Read(buf[len(buf):cap(buf)])
-		if r > 0 {
-			buf = buf[:len(buf)+r]
-			continue
-		}
-		cc.c.Close()
-		if rerr == nil || rerr == io.EOF {
-			rerr = io.ErrUnexpectedEOF
-		}
-		return Frame{}, fmt.Errorf("ring: reading from %s: %w", c.addr, rerr)
+	f, _, buf, err := readFrame(cc.c, cc.buf)
+	cc.buf = buf[:0]
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
+	if err != nil {
+		return Frame{}, fmt.Errorf("reading: %w", err)
+	}
+	// Copy the body out of the pooled buffer before the connection is
+	// reused.
+	f.Body = append([]byte(nil), f.Body...)
+	return f, nil
 }

@@ -191,3 +191,142 @@ func TestKillFailsInFlight(t *testing.T) {
 		t.Fatal("call hung after Kill")
 	}
 }
+
+// TestServerGracefulDrain: Shutdown waits for the frame being served —
+// its caller gets the answer — then closes the connection under the
+// idle client and refuses new ones.
+func TestServerGracefulDrain(t *testing.T) {
+	s := NewServer(ServerOptions{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.Handle(OpQuery, "query", func(context.Context, *Frame) ([]byte, error) {
+		close(entered)
+		<-release
+		return []byte("done"), nil
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	c := NewClient(l.Addr().String(), 5*time.Second)
+	defer c.Close()
+
+	type answer struct {
+		body []byte
+		err  error
+	}
+	called := make(chan answer, 1)
+	go func() {
+		body, err := c.Call(context.Background(), OpQuery, "query", "", nil)
+		called <- answer{body, err}
+	}()
+	<-entered
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- s.Shutdown(ctx) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned (%v) with a frame in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if a := <-called; a.err != nil || string(a.body) != "done" {
+		t.Fatalf("in-flight call: %q, %v", a.body, a.err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve after drain: %v", err)
+	}
+	if _, err := c.Call(context.Background(), OpPing, "ping", "", nil); err == nil {
+		t.Fatal("call succeeded after shutdown")
+	}
+}
+
+// TestServerShutdownForcesAfterTimeout: a frame that outlives the drain
+// deadline does not hold Shutdown; its connection is closed under it.
+func TestServerShutdownForcesAfterTimeout(t *testing.T) {
+	s := NewServer(ServerOptions{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	s.Handle(OpQuery, "query", func(context.Context, *Frame) ([]byte, error) {
+		close(entered)
+		<-release
+		return nil, nil
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	c := NewClient(l.Addr().String(), 5*time.Second)
+	defer c.Close()
+	called := make(chan error, 1)
+	go func() {
+		_, err := c.Call(context.Background(), OpQuery, "query", "", nil)
+		called <- err
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want the drain deadline", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if err := <-called; err == nil {
+		t.Fatal("the stuck call survived a forced shutdown")
+	}
+}
+
+// TestCallReturnsOnCancel: a call whose context is cancelled returns
+// ctx.Err() then, not when the peer gets round to answering, and the
+// connection the abandoned answer will arrive on is not reused.
+func TestCallReturnsOnCancel(t *testing.T) {
+	s := NewServer(ServerOptions{})
+	done := make(chan struct{})
+	defer close(done) // lets the handler go before the server drains
+	s.Handle(OpQuery, "query", func(context.Context, *Frame) ([]byte, error) {
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+		}
+		return []byte("late"), nil
+	})
+	addr := startTestServer(t, s)
+	c := NewClient(addr, 10*time.Second)
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := c.Call(ctx, OpQuery, "query", "", nil)
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("cancelled call returned after %v", took)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call returned %v, want context.Canceled", err)
+	}
+	// The next call gets its own answer, not the late one.
+	if resp, err := c.Call(context.Background(), OpPing, "ping", "", nil); err != nil || string(resp) != `{"ok":true}` {
+		t.Fatalf("call after a cancelled one: %q, %v", resp, err)
+	}
+	// A call that starts cancelled costs no connection: the pooled one
+	// is still there for the call after it.
+	_, before := s.Conns()
+	if _, err := c.Call(ctx, OpPing, "ping", "", nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("call on a cancelled context returned %v", err)
+	}
+	if _, err := c.Call(context.Background(), OpPing, "ping", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, after := s.Conns(); after != before {
+		t.Fatalf("server accepted %d connections, want the %d it had", after, before)
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
+	"github.com/mosaic-hpc/mosaic/internal/ring"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
@@ -32,10 +33,7 @@ const maxBatchItems = 1024
 
 // AppendBatchFrame appends one blob to a length-prefixed batch body:
 // the client-side encoder for BatchContentType.
-func AppendBatchFrame(dst, blob []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
-	return append(dst, blob...)
-}
+func AppendBatchFrame(dst, blob []byte) []byte { return ring.AppendBlob(dst, blob) }
 
 // upload is one named blob extracted from an ingest request body.
 type upload struct {

@@ -200,3 +200,17 @@ func TestServeBatchBackpressure(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchBodyGoldenBytes pins the x-mosaic-batch encoding clients
+// write: [u32 little-endian length][blob], repeated.
+func TestBatchBodyGoldenBytes(t *testing.T) {
+	body := AppendBatchFrame(AppendBatchFrame(nil, []byte("ab")), []byte("c"))
+	want := []byte{2, 0, 0, 0, 'a', 'b', 1, 0, 0, 0, 'c'}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("batch body = %v, want %v", body, want)
+	}
+	ups, err := readBatchFrames(bytes.NewReader(body), 16)
+	if err != nil || len(ups) != 2 || string(ups[0].data) != "ab" || string(ups[1].data) != "c" {
+		t.Fatalf("reading it back: %+v, %v", ups, err)
+	}
+}

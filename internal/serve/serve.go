@@ -540,12 +540,11 @@ func (s *Server) failureOf(id store.TraceID) (string, bool) {
 	return r, ok
 }
 
-// Shutdown drains the service gracefully, mirroring dist.Server: stop
-// accepting ingests, finish the backfill pass, process every queued
-// trace, then stop the workers. When ctx expires first, in-flight
-// work is cancelled and ctx's error returned — but accepted traces
-// are never lost: their blobs are durable and the next startup's
-// backfill completes them.
+// Shutdown drains the service gracefully: stop accepting ingests,
+// finish the backfill pass, process every queued trace, then stop the
+// workers. When ctx expires first, in-flight work is cancelled and
+// ctx's error returned — but accepted traces are never lost: their
+// blobs are durable and the next startup's backfill completes them.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.draining.Swap(true) {
 		return nil // already shut down

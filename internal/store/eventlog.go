@@ -1,23 +1,15 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 )
 
-// kindEvent frames records in a standalone AppendLog. The kind is
-// deliberately NOT accepted by the store's segment scanner: an event
-// log is its own file with its own lifecycle, never mixed into the
-// content-addressed segment sequence.
-const kindEvent byte = 4
-
 // AppendLog is a minimal CRC-framed append-only log for small records
-// (the cluster event journal). It reuses the store's frame layout —
-// [u32 len][u8 kind][u16 keyLen=0][value][u32 crc] — so the same
+// (the cluster event journal). It reuses the store's frame layout
+// (frame.go) with kind = kindEvent and an empty key, so the same
 // torn-tail recovery guarantees apply: on open the file is scanned,
 // validated, and truncated to the last intact frame. All methods are
 // safe for concurrent use.
@@ -41,13 +33,18 @@ func OpenAppendLog(path string, syncEach bool) (*AppendLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening append log %s: %w", path, err)
 	}
-	l := &AppendLog{f: f, path: path, sync: syncEach}
-	good, records, dropped, err := scanAppendLog(f, nil)
+	size, err := fileSize(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if dropped > 0 {
+	records := 0
+	good, err := scanEvents(f, size, func([]byte) bool { records++; return true })
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	if good < size {
 		if err := f.Truncate(good); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
@@ -57,73 +54,33 @@ func OpenAppendLog(path string, syncEach bool) (*AppendLog, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: seeking %s: %w", path, err)
 	}
-	l.size = good
-	l.records = records
-	l.droppedBytes = dropped
-	return l, nil
+	return &AppendLog{f: f, path: path, sync: syncEach, size: good, records: records, droppedBytes: size - good}, nil
 }
 
-// scanAppendLog walks f from the start validating frames. It returns
-// the offset after the last intact frame, the intact record count, and
-// how many trailing bytes fail validation. When fn is non-nil it is
-// called with each record's value; returning false stops the replay
-// (validation still continues so the caller gets accurate bookkeeping).
-func scanAppendLog(f *os.File, fn func(value []byte) bool) (good int64, records int, dropped int64, err error) {
-	info, err := f.Stat()
+// scanEvents is scanFrames for an event log: only kindEvent frames with
+// an empty key are legal, and fn sees each one's value until it returns
+// false.
+func scanEvents(f *os.File, limit int64, fn func(value []byte) bool) (good int64, err error) {
+	good, _, err = scanFrames(f, limit, func(_ int64, kind byte, key, value []byte) scanEnd {
+		switch {
+		case kind != kindEvent || len(key) != 0:
+			return scanInvalid
+		case !fn(value):
+			return scanStopped
+		}
+		return scanToLimit
+	})
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("store: stat append log: %w", err)
+		err = fmt.Errorf("store: append log %s: %w", f.Name(), err)
 	}
-	fileSize := info.Size()
-	var (
-		off     int64
-		hdr     [frameHeaderLen]byte
-		frame   []byte
-		deliver = fn != nil
-	)
-	for {
-		if off+frameHeaderLen > fileSize {
-			break
-		}
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return 0, 0, 0, fmt.Errorf("store: reading append log header: %w", err)
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[:]))
-		if n < framePayloadMin || n > maxFrameLen || off+frameHeaderLen+n+frameCRCLen > fileSize {
-			break
-		}
-		if int64(cap(frame)) < n+frameCRCLen {
-			frame = make([]byte, n+frameCRCLen)
-		}
-		buf := frame[:n+frameCRCLen]
-		if _, err := f.ReadAt(buf, off+frameHeaderLen); err != nil {
-			return 0, 0, 0, fmt.Errorf("store: reading append log frame: %w", err)
-		}
-		payload := buf[:n]
-		want := binary.LittleEndian.Uint32(buf[n:])
-		if crc32.ChecksumIEEE(payload) != want {
-			break
-		}
-		kind := payload[0]
-		keyLen := int(binary.LittleEndian.Uint16(payload[1:3]))
-		if kind != kindEvent || keyLen != 0 {
-			break
-		}
-		if deliver {
-			if !fn(payload[framePayloadMin:]) {
-				deliver = false
-			}
-		}
-		records++
-		off += frameHeaderLen + n + frameCRCLen
-	}
-	return off, records, fileSize - off, nil
+	return good, err
 }
 
 // Append writes one record. The value is framed and CRC-protected;
 // with sync-each enabled it is durable when Append returns.
 func (l *AppendLog) Append(value []byte) error {
-	if payloadLen := framePayloadMin + len(value); payloadLen > maxFrameLen {
-		return fmt.Errorf("store: append log record too large (%d bytes)", payloadLen)
+	if err := checkRecord("", value); err != nil {
+		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -158,7 +115,11 @@ func (l *AppendLog) Replay(fn func(value []byte) bool) error {
 		return fmt.Errorf("store: opening append log for replay: %w", err)
 	}
 	defer f.Close()
-	_, _, _, err = scanAppendLog(f, fn)
+	size, err := fileSize(f)
+	if err != nil {
+		return err
+	}
+	_, err = scanEvents(f, size, fn)
 	return err
 }
 

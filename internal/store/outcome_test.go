@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"os"
@@ -11,85 +12,283 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/explain"
 )
 
-// TestOutcomeTornAtEveryByte cuts the segment at every byte inside a
-// result+explanation pair written by one PutOutcomeCtx and reopens:
-// recovery must find neither record, or both, or — the cut inside the
-// second frame — the result alone. An explanation without its result
-// would be a record the serve tier can never pair up.
+// TestOutcomeTornAtEveryByte cuts a log at every byte inside its last
+// commit and reopens it, for each thing this package commits: recovery
+// must find everything written before the commit, and of the commit's
+// own frames exactly those that lie wholly before the cut — in order, so
+// for a result+explanation pair neither record, or both, or (the cut
+// inside the second frame) the result alone. An explanation without its
+// result would be a record the serve tier can never pair up.
 func TestOutcomeTornAtEveryByte(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := testJob(11)
-	id, _, err := s.PutTrace(j)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fp := core.DefaultConfig().Fingerprint()
-	res, expl := testExplained(t, 11)
-	// One category's evidence: the property is about the two frames, and
-	// every byte of the pair costs one recovery.
-	expl = expl.FilterCategory("write_on_end")
-	pairStart := s.Stats().DiskBytes
-	size, explErr, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
-	if err != nil || explErr != nil || size <= 0 {
-		t.Fatalf("PutOutcomeCtx: size=%d explErr=%v err=%v", size, explErr, err)
-	}
-	if st := s.Stats(); st.Results != 1 || st.Explanations != 1 {
-		t.Fatalf("stored %d results, %d explanations, want 1 and 1", st.Results, st.Explanations)
-	}
-	s.Close()
-
-	whole, err := os.ReadFile(filepath.Join(dir, "000001.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cutDir := t.TempDir()
-	seg := filepath.Join(cutDir, "000001.seg")
-	var neither, alone, both int
-	for cut := pairStart; cut <= int64(len(whole)); cut++ {
-		if err := os.WriteFile(seg, whole[:cut], 0o644); err != nil {
+	var id, id2 TraceID // the trace before every segment commit, and the one that is a commit
+	// segment builds a store holding one trace and then whatever commit
+	// writes, and returns the segment's bytes and where the commit starts.
+	segment := func(t *testing.T, commit func(s *Store)) ([]byte, int64) {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(cutDir, Options{})
+		if id, _, err = s.PutTrace(testJob(11)); err != nil {
+			t.Fatal(err)
+		}
+		start := s.Stats().DiskBytes
+		commit(s)
+		s.Close()
+		whole, err := os.ReadFile(filepath.Join(dir, "000001.seg"))
 		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
+			t.Fatal(err)
 		}
-		hasRes, hasExpl := s2.HasResult(id, fp), s2.HasExplanation(id, fp)
-		if !s2.HasTrace(id) {
-			t.Fatalf("cut at %d: the trace before the pair was lost", cut)
+		return whole, start
+	}
+	// reopened opens the store around a cut segment and checks what every
+	// segment case shares: the trace before the commit is still there.
+	reopened := func(t *testing.T, dir string) *Store {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if hasRes {
-			if _, ok, err := s2.GetResult(id, fp); err != nil || !ok {
-				t.Fatalf("cut at %d: indexed result unreadable (ok=%v err=%v)", cut, ok, err)
+		if !s.HasTrace(id) {
+			t.Fatal("the trace before the commit was lost")
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		file string
+		// write returns the file's bytes and the offset of its last commit.
+		write func(t *testing.T) ([]byte, int64)
+		// survivors reopens the cut file in dir and returns how many of
+		// the commit's frames recovery kept.
+		survivors func(t *testing.T, dir string) int
+	}{
+		{
+			name: "trace frame", file: "000001.seg",
+			write: func(t *testing.T) ([]byte, int64) {
+				return segment(t, func(s *Store) {
+					var err error
+					if id2, _, err = s.PutTraceBytes(encodedJob(t, 12)); err != nil {
+						t.Fatal(err)
+					}
+				})
+			},
+			survivors: func(t *testing.T, dir string) int {
+				s := reopened(t, dir)
+				defer s.Close()
+				if !s.HasTrace(id2) {
+					return 0
+				}
+				if blob, ok, err := s.GetTraceBytes(id2); err != nil || !ok || HashBytes(blob) != id2 {
+					t.Fatalf("indexed trace unreadable (ok=%v err=%v)", ok, err)
+				}
+				return 1
+			},
+		},
+		{
+			name: "result+explanation pair", file: "000001.seg",
+			write: func(t *testing.T) ([]byte, int64) {
+				return segment(t, func(s *Store) {
+					res, expl := testExplained(t, 11)
+					// One category's evidence: the property is about the two
+					// frames, and every byte of the pair costs one recovery.
+					expl = expl.FilterCategory("write_on_end")
+					size, explErr, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
+					if err != nil || explErr != nil || size <= 0 {
+						t.Fatalf("PutOutcomeCtx: size=%d explErr=%v err=%v", size, explErr, err)
+					}
+					if st := s.Stats(); st.Results != 1 || st.Explanations != 1 {
+						t.Fatalf("stored %d results, %d explanations, want 1 and 1", st.Results, st.Explanations)
+					}
+				})
+			},
+			survivors: func(t *testing.T, dir string) int {
+				s := reopened(t, dir)
+				defer s.Close()
+				n := 0
+				if s.HasResult(id, fp) {
+					n++
+					if _, ok, err := s.GetResult(id, fp); err != nil || !ok {
+						t.Fatalf("indexed result unreadable (ok=%v err=%v)", ok, err)
+					}
+				}
+				if s.HasExplanation(id, fp) {
+					if n == 0 {
+						t.Fatal("explanation recovered without its result")
+					}
+					n++
+					if _, ok, err := s.GetExplanation(id, fp); err != nil || !ok {
+						t.Fatalf("indexed explanation unreadable (ok=%v err=%v)", ok, err)
+					}
+				}
+				return n
+			},
+		},
+		{
+			name: "event-log record", file: "events.log",
+			write: func(t *testing.T) ([]byte, int64) {
+				path := filepath.Join(t.TempDir(), "events.log")
+				l, err := OpenAppendLog(path, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Append([]byte("before")); err != nil {
+					t.Fatal(err)
+				}
+				start := l.Size()
+				if err := l.Append([]byte("the commit")); err != nil {
+					t.Fatal(err)
+				}
+				l.Close()
+				whole, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return whole, start
+			},
+			survivors: func(t *testing.T, dir string) int {
+				path := filepath.Join(dir, "events.log")
+				l, err := OpenAppendLog(path, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				var got []string
+				if err := l.Replay(func(v []byte) bool { got = append(got, string(v)); return true }); err != nil {
+					t.Fatal(err)
+				}
+				if len(got) == 0 || got[0] != "before" || len(got) != l.Records() || (len(got) == 2 && got[1] != "the commit") {
+					t.Fatalf("replay = %q, Records = %d", got, l.Records())
+				}
+				// The torn tail is gone from the file, not just skipped.
+				if info, err := os.Stat(path); err != nil || info.Size() != l.Size() {
+					t.Fatalf("file holds %d bytes, log %d (%v)", info.Size(), l.Size(), err)
+				}
+				return len(got) - 1
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			whole, start := tc.write(t)
+			// Where each frame of the commit ends: a cut keeps the frames
+			// that end at or before it.
+			var ends []int64
+			good, end, err := scanFrames(bytes.NewReader(whole), int64(len(whole)), func(off int64, _ byte, key, value []byte) scanEnd {
+				if off >= start {
+					ends = append(ends, valueOff(off, len(key))+int64(len(value))+frameCRCLen)
+				}
+				return scanToLimit
+			})
+			if err != nil || end != scanToLimit || good != int64(len(whole)) || len(ends) == 0 {
+				t.Fatalf("untouched file: %d of %d bytes valid, end %v, %d commit frames, err %v", good, len(whole), end, len(ends), err)
 			}
-		}
-		if hasExpl {
-			if _, ok, err := s2.GetExplanation(id, fp); err != nil || !ok {
-				t.Fatalf("cut at %d: indexed explanation unreadable (ok=%v err=%v)", cut, ok, err)
+			dir := t.TempDir()
+			for cut := start; cut <= int64(len(whole)); cut++ {
+				if err := os.WriteFile(filepath.Join(dir, tc.file), whole[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				want := 0
+				for _, e := range ends {
+					if e <= cut {
+						want++
+					}
+				}
+				if got := tc.survivors(t, dir); got != want {
+					t.Fatalf("cut at %d of %d (commit frames end at %v): %d frames survived, want %d", cut, len(whole), ends, got, want)
+				}
 			}
+		})
+	}
+}
+
+// TestStreamingReadersStopAtCorruptFrame flips one byte inside a frame
+// in the middle of a sealed segment, under an open store whose index
+// still points past it. The sequential readers verify what they read:
+// they deliver what precedes the frame in that segment and what the
+// later segments hold, never the damaged frame or what follows it.
+func TestStreamingReadersStopAtCorruptFrame(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{MaxSegmentBytes: 4 << 10, CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const fp = "fp-x"
+	var ids []TraceID
+	for i := 0; s.Stats().Segments < 3; i++ {
+		id, _, err := s.PutTraceBytes(encodedJob(t, i))
+		if err != nil {
+			t.Fatal(err)
 		}
-		s2.Close()
-		switch {
-		case hasExpl && !hasRes:
-			t.Fatalf("cut at %d: explanation recovered without its result", cut)
-		case hasExpl:
-			both++
-		case hasRes:
-			alone++
-		default:
-			neither++
+		if err := s.PutResult(id, fp, testResult(t, testJob(i))); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	// The victim: the middle trace of the first (sealed) segment.
+	var inFirst []TraceID
+	for _, id := range ids {
+		if s.index[traceKeyOf(id)].seg == 1 {
+			inFirst = append(inFirst, id)
 		}
 	}
-	// Only the untouched file holds both; every cut inside the second
-	// frame keeps the result; every cut inside the first keeps nothing.
-	if both != 1 || alone == 0 || neither == 0 {
-		t.Fatalf("cuts gave neither=%d result-alone=%d both=%d", neither, alone, both)
+	if len(inFirst) < 3 {
+		t.Fatalf("first segment holds %d traces, the test needs a middle one", len(inFirst))
 	}
-	if int64(neither+alone+both) != int64(len(whole))-pairStart+1 {
-		t.Fatalf("visited %d cuts of %d", neither+alone+both, int64(len(whole))-pairStart+1)
+	victim := s.index[traceKeyOf(inFirst[len(inFirst)/2])]
+	seg, err := os.OpenFile(filepath.Join(dir, "000001.seg"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	at := victim.valOff + int64(victim.valLen)/2
+	var b [1]byte
+	if _, err := seg.ReadAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := seg.WriteAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+
+	// survives: a record not in the damaged segment, or before the victim in it.
+	survives := func(l loc) bool { return l.seg != 1 || l.valOff < victim.valOff }
+	wantTraces, wantResults := 0, 0
+	for _, id := range ids {
+		if survives(s.index[traceKeyOf(id)]) {
+			wantTraces++
+		}
+		if survives(s.index[resultKeyOf(id, fp)]) {
+			wantResults++
+		}
+	}
+	if wantTraces == 0 || wantTraces >= len(ids)-1 || wantResults == 0 || wantResults >= len(ids) {
+		t.Fatalf("degenerate layout: %d/%d traces and %d/%d results survive", wantTraces, len(ids), wantResults, len(ids))
+	}
+	gotTraces := 0
+	err = s.EachTraceBlob(func(id TraceID, blob []byte) bool {
+		if HashBytes(blob) != id {
+			t.Errorf("delivered a blob that does not hash to its ID %s", id)
+		}
+		if !survives(s.index[traceKeyOf(id)]) {
+			t.Errorf("delivered trace %s from at or after the damaged frame", id)
+		}
+		gotTraces++
+		return true
+	})
+	if err != nil || gotTraces != wantTraces {
+		t.Fatalf("EachTraceBlob delivered %d traces, want %d (err %v)", gotTraces, wantTraces, err)
+	}
+	gotResults := 0
+	err = s.EachResultLabels(fp, func(id TraceID, labels []string) bool {
+		if !survives(s.index[resultKeyOf(id, fp)]) {
+			t.Errorf("delivered result %s from after the damaged frame", id)
+		}
+		gotResults++
+		return true
+	})
+	if err != nil || gotResults != wantResults {
+		t.Fatalf("EachResultLabels delivered %d results, want %d (err %v)", gotResults, wantResults, err)
 	}
 }
 

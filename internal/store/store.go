@@ -24,14 +24,12 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -90,23 +88,6 @@ func TraceKey(j *darshan.Job) (TraceID, []byte, error) {
 	}
 	return HashBytes(data), data, nil
 }
-
-// Record kinds in the segment log.
-const (
-	kindTrace   byte = 1
-	kindResult  byte = 2
-	kindExplain byte = 3
-)
-
-// Frame layout: [u32 payloadLen][payload][u32 crc32(payload)] with
-// payload = [u8 kind][u16 keyLen][key][value], all little-endian.
-const (
-	frameHeaderLen  = 4
-	framePayloadMin = 1 + 2
-	frameCRCLen     = 4
-	maxFrameLen     = 1 << 30 // 1 GiB per record, matching darshan's decoder limits
-	maxKeyLen       = 1 << 10
-)
 
 // Options tunes a store. The zero value selects sane defaults.
 type Options struct {
@@ -263,10 +244,23 @@ func (s *Store) recover() error {
 			return fmt.Errorf("store: opening segment %s: %w", name, err)
 		}
 		s.readers = append(s.readers, f)
-		good, dropped, err := s.scanSegment(i+1, f)
+		size, err := fileSize(f)
 		if err != nil {
 			return err
 		}
+		seg := i + 1
+		good, _, err := scanFrames(f, size, func(off int64, kind byte, key, value []byte) scanEnd {
+			if !segmentFrame(kind, key) {
+				return scanInvalid
+			}
+			s.indexPut(string(key), loc{seg: seg, valOff: valueOff(off, len(key)), valLen: len(value)})
+			s.recoveredFrames++
+			return scanToLimit
+		})
+		if err != nil {
+			return fmt.Errorf("store: segment %s: %w", name, err)
+		}
+		dropped := size - good
 		s.droppedTailBytes += dropped
 		last := i == len(names)-1
 		if dropped > 0 && last {
@@ -286,64 +280,10 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// readaheadBytes sizes the buffered reader used for sequential segment
-// scans (recovery and bulk backfill): large enough that a multi-GiB log
-// is read at disk bandwidth, not at one syscall per frame.
-const readaheadBytes = 1 << 20
-
-// scanSegment walks one segment's frames, indexing each valid record.
-// It returns the offset of the last valid frame end and how many
-// trailing bytes were dropped as torn. The scan is a single buffered
-// sequential pass with a reused frame buffer, replacing the three
-// positioned reads per frame that made recovery syscall-bound.
-func (s *Store) scanSegment(seg int, f *os.File) (good int64, dropped int64, err error) {
-	info, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("store: stat segment %d: %w", seg, err)
-	}
-	fileSize := info.Size()
-	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, fileSize), readaheadBytes)
-	var off int64
-	var hdr [frameHeaderLen]byte
-	var frame []byte
-	for {
-		if off+frameHeaderLen > fileSize {
-			break // clean end (off == fileSize) or torn length prefix
-		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return 0, 0, fmt.Errorf("store: reading segment %d at %d: %w", seg, off, err)
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[:]))
-		if n < framePayloadMin || n > maxFrameLen || off+frameHeaderLen+n+frameCRCLen > fileSize {
-			break // torn or garbage tail
-		}
-		if int64(cap(frame)) < n+frameCRCLen {
-			frame = make([]byte, n+frameCRCLen)
-		}
-		buf := frame[:n+frameCRCLen]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return 0, 0, fmt.Errorf("store: reading segment %d frame at %d: %w", seg, off, err)
-		}
-		payload := buf[:n]
-		want := binary.LittleEndian.Uint32(buf[n:])
-		if crc32.ChecksumIEEE(payload) != want {
-			break // torn frame: checksum of a partial write never matches
-		}
-		kind := payload[0]
-		keyLen := int(binary.LittleEndian.Uint16(payload[1:3]))
-		if keyLen > maxKeyLen || framePayloadMin+int64(keyLen) > n || (kind != kindTrace && kind != kindResult && kind != kindExplain) {
-			break // structurally invalid: treat like a torn tail
-		}
-		key := string(payload[3 : 3+keyLen])
-		s.indexPut(key, loc{
-			seg:    seg,
-			valOff: off + frameHeaderLen + framePayloadMin + int64(keyLen),
-			valLen: int(n) - framePayloadMin - keyLen,
-		})
-		s.recoveredFrames++
-		off += frameHeaderLen + n + frameCRCLen
-	}
-	return off, fileSize - off, nil
+// segmentFrame reports whether a frame may appear in a segment; one that
+// may not is treated like a torn tail.
+func segmentFrame(kind byte, key []byte) bool {
+	return kind >= kindTrace && kind <= kindExplain && len(key) <= maxKeyLen
 }
 
 // indexPut records a key's location, maintaining the
@@ -409,30 +349,6 @@ func (s *Store) openSegment(n int) error {
 // oversized batch must not pin its buffer for the store's lifetime.
 const maxStagedBuf = 8 << 20
 
-// appendFrame stages one framed record onto dst:
-// [len][kind keyLen key value][crc].
-func appendFrame(dst []byte, kind byte, key string, value []byte) []byte {
-	payloadLen := framePayloadMin + len(key) + len(value)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(payloadLen))
-	payloadStart := len(dst)
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
-	dst = append(dst, key...)
-	dst = append(dst, value...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[payloadStart:]))
-}
-
-// checkRecord validates one record's key and payload size.
-func checkRecord(key string, value []byte) error {
-	if len(key) > maxKeyLen {
-		return fmt.Errorf("store: key too long (%d bytes)", len(key))
-	}
-	if payloadLen := framePayloadMin + len(key) + len(value); payloadLen > maxFrameLen {
-		return fmt.Errorf("store: record too large (%d bytes)", payloadLen)
-	}
-	return nil
-}
-
 // trimWbuf returns the staging buffer for reuse, dropping it past the
 // retention bound.
 func (s *Store) trimWbuf(buf []byte) {
@@ -479,7 +395,7 @@ func (s *Store) appendLocked(recs ...record) (seq, written int64, err error) {
 	seg, off := len(s.readers), s.size
 	for i := range recs {
 		r := &recs[i]
-		valOff := off + frameHeaderLen + framePayloadMin + int64(len(r.key))
+		valOff := valueOff(off, len(r.key))
 		s.indexPut(r.key, loc{seg: seg, valOff: valOff, valLen: len(r.value)})
 		off = valOff + int64(len(r.value)) + frameCRCLen
 	}
@@ -979,16 +895,15 @@ func (s *Store) EachResult(fp string, fn func(TraceID, *core.Result) bool) error
 	return nil
 }
 
-// EachResultLabels streams the category labels of every live result
-// under the given config fingerprint, in log order (NOT sorted — the
-// caller orders). Where EachResult pays one random read plus a full
-// result decode per key, this is one buffered sequential pass over
-// the segments that JSON-decodes only the "categories" field: the
-// index-rebuild fast path. The labels slice is reused between calls —
-// fn must copy or convert it before returning. Superseded frames are
-// skipped via the index. fn returning false stops early.
-func (s *Store) EachResultLabels(fp string, fn func(TraceID, []string) bool) error {
-	suffix := "/" + fp
+// eachLive streams, in log order, the key and value of every frame of
+// the given kind that the index still points at (a frame whose key was
+// later rewritten is superseded and skipped): one buffered sequential
+// pass over the segments, for the readers that want the whole log and
+// not one random read per key. Frames appended after the call began are
+// not visited, and a segment is read up to its first invalid frame, as
+// recovery reads it. value is reused between calls; fn returning false
+// stops the pass.
+func (s *Store) eachLive(kind byte, fn func(key, value []byte) bool) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -998,144 +913,82 @@ func (s *Store) EachResultLabels(fp string, fn func(TraceID, []string) bool) err
 	copy(readers, s.readers)
 	activeSize := s.size
 	s.mu.RUnlock()
-	var frame []byte
-	var labels struct {
-		Labels []string `json:"categories"`
-	}
 	for si, r := range readers {
 		seg := si + 1
-		// Frames appended after the snapshot sit past these bounds and
-		// are deliberately not visited.
 		limit := activeSize
 		if si != len(readers)-1 {
-			info, err := r.Stat()
-			if err != nil {
-				return fmt.Errorf("store: stat segment %d: %w", seg, err)
+			var err error
+			if limit, err = fileSize(r); err != nil {
+				return err
 			}
-			limit = info.Size()
 		}
-		br := bufio.NewReaderSize(io.NewSectionReader(r, 0, limit), readaheadBytes)
-		var off int64
-		var hdr [frameHeaderLen]byte
-		for off+frameHeaderLen <= limit {
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				return fmt.Errorf("store: reading segment %d at %d: %w", seg, off, err)
+		_, end, err := scanFrames(r, limit, func(off int64, k byte, key, value []byte) scanEnd {
+			if !segmentFrame(k, key) {
+				return scanInvalid
 			}
-			n := int64(binary.LittleEndian.Uint32(hdr[:]))
-			if n < framePayloadMin || n > maxFrameLen || off+frameHeaderLen+n+frameCRCLen > limit {
-				break // torn tail; recovery will drop it on next Open
+			if k != kind {
+				return scanToLimit
 			}
-			if int64(cap(frame)) < n+frameCRCLen {
-				frame = make([]byte, n+frameCRCLen)
+			s.mu.RLock()
+			l, live := s.index[string(key)]
+			s.mu.RUnlock()
+			if live && l.seg == seg && l.valOff == valueOff(off, len(key)) && !fn(key, value) {
+				return scanStopped
 			}
-			buf := frame[:n+frameCRCLen]
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return fmt.Errorf("store: reading segment %d frame at %d: %w", seg, off, err)
-			}
-			payload := buf[:n]
-			kind := payload[0]
-			keyLen := int(binary.LittleEndian.Uint16(payload[1:3]))
-			if framePayloadMin+int64(keyLen) > n {
-				break
-			}
-			if kind == kindResult {
-				key := string(payload[3 : 3+keyLen])
-				if strings.HasPrefix(key, "r/") && strings.HasSuffix(key, suffix) {
-					valOff := off + frameHeaderLen + framePayloadMin + int64(keyLen)
-					s.mu.RLock()
-					l, live := s.index[key]
-					s.mu.RUnlock()
-					if live && l.seg == seg && l.valOff == valOff {
-						doc := payload[framePayloadMin+keyLen:]
-						var ok bool
-						if labels.Labels, ok = scanCategories(doc, labels.Labels[:0]); !ok {
-							labels.Labels = labels.Labels[:0]
-							if err := json.Unmarshal(doc, &labels); err != nil {
-								return fmt.Errorf("store: decoding result %q: %w", key, err)
-							}
-						}
-						id := TraceID(strings.TrimSuffix(strings.TrimPrefix(key, "r/"), suffix))
-						if !fn(id, labels.Labels) {
-							return nil
-						}
-					}
-				}
-			}
-			off += frameHeaderLen + n + frameCRCLen
+			return scanToLimit
+		})
+		if err != nil {
+			return fmt.Errorf("store: segment %d: %w", seg, err)
+		}
+		if end == scanStopped {
+			return nil
 		}
 	}
 	return nil
 }
 
-// EachTraceBlob streams every live trace blob in log order using
-// buffered sequential segment reads: the bulk backfill path, one
-// readahead pass over the log instead of one random read per trace.
-// The blob slice is reused between calls — fn must copy or decode it
-// before returning. Superseded frames (a key later rewritten) are
-// skipped via the index. fn returning false stops early.
+// EachResultLabels streams the category labels of every live result
+// under the given config fingerprint, in log order (NOT sorted — the
+// caller orders). Where EachResult pays one random read plus a full
+// result decode per key, this is one sequential pass (eachLive) that
+// JSON-decodes only the "categories" field: the index-rebuild fast
+// path. The labels slice is reused between calls — fn must copy or
+// convert it before returning. fn returning false stops early.
+func (s *Store) EachResultLabels(fp string, fn func(TraceID, []string) bool) error {
+	prefix, suffix := []byte("r/"), []byte("/"+fp)
+	var labels struct {
+		Labels []string `json:"categories"`
+	}
+	var decodeErr error
+	err := s.eachLive(kindResult, func(key, doc []byte) bool {
+		if len(key) < len(prefix)+len(suffix) || !bytes.HasPrefix(key, prefix) || !bytes.HasSuffix(key, suffix) {
+			return true
+		}
+		var ok bool
+		if labels.Labels, ok = scanCategories(doc, labels.Labels[:0]); !ok {
+			labels.Labels = labels.Labels[:0]
+			if err := json.Unmarshal(doc, &labels); err != nil {
+				decodeErr = fmt.Errorf("store: decoding result %q: %w", key, err)
+				return false
+			}
+		}
+		return fn(TraceID(key[len(prefix):len(key)-len(suffix)]), labels.Labels)
+	})
+	if err != nil {
+		return err
+	}
+	return decodeErr
+}
+
+// EachTraceBlob streams every live trace blob in log order (eachLive):
+// the bulk backfill path, one readahead pass over the log instead of one
+// random read per trace. The blob slice is reused between calls — fn
+// must copy or decode it before returning. fn returning false stops
+// early.
 func (s *Store) EachTraceBlob(fn func(TraceID, []byte) bool) error {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return fmt.Errorf("store: closed")
-	}
-	readers := make([]*os.File, len(s.readers))
-	copy(readers, s.readers)
-	activeSize := s.size
-	s.mu.RUnlock()
-	var frame []byte
-	for si, r := range readers {
-		seg := si + 1
-		// Frames appended after the snapshot sit past these bounds and
-		// are deliberately not visited.
-		limit := activeSize
-		if si != len(readers)-1 {
-			info, err := r.Stat()
-			if err != nil {
-				return fmt.Errorf("store: stat segment %d: %w", seg, err)
-			}
-			limit = info.Size()
-		}
-		br := bufio.NewReaderSize(io.NewSectionReader(r, 0, limit), readaheadBytes)
-		var off int64
-		var hdr [frameHeaderLen]byte
-		for off+frameHeaderLen <= limit {
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				return fmt.Errorf("store: reading segment %d at %d: %w", seg, off, err)
-			}
-			n := int64(binary.LittleEndian.Uint32(hdr[:]))
-			if n < framePayloadMin || n > maxFrameLen || off+frameHeaderLen+n+frameCRCLen > limit {
-				break // torn tail; recovery will drop it on next Open
-			}
-			if int64(cap(frame)) < n+frameCRCLen {
-				frame = make([]byte, n+frameCRCLen)
-			}
-			buf := frame[:n+frameCRCLen]
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return fmt.Errorf("store: reading segment %d frame at %d: %w", seg, off, err)
-			}
-			payload := buf[:n]
-			kind := payload[0]
-			keyLen := int(binary.LittleEndian.Uint16(payload[1:3]))
-			if framePayloadMin+int64(keyLen) > n {
-				break
-			}
-			if kind == kindTrace {
-				key := string(payload[3 : 3+keyLen])
-				valOff := off + frameHeaderLen + framePayloadMin + int64(keyLen)
-				s.mu.RLock()
-				l, live := s.index[key]
-				s.mu.RUnlock()
-				if live && l.seg == seg && l.valOff == valOff {
-					if !fn(TraceID(strings.TrimPrefix(key, "t/")), payload[framePayloadMin+keyLen:]) {
-						return nil
-					}
-				}
-			}
-			off += frameHeaderLen + n + frameCRCLen
-		}
-	}
-	return nil
+	return s.eachLive(kindTrace, func(key, blob []byte) bool {
+		return fn(TraceID(bytes.TrimPrefix(key, []byte("t/"))), blob)
+	})
 }
 
 // EachTraceID calls fn for every stored trace blob's content address,
