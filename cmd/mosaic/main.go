@@ -50,19 +50,19 @@ func main() {
 		explainJS = flag.String("explain-json", "", "write the decision-provenance record as JSON to this file ('-' = stdout; single trace)")
 		explainM  = flag.Float64("explain-margin", mosaic.DefaultExplainMargin, "near-miss margin for explanation evidence, as a fraction of each threshold")
 		jsonOut   = flag.String("json", "", "write per-trace results as JSON to this file")
-		workers  = flag.Int("workers", 0, "parallel categorization workers (0 = NumCPU)")
-		sigMB    = flag.Int64("significance-mb", 100, "significance threshold in MB for read/write volumes")
-		chunks   = flag.Int("chunks", 4, "number of temporal chunks")
-		bw       = flag.Float64("bandwidth", 0.05, "Mean Shift bandwidth for periodicity detection")
-		spikeHi  = flag.Float64("spike-high", 250, "metadata high-spike threshold (req/s)")
-		spike    = flag.Float64("spike", 50, "metadata spike threshold (req/s)")
-		heatmap  = flag.Bool("heatmap", false, "also print the Jaccard heatmap grid (corpus mode)")
-		timeline = flag.Bool("timeline", false, "print an ASCII timeline of a single trace (Figure 2 view)")
-		convert  = flag.String("convert", "", "convert a single trace to this path (.mosd, .json or .txt) and exit")
-		anonSalt = flag.String("anonymize", "", "when converting, anonymize identities with this salt")
-		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-		progress = flag.Bool("progress", false, "print live per-stage pipeline progress to stderr (corpus mode)")
-		storeDir = flag.String("store", "", "warm-start categorization from this result store directory (corpus mode; created when missing)")
+		workers   = flag.Int("workers", 0, "parallel categorization workers (0 = NumCPU)")
+		sigMB     = flag.Int64("significance-mb", 100, "significance threshold in MB for read/write volumes")
+		chunks    = flag.Int("chunks", 4, "number of temporal chunks")
+		bw        = flag.Float64("bandwidth", 0.05, "Mean Shift bandwidth for periodicity detection")
+		spikeHi   = flag.Float64("spike-high", 250, "metadata high-spike threshold (req/s)")
+		spike     = flag.Float64("spike", 50, "metadata spike threshold (req/s)")
+		heatmap   = flag.Bool("heatmap", false, "also print the Jaccard heatmap grid (corpus mode)")
+		timeline  = flag.Bool("timeline", false, "print an ASCII timeline of a single trace (Figure 2 view)")
+		convert   = flag.String("convert", "", "convert a single trace to this path (.mosd, .json or .txt) and exit")
+		anonSalt  = flag.String("anonymize", "", "when converting, anonymize identities with this salt")
+		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
+		progress  = flag.Bool("progress", false, "print live per-stage pipeline progress to stderr (corpus mode)")
+		storeDir  = flag.String("store", "", "warm-start categorization from this result store directory (corpus mode; created when missing)")
 
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON of the corpus run to this file (open in Perfetto / chrome://tracing)")
 		slowK     = flag.Int("slow", 0, "print the K slowest traces per stage after a corpus run (0 = off)")

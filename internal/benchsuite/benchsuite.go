@@ -268,6 +268,34 @@ func IngestDecodeGzip(b *testing.B) {
 	}
 }
 
+// IngestInflate measures the .mosd gzip kernel alone on the gzip body of
+// the ingest trace, reusing the output arena; MB/s is of inflated bytes
+// (BenchmarkIngest/inflate). The kernel is unexported, so the caller —
+// internal/darshan's own benchmark — passes it in, and mosaic-bench,
+// which cannot, does not pin it: decode_gzip less decode_warm is the
+// pinned view of the same work.
+func IngestInflate(inflate func(dst, src []byte) ([]byte, error)) func(b *testing.B) {
+	return func(b *testing.B) {
+		var buf bytes.Buffer
+		if err := darshan.WriteBinary(&buf, ingestTrace()); err != nil {
+			b.Fatal(err)
+		}
+		member := buf.Bytes()[8:] // past the MOSD container header
+		body, err := inflate(nil, member)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if body, err = inflate(body[:0], member); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // IngestEncode is the canonical encode path with a reused destination
 // buffer (pinned as BenchmarkIngest/encode).
 func IngestEncode(b *testing.B) {

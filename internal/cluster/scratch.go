@@ -87,13 +87,13 @@ func growI64(buf *[]int64, n int) []int64 {
 // are accumulated into package-wide totals (see TotalStats) that
 // internal/telemetry exports as mosaic_cluster_* metrics.
 type MeanShiftStats struct {
-	Points     int  // input points
-	Seeds      int  // shifted seeds (== Points unless BinSeeding)
-	GridCells  int  // occupied grid cells (0 on the dense path)
-	Rounds     int  // lockstep iteration rounds executed
-	Iterations int  // total kernel-mean evaluations across all seeds
-	EarlyStops int  // seeds snapped onto an already-converged mode
-	Parallel   bool // whether any round ran on multiple goroutines
+	Points      int  // input points
+	Seeds       int  // shifted seeds (== Points unless BinSeeding)
+	GridCells   int  // occupied grid cells (0 on the dense path)
+	Rounds      int  // lockstep iteration rounds executed
+	Iterations  int  // total kernel-mean evaluations across all seeds
+	EarlyStops  int  // seeds snapped onto an already-converged mode
+	Parallel    bool // whether any round ran on multiple goroutines
 	Accelerated bool // whether the grid index was used
 }
 

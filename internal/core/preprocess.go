@@ -44,6 +44,7 @@ type AppGroup struct {
 	User     string
 	Runs     int          // number of valid executions in the group
 	Heaviest *darshan.Job // the run MOSAIC analyzes
+	weight   int64        // Heaviest.Weight(), summed over its records once
 }
 
 // Preprocessor is a streaming implementation of the funnel: feed every
@@ -95,15 +96,15 @@ func (p *Preprocessor) Add(j *darshan.Job, readErr error) bool {
 		return false
 	}
 	p.stats.Valid++
-	key := j.AppKey()
+	key, w := j.AppKey(), j.Weight()
 	g, ok := p.groups[key]
 	if !ok {
-		p.groups[key] = &AppGroup{App: j.AppName(), User: j.User, Runs: 1, Heaviest: j}
+		p.groups[key] = &AppGroup{App: j.AppName(), User: j.User, Runs: 1, Heaviest: j, weight: w}
 		return true
 	}
 	g.Runs++
-	if j.Weight() > g.Heaviest.Weight() {
-		g.Heaviest = j
+	if w > g.weight { // strictly: of equally heavy runs the first seen stays
+		g.Heaviest, g.weight = j, w
 	}
 	return true
 }

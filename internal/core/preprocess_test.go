@@ -39,6 +39,17 @@ func TestPreprocessorDedupKeepsHeaviest(t *testing.T) {
 	}
 }
 
+func TestPreprocessorTieKeepsFirstRun(t *testing.T) {
+	p := NewPreprocessor()
+	p.Add(validJob("alice", "/bin/app", 1, 10), nil)
+	p.Add(validJob("alice", "/bin/app", 2, 500), nil)
+	p.Add(validJob("alice", "/bin/app", 3, 500), nil)
+	p.Add(validJob("alice", "/bin/app", 4, 20), nil)
+	if g := p.Groups()[0]; g.Runs != 4 || g.Heaviest.JobID != 2 {
+		t.Fatalf("runs = %d, heaviest = job %d; want 4 runs and job 2, the first of the two heaviest", g.Runs, g.Heaviest.JobID)
+	}
+}
+
 func TestPreprocessorSeparatesUsersAndApps(t *testing.T) {
 	p := NewPreprocessor()
 	p.Add(validJob("alice", "/bin/app", 1, 1), nil)

@@ -1,7 +1,6 @@
 package darshan
 
 import (
-	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
@@ -10,6 +9,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -43,11 +43,13 @@ import (
 // selects the path — so blobs written by either remain interchangeable,
 // and files written by pre-existing (always-gzip) writers stay readable.
 //
-// The decode hot path is allocation-free when warm: gzip readers,
-// inflate arenas and scratch buffers are pooled via sync.Pool, strings
-// are interned in a bounded per-state table (repeated decodes of traces
-// sharing paths/users hit the table and allocate nothing), and
-// DecodeInto reuses the caller's Record/Metadata storage.
+// The decode hot path makes one allocation when warm: the inflater's
+// tables, inflate arenas and scratch buffers are pooled via sync.Pool,
+// DecodeInto reuses the caller's Record/Metadata storage, user, exe and
+// metadata strings are interned in a bounded per-state table (repeated
+// decodes of traces sharing them hit the table and allocate nothing),
+// and the record paths of one job — nearly all distinct — are cut from a
+// single string the job owns.
 
 // Magic identifies MOSAIC Darshan-like binary logs.
 var Magic = [4]byte{'M', 'O', 'S', 'D'}
@@ -76,7 +78,8 @@ const (
 // Minimum encoded sizes, used to validate hostile element counts against
 // the bytes actually present before allocating.
 const (
-	minRecordLen   = 4 + 4 + 4 + 16*8 // module + path prefix + rank + 16 counters
+	recordTailLen  = 4 + 16*8              // rank + 16 counters, fixed width after the path
+	minRecordLen   = 4 + 4 + recordTailLen // module + path prefix + tail
 	dxtEventLen    = 4 * 8
 	minMetaPairLen = 4 + 4 // two empty length-prefixed strings
 )
@@ -282,24 +285,29 @@ func appendDXTList(dst []byte, events []DXTEvent) []byte {
 
 // ---- Decoding ----
 
-// Intern table bounds: paths, users and metadata keys repeat heavily
-// across records and traces, so small strings are deduplicated into a
-// bounded table on the pooled decode state. A full table degrades to
-// plain copying, never to an error.
+// Intern table bounds: users, executables and metadata repeat heavily
+// across traces, so small strings are deduplicated into a bounded table
+// on the pooled decode state. A full table degrades to plain copying,
+// never to an error. Record paths do not go through it: within a job
+// they are nearly all distinct, and a long-lived process would fill the
+// table with the first few thousand file names it saw.
 const (
 	maxInternStrLen  = 256
 	maxInternEntries = 4096
 	maxInternBytes   = 1 << 20
 )
 
-// decodeState is the pooled per-decode scratch: the inflate arena, the
-// gzip reader (lazily built, Reset between uses), the bytes.Reader
-// feeding it, and the string intern table. States cycle through a
-// sync.Pool, so a warm decode path reuses all of it.
+// pathSpan locates one record's path in the body being decoded.
+type pathSpan struct{ off, n int }
+
+// decodeState is the pooled per-decode scratch: the inflater and its
+// output arena, the string intern table, and the record-path spans of
+// the job in flight. States cycle through a sync.Pool, so a warm decode
+// path reuses all of it.
 type decodeState struct {
+	z           inflater
 	arena       []byte
-	br          bytes.Reader
-	zr          *gzip.Reader
+	paths       []pathSpan
 	intern      map[string]string
 	internBytes int
 }
@@ -325,49 +333,23 @@ func (st *decodeState) internString(b []byte) string {
 }
 
 // inflate decompresses a gzip body into the state's arena and returns
-// the decompressed bytes, rejecting bodies past maxBodyBytes and
-// trailing garbage after the gzip stream.
+// the decompressed bytes, rejecting bodies past maxBodyBytes, a second
+// member and trailing garbage after the first.
 func (st *decodeState) inflate(src []byte) ([]byte, error) {
-	st.br.Reset(src)
-	if st.zr == nil {
-		zr, err := gzip.NewReader(&st.br)
-		if err != nil {
-			return nil, fmt.Errorf("darshan: opening gzip body: %w", err)
-		}
-		st.zr = zr
-	} else if err := st.zr.Reset(&st.br); err != nil {
-		return nil, fmt.Errorf("darshan: opening gzip body: %w", err)
+	body, err := st.z.gunzip(st.arena[:0], src)
+	if err != nil {
+		return nil, err
 	}
-	st.zr.Multistream(false)
-	buf := st.arena[:0]
-	for {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), max(64<<10, min(2*cap(buf)+1, maxBodyBytes+1)))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := st.zr.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		st.arena = buf
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("darshan: corrupted gzip body: %w", err)
-		}
-		if len(buf) > maxBodyBytes {
-			return nil, fmt.Errorf("darshan: body exceeds %d byte limit", maxBodyBytes)
-		}
-	}
-	if st.br.Len() != 0 {
-		return nil, errors.New("darshan: trailing garbage after gzip body")
-	}
-	return buf, nil
+	st.arena = body
+	return body, nil
 }
 
 func putDecodeState(st *decodeState) {
 	if cap(st.arena) > maxPooledBuf {
 		st.arena = nil
+	}
+	if cap(st.paths) > maxPooledBuf/16 {
+		st.paths = nil
 	}
 	decodeStatePool.Put(st)
 }
@@ -544,6 +526,12 @@ func (c *cursor) decodeBody(j *Job) {
 	} else {
 		j.Records = make([]FileRecord, nRec)
 	}
+	// Record paths are cut from one string the job owns: the loop notes
+	// where each path sits in the body, and the paths are copied out
+	// together once their total size is known.
+	le := binary.LittleEndian
+	c.st.paths = c.st.paths[:0]
+	pathBytes := 0
 	for i := range j.Records {
 		r := &j.Records[i]
 		m := c.u32()
@@ -551,34 +539,51 @@ func (c *cursor) decodeBody(j *Job) {
 			c.noncanon = true // Module is a uint8: the value is narrowed here
 		}
 		r.Module = Module(m)
-		r.Path = c.str()
-		r.Rank = int32(c.u32())
+		n := c.u32()
+		if c.err == nil && n > maxStringLen {
+			c.fail(fmt.Errorf("darshan: string length %d exceeds limit", n))
+		}
+		if !c.need(int(n) + recordTailLen) {
+			return
+		}
+		c.st.paths = append(c.st.paths, pathSpan{c.off, int(n)})
+		pathBytes += int(n)
+		t := c.data[c.off+int(n):][:recordTailLen]
+		c.off += int(n) + recordTailLen
+		r.Rank = int32(le.Uint32(t))
 		cc := &r.C
-		cc.Opens = c.i64()
-		cc.Closes = c.i64()
-		cc.Seeks = c.i64()
-		cc.Stats = c.i64()
-		cc.Reads = c.i64()
-		cc.Writes = c.i64()
-		cc.BytesRead = c.i64()
-		cc.BytesWritten = c.i64()
-		cc.OpenStart = c.f64()
-		cc.OpenEnd = c.f64()
-		cc.ReadStart = c.f64()
-		cc.ReadEnd = c.f64()
-		cc.WriteStart = c.f64()
-		cc.WriteEnd = c.f64()
-		cc.CloseStart = c.f64()
-		cc.CloseEnd = c.f64()
+		cc.Opens = int64(le.Uint64(t[4:]))
+		cc.Closes = int64(le.Uint64(t[12:]))
+		cc.Seeks = int64(le.Uint64(t[20:]))
+		cc.Stats = int64(le.Uint64(t[28:]))
+		cc.Reads = int64(le.Uint64(t[36:]))
+		cc.Writes = int64(le.Uint64(t[44:]))
+		cc.BytesRead = int64(le.Uint64(t[52:]))
+		cc.BytesWritten = int64(le.Uint64(t[60:]))
+		cc.OpenStart = math.Float64frombits(le.Uint64(t[68:]))
+		cc.OpenEnd = math.Float64frombits(le.Uint64(t[76:]))
+		cc.ReadStart = math.Float64frombits(le.Uint64(t[84:]))
+		cc.ReadEnd = math.Float64frombits(le.Uint64(t[92:]))
+		cc.WriteStart = math.Float64frombits(le.Uint64(t[100:]))
+		cc.WriteEnd = math.Float64frombits(le.Uint64(t[108:]))
+		cc.CloseStart = math.Float64frombits(le.Uint64(t[116:]))
+		cc.CloseEnd = math.Float64frombits(le.Uint64(t[124:]))
 		if c.version >= 2 {
 			r.DXTReads = c.dxtList(r.DXTReads)
 			r.DXTWrites = c.dxtList(r.DXTWrites)
+			if c.err != nil {
+				return
+			}
 		} else {
 			r.DXTReads, r.DXTWrites = nil, nil
 		}
-		if c.err != nil {
-			return
-		}
+	}
+	var arena strings.Builder
+	arena.Grow(pathBytes)
+	for i, sp := range c.st.paths {
+		arena.Write(c.data[sp.off : sp.off+sp.n])
+		s := arena.String()
+		j.Records[i].Path = s[len(s)-sp.n:]
 	}
 }
 
@@ -608,6 +613,12 @@ func DecodeInto(j *Job, data []byte) error {
 // that happens to re-encode identically, never true for one that does
 // not — callers use it to content-address the input without re-encoding.
 func DecodeCanonical(j *Job, data []byte) (canonical bool, err error) {
+	st := decodeStatePool.Get().(*decodeState)
+	defer putDecodeState(st)
+	return st.decode(j, data)
+}
+
+func (st *decodeState) decode(j *Job, data []byte) (canonical bool, err error) {
 	if len(data) < 4 {
 		return false, fmt.Errorf("darshan: reading magic: %w", io.ErrUnexpectedEOF)
 	}
@@ -622,8 +633,6 @@ func DecodeCanonical(j *Job, data []byte) (canonical bool, err error) {
 	if version < minFormatVersion || version > FormatVersion {
 		return false, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
-	st := decodeStatePool.Get().(*decodeState)
-	defer putDecodeState(st)
 	body := data[headerLen:]
 	if flags&flagGzip != 0 {
 		if body, err = st.inflate(body); err != nil {
@@ -650,47 +659,9 @@ func UnmarshalBinary(data []byte) (*Job, error) {
 	return j, nil
 }
 
-// fileBufPool holds whole-file staging buffers for the io.Reader entry
-// points, so repeated file decodes do not reallocate.
+// fileBufPool holds whole-file staging buffers, so repeated file decodes
+// do not reallocate.
 var fileBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// ReadBinary decodes one job from r. The stream is read fully into a
-// pooled buffer and parsed in place.
-func ReadBinary(r io.Reader) (*Job, error) {
-	bp := fileBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 64<<10)
-	}
-	var rerr error
-	for {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), 2*cap(buf))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rerr = err
-			break
-		}
-	}
-	var j *Job
-	if rerr == nil {
-		j, rerr = UnmarshalBinary(buf)
-	}
-	if cap(buf) <= maxPooledBuf {
-		*bp = buf[:0]
-	} else {
-		*bp = nil
-	}
-	fileBufPool.Put(bp)
-	return j, rerr
-}
 
 // readBinaryFile decodes one .mosd file through a size-hinted pooled
 // buffer — the corpus (engine Decode stage) fast path.

@@ -289,100 +289,8 @@ func TestListCorpusSkipsTempAndPartialFiles(t *testing.T) {
 	}
 }
 
-func TestStreamCorpusReportsDecodeErrors(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteFile(filepath.Join(dir, "good.mosd"), sampleJob()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "bad.mosd"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := StreamCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var good, bad int
-	for e := range ch {
-		if e.Err != nil {
-			bad++
-		} else {
-			good++
-		}
-	}
-	if good != 1 || bad != 1 {
-		t.Fatalf("good=%d bad=%d", good, bad)
-	}
-}
-
 func TestSanitize(t *testing.T) {
 	if got := sanitize("a/b c!d"); got != "a_b_c_d" {
 		t.Fatalf("sanitize = %q", got)
-	}
-}
-
-func TestStreamCorpusParallelOrderAndCompleteness(t *testing.T) {
-	dir := t.TempDir()
-	var want []string
-	for i := 0; i < 40; i++ {
-		j := sampleJob()
-		j.JobID = uint64(i)
-		name := filepath.Join(dir, "t"+itoa(i)+".mosd")
-		if err := WriteFile(name, j); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, name)
-	}
-	// A broken file must surface as an error entry in order too.
-	bad := filepath.Join(dir, "zz_bad.mosd")
-	if err := os.WriteFile(bad, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, bad)
-	sortStrings(want)
-
-	ch, err := StreamCorpusParallel(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	var errs int
-	for e := range ch {
-		got = append(got, e.Path)
-		if e.Err != nil {
-			errs++
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("entries = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("order broken at %d: %s vs %s", i, got[i], want[i])
-		}
-	}
-	if errs != 1 {
-		t.Fatalf("errs = %d", errs)
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }

@@ -8,9 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-
-	"github.com/mosaic-hpc/mosaic/internal/parallel"
 )
 
 // Corpus utilities: reading and writing directories of trace files, the
@@ -157,34 +154,14 @@ func ScanCorpus(ctx context.Context, dir string, fn func(path string) bool) erro
 	}
 }
 
-// CorpusEntry is one trace streamed out of a corpus directory: either a
-// decoded job or the error that prevented decoding it (the path is always
-// set). Decoding errors are data, not failures: the pre-processing funnel
-// counts them as evictions.
+// CorpusEntry is one trace of a corpus on its way to the funnel: either
+// a decoded job or the error that prevented decoding it (the path is set
+// when it came from a file). Decoding errors are data, not failures: the
+// pre-processing funnel counts them as evictions.
 type CorpusEntry struct {
 	Path string
 	Job  *Job
 	Err  error
-}
-
-// StreamCorpus reads every trace under dir and sends one CorpusEntry per
-// file on the returned channel, closing it when done. Reading is
-// sequential; parallel decode belongs to the caller (internal/parallel)
-// so back-pressure stays explicit.
-func StreamCorpus(dir string) (<-chan CorpusEntry, error) {
-	paths, err := ListCorpus(dir)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan CorpusEntry, 64)
-	go func() {
-		defer close(ch)
-		for _, p := range paths {
-			j, err := ReadFile(p)
-			ch <- CorpusEntry{Path: p, Job: j, Err: err}
-		}
-	}()
-	return ch, nil
 }
 
 // WriteCorpus stores jobs into dir using the binary format and a
@@ -211,66 +188,4 @@ func sanitize(s string) string {
 			return '_'
 		}
 	}, s)
-}
-
-// StreamCorpusParallel decodes the corpus with the given number of
-// decoder workers while preserving file order in the output stream, so
-// funnel statistics stay deterministic. Decoding dominates corpus
-// ingestion cost (gzip inflate), which makes this the lever for the
-// paper's 165-minute whole-year runs.
-func StreamCorpusParallel(dir string, workers int) (<-chan CorpusEntry, error) {
-	paths, err := ListCorpus(dir)
-	if err != nil {
-		return nil, err
-	}
-	if workers < 1 {
-		workers = parallel.DefaultWorkers()
-	}
-	type slot struct {
-		idx   int
-		entry CorpusEntry
-	}
-	jobs := make(chan int, workers)
-	results := make(chan slot, workers)
-	go func() {
-		defer close(jobs)
-		for i := range paths {
-			jobs <- i
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				j, err := ReadFile(paths[i])
-				results <- slot{idx: i, entry: CorpusEntry{Path: paths[i], Job: j, Err: err}}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	out := make(chan CorpusEntry, workers)
-	go func() {
-		defer close(out)
-		pending := make(map[int]CorpusEntry)
-		next := 0
-		for r := range results {
-			pending[r.idx] = r.entry
-			for {
-				e, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- e
-				next++
-			}
-		}
-	}()
-	return out, nil
 }

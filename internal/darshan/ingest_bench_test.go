@@ -4,7 +4,8 @@ package darshan_test
 // (BenchmarkIngest/decode_warm, /decode_gzip, /encode, /store_append) are
 // defined once in internal/benchsuite and shared with `mosaic-bench
 // -bench-json`, which records them into the committed BENCH_ingest.json
-// baseline that CI's regression gate compares against.
+// baseline that CI's regression gate compares against. /inflate runs the
+// gzip kernel alone and is not pinned: only this package can reach it.
 //
 // Run locally with:
 //
@@ -14,11 +15,13 @@ import (
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic/internal/benchsuite"
+	"github.com/mosaic-hpc/mosaic/internal/darshan"
 )
 
 func BenchmarkIngest(b *testing.B) {
 	b.Run("decode_warm", benchsuite.IngestDecodeWarm)
 	b.Run("decode_gzip", benchsuite.IngestDecodeGzip)
+	b.Run("inflate", benchsuite.IngestInflate(darshan.NewInflate()))
 	b.Run("encode", benchsuite.IngestEncode)
 	b.Run("store_append", benchsuite.IngestStoreAppend)
 }

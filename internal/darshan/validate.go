@@ -105,42 +105,33 @@ func Validate(j *Job) error {
 	return nil
 }
 
+// validateRecord runs the record checks in a fixed order — module,
+// counters, then the open, read, write and close spans each in full,
+// DXT events, early deallocation — and reports the first fault, so the
+// kind a multiply-damaged record is counted under never shifts.
 func validateRecord(r *FileRecord, idx int, runtime float64) error {
 	if !r.Module.Valid() {
 		return corrupt(CorruptBadModule, idx, "module %d", r.Module)
 	}
 	c := &r.C
-	for _, v := range []int64{c.Opens, c.Closes, c.Seeks, c.Stats, c.Reads, c.Writes, c.BytesRead, c.BytesWritten} {
-		if v < 0 {
-			return corrupt(CorruptNegativeCount, idx, "negative counter value %d", v)
+	if c.Opens|c.Closes|c.Seeks|c.Stats|c.Reads|c.Writes|c.BytesRead|c.BytesWritten < 0 {
+		for _, v := range [...]int64{c.Opens, c.Closes, c.Seeks, c.Stats, c.Reads, c.Writes, c.BytesRead, c.BytesWritten} {
+			if v < 0 {
+				return corrupt(CorruptNegativeCount, idx, "negative counter value %d", v)
+			}
 		}
 	}
-	pairs := []struct {
-		name       string
-		start, end float64
-		active     bool
-	}{
-		{"open", c.OpenStart, c.OpenEnd, c.Opens > 0},
-		{"read", c.ReadStart, c.ReadEnd, c.HasRead()},
-		{"write", c.WriteStart, c.WriteEnd, c.HasWrite()},
-		{"close", c.CloseStart, c.CloseEnd, c.Closes > 0},
+	if err := validateSpan(idx, "open", c.OpenStart, c.OpenEnd, c.Opens > 0, runtime); err != nil {
+		return err
 	}
-	for _, p := range pairs {
-		if math.IsNaN(p.start) || math.IsNaN(p.end) || math.IsInf(p.start, 0) || math.IsInf(p.end, 0) {
-			return corrupt(CorruptBadTimestamps, idx, "%s timestamps not finite", p.name)
-		}
-		if !p.active {
-			continue
-		}
-		if p.start < 0 || p.end < 0 {
-			return corrupt(CorruptBadTimestamps, idx, "%s timestamps negative (%g, %g)", p.name, p.start, p.end)
-		}
-		if p.end < p.start {
-			return corrupt(CorruptInverted, idx, "%s end %g before start %g", p.name, p.end, p.start)
-		}
-		if p.end > runtime+tsSlack {
-			return corrupt(CorruptAfterEnd, idx, "%s ends at %g, runtime %g", p.name, p.end, runtime)
-		}
+	if err := validateSpan(idx, "read", c.ReadStart, c.ReadEnd, c.HasRead(), runtime); err != nil {
+		return err
+	}
+	if err := validateSpan(idx, "write", c.WriteStart, c.WriteEnd, c.HasWrite(), runtime); err != nil {
+		return err
+	}
+	if err := validateSpan(idx, "close", c.CloseStart, c.CloseEnd, c.Closes > 0, runtime); err != nil {
+		return err
 	}
 	if err := validateDXT(r, idx, runtime); err != nil {
 		return err
@@ -154,6 +145,28 @@ func validateRecord(r *FileRecord, idx int, runtime float64) error {
 		if c.HasWrite() && c.CloseEnd < c.WriteEnd {
 			return corrupt(CorruptEarlyDealloc, idx, "closed at %g before write end %g", c.CloseEnd, c.WriteEnd)
 		}
+	}
+	return nil
+}
+
+// validateSpan checks one start/end pair of a record: finite always,
+// and ordered, non-negative and within the run when the record was
+// active in that operation.
+func validateSpan(idx int, name string, start, end float64, active bool, runtime float64) error {
+	if math.IsNaN(start) || math.IsNaN(end) || math.IsInf(start, 0) || math.IsInf(end, 0) {
+		return corrupt(CorruptBadTimestamps, idx, "%s timestamps not finite", name)
+	}
+	if !active {
+		return nil
+	}
+	if start < 0 || end < 0 {
+		return corrupt(CorruptBadTimestamps, idx, "%s timestamps negative (%g, %g)", name, start, end)
+	}
+	if end < start {
+		return corrupt(CorruptInverted, idx, "%s end %g before start %g", name, end, start)
+	}
+	if end > runtime+tsSlack {
+		return corrupt(CorruptAfterEnd, idx, "%s ends at %g, runtime %g", name, end, runtime)
 	}
 	return nil
 }

@@ -138,3 +138,58 @@ func TestCorruptionKindString(t *testing.T) {
 		t.Fatal("unknown kind should still render")
 	}
 }
+
+// TestValidateFirstFaultWins pins which kind a record with several
+// faults is reported — and so counted in FunnelStats.ByReason — under:
+// the checks run module, counters, then the open, read, write and close
+// spans each in full, DXT events, early deallocation.
+func TestValidateFirstFaultWins(t *testing.T) {
+	// Record 1 of the sample writes from 3001 to 3100 and closes at 3102.
+	badModule := func(j *Job) { j.Records[1].Module = Module(99) }
+	negativeBytes := func(j *Job) { j.Records[1].C.BytesWritten = -1 }
+	nanRead := func(j *Job) { j.Records[1].C.ReadStart = math.NaN() } // an inactive span
+	negativeOpen := func(j *Job) { j.Records[1].C.OpenStart = -1 }
+	invertedOpen := func(j *Job) { j.Records[1].C.OpenStart, j.Records[1].C.OpenEnd = 3001, 3000 }
+	invertedWrite := func(j *Job) { j.Records[1].C.WriteStart = 20000 }
+	lateOpen := func(j *Job) { j.Records[1].C.OpenEnd = 9999 }
+	lateWrite := func(j *Job) { j.Records[1].C.WriteEnd = 9999 }
+	lateClose := func(j *Job) { j.Records[1].C.CloseEnd = 9999 }
+	badDXT := func(j *Job) { j.Records[1].DXTWrites = []DXTEvent{{Start: 2, End: 1, Length: 1}} }
+	lateDXT := func(j *Job) { j.Records[1].DXTWrites = []DXTEvent{{Start: 1, End: 9999, Length: 1}} }
+	earlyClose := func(j *Job) { j.Records[1].C.CloseStart, j.Records[1].C.CloseEnd = 3050, 3051 }
+
+	for _, tc := range []struct {
+		name   string
+		faults []func(*Job)
+		kind   CorruptionKind
+	}{
+		{"module before counters", []func(*Job){badModule, negativeBytes}, CorruptBadModule},
+		{"counters before spans", []func(*Job){negativeBytes, nanRead, invertedOpen}, CorruptNegativeCount},
+		{"open span in full before the read span", []func(*Job){invertedOpen, nanRead}, CorruptInverted},
+		{"late open before a non-finite read", []func(*Job){lateOpen, nanRead}, CorruptAfterEnd},
+		{"non-finite inactive read before the write span", []func(*Job){nanRead, invertedWrite}, CorruptBadTimestamps},
+		{"negative before inverted within a span", []func(*Job){negativeOpen, lateOpen}, CorruptBadTimestamps},
+		{"inverted before late within a span", []func(*Job){invertedWrite, lateWrite}, CorruptInverted},
+		{"write span before close span", []func(*Job){lateWrite, earlyClose}, CorruptAfterEnd},
+		{"spans before DXT", []func(*Job){lateClose, badDXT}, CorruptAfterEnd},
+		{"malformed DXT before early deallocation", []func(*Job){badDXT, earlyClose}, CorruptBadTimestamps},
+		{"late DXT before early deallocation", []func(*Job){lateDXT, earlyClose}, CorruptAfterEnd},
+		{"early deallocation last", []func(*Job){earlyClose}, CorruptEarlyDealloc},
+	} {
+		j := sampleJob()
+		for _, fault := range tc.faults {
+			fault(j)
+		}
+		var verr *ValidationError
+		if err := Validate(j); !errors.As(err, &verr) || verr.Kind != tc.kind || verr.Record != 1 {
+			t.Errorf("%s: %v, want kind %v at record 1", tc.name, err, tc.kind)
+		}
+	}
+
+	// Among negative counters the first in field order is the one named.
+	j := sampleJob()
+	j.Records[0].C.BytesRead, j.Records[0].C.Seeks = -7, -3
+	if err := Validate(j); err == nil || !contains(err.Error(), "value -3") {
+		t.Errorf("two negative counters: %v, want the report to name -3", err)
+	}
+}

@@ -211,12 +211,13 @@ func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
 	// even when downstream stops reading.
 	//
 	// Buffer pooling happens inside darshan.ReadFile: file bytes,
-	// inflate arenas and gzip readers are sync.Pool-recycled across
-	// decodes (mirroring core's cluster.Scratch pooling downstream).
-	// The contract that makes this safe is that returned Jobs never
-	// alias pooled memory — decoded strings are copied or interned —
-	// because Jobs outlive this stage: the funnel keeps the heaviest
-	// run of each group until the final aggregate.
+	// inflate arenas and the inflater's tables are sync.Pool-recycled
+	// across decodes (mirroring core's cluster.Scratch pooling
+	// downstream). The contract that makes this safe is that returned
+	// Jobs never alias pooled memory — decoded strings are copied into
+	// memory the Job owns, or interned — because Jobs outlive this
+	// stage: the funnel keeps the heaviest run of each group until the
+	// final aggregate.
 	obs.StageStarted(StageDecode)
 	traces := parallel.MapOrdered(ctx, workers, refs, func(r Ref) darshan.CorpusEntry {
 		obs.ItemIn(StageDecode)

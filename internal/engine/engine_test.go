@@ -314,19 +314,22 @@ func TestScanErrorSurfaces(t *testing.T) {
 	}
 }
 
-func TestEntriesSourceCountsReadErrors(t *testing.T) {
+// A Ref that arrives with a read error is funnel data like a file that
+// does not decode: counted unreadable, not a failed run.
+func TestRefErrCountsAsUnreadable(t *testing.T) {
 	jobs := testJobs(t, 6)
-	entries := []darshan.CorpusEntry{
-		{Path: "a", Job: jobs[0]},
-		{Path: "b", Err: errors.New("unreadable gzip")},
-		{Path: "c", Job: jobs[2]},
-	}
-	res, err := Run(context.Background(), Entries(entries), Options{})
+	src := SourceFunc(func(ctx context.Context, emit func(Ref) bool) error {
+		emit(Ref{Path: "a", Job: jobs[0]})
+		emit(Ref{Path: "b", Err: errors.New("unreadable gzip")})
+		emit(Ref{Path: "c", Job: jobs[2]})
+		return nil
+	})
+	res, err := Run(context.Background(), src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Funnel.Total != 3 || res.Funnel.Corrupted != 1 {
-		t.Fatalf("funnel %+v, want 3 total / 1 corrupted", res.Funnel)
+	if res.Funnel.Total != 3 || res.Funnel.Corrupted != 1 || res.Funnel.ByReason["unreadable"] != 1 {
+		t.Fatalf("funnel %+v, want 3 total / 1 unreadable", res.Funnel)
 	}
 }
 

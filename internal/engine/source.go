@@ -54,16 +54,3 @@ func Jobs(jobs []*darshan.Job) Source {
 		return nil
 	})
 }
-
-// Entries returns a Source over pre-decoded corpus entries (job or read
-// error per trace), the shape produced by darshan.StreamCorpusParallel.
-func Entries(entries []darshan.CorpusEntry) Source {
-	return SourceFunc(func(ctx context.Context, emit func(Ref) bool) error {
-		for _, e := range entries {
-			if !emit(Ref{Path: e.Path, Job: e.Job, Err: e.Err}) {
-				return ctx.Err()
-			}
-		}
-		return nil
-	})
-}

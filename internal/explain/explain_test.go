@@ -27,16 +27,16 @@ func TestNearMiss(t *testing.T) {
 		margin, value, threshold float64
 		want                     bool
 	}{
-		{0.05, 100, 100, true},     // exact hit
-		{0.05, 104, 100, true},     // inside relative margin
-		{0.05, 106, 100, false},    // outside
-		{0.05, 95, 100, true},      // below, inside
-		{0.05, 94, 100, false},     // below, outside
-		{0.05, -104, -100, true},   // negative threshold, relative to |T|
-		{0.05, 0.04, 0, true},      // zero threshold: absolute margin
-		{0.05, 0.06, 0, false},     // zero threshold, outside
-		{0, 100, 100, false},       // margin disabled
-		{-1, 100, 100, false},      // negative margin disabled
+		{0.05, 100, 100, true},   // exact hit
+		{0.05, 104, 100, true},   // inside relative margin
+		{0.05, 106, 100, false},  // outside
+		{0.05, 95, 100, true},    // below, inside
+		{0.05, 94, 100, false},   // below, outside
+		{0.05, -104, -100, true}, // negative threshold, relative to |T|
+		{0.05, 0.04, 0, true},    // zero threshold: absolute margin
+		{0.05, 0.06, 0, false},   // zero threshold, outside
+		{0, 100, 100, false},     // margin disabled
+		{-1, 100, 100, false},    // negative margin disabled
 		{0.05, math.NaN(), 1, false},
 		{0.05, math.Inf(1), 1, false},
 	}
