@@ -368,6 +368,7 @@ func Targets() []Target {
 		Target{Name: "BenchmarkServe/ingest_warm_unobserved", File: ServeFile, Fn: ServeIngestObserved(false)},
 		Target{Name: "BenchmarkServe/ingest_warm_observed", File: ServeFile, Fn: ServeIngestObserved(true)},
 		Target{Name: "BenchmarkServe/ingest_fresh_canonical", File: ServeFile, Fn: ServeIngestFresh},
+		Target{Name: "BenchmarkServe/query_or_page", File: ServeFile, Fn: ServeQueryOrPage},
 		Target{Name: "BenchmarkCluster/ingest_n1", File: ClusterFile, Fn: ClusterIngest(1, 1)},
 		Target{Name: "BenchmarkCluster/ingest_n4_rf1", File: ClusterFile, Fn: ClusterIngest(4, 1)},
 		Target{Name: "BenchmarkCluster/ingest_n4_rf2", File: ClusterFile, Fn: ClusterIngest(4, 2)},
@@ -375,6 +376,8 @@ func Targets() []Target {
 		Target{Name: "BenchmarkQuery/point_1m", File: QueryFile, Fn: QueryBench("point", false)},
 		Target{Name: "BenchmarkQuery/and_heavy_1m", File: QueryFile, Fn: QueryBench("and_heavy", false)},
 		Target{Name: "BenchmarkQuery/not_heavy_1m", File: QueryFile, Fn: QueryBench("not_heavy", false)},
+		Target{Name: "BenchmarkQuery/and_heavy_page_1m", File: QueryFile, Fn: QueryPageBench("and_heavy")},
+		Target{Name: "BenchmarkQuery/not_heavy_page_1m", File: QueryFile, Fn: QueryPageBench("not_heavy")},
 		Target{Name: "BenchmarkQuery/stats_1m", File: QueryFile, Fn: QueryBench("stats", false)},
 		Target{Name: "BenchmarkQuery/rebuild_20k", File: QueryFile, Fn: QueryRebuild(false)},
 		Target{Name: "BenchmarkQueryOracle/point_1m", File: QueryFile, Fn: QueryBench("point", true)},

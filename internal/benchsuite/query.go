@@ -151,6 +151,40 @@ func QueryBench(kind string, oracle bool) func(b *testing.B) {
 	}
 }
 
+// queryPageLimit is the page the paged benchmarks ask for — the limit a
+// dashboard sends.
+const queryPageLimit = 100
+
+// QueryPageBench returns the pinned paged-query benchmark of the given
+// kind ("and_heavy" or "not_heavy") over the 1M-trace corpus: the same
+// expressions as QueryBench, answered as count plus first page into a
+// reused list, the way /v1/query?limit=100 asks. Its B/op is the
+// read side of ROADMAP item 4: a page must cost O(page), so the 700k
+// matches of not_heavy may not show in it.
+func QueryPageBench(kind string) func(b *testing.B) {
+	return func(b *testing.B) {
+		q := map[string]string{"and_heavy": queryAndHeavy, "not_heavy": queryNotHeavy}[kind]
+		if q == "" {
+			b.Fatalf("unknown paged query bench kind %q", kind)
+		}
+		ix := queryEngine()
+		page, err := ix.QueryPage(nil, q, queryPageLimit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(page.IDs) != queryPageLimit || page.Count <= queryPageLimit {
+			b.Fatalf("query %q: %d matches, %d returned: corpus drifted", q, page.Count, len(page.IDs))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if page, err = ix.QueryPage(page.IDs[:0], q, queryPageLimit); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // benchResult fills one stored result the way production categorization
 // does: chunk volumes, periodic groups, rate statistics and generator
 // truth all ride along with the labels. Rebuild streams past everything

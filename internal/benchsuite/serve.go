@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/events"
+	"github.com/mosaic-hpc/mosaic/internal/index"
 	"github.com/mosaic-hpc/mosaic/internal/serve"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 	"github.com/mosaic-hpc/mosaic/internal/telemetry"
@@ -195,6 +198,68 @@ func ServeIngestFresh(b *testing.B) {
 			b.Fatalf("ingest answered %d: %s", rec.Code, rec.Body.String())
 		}
 	}
+}
+
+// ServeQueryOrPage measures one unlimited /v1/query answer of about ten
+// thousand IDs (≈720 KB of JSON) per iteration through the full handler
+// chain with tracing on — the bench/ query workload's or_page request,
+// which is where that workload's server CPU went while the answer was
+// built by encoding/json: evaluation, the ID list, the body.
+func ServeQueryOrPage(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := serve.New(serve.Config{Store: st, Workers: 1, QueueDepth: 16, NoBackfill: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		st.Close()
+	}()
+	entries := make([]index.Entry, 48_000)
+	for i := range entries {
+		cats := category.NewSet("read_on_start")
+		if i%5 == 0 {
+			cats.Add("write_on_end")
+		}
+		if i%97 == 0 {
+			cats.Add("write_periodic")
+		}
+		entries[i] = index.Entry{ID: store.TraceID(fmt.Sprintf("%064x", i)), Cats: cats}
+	}
+	s.Index().Load(entries)
+	h := s.Handler()
+	const target = "/v1/query?q=write_on_end+OR+write_periodic"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := discardResponse{h: http.Header{}}
+		h.ServeHTTP(&w, httptest.NewRequest("GET", target, nil))
+		if w.code != http.StatusOK || w.n < 700_000 {
+			b.Fatalf("query answered %d with %d bytes", w.code, w.n)
+		}
+		b.SetBytes(w.n)
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps the status and the
+// body's length: a recorder growing a buffer to the size of the answer
+// would be most of what the benchmark allocates.
+type discardResponse struct {
+	h    http.Header
+	code int
+	n    int64
+}
+
+func (w *discardResponse) Header() http.Header  { return w.h }
+func (w *discardResponse) WriteHeader(code int) { w.code = code }
+func (w *discardResponse) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
 }
 
 func ServeIngestWarm(traced bool) func(b *testing.B) {

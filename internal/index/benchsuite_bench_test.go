@@ -16,6 +16,8 @@ func BenchmarkQuery(b *testing.B) {
 	b.Run("point_1m", benchsuite.QueryBench("point", false))
 	b.Run("and_heavy_1m", benchsuite.QueryBench("and_heavy", false))
 	b.Run("not_heavy_1m", benchsuite.QueryBench("not_heavy", false))
+	b.Run("and_heavy_page_1m", benchsuite.QueryPageBench("and_heavy"))
+	b.Run("not_heavy_page_1m", benchsuite.QueryPageBench("not_heavy"))
 	b.Run("stats_1m", benchsuite.QueryBench("stats", false))
 	b.Run("rebuild_20k", benchsuite.QueryRebuild(false))
 }

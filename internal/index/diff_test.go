@@ -70,12 +70,41 @@ func checkAgree(t *testing.T, ix *Index, or *Oracle, queries []string) {
 		if gerr != nil {
 			continue
 		}
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
+		if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
 			t.Fatalf("Query(%q): engine %d ids, oracle %d ids\nengine=%.6v\noracle=%.6v",
 				q, len(got), len(want), got, want)
+		}
+		checkPages(t, ix, q, want)
+	}
+}
+
+// checkPages asserts the paged core equals the whole answer cut
+// afterwards — count and IDs — at every limit that is an edge for this
+// answer, that it appends to what it is handed, and that it only
+// vouches for IDs that need no escaping.
+func checkPages(t *testing.T, ix *Index, q string, want []store.TraceID) {
+	t.Helper()
+	n := len(want)
+	for _, limit := range []int{-1, 0, 1, 2, 100, n - 1, n, n + 1} {
+		page, err := ix.QueryPage([]string{"kept"}, q, limit)
+		if err != nil {
+			t.Fatalf("QueryPage(%q, %d): %v", q, limit, err)
+		}
+		cut := n
+		if limit >= 0 && limit < n {
+			cut = limit
+		}
+		if page.Count != n || len(page.IDs) != 1+cut || page.IDs[0] != "kept" {
+			t.Fatalf("QueryPage(%q, %d): count %d with %d ids after %q, want count %d with %d ids after \"kept\"",
+				q, limit, page.Count, len(page.IDs)-1, page.IDs[0], n, cut)
+		}
+		for i, id := range page.IDs[1:] {
+			if id != string(want[i]) {
+				t.Fatalf("QueryPage(%q, %d): id %d is %q, want %q", q, limit, i, id, want[i])
+			}
+			if page.Plain && !JSONPlain(id) {
+				t.Fatalf("QueryPage(%q, %d): vouched for %q", q, limit, id)
+			}
 		}
 	}
 }

@@ -406,7 +406,7 @@ func (ix *Index) install(entries []entry) int {
 	}
 	ix.mu.Lock()
 	ix.cats = catNames()
-	gen := buildGeneration(dedup, len(ix.cats))
+	gen := buildGeneration(dedup, len(ix.cats), allPlain(dedup))
 	ix.ops = nil
 	ix.wmap = make(map[store.TraceID]int)
 	ix.live = gen.n()

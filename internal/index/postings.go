@@ -130,22 +130,6 @@ func subtractInto(dst, a, b []uint32) []uint32 {
 	return append(dst, a[i:]...)
 }
 
-// complementInto appends [0,n) \ a to dst — the lazy-NOT
-// materialization against the implicit universe.
-func complementInto(dst, a []uint32, n uint32) []uint32 {
-	next := uint32(0)
-	for _, x := range a {
-		for ; next < x; next++ {
-			dst = append(dst, next)
-		}
-		next = x + 1
-	}
-	for ; next < n; next++ {
-		dst = append(dst, next)
-	}
-	return dst
-}
-
 // scratch is the pooled per-query workspace: a free list of ordinal
 // buffers for the set algebra, node/estimate buffers for AND
 // reordering, and delta-overlay state. A warm query allocates nothing

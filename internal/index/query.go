@@ -254,80 +254,192 @@ func (ix *Index) Query(q string) ([]store.TraceID, error) {
 	return out, nil
 }
 
-// QueryIDs is Query returning plain strings — the serving and
-// scatter-gather shape, skipping one conversion copy. The plan runs
-// against a single snapshot: ordinal set algebra over the generation,
-// then a latest-wins overlay of the unfolded delta, and strings only
-// materialize into the final result slice.
+// QueryIDs is Query returning plain strings — the scatter-gather and
+// benchmark shape: QueryPage with no limit.
 func (ix *Index) QueryIDs(q string) ([]string, error) {
+	p, err := ix.QueryPage(nil, q, -1)
+	return p.IDs, err
+}
+
+// Page is one query answer: how many traces match, and the first of
+// them in lexicographic order.
+type Page struct {
+	Count int
+	IDs   []string
+	// Plain is the index's word that JSONPlain holds for every ID in
+	// IDs, so a JSON writer may copy them without looking inside.
+	Plain bool
+}
+
+// QueryPage evaluates a boolean category expression against a single
+// snapshot and returns the match count with the first limit matching
+// IDs (every match when limit < 0) appended to dst. The count costs no
+// materialization — it is the length of the ordinal result, or the
+// universe less that length under a negated root, adjusted by the
+// unfolded delta — and nothing is built per match that is not
+// returned: a negated root is walked as the gaps of its list, and an
+// ordinal becomes a string only on its way into the page. IDs is never
+// nil on success: an empty answer is an empty list, as it always was.
+func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 	plan, err := compileQuery(q)
 	if err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	s := ix.snap.Load()
+	g := s.gen
 	sc := getScratch()
 	defer putScratch(sc)
 
-	res := plan.eval(s.gen, sc)
+	res := plan.eval(g, sc)
+	count := len(res.list)
 	if res.neg {
-		pos := evalSet{list: complementInto(sc.get(), res.list, uint32(s.gen.n())), owned: true}
-		sc.release(res)
-		res = pos
-	}
-	base := res.list
-
-	if len(s.ops) == 0 {
-		out := make([]string, len(base))
-		for i, ord := range base {
-			out[i] = string(s.gen.ids[ord])
-		}
-		sc.release(res)
-		return out, nil
+		count = g.n() - count
 	}
 
-	// Delta overlay: ordinals the delta overrides leave the base
-	// result; delta traces whose latest category set satisfies the
-	// expression merge back in by ID.
-	seen := sc.seenMap()
-	overridden := sc.get()
+	// Delta overlay, latest op per ID wins: a generation ordinal the
+	// delta overrides leaves the result, and a delta trace whose
+	// category set satisfies the expression joins it by ID.
+	var overridden, dropped, matchAt []uint32
 	matches := sc.ids[:0]
-	for i := len(s.ops) - 1; i >= 0; i-- {
-		op := s.ops[i]
-		if _, dup := seen[op.id]; dup {
-			continue
+	if len(s.ops) > 0 {
+		seen := sc.seenMap()
+		overridden = sc.get()
+		for i := len(s.ops) - 1; i >= 0; i-- {
+			op := s.ops[i]
+			if _, dup := seen[op.id]; dup {
+				continue
+			}
+			seen[op.id] = struct{}{}
+			if ord, ok := g.ordinalOf(op.id); ok {
+				overridden = append(overridden, ord)
+			}
+			if op.cats != nil && plan.matches(op.cats) {
+				matches = append(matches, string(op.id))
+			}
 		}
-		seen[op.id] = struct{}{}
-		if ord, ok := s.gen.ordinalOf(op.id); ok {
-			overridden = append(overridden, ord)
+		sc.ids = matches
+		slices.Sort(overridden)
+		slices.Sort(matches)
+		// Only overridden ordinals that are in the result matter from
+		// here on; keep those, in place.
+		dropped = overridden[:0]
+		j := 0
+		for _, ord := range overridden {
+			j = advance(res.list, j, ord)
+			if (j < len(res.list) && res.list[j] == ord) != res.neg {
+				dropped = append(dropped, ord)
+			}
 		}
-		if op.cats != nil && plan.matches(op.cats) {
-			matches = append(matches, string(op.id))
+		// A delta match goes in just before the first generation ID
+		// that is not below it.
+		matchAt = sc.get()
+		for _, id := range matches {
+			matchAt = append(matchAt, g.lowerBound(store.TraceID(id)))
 		}
+		count += len(matches) - len(dropped)
 	}
-	sc.ids = matches
-	slices.Sort(overridden)
-	slices.Sort(matches)
 
-	out := make([]string, 0, len(base)+len(matches))
-	oi, mi := 0, 0
-	for _, ord := range base {
-		for oi < len(overridden) && overridden[oi] < ord {
-			oi++
-		}
-		if oi < len(overridden) && overridden[oi] == ord {
-			continue
-		}
-		id := string(s.gen.ids[ord])
-		for mi < len(matches) && matches[mi] < id {
-			out = append(out, matches[mi])
-			mi++
-		}
-		out = append(out, id)
+	n := count
+	if limit >= 0 && limit < n {
+		n = limit
 	}
-	out = append(out, matches[mi:]...)
+	page := Page{Count: count, IDs: slices.Grow(dst, n), Plain: g.plain}
+	if page.IDs == nil {
+		page.IDs = []string{}
+	}
+	// The page is runs of generation IDs between the ordinals where the
+	// delta has something to say; with no delta it is one run.
+	end := len(dst) + n
+	cur := ordCursor{list: res.list, neg: res.neg}
+	mAt := matchAt // matchAt itself goes back to the scratch
+	for len(page.IDs) < end {
+		bound := uint32(g.n())
+		if len(mAt) > 0 {
+			bound = mAt[0]
+		}
+		if len(dropped) > 0 && dropped[0] < bound {
+			bound = dropped[0]
+		}
+		page.IDs = cur.take(page.IDs, g.ids, bound, end-len(page.IDs))
+		if len(page.IDs) == end {
+			break
+		}
+		if len(mAt) > 0 && mAt[0] == bound {
+			page.Plain = page.Plain && JSONPlain(matches[0])
+			page.IDs = append(page.IDs, matches[0])
+			matches, mAt = matches[1:], mAt[1:]
+		} else {
+			cur.skip() // dropped[0], which is in the result, is the cursor's next
+			dropped = dropped[1:]
+		}
+	}
 	sc.release(res)
 	sc.put(overridden)
-	return out, nil
+	sc.put(matchAt)
+	return page, nil
+}
+
+// ordCursor walks a lazily-negated ordinal set in ascending order
+// without materializing it: the list itself, or under neg the gaps of
+// the list.
+type ordCursor struct {
+	list []uint32
+	neg  bool
+	i    int    // next unread list entry
+	at   uint32 // neg: the next candidate ordinal
+}
+
+// take appends the IDs of the cursor's next ordinals below bound, room
+// of them at most. ids must have that much spare capacity.
+func (c *ordCursor) take(ids []string, dict []store.TraceID, bound uint32, room int) []string {
+	if !c.neg {
+		run := c.list[c.i:]
+		if len(run) > room {
+			run = run[:room]
+		}
+		if len(run) > 0 && run[len(run)-1] >= bound {
+			run = run[:advance(run, 0, bound)]
+		}
+		c.i += len(run)
+		k := len(ids)
+		ids = ids[:k+len(run)]
+		for i, ord := range run {
+			ids[k+i] = string(dict[ord])
+		}
+		return ids
+	}
+	for c.at < bound && room > 0 {
+		stop := bound
+		if c.i < len(c.list) && c.list[c.i] < stop {
+			stop = c.list[c.i]
+		}
+		if stop == c.at { // a list entry, not a gap
+			c.i++
+			c.at++
+			continue
+		}
+		if int(stop-c.at) > room {
+			stop = c.at + uint32(room)
+		}
+		gap := dict[c.at:stop]
+		k := len(ids)
+		ids = ids[:k+len(gap)]
+		for i, id := range gap {
+			ids[k+i] = string(id)
+		}
+		room -= len(gap)
+		c.at = stop
+	}
+	return ids
+}
+
+// skip steps over the cursor's next ordinal.
+func (c *ordCursor) skip() {
+	if c.neg {
+		c.at++
+	} else {
+		c.i++
+	}
 }
 
 // MergeSorted merges sorted trace-ID lists into one sorted,

@@ -93,14 +93,16 @@ type generation struct {
 	catOff   []uint32        // len(ids)+1 offsets into catIDs
 	catIDs   []uint16        // concatenated per-ordinal category sets
 	postings [][]uint32      // catID → sorted ordinals
+	plain    bool            // every ID in ids satisfies JSONPlain
 }
 
-var emptyGen = &generation{catOff: []uint32{0}}
+var emptyGen = &generation{catOff: []uint32{0}, plain: true}
 
 func (g *generation) n() int { return len(g.ids) }
 
-// ordinalOf binary-searches the dictionary.
-func (g *generation) ordinalOf(id store.TraceID) (uint32, bool) {
+// lowerBound binary-searches the dictionary for the first ordinal
+// whose ID is not below id (n() when there is none).
+func (g *generation) lowerBound(id store.TraceID) uint32 {
 	lo, hi := 0, len(g.ids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -110,8 +112,13 @@ func (g *generation) ordinalOf(id store.TraceID) (uint32, bool) {
 			hi = mid
 		}
 	}
-	if lo < len(g.ids) && g.ids[lo] == id {
-		return uint32(lo), true
+	return uint32(lo)
+}
+
+func (g *generation) ordinalOf(id store.TraceID) (uint32, bool) {
+	lo := g.lowerBound(id)
+	if int(lo) < len(g.ids) && g.ids[lo] == id {
+		return lo, true
 	}
 	return 0, false
 }
@@ -137,7 +144,8 @@ type entry struct {
 
 // buildGeneration constructs a generation from entries already sorted
 // by ID and free of duplicates. Postings share one arena allocation.
-func buildGeneration(entries []entry, ncats int) *generation {
+// plain is the caller's word that every entry's ID satisfies JSONPlain.
+func buildGeneration(entries []entry, ncats int, plain bool) *generation {
 	total := 0
 	for _, e := range entries {
 		total += len(e.cats)
@@ -147,6 +155,7 @@ func buildGeneration(entries []entry, ncats int) *generation {
 		catOff:   make([]uint32, len(entries)+1),
 		catIDs:   make([]uint16, 0, total),
 		postings: make([][]uint32, ncats),
+		plain:    plain,
 	}
 	counts := make([]int, ncats)
 	for _, e := range entries {
@@ -243,7 +252,53 @@ func mergeGeneration(s *snapshot, ncats int) *generation {
 			j++
 		}
 	}
-	return buildGeneration(entries, ncats)
+	// IDs carried over from a vouched-for generation need no second
+	// look; otherwise rescan everything, so the bit comes back once the
+	// offending ID has been removed.
+	unchecked := entries
+	if g.plain {
+		unchecked = dops
+	}
+	return buildGeneration(entries, ncats, allPlain(unchecked))
+}
+
+// jsonEscapes marks the bytes encoding/json does not copy through
+// unchanged inside a string: controls, the quote and the backslash,
+// the three it escapes for HTML (< > &), and everything non-ASCII
+// (U+2028/9 and invalid UTF-8 are rewritten; the rest is left to the
+// encoder rather than validated here). DEL is in the set for
+// simplicity of the range test, not because it is escaped.
+var jsonEscapes = func() (t [256]bool) {
+	for b := range t {
+		t[b] = b < 0x20 || b >= 0x7f
+	}
+	for _, b := range `"\<>&` {
+		t[b] = true
+	}
+	return t
+}()
+
+// JSONPlain reports that s between two quotes is exactly what
+// encoding/json (HTML escaping on) would write for it; a query answer
+// copies such IDs into the response with no per-byte work. It is a
+// sufficient test, not a necessary one: it also refuses strings the
+// encoder would pass through (valid non-ASCII, DEL).
+func JSONPlain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if jsonEscapes[s[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+func allPlain(entries []entry) bool {
+	for _, e := range entries {
+		if !JSONPlain(string(e.id)) {
+			return false
+		}
+	}
+	return true
 }
 
 // sortCatIDs orders a small category-ID set by category name so CSR

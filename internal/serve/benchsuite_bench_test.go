@@ -7,8 +7,9 @@ import (
 )
 
 // BenchmarkServe exposes the pinned serve benchmarks (the tracing and
-// observability overhead budget pairs and the fresh canonical POST's
-// allocation budget in BENCH_serve.json) to plain
+// observability overhead budget pairs, the fresh canonical POST's
+// allocation budget and the ten-thousand-ID query answer in
+// BENCH_serve.json) to plain
 // `go test -bench`. The bodies live in internal/benchsuite so
 // `mosaic-bench -bench-json` runs the identical code; this file is in
 // the external test package because benchsuite imports serve.
@@ -18,6 +19,7 @@ func BenchmarkServe(b *testing.B) {
 	b.Run("ingest_warm_unobserved", benchsuite.ServeIngestObserved(false))
 	b.Run("ingest_warm_observed", benchsuite.ServeIngestObserved(true))
 	b.Run("ingest_fresh_canonical", benchsuite.ServeIngestFresh)
+	b.Run("query_or_page", benchsuite.ServeQueryOrPage)
 }
 
 // BenchmarkCluster exposes the pinned cluster benchmarks (the n4/n1

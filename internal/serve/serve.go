@@ -898,40 +898,70 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.querySecs.Observe(time.Since(start).Seconds()) }()
 	s.queries.Inc()
-	q := r.URL.Query().Get("q")
+	// Everything that can refuse the request is settled before any index
+	// or ring work is spent on it.
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing q parameter"})
 		return
 	}
-	ids, err := s.ix.QueryIDs(q)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
+	limit := -1
+	if lv := params.Get("limit"); lv != "" {
+		n, err := strconv.Atoi(lv)
+		if err != nil || n < 0 {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "limit must be a non-negative integer"})
+			return
+		}
+		limit = n
 	}
-	partial := false
-	if s.cluster != nil {
+	bufp := queryIDBufs.Get().(*[]string)
+	defer func() {
+		// Drop ID references before pooling so result strings don't
+		// outlive the response. A page wrote nothing past its length;
+		// the merge may have.
+		b := *bufp
+		if s.cluster != nil {
+			b = b[:cap(b)]
+		}
+		clear(b)
+		queryIDBufs.Put(bufp)
+	}()
+	reply := queryReply{Query: q}
+	if s.cluster == nil {
+		// The index cuts the page: nothing exists per match beyond it.
+		page, err := s.ix.QueryPage((*bufp)[:0], q, limit)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			return
+		}
+		*bufp = page.IDs
+		reply.Count, reply.IDs, reply.Plain = page.Count, page.IDs, page.Plain
+	} else {
 		// Scatter-gather: every live peer answers for its shard with an
 		// already-sorted list, and the reduce is one K-way merge into a
 		// pooled buffer, so the combined ordering is as stable as a
 		// single node's. A down peer's shard stays covered by its
 		// surviving replicas; partial flags that some peer could not
-		// answer at all.
+		// answer at all. The page is cut after the merge: a replicated
+		// trace is in more than one list, so the count needs the dedup.
+		local, err := s.ix.QueryIDs(q)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			return
+		}
 		remote, errs := s.cluster.ring.ScatterQuery(r.Context(), RequestIDFrom(r.Context()), q)
 		lists := make([][]string, 0, len(remote)+1)
-		lists = append(lists, ids)
+		lists = append(lists, local)
 		lists = append(lists, remote...)
-		bufp := queryMergeBufs.Get().(*[]string)
-		defer func() {
-			// Drop ID references before pooling so merged result
-			// strings don't outlive the response.
-			b := *bufp
-			clear(b[:cap(b)])
-			queryMergeBufs.Put(bufp)
-		}()
 		*bufp = index.MergeSortedInto(*bufp, lists...)
-		ids = *bufp
-		partial = len(errs) > 0
-		if partial {
+		ids := *bufp
+		reply.Count, reply.Partial = len(ids), len(errs) > 0
+		if limit >= 0 && limit < len(ids) {
+			ids = ids[:limit]
+		}
+		reply.IDs = ids
+		if reply.Partial {
 			if log := s.reqLog(r); log != nil {
 				for pid, perr := range errs {
 					log.Warn("scatter query: peer failed", "peer", pid, "err", perr)
@@ -939,32 +969,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	evaluated := time.Now()
+	reqtrace.AddSpan(r.Context(), "query.eval", start, evaluated.Sub(start),
+		reqtrace.Int("matches", int64(reply.Count)), reqtrace.Int("returned", int64(len(reply.IDs))))
 	if log := s.reqLog(r); log != nil {
-		log.Debug("query served", "q", q, "matches", len(ids))
+		log.Debug("query served", "q", q, "matches", reply.Count)
 	}
-	limit := len(ids)
-	if lv := r.URL.Query().Get("limit"); lv != "" {
-		n, err := strconv.Atoi(lv)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "limit must be a non-negative integer"})
-			return
-		}
-		if n < limit {
-			limit = n
-		}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Query   string   `json:"query"`
-		Count   int      `json:"count"`
-		Partial bool     `json:"partial,omitempty"`
-		IDs     []string `json:"ids"`
-	}{Query: q, Count: len(ids), Partial: partial, IDs: ids[:limit]})
+	n, _ := writeQueryReply(r.Context(), w, reply) // the only failure is a client that left
+	reqtrace.AddSpan(r.Context(), "query.encode", evaluated, time.Since(evaluated),
+		reqtrace.Int("bytes", n))
 }
 
-// queryMergeBufs pools the scatter-gather merge output so the fan-in
-// reduce allocates nothing per request beyond what the K-way merge
-// appends past pooled capacity.
-var queryMergeBufs = sync.Pool{New: func() any { return new([]string) }}
+// queryIDBufs pools the ID list of an answer — the index's page, or
+// the scatter-gather merge output — so a request allocates nothing for
+// it beyond what an append past pooled capacity costs.
+var queryIDBufs = sync.Pool{New: func() any { return new([]string) }}
 
 // StatsResponse is the /v1/stats document. In cluster mode Node names
 // the answering node and Nodes carries every member's scatter-gathered
