@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic"
+	"github.com/mosaic-hpc/mosaic/internal/benchsuite"
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/dsp"
@@ -157,23 +158,12 @@ func BenchmarkPipelineParallel(b *testing.B) {
 }
 
 // BenchmarkCategorizeSingle measures the per-trace pipeline cost on the
-// flagship checkpointing trace.
-func BenchmarkCategorizeSingle(b *testing.B) {
-	arch, _ := gen.ArchetypeByName("checkpointer-minute")
-	rng := rand.New(rand.NewSource(1))
-	p := arch.Params(rng)
-	builder := gen.NewBuilder(rng, "u", arch.Exe, 1, p.Ranks, p.RuntimeBase)
-	arch.Build(builder, p)
-	job := builder.Job()
-	cfg := core.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Categorize(job, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// flagship checkpointing trace; BenchmarkCategorizeExplainedSingle the
+// same with decision provenance, as mosaic-serve runs it. Both are
+// pinned in BENCH_pipeline.json.
+func BenchmarkCategorizeSingle(b *testing.B) { benchsuite.CategorizeSingle(b) }
+
+func BenchmarkCategorizeExplainedSingle(b *testing.B) { benchsuite.CategorizeExplainedSingle(b) }
 
 // BenchmarkMerging measures the two merging algorithms (Section III-B2) on
 // a heavily desynchronized trace.
@@ -185,10 +175,12 @@ func BenchmarkMerging(b *testing.B) {
 		ops = append(ops, interval.Interval{Start: s, End: s + rng.Float64()*120, Bytes: rng.Int63n(1 << 30)})
 	}
 	pol := interval.DefaultNeighborPolicy()
+	work := make([]interval.Interval, len(ops))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := interval.Merge(ops, 86400, pol); len(out) == 0 {
+		copy(work, ops)
+		if out, _, _ := interval.MergeInPlace(work, 86400, pol); len(out) == 0 {
 			b.Fatal("merge lost everything")
 		}
 	}

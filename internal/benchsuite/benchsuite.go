@@ -25,6 +25,7 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/experiments"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
@@ -144,9 +145,9 @@ var corpusJobs = sync.OnceValue(func() []*mosaic.Job {
 	return jobs
 })
 
-// CategorizeSingle measures the full per-trace pipeline on the flagship
-// checkpointing trace (pinned as BenchmarkCategorizeSingle).
-func CategorizeSingle(b *testing.B) {
+// flagshipJob builds the checkpointing trace the single-trace pipeline
+// benchmarks categorize (~1 800 write records).
+func flagshipJob(b *testing.B) *darshan.Job {
 	arch, ok := gen.ArchetypeByName("checkpointer-minute")
 	if !ok {
 		b.Fatal("checkpointer-minute archetype missing")
@@ -155,12 +156,33 @@ func CategorizeSingle(b *testing.B) {
 	p := arch.Params(rng)
 	builder := gen.NewBuilder(rng, "u", arch.Exe, 1, p.Ranks, p.RuntimeBase)
 	arch.Build(builder, p)
-	job := builder.Job()
+	return builder.Job()
+}
+
+// CategorizeSingle measures the full per-trace pipeline on the flagship
+// checkpointing trace (pinned as BenchmarkCategorizeSingle).
+func CategorizeSingle(b *testing.B) {
+	job := flagshipJob(b)
 	cfg := core.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Categorize(job, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// CategorizeExplainedSingle is CategorizeSingle with decision provenance
+// collected — what mosaic-serve runs for every trace (pinned as
+// BenchmarkCategorizeExplainedSingle).
+func CategorizeExplainedSingle(b *testing.B) {
+	job := flagshipJob(b)
+	cfg := core.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.CategorizeExplained(job, cfg, explain.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,6 +380,7 @@ func Targets() []Target {
 	}
 	ts = append(ts,
 		Target{Name: "BenchmarkCategorizeSingle", File: PipelineFile, Fn: CategorizeSingle},
+		Target{Name: "BenchmarkCategorizeExplainedSingle", File: PipelineFile, Fn: CategorizeExplainedSingle},
 		Target{Name: "BenchmarkPipelineParallel/4workers", File: PipelineFile, Fn: PipelineParallel(4)},
 		Target{Name: "BenchmarkIngest/decode_warm", File: IngestFile, Fn: IngestDecodeWarm},
 		Target{Name: "BenchmarkIngest/decode_gzip", File: IngestFile, Fn: IngestDecodeGzip},

@@ -27,8 +27,7 @@ func archetypeFeatures(t *testing.T, arch gen.Archetype, seed int64) [][]cluster
 	var out [][]cluster.Point
 	pol := interval.DefaultNeighborPolicy()
 	for _, raw := range [][]interval.Interval{job.ReadIntervals(), job.WriteIntervals()} {
-		ops := interval.Clip(raw, job.Runtime)
-		merged := interval.Merge(ops, job.Runtime, pol)
+		merged, _, _ := interval.MergeInPlace(raw, job.Runtime, pol)
 		segs := segment.Split(merged, job.Runtime)
 		if len(segs) < 2 {
 			continue

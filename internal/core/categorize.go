@@ -67,28 +67,28 @@ func categorize(j *darshan.Job, cfg Config, ex *explainState) (*Result, error) {
 		res.Truth = j.Metadata
 	}
 
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+
 	// MOSAIC handles read and write operations independently. DXT
 	// extended segments, when traced and not disabled, replace the
 	// aggregate open-to-close windows and expose intra-record structure.
-	reads, writes := j.ReadIntervals(), j.WriteIntervals()
-	dxt := !c.DisableDXT && j.HasDXT()
+	var rdxt, wdxt bool
+	sc.reads, rdxt = j.AppendIntervals(sc.reads[:0], false, !c.DisableDXT)
+	sc.writes, wdxt = j.AppendIntervals(sc.writes[:0], true, !c.DisableDXT)
+	dxt := rdxt || wdxt
 	if dxt {
-		reads, writes = j.ReadIntervalsDXT(), j.WriteIntervalsDXT()
 		res.Read.Spatial = spatialForJob(j, false)
 		res.Write.Spatial = spatialForJob(j, true)
 	}
-	if err := categorizeDirection(j, category.DirRead, reads, &c, res, &res.Read, ex.direction(category.DirRead, dxt)); err != nil {
+	if err := categorizeDirection(j, category.DirRead, sc.reads, &c, res, &res.Read, ex.direction(category.DirRead, dxt)); err != nil {
 		return nil, fmt.Errorf("core: read direction of job %d: %w", j.JobID, err)
 	}
-	if err := categorizeDirection(j, category.DirWrite, writes, &c, res, &res.Write, ex.direction(category.DirWrite, dxt)); err != nil {
+	if err := categorizeDirection(j, category.DirWrite, sc.writes, &c, res, &res.Write, ex.direction(category.DirWrite, dxt)); err != nil {
 		return nil, fmt.Errorf("core: write direction of job %d: %w", j.JobID, err)
 	}
 
-	metaCats, metaRep := classifyMetadata(j, &c)
-	res.Meta = metaRep
-	for mc := range metaCats {
-		res.Categories.Add(mc)
-	}
+	res.Meta = classifyMetadata(j, &c, &sc.rates, res.Categories)
 
 	res.Labels = res.Categories.Strings()
 	if ex != nil {
@@ -98,24 +98,16 @@ func categorize(j *darshan.Job, cfg Config, ex *explainState) (*Result, error) {
 	return res, nil
 }
 
+// categorizeDirection characterizes one direction. raw is scratch memory:
+// it is merged in place and must not outlive the call.
 func categorizeDirection(j *darshan.Job, dir category.Direction, raw []interval.Interval, cfg *Config, res *Result, rep *DirectionReport, dx *dirExplain) error {
 	rep.RawOps = len(raw)
 	rep.Temporal = category.Insignificant
 
-	ops := interval.Clip(raw, j.Runtime)
-	var merged []interval.Interval
-	if dx == nil {
-		merged = interval.Merge(ops, j.Runtime, cfg.neighborPolicy())
-	} else {
-		// Split the merge so the funnel (raw → clipped → concurrent →
-		// neighbor) is observable; the composition is identical to
-		// interval.Merge.
-		conc := interval.MergeConcurrent(ops)
-		merged = interval.MergeNeighbors(conc, j.Runtime, cfg.neighborPolicy())
-		dx.preprocess(len(raw), len(ops), len(conc), j.Runtime, cfg)
-	}
-	if len(ops) == 0 {
-		merged = nil
+	merged, clipped, concurrent := interval.MergeInPlace(raw, j.Runtime, cfg.neighborPolicy())
+	if dx != nil {
+		// The funnel raw → clipped → concurrent → neighbor.
+		dx.preprocess(rep.RawOps, clipped, concurrent, j.Runtime, cfg)
 	}
 	rep.MergedOps = len(merged)
 	rep.TotalBytes = interval.TotalBytes(merged)

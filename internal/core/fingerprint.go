@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Fingerprint returns a short stable identifier of the *effective*
@@ -17,44 +19,67 @@ import (
 // is a cache hit regardless of how the caller spelled the config.
 //
 // The rendering is versioned (the "mosaic-config/v1|" prefix): if a
-// field is ever added to Config it MUST be appended here, which
+// field is ever added to Config it MUST be appended to fields, which
 // changes every fingerprint and correctly invalidates stored results
 // computed under the old semantics.
+//
+// Callers ask once per trace with a config that never changes between
+// traces, so the last answer is remembered, keyed by the exact bits of
+// the config as given.
 func (c Config) Fingerprint() string {
-	n := c.Normalized()
+	key := c.bits()
+	if m := lastFingerprint.Load(); m != nil && m.key == key {
+		return m.fp
+	}
 	var b strings.Builder
 	b.WriteString("mosaic-config/v1|")
-	wi := func(name string, v int64) {
-		b.WriteString(name)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatInt(v, 10))
-		b.WriteByte(';')
-	}
-	wf := func(name string, v float64) {
-		b.WriteString(name)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		b.WriteByte(';')
-	}
-	wi("significance_bytes", n.SignificanceBytes)
-	wf("merge_runtime_fraction", n.MergeRuntimeFraction)
-	wf("merge_neighbor_fraction", n.MergeNeighborFraction)
-	wi("chunk_count", int64(n.ChunkCount))
-	wf("dominance_factor", n.DominanceFactor)
-	wf("steady_cv", n.SteadyCV)
-	wi("periodicity_detector", int64(n.PeriodicityDetector))
-	wf("meanshift_bandwidth", n.MeanShiftBandwidth)
-	wi("meanshift_kernel", int64(n.MeanShiftKernel))
-	wi("min_group_size", int64(n.MinGroupSize))
-	wf("min_group_coverage", n.MinGroupCoverage)
-	wf("volume_log_scale", n.VolumeLogScale)
-	wi("disable_dxt", b2i(n.DisableDXT))
-	wf("spike_high_rate", n.SpikeHighRate)
-	wf("spike_rate", n.SpikeRate)
-	wi("multiple_spikes", int64(n.MultipleSpikes))
-	wf("density_rate", n.DensityRate)
+	c.Normalized().fields(
+		func(name string, v int64) { b.WriteString(name + "=" + strconv.FormatInt(v, 10) + ";") },
+		func(name string, v float64) { b.WriteString(name + "=" + strconv.FormatFloat(v, 'g', -1, 64) + ";") })
 	sum := sha256.Sum256([]byte(b.String()))
-	return fmt.Sprintf("cfg-%s", hex.EncodeToString(sum[:8]))
+	fp := fmt.Sprintf("cfg-%s", hex.EncodeToString(sum[:8]))
+	lastFingerprint.Store(&fingerprintMemo{key, fp})
+	return fp
+}
+
+// fields presents every field of the config, in fingerprint order.
+func (c Config) fields(wi func(name string, v int64), wf func(name string, v float64)) {
+	wi("significance_bytes", c.SignificanceBytes)
+	wf("merge_runtime_fraction", c.MergeRuntimeFraction)
+	wf("merge_neighbor_fraction", c.MergeNeighborFraction)
+	wi("chunk_count", int64(c.ChunkCount))
+	wf("dominance_factor", c.DominanceFactor)
+	wf("steady_cv", c.SteadyCV)
+	wi("periodicity_detector", int64(c.PeriodicityDetector))
+	wf("meanshift_bandwidth", c.MeanShiftBandwidth)
+	wi("meanshift_kernel", int64(c.MeanShiftKernel))
+	wi("min_group_size", int64(c.MinGroupSize))
+	wf("min_group_coverage", c.MinGroupCoverage)
+	wf("volume_log_scale", c.VolumeLogScale)
+	wi("disable_dxt", b2i(c.DisableDXT))
+	wf("spike_high_rate", c.SpikeHighRate)
+	wf("spike_rate", c.SpikeRate)
+	wi("multiple_spikes", int64(c.MultipleSpikes))
+	wf("density_rate", c.DensityRate)
+}
+
+// configBits is a config field by field, bit for bit: unlike ==, it tells
+// 0 from -0 (which render differently) and finds a NaN equal to itself.
+type configBits [17]uint64
+
+func (c Config) bits() (k configBits) {
+	i := 0
+	c.fields(
+		func(_ string, v int64) { k[i] = uint64(v); i++ },
+		func(_ string, v float64) { k[i] = math.Float64bits(v); i++ })
+	return k
+}
+
+var lastFingerprint atomic.Pointer[fingerprintMemo]
+
+type fingerprintMemo struct {
+	key configBits
+	fp  string
 }
 
 func b2i(v bool) int64 {

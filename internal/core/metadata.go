@@ -10,7 +10,7 @@ import (
 // Metadata-impact characterization (Section III-B3c). MOSAIC counts the
 // OPEN, CLOSE and SEEK requests attributed to each I/O operation; Darshan
 // does not time SEEKs precisely, so they are assumed co-located with the
-// OPENs (darshan.MetaEvents applies that convention). The per-second
+// OPENs (darshan.Counters.MetaBursts applies that convention). The per-second
 // request rate then yields the spike/density categories.
 
 // MetaReport carries the measured metadata quantities alongside the
@@ -23,15 +23,35 @@ type MetaReport struct {
 	HighSpikes int     `json:"high_spikes"` // seconds with at least SpikeHighRate requests
 }
 
-// maxRateBins caps the per-second histogram size; beyond this, seconds are
-// coalesced. A week-long job stays under it.
+// maxRateBins caps the number of one-second histogram bins; beyond this,
+// seconds are coalesced. A week-long job stays under it.
 const maxRateBins = 1 << 21
 
-// rateHistogram accumulates events into per-second request counts over
-// [0, runtime]. Events outside the range clamp into the edge bins (their
-// traces passed validation within tsSlack).
-func rateHistogram(events []darshan.MetaEvent, runtime float64) []float64 {
-	n := int(math.Ceil(runtime))
+// exactFloatSum is the largest total that integer-valued float64 terms
+// reach without rounding, in whatever order they are added.
+const exactFloatSum = 1 << 53
+
+// classifyMetadata adds the metadata categories of a job to cats and
+// returns the measured quantities.
+//
+// Requests are counted in the paper's fixed one-second bins over
+// [0, runtime]: bin int(t) for a request at t, events outside the range
+// clamped into the edge bins (their traces passed validation within
+// tsSlack). Only bins that saw a request exist, in rates: every rate
+// threshold is positive (Config.sane), so an empty second can be neither
+// a spike nor the peak and adds nothing to the mean.
+func classifyMetadata(j *darshan.Job, cfg *Config, rates *rateTable, cats category.Set) MetaReport {
+	rep := MetaReport{TotalOps: j.TotalMetaOps()}
+
+	// The insignificant threshold: fewer metadata operations than ranks
+	// means the job barely touched the metadata server (each rank opening
+	// its own file once already costs nprocs OPENs).
+	if rep.TotalOps < int64(j.NProcs) {
+		cats.Add(category.MetaInsignificantLoad)
+		return rep
+	}
+
+	n := int(math.Ceil(j.Runtime))
 	if n < 1 {
 		n = 1
 	}
@@ -40,41 +60,39 @@ func rateHistogram(events []darshan.MetaEvent, runtime float64) []float64 {
 		scale = float64(n) / float64(maxRateBins)
 		n = maxRateBins
 	}
-	bins := make([]float64, n)
-	for _, ev := range events {
-		i := int(ev.Time / scale)
-		if i < 0 {
-			i = 0
+	rates.reserve(min(n, 2*len(j.Records)))
+	var requests int64 // exact while every partial sum is
+	for i := range j.Records {
+		atOpen, atClose := j.Records[i].C.MetaBursts()
+		for _, ev := range [...]darshan.MetaEvent{atOpen, atClose} {
+			if ev.Count <= 0 {
+				continue
+			}
+			bin := int(ev.Time / scale)
+			if bin < 0 {
+				bin = 0
+			}
+			if bin >= n {
+				bin = n - 1
+			}
+			rates.add(int32(bin), float64(ev.Count))
+			if requests += ev.Count; requests < 0 || requests > exactFloatSum {
+				requests = exactFloatSum + 1
+			}
 		}
-		if i >= n {
-			i = n - 1
-		}
-		bins[i] += float64(ev.Count)
 	}
-	if scale != 1 {
-		// Coalesced bins cover `scale` seconds; convert to rates.
-		for i := range bins {
-			bins[i] /= scale
-		}
+	// The dense histogram was summed in bin order. Whole request counts
+	// below 2^53 add to the same float in any order; coalesced bins hold
+	// quotients, which do not.
+	if scale != 1 || requests > exactFloatSum {
+		rates.sortByBin()
 	}
-	return bins
-}
-
-// classifyMetadata assigns the metadata categories of a job.
-func classifyMetadata(j *darshan.Job, cfg *Config) (category.Set, MetaReport) {
-	out := category.NewSet()
-	rep := MetaReport{TotalOps: j.TotalMetaOps()}
-
-	// The insignificant threshold: fewer metadata operations than ranks
-	// means the job barely touched the metadata server (each rank opening
-	// its own file once already costs nprocs OPENs).
-	if rep.TotalOps < int64(j.NProcs) {
-		out.Add(category.MetaInsignificantLoad)
-		return out, rep
-	}
-	bins := rateHistogram(j.MetaEvents(), j.Runtime)
 	var total float64
-	for _, r := range bins {
+	for _, c := range rates.cells {
+		r := c.sum
+		if scale != 1 {
+			r /= scale // a coalesced bin covers `scale` seconds
+		}
 		total += r
 		if r > rep.PeakRate {
 			rep.PeakRate = r
@@ -86,23 +104,27 @@ func classifyMetadata(j *darshan.Job, cfg *Config) (category.Set, MetaReport) {
 			rep.HighSpikes++
 		}
 	}
+	rates.clear()
 	if j.Runtime > 0 {
 		rep.MeanRate = total / j.Runtime
 	}
 
+	pattern := false
 	if rep.HighSpikes >= 1 {
-		out.Add(category.MetaHighSpike)
+		cats.Add(category.MetaHighSpike)
+		pattern = true
 	}
 	if rep.SpikeCount >= cfg.MultipleSpikes {
-		out.Add(category.MetaMultipleSpikes)
+		cats.Add(category.MetaMultipleSpikes)
+		pattern = true
+		if rep.MeanRate >= cfg.DensityRate {
+			cats.Add(category.MetaHighDensity)
+		}
 	}
-	if rep.SpikeCount >= cfg.MultipleSpikes && rep.MeanRate >= cfg.DensityRate {
-		out.Add(category.MetaHighDensity)
-	}
-	if len(out) == 0 {
+	if !pattern {
 		// Some metadata traffic, but no pattern crossing any threshold:
 		// the load is insignificant for the metadata server.
-		out.Add(category.MetaInsignificantLoad)
+		cats.Add(category.MetaInsignificantLoad)
 	}
-	return out, rep
+	return rep
 }

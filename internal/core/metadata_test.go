@@ -25,10 +25,12 @@ func metaJob(nprocs int32, runtime float64, bursts []darshan.MetaEvent) *darshan
 	return j
 }
 
+// classifyMeta classifies under the default config, on the way holding
+// the answer to the dense-histogram oracle.
 func classifyMeta(t *testing.T, j *darshan.Job) (category.Set, MetaReport) {
 	t.Helper()
 	cfg := DefaultConfig()
-	return classifyMetadata(j, &cfg)
+	return checkMetaAgainstOracle(t, j, &cfg, new(rateTable))
 }
 
 func TestMetadataInsignificantBelowRanks(t *testing.T) {
@@ -149,9 +151,12 @@ func TestMetadataModerateLoadFallsBack(t *testing.T) {
 }
 
 func TestRateHistogramClampsOutOfRange(t *testing.T) {
-	bins := rateHistogram([]darshan.MetaEvent{{Time: -5, Count: 10}, {Time: 1e9, Count: 20}}, 100)
-	if bins[0] != 10 || bins[len(bins)-1] != 20 {
-		t.Fatalf("clamping failed: first=%g last=%g", bins[0], bins[len(bins)-1])
+	// Requests timed before the start or after the end of the run count
+	// in the first and last second.
+	j := metaJob(8, 100, []darshan.MetaEvent{{Time: -5, Count: 260}, {Time: 0.5, Count: 10}, {Time: 1e9, Count: 300}, {Time: 99.5, Count: 1}})
+	_, rep := classifyMeta(t, j)
+	if rep.PeakRate != 301 || rep.HighSpikes != 2 || rep.SpikeCount != 2 {
+		t.Fatalf("clamping failed: %+v", rep)
 	}
 }
 
@@ -160,12 +165,10 @@ func TestRateHistogramCoalescesLongRuns(t *testing.T) {
 	// rates comparable: one burst of N requests within a coalesced bin
 	// of k seconds reads as N/k req/s.
 	runtime := float64(maxRateBins) * 4
-	bins := rateHistogram([]darshan.MetaEvent{{Time: 8, Count: 400}}, runtime)
-	if len(bins) != maxRateBins {
-		t.Fatalf("bins = %d", len(bins))
-	}
-	if bins[2] != 100 { // 400 requests over a 4-second coalesced bin
-		t.Fatalf("coalesced rate = %g, want 100", bins[2])
+	j := metaJob(1, runtime, []darshan.MetaEvent{{Time: 8, Count: 300}, {Time: 11, Count: 100}, {Time: 12, Count: 1001}})
+	_, rep := classifyMeta(t, j)
+	if rep.PeakRate != 250.25 || rep.SpikeCount != 2 || rep.HighSpikes != 1 {
+		t.Fatalf("coalesced rates: %+v", rep)
 	}
 }
 

@@ -36,67 +36,6 @@ func (e DXTEvent) Valid() bool {
 // HasDXT reports whether the record carries extended tracing data.
 func (r *FileRecord) HasDXT() bool { return len(r.DXTReads) > 0 || len(r.DXTWrites) > 0 }
 
-// dxtIntervals converts DXT events into operation intervals; metadata
-// requests stay attributed to the record's open/close, so per-event
-// intervals carry none.
-func dxtIntervals(events []DXTEvent) []interval.Interval {
-	out := make([]interval.Interval, 0, len(events))
-	for _, e := range events {
-		out = append(out, interval.Interval{Start: e.Start, End: e.End, Bytes: e.Length})
-	}
-	return out
-}
-
-// ReadIntervalsDXT extracts read operations preferring DXT segments where
-// present: records with extended tracing contribute one interval per
-// traced read, others fall back to the aggregate window.
-func (j *Job) ReadIntervalsDXT() []interval.Interval {
-	out := make([]interval.Interval, 0, len(j.Records))
-	for i := range j.Records {
-		r := &j.Records[i]
-		if len(r.DXTReads) > 0 {
-			out = append(out, dxtIntervals(r.DXTReads)...)
-			// Metadata attribution: keep one zero-length carrier so the
-			// open/seek requests are not lost to the merge totals.
-			if m := r.C.Opens + r.C.Seeks; m > 0 {
-				out = append(out, interval.Interval{Start: r.C.OpenStart, End: r.C.OpenStart, Meta: m})
-			}
-			continue
-		}
-		if !r.C.HasRead() {
-			continue
-		}
-		out = append(out, interval.Interval{
-			Start: r.C.ReadStart, End: r.C.ReadEnd,
-			Bytes: r.C.BytesRead, Meta: r.C.Opens + r.C.Seeks,
-		})
-	}
-	return out
-}
-
-// WriteIntervalsDXT is the write-side counterpart of ReadIntervalsDXT.
-func (j *Job) WriteIntervalsDXT() []interval.Interval {
-	out := make([]interval.Interval, 0, len(j.Records))
-	for i := range j.Records {
-		r := &j.Records[i]
-		if len(r.DXTWrites) > 0 {
-			out = append(out, dxtIntervals(r.DXTWrites)...)
-			if m := r.C.Opens + r.C.Seeks; m > 0 {
-				out = append(out, interval.Interval{Start: r.C.OpenStart, End: r.C.OpenStart, Meta: m})
-			}
-			continue
-		}
-		if !r.C.HasWrite() {
-			continue
-		}
-		out = append(out, interval.Interval{
-			Start: r.C.WriteStart, End: r.C.WriteEnd,
-			Bytes: r.C.BytesWritten, Meta: r.C.Opens + r.C.Seeks,
-		})
-	}
-	return out
-}
-
 // HasDXT reports whether any record of the job carries extended tracing.
 func (j *Job) HasDXT() bool {
 	for i := range j.Records {

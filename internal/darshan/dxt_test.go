@@ -68,8 +68,8 @@ func TestWriteIntervalsDXTExpandsSegments(t *testing.T) {
 		t.Fatalf("aggregate = %v", agg)
 	}
 	// DXT view: one interval per event plus the metadata carrier.
-	dxt := j.WriteIntervalsDXT()
-	if len(dxt) != 5 {
+	dxt, traced := j.AppendIntervals(nil, true, true)
+	if len(dxt) != 5 || !traced {
 		t.Fatalf("dxt intervals = %d, want 4 events + 1 meta carrier", len(dxt))
 	}
 	var bytes, meta int64
@@ -92,8 +92,8 @@ func TestReadIntervalsDXTFallback(t *testing.T) {
 		Module: ModPOSIX, Path: "/plain",
 		C: Counters{Reads: 1, BytesRead: 500, ReadStart: 5, ReadEnd: 6},
 	})
-	reads := j.ReadIntervalsDXT()
-	if len(reads) != 1 || reads[0].Bytes != 500 {
+	reads, traced := j.AppendIntervals(nil, false, true)
+	if len(reads) != 1 || reads[0].Bytes != 500 || traced {
 		t.Fatalf("fallback reads = %v", reads)
 	}
 }

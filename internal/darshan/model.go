@@ -81,13 +81,13 @@ type Counters struct {
 // OPEN, CLOSE, SEEK and STAT operations. The paper additionally assumes
 // every OPEN is accompanied by a SEEK (Darshan does not time SEEKs), which
 // is applied at interval-extraction time, not here.
-func (c Counters) MetaOps() int64 { return c.Opens + c.Closes + c.Seeks + c.Stats }
+func (c *Counters) MetaOps() int64 { return c.Opens + c.Closes + c.Seeks + c.Stats }
 
 // HasRead reports whether the record carries read activity.
-func (c Counters) HasRead() bool { return c.Reads > 0 || c.BytesRead > 0 }
+func (c *Counters) HasRead() bool { return c.Reads > 0 || c.BytesRead > 0 }
 
 // HasWrite reports whether the record carries write activity.
-func (c Counters) HasWrite() bool { return c.Writes > 0 || c.BytesWritten > 0 }
+func (c *Counters) HasWrite() bool { return c.Writes > 0 || c.BytesWritten > 0 }
 
 // FileRecord is the per-(file, rank) aggregation unit of a Darshan log.
 type FileRecord struct {
@@ -166,64 +166,80 @@ func (j *Job) Weight() int64 {
 	return j.TotalBytesRead() + j.TotalBytesWritten() + j.TotalMetaOps()
 }
 
-// ReadIntervals extracts the read operations of the job as time intervals.
-// Each record with read activity contributes one interval spanning
-// [ReadStart, ReadEnd) carrying its read volume. Metadata requests are
-// attributed to the operation (paper: SEEKs co-located with OPENs).
+// AppendIntervals appends the job's read (or, with write set, write)
+// operations to dst and returns it. Each record active in the direction
+// contributes one interval spanning its aggregate window and carrying its
+// volume; metadata requests are attributed to the operation (paper: SEEKs
+// co-located with OPENs). With dxt set, a record carrying DXT segments for
+// the direction contributes one interval per traced segment instead, plus
+// a zero-length carrier at its open time so the open/seek requests are not
+// lost to the merge totals; traced reports whether any record did.
+func (j *Job) AppendIntervals(dst []interval.Interval, write, dxt bool) (_ []interval.Interval, traced bool) {
+	for i := range j.Records {
+		r := &j.Records[i]
+		c := &r.C
+		events, active := r.DXTReads, c.HasRead()
+		agg := interval.Interval{Start: c.ReadStart, End: c.ReadEnd, Bytes: c.BytesRead}
+		if write {
+			events, active = r.DXTWrites, c.HasWrite()
+			agg = interval.Interval{Start: c.WriteStart, End: c.WriteEnd, Bytes: c.BytesWritten}
+		}
+		agg.Meta = c.Opens + c.Seeks
+		switch {
+		case dxt && len(events) > 0:
+			traced = true
+			for _, e := range events {
+				dst = append(dst, interval.Interval{Start: e.Start, End: e.End, Bytes: e.Length})
+			}
+			if agg.Meta > 0 {
+				dst = append(dst, interval.Interval{Start: c.OpenStart, End: c.OpenStart, Meta: agg.Meta})
+			}
+		case active:
+			dst = append(dst, agg)
+		}
+	}
+	return dst, traced
+}
+
+// ReadIntervals extracts the read operations of the job from the
+// aggregate counters alone.
 func (j *Job) ReadIntervals() []interval.Interval {
-	out := make([]interval.Interval, 0, len(j.Records))
-	for i := range j.Records {
-		c := &j.Records[i].C
-		if !c.HasRead() {
-			continue
-		}
-		out = append(out, interval.Interval{
-			Start: c.ReadStart,
-			End:   c.ReadEnd,
-			Bytes: c.BytesRead,
-			Meta:  c.Opens + c.Seeks,
-		})
-	}
+	out, _ := j.AppendIntervals(nil, false, false)
 	return out
 }
 
-// WriteIntervals extracts the write operations of the job as intervals.
+// WriteIntervals extracts the write operations of the job from the
+// aggregate counters alone.
 func (j *Job) WriteIntervals() []interval.Interval {
-	out := make([]interval.Interval, 0, len(j.Records))
-	for i := range j.Records {
-		c := &j.Records[i].C
-		if !c.HasWrite() {
-			continue
-		}
-		out = append(out, interval.Interval{
-			Start: c.WriteStart,
-			End:   c.WriteEnd,
-			Bytes: c.BytesWritten,
-			Meta:  c.Opens + c.Seeks,
-		})
-	}
+	out, _ := j.AppendIntervals(nil, true, false)
 	return out
 }
 
-// MetaEvents returns one (time, count) event per metadata burst in the
-// job. Darshan does not time individual metadata calls, so the paper
-// attributes a record's OPEN/SEEK requests to the open timestamp and its
-// CLOSE requests to the close timestamp.
+// MetaEvent is one metadata burst: Count requests at Time.
 type MetaEvent struct {
 	Time  float64
 	Count int64
+}
+
+// MetaBursts returns the record's two metadata bursts. Darshan does not
+// time individual metadata calls, so the paper attributes a record's
+// OPEN/SEEK (and STAT) requests to the open timestamp and its CLOSE
+// requests to the close timestamp. A burst with Count 0 did not happen.
+func (c *Counters) MetaBursts() (atOpen, atClose MetaEvent) {
+	return MetaEvent{Time: c.OpenStart, Count: c.Opens + c.Seeks + c.Stats},
+		MetaEvent{Time: c.CloseStart, Count: c.Closes}
 }
 
 // MetaEvents extracts metadata request events ordered arbitrarily.
 func (j *Job) MetaEvents() []MetaEvent {
 	out := make([]MetaEvent, 0, 2*len(j.Records))
 	for i := range j.Records {
-		c := &j.Records[i].C
-		if n := c.Opens + c.Seeks + c.Stats; n > 0 {
-			out = append(out, MetaEvent{Time: c.OpenStart, Count: n})
+		atOpen, atClose := j.Records[i].C.MetaBursts()
+		if atOpen.Count > 0 {
+			out = append(out, atOpen)
 		}
-		if c.Closes > 0 {
-			out = append(out, MetaEvent{Time: c.CloseStart, Count: c.Closes})
+		if atClose.Count > 0 {
+			out = append(out, atClose)
 		}
 	}
 	return out

@@ -180,7 +180,8 @@ type AblationResult struct {
 // periodicOps extracts merged write ops from a generated trace.
 func periodicOps(j *darshan.Job, cfg core.Config) []interval.Interval {
 	pol := interval.NeighborPolicy{RuntimeFraction: cfg.MergeRuntimeFraction, NeighborFraction: cfg.MergeNeighborFraction}
-	return interval.Merge(interval.Clip(j.WriteIntervals(), j.Runtime), j.Runtime, pol)
+	merged, _, _ := interval.MergeInPlace(j.WriteIntervals(), j.Runtime, pol)
+	return merged
 }
 
 // meanShiftPeriodic reports whether the segmentation detector finds a

@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Interval is a half-open time span [Start, End) with an associated byte
@@ -77,8 +77,8 @@ func (iv Interval) Gap(other Interval) float64 {
 // algorithms.
 func (iv Interval) Union(other Interval) Interval {
 	return Interval{
-		Start: math.Min(iv.Start, other.Start),
-		End:   math.Max(iv.End, other.End),
+		Start: min(iv.Start, other.Start),
+		End:   max(iv.End, other.End),
 		Bytes: iv.Bytes + other.Bytes,
 		Meta:  iv.Meta + other.Meta,
 	}
@@ -90,13 +90,21 @@ func (iv Interval) String() string {
 }
 
 // SortByStart sorts intervals in place by (Start, End).
-func SortByStart(ivs []Interval) {
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Start != ivs[j].Start {
-			return ivs[i].Start < ivs[j].Start
-		}
-		return ivs[i].End < ivs[j].End
-	})
+func SortByStart(ivs []Interval) { slices.SortFunc(ivs, byStart) }
+
+// byStart orders by (Start, End) with plain comparisons.
+func byStart(a, b Interval) int {
+	switch {
+	case a.Start < b.Start:
+		return -1
+	case a.Start > b.Start:
+		return 1
+	case a.End < b.End:
+		return -1
+	case a.End > b.End:
+		return 1
+	}
+	return 0
 }
 
 // TotalBytes sums the byte volume of all intervals.
@@ -142,37 +150,6 @@ func Span(ivs []Interval) Interval {
 	return sp
 }
 
-// MergeConcurrent implements algorithm (2)(a) of the paper: any two
-// overlapping operations are fused into one. The result is a sorted set of
-// pairwise disjoint intervals whose total volume equals the input's.
-//
-// This manages rank desynchronization: several processes writing to the
-// same file slightly out of step appear as a single logical operation. It
-// also declutters the trace so that segmentation sees one event per I/O
-// phase. The input slice is not modified.
-func MergeConcurrent(ivs []Interval) []Interval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	sorted := make([]Interval, len(ivs))
-	copy(sorted, ivs)
-	SortByStart(sorted)
-
-	out := make([]Interval, 0, len(sorted))
-	cur := sorted[0]
-	for _, iv := range sorted[1:] {
-		if cur.Overlaps(iv) || iv.Start == cur.End {
-			// Overlapping (or exactly abutting) operations belong to
-			// the same I/O phase.
-			cur = cur.Union(iv)
-			continue
-		}
-		out = append(out, cur)
-		cur = iv
-	}
-	return append(out, cur)
-}
-
 // NeighborPolicy holds the thresholds of algorithm (2)(b). A gap between
 // two consecutive operations is negligible — and the operations are merged
 // — when it is shorter than RuntimeFraction of the job runtime OR shorter
@@ -187,42 +164,31 @@ func DefaultNeighborPolicy() NeighborPolicy {
 	return NeighborPolicy{RuntimeFraction: 0.001, NeighborFraction: 0.01}
 }
 
-// MergeNeighbors implements algorithm (2)(b): consecutive operations whose
-// separating gap is negligible under the policy are fused. The input must
-// be sorted and disjoint (i.e. the output of MergeConcurrent); runtime is
-// the total execution time of the job.
+// MergeInPlace is the MOSAIC pre-processing of one direction, run inside
+// the caller's slice: clip to [0, runtime), sort by (Start, End), then the
+// paper's two merges (Section III-B2), each a single left-to-right sweep
+// that writes behind its read position. merged is a prefix of ivs — sorted,
+// pairwise disjoint, volumes and metadata counts preserved — and the rest
+// of ivs is garbage; clipped and concurrent count the operations left
+// after clipping and after the concurrent merge.
 //
-// Operations that slide slowly out of sync — no longer overlapping but
-// still close — are re-attached to the same logical phase here.
-func MergeNeighbors(ivs []Interval, runtime float64, p NeighborPolicy) []Interval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	out := make([]Interval, 0, len(ivs))
-	cur := ivs[0]
-	for _, iv := range ivs[1:] {
-		gap := cur.Gap(iv)
-		if gap <= p.RuntimeFraction*runtime || gap <= p.NeighborFraction*cur.Duration() {
-			cur = cur.Union(iv)
-			continue
-		}
-		out = append(out, cur)
-		cur = iv
-	}
-	return append(out, cur)
+// Intervals must be NaN-free with End >= Start (validated traces are).
+// Operations that tie on (Start, End) always fuse and Union is min/max
+// plus integer sums, so the order the sort leaves ties in never shows.
+func MergeInPlace(ivs []Interval, runtime float64, p NeighborPolicy) (merged []Interval, clipped, concurrent int) {
+	ivs = clip(ivs, runtime)
+	clipped = len(ivs)
+	SortByStart(ivs)
+	ivs = mergeConcurrent(ivs)
+	concurrent = len(ivs)
+	return mergeNeighbors(ivs, runtime, p), clipped, concurrent
 }
 
-// Merge applies both merging algorithms in order, as the MOSAIC
-// pre-processing does: concurrent merging first, then neighbor merging.
-func Merge(ivs []Interval, runtime float64, p NeighborPolicy) []Interval {
-	return MergeNeighbors(MergeConcurrent(ivs), runtime, p)
-}
-
-// Clip restricts every interval to [0, runtime), dropping intervals that
-// fall entirely outside. Used to sanitize slightly out-of-range trace
-// entries that are not corrupted enough to evict.
-func Clip(ivs []Interval, runtime float64) []Interval {
-	out := make([]Interval, 0, len(ivs))
+// clip restricts every interval to [0, runtime), dropping intervals that
+// fall entirely outside: slightly out-of-range trace entries that are not
+// corrupted enough to evict.
+func clip(ivs []Interval, runtime float64) []Interval {
+	out := ivs[:0]
 	for _, iv := range ivs {
 		if iv.End <= 0 || iv.Start >= runtime {
 			continue
@@ -238,6 +204,49 @@ func Clip(ivs []Interval, runtime float64) []Interval {
 	return out
 }
 
+// mergeConcurrent implements algorithm (2)(a) on sorted input: any two
+// overlapping (or exactly abutting) operations are fused into one.
+//
+// This manages rank desynchronization: several processes writing to the
+// same file slightly out of step appear as a single logical operation. It
+// also declutters the trace so that segmentation sees one event per I/O
+// phase.
+func mergeConcurrent(ivs []Interval) []Interval {
+	if len(ivs) == 0 {
+		return ivs
+	}
+	out, cur := ivs[:0], ivs[0]
+	for _, iv := range ivs[1:] {
+		if cur.Overlaps(iv) || iv.Start == cur.End {
+			cur = cur.Union(iv)
+			continue
+		}
+		out, cur = append(out, cur), iv
+	}
+	return append(out, cur)
+}
+
+// mergeNeighbors implements algorithm (2)(b) on the output of
+// mergeConcurrent: consecutive operations whose separating gap is
+// negligible under the policy are fused.
+//
+// Operations that slide slowly out of sync — no longer overlapping but
+// still close — are re-attached to the same logical phase here.
+func mergeNeighbors(ivs []Interval, runtime float64, p NeighborPolicy) []Interval {
+	if len(ivs) == 0 {
+		return ivs
+	}
+	out, cur := ivs[:0], ivs[0]
+	for _, iv := range ivs[1:] {
+		if gap := cur.Gap(iv); gap <= p.RuntimeFraction*runtime || gap <= p.NeighborFraction*cur.Duration() {
+			cur = cur.Union(iv)
+			continue
+		}
+		out, cur = append(out, cur), iv
+	}
+	return append(out, cur)
+}
+
 // Disjoint reports whether the (sorted) intervals are pairwise disjoint.
 func Disjoint(ivs []Interval) bool {
 	for i := 1; i < len(ivs); i++ {
@@ -250,10 +259,5 @@ func Disjoint(ivs []Interval) bool {
 
 // Sorted reports whether the intervals are sorted by (Start, End).
 func Sorted(ivs []Interval) bool {
-	return sort.SliceIsSorted(ivs, func(i, j int) bool {
-		if ivs[i].Start != ivs[j].Start {
-			return ivs[i].Start < ivs[j].Start
-		}
-		return ivs[i].End < ivs[j].End
-	})
+	return slices.IsSortedFunc(ivs, byStart)
 }

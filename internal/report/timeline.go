@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
@@ -76,12 +77,10 @@ func WriteTimeline(w io.Writer, j *darshan.Job, res *core.Result, cfg core.Confi
 	}
 	fmt.Fprintf(w, "  %-22s %s\n", "time axis (quarters)", string(axis))
 
-	reads, writes := j.ReadIntervals(), j.WriteIntervals()
-	if !cfg.DisableDXT && j.HasDXT() {
-		reads, writes = j.ReadIntervalsDXT(), j.WriteIntervalsDXT()
-	}
-	mergedR := interval.Merge(interval.Clip(reads, rt), rt, pol)
-	mergedW := interval.Merge(interval.Clip(writes, rt), rt, pol)
+	reads, _ := j.AppendIntervals(nil, false, !cfg.DisableDXT)
+	writes, _ := j.AppendIntervals(nil, true, !cfg.DisableDXT)
+	mergedR, _, _ := interval.MergeInPlace(slices.Clone(reads), rt, pol)
+	mergedW, _, _ := interval.MergeInPlace(slices.Clone(writes), rt, pol)
 
 	fmt.Fprintf(w, "  %-22s %s\n", "reads (raw)", track(reads, rt, width, 'r'))
 	fmt.Fprintf(w, "  %-22s %s\n", "reads (merged)", track(mergedR, rt, width, 'R'))

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +176,17 @@ func TestSlowIngestProducesFlightDump(t *testing.T) {
 			}
 			if ev.Args["group_syncs"] == "" {
 				t.Error("store.commit missing group_syncs attr")
+			}
+		}
+	}
+
+	// The worker span says how much work the trace was.
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "worker.categorize" {
+			raw, err1 := strconv.Atoi(ev.Args["raw_ops"])
+			merged, err2 := strconv.Atoi(ev.Args["merged_ops"])
+			if err1 != nil || err2 != nil || raw < 1 || merged < 1 || merged > raw {
+				t.Errorf("worker.categorize raw_ops=%q merged_ops=%q", ev.Args["raw_ops"], ev.Args["merged_ops"])
 			}
 		}
 	}

@@ -136,6 +136,12 @@ func (s *Server) process(item ingestJob) {
 	}
 	result, expl, evicted, err := s.categorizeTrace(ctx, item.job, obs)
 	s.categorizeSecs.Observe(time.Since(start).Seconds())
+	if wsp != nil && result != nil {
+		// Tells a big trace from a slow host.
+		wsp.SetAttr(
+			reqtrace.Int("raw_ops", int64(result.Read.RawOps+result.Write.RawOps)),
+			reqtrace.Int("merged_ops", int64(result.Read.MergedOps+result.Write.MergedOps)))
+	}
 	switch {
 	case s.runCtx.Err() != nil:
 		return // forced shutdown: trace blob is durable, next startup backfills
