@@ -98,27 +98,52 @@ func WriteGoBench(w io.Writer, files ...File) error {
 	return nil
 }
 
-// Regression is one benchmark that got slower than the baseline allows.
+// Regression is one way a benchmark got worse than the baseline allows:
+// slower, allocating more often, or gone.
 type Regression struct {
-	Name   string
-	OldNs  float64
-	NewNs  float64
-	Ratio  float64 // NewNs / OldNs
-	Missed bool    // baseline entry absent from the fresh run
+	Name      string
+	OldNs     float64
+	NewNs     float64
+	Ratio     float64 // NewNs / OldNs
+	OldAllocs int64   // with NewAllocs, set when allocs/op rose past the gate
+	NewAllocs int64
+	Missed    bool // baseline entry absent from the fresh run
 }
 
 func (r Regression) String() string {
-	if r.Missed {
+	switch {
+	case r.Missed:
 		return fmt.Sprintf("%s: present in baseline but not measured", r.Name)
+	case r.NewAllocs > r.OldAllocs:
+		return fmt.Sprintf("%s: %d allocs/op -> %d allocs/op", r.Name, r.OldAllocs, r.NewAllocs)
 	}
 	return fmt.Sprintf("%s: %.0f ns/op -> %.0f ns/op (%.2fx, tolerance exceeded)",
 		r.Name, r.OldNs, r.NewNs, r.Ratio)
 }
 
+// allocsLimit is the most allocs/op a fresh run may show against a
+// baseline of old. The count does not depend on host speed, so the ns/op
+// tolerance does not apply: a small count is a property of the code and
+// must not rise at all, a large one (a rebuild's 74k) moves by a handful
+// with map growth and gets 1 %. It does depend on GOMAXPROCS where a
+// benchmark starts a worker per CPU (BenchmarkMeanShift/n=1k/grid: 6 at
+// one CPU, 31 at two, 41 at four), so, as for ns/op, a baseline holds on
+// the kind of host it was pinned on.
+func allocsLimit(old int64) int64 {
+	if old < 100 {
+		return old
+	}
+	return old + old/100
+}
+
 // Compare returns every baseline entry whose fresh ns/op exceeds the
-// baseline by more than the tolerance (e.g. 0.10 for +10%), and every
-// baseline entry missing from the fresh results. Fresh entries without a
-// baseline are ignored — adding a benchmark is not a regression.
+// baseline by more than the tolerance (e.g. 0.10 for +10%) or whose
+// fresh allocs/op exceeds allocsLimit, and every baseline entry missing
+// from the fresh results. Fresh entries without a baseline are ignored —
+// adding a benchmark is not a regression. B/op is carried but not gated:
+// a sync.Pool refilled after a GC shows up as 11–12 B/op on a benchmark
+// that allocates nothing (seen on BenchmarkQuery/not_heavy_page_1m), so
+// an exact gate on it would fire on the collector's schedule.
 func Compare(baseline, fresh File, tolerance float64) []Regression {
 	var regs []Regression
 	for _, old := range baseline.Entries {
@@ -133,6 +158,13 @@ func Compare(baseline, fresh File, tolerance float64) []Regression {
 				OldNs: old.NsPerOp,
 				NewNs: cur.NsPerOp,
 				Ratio: cur.NsPerOp / old.NsPerOp,
+			})
+		}
+		if cur.AllocsPerOp > allocsLimit(old.AllocsPerOp) {
+			regs = append(regs, Regression{
+				Name:      old.Name,
+				OldAllocs: old.AllocsPerOp,
+				NewAllocs: cur.AllocsPerOp,
 			})
 		}
 	}

@@ -96,6 +96,51 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCompareAllocs: allocs/op is gated on its own, whatever the ns/op
+// tolerance: exactly below 100 per op, within 1 % from there up, and a
+// fall is never a regression. B/op is not gated.
+func TestCompareAllocs(t *testing.T) {
+	base := File{Entries: []Entry{
+		{Name: "zero", NsPerOp: 100, AllocsPerOp: 0, BytesPerOp: 0},
+		{Name: "small", NsPerOp: 100, AllocsPerOp: 99},
+		{Name: "edge", NsPerOp: 100, AllocsPerOp: 100},
+		{Name: "big", NsPerOp: 100, AllocsPerOp: 74496},
+		{Name: "fewer", NsPerOp: 100, AllocsPerOp: 622},
+	}}
+	fresh := func(zero, small, edge, big int64) File {
+		return File{Entries: []Entry{
+			{Name: "zero", NsPerOp: 100, AllocsPerOp: zero, BytesPerOp: 12},
+			{Name: "small", NsPerOp: 100, AllocsPerOp: small},
+			{Name: "edge", NsPerOp: 100, AllocsPerOp: edge},
+			{Name: "big", NsPerOp: 100, AllocsPerOp: big},
+			{Name: "fewer", NsPerOp: 100, AllocsPerOp: 223},
+		}}
+	}
+	if regs := Compare(base, fresh(0, 99, 101, 74496+744), 10); len(regs) != 0 {
+		t.Fatalf("allocs within the gate reported: %v", regs)
+	}
+	regs := Compare(base, fresh(1, 100, 102, 74496+745), 10)
+	if len(regs) != 4 {
+		t.Fatalf("want zero, small, edge and big over the gate, got %v", regs)
+	}
+	for i, want := range []string{
+		"zero: 0 allocs/op -> 1 allocs/op",
+		"small: 99 allocs/op -> 100 allocs/op",
+		"edge: 100 allocs/op -> 102 allocs/op",
+		"big: 74496 allocs/op -> 75241 allocs/op",
+	} {
+		if regs[i].String() != want {
+			t.Fatalf("regression %d reads %q, want %q", i, regs[i], want)
+		}
+	}
+	// Slower and allocating more are two findings on one benchmark.
+	both := Compare(File{Entries: []Entry{{Name: "X", NsPerOp: 100, AllocsPerOp: 1}}},
+		File{Entries: []Entry{{Name: "X", NsPerOp: 200, AllocsPerOp: 2}}}, 0.10)
+	if len(both) != 2 || both[0].Ratio != 2 || both[1].NewAllocs != 2 {
+		t.Fatalf("want a time and an allocs regression, got %v", both)
+	}
+}
+
 func writeRaw(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }

@@ -403,11 +403,6 @@ func Targets() []Target {
 		Target{Name: "BenchmarkQuery/not_heavy_page_1m", File: QueryFile, Fn: QueryPageBench("not_heavy")},
 		Target{Name: "BenchmarkQuery/stats_1m", File: QueryFile, Fn: QueryBench("stats", false)},
 		Target{Name: "BenchmarkQuery/rebuild_20k", File: QueryFile, Fn: QueryRebuild(false)},
-		Target{Name: "BenchmarkQueryOracle/point_1m", File: QueryFile, Fn: QueryBench("point", true)},
-		Target{Name: "BenchmarkQueryOracle/and_heavy_1m", File: QueryFile, Fn: QueryBench("and_heavy", true)},
-		Target{Name: "BenchmarkQueryOracle/not_heavy_1m", File: QueryFile, Fn: QueryBench("not_heavy", true)},
-		Target{Name: "BenchmarkQueryOracle/stats_1m", File: QueryFile, Fn: QueryBench("stats", true)},
-		Target{Name: "BenchmarkQueryOracle/rebuild_20k", File: QueryFile, Fn: QueryRebuild(true)},
 		Target{Name: "BenchmarkMergeSorted/k2", File: QueryFile, Fn: QueryMergeSorted(2)},
 		Target{Name: "BenchmarkMergeSorted/k8", File: QueryFile, Fn: QueryMergeSorted(8)},
 		Target{Name: "BenchmarkMergeSorted/k32", File: QueryFile, Fn: QueryMergeSorted(32)},

@@ -173,6 +173,104 @@ func randomCorpus(seed int64, n int, ix *Index, or *Oracle) {
 	}
 }
 
+// skewedSets draws n category sets in which every category's
+// cardinality falls in one of the classes the posting size rule
+// (32·card ≥ n) tells apart: absent, one trace, well below the rule,
+// on either side of it, half the corpus, every trace. randomCorpus and
+// churn give every category a density of 1/4–1/6, which the rule turns
+// into a bitmap every time; these are what put lists, and lists beside
+// bitmaps, under the differential checks.
+func skewedSets(rng *rand.Rand, n int) []category.Set {
+	sets := make([]category.Set, n)
+	for i := range sets {
+		sets[i] = category.NewSet()
+	}
+	for _, c := range category.All() {
+		card := [...]int{0, 1, n / 64, n/32 - 1, n / 32, n/32 + 1, n / 2, n}[rng.Intn(8)]
+		card = max(0, min(card, n))
+		for _, i := range rng.Perm(n)[:card] {
+			sets[i].Add(c)
+		}
+	}
+	return sets
+}
+
+// forms counts a generation's non-empty postings by representation.
+func forms(g *generation) (lists, bitmaps int) {
+	for cid, p := range g.postings {
+		switch {
+		case g.card[cid] == 0:
+		case p.dense:
+			bitmaps++
+		default:
+			lists++
+		}
+	}
+	return lists, bitmaps
+}
+
+// TestDifferentialSkewed runs the battery over corpora holding both
+// posting forms: as one loaded generation, under an unfolded delta of
+// overrides, tombstones and inserts, and after folding it.
+func TestDifferentialSkewed(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 200 + rng.Intn(3000)
+		ix, or := New(), NewOracle()
+		ix.compactMin = 1 << 30
+		items := make([]Entry, n)
+		for i, s := range skewedSets(rng, n) {
+			items[i] = Entry{ID: id(2 * i), Cats: s}
+			or.Add(id(2*i), s)
+		}
+		ix.Load(items)
+		g := ix.snap.Load().gen
+		for cid, p := range g.postings {
+			if p.dense != denseIsSmaller(g.card[cid], n) || p.count() != g.card[cid] {
+				t.Fatalf("seed %d: posting %d of %d/%d traces: dense=%v, count %d",
+					seed, cid, g.card[cid], n, p.dense, p.count())
+			}
+		}
+		lists, bitmaps := forms(g)
+		if lists == 0 || bitmaps == 0 {
+			t.Fatalf("seed %d: %d lists and %d bitmaps; the corpus is meant to hold both", seed, lists, bitmaps)
+		}
+		var bytes int64
+		for _, card := range g.card {
+			if denseIsSmaller(card, n) {
+				bytes += int64(8 * wordsFor(n))
+			} else {
+				bytes += int64(4 * card)
+			}
+		}
+		if st, want := ix.Stats(), (Stats{GenerationTraces: n, PostingBytes: bytes, BitmapPostings: bitmaps}); st != want {
+			t.Fatalf("seed %d: Stats = %+v, want %+v", seed, st, want)
+		}
+		checkAgree(t, ix, or, diffQueries)
+
+		delta := skewedSets(rng, 120)
+		for i, s := range delta {
+			tid := id(rng.Intn(2*n + 2)) // odd IDs are new, 2n+1 sorts after every ordinal
+			if i%5 == 0 {
+				ix.Remove(tid)
+				or.Remove(tid)
+				continue
+			}
+			ix.Add(tid, s)
+			or.Add(tid, s)
+		}
+		if st := ix.Stats(); ix.snap.Load().gen != g || st.GenerationTraces != n || st.DeltaOps == 0 {
+			t.Fatalf("seed %d: the delta was folded early: %+v", seed, st)
+		}
+		checkAgree(t, ix, or, diffQueries)
+		ix.compactOnce()
+		if s := ix.snap.Load(); len(s.ops) != 0 {
+			t.Fatalf("seed %d: %d ops left after the fold", seed, len(s.ops))
+		}
+		checkAgree(t, ix, or, diffQueries)
+	}
+}
+
 func TestDifferentialRandom(t *testing.T) {
 	for _, seed := range []int64{1, 7, 1234} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

@@ -10,11 +10,15 @@
 // rebuilt from the result store on startup and updated incrementally
 // on ingest; all operations are safe for concurrent use.
 //
-// Internally this is a compact posting-list engine: trace IDs live in
-// a dense lexicographically-ordered dictionary, each category's
-// matches are a sorted []uint32 ordinal list, and boolean algebra
-// runs over those lists (galloping intersection, linear union, lazy
-// NOT against the implicit [0,n) universe) in pooled scratch buffers.
+// Internally this is a compact posting engine: trace IDs live in a
+// dense lexicographically-ordered dictionary, and each category's
+// matches are a set of ordinals in the smaller of two forms — a
+// []uint64 bitmap over [0,n) when at least one trace in 32 carries the
+// category, a sorted []uint32 list otherwise. Boolean algebra runs over
+// those sets in pooled scratch buffers: word-parallel AND/OR/NOT between
+// bitmaps, a bit test or bit set per entry where a list meets one,
+// galloping intersection between lists; a count is a length or a
+// popcount, and a page is the first entries or set bits.
 // Readers and writers never block each other: every mutation
 // publishes a new immutable snapshot (generation + append-only delta
 // log) through one atomic pointer, and a background pass compacts the
@@ -226,6 +230,27 @@ func (ix *Index) Categories(id store.TraceID) []category.Category {
 // Len returns the number of indexed traces.
 func (ix *Index) Len() int { return ix.snap.Load().live }
 
+// Stats is a point-in-time view of the index's shape.
+type Stats struct {
+	GenerationTraces int   // traces in the current generation
+	DeltaOps         int   // unfolded mutations layered over it
+	PostingBytes     int64 // the generation's postings, both forms
+	BitmapPostings   int   // how many of them the size rule made bitmaps
+}
+
+// Stats reports the shape of the current snapshot.
+func (ix *Index) Stats() Stats {
+	s := ix.snap.Load()
+	st := Stats{GenerationTraces: s.gen.n(), DeltaOps: len(s.ops)}
+	for _, p := range s.gen.postings {
+		st.PostingBytes += int64(4*len(p.list) + 8*len(p.bits))
+		if len(p.bits) > 0 {
+			st.BitmapPostings++
+		}
+	}
+	return st
+}
+
 // Count returns how many traces carry the exact category.
 func (ix *Index) Count(c category.Category) int {
 	cid, ok := lookupCatID(c)
@@ -233,7 +258,10 @@ func (ix *Index) Count(c category.Category) int {
 		return 0
 	}
 	s := ix.snap.Load()
-	n := len(s.gen.posting(cid))
+	n := 0
+	if int(cid) < len(s.gen.card) {
+		n = s.gen.card[cid]
+	}
 	if len(s.ops) == 0 {
 		return n
 	}
@@ -299,9 +327,7 @@ func copyAxes(axes map[string][]CategoryCount) map[string][]CategoryCount {
 
 func computeAxes(s *snapshot) map[string][]CategoryCount {
 	counts := make([]int, len(s.cats))
-	for cid, p := range s.gen.postings {
-		counts[cid] = len(p)
-	}
+	copy(counts, s.gen.card)
 	if len(s.ops) > 0 {
 		seen := make(map[store.TraceID]struct{}, len(s.ops))
 		for i := len(s.ops) - 1; i >= 0; i-- {

@@ -71,6 +71,142 @@ func TestPageOverDelta(t *testing.T) {
 	}
 }
 
+// TestPageWordBoundaries takes generations whose size sits on and
+// around a bitmap word edge — where a complement must mask its tail
+// word and the cursor must stop inside or exactly at the end of one —
+// with one category on every trace, one on none and one on the last
+// ordinal alone, and then lands delta overrides, tombstones and inserts
+// on the last word.
+func TestPageWordBoundaries(t *testing.T) {
+	queries := append([]string{
+		"NOT read_on_start",       // complement of the empty set
+		"NOT write_on_end",        // complement of the full set
+		"NOT metadata_high_spike", // everything but the last ordinal
+		"write_on_end AND NOT metadata_high_spike",
+		"metadata_high_spike OR NOT write_on_end",
+		"NOT (NOT read_on_start AND NOT metadata_high_spike)",
+	}, diffQueries...)
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
+		t.Logf("n = %d", n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		ix, or := New(), NewOracle()
+		ix.compactMin = 1 << 30
+		items := make([]Entry, n)
+		for i, s := range skewedSets(rng, n) {
+			s.Add("write_on_end")
+			delete(s, "read_on_start")
+			delete(s, "metadata_high_spike")
+			if i == n-1 {
+				s.Add("metadata_high_spike")
+			}
+			items[i] = Entry{ID: id(100 + 10*i), Cats: s}
+			or.Add(items[i].ID, s)
+		}
+		ix.Load(items)
+		checkAgree(t, ix, or, queries)
+
+		last, above, below := id(90+10*n), id(95+10*n), id(85+10*n)
+		steps := []struct {
+			tid  store.TraceID
+			cats category.Set // nil removes
+		}{
+			{above, set("metadata_high_spike")},           // a match after every ordinal
+			{last, set("read_on_start")},                  // override on the last ordinal
+			{below, set("write_on_end", "read_on_start")}, // a match inside the last word
+			{last, nil},
+			{last, set("write_on_end", "metadata_high_spike")},
+			{above, nil},
+		}
+		for i, st := range steps {
+			if st.cats == nil {
+				ix.Remove(st.tid)
+				or.Remove(st.tid)
+			} else {
+				ix.Add(st.tid, st.cats)
+				or.Add(st.tid, st.cats)
+			}
+			t.Logf("step %d", i)
+			checkAgree(t, ix, or, queries)
+		}
+		ix.compactOnce()
+		checkAgree(t, ix, or, queries)
+	}
+}
+
+// TestLateCategory: a category registered after a generation was built
+// has no posting in it: its set there is empty, under every operation.
+func TestLateCategory(t *testing.T) {
+	ix, or := New(), NewOracle()
+	ix.compactMin = 1 << 30
+	var items []Entry
+	for i := 0; i < 300; i++ {
+		items = append(items, Entry{ID: id(i), Cats: set("write_on_end")})
+		or.Add(id(i), set("write_on_end"))
+	}
+	ix.Load(items)
+	g := ix.snap.Load().gen
+
+	const late = category.Category("zz_registered_after_the_build")
+	ix.Add(id(1000), set(late, "write_on_end"))
+	or.Add(id(1000), set(late, "write_on_end"))
+	cid, ok := lookupCatID(late)
+	if !ok || int(cid) < len(g.postings) || ix.snap.Load().gen != g {
+		t.Fatalf("category %d of %d is not past the generation", cid, len(g.postings))
+	}
+	if got, want := ix.Count(late), or.Count(late); got != want || got != 1 {
+		t.Fatalf("Count(late) = %d, oracle %d", got, want)
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	every := g.posting(0)
+	for c := range g.postings {
+		if g.card[c] == g.n() {
+			every = g.posting(uint16(c))
+		}
+	}
+	if p := g.posting(cid); p.dense || p.count() != 0 {
+		t.Fatalf("posting past the generation: %+v", p)
+	}
+	if got := sc.and(every, g.posting(cid)).count(); got != 0 {
+		t.Fatalf("every ∧ late has %d members", got)
+	}
+	if got := sc.or(g.posting(cid), every).count(); got != g.n() {
+		t.Fatalf("late ∨ every has %d members, want %d", got, g.n())
+	}
+	if got := sc.not(g.posting(cid), g.n()).count(); got != g.n() {
+		t.Fatalf("¬late has %d members, want %d", got, g.n())
+	}
+	ix.Remove(id(1000))
+	or.Remove(id(1000))
+	checkAgree(t, ix, or, diffQueries)
+}
+
+// TestScratchWordsFollowGeneration: the scratch outlives generations,
+// so a bitmap buffer pooled under a smaller one must not be handed out
+// short once the index has grown.
+func TestScratchWordsFollowGeneration(t *testing.T) {
+	sc := &scratch{}
+	sc.release(ordSet{bits: sc.getWords(1), dense: true, owned: true})
+	if b := sc.getWords(5); len(b) != 5 {
+		t.Fatalf("asked for 5 words after pooling 1, got %d", len(b))
+	}
+	small, big := New(), New()
+	small.Load([]Entry{{ID: id(1), Cats: set("write_on_end")}})
+	var items []Entry
+	for i := 0; i < 1000; i++ {
+		items = append(items, Entry{ID: id(i), Cats: set("write_on_end")})
+	}
+	big.Load(items)
+	for i := 0; i < 50; i++ { // the pool is per-P and lossy: alternate enough to meet a warm scratch
+		for ix, want := range map[*Index]int{small: 1, big: 1000} {
+			page, err := ix.QueryPage(nil, "NOT read_on_start AND (write_on_end OR NOT write_on_end)", 3)
+			if err != nil || page.Count != want {
+				t.Fatalf("count %d (err %v), want %d", page.Count, err, want)
+			}
+		}
+	}
+}
+
 // TestPlainBit: a generation is vouched for exactly when every ID in it
 // needs no JSON escaping, a delta match is judged on its own, and IDs
 // that need escaping come back unchanged all the same.

@@ -1,15 +1,12 @@
 package index
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // A compiled query plan. Plans bind term nodes to dense category IDs
 // (static for the closed canonical set), flatten the left-associative
-// parse tree into n-ary AND/OR nodes so the evaluator can reorder
-// operands by selectivity, and are immutable after compile — safe to
-// cache globally and share across goroutines and Index instances.
+// parse tree into n-ary AND/OR nodes, and are immutable after compile —
+// safe to cache globally and share across goroutines and Index
+// instances.
 
 const (
 	pTerm = iota
@@ -58,154 +55,38 @@ func flatten(kind int, l, r *planNode) *planNode {
 	return &planNode{kind: kind, kids: kids}
 }
 
-// estimate upper-bounds the result cardinality against one
-// generation; the evaluator orders AND operands by it.
-func (p *planNode) estimate(g *generation) int {
-	switch p.kind {
-	case pTerm:
-		s := 0
-		for _, c := range p.cats {
-			s += len(g.posting(c))
-		}
-		return s
-	case pAnd:
-		m := math.MaxInt
-		for _, k := range p.kids {
-			if e := k.estimate(g); e < m {
-				m = e
-			}
-		}
-		return m
-	case pOr:
-		s := 0
-		for _, k := range p.kids {
-			s += k.estimate(g)
-			if s >= g.n() {
-				return g.n()
-			}
-		}
-		return s
-	default: // pNot
-		if e := g.n() - p.kids[0].estimate(g); e > 0 {
-			return e
-		}
-		return 0
-	}
-}
-
-// evalSet is a lazily-negated sorted ordinal set: when neg is set the
-// value is the complement of list against [0, g.n()). owned marks
-// lists that came from scratch and must go back.
-type evalSet struct {
-	list  []uint32
-	neg   bool
-	owned bool
-}
-
-func (sc *scratch) release(s evalSet) {
-	if s.owned {
-		sc.put(s.list)
-	}
-}
-
-// eval runs the plan against one immutable generation. All
-// intermediates live in pooled scratch buffers.
-func (p *planNode) eval(g *generation, sc *scratch) evalSet {
+// eval runs the plan against one immutable generation. Intermediates
+// live in pooled scratch buffers; a bare term is the generation's own
+// posting, borrowed.
+func (p *planNode) eval(g *generation, sc *scratch) ordSet {
 	switch p.kind {
 	case pTerm:
 		if len(p.cats) == 0 {
-			return evalSet{}
+			return ordSet{}
 		}
-		acc := evalSet{list: g.posting(p.cats[0])}
+		acc := g.posting(p.cats[0])
 		for _, c := range p.cats[1:] {
-			acc = evalOr(acc, evalSet{list: g.posting(c)}, sc)
+			acc = sc.or(acc, g.posting(c))
 		}
 		return acc
 	case pNot:
-		s := p.kids[0].eval(g, sc)
-		s.neg = !s.neg
-		return s
+		return sc.not(p.kids[0].eval(g, sc), g.n())
 	case pAnd:
-		kids := p.ordered(g, sc)
-		acc := kids[0].eval(g, sc)
-		for _, k := range kids[1:] {
-			if !acc.neg && len(acc.list) == 0 {
+		acc := p.kids[0].eval(g, sc)
+		for _, k := range p.kids[1:] {
+			if !acc.dense && len(acc.list) == 0 {
 				break // provably empty; skip remaining operands
 			}
-			acc = evalAnd(acc, k.eval(g, sc), sc)
+			acc = sc.and(acc, k.eval(g, sc))
 		}
 		return acc
 	default: // pOr
 		acc := p.kids[0].eval(g, sc)
 		for _, k := range p.kids[1:] {
-			if acc.neg && len(acc.list) == 0 {
-				break // provably the full universe
-			}
-			acc = evalOr(acc, k.eval(g, sc), sc)
+			acc = sc.or(acc, k.eval(g, sc))
 		}
 		return acc
 	}
-}
-
-// ordered returns AND operands sorted by ascending estimate, using
-// scratch so reordering never mutates the shared plan. The returned
-// slice is valid until the next ordered call on the same scratch, so
-// callers must copy nothing out of it after recursing — eval consumes
-// it immediately via index iteration, which is safe because nested
-// ordered calls only ever extend the backing slices.
-func (p *planNode) ordered(g *generation, sc *scratch) []*planNode {
-	base := len(sc.nodes)
-	for _, k := range p.kids {
-		sc.nodes = append(sc.nodes, k)
-		sc.ests = append(sc.ests, k.estimate(g))
-	}
-	nodes, ests := sc.nodes[base:], sc.ests[base:]
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && ests[j] < ests[j-1]; j-- {
-			ests[j], ests[j-1] = ests[j-1], ests[j]
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
-	return nodes
-}
-
-// evalAnd combines two lazily-negated sets under AND (De Morgan on
-// the negated cases keeps everything a positive-list operation).
-func evalAnd(a, b evalSet, sc *scratch) evalSet {
-	dst := sc.get()
-	var out evalSet
-	switch {
-	case !a.neg && !b.neg:
-		out = evalSet{list: intersectInto(dst, a.list, b.list), owned: true}
-	case !a.neg && b.neg:
-		out = evalSet{list: subtractInto(dst, a.list, b.list), owned: true}
-	case a.neg && !b.neg:
-		out = evalSet{list: subtractInto(dst, b.list, a.list), owned: true}
-	default: // ¬a ∧ ¬b = ¬(a ∪ b)
-		out = evalSet{list: unionInto(dst, a.list, b.list), neg: true, owned: true}
-	}
-	sc.release(a)
-	sc.release(b)
-	return out
-}
-
-// evalOr is the dual.
-func evalOr(a, b evalSet, sc *scratch) evalSet {
-	dst := sc.get()
-	var out evalSet
-	switch {
-	case !a.neg && !b.neg:
-		out = evalSet{list: unionInto(dst, a.list, b.list), owned: true}
-	case !a.neg && b.neg: // a ∨ ¬b = ¬(b \ a)
-		out = evalSet{list: subtractInto(dst, b.list, a.list), neg: true, owned: true}
-	case a.neg && !b.neg:
-		out = evalSet{list: subtractInto(dst, a.list, b.list), neg: true, owned: true}
-	default: // ¬a ∨ ¬b = ¬(a ∩ b)
-		out = evalSet{list: intersectInto(dst, a.list, b.list), neg: true, owned: true}
-	}
-	sc.release(a)
-	sc.release(b)
-	return out
 }
 
 // matches evaluates the plan directly against one small category set

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -274,12 +275,11 @@ type Page struct {
 // QueryPage evaluates a boolean category expression against a single
 // snapshot and returns the match count with the first limit matching
 // IDs (every match when limit < 0) appended to dst. The count costs no
-// materialization — it is the length of the ordinal result, or the
-// universe less that length under a negated root, adjusted by the
-// unfolded delta — and nothing is built per match that is not
-// returned: a negated root is walked as the gaps of its list, and an
-// ordinal becomes a string only on its way into the page. IDs is never
-// nil on success: an empty answer is an empty list, as it always was.
+// materialization — it is the length of a list result or the popcount
+// of a bitmap one, adjusted by the unfolded delta — and nothing is built
+// per match that is not returned: an ordinal becomes a string only on
+// its way into the page. IDs is never nil on success: an empty answer
+// is an empty list, as it always was.
 func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 	plan, err := compileQuery(q)
 	if err != nil {
@@ -291,10 +291,7 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 	defer putScratch(sc)
 
 	res := plan.eval(g, sc)
-	count := len(res.list)
-	if res.neg {
-		count = g.n() - count
-	}
+	count := res.count()
 
 	// Delta overlay, latest op per ID wins: a generation ordinal the
 	// delta overrides leaves the result, and a delta trace whose
@@ -323,10 +320,8 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 		// Only overridden ordinals that are in the result matter from
 		// here on; keep those, in place.
 		dropped = overridden[:0]
-		j := 0
 		for _, ord := range overridden {
-			j = advance(res.list, j, ord)
-			if (j < len(res.list) && res.list[j] == ord) != res.neg {
+			if res.has(ord) {
 				dropped = append(dropped, ord)
 			}
 		}
@@ -350,7 +345,7 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 	// The page is runs of generation IDs between the ordinals where the
 	// delta has something to say; with no delta it is one run.
 	end := len(dst) + n
-	cur := ordCursor{list: res.list, neg: res.neg}
+	cur := ordCursor{set: res}
 	mAt := matchAt // matchAt itself goes back to the scratch
 	for len(page.IDs) < end {
 		bound := uint32(g.n())
@@ -379,21 +374,20 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 	return page, nil
 }
 
-// ordCursor walks a lazily-negated ordinal set in ascending order
-// without materializing it: the list itself, or under neg the gaps of
-// the list.
+// ordCursor walks an ordinal set in ascending order: the entries of a
+// list, or the set bits of a bitmap.
 type ordCursor struct {
-	list []uint32
-	neg  bool
-	i    int    // next unread list entry
-	at   uint32 // neg: the next candidate ordinal
+	set ordSet
+	i   int    // list: next unread entry
+	at  uint32 // bitmap: every member below at has been read
 }
 
 // take appends the IDs of the cursor's next ordinals below bound, room
-// of them at most. ids must have that much spare capacity.
+// of them at most. ids must have that much spare capacity. When it
+// returns short of room, every member below bound has been read.
 func (c *ordCursor) take(ids []string, dict []store.TraceID, bound uint32, room int) []string {
-	if !c.neg {
-		run := c.list[c.i:]
+	if !c.set.dense {
+		run := c.set.list[c.i:]
 		if len(run) > room {
 			run = run[:room]
 		}
@@ -408,34 +402,31 @@ func (c *ordCursor) take(ids []string, dict []store.TraceID, bound uint32, room 
 		}
 		return ids
 	}
-	for c.at < bound && room > 0 {
-		stop := bound
-		if c.i < len(c.list) && c.list[c.i] < stop {
-			stop = c.list[c.i]
-		}
-		if stop == c.at { // a list entry, not a gap
-			c.i++
-			c.at++
+	k := len(ids)
+	out := ids[k : k+room]
+	j, at := 0, c.at
+	for at < bound && j < room {
+		w := c.set.bits[at>>6] >> (at & 63)
+		if w == 0 {
+			at = at&^63 + 64
 			continue
 		}
-		if int(stop-c.at) > room {
-			stop = c.at + uint32(room)
+		at += uint32(bits.TrailingZeros64(w))
+		if at >= bound {
+			break
 		}
-		gap := dict[c.at:stop]
-		k := len(ids)
-		ids = ids[:k+len(gap)]
-		for i, id := range gap {
-			ids[k+i] = string(id)
-		}
-		room -= len(gap)
-		c.at = stop
+		out[j] = string(dict[at])
+		j++
+		at++
 	}
-	return ids
+	c.at = at
+	return ids[:k+j]
 }
 
-// skip steps over the cursor's next ordinal.
+// skip steps over the cursor's next ordinal; on a bitmap that is the
+// bound the last take stopped at.
 func (c *ordCursor) skip() {
-	if c.neg {
+	if c.set.dense {
 		c.at++
 	} else {
 		c.i++

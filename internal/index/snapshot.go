@@ -84,15 +84,16 @@ func catNames() []category.Category {
 	return catReg.names[:len(catReg.names):len(catReg.names)]
 }
 
-// generation is one immutable posting-list build: the trace-ID
-// dictionary in lexicographic order, per-ordinal category sets in CSR
-// layout, and per-category sorted ordinal postings. Nothing in a
+// generation is one immutable posting build: the trace-ID dictionary
+// in lexicographic order, per-ordinal category sets in CSR layout, and
+// per-category postings with their cardinalities. Nothing in a
 // generation is ever mutated after buildGeneration returns.
 type generation struct {
 	ids      []store.TraceID // ordinal → ID, lexicographically sorted
 	catOff   []uint32        // len(ids)+1 offsets into catIDs
 	catIDs   []uint16        // concatenated per-ordinal category sets
-	postings [][]uint32      // catID → sorted ordinals
+	postings []ordSet        // catID → ordinals, each in its smaller form
+	card     []int           // catID → how many ordinals carry it
 	plain    bool            // every ID in ids satisfies JSONPlain
 }
 
@@ -127,13 +128,13 @@ func (g *generation) catsAt(ord uint32) []uint16 {
 	return g.catIDs[g.catOff[ord]:g.catOff[ord+1]]
 }
 
-// posting returns the ordinal list for a category ID, tolerating IDs
+// posting returns the ordinal set for a category ID, tolerating IDs
 // registered after this generation was built.
-func (g *generation) posting(cid uint16) []uint32 {
+func (g *generation) posting(cid uint16) ordSet {
 	if int(cid) < len(g.postings) {
 		return g.postings[cid]
 	}
-	return nil
+	return ordSet{}
 }
 
 // entry is one (trace, category set) pair fed to a generation build.
@@ -143,40 +144,60 @@ type entry struct {
 }
 
 // buildGeneration constructs a generation from entries already sorted
-// by ID and free of duplicates. Postings share one arena allocation.
-// plain is the caller's word that every entry's ID satisfies JSONPlain.
+// by ID and free of duplicates. A category carried by at least one
+// trace in 32 gets a bitmap, any other a list (denseIsSmaller). The
+// bitmaps share one allocation, the lists and the CSR offsets — the
+// generation's other []uint32 — another. plain is the caller's word
+// that every entry's ID satisfies JSONPlain.
 func buildGeneration(entries []entry, ncats int, plain bool) *generation {
-	total := 0
+	n, total := len(entries), 0
+	card := make([]int, ncats)
 	for _, e := range entries {
 		total += len(e.cats)
-	}
-	g := &generation{
-		ids:      make([]store.TraceID, len(entries)),
-		catOff:   make([]uint32, len(entries)+1),
-		catIDs:   make([]uint16, 0, total),
-		postings: make([][]uint32, ncats),
-		plain:    plain,
-	}
-	counts := make([]int, ncats)
-	for _, e := range entries {
 		for _, c := range e.cats {
-			counts[c]++
+			card[c]++
 		}
 	}
-	arena := make([]uint32, total)
-	for cid, cnt := range counts {
-		g.postings[cid] = arena[:0:cnt]
-		arena = arena[cnt:]
+	words, ndense, sparse := wordsFor(n), 0, 0
+	for _, k := range card {
+		if denseIsSmaller(k, n) {
+			ndense++
+		} else {
+			sparse += k
+		}
+	}
+	bitmaps, lists := make([]uint64, ndense*words), make([]uint32, n+1+sparse)
+	g := &generation{
+		ids:      make([]store.TraceID, n),
+		catOff:   lists[: n+1 : n+1],
+		catIDs:   make([]uint16, 0, total),
+		postings: make([]ordSet, ncats),
+		card:     card,
+		plain:    plain,
+	}
+	lists = lists[n+1:]
+	for cid, k := range card {
+		if denseIsSmaller(k, n) {
+			g.postings[cid] = ordSet{bits: bitmaps[:words:words], dense: true}
+			bitmaps = bitmaps[words:]
+		} else {
+			g.postings[cid] = ordSet{list: lists[:0:k]}
+			lists = lists[k:]
+		}
 	}
 	for ord, e := range entries {
 		g.ids[ord] = e.id
 		g.catOff[ord] = uint32(len(g.catIDs))
 		g.catIDs = append(g.catIDs, e.cats...)
 		for _, c := range e.cats {
-			g.postings[c] = append(g.postings[c], uint32(ord))
+			if p := &g.postings[c]; p.dense {
+				p.bits[ord>>6] |= 1 << (uint(ord) & 63)
+			} else {
+				p.list = append(p.list, uint32(ord))
+			}
 		}
 	}
-	g.catOff[len(entries)] = uint32(len(g.catIDs))
+	g.catOff[n] = uint32(len(g.catIDs))
 	return g
 }
 

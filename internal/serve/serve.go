@@ -392,6 +392,7 @@ func (s *Server) registerMetrics() {
 		s.registerRouteMetrics()
 	}
 	s.registerStoreGauges()
+	s.registerIndexGauges()
 }
 
 // registerStoreGauges exports the store's own counters as mosaic_store_*
@@ -428,6 +429,28 @@ func (s *Server) registerStoreGauges() {
 		misses.Set(float64(st.Misses))
 		groupSyncs.Set(float64(st.GroupSyncs))
 		syncedFrames.Set(float64(st.SyncedFrames))
+	})
+}
+
+// registerIndexGauges does the same for the category index: the size of
+// its generation and unfolded delta, and what the postings cost in
+// which form.
+func (s *Server) registerIndexGauges() {
+	g := func(name, help string) *telemetry.Gauge {
+		return s.reg.Gauge("mosaic_index_"+name, help, nil)
+	}
+	var (
+		genTraces    = g("generation_traces", "Traces in the index's current generation.")
+		deltaOps     = g("delta_ops", "Index mutations not yet folded into a generation.")
+		postingBytes = g("posting_bytes", "Bytes held by the generation's category postings.")
+		bitmaps      = g("bitmap_postings", "Category postings stored as bitmaps rather than lists.")
+	)
+	s.reg.OnCollect("serve_index_stats", func() {
+		st := s.ix.Stats()
+		genTraces.Set(float64(st.GenerationTraces))
+		deltaOps.Set(float64(st.DeltaOps))
+		postingBytes.Set(float64(st.PostingBytes))
+		bitmaps.Set(float64(st.BitmapPostings))
 	})
 }
 

@@ -310,12 +310,22 @@ func TestStoreGaugesAndOpenMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitResult(t, ts.URL, id)
+	// The worker indexes a trace after storing its result.
+	for deadline := time.Now().Add(5 * time.Second); s.Index().Len() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the categorized trace never reached the index")
+		}
+	}
 
-	// Satellite: store.Stats surfaces as mosaic_store_* gauges.
+	// Satellite: store.Stats and index.Stats surface as mosaic_store_*
+	// and mosaic_index_* gauges. One trace sits in the delta over an
+	// empty generation.
 	_, metrics := getBody(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		"mosaic_store_traces 1", "mosaic_store_results 1",
 		"mosaic_store_segments", "mosaic_store_group_syncs_total",
+		"mosaic_index_generation_traces 0", "mosaic_index_delta_ops 1",
+		"mosaic_index_posting_bytes 0", "mosaic_index_bitmap_postings 0",
 		"mosaic_serve_queue_wait_seconds_count",
 		"mosaic_http_request_seconds_bucket",
 	} {
