@@ -50,7 +50,7 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON of the shared corpus run to this file")
 
 		benchJSON  = flag.String("bench-json", "", "run the pinned benchmark suite and write BENCH_*.json into this directory (instead of the experiments)")
-		benchOld   = flag.String("bench-against", "", "compare the fresh pinned results against the BENCH_*.json baselines in this directory; exit non-zero on a ns/op regression or a rise in allocs/op")
+		benchOld   = flag.String("bench-against", "", "compare the fresh pinned results against the BENCH_*.json baselines in this directory; exit non-zero on a ns/op regression or a rise in allocs/op or B/op")
 		benchTol   = flag.Float64("bench-tolerance", 0.10, "allowed fractional ns/op slowdown before -bench-against fails (0.10 = +10%)")
 		benchCount = flag.Int("bench-count", 3, "runs per pinned benchmark; the fastest is recorded")
 		benchText  = flag.String("bench-text", "", "also write the fresh results in Go benchmark text format (benchstat input)")
@@ -151,9 +151,9 @@ func runBench(jsonDir, againstDir string, tol float64, count int, textPath strin
 			for _, r := range regs {
 				fmt.Println("REGRESSION:", r)
 			}
-			return fmt.Errorf("%d regression(s): ns/op beyond %.0f%%, or more allocs/op", len(regs), tol*100)
+			return fmt.Errorf("%d regression(s): ns/op beyond %.0f%%, or more allocs/op or B/op", len(regs), tol*100)
 		}
-		fmt.Printf("\nno ns/op regressions beyond %.0f%% and no allocs/op rise against %s\n", tol*100, againstDir)
+		fmt.Printf("\nno ns/op regressions beyond %.0f%% and no allocs/op or B/op rise against %s\n", tol*100, againstDir)
 	}
 	return nil
 }

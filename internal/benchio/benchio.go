@@ -99,7 +99,7 @@ func WriteGoBench(w io.Writer, files ...File) error {
 }
 
 // Regression is one way a benchmark got worse than the baseline allows:
-// slower, allocating more often, or gone.
+// slower, allocating more often or more bytes, or gone.
 type Regression struct {
 	Name      string
 	OldNs     float64
@@ -107,6 +107,8 @@ type Regression struct {
 	Ratio     float64 // NewNs / OldNs
 	OldAllocs int64   // with NewAllocs, set when allocs/op rose past the gate
 	NewAllocs int64
+	OldBytes  int64 // with NewBytes, set when B/op rose past the gate
+	NewBytes  int64
 	Missed    bool // baseline entry absent from the fresh run
 }
 
@@ -116,20 +118,26 @@ func (r Regression) String() string {
 		return fmt.Sprintf("%s: present in baseline but not measured", r.Name)
 	case r.NewAllocs > r.OldAllocs:
 		return fmt.Sprintf("%s: %d allocs/op -> %d allocs/op", r.Name, r.OldAllocs, r.NewAllocs)
+	case r.NewBytes > r.OldBytes:
+		return fmt.Sprintf("%s: %d B/op -> %d B/op", r.Name, r.OldBytes, r.NewBytes)
 	}
 	return fmt.Sprintf("%s: %.0f ns/op -> %.0f ns/op (%.2fx, tolerance exceeded)",
 		r.Name, r.OldNs, r.NewNs, r.Ratio)
 }
 
-// allocsLimit is the most allocs/op a fresh run may show against a
-// baseline of old. The count does not depend on host speed, so the ns/op
-// tolerance does not apply: a small count is a property of the code and
-// must not rise at all, a large one (a rebuild's 74k) moves by a handful
-// with map growth and gets 1 %. It does depend on GOMAXPROCS where a
-// benchmark starts a worker per CPU (BenchmarkMeanShift/n=1k/grid: 6 at
-// one CPU, 31 at two, 41 at four), so, as for ns/op, a baseline holds on
-// the kind of host it was pinned on.
-func allocsLimit(old int64) int64 {
+// countLimit is the most allocs/op — or B/op — a fresh run may show
+// against a baseline of old. Neither depends on host speed, so the ns/op
+// tolerance does not apply: a small figure is a property of the code and
+// must not rise at all, a large one (a generation build's megabytes, a
+// cluster ingest's 9k allocations) moves by a handful with map growth
+// and gets 1 %. Both do depend on GOMAXPROCS where a benchmark starts a
+// worker per CPU (BenchmarkMeanShift/n=1k/grid: 6 allocs at one CPU, 31
+// at two, 41 at four), so, as for ns/op, a baseline holds on the kind of
+// host it was pinned on. One known wobble: a benchmark that allocates
+// nothing but draws on a sync.Pool reads 11–12 B/op when a GC emptied the
+// pool mid-run (BenchmarkQuery/{and,not}_heavy_page_1m); their pins are
+// the figure with the refill in it, 12.
+func countLimit(old int64) int64 {
 	if old < 100 {
 		return old
 	}
@@ -137,13 +145,10 @@ func allocsLimit(old int64) int64 {
 }
 
 // Compare returns every baseline entry whose fresh ns/op exceeds the
-// baseline by more than the tolerance (e.g. 0.10 for +10%) or whose
-// fresh allocs/op exceeds allocsLimit, and every baseline entry missing
-// from the fresh results. Fresh entries without a baseline are ignored —
-// adding a benchmark is not a regression. B/op is carried but not gated:
-// a sync.Pool refilled after a GC shows up as 11–12 B/op on a benchmark
-// that allocates nothing (seen on BenchmarkQuery/not_heavy_page_1m), so
-// an exact gate on it would fire on the collector's schedule.
+// baseline by more than the tolerance (e.g. 0.10 for +10%), whose fresh
+// allocs/op or B/op exceeds countLimit of the baseline's, and every
+// baseline entry missing from the fresh results. Fresh entries without a
+// baseline are ignored — adding a benchmark is not a regression.
 func Compare(baseline, fresh File, tolerance float64) []Regression {
 	var regs []Regression
 	for _, old := range baseline.Entries {
@@ -160,11 +165,18 @@ func Compare(baseline, fresh File, tolerance float64) []Regression {
 				Ratio: cur.NsPerOp / old.NsPerOp,
 			})
 		}
-		if cur.AllocsPerOp > allocsLimit(old.AllocsPerOp) {
+		if cur.AllocsPerOp > countLimit(old.AllocsPerOp) {
 			regs = append(regs, Regression{
 				Name:      old.Name,
 				OldAllocs: old.AllocsPerOp,
 				NewAllocs: cur.AllocsPerOp,
+			})
+		}
+		if cur.BytesPerOp > countLimit(old.BytesPerOp) {
+			regs = append(regs, Regression{
+				Name:     old.Name,
+				OldBytes: old.BytesPerOp,
+				NewBytes: cur.BytesPerOp,
 			})
 		}
 	}

@@ -96,12 +96,12 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-// TestCompareAllocs: allocs/op is gated on its own, whatever the ns/op
-// tolerance: exactly below 100 per op, within 1 % from there up, and a
-// fall is never a regression. B/op is not gated.
+// TestCompareAllocs: allocs/op and B/op are each gated on their own,
+// whatever the ns/op tolerance: exactly below 100 per op, within 1 % from
+// there up, and a fall is never a regression.
 func TestCompareAllocs(t *testing.T) {
 	base := File{Entries: []Entry{
-		{Name: "zero", NsPerOp: 100, AllocsPerOp: 0, BytesPerOp: 0},
+		{Name: "zero", NsPerOp: 100, AllocsPerOp: 0, BytesPerOp: 12},
 		{Name: "small", NsPerOp: 100, AllocsPerOp: 99},
 		{Name: "edge", NsPerOp: 100, AllocsPerOp: 100},
 		{Name: "big", NsPerOp: 100, AllocsPerOp: 74496},
@@ -133,11 +133,39 @@ func TestCompareAllocs(t *testing.T) {
 			t.Fatalf("regression %d reads %q, want %q", i, regs[i], want)
 		}
 	}
-	// Slower and allocating more are two findings on one benchmark.
-	both := Compare(File{Entries: []Entry{{Name: "X", NsPerOp: 100, AllocsPerOp: 1}}},
-		File{Entries: []Entry{{Name: "X", NsPerOp: 200, AllocsPerOp: 2}}}, 0.10)
-	if len(both) != 2 || both[0].Ratio != 2 || both[1].NewAllocs != 2 {
-		t.Fatalf("want a time and an allocs regression, got %v", both)
+	// B/op goes by the same rule.
+	bytesBase := File{Entries: []Entry{
+		{Name: "none", BytesPerOp: 0}, {Name: "small", BytesPerOp: 99},
+		{Name: "big", BytesPerOp: 6_458_922}, {Name: "less", BytesPerOp: 13_228},
+	}}
+	bytesFresh := func(none, small, big int64) File {
+		return File{Entries: []Entry{
+			{Name: "none", BytesPerOp: none}, {Name: "small", BytesPerOp: small},
+			{Name: "big", BytesPerOp: big}, {Name: "less", BytesPerOp: 8_500},
+		}}
+	}
+	if regs := Compare(bytesBase, bytesFresh(0, 99, 6_458_922+64_589), 10); len(regs) != 0 {
+		t.Fatalf("B/op within the gate reported: %v", regs)
+	}
+	regs = Compare(bytesBase, bytesFresh(12, 100, 6_458_922+64_590), 10)
+	if len(regs) != 3 {
+		t.Fatalf("want none, small and big over the gate, got %v", regs)
+	}
+	for i, want := range []string{
+		"none: 0 B/op -> 12 B/op",
+		"small: 99 B/op -> 100 B/op",
+		"big: 6458922 B/op -> 6523512 B/op",
+	} {
+		if regs[i].String() != want {
+			t.Fatalf("regression %d reads %q, want %q", i, regs[i], want)
+		}
+	}
+	// Slower, allocating more often and allocating more are three findings
+	// on one benchmark.
+	all := Compare(File{Entries: []Entry{{Name: "X", NsPerOp: 100, AllocsPerOp: 1, BytesPerOp: 16}}},
+		File{Entries: []Entry{{Name: "X", NsPerOp: 200, AllocsPerOp: 2, BytesPerOp: 32}}}, 0.10)
+	if len(all) != 3 || all[0].Ratio != 2 || all[1].NewAllocs != 2 || all[2].NewBytes != 32 {
+		t.Fatalf("want a time, an allocs and a bytes regression, got %v", all)
 	}
 }
 

@@ -392,6 +392,9 @@ func Targets() []Target {
 		Target{Name: "BenchmarkServe/ingest_warm_observed", File: ServeFile, Fn: ServeIngestObserved(true)},
 		Target{Name: "BenchmarkServe/ingest_fresh_canonical", File: ServeFile, Fn: ServeIngestFresh},
 		Target{Name: "BenchmarkServe/query_or_page", File: ServeFile, Fn: ServeQueryOrPage},
+		Target{Name: "BenchmarkServe/result_hot", File: ServeFile, Fn: ServeResult(true)},
+		Target{Name: "BenchmarkServe/result_cold", File: ServeFile, Fn: ServeResult(false)},
+		Target{Name: "BenchmarkStore/put_result", File: ServeFile, Fn: StorePutResult},
 		Target{Name: "BenchmarkCluster/ingest_n1", File: ClusterFile, Fn: ClusterIngest(1, 1)},
 		Target{Name: "BenchmarkCluster/ingest_n4_rf1", File: ClusterFile, Fn: ClusterIngest(4, 1)},
 		Target{Name: "BenchmarkCluster/ingest_n4_rf2", File: ClusterFile, Fn: ClusterIngest(4, 2)},

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -307,6 +308,109 @@ func ServeIngestWarm(traced bool) func(b *testing.B) {
 			if rec.Code >= 300 {
 				b.Fatalf("ingest answered %d: %s", rec.Code, rec.Body.String())
 			}
+		}
+	}
+}
+
+// corpusResults categorizes the pipeline corpus once: 120 results of the
+// sizes and shapes production stores hold (≈1 KB each as served).
+var corpusResults = sync.OnceValue(func() []*core.Result {
+	cfg := core.DefaultConfig()
+	var out []*core.Result
+	for _, j := range corpusJobs() {
+		if res, err := core.Categorize(j, cfg); err == nil {
+			out = append(out, res)
+		}
+	}
+	return out
+})
+
+// resultStoreN is how many results the result-read benchmarks store:
+// about 20 MB of records.
+const resultStoreN = 20_000
+
+// ServeResult measures one GET /v1/results/{id} per iteration through
+// the full handler chain with tracing on, over a store of resultStoreN
+// results read round-robin. hot gives the store's read cache room for
+// all of them, so after the first lap every read is a cache hit; cold
+// gives it 256 KiB — about 1 % of the records — so every read is a miss
+// and a pread (the bench/ query workload sits between the two, with a
+// cache a tenth of its store). Either way the route is a lookup and a
+// Write of stored bytes: no result is decoded or encoded.
+func ServeResult(hot bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		opts := store.Options{CacheBytes: 256 << 10}
+		if hot {
+			opts.CacheBytes = 64 << 20
+		}
+		st, err := store.Open(b.TempDir(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fp := core.Config{}.Normalized().Fingerprint()
+		results := corpusResults()
+		targets := make([]string, resultStoreN)
+		for i := range targets {
+			id := store.TraceID(fmt.Sprintf("%064x", i))
+			if err := st.PutResult(id, fp, results[i%len(results)]); err != nil {
+				b.Fatal(err)
+			}
+			targets[i] = "/v1/results/" + string(id)
+		}
+		s, err := serve.New(serve.Config{Store: st, Workers: 1, QueueDepth: 16, NoBackfill: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			_ = s.Shutdown(ctx)
+			st.Close()
+		}()
+		h := s.Handler()
+		get := func(i int) {
+			w := discardResponse{h: http.Header{}}
+			h.ServeHTTP(&w, httptest.NewRequest("GET", targets[i%resultStoreN], nil))
+			if w.code != http.StatusOK || w.n < 500 {
+				b.Fatalf("%s answered %d with %d bytes", targets[i%resultStoreN], w.code, w.n)
+			}
+		}
+		if hot {
+			for i := range targets {
+				get(i)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			get(i)
+		}
+	}
+}
+
+// StorePutResult measures one Store.PutResult per iteration — encode the
+// result as it will be served, frame it, append it, index it, leave it
+// in the read cache — without fsync, over the corpus results
+// (BenchmarkStore/put_result). This is the write side of the served
+// form: it has to stay under what json.Marshal of the compact document
+// cost.
+func StorePutResult(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	const fp = "cfg-benchstore000000"
+	results := corpusResults()
+	ids := make([]store.TraceID, 4096)
+	for i := range ids {
+		ids[i] = store.TraceID(fmt.Sprintf("%064x", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.PutResult(ids[i%len(ids)], fp, results[i%len(results)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -3,12 +3,16 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
+	"github.com/mosaic-hpc/mosaic/internal/jsontext"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
@@ -102,7 +106,7 @@ func checkPages(t *testing.T, ix *Index, q string, want []store.TraceID) {
 			if id != string(want[i]) {
 				t.Fatalf("QueryPage(%q, %d): id %d is %q, want %q", q, limit, i, id, want[i])
 			}
-			if page.Plain && !JSONPlain(id) {
+			if page.Plain && !jsontext.Plain(id) {
 				t.Fatalf("QueryPage(%q, %d): vouched for %q", q, limit, id)
 			}
 		}
@@ -368,4 +372,93 @@ func TestDifferentialRebuild(t *testing.T) {
 		t.Fatalf("Rebuild counts: engine=%d oracle=%d want 300", n1, n2)
 	}
 	checkAgree(t, ix, or, diffQueries)
+}
+
+// TestRebuildFromMasksMatchesOracle rebuilds from a store that holds
+// every form a result can have on disk — legacy documents an old store
+// wrote (testdata of internal/store), served records, a legacy record
+// superseded by a served one and the reverse order within the served
+// form, masks with the open bit both legacy and served, a record under
+// another fingerprint — with the engine, which reads record heads and
+// parses nothing it does not have to, and with the oracle, which decodes
+// every result. Same index, down to each trace's category list.
+func TestRebuildFromMasksMatchesOracle(t *testing.T) {
+	const fixture, fp = "../store/testdata/legacy-store", "cfg-legacy-fixture"
+	dir := t.TempDir()
+	seg, err := os.ReadFile(filepath.Join(fixture, "000001.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var legacy []store.TraceID
+	if err := s.EachResult(fp, func(id store.TraceID, _ *core.Result) bool { legacy = append(legacy, id); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); len(legacy) != 31 || st.LegacyResults != 32 {
+		t.Fatalf("fixture: %d results under %s, stats %+v", len(legacy), fp, st)
+	}
+	rng := rand.New(rand.NewSource(19))
+	all := category.All()
+	put := func(id store.TraceID, fp string, labels ...string) {
+		t.Helper()
+		if err := s.PutResult(id, fp, &core.Result{Labels: labels}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		var labels []string
+		for _, c := range all {
+			if rng.Intn(4) == 0 {
+				labels = append(labels, string(c))
+			}
+		}
+		if i%9 == 0 {
+			labels = append(labels, "site_custom_label", fmt.Sprintf("site_label_%d", i%2))
+		}
+		put(id(i), fp, labels...)
+		if i%7 == 0 { // superseded within the served form
+			put(id(i), fp, labels[:len(labels)/2]...)
+		}
+	}
+	put(legacy[3], fp, "write_on_end", "metadata_high_spike") // a served record over a legacy one
+	put(legacy[4], fp)                                        // ... and one with no labels at all
+	put(id(500), "cfg-legacy-other", "read_on_start")         // another fingerprint: invisible
+	if st := s.Stats(); st.LegacyResults != 30 {
+		t.Fatalf("%d legacy results left, want 30", st.LegacyResults)
+	}
+
+	ix, or := New(), NewOracle()
+	n1, err := ix.Rebuild(s, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2, err := or.Rebuild(s, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n1 != n2 || n1 != 231 {
+		t.Fatalf("Rebuild counts: engine=%d oracle=%d want 231", n1, n2)
+	}
+	checkAgree(t, ix, or, diffQueries)
+	ids, _ := or.Query("NOT metadata_high_spike OR metadata_high_spike")
+	custom := 0
+	for _, id := range ids {
+		got, want := ix.Categories(id), or.Categories(id)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Categories(%s): engine %v, oracle %v", id, got, want)
+		}
+		if slices.Contains(got, "site_custom_label") {
+			custom++
+		}
+	}
+	if len(ids) != 231 || custom != 20 { // i%9 == 0 less the four superseded by their first half, and the fixture's
+		t.Fatalf("%d traces, %d with the custom label", len(ids), custom)
+	}
 }

@@ -29,7 +29,10 @@ package index
 
 import (
 	"context"
+	"crypto/sha256"
+	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,30 +74,47 @@ func New() *Index {
 // trace replaces its previous postings, so re-categorization under a
 // new configuration keeps the index consistent.
 func (ix *Index) Add(id store.TraceID, cats category.Set) {
-	sorted := cats.Sorted()
-	cids := make([]uint16, len(sorted))
-	for i, c := range sorted {
-		cids[i] = catIDOf(c)
-	}
-	if cids == nil {
-		cids = []uint16{} // non-nil: a live trace with no categories
-	}
-	ix.mu.Lock()
-	ix.applyLocked(id, cids)
-	ix.mu.Unlock()
+	ix.addCtx(context.Background(), id, setCatIDs(cats))
 }
 
 // AddCtx is Add wrapped in a request-trace span ("index.update") when
 // ctx carries one; untraced contexts pay nothing beyond the nil check.
 func (ix *Index) AddCtx(ctx context.Context, id store.TraceID, cats category.Set) {
-	if _, _, traced := reqtrace.FromContext(ctx); !traced {
-		ix.Add(id, cats)
-		return
+	ix.addCtx(ctx, id, setCatIDs(cats))
+}
+
+// AddMaskCtx is AddCtx for a caller that holds the head of the trace's
+// result record instead of a decoded result: the categories are mask's
+// bits, and labels — the record's full list — is read only when mask
+// has category.MaskOpen (the convention of store.EachResultMask).
+func (ix *Index) AddMaskCtx(ctx context.Context, id store.TraceID, mask uint64, labels []string) {
+	ix.addCtx(ctx, id, appendMaskCats(make([]uint16, 0, bits.OnesCount64(mask)), mask, labels))
+}
+
+// setCatIDs names a category set by dense IDs; never nil, since a nil
+// op is a tombstone and a set without members is a live trace.
+func setCatIDs(cats category.Set) []uint16 {
+	sorted := cats.Sorted()
+	cids := make([]uint16, len(sorted))
+	for i, c := range sorted {
+		cids[i] = catIDOf(c)
 	}
-	start := time.Now()
-	ix.Add(id, cats)
-	reqtrace.AddSpan(ctx, "index.update", start, time.Since(start),
-		reqtrace.Int("categories", int64(len(cats))))
+	return cids
+}
+
+func (ix *Index) addCtx(ctx context.Context, id store.TraceID, cids []uint16) {
+	_, _, traced := reqtrace.FromContext(ctx)
+	var start time.Time
+	if traced {
+		start = time.Now()
+	}
+	ix.mu.Lock()
+	ix.applyLocked(id, cids)
+	ix.mu.Unlock()
+	if traced {
+		reqtrace.AddSpan(ctx, "index.update", start, time.Since(start),
+			reqtrace.Int("categories", int64(len(cids))))
+	}
 }
 
 // Remove drops a trace from every posting list.
@@ -373,21 +393,47 @@ func computeAxes(s *snapshot) map[string][]CategoryCount {
 // Rebuild repopulates the index from every stored result under the
 // given config fingerprint, replacing current contents atomically
 // (queries running during a rebuild see the old state until the swap).
-// It streams only the category labels out of the log — one sequential
-// readahead pass, no full result decode. It returns the number of
-// traces indexed.
+// It streams the eight-byte category mask at the head of each record out
+// of the log — one sequential readahead pass that parses nothing — into
+// three flat buffers, so the cost per trace is a copy of its ID, not an
+// allocation. It returns the number of traces indexed.
 func (ix *Index) Rebuild(s *store.Store, fingerprint string) (int, error) {
-	var entries []entry
-	err := s.EachResultLabels(fingerprint, func(id store.TraceID, labels []string) bool {
-		cids := make([]uint16, len(labels))
-		for i, l := range labels {
-			cids[i] = catIDOf(category.Category(l))
+	n := s.Stats().Results // of every fingerprint: an upper bound
+	var (
+		ids   strings.Builder        // trace IDs, back to back
+		ends  = make([]int, 0, n)    // where each one ends in ids
+		masks = make([]uint64, 0, n) // entry → mask
+		open  map[int][]string       // entry → labels, for the masks with MaskOpen
+		ncats int
+	)
+	ids.Grow(n * sha256.Size * 2)
+	err := s.EachResultMask(fingerprint, func(id []byte, mask uint64, labels []string) bool {
+		if mask&category.MaskOpen != 0 {
+			if open == nil {
+				open = make(map[int][]string)
+			}
+			open[len(masks)] = labels
+			ncats += len(labels)
+		} else {
+			ncats += bits.OnesCount64(mask)
 		}
-		entries = append(entries, entry{id: id, cats: cids})
+		ids.Write(id)
+		ends = append(ends, ids.Len())
+		masks = append(masks, mask)
 		return true
 	})
 	if err != nil {
 		return 0, err
+	}
+	// Every entry's ID is a substring of one string and its categories a
+	// window of one slice.
+	arena, cats, entries := ids.String(), make([]uint16, 0, ncats), make([]entry, len(masks))
+	start := 0
+	for i, mask := range masks {
+		from := len(cats)
+		cats = appendMaskCats(cats, mask, open[i])
+		entries[i] = entry{id: store.TraceID(arena[start:ends[i]]), cats: cats[from:len(cats):len(cats)]}
+		start = ends[i]
 	}
 	return ix.install(entries), nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
+	"github.com/mosaic-hpc/mosaic/internal/jsontext"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
@@ -214,8 +215,8 @@ func TestPlainBit(t *testing.T) {
 	cats := set("write_on_end")
 	odd := []store.TraceID{"quo\"te", "back\\slash", "ctl\x01", "lt<", "amp&", "bad\xff", "sep\u2028", "\u00e9"}
 	for _, bad := range odd {
-		if JSONPlain(string(bad)) {
-			t.Fatalf("JSONPlain(%q) = true", bad)
+		if jsontext.Plain(string(bad)) {
+			t.Fatalf("jsontext.Plain(%q) = true", bad)
 		}
 		ix := New()
 		ix.Load([]Entry{{ID: "aaa", Cats: cats}, {ID: bad, Cats: cats}, {ID: "zzz", Cats: cats}})
@@ -246,8 +247,8 @@ func TestPlainBit(t *testing.T) {
 			t.Fatalf("after removing %q: %d ops, plain=%v", bad, len(s.ops), s.gen.plain)
 		}
 	}
-	if !JSONPlain("0123456789abcdef-_.~ /:") || !JSONPlain("") {
-		t.Fatal("JSONPlain refuses a plain string")
+	if !jsontext.Plain("0123456789abcdef-_.~ /:") || !jsontext.Plain("") {
+		t.Fatal("jsontext.Plain refuses a plain string")
 	}
 
 	// Plain generation, odd ID in the delta: only a page that holds it

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
+	"github.com/mosaic-hpc/mosaic/internal/jsontext"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
@@ -267,7 +268,7 @@ func (ix *Index) QueryIDs(q string) ([]string, error) {
 type Page struct {
 	Count int
 	IDs   []string
-	// Plain is the index's word that JSONPlain holds for every ID in
+	// Plain is the index's word that jsontext.Plain holds for every ID in
 	// IDs, so a JSON writer may copy them without looking inside.
 	Plain bool
 }
@@ -360,7 +361,7 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 			break
 		}
 		if len(mAt) > 0 && mAt[0] == bound {
-			page.Plain = page.Plain && JSONPlain(matches[0])
+			page.Plain = page.Plain && jsontext.Plain(matches[0])
 			page.IDs = append(page.IDs, matches[0])
 			matches, mAt = matches[1:], mAt[1:]
 		} else {

@@ -1,10 +1,12 @@
 package index
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
+	"github.com/mosaic-hpc/mosaic/internal/jsontext"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
@@ -64,6 +66,41 @@ func catIDOf(c category.Category) uint16 {
 	return id
 }
 
+// maskOrder lists the closed set's category IDs — which are also their
+// bit numbers in a category mask, both being positions in category.All()
+// — in order of category name: walking it and testing bits yields a CSR
+// row in the order Categories() promises with nothing left to sort.
+var maskOrder = func() []uint16 {
+	all := category.All()
+	order := make([]uint16, len(all))
+	for i := range order {
+		order[i] = uint16(i)
+	}
+	sortCatIDs(order, all)
+	return order
+}()
+
+// appendMaskCats appends the category IDs a result record's head stands
+// for, in name order: the bits of a closed mask, or — the mask being
+// open — the IDs of labels, the record's full list, registering what is
+// new among them.
+func appendMaskCats(dst []uint16, mask uint64, labels []string) []uint16 {
+	if mask&category.MaskOpen == 0 {
+		for _, cid := range maskOrder {
+			if mask>>cid&1 != 0 {
+				dst = append(dst, cid)
+			}
+		}
+		return dst
+	}
+	from := len(dst)
+	for _, l := range labels {
+		dst = append(dst, catIDOf(category.Category(l)))
+	}
+	sortCatIDs(dst[from:], catNames())
+	return append(dst[:from], slices.Compact(dst[from:])...)
+}
+
 // lookupCatID is catIDOf without the registering side effect.
 func lookupCatID(c category.Category) (uint16, bool) {
 	if id, ok := builtinCatID[c]; ok {
@@ -94,7 +131,7 @@ type generation struct {
 	catIDs   []uint16        // concatenated per-ordinal category sets
 	postings []ordSet        // catID → ordinals, each in its smaller form
 	card     []int           // catID → how many ordinals carry it
-	plain    bool            // every ID in ids satisfies JSONPlain
+	plain    bool            // every ID in ids satisfies jsontext.Plain
 }
 
 var emptyGen = &generation{catOff: []uint32{0}, plain: true}
@@ -148,7 +185,7 @@ type entry struct {
 // trace in 32 gets a bitmap, any other a list (denseIsSmaller). The
 // bitmaps share one allocation, the lists and the CSR offsets — the
 // generation's other []uint32 — another. plain is the caller's word
-// that every entry's ID satisfies JSONPlain.
+// that every entry's ID satisfies jsontext.Plain.
 func buildGeneration(entries []entry, ncats int, plain bool) *generation {
 	n, total := len(entries), 0
 	card := make([]int, ncats)
@@ -283,39 +320,9 @@ func mergeGeneration(s *snapshot, ncats int) *generation {
 	return buildGeneration(entries, ncats, allPlain(unchecked))
 }
 
-// jsonEscapes marks the bytes encoding/json does not copy through
-// unchanged inside a string: controls, the quote and the backslash,
-// the three it escapes for HTML (< > &), and everything non-ASCII
-// (U+2028/9 and invalid UTF-8 are rewritten; the rest is left to the
-// encoder rather than validated here). DEL is in the set for
-// simplicity of the range test, not because it is escaped.
-var jsonEscapes = func() (t [256]bool) {
-	for b := range t {
-		t[b] = b < 0x20 || b >= 0x7f
-	}
-	for _, b := range `"\<>&` {
-		t[b] = true
-	}
-	return t
-}()
-
-// JSONPlain reports that s between two quotes is exactly what
-// encoding/json (HTML escaping on) would write for it; a query answer
-// copies such IDs into the response with no per-byte work. It is a
-// sufficient test, not a necessary one: it also refuses strings the
-// encoder would pass through (valid non-ASCII, DEL).
-func JSONPlain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if jsonEscapes[s[i]] {
-			return false
-		}
-	}
-	return true
-}
-
 func allPlain(entries []entry) bool {
 	for _, e := range entries {
-		if !JSONPlain(string(e.id)) {
+		if !jsontext.Plain(string(e.id)) {
 			return false
 		}
 	}

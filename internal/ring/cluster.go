@@ -115,13 +115,15 @@ type Backend interface {
 	// categorizing them (the owner pushes results separately). IDs
 	// pair with blobs as in HandleIngest.
 	HandleReplicate(ctx context.Context, reqID string, ids []string, blobs [][]byte) error
-	// HandleResultPush stores a result computed by the trace's owner.
+	// HandleResultPush stores a result computed by the trace's owner:
+	// result is the owner's stored record, opaque to the ring (or, from
+	// a node that predates that form, the compact result document).
 	HandleResultPush(ctx context.Context, id, fp string, result []byte) error
 	// HandleQuery answers a boolean category query over the local index.
 	HandleQuery(ctx context.Context, q string) ([]string, error)
 	// HandleStats reports local statistics.
 	HandleStats(ctx context.Context) NodeStats
-	// HandleResult returns the locally stored result JSON of one trace.
+	// HandleResult returns the locally stored result record of one trace.
 	HandleResult(ctx context.Context, id string) ([]byte, bool, error)
 	// FetchTrace returns the locally stored blob of one trace — the
 	// hinted-handoff replay source.
@@ -526,10 +528,7 @@ func (c *Cluster) takeHints(peerID string, n int) []string {
 // trace's other replicas, asynchronously and best-effort: a replica
 // that misses the push repairs itself after RepairAfter.
 func (c *Cluster) PushResult(reqID, id, fp string, result []byte, peerIDs []string) {
-	body, err := json.Marshal(resultPush{ID: id, Fingerprint: fp, Result: result})
-	if err != nil {
-		return
-	}
+	body := appendResultPush(nil, id, fp, result)
 	for _, pid := range peerIDs {
 		p, perr := c.peerByID(pid)
 		if perr != nil || !p.up.Load() {
@@ -553,11 +552,40 @@ func (c *Cluster) PushResult(reqID, id, fp string, result []byte, peerIDs []stri
 	}
 }
 
-// resultPush is the OpResultPush body.
-type resultPush struct {
-	ID          string          `json:"id"`
-	Fingerprint string          `json:"fp"`
-	Result      json.RawMessage `json:"result"`
+// The OpResultPush body is a blob list of three: trace ID, fingerprint,
+// result record — the record's bytes travel as they are stored. Nodes
+// that predate the store's served result form send a JSON object
+// instead, with the compact result document embedded; parseResultPush
+// still reads it (the store converts the document). A blob list starts
+// with the ID's length, never with '{'.
+func appendResultPush(dst []byte, id, fp string, result []byte) []byte {
+	dst = AppendBlob(dst, []byte(id))
+	dst = AppendBlob(dst, []byte(fp))
+	return AppendBlob(dst, result)
+}
+
+// parseResultPush decodes an OpResultPush body of either form; result
+// aliases body.
+func parseResultPush(body []byte) (id, fp string, result []byte, err error) {
+	if len(body) > 0 && body[0] == '{' {
+		var push struct {
+			ID          string          `json:"id"`
+			Fingerprint string          `json:"fp"`
+			Result      json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(body, &push); err != nil {
+			return "", "", nil, err
+		}
+		return push.ID, push.Fingerprint, push.Result, nil
+	}
+	parts, err := SplitBlobs(body, 3)
+	if err != nil {
+		return "", "", nil, err
+	}
+	if len(parts) != 3 {
+		return "", "", nil, fmt.Errorf("ring: result push holds %d blobs, want id, fingerprint and record", len(parts))
+	}
+	return string(parts[0]), string(parts[1]), parts[2], nil
 }
 
 // ScatterQuery fans a boolean query out to every live peer and returns
@@ -655,20 +683,25 @@ func (c *Cluster) ScatterStats(ctx context.Context, reqID string) []NodeStats {
 // FetchResult reads one trace's stored result from its replica set
 // with hedging: the preferred (first live) replica is asked first; if
 // it has not answered within HedgeAfter, the next replica is asked in
-// parallel, and the first definite answer wins. A unanimous miss
-// returns (nil, false, nil).
+// parallel, and the first definite answer wins. (nil, false, nil) means
+// every other replica answered "not found"; a replica that is down or
+// failed to answer makes a miss an error, because the trace may be
+// acknowledged and durable exactly there.
 func (c *Cluster) FetchResult(ctx context.Context, reqID, id string) ([]byte, bool, error) {
 	var cands []*peer
+	var lastErr error
 	for _, n := range c.table.Replicas(id) {
 		if n.ID == c.self.ID {
 			continue
 		}
 		if p, ok := c.peers[n.ID]; ok && p.up.Load() {
 			cands = append(cands, p)
+		} else {
+			lastErr = fmt.Errorf("ring: replica %s of %s is down", n.ID, id)
 		}
 	}
 	if len(cands) == 0 {
-		return nil, false, nil
+		return nil, false, lastErr
 	}
 	type reply struct {
 		data []byte
@@ -693,7 +726,6 @@ func (c *Cluster) FetchResult(ctx context.Context, reqID, id string) ([]byte, bo
 	go ask(cands[0])
 	hedge := time.NewTimer(c.cfg.HedgeAfter)
 	defer hedge.Stop()
-	var lastErr error
 	for done := 0; done < launched; {
 		select {
 		case r := <-ch:
@@ -743,11 +775,11 @@ func (c *Cluster) registerHandlers() {
 		return nil, c.backend.HandleReplicate(ctx, f.RequestID, ids, blobs)
 	})
 	c.srv.Handle(OpResultPush, "resultpush", func(ctx context.Context, f *Frame) ([]byte, error) {
-		var push resultPush
-		if err := json.Unmarshal(f.Body, &push); err != nil {
+		id, fp, result, err := parseResultPush(f.Body)
+		if err != nil {
 			return nil, err
 		}
-		return nil, c.backend.HandleResultPush(ctx, push.ID, push.Fingerprint, push.Result)
+		return nil, c.backend.HandleResultPush(ctx, id, fp, result)
 	})
 	c.srv.Handle(OpQuery, "query", func(ctx context.Context, f *Frame) ([]byte, error) {
 		var req struct {

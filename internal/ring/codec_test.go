@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -148,5 +149,35 @@ func TestSplitBlobsItemCap(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(body))/8 {
 		t.Fatalf("rejecting a %d byte body allocated %d bytes", len(body), grew)
+	}
+}
+
+// TestResultPushBody: the push body carries a result record as opaque
+// bytes — a binary head, newlines, whatever it holds — and the JSON body
+// of a node that predates it still parses, to the document it embeds.
+func TestResultPushBody(t *testing.T) {
+	id, fp := strings.Repeat("ab", 32), "cfg-0123"
+	record := append([]byte{0x7b, 0x00, 0xff, 0x22, 0, 0, 0, 0x80}, "{\n  \"job_id\": 1\n}\n"...)
+	gotID, gotFP, got, err := parseResultPush(appendResultPush(nil, id, fp, record))
+	if err != nil || gotID != id || gotFP != fp || !bytes.Equal(got, record) {
+		t.Fatalf("round trip: %q %q %q, err %v", gotID, gotFP, got, err)
+	}
+	old := []byte(`{"id":"` + id + `","fp":"` + fp + `","result":{"job_id":1,"categories":["write_on_end"]}}`)
+	gotID, gotFP, got, err = parseResultPush(old)
+	if err != nil || gotID != id || gotFP != fp || string(got) != `{"job_id":1,"categories":["write_on_end"]}` {
+		t.Fatalf("legacy body: %q %q %q, err %v", gotID, gotFP, got, err)
+	}
+	body := appendResultPush(nil, id, fp, record)
+	for name, bad := range map[string][]byte{
+		"empty":         nil,
+		"two blobs":     AppendBlob(AppendBlob(nil, []byte(id)), []byte(fp)),
+		"four blobs":    AppendBlob(bytes.Clone(body), []byte("extra")),
+		"cut short":     body[:len(body)-3],
+		"legacy, cut":   old[:len(old)-5],
+		"legacy, typed": []byte(`{"id":7}`),
+	} {
+		if _, _, _, err := parseResultPush(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

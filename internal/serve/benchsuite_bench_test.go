@@ -8,8 +8,8 @@ import (
 
 // BenchmarkServe exposes the pinned serve benchmarks (the tracing and
 // observability overhead budget pairs, the fresh canonical POST's
-// allocation budget and the ten-thousand-ID query answer in
-// BENCH_serve.json) to plain
+// allocation budget, the ten-thousand-ID query answer and the two
+// result reads in BENCH_serve.json) to plain
 // `go test -bench`. The bodies live in internal/benchsuite so
 // `mosaic-bench -bench-json` runs the identical code; this file is in
 // the external test package because benchsuite imports serve.
@@ -20,6 +20,13 @@ func BenchmarkServe(b *testing.B) {
 	b.Run("ingest_warm_observed", benchsuite.ServeIngestObserved(true))
 	b.Run("ingest_fresh_canonical", benchsuite.ServeIngestFresh)
 	b.Run("query_or_page", benchsuite.ServeQueryOrPage)
+	b.Run("result_hot", benchsuite.ServeResult(true))
+	b.Run("result_cold", benchsuite.ServeResult(false))
+}
+
+// BenchmarkStore exposes the pinned result write (BENCH_serve.json).
+func BenchmarkStore(b *testing.B) {
+	b.Run("put_result", benchsuite.StorePutResult)
 }
 
 // BenchmarkCluster exposes the pinned cluster benchmarks (the n4/n1

@@ -429,24 +429,24 @@ func (cn *clusterNode) HandleReplicate(ctx context.Context, reqID string, rawIDs
 	return nil
 }
 
-// HandleResultPush stores an owner-computed result and indexes it,
-// sparing this replica the categorization.
+// HandleResultPush stores an owner-computed result and indexes it from
+// the mask at the record's head, sparing this replica the
+// categorization. The store validates the bytes on the way in (and
+// converts the compact document a node predating the served form
+// pushes).
 func (cn *clusterNode) HandleResultPush(ctx context.Context, id, fp string, result []byte) error {
 	tid := store.TraceID(id)
 	if !tid.Valid() {
 		return fmt.Errorf("serve: result push with invalid trace ID %q", id)
 	}
-	res, err := store.DecodeResult(result)
+	// Copy: result aliases the connection read buffer and the store's
+	// read cache retains the value slice.
+	mask, labels, err := cn.s.st.PutResultBytesCtx(ctx, tid, fp, append([]byte(nil), result...))
 	if err != nil {
 		return err
 	}
-	// Copy: result aliases the connection read buffer and the store's
-	// read cache retains the value slice.
-	if err := cn.s.st.PutResultBytesCtx(ctx, tid, fp, append([]byte(nil), result...)); err != nil {
-		return err
-	}
 	if fp == cn.s.fp {
-		cn.s.ix.AddCtx(ctx, tid, res.Categories)
+		cn.s.ix.AddMaskCtx(ctx, tid, mask, labels)
 		cn.mu.Lock()
 		delete(cn.repair, tid)
 		cn.mu.Unlock()
@@ -504,7 +504,7 @@ func (cn *clusterNode) emitDegradedAck(reqID string, traces int, reason string) 
 	}
 }
 
-// HandleResult serves a trace's stored result bytes to a peer (routed
+// HandleResult serves a trace's stored result record to a peer (routed
 // or hedged read).
 func (cn *clusterNode) HandleResult(ctx context.Context, id string) ([]byte, bool, error) {
 	tid := store.TraceID(id)

@@ -2,12 +2,11 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
 
-	"github.com/mosaic-hpc/mosaic/internal/index"
+	"github.com/mosaic-hpc/mosaic/internal/jsontext"
 )
 
 // The /v1/query answer is written, not built: it is appended straight
@@ -67,7 +66,7 @@ func writeQueryReply(ctx context.Context, w http.ResponseWriter, qr queryReply) 
 	}
 
 	b := append((*bufp)[:0], "{\n  \"query\": "...)
-	b = appendJSONString(b, qr.Query, false)
+	b = jsontext.AppendString(b, qr.Query, false)
 	b = append(b, ",\n  \"count\": "...)
 	b = strconv.AppendInt(b, int64(qr.Count), 10)
 	if qr.Partial {
@@ -91,7 +90,7 @@ func writeQueryReply(ctx context.Context, w http.ResponseWriter, qr queryReply) 
 				}
 			}
 			b = append(b, sep...)
-			b = appendJSONString(b, id, qr.Plain)
+			b = jsontext.AppendString(b, id, qr.Plain)
 			sep = ",\n    "
 		}
 		b = append(b, "\n  ]"...)
@@ -99,17 +98,4 @@ func writeQueryReply(ctx context.Context, w http.ResponseWriter, qr queryReply) 
 	b = append(b, "\n}\n"...)
 	_, err := flush(b)
 	return written, err
-}
-
-// appendJSONString appends s as a JSON string. A string known or found
-// to need no escaping is copied between two quotes; any other goes
-// through encoding/json.
-func appendJSONString(b []byte, s string, plain bool) []byte {
-	if plain || index.JSONPlain(s) {
-		b = append(b, '"')
-		b = append(b, s...)
-		return append(b, '"')
-	}
-	enc, _ := json.Marshal(s) // a string always marshals
-	return append(b, enc...)
 }

@@ -14,6 +14,7 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/index"
+	"github.com/mosaic-hpc/mosaic/internal/jsontext"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
@@ -84,7 +85,7 @@ func TestQueryReplyMatchesEncoder(t *testing.T) {
 	for name, ids := range lists {
 		vouchable := true
 		for _, id := range ids {
-			vouchable = vouchable && index.JSONPlain(id)
+			vouchable = vouchable && jsontext.Plain(id)
 		}
 		for _, q := range queries {
 			for _, partial := range []bool{false, true} {
@@ -115,7 +116,7 @@ func FuzzQueryReply(f *testing.F) {
 			qr.IDs = strings.Split(ids, "\n")
 		}
 		checkQueryReply(t, qr)
-		qr.Plain = index.JSONPlain(ids) // no newline either: one vouched-for ID
+		qr.Plain = jsontext.Plain(ids) // no newline either: one vouched-for ID
 		if qr.Plain {
 			checkQueryReply(t, qr)
 		}

@@ -416,10 +416,21 @@ func (s *Server) registerStoreGauges() {
 		groupSyncs   = g("group_syncs_total", "Fsyncs issued by group-commit leaders.")
 		syncedFrames = g("synced_frames_total", "Frames made durable by those fsyncs.")
 	)
+	// A legacy count that stays above zero is a store from before the
+	// served form whose results nothing has rewritten yet: each first
+	// read of one pays a conversion.
+	form := func(f string) *telemetry.Gauge {
+		return s.reg.Gauge("mosaic_store_result_records",
+			"Stored results by record form: served (response bytes behind a category mask) or legacy (compact JSON, converted on read).",
+			telemetry.Labels{"form": f})
+	}
+	served, legacy := form("served"), form("legacy")
 	s.reg.OnCollect("serve_store_stats", func() {
 		st := s.st.Stats()
 		traces.Set(float64(st.Traces))
 		results.Set(float64(st.Results))
+		served.Set(float64(st.Results - st.LegacyResults))
+		legacy.Set(float64(st.LegacyResults))
 		explanations.Set(float64(st.Explanations))
 		segments.Set(float64(st.Segments))
 		diskBytes.Set(float64(st.DiskBytes))
@@ -858,20 +869,24 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, items []In
 	}{Results: items})
 }
 
+// handleResult serves one stored result. The store keeps a result in
+// the bytes this route sends (store/result.go), so a hit is an index
+// lookup, a cache or segment read and one Write.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	s.resultsServed.Inc()
 	id := store.TraceID(strings.ToLower(r.PathValue("id")))
 	if !id.Valid() {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "id must be a 64-char SHA-256 hex digest"})
 		return
 	}
-	res, ok, err := s.st.GetResult(id, s.fp)
+	body, cached, ok, err := s.st.ResultBody(id, s.fp)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
 	if ok {
-		writeJSON(w, http.StatusOK, res)
+		writeResultBody(r.Context(), w, body, start, cached)
 		return
 	}
 	if s.isPending(id) {
@@ -888,13 +903,26 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil {
 		// Not here: the trace may live on its replica set. Hedged read —
 		// the preferred replica first, the next when it misses the hedge
-		// deadline.
+		// deadline — and the record a replica answers with is relayed as
+		// it is. Only "every replica answered: not found" falls through to
+		// the 404 below; replicas that could not be asked, or bytes that
+		// are not a result record, say nothing about a trace that may be
+		// acknowledged and durable elsewhere.
 		data, ok, err := s.cluster.ring.FetchResult(r.Context(), RequestIDFrom(r.Context()), string(id))
+		var rec []byte
 		if err == nil && ok {
-			if res, derr := store.DecodeResult(data); derr == nil {
-				writeJSON(w, http.StatusOK, res)
-				return
+			rec, _, _, err = store.CheckResultRecord(data)
+		}
+		if err != nil {
+			if log := s.reqLog(r); log != nil {
+				log.Warn("result fetch from replica set failed", "id", string(id), "err", err)
 			}
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "result unavailable from its replica set: " + err.Error()})
+			return
+		}
+		if ok {
+			writeResultBody(r.Context(), w, rec[store.ResultHeadLen:], start, false)
+			return
 		}
 	}
 	if s.st.HasTrace(id) {
@@ -902,6 +930,20 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown trace"})
+}
+
+// writeResultBody answers 200 with a stored result body and records the
+// route's one span, "result.read": everything from the request's arrival
+// in the handler to the body's hand-off, with its size and whether the
+// store's read cache had it.
+func writeResultBody(ctx context.Context, w http.ResponseWriter, body []byte, start time.Time, cached bool) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // the only failure is a client that left
+	reqtrace.AddSpan(ctx, "result.read", start, time.Since(start),
+		reqtrace.Int("bytes", int64(len(body))), reqtrace.Str("cache_hit", strconv.FormatBool(cached)))
 }
 
 // writePending answers 202 for a trace whose categorization has not

@@ -26,14 +26,18 @@ const (
 	maxKeyLen       = 1 << 10
 )
 
-// Record kinds. Segments hold kinds 1–3; kindEvent frames only ever
-// appear in an AppendLog, which is its own file with its own lifecycle
-// and is never mixed into the content-addressed segment sequence.
+// Record kinds. Segments hold kinds 1–3 and 5; kindEvent frames only
+// ever appear in an AppendLog, which is its own file with its own
+// lifecycle and is never mixed into the content-addressed segment
+// sequence. A result is written as kindServed (result.go); kindResult,
+// the compact JSON document stores held before that, is still read and
+// never written.
 const (
 	kindTrace   byte = 1
 	kindResult  byte = 2
 	kindExplain byte = 3
 	kindEvent   byte = 4
+	kindServed  byte = 5
 )
 
 // readaheadBytes sizes the buffered reader of a scan: large enough that
@@ -85,7 +89,7 @@ const (
 )
 
 // scanFrames walks the frames in r[0:limit) in one buffered sequential
-// pass with a reused frame buffer. Every frame's length bounds and CRC
+// pass. Every frame's length bounds and CRC
 // are verified before fn sees its offset, kind, key and value; key and
 // value alias the frame buffer and are only valid until fn returns. It
 // returns the offset after the last valid frame and why it stopped
@@ -93,25 +97,39 @@ const (
 // of the valid prefix, one that fn stops at is.
 func scanFrames(r io.ReaderAt, limit int64, fn func(off int64, kind byte, key, value []byte) scanEnd) (good int64, end scanEnd, err error) {
 	br := bufio.NewReaderSize(io.NewSectionReader(r, 0, limit), int(min(limit, readaheadBytes)))
-	var hdr [frameHeaderLen]byte
-	var frame []byte
+	var big []byte // for the frames wider than the readahead window
 	var off int64
 	for off < limit {
 		if off+frameHeaderLen > limit {
 			return off, scanInvalid, nil // torn length prefix
 		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		hdr, err := br.Peek(frameHeaderLen)
+		if err != nil {
 			return off, scanInvalid, fmt.Errorf("store: reading frame header at %d: %w", off, err)
 		}
-		n := int64(binary.LittleEndian.Uint32(hdr[:]))
+		n := int64(binary.LittleEndian.Uint32(hdr))
 		if n < framePayloadMin || n > maxFrameLen || off+frameHeaderLen+n+frameCRCLen > limit {
 			return off, scanInvalid, nil // torn or garbage tail
 		}
-		if int64(cap(frame)) < n+frameCRCLen {
-			frame = make([]byte, n+frameCRCLen)
+		// A frame that fits the window is checked and handed out where the
+		// read put it, and consumed afterwards; only a wider one is copied
+		// out.
+		var buf []byte
+		peeked := 0
+		if whole := int(frameHeaderLen + n + frameCRCLen); whole <= br.Size() {
+			if buf, err = br.Peek(whole); err == nil {
+				buf, peeked = buf[frameHeaderLen:], whole
+			}
+		} else {
+			if int64(cap(big)) < n+frameCRCLen {
+				big = make([]byte, n+frameCRCLen)
+			}
+			buf = big[:n+frameCRCLen]
+			if _, err = br.Discard(frameHeaderLen); err == nil {
+				_, err = io.ReadFull(br, buf)
+			}
 		}
-		buf := frame[:n+frameCRCLen]
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if err != nil {
 			return off, scanInvalid, fmt.Errorf("store: reading frame at %d: %w", off, err)
 		}
 		payload := buf[:n]
@@ -127,6 +145,7 @@ func scanFrames(r io.ReaderAt, limit int64, fn func(off int64, kind byte, key, v
 		case scanInvalid:
 			return off, scanInvalid, nil
 		}
+		_, _ = br.Discard(peeked) // bytes Peek returned: cannot fail
 		off = next
 	}
 	return off, scanToLimit, nil

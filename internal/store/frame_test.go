@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"slices"
 	"testing"
 )
 
@@ -78,4 +79,31 @@ func FuzzFrameScan(f *testing.F) {
 				good2, good, again, frames, end2, err)
 		}
 	})
+}
+
+// TestScanFramesWiderThanWindow: a frame larger than the readahead
+// window is copied out instead of being peeked in place, and the frames
+// around it are still found where they are.
+func TestScanFramesWiderThanWindow(t *testing.T) {
+	wide := bytes.Repeat([]byte("0123456789abcdef"), (readaheadBytes+readaheadBytes/2)/16)
+	var log []byte
+	log = appendFrame(log, kindTrace, "t/before", []byte("small"))
+	log = appendFrame(log, kindTrace, "t/wide", wide)
+	log = appendFrame(log, kindServed, "r/after", []byte("12345678{}"))
+	var keys []string
+	good, end, err := scanFrames(bytes.NewReader(log), int64(len(log)), func(off int64, kind byte, key, value []byte) scanEnd {
+		keys = append(keys, string(key))
+		if string(key) == "t/wide" && !bytes.Equal(value, wide) {
+			t.Error("wide frame's value differs")
+		}
+		return scanToLimit
+	})
+	if err != nil || end != scanToLimit || good != int64(len(log)) || !slices.Equal(keys, []string{"t/before", "t/wide", "r/after"}) {
+		t.Fatalf("scanned %d of %d bytes, end %v, keys %v, err %v", good, len(log), end, keys, err)
+	}
+	// Torn inside the wide frame: the prefix before it stands.
+	cut := int64(len(log) - 100 - len("12345678{}"))
+	if good, end, err = scanFrames(bytes.NewReader(log), cut, acceptAll(new(int))); err != nil || end != scanInvalid || good >= cut || good == 0 {
+		t.Fatalf("torn wide frame: %d valid bytes of %d, end %v, err %v", good, cut, end, err)
+	}
 }

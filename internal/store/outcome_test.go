@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -111,6 +112,13 @@ func TestOutcomeTornAtEveryByte(t *testing.T) {
 					if _, ok, err := s.GetResult(id, fp); err != nil || !ok {
 						t.Fatalf("indexed result unreadable (ok=%v err=%v)", ok, err)
 					}
+					// The pair's result is a served record: head, then the body.
+					if l := s.index[resultKeyOf(id, fp)]; l.kind != kindServed {
+						t.Fatalf("result recovered as kind %d", l.kind)
+					}
+					if body, _, ok, err := s.ResultBody(id, fp); err != nil || !ok || !bytes.HasPrefix(body, []byte("{\n  \"job_id\": ")) {
+						t.Fatalf("served body unreadable (ok=%v err=%v): %.40q", ok, err, body)
+					}
 				}
 				if s.HasExplanation(id, fp) {
 					if n == 0 {
@@ -122,6 +130,32 @@ func TestOutcomeTornAtEveryByte(t *testing.T) {
 					}
 				}
 				return n
+			},
+		},
+		{
+			// What a store written before the served form ends in.
+			name: "legacy result frame", file: "000001.seg",
+			write: func(t *testing.T) ([]byte, int64) {
+				return segment(t, func(s *Store) {
+					doc, err := json.Marshal(testResult(t, testJob(11)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.putRecords(context.Background(), "result", record{kind: kindResult, key: resultKeyOf(id, fp), value: doc}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			},
+			survivors: func(t *testing.T, dir string) int {
+				s := reopened(t, dir)
+				defer s.Close()
+				if !s.HasResult(id, fp) {
+					return 0
+				}
+				if res, ok, err := s.GetResult(id, fp); err != nil || !ok || res.JobID != testJob(11).JobID || s.Stats().LegacyResults != 1 {
+					t.Fatalf("indexed legacy result unreadable (ok=%v err=%v)", ok, err)
+				}
+				return 1
 			},
 		},
 		{
@@ -280,15 +314,15 @@ func TestStreamingReadersStopAtCorruptFrame(t *testing.T) {
 		t.Fatalf("EachTraceBlob delivered %d traces, want %d (err %v)", gotTraces, wantTraces, err)
 	}
 	gotResults := 0
-	err = s.EachResultLabels(fp, func(id TraceID, labels []string) bool {
-		if !survives(s.index[resultKeyOf(id, fp)]) {
+	err = s.EachResultMask(fp, func(id []byte, _ uint64, _ []string) bool {
+		if !survives(s.index[resultKeyOf(TraceID(id), fp)]) {
 			t.Errorf("delivered result %s from after the damaged frame", id)
 		}
 		gotResults++
 		return true
 	})
 	if err != nil || gotResults != wantResults {
-		t.Fatalf("EachResultLabels delivered %d results, want %d (err %v)", gotResults, wantResults, err)
+		t.Fatalf("EachResultMask delivered %d results, want %d (err %v)", gotResults, wantResults, err)
 	}
 }
 

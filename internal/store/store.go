@@ -24,7 +24,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -38,8 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/mosaic-hpc/mosaic/internal/category"
-	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
@@ -116,17 +113,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// loc addresses one stored value inside a segment.
+// loc addresses one stored value inside a segment and remembers the
+// kind of the frame around it — what tells a result in served form from
+// one in the legacy form under the same key.
 type loc struct {
-	seg    int
 	valOff int64
-	valLen int
+	seg    int32
+	valLen int32 // a frame is at most maxFrameLen
+	kind   byte
 }
 
 // Stats is a point-in-time view of a store.
 type Stats struct {
 	Traces           int   `json:"traces"`
 	Results          int   `json:"results"`
+	LegacyResults    int   `json:"legacy_results"` // of Results, still stored as compact JSON (pre-served form)
 	Explanations     int   `json:"explanations"`
 	Segments         int   `json:"segments"`
 	DiskBytes        int64 `json:"disk_bytes"`
@@ -159,6 +160,7 @@ type Store struct {
 
 	traces   int
 	results  int
+	legacy   int // of results, those whose live frame is kindResult
 	explains int
 
 	cache *lru
@@ -248,12 +250,12 @@ func (s *Store) recover() error {
 		if err != nil {
 			return err
 		}
-		seg := i + 1
+		seg := int32(i + 1)
 		good, _, err := scanFrames(f, size, func(off int64, kind byte, key, value []byte) scanEnd {
 			if !segmentFrame(kind, key) {
 				return scanInvalid
 			}
-			s.indexPut(string(key), loc{seg: seg, valOff: valueOff(off, len(key)), valLen: len(value)})
+			s.indexPut(string(key), loc{seg: seg, valOff: valueOff(off, len(key)), valLen: int32(len(value)), kind: kind})
 			s.recoveredFrames++
 			return scanToLimit
 		})
@@ -283,14 +285,15 @@ func (s *Store) recover() error {
 // segmentFrame reports whether a frame may appear in a segment; one that
 // may not is treated like a torn tail.
 func segmentFrame(kind byte, key []byte) bool {
-	return kind >= kindTrace && kind <= kindExplain && len(key) <= maxKeyLen
+	return (kind >= kindTrace && kind <= kindExplain || kind == kindServed) && len(key) <= maxKeyLen
 }
 
 // indexPut records a key's location, maintaining the
 // trace/result/explanation counters (last write wins, matching log
-// replay order).
+// replay order) and how many results are live in the legacy form.
 func (s *Store) indexPut(key string, l loc) {
-	if _, exists := s.index[key]; !exists {
+	old, exists := s.index[key]
+	if !exists {
 		switch {
 		case strings.HasPrefix(key, "t/"):
 			s.traces++
@@ -299,6 +302,12 @@ func (s *Store) indexPut(key string, l loc) {
 		default:
 			s.results++
 		}
+	}
+	if exists && old.kind == kindResult {
+		s.legacy--
+	}
+	if l.kind == kindResult {
+		s.legacy++
 	}
 	s.index[key] = l
 }
@@ -392,11 +401,11 @@ func (s *Store) appendLocked(recs ...record) (seq, written int64, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: appending %d record(s): %w", len(recs), err)
 	}
-	seg, off := len(s.readers), s.size
+	seg, off := int32(len(s.readers)), s.size
 	for i := range recs {
 		r := &recs[i]
 		valOff := valueOff(off, len(r.key))
-		s.indexPut(r.key, loc{seg: seg, valOff: valOff, valLen: len(r.value)})
+		s.indexPut(r.key, loc{seg: seg, valOff: valOff, valLen: int32(len(r.value)), kind: r.kind})
 		off = valOff + int64(len(r.value)) + frameCRCLen
 	}
 	s.size += written
@@ -489,8 +498,18 @@ func (s *Store) readValue(key string, l loc) ([]byte, error) {
 	if v, ok := s.cache.get(key); ok {
 		return v, nil
 	}
+	buf, err := s.pread(key, l)
+	if err != nil {
+		return nil, err
+	}
+	s.cache.put(key, buf)
+	return buf, nil
+}
+
+// pread reads a value from its segment.
+func (s *Store) pread(key string, l loc) ([]byte, error) {
 	s.mu.RLock()
-	if l.seg < 1 || l.seg > len(s.readers) {
+	if l.seg < 1 || int(l.seg) > len(s.readers) {
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("store: invalid segment %d for key %q", l.seg, key)
 	}
@@ -500,7 +519,6 @@ func (s *Store) readValue(key string, l loc) ([]byte, error) {
 	if _, err := r.ReadAt(buf, l.valOff); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("store: reading %q: %w", key, err)
 	}
-	s.cache.put(key, buf)
 	return buf, nil
 }
 
@@ -665,80 +683,6 @@ func (s *Store) GetTrace(id TraceID) (*darshan.Job, bool, error) {
 	return j, true, nil
 }
 
-// PutResult stores one categorization result under (trace, config
-// fingerprint). Re-putting the same key appends a new frame and the
-// index moves to it (last write wins, also on recovery replay).
-func (s *Store) PutResult(id TraceID, fp string, res *core.Result) error {
-	return s.PutResultCtx(context.Background(), id, fp, res)
-}
-
-// PutResultCtx is PutResult under a request-trace context: the commit
-// is recorded as a "store.commit" span (kind=result).
-func (s *Store) PutResultCtx(ctx context.Context, id TraceID, fp string, res *core.Result) error {
-	_, _, err := s.PutOutcomeCtx(ctx, id, fp, res, nil)
-	return err
-}
-
-// PutOutcomeCtx stores what categorizing one trace produced — its result
-// and, when expl is non-nil, its explanation — as one commit: the result
-// frame and then the explanation frame are staged under one lock,
-// written with one write(2), indexed together and acknowledged by one
-// durable wait. Recovery therefore finds both, neither, or (a tail torn
-// inside the second frame) the result alone — never an explanation
-// without its result. It returns the explanation's serialized size,
-// which feeds the explanation-size telemetry. A lost explanation only
-// degrades inspectability, so one that cannot be encoded does not fail
-// the trace: the result is committed alone and the encoding error comes
-// back as explErr.
-func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *core.Result, expl *explain.Explanation) (explSize int, explErr, err error) {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: encoding result %s: %w", id, err)
-	}
-	var pair [2]record
-	recs := append(pair[:0], record{kind: kindResult, key: resultKeyOf(id, fp), value: data})
-	if expl != nil {
-		edata, merr := json.Marshal(expl)
-		if merr != nil {
-			explErr = fmt.Errorf("store: encoding explanation %s: %w", id, merr)
-		} else {
-			recs = append(recs, record{kind: kindExplain, key: explainKeyOf(id, fp), value: edata})
-			explSize = len(edata)
-		}
-	}
-	return explSize, explErr, s.putRecords(ctx, "result", recs...)
-}
-
-// PutResultBytesCtx stores an already-serialized result verbatim — the
-// replication path, where a follower persists the owner's result JSON
-// without a decode/re-encode round trip. The bytes must be a result
-// encoding this store could have produced (DecodeResult validates on
-// the way in).
-func (s *Store) PutResultBytesCtx(ctx context.Context, id TraceID, fp string, data []byte) error {
-	if _, err := DecodeResult(data); err != nil {
-		return err
-	}
-	return s.putRecords(ctx, "result", record{kind: kindResult, key: resultKeyOf(id, fp), value: data})
-}
-
-// GetResultBytes returns the stored result encoding of (trace,
-// fingerprint) without decoding it — the replication read path, where
-// the bytes go straight back onto the wire. No hit/miss accounting.
-func (s *Store) GetResultBytes(id TraceID, fp string) ([]byte, bool, error) {
-	key := resultKeyOf(id, fp)
-	s.mu.RLock()
-	l, ok := s.index[key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, false, nil
-	}
-	data, err := s.readValue(key, l)
-	if err != nil {
-		return nil, false, err
-	}
-	return data, true, nil
-}
-
 // PutExplanation stores the decision-provenance record of (trace,
 // config fingerprint) — the same key scheme as results, under its own
 // record kind, so explanation and result always pair up. It returns
@@ -789,121 +733,16 @@ func (s *Store) HasExplanation(id TraceID, fp string) bool {
 	return ok
 }
 
-// DecodeResult parses a stored result encoding and rehydrates the
-// fields that do not survive JSON (the category set and the temporal
-// kind are serialized as strings). Exported for the cluster tier,
-// which ships result encodings between nodes and must decode them to
-// index categories on replicas.
-func DecodeResult(data []byte) (*core.Result, error) {
-	return decodeResult(data)
-}
-
-// decodeResult parses a stored result and rehydrates the fields that
-// do not survive JSON (the category set and the temporal kind are
-// serialized as strings).
-func decodeResult(data []byte) (*core.Result, error) {
-	var res core.Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("store: decoding result: %w", err)
-	}
-	res.Categories = category.NewSet()
-	for _, l := range res.Labels {
-		res.Categories.Add(category.Category(l))
-	}
-	res.Read.Temporal = temporalKindOf(res.Read.TemporalS)
-	res.Write.Temporal = temporalKindOf(res.Write.TemporalS)
-	return &res, nil
-}
-
-// temporalKindOf is the inverse of category.TemporalKind.String.
-func temporalKindOf(s string) category.TemporalKind {
-	for _, k := range category.TemporalKinds() {
-		if k.String() == s {
-			return k
-		}
-	}
-	return category.Insignificant
-}
-
-// GetResult returns the stored categorization of (trace, fingerprint),
-// reporting found-ness. Hits and misses feed Stats, the basis of the
-// serving layer's cache hit-rate metrics.
-func (s *Store) GetResult(id TraceID, fp string) (*core.Result, bool, error) {
-	key := resultKeyOf(id, fp)
-	s.mu.RLock()
-	l, ok := s.index[key]
-	s.mu.RUnlock()
-	if !ok {
-		s.misses.Add(1)
-		return nil, false, nil
-	}
-	data, err := s.readValue(key, l)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := decodeResult(data)
-	if err != nil {
-		return nil, false, err
-	}
-	s.hits.Add(1)
-	return res, true, nil
-}
-
-// HasResult reports whether a result is stored without reading it (no
-// hit/miss accounting).
-func (s *Store) HasResult(id TraceID, fp string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[resultKeyOf(id, fp)]
-	return ok
-}
-
-// EachResult calls fn for every stored result under the given config
-// fingerprint, in lexicographic trace-ID order (deterministic, so
-// index rebuilds are reproducible). fn returning false stops early.
-func (s *Store) EachResult(fp string, fn func(TraceID, *core.Result) bool) error {
-	suffix := "/" + fp
-	s.mu.RLock()
-	keys := make([]string, 0, s.results)
-	for k := range s.index {
-		if strings.HasPrefix(k, "r/") && strings.HasSuffix(k, suffix) {
-			keys = append(keys, k)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Strings(keys)
-	for _, key := range keys {
-		s.mu.RLock()
-		l, ok := s.index[key]
-		s.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		data, err := s.readValue(key, l)
-		if err != nil {
-			return err
-		}
-		res, err := decodeResult(data)
-		if err != nil {
-			return err
-		}
-		id := TraceID(strings.TrimSuffix(strings.TrimPrefix(key, "r/"), suffix))
-		if !fn(id, res) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// eachLive streams, in log order, the key and value of every frame of
-// the given kind that the index still points at (a frame whose key was
-// later rewritten is superseded and skipped): one buffered sequential
+// eachLive streams, in log order, the kind, key and value of every frame
+// whose key starts with prefix ("t/", "r/": one class of record) and
+// that the index still points at (a frame whose key was later rewritten
+// is superseded and skipped): one buffered sequential
 // pass over the segments, for the readers that want the whole log and
 // not one random read per key. Frames appended after the call began are
 // not visited, and a segment is read up to its first invalid frame, as
 // recovery reads it. value is reused between calls; fn returning false
 // stops the pass.
-func (s *Store) eachLive(kind byte, fn func(key, value []byte) bool) error {
+func (s *Store) eachLive(prefix string, fn func(kind byte, key, value []byte) bool) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -914,7 +753,7 @@ func (s *Store) eachLive(kind byte, fn func(key, value []byte) bool) error {
 	activeSize := s.size
 	s.mu.RUnlock()
 	for si, r := range readers {
-		seg := si + 1
+		seg := int32(si + 1)
 		limit := activeSize
 		if si != len(readers)-1 {
 			var err error
@@ -926,13 +765,13 @@ func (s *Store) eachLive(kind byte, fn func(key, value []byte) bool) error {
 			if !segmentFrame(k, key) {
 				return scanInvalid
 			}
-			if k != kind {
+			if len(key) < len(prefix) || string(key[:len(prefix)]) != prefix {
 				return scanToLimit
 			}
 			s.mu.RLock()
 			l, live := s.index[string(key)]
 			s.mu.RUnlock()
-			if live && l.seg == seg && l.valOff == valueOff(off, len(key)) && !fn(key, value) {
+			if live && l.seg == seg && l.valOff == valueOff(off, len(key)) && !fn(k, key, value) {
 				return scanStopped
 			}
 			return scanToLimit
@@ -947,47 +786,14 @@ func (s *Store) eachLive(kind byte, fn func(key, value []byte) bool) error {
 	return nil
 }
 
-// EachResultLabels streams the category labels of every live result
-// under the given config fingerprint, in log order (NOT sorted — the
-// caller orders). Where EachResult pays one random read plus a full
-// result decode per key, this is one sequential pass (eachLive) that
-// JSON-decodes only the "categories" field: the index-rebuild fast
-// path. The labels slice is reused between calls — fn must copy or
-// convert it before returning. fn returning false stops early.
-func (s *Store) EachResultLabels(fp string, fn func(TraceID, []string) bool) error {
-	prefix, suffix := []byte("r/"), []byte("/"+fp)
-	var labels struct {
-		Labels []string `json:"categories"`
-	}
-	var decodeErr error
-	err := s.eachLive(kindResult, func(key, doc []byte) bool {
-		if len(key) < len(prefix)+len(suffix) || !bytes.HasPrefix(key, prefix) || !bytes.HasSuffix(key, suffix) {
-			return true
-		}
-		var ok bool
-		if labels.Labels, ok = scanCategories(doc, labels.Labels[:0]); !ok {
-			labels.Labels = labels.Labels[:0]
-			if err := json.Unmarshal(doc, &labels); err != nil {
-				decodeErr = fmt.Errorf("store: decoding result %q: %w", key, err)
-				return false
-			}
-		}
-		return fn(TraceID(key[len(prefix):len(key)-len(suffix)]), labels.Labels)
-	})
-	if err != nil {
-		return err
-	}
-	return decodeErr
-}
-
 // EachTraceBlob streams every live trace blob in log order (eachLive):
 // the bulk backfill path, one readahead pass over the log instead of one
 // random read per trace. The blob slice is reused between calls — fn
 // must copy or decode it before returning. fn returning false stops
 // early.
 func (s *Store) EachTraceBlob(fn func(TraceID, []byte) bool) error {
-	return s.eachLive(kindTrace, func(key, blob []byte) bool {
-		return fn(TraceID(bytes.TrimPrefix(key, []byte("t/"))), blob)
+	return s.eachLive("t/", func(_ byte, key, blob []byte) bool {
+		return fn(TraceID(key[len("t/"):]), blob)
 	})
 }
 
@@ -1016,6 +822,7 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Traces:           s.traces,
 		Results:          s.results,
+		LegacyResults:    s.legacy,
 		Explanations:     s.explains,
 		Segments:         len(s.readers),
 		RecoveredFrames:  s.recoveredFrames,
