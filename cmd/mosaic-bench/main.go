@@ -36,7 +36,6 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/experiments"
 	"github.com/mosaic-hpc/mosaic/internal/report"
-	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
 func main() {
@@ -168,14 +167,14 @@ func run(exp string, apps int, seed int64, workers, sample int, outDir, traceOut
 	}
 
 	// Experiments that need the full corpus run share one; -trace-out
-	// forces the run so the span recorder has something to export.
+	// forces the run so there are spans to write.
 	var cr *experiments.CorpusRun
 	needCorpus := want("table2") || want("table3") || want("fig4") || want("fig5") || traceOut != ""
 	if needCorpus {
-		var tel *telemetry.Telemetry
+		var tel *engine.Telemetry
 		var obs engine.Observer
 		if traceOut != "" {
-			tel = telemetry.New(telemetry.Config{Spans: true})
+			tel = engine.NewTelemetry(engine.TelemetryConfig{Spans: true})
 			obs = tel
 		}
 		var err error
@@ -185,10 +184,10 @@ func run(exp string, apps int, seed int64, workers, sample int, outDir, traceOut
 		}
 		if tel != nil {
 			tel.FinishRun()
-			if err := writeChromeTrace(traceOut, tel); err != nil {
-				return err
+			if err := tel.WriteTrace(traceOut); err != nil {
+				return fmt.Errorf("writing %s: %w", traceOut, err)
 			}
-			fmt.Fprintf(out, "trace written to %s (%d spans)\n", traceOut, tel.Spans().Len())
+			fmt.Fprintf(out, "trace written to %s\n", traceOut)
 		}
 		fmt.Fprintf(out, "corpus: %d traces / %d valid / %d unique apps — generated+funneled in %v, categorized in %v\n",
 			cr.Funnel.Total, cr.Funnel.Valid, cr.Funnel.UniqueApps,
@@ -288,23 +287,6 @@ func writeStageBreakdown(out io.Writer, stages []engine.StageSnapshot) {
 	}
 	fmt.Fprintf(out, "pipeline stage breakdown:\n")
 	engine.WriteStageTable(out, stages)
-}
-
-// writeChromeTrace stores the recorded spans as a Chrome trace-event
-// JSON document.
-func writeChromeTrace(path string, tel *telemetry.Telemetry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := tel.Spans().WriteChromeTrace(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("writing %s: %w", path, werr)
-	}
-	return nil
 }
 
 // writeArtifacts stores the machine-readable outputs of a corpus run:

@@ -182,9 +182,9 @@ func main() {
 		"traces", sstats.Traces, "results", sstats.Results,
 		"segments", sstats.Segments, "dropped_tail_bytes", sstats.DroppedTailBytes)
 
-	// One telemetry bundle hosts the serve metrics, the engine stage
-	// metrics and the per-ingest spans; -debug-addr exposes all of it.
-	tel := telemetry.New(telemetry.Config{Spans: true, SpanLimit: 4096, Logger: log})
+	// One registry hosts every mosaic_* family of the node; -debug-addr
+	// exposes it a second time, next to pprof.
+	reg := telemetry.NewRegistry()
 	var flight *reqtrace.Recorder
 	if !*noTraces {
 		flight = reqtrace.NewRecorder(reqtrace.RecorderConfig{
@@ -230,7 +230,7 @@ func main() {
 		Workers:        *workers,
 		QueueDepth:     *queueDepth,
 		MaxUploadBytes: *maxUploadMB << 20,
-		Telemetry:      tel,
+		Metrics:        reg,
 		Log:            log,
 		Explain:        *explainOn,
 		ExplainMargin:  *explainM,
@@ -295,7 +295,7 @@ func main() {
 				telemetry.Route{Pattern: "GET /debug/requests", Handler: fh},
 				telemetry.Route{Pattern: "GET /debug/requests/{id}", Handler: fh})
 		}
-		dbg, err := telemetry.StartServer(*debugAddr, tel.Registry(), tel, log, extra...)
+		dbg, err := telemetry.StartServer(*debugAddr, reg, log, extra...)
 		if err != nil {
 			log.Error("debug server failed to start", "addr", *debugAddr, "err", err)
 			st.Close()

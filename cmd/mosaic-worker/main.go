@@ -58,7 +58,7 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 	if *debugAddr != "" {
-		dbg, err := telemetry.StartServer(*debugAddr, reg, nil, log)
+		dbg, err := telemetry.StartServer(*debugAddr, reg, log)
 		if err != nil {
 			log.Error("debug server failed to start", "addr", *debugAddr, "err", err)
 			os.Exit(1)

@@ -339,19 +339,10 @@ func runCorpus(ctx context.Context, dir string, cfg mosaic.Config, workers int, 
 // trace-event JSON (-trace-out) and the slowest-traces report (-slow).
 func writeCorpusTelemetry(tel *mosaic.Telemetry, co corpusOpts) error {
 	if co.traceOut != "" {
-		f, err := os.Create(co.traceOut)
-		if err != nil {
-			return err
+		if err := tel.WriteTrace(co.traceOut); err != nil {
+			return fmt.Errorf("writing %s: %w", co.traceOut, err)
 		}
-		werr := tel.Spans().WriteChromeTrace(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("writing %s: %w", co.traceOut, werr)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (%d spans; open in Perfetto or chrome://tracing)\n",
-			co.traceOut, tel.Spans().Len())
+		fmt.Fprintf(os.Stderr, "trace written to %s (open in Perfetto or chrome://tracing)\n", co.traceOut)
 	}
 	if co.slowK > 0 {
 		for _, stage := range []string{"decode", "funnel", "categorize"} {

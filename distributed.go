@@ -29,10 +29,8 @@ func ListenAndServeWorker(addr string) error { return dist.ListenAndServe(addr) 
 func DialWorker(addr string) (*WorkerClient, error) { return dist.Dial(addr) }
 
 // NewMaster wraps worker connections. The configuration a run applies is
-// the one in its Options; cfg is not kept.
-func NewMaster(clients []*WorkerClient, cfg Config) *Master {
-	return dist.NewMaster(clients, cfg)
-}
+// the one in its Options.
+func NewMaster(clients []*WorkerClient) *Master { return dist.NewMaster(clients) }
 
 // Cluster subsystem, re-exported: the consistent-hash routing table and
 // static membership of a sharded, replicated serve tier (see

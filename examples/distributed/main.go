@@ -47,7 +47,7 @@ func main() {
 		defer c.Close()
 		clients = append(clients, c)
 	}
-	master := mosaic.NewMaster(clients, mosaic.DefaultConfig())
+	master := mosaic.NewMaster(clients)
 
 	// A small synthetic corpus (including corrupted traces the funnel
 	// will evict before they ever reach the cluster).

@@ -85,7 +85,7 @@ func growI64(buf *[]int64, n int) []int64 {
 // MeanShiftStats reports the cost profile of one MeanShift call when a
 // pointer to it is attached to MeanShiftConfig.Stats. The same figures
 // are accumulated into package-wide totals (see TotalStats) that
-// internal/telemetry exports as mosaic_cluster_* metrics.
+// RegisterMetrics exports as mosaic_cluster_* metrics.
 type MeanShiftStats struct {
 	Points      int  // input points
 	Seeds       int  // shifted seeds (== Points unless BinSeeding)
@@ -98,7 +98,7 @@ type MeanShiftStats struct {
 }
 
 // Package-wide clustering cost counters, exported to /metrics through
-// internal/telemetry (RegisterClusterMetrics). Atomic: MeanShift may run
+// RegisterMetrics. Atomic: MeanShift may run
 // on many categorization workers at once.
 var clusterTotals struct {
 	runs, seeds, gridCells, iterations, earlyStops, parallelRuns atomic.Int64

@@ -1,17 +1,17 @@
-package telemetry
+package cluster
 
 import (
 	"sync"
 
-	"github.com/mosaic-hpc/mosaic/internal/cluster"
+	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
-// RegisterClusterMetrics exports the clustering engine's package-wide cost
-// counters (see cluster.TotalStats) on the registry as mosaic_cluster_*
-// counters. The counters are delta-synced by an OnCollect hook right
-// before each exposition, so the clustering hot path never touches the
-// registry — it only bumps its own atomics. Idempotent per registry.
-func RegisterClusterMetrics(reg *Registry) {
+// RegisterMetrics exports the package-wide clustering cost counters (see
+// TotalStats) on the registry as mosaic_cluster_* counters. The counters
+// are delta-synced by an OnCollect hook right before each exposition, so
+// the clustering hot path never touches the registry — it only bumps its
+// own atomics. Idempotent per registry.
+func RegisterMetrics(reg *telemetry.Registry) {
 	runs := reg.Counter("mosaic_cluster_runs_total",
 		"Mean Shift invocations.", nil)
 	seeds := reg.Counter("mosaic_cluster_seeds_total",
@@ -26,11 +26,11 @@ func RegisterClusterMetrics(reg *Registry) {
 		"Mean Shift runs that shifted seeds on multiple goroutines.", nil)
 
 	var mu sync.Mutex
-	var last cluster.Totals
+	var last Totals
 	reg.OnCollect("cluster", func() {
 		mu.Lock()
 		defer mu.Unlock()
-		t := cluster.TotalStats()
+		t := TotalStats()
 		runs.Add(t.Runs - last.Runs)
 		seeds.Add(t.Seeds - last.Seeds)
 		iters.Add(t.Iterations - last.Iterations)

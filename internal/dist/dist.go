@@ -248,10 +248,10 @@ type Master struct {
 	liveGauge  *telemetry.Gauge
 }
 
-// NewMaster wraps the given worker connections. The configuration is not
-// kept: every Categorize call names the one to apply, which is how the
-// engine hands its run's configuration to an executor.
-func NewMaster(clients []*Client, _ core.Config) *Master {
+// NewMaster wraps the given worker connections. It takes no
+// configuration: every Categorize call names the one to apply, which is
+// how the engine hands its run's configuration to an executor.
+func NewMaster(clients []*Client) *Master {
 	return &Master{clients: clients, dead: make([]atomic.Bool, len(clients))}
 }
 

@@ -123,7 +123,7 @@ func TestMasterRunFanOut(t *testing.T) {
 		clients = append(clients, c)
 		regs = append(regs, reg)
 	}
-	m := NewMaster(clients, core.DefaultConfig())
+	m := NewMaster(clients)
 	m.PerWorker = 3
 
 	const n = 40
@@ -199,7 +199,7 @@ func TestMasterFailover(t *testing.T) {
 	}
 	defer cAlive.Close()
 
-	m := NewMaster([]*Client{cDead, cAlive}, core.DefaultConfig())
+	m := NewMaster([]*Client{cDead, cAlive})
 	// Kill the first worker's connection before submitting.
 	lDead.Close()
 	cDead.Close()
@@ -231,7 +231,7 @@ func TestMasterAllWorkersDead(t *testing.T) {
 	}
 	l.Close()
 	c.Close()
-	m := NewMaster([]*Client{c}, core.DefaultConfig())
+	m := NewMaster([]*Client{c})
 	if _, err := m.Categorize(context.Background(), testJob(1), core.DefaultConfig()); err == nil {
 		t.Fatal("categorize succeeded with no live workers")
 	}
@@ -290,7 +290,7 @@ func TestMasterAsEngineExecutor(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		clients = append(clients, c)
 	}
-	m := NewMaster(clients, core.DefaultConfig())
+	m := NewMaster(clients)
 	if m.Concurrency() != 4 {
 		t.Fatalf("Concurrency = %d, want 2 workers x 2 in flight", m.Concurrency())
 	}
@@ -325,7 +325,7 @@ func TestMasterExecutorCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	m := NewMaster([]*Client{c}, core.DefaultConfig())
+	m := NewMaster([]*Client{c})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := m.Categorize(ctx, testJob(1), core.DefaultConfig()); err == nil {

@@ -92,7 +92,7 @@ func TestMasterInstrumentFailoverMetrics(t *testing.T) {
 	badClient.Close()
 
 	reg := telemetry.NewRegistry()
-	m := NewMaster([]*Client{badClient, goodClient}, core.DefaultConfig()).
+	m := NewMaster([]*Client{badClient, goodClient}).
 		Instrument(reg, slog.New(slog.NewTextHandler(io.Discard, nil)))
 
 	// Job 1's home worker is the bad one: the dispatch must fail over.

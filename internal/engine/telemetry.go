@@ -1,0 +1,311 @@
+package engine
+
+import (
+	"container/heap"
+	"encoding/json"
+	"errors"
+	"log/slog"
+	"net/http"
+	"sort"
+	"sync"
+	"time"
+
+	"github.com/mosaic-hpc/mosaic/internal/cluster"
+	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
+	"github.com/mosaic-hpc/mosaic/internal/telemetry"
+)
+
+// TelemetryConfig selects which components a Telemetry bundle enables.
+// The zero value enables metrics only.
+type TelemetryConfig struct {
+	// Metrics, when non-nil, is the registry engine metrics land in; nil
+	// creates a fresh registry.
+	Metrics *telemetry.Registry
+	// Spans records one span per item per stage into a run-level trace
+	// (see WriteTrace).
+	Spans bool
+	// SlowK retains the K slowest traces per stage (<= 0: 10).
+	SlowK int
+	// Logger, when non-nil, receives stage lifecycle log lines at debug
+	// level and per-stage summaries at info level.
+	Logger *slog.Logger
+}
+
+// Telemetry instruments one pipeline run: the mosaic_engine_* metrics,
+// the slow log, the stage stats behind /debug/engine, a logger and —
+// with Spans — the run's trace. It implements Observer and SpanObserver,
+// so passing it as (or composing it into) Options.Observer instruments
+// the whole pipeline.
+type Telemetry struct {
+	reg   *telemetry.Registry
+	run   *reqtrace.Trace // the run's spans; nil unless TelemetryConfig.Spans
+	slow  *SlowLog
+	stats *Stats
+	log   *slog.Logger
+
+	itemsIn   map[StageID]*telemetry.Counter
+	itemsOut  map[StageID]*telemetry.Counter
+	itemErrs  map[StageID]*telemetry.Counter
+	inFlight  map[StageID]*telemetry.Gauge
+	stageSecs map[StageID]*telemetry.Gauge
+	itemSecs  map[StageID]*telemetry.Histogram
+}
+
+// NewTelemetry builds a telemetry bundle. Engine metrics are registered
+// eagerly under the mosaic_engine_* namespace so /metrics is complete
+// before the first run.
+func NewTelemetry(cfg TelemetryConfig) *Telemetry {
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	cluster.RegisterMetrics(reg)
+	t := &Telemetry{
+		reg:       reg,
+		slow:      NewSlowLog(cfg.SlowK),
+		stats:     NewStats(),
+		log:       cfg.Logger,
+		itemsIn:   make(map[StageID]*telemetry.Counter),
+		itemsOut:  make(map[StageID]*telemetry.Counter),
+		itemErrs:  make(map[StageID]*telemetry.Counter),
+		inFlight:  make(map[StageID]*telemetry.Gauge),
+		stageSecs: make(map[StageID]*telemetry.Gauge),
+		itemSecs:  make(map[StageID]*telemetry.Histogram),
+	}
+	if cfg.Spans {
+		// The trace's start anchors the whole-stage envelope spans
+		// (FinishRun) and is the document's time origin.
+		t.run = reqtrace.New(reqtrace.StartOptions{Route: "mosaic run", Unbounded: true})
+	}
+	for _, s := range Stages() {
+		l := telemetry.Labels{"stage": string(s)}
+		t.itemsIn[s] = reg.Counter("mosaic_engine_items_in_total", "Items accepted by a pipeline stage.", l)
+		t.itemsOut[s] = reg.Counter("mosaic_engine_items_out_total", "Items emitted by a pipeline stage.", l)
+		t.itemErrs[s] = reg.Counter("mosaic_engine_item_errors_total", "Items that errored in a pipeline stage.", l)
+		t.inFlight[s] = reg.Gauge("mosaic_engine_in_flight", "Items currently inside a pipeline stage.", l)
+		t.stageSecs[s] = reg.Gauge("mosaic_engine_stage_seconds", "Wall seconds a pipeline stage has been running (final value once finished).", l)
+		t.itemSecs[s] = reg.Histogram("mosaic_engine_item_seconds", "Per-item latency of a pipeline stage.", nil, l)
+	}
+	return t
+}
+
+// Registry returns the bundle's metrics registry (for /metrics and for
+// registering further subsystem metrics, e.g. dist RPC).
+func (t *Telemetry) Registry() *telemetry.Registry { return t.reg }
+
+// Slow returns the slow-trace log.
+func (t *Telemetry) Slow() *SlowLog { return t.slow }
+
+// Stats returns the embedded per-stage counter collector, snapshotable
+// while the pipeline runs (it backs /debug/engine).
+func (t *Telemetry) Stats() *Stats { return t.stats }
+
+// Logger returns the bundle's logger (nil when logging is off).
+func (t *Telemetry) Logger() *slog.Logger { return t.log }
+
+// WriteTrace writes the run's spans to path as a Chrome trace-event
+// document — one lane per stage, one "X" event per item per stage with
+// the item's identity in args.item — through the writer of a serve
+// node's flight dumps. It needs TelemetryConfig.Spans.
+func (t *Telemetry) WriteTrace(path string) error {
+	if t.run == nil {
+		return errors.New("engine: WriteTrace on a bundle built without TelemetryConfig.Spans")
+	}
+	return reqtrace.WriteChromeFile(path, t.run)
+}
+
+// StageStarted implements Observer.
+func (t *Telemetry) StageStarted(s StageID) {
+	t.stats.StageStarted(s)
+	if t.log != nil {
+		t.log.Debug("stage started", "stage", string(s))
+	}
+}
+
+// StageFinished implements Observer.
+func (t *Telemetry) StageFinished(s StageID) {
+	t.stats.StageFinished(s)
+	snap := t.stats.Stage(s)
+	t.stageSecs[s].Set(snap.Wall.Seconds())
+	if t.log != nil {
+		t.log.Debug("stage finished", "stage", string(s),
+			"in", snap.In, "out", snap.Out, "errors", snap.Errors,
+			"wall", snap.Wall, "items_per_sec", snap.Throughput())
+	}
+}
+
+// trackInFlight reports whether in/out counts pair up one-to-one for
+// the stage. Scan only emits and the funnel is a reducing barrier
+// (many traces in, few groups out), so an in-flight gauge is
+// meaningless there.
+func trackInFlight(s StageID) bool {
+	return s != StageScan && s != StageFunnel
+}
+
+// ItemIn implements Observer.
+func (t *Telemetry) ItemIn(s StageID) {
+	t.stats.ItemIn(s)
+	t.itemsIn[s].Inc()
+	if trackInFlight(s) {
+		t.inFlight[s].Inc()
+	}
+}
+
+// ItemOut implements Observer.
+func (t *Telemetry) ItemOut(s StageID) {
+	t.stats.ItemOut(s)
+	t.itemsOut[s].Inc()
+	if trackInFlight(s) {
+		t.inFlight[s].Dec()
+	}
+}
+
+// ItemError implements Observer.
+func (t *Telemetry) ItemError(s StageID, err error) {
+	t.stats.ItemError(s, err)
+	t.itemErrs[s].Inc()
+	if trackInFlight(s) {
+		t.inFlight[s].Dec()
+	}
+	if t.log != nil {
+		t.log.Warn("item error", "stage", string(s), "err", err)
+	}
+}
+
+// ItemSpan implements SpanObserver: it feeds the latency histogram, the
+// slow log, and (when enabled) the run's trace, where the span is named
+// after its stage and carries the item's identity.
+func (t *Telemetry) ItemSpan(s StageID, name string, start time.Time, d time.Duration) {
+	t.itemSecs[s].Observe(d.Seconds())
+	t.slow.Observe(string(s), name, d)
+	if t.run != nil {
+		t.run.AddCompleted(t.run.Root(), string(s), start, d, reqtrace.Str("item", name))
+	}
+}
+
+// FinishRun records whole-stage spans ("run.<stage>", one lane) after a
+// pipeline run completes, so the Chrome trace shows the stage envelope
+// above the per-item spans. Safe to call when spans are disabled.
+func (t *Telemetry) FinishRun() {
+	if t.run == nil {
+		return
+	}
+	elapsed := time.Duration(0)
+	for _, snap := range t.stats.Snapshot() {
+		if !snap.Started {
+			continue
+		}
+		// Stage start offsets are not individually recorded; anchor every
+		// stage span at the run start. Stages overlap in a streaming
+		// pipeline anyway, so the envelope view stays honest.
+		t.run.AddCompleted(t.run.Root(), "run."+string(snap.Stage), t.run.Start(), snap.Wall)
+		if snap.Wall > elapsed {
+			elapsed = snap.Wall
+		}
+	}
+	if t.log != nil {
+		t.log.Info("pipeline run finished", "wall", elapsed)
+	}
+}
+
+// DebugRoute is the /debug/engine endpoint for telemetry.NewMux: the
+// live per-stage snapshot plus the slowest traces per stage, as JSON.
+func (t *Telemetry) DebugRoute() telemetry.Route {
+	return telemetry.Route{Pattern: "/debug/engine", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		state := struct {
+			Stages []StageSnapshot        `json:"stages"`
+			Slow   map[string][]SlowEntry `json:"slow,omitempty"`
+		}{t.stats.Snapshot(), t.slow.Snapshot()}
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(state)
+	})}
+}
+
+var (
+	_ Observer     = (*Telemetry)(nil)
+	_ SpanObserver = (*Telemetry)(nil)
+)
+
+// SlowEntry is one retained slow item: a trace (or app) and how long
+// one stage spent on it.
+type SlowEntry struct {
+	Stage string        `json:"stage"`
+	Name  string        `json:"name"`
+	Dur   time.Duration `json:"dur_ns"`
+}
+
+// slowHeap is a min-heap on duration, so the root is the fastest of the
+// retained K and eviction is O(log K).
+type slowHeap []SlowEntry
+
+func (h slowHeap) Len() int           { return len(h) }
+func (h slowHeap) Less(i, j int) bool { return h[i].Dur < h[j].Dur }
+func (h slowHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *slowHeap) Push(x any)        { *h = append(*h, x.(SlowEntry)) }
+func (h *slowHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// SlowLog retains the K slowest items per stage, concurrent-safe.
+type SlowLog struct {
+	mu sync.Mutex
+	k  int
+	by map[string]*slowHeap
+}
+
+// NewSlowLog returns a log keeping the k slowest entries per stage
+// (<= 0: 10).
+func NewSlowLog(k int) *SlowLog {
+	if k <= 0 {
+		k = 10
+	}
+	return &SlowLog{k: k, by: make(map[string]*slowHeap)}
+}
+
+// Observe records one item's duration in a stage.
+func (l *SlowLog) Observe(stage, name string, d time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	h, ok := l.by[stage]
+	if !ok {
+		h = &slowHeap{}
+		l.by[stage] = h
+	}
+	if h.Len() < l.k {
+		heap.Push(h, SlowEntry{Stage: stage, Name: name, Dur: d})
+		return
+	}
+	if d > (*h)[0].Dur {
+		(*h)[0] = SlowEntry{Stage: stage, Name: name, Dur: d}
+		heap.Fix(h, 0)
+	}
+}
+
+// Slowest returns the retained entries for one stage, slowest first.
+func (l *SlowLog) Slowest(stage string) []SlowEntry {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	h, ok := l.by[stage]
+	if !ok {
+		return nil
+	}
+	out := append([]SlowEntry(nil), (*h)...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Dur > out[j].Dur })
+	return out
+}
+
+// Snapshot returns every stage's slow entries, slowest first within a
+// stage, keyed by stage name.
+func (l *SlowLog) Snapshot() map[string][]SlowEntry {
+	l.mu.Lock()
+	stages := make([]string, 0, len(l.by))
+	for s := range l.by {
+		stages = append(stages, s)
+	}
+	l.mu.Unlock()
+	out := make(map[string][]SlowEntry, len(stages))
+	for _, s := range stages {
+		out[s] = l.Slowest(s)
+	}
+	return out
+}

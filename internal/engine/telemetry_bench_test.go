@@ -1,4 +1,4 @@
-package telemetry
+package engine
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
-	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
 )
 
@@ -19,7 +18,7 @@ import (
 // so the ratio reflects production work per item, not fixed per-item
 // observer cost against near-empty jobs.
 //
-//	go test -bench 'EngineRun' -benchtime 20x ./internal/telemetry
+//	go test -bench 'EngineRun' -benchtime 20x ./internal/engine
 
 func benchJobs(n int) []*darshan.Job {
 	rng := rand.New(rand.NewSource(17))
@@ -39,11 +38,11 @@ func benchJobs(n int) []*darshan.Job {
 	return jobs
 }
 
-func benchmarkEngineRun(b *testing.B, mk func() engine.Observer) {
+func benchmarkEngineRun(b *testing.B, mk func() Observer) {
 	jobs := benchJobs(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := engine.Run(context.Background(), engine.Jobs(jobs), engine.Options{
+		_, err := Run(context.Background(), Jobs(jobs), Options{
 			Workers:  4,
 			Observer: mk(),
 		})
@@ -54,11 +53,11 @@ func benchmarkEngineRun(b *testing.B, mk func() engine.Observer) {
 }
 
 func BenchmarkEngineRunNopObserver(b *testing.B) {
-	benchmarkEngineRun(b, func() engine.Observer { return engine.NopObserver{} })
+	benchmarkEngineRun(b, func() Observer { return NopObserver{} })
 }
 
 func BenchmarkEngineRunFullTelemetry(b *testing.B) {
-	benchmarkEngineRun(b, func() engine.Observer {
-		return New(Config{Spans: true, SlowK: 10})
+	benchmarkEngineRun(b, func() Observer {
+		return NewTelemetry(TelemetryConfig{Spans: true, SlowK: 10})
 	})
 }

@@ -117,48 +117,17 @@ func (r *Recorder) dump(t *Trace) (string, error) {
 		return "", r.dirErr
 	}
 	path := filepath.Join(r.cfg.Dir, "req-"+t.ID().String()+".trace.json")
-	data, err := json.MarshalIndent(ChromeTrace(t), "", " ")
-	if err != nil {
-		return "", err
-	}
-	// Write-then-rename so a crash mid-dump never leaves a torn JSON
-	// file for tooling to trip over.
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return "", err
-	}
-	return path, nil
+	return path, WriteChromeFile(path, t)
 }
 
-// DumpSnapshot writes every retained trace as one merged Chrome-trace
-// JSON document at path — the flight-recorder half of an alert's
-// diagnostic bundle. Each trace renders as its own process, so Perfetto
-// shows the recent requests side by side.
+// DumpSnapshot writes every retained trace as one Chrome-trace JSON
+// document at path — the flight-recorder half of an alert's diagnostic
+// bundle: the recent requests side by side on one time axis.
 func (r *Recorder) DumpSnapshot(path string) error {
-	traces := r.snapshot()
-	merged := chromeDoc{DisplayTimeUnit: "ms"}
-	for i, t := range traces {
-		doc := ChromeTrace(t).(chromeDoc)
-		for j := range doc.TraceEvents {
-			doc.TraceEvents[j].Pid = i + 1
-		}
-		merged.TraceEvents = append(merged.TraceEvents, doc.TraceEvents...)
-	}
-	data, err := json.MarshalIndent(merged, "", " ")
-	if err != nil {
-		return err
-	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return WriteChromeFile(path, r.snapshot()...)
 }
 
 // snapshot returns the retained traces, newest first.
@@ -190,7 +159,7 @@ type chromeEvent struct {
 	Name string            `json:"name"`
 	Cat  string            `json:"cat,omitempty"`
 	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"` // µs since the trace start
+	Ts   float64           `json:"ts"` // µs since the document's epoch
 	Dur  float64           `json:"dur,omitempty"`
 	Pid  int               `json:"pid"`
 	Tid  int               `json:"tid"`
@@ -203,30 +172,53 @@ type chromeDoc struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// ChromeTrace renders one request trace as a Perfetto-loadable Chrome
-// trace document: one named lane per subsystem, one "X" event per
-// span, span/parent IDs and attributes in args.
-func ChromeTrace(t *Trace) any {
+// WriteChromeFile writes traces as one Perfetto-loadable Chrome
+// trace-event document at path: the only writer of that format, under a
+// flight dump, an alert's diagnostic bundle and a corpus run's
+// -trace-out alike. Each trace is a process with one named lane per
+// subsystem and one "X" event per span, span/parent IDs and attributes
+// in args; every ts counts from the earliest trace's start, so traces
+// keep their order and overlap. Write-then-rename: a crash mid-write
+// never leaves a torn JSON file for tooling to trip over.
+func WriteChromeFile(path string, traces ...*Trace) error {
+	var epoch time.Time
+	for _, t := range traces {
+		if epoch.IsZero() || t.start.Before(epoch) {
+			epoch = t.start
+		}
+	}
+	doc := chromeDoc{DisplayTimeUnit: "ms"}
+	for i, t := range traces {
+		doc.TraceEvents = appendChromeEvents(doc.TraceEvents, t, i+1, epoch)
+	}
+	data, err := json.MarshalIndent(doc, "", " ")
+	if err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// appendChromeEvents renders one trace as process pid.
+func appendChromeEvents(events []chromeEvent, t *Trace, pid int, epoch time.Time) []chromeEvent {
 	spans := t.Spans()
 	lanes := map[string]int{}
-	order := []string{}
+	events = append(events, chromeEvent{
+		Name: "process_name", Ph: "M", Pid: pid,
+		Args: map[string]string{"name": t.name() + " " + t.ID().String()},
+	})
 	for _, s := range spans {
 		l := laneOf(s.Name)
 		if _, ok := lanes[l]; !ok {
-			lanes[l] = len(order)
-			order = append(order, l)
+			lanes[l] = len(lanes)
+			events = append(events, chromeEvent{
+				Name: "thread_name", Ph: "M", Pid: pid, Tid: lanes[l],
+				Args: map[string]string{"name": l},
+			})
 		}
-	}
-	events := make([]chromeEvent, 0, len(spans)+len(order)+1)
-	events = append(events, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: 1,
-		Args: map[string]string{"name": "request " + t.ID().String()},
-	})
-	for _, l := range order {
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: lanes[l],
-			Args: map[string]string{"name": l},
-		})
 	}
 	for _, s := range spans {
 		args := map[string]string{
@@ -243,15 +235,16 @@ func ChromeTrace(t *Trace) any {
 			args["request_id"] = t.reqID
 			args["trace_id"] = t.id.String()
 		}
+		lane := laneOf(s.Name)
 		events = append(events, chromeEvent{
-			Name: s.Name, Cat: laneOf(s.Name), Ph: "X",
-			Ts:  float64(s.Start.Sub(t.start).Nanoseconds()) / 1e3,
+			Name: s.Name, Cat: lane, Ph: "X",
+			Ts:  float64(s.Start.Sub(epoch).Nanoseconds()) / 1e3,
 			Dur: float64(s.Dur.Nanoseconds()) / 1e3,
-			Pid: 1, Tid: lanes[laneOf(s.Name)],
+			Pid: pid, Tid: lanes[lane],
 			Args: args,
 		})
 	}
-	return chromeDoc{TraceEvents: events, DisplayTimeUnit: "ms"}
+	return events
 }
 
 // Summary is one /debug/requests row: a completed request with its

@@ -143,14 +143,14 @@ type Span struct {
 
 // maxSpans bounds one trace's span count so a pathological request
 // cannot grow a trace without bound; spans past the cap are counted,
-// not retained.
+// not retained. StartOptions.Unbounded lifts it.
 const maxSpans = 512
 
 // inlineSpans and inlineAttrs size the scratch storage every live
 // trace starts with: a typical ingest records ~10 spans (root, decode,
-// two commits, queue wait, worker, engine stages, index update) with a
-// couple of annotations each, so recording spans on the common request
-// never touches the allocator.
+// two commits, queue wait, worker, funnel, categorize, index update)
+// with a couple of annotations each, so recording spans on the common
+// request never touches the allocator.
 const (
 	inlineSpans = 12
 	inlineAttrs = 24
@@ -173,10 +173,10 @@ type traceScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(traceScratch) }}
 
 // Trace is one request's span tree, safe for concurrent use: the HTTP
-// goroutine, queue workers and engine stage goroutines all record into
-// it. It finalizes once — when FinishRoot has run and every Hold has
-// been Released — and then invokes the OnDone hook (normally the
-// flight recorder) exactly once.
+// goroutine and queue workers (or, for a run-level trace, the engine's
+// stage goroutines) all record into it. It finalizes once — when
+// FinishRoot has run and every Hold has been Released — and then invokes
+// the OnDone hook (normally the flight recorder) exactly once.
 type Trace struct {
 	id           TraceID
 	root         SpanID
@@ -193,6 +193,7 @@ type Trace struct {
 	mu        sync.Mutex
 	spans     []Span
 	arena     []Attr // attribute storage shared by this trace's spans
+	unbounded bool   // no maxSpans cap
 	dropped   int
 	refs      int
 	rootEnded bool
@@ -216,6 +217,11 @@ type StartOptions struct {
 	Method, Route string
 	// Start is the request arrival time (zero: now).
 	Start time.Time
+	// Unbounded lifts the per-trace span cap. It is for the one trace
+	// that is not a request: a corpus run's, whose span count is the size
+	// of the corpus its operator asked to have traced. A request trace
+	// stays capped — a 1024-item batch must not grow one without limit.
+	Unbounded bool
 	// OnDone runs exactly once when the trace finalizes; the flight
 	// recorder's Complete is the usual target. It is invoked
 	// synchronously from whichever goroutine releases the last
@@ -227,13 +233,14 @@ type StartOptions struct {
 // FinishRoot).
 func New(o StartOptions) *Trace {
 	t := &Trace{
-		reqID:  o.RequestID,
-		method: o.Method,
-		route:  o.Route,
-		start:  o.Start,
-		refs:   1,
-		onDone: o.OnDone,
-		status: -1,
+		reqID:     o.RequestID,
+		method:    o.Method,
+		route:     o.Route,
+		start:     o.Start,
+		unbounded: o.Unbounded,
+		refs:      1,
+		onDone:    o.OnDone,
+		status:    -1,
 	}
 	if t.start.IsZero() {
 		t.start = time.Now()
@@ -270,6 +277,16 @@ func (t *Trace) RequestID() string { return t.reqID }
 
 // Start returns the request arrival time.
 func (t *Trace) Start() time.Time { return t.start }
+
+// name is what the trace traces — "POST /v1/traces", or the bare route
+// when there is no method: the root span's name and the trace's label in
+// a Chrome-trace document.
+func (t *Trace) name() string {
+	if t.method == "" {
+		return t.route
+	}
+	return t.method + " " + t.route
+}
 
 // Traceparent returns the outgoing traceparent header value for this
 // trace's root span (cached — no per-call formatting).
@@ -354,12 +371,8 @@ func (t *Trace) FinishRoot(status int, attrs ...Attr) {
 	if !t.rootEnded {
 		t.rootEnded = true
 		t.status = status
-		name := t.route
-		if t.method != "" {
-			name = t.method + " " + t.route
-		}
 		t.addLockedExtra(Span{
-			ID: t.root, Parent: t.remoteParent, Name: name,
+			ID: t.root, Parent: t.remoteParent, Name: t.name(),
 			Start: t.start, Dur: now.Sub(t.start),
 		}, attrs, Attr{Key: "http.status", Value: statusString(status)})
 	}
@@ -389,7 +402,7 @@ func statusString(code int) string {
 // arena (so callers' attr slices never escape) and maintaining the
 // trace envelope end. Callers hold t.mu.
 func (t *Trace) addLocked(s Span, attrs []Attr) {
-	if len(t.spans) >= maxSpans {
+	if len(t.spans) >= maxSpans && !t.unbounded {
 		t.dropped++
 		return
 	}
@@ -404,7 +417,7 @@ func (t *Trace) addLocked(s Span, attrs []Attr) {
 // attrs — it lands in the arena alongside them, so FinishRoot can tag
 // the root span's status without building a combined slice first.
 func (t *Trace) addLockedExtra(s Span, attrs []Attr, extra Attr) {
-	if len(t.spans) >= maxSpans {
+	if len(t.spans) >= maxSpans && !t.unbounded {
 		t.dropped++
 		return
 	}
@@ -422,19 +435,22 @@ func (t *Trace) addLockedExtra(s Span, attrs []Attr, extra Attr) {
 	}
 }
 
-// claimAttrsLocked copies attrs into the trace's inline arena, falling
-// back to a plain heap copy once the arena is exhausted. Callers hold
-// t.mu. The returned slice is capped at its length so a later SetAttr
-// append cannot bleed into the next span's storage.
+// claimAttrsLocked copies attrs into the trace's arena. Callers hold
+// t.mu. A full arena is replaced by one twice its size (spans recorded
+// so far keep their slices of the old one), so a trace of many spans —
+// a corpus run's has one per item per stage — allocates per doubling,
+// not per span. The returned slice is capped at its length so a later
+// SetAttr append cannot bleed into the next span's storage.
 func (t *Trace) claimAttrsLocked(attrs []Attr) []Attr {
 	if len(attrs) == 0 {
 		return nil
 	}
-	if n := len(t.arena); n+len(attrs) <= cap(t.arena) {
-		t.arena = append(t.arena, attrs...)
-		return t.arena[n:len(t.arena):len(t.arena)]
+	if len(t.arena)+len(attrs) > cap(t.arena) {
+		t.arena = make([]Attr, 0, max(2*cap(t.arena), len(attrs)))
 	}
-	return append([]Attr(nil), attrs...)
+	n := len(t.arena)
+	t.arena = append(t.arena, attrs...)
+	return t.arena[n:len(t.arena):len(t.arena)]
 }
 
 // AddCompleted records an already-timed span under the given parent
@@ -638,8 +654,7 @@ func (s *ActiveSpan) End() {
 }
 
 // AddSpan records an already-timed span under the context's current
-// parent (queue waits, engine stage spans replayed from the
-// SpanObserver seam). No-op on untraced contexts.
+// parent (a queue wait, say). No-op on untraced contexts.
 func AddSpan(ctx context.Context, name string, start time.Time, dur time.Duration, attrs ...Attr) {
 	sc, ok := ctx.Value(ctxKey{}).(*spanRef)
 	if !ok {

@@ -227,6 +227,22 @@ func TestMaxSpansDropped(t *testing.T) {
 	if got := tr.Dropped(); got != 11 {
 		t.Fatalf("dropped = %d, want 11", got)
 	}
+
+	// The one trace that is not a request's lifts the cap, and spans
+	// past the inline arena keep their own attributes.
+	run := New(StartOptions{Unbounded: true})
+	for i := 0; i < maxSpans+10; i++ {
+		run.AddCompleted(run.Root(), "s", time.Now(), time.Microsecond, Int("i", int64(i)))
+	}
+	spans := run.Spans()
+	if len(spans) != maxSpans+10 || run.Dropped() != 0 {
+		t.Fatalf("unbounded trace kept %d spans and dropped %d, want %d and 0", len(spans), run.Dropped(), maxSpans+10)
+	}
+	for i, sp := range spans {
+		if len(sp.Attrs) != 1 || sp.Attrs[0] != Int("i", int64(i)) {
+			t.Fatalf("span %d attrs = %v", i, sp.Attrs)
+		}
+	}
 }
 
 func TestErroredAndDuration(t *testing.T) {

@@ -159,7 +159,7 @@ type Cluster struct {
 	srv     *Server
 	peers   map[string]*peer // keyed by node ID; excludes self
 	order   []string         // peer IDs in ring (ID) order
-	met     *telemetry.RingMetrics
+	met     *Metrics
 	log     *slog.Logger
 	events  *events.Log // nil: no journal
 
@@ -202,7 +202,7 @@ func NewCluster(cfg Config, backend Backend) (*Cluster, error) {
 		self:    self,
 		backend: backend,
 		peers:   make(map[string]*peer),
-		met:     telemetry.NewRingMetrics(reg),
+		met:     newMetrics(reg),
 		log:     cfg.Log,
 		events:  cfg.Events,
 		hints:   make(map[string]map[string]struct{}),
@@ -244,7 +244,7 @@ func (c *Cluster) ReplicaAck() int { return c.cfg.ReplicaAck }
 
 // Metrics returns the ring instrument bundle, shared with the serve
 // tier (which owns the degraded-ack accounting).
-func (c *Cluster) Metrics() *telemetry.RingMetrics { return c.met }
+func (c *Cluster) Metrics() *Metrics { return c.met }
 
 // RepairAfter returns the replica self-repair deadline.
 func (c *Cluster) RepairAfter() time.Duration { return c.cfg.RepairAfter }

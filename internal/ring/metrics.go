@@ -1,48 +1,49 @@
-package telemetry
+package ring
 
-// RingMetrics is the pre-registered instrument bundle of the cluster
-// subsystem (internal/ring), mirroring ExplainMetrics: the ring layer
-// increments fields directly, so the inter-node hot path never touches
-// the registry's registration lock.
-type RingMetrics struct {
+import "github.com/mosaic-hpc/mosaic/internal/telemetry"
+
+// Metrics is the ring layer's pre-registered instrument bundle: the
+// layer increments fields directly, so the inter-node hot path never
+// touches the registry's registration lock.
+type Metrics struct {
 	// RPCSeconds is the client-side latency of one inter-node call.
-	RPCSeconds *Histogram
+	RPCSeconds *telemetry.Histogram
 	// RPCErrors counts failed inter-node calls (transport or peer error).
-	RPCErrors *Counter
+	RPCErrors *telemetry.Counter
 	// ForwardedTraces counts ingested traces routed to their ring owner
 	// on another node.
-	ForwardedTraces *Counter
+	ForwardedTraces *telemetry.Counter
 	// ReplicatedTraces counts trace copies shipped to follower replicas.
-	ReplicatedTraces *Counter
+	ReplicatedTraces *telemetry.Counter
 	// ResultPushes counts categorization results pushed to replicas.
-	ResultPushes *Counter
+	ResultPushes *telemetry.Counter
 	// HedgedRequests counts reads re-issued to a replica because the
 	// owner missed the hedge deadline.
-	HedgedRequests *Counter
+	HedgedRequests *telemetry.Counter
 	// DegradedAcks counts ingest acknowledgments issued with fewer
 	// durable replica copies than configured (followers down).
-	DegradedAcks *Counter
+	DegradedAcks *telemetry.Counter
 	// HintsQueued / HintsReplayed / HintsDropped track hinted handoff:
 	// replications deferred because a follower was down, later replayed,
 	// or dropped past the per-peer hint cap.
-	HintsQueued   *Counter
-	HintsReplayed *Counter
-	HintsDropped  *Counter
+	HintsQueued   *telemetry.Counter
+	HintsReplayed *telemetry.Counter
+	HintsDropped  *telemetry.Counter
 	// HintsPending is the current hinted-handoff backlog.
-	HintsPending *Gauge
+	HintsPending *telemetry.Gauge
 	// PeersUp is how many peers the health prober currently considers
 	// reachable.
-	PeersUp *Gauge
+	PeersUp *telemetry.Gauge
 	// ProbeFailures counts failed health probes.
-	ProbeFailures *Counter
+	ProbeFailures *telemetry.Counter
 	// VersionMismatches counts probes answered by a peer running a
 	// different routing-table version — a misconfigured cluster.
-	VersionMismatches *Counter
+	VersionMismatches *telemetry.Counter
 }
 
-// NewRingMetrics registers the mosaic_ring_* instruments in reg.
-func NewRingMetrics(reg *Registry) *RingMetrics {
-	return &RingMetrics{
+// newMetrics registers the mosaic_ring_* instruments in reg.
+func newMetrics(reg *telemetry.Registry) *Metrics {
+	return &Metrics{
 		RPCSeconds: reg.Histogram("mosaic_ring_rpc_seconds",
 			"Latency of one inter-node RPC (client side).", nil, nil),
 		RPCErrors: reg.Counter("mosaic_ring_rpc_errors_total",

@@ -1,35 +1,37 @@
-package telemetry
+package serve
 
-// ExplainMetrics groups the decision-provenance instruments: how many
+import "github.com/mosaic-hpc/mosaic/internal/telemetry"
+
+// explainMetrics groups the decision-provenance instruments: how many
 // explanations were collected, how much evidence they carry, and how
 // often rules were within the near-miss margin of flipping. A corpus
 // whose near-miss ratio trends up is category-flip-prone — small
 // threshold or workload changes will relabel it — and that shows up on
 // /metrics before it surprises anyone.
-type ExplainMetrics struct {
+type explainMetrics struct {
 	// Explanations counts collected explanations
 	// (mosaic_explain_explanations_total).
-	Explanations *Counter
+	Explanations *telemetry.Counter
 	// Evidence counts evidence entries across all explanations
 	// (mosaic_explain_evidence_total).
-	Evidence *Counter
+	Evidence *telemetry.Counter
 	// NearMisses counts near-miss evidence entries
 	// (mosaic_explain_near_misses_total).
-	NearMisses *Counter
+	NearMisses *telemetry.Counter
 	// EvidenceEntries is the per-explanation evidence-count distribution
 	// (mosaic_explain_evidence_entries).
-	EvidenceEntries *Histogram
+	EvidenceEntries *telemetry.Histogram
 	// NearMissRatio is the per-explanation near-miss fraction
 	// (mosaic_explain_near_miss_ratio).
-	NearMissRatio *Histogram
+	NearMissRatio *telemetry.Histogram
 	// Bytes is the serialized explanation size distribution
 	// (mosaic_explain_bytes).
-	Bytes *Histogram
+	Bytes *telemetry.Histogram
 }
 
-// NewExplainMetrics registers the explain instruments in reg.
-func NewExplainMetrics(reg *Registry) *ExplainMetrics {
-	return &ExplainMetrics{
+// newExplainMetrics registers the explain instruments in reg.
+func newExplainMetrics(reg *telemetry.Registry) *explainMetrics {
+	return &explainMetrics{
 		Explanations: reg.Counter("mosaic_explain_explanations_total",
 			"Decision-provenance explanations collected.", nil),
 		Evidence: reg.Counter("mosaic_explain_evidence_total",
@@ -50,7 +52,7 @@ func NewExplainMetrics(reg *Registry) *ExplainMetrics {
 
 // Observe records one explanation's evidence count, near-miss count and
 // serialized size.
-func (m *ExplainMetrics) Observe(evidence, nearMisses, bytes int) {
+func (m *explainMetrics) Observe(evidence, nearMisses, bytes int) {
 	if m == nil {
 		return
 	}

@@ -1,13 +1,15 @@
-package telemetry
+package serve
 
 import (
 	"strings"
 	"testing"
+
+	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
 func TestExplainMetricsObserve(t *testing.T) {
-	reg := NewRegistry()
-	m := NewExplainMetrics(reg)
+	reg := telemetry.NewRegistry()
+	m := newExplainMetrics(reg)
 
 	m.Observe(20, 2, 4096)
 	m.Observe(10, 0, 1024)
@@ -35,11 +37,11 @@ func TestExplainMetricsObserve(t *testing.T) {
 
 func TestExplainMetricsEdgeCases(t *testing.T) {
 	// A nil receiver is a no-op, so callers need no instrumentation guard.
-	var m *ExplainMetrics
+	var m *explainMetrics
 	m.Observe(5, 1, 100) // must not panic
 
-	reg := NewRegistry()
-	m = NewExplainMetrics(reg)
+	reg := telemetry.NewRegistry()
+	m = newExplainMetrics(reg)
 	// Zero evidence: no ratio observation (avoid 0/0), no bytes when <= 0.
 	m.Observe(0, 0, 0)
 	if s := m.NearMissRatio.Snapshot(); s.Count != 0 {
@@ -54,8 +56,8 @@ func TestExplainMetricsEdgeCases(t *testing.T) {
 }
 
 func TestExplainMetricsExposition(t *testing.T) {
-	reg := NewRegistry()
-	m := NewExplainMetrics(reg)
+	reg := telemetry.NewRegistry()
+	m := newExplainMetrics(reg)
 	m.Observe(16, 1, 2048)
 
 	var b strings.Builder
@@ -80,7 +82,7 @@ func TestExplainMetricsExposition(t *testing.T) {
 	// Registering twice against the same registry returns the same
 	// instruments (idempotent), so server restarts of subsystems
 	// accumulate rather than panic.
-	m2 := NewExplainMetrics(reg)
+	m2 := newExplainMetrics(reg)
 	m2.Explanations.Inc()
 	if got := m.Explanations.Value(); got != 2 {
 		t.Fatalf("re-registered metrics not shared: %d", got)

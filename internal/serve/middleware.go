@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
 	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
@@ -17,8 +16,9 @@ import (
 // edge → response write; the trace itself finalizes — and reaches the
 // flight recorder — only when the async work the request spawned has
 // released its references, so a 202-acked ingest's trace still ends up
-// containing the queue wait, the engine stages, the group commit and
-// the index update that happened after the response went out.
+// containing the queue wait, the funnel check, the categorization, the
+// group commit and the index update that happened after the response
+// went out.
 
 // routePatterns are the service's route identities, used both to
 // normalize metric labels (bounded cardinality: {id} stays literal) and
@@ -142,19 +142,4 @@ func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 		}
 		t.FinishRoot(rec.status)
 	})
-}
-
-// engineSpans replays the engine's per-item stage spans (decode,
-// funnel, categorize — the SpanObserver seam from the batch telemetry
-// layer) into a request trace as "engine:<stage>" spans, children of
-// the worker's categorize span.
-type engineSpans struct {
-	engine.NopObserver
-	t      *reqtrace.Trace
-	parent reqtrace.SpanID
-}
-
-// ItemSpan implements engine.SpanObserver.
-func (o engineSpans) ItemSpan(stage engine.StageID, name string, start time.Time, d time.Duration) {
-	o.t.AddCompleted(o.parent, "engine:"+string(stage), start, d, reqtrace.Str("item", name))
 }

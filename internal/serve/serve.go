@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/mosaic-hpc/mosaic/internal/cluster"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
@@ -71,12 +72,8 @@ type Config struct {
 	// Executor, when non-nil, replaces the in-process Categorize
 	// backend — pass a dist Master to categorize on remote workers.
 	Executor engine.Executor
-	// Telemetry, when non-nil, observes every categorization as the
-	// engine's observer (per-trace spans, engine stage metrics) and
-	// hosts the serve metrics in its registry.
-	Telemetry *telemetry.Telemetry
-	// Metrics, when non-nil (and Telemetry is nil), hosts the serve
-	// metrics. With both nil a private registry is created.
+	// Metrics, when non-nil, hosts the serve metrics; nil creates a
+	// private registry.
 	Metrics *telemetry.Registry
 	// Log receives structured request/worker logs (nil: silent).
 	Log *slog.Logger
@@ -162,7 +159,6 @@ type Server struct {
 
 	exec       engine.Executor
 	exExec     engine.ExplainExecutor // exec's explain capability; nil: plain Categorize
-	obs        engine.Observer        // the telemetry bundle, or a no-op
 	maxUpload  int64
 	queueCap   int
 	queue      chan ingestJob
@@ -208,11 +204,12 @@ type Server struct {
 	routeMetrics   map[string]routeInstruments
 	ingestSecs     *telemetry.Histogram
 	categorizeSecs *telemetry.Histogram
+	failures       map[string]*telemetry.Counter // by failure reason, see recordFailure
 	querySecs      *telemetry.Histogram
 	queries        *telemetry.Counter
 	resultsServed  *telemetry.Counter
 	explainsServed *telemetry.Counter
-	exMetrics      *telemetry.ExplainMetrics
+	exMetrics      *explainMetrics
 }
 
 // New builds a server over an open store: it rebuilds the category
@@ -245,18 +242,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Explain {
 		exExec, _ = exec.(engine.ExplainExecutor)
 	}
-	var obs engine.Observer = engine.NopObserver{}
-	if cfg.Telemetry != nil {
-		obs = cfg.Telemetry
-	}
 	reg := cfg.Metrics
-	if cfg.Telemetry != nil {
-		reg = cfg.Telemetry.Registry()
-	}
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	telemetry.RegisterClusterMetrics(reg)
+	cluster.RegisterMetrics(reg)
 	analysis := cfg.Analysis.Normalized()
 	s := &Server{
 		st:        cfg.Store,
@@ -266,7 +256,6 @@ func New(cfg Config) (*Server, error) {
 		log:       cfg.Log,
 		exec:      exec,
 		exExec:    exExec,
-		obs:       obs,
 		maxUpload: maxUpload,
 		queueCap:  depth,
 		queue:     make(chan ingestJob, depth),
@@ -336,11 +325,6 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.DisableAlerts {
 		s.startAlerts(cfg.AlertOptions)
 	}
-	// The worker pool is the engine's stages for as long as the server
-	// runs: they start here and finish when Shutdown has drained it.
-	for _, st := range engine.Stages() {
-		s.obs.StageStarted(st)
-	}
 	for w := 0; w < workers; w++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -381,12 +365,17 @@ func (s *Server) registerMetrics() {
 		"Time a trace spent in the ingest queue before a worker picked it up.", nil, nil)
 	s.ingestSecs = s.reg.Histogram("mosaic_serve_ingest_seconds", "Ingest request latency.", nil, nil)
 	s.categorizeSecs = s.reg.Histogram("mosaic_serve_categorize_seconds", "Per-trace categorization latency in the worker pool.", nil, nil)
+	s.failures = make(map[string]*telemetry.Counter)
+	for _, why := range []string{failEvicted, failError, failPersist} {
+		s.failures[why] = s.reg.Counter("mosaic_serve_categorize_failures_total",
+			"Queued traces that produced no result, by reason.", telemetry.Labels{"reason": why})
+	}
 	s.querySecs = s.reg.Histogram("mosaic_serve_query_seconds", "Query request latency.", nil, nil)
 	s.queries = s.reg.Counter("mosaic_serve_queries_total", "Category queries served.", nil)
 	s.resultsServed = s.reg.Counter("mosaic_serve_results_total", "Result lookups served.", nil)
 	s.explainsServed = s.reg.Counter("mosaic_serve_explains_total", "Explanation lookups served.", nil)
 	if s.explainOn {
-		s.exMetrics = telemetry.NewExplainMetrics(s.reg)
+		s.exMetrics = newExplainMetrics(s.reg)
 	}
 	if s.traceOn {
 		s.registerRouteMetrics()
@@ -552,10 +541,20 @@ func (s *Server) PendingCount() int {
 	return len(s.pending)
 }
 
-// recordFailure remembers why a trace produced no result (bounded:
-// oldest entries are dropped arbitrarily past 4096 — failure detail
-// is diagnostic, the authoritative state is the store).
-func (s *Server) recordFailure(id store.TraceID, reason string) {
+// Why a queued trace produced no result: the reason label of
+// mosaic_serve_categorize_failures_total.
+const (
+	failEvicted = "evicted" // the funnel refused the trace
+	failError   = "error"   // the executor failed
+	failPersist = "persist" // the outcome could not be stored
+)
+
+// recordFailure counts a trace that produced no result under why and
+// remembers detail for its result route (bounded: oldest entries are
+// dropped arbitrarily past 4096 — failure detail is diagnostic, the
+// authoritative state is the store).
+func (s *Server) recordFailure(id store.TraceID, why, detail string) {
+	s.failures[why].Inc()
 	s.mu.Lock()
 	if len(s.failed) >= 4096 {
 		for k := range s.failed {
@@ -563,7 +562,7 @@ func (s *Server) recordFailure(id store.TraceID, reason string) {
 			break
 		}
 	}
-	s.failed[id] = reason
+	s.failed[id] = detail
 	s.mu.Unlock()
 }
 
@@ -610,9 +609,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.runCancel()
-	for _, st := range engine.Stages() {
-		s.obs.StageFinished(st)
-	}
 	if s.log != nil {
 		s.log.Info("serve drained", "err", err)
 	}

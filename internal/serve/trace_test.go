@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -107,7 +108,7 @@ func TestSlowIngestProducesFlightDump(t *testing.T) {
 	// The ingest trace finalizes after its async work — later than the
 	// result becomes readable — and its dump is renamed into place later
 	// still; its dump must contain the full path edge → queue wait →
-	// engine → commit → index.
+	// funnel → categorize → commit → index.
 	path := filepath.Join(flightDir, "req-"+tid.String()+".trace.json")
 	waitFor(t, "the ingest's flight dump "+path, func() bool {
 		_, err := os.Stat(path)
@@ -134,22 +135,26 @@ func TestSlowIngestProducesFlightDump(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("dump is not Chrome trace JSON: %v", err)
 	}
+	// The finalized trace names each layer the ingest crossed exactly
+	// once: the multiset of span names, not a set of minimums. The store
+	// commits twice — the trace blob at the edge, the outcome on the
+	// worker.
 	spanByID := map[string]int{}
-	names := map[string]bool{}
+	names := map[string]int{}
 	for i, ev := range doc.TraceEvents {
 		if ev.Ph != "X" {
 			continue
 		}
-		names[ev.Name] = true
+		names[ev.Name]++
 		spanByID[ev.Args["span_id"]] = i
 	}
-	for _, want := range []string{
-		"POST /v1/traces", "ingest.decode", "store.commit",
-		"queue.wait", "worker.categorize", "engine:categorize", "index.update",
-	} {
-		if !names[want] {
-			t.Errorf("span tree missing %q (have %v)", want, names)
-		}
+	want := map[string]int{
+		"POST /v1/traces": 1, "ingest.decode": 1, "store.commit": 2,
+		"queue.wait": 1, "worker.categorize": 1, "funnel.validate": 1,
+		"categorize.exec": 1, "index.update": 1,
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("span names = %v, want %v", names, want)
 	}
 	// Parent/child consistency: every X event's parent resolves to
 	// another span in the tree (the root's parent is zero), and no child
@@ -205,6 +210,22 @@ func TestSlowIngestProducesFlightDump(t *testing.T) {
 	}
 	if det.Phases["queue.wait"] < 0 || det.Phases["worker.categorize"] <= 0 {
 		t.Fatalf("phase breakdown missing worker time: %v", det.Phases)
+	}
+
+	// One name per layer on /metrics too: a serve node has no engine
+	// families, and one histogram measures categorization.
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	var categorizeHistograms []string
+	for _, l := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(l, "mosaic_engine_") {
+			t.Errorf("serve node exports an engine series: %s", l)
+		}
+		if strings.HasPrefix(l, "# TYPE ") && strings.HasSuffix(l, " histogram") && strings.Contains(l, "categorize") {
+			categorizeHistograms = append(categorizeHistograms, l)
+		}
+	}
+	if len(categorizeHistograms) != 1 {
+		t.Errorf("histogram families containing \"categorize\" = %q, want exactly one", categorizeHistograms)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
-	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
 	"github.com/mosaic-hpc/mosaic/internal/store"
@@ -50,72 +49,40 @@ func (s *Server) worker() {
 }
 
 // categorizeTrace is what the engine pipeline does for a corpus of one
-// trace, without the pipeline: the funnel of one trace is its
-// validation (core.EvictionReason, the rule core.Preprocessor applies)
-// and its Categorize stage is one call into the executor. obs receives
-// the per-item events engine.Run would emit for the same job — scan and
-// decode pass it through, the funnel takes it in and emits it unless it
-// is evicted, categorize and aggregate count it — and, when it is a
-// SpanObserver, the decode, funnel and categorize spans, so the
-// mosaic_engine_* metrics, the slow log and the "engine:<stage>" request
-// spans read the same either way. evicted is the funnel's reason ("":
-// the trace was valid); err is a categorization failure or ctx's error.
-func (s *Server) categorizeTrace(ctx context.Context, job *darshan.Job, obs engine.Observer) (res *core.Result, expl *explain.Explanation, evicted string, err error) {
-	span, _ := obs.(engine.SpanObserver)
-	name := job.User + "/" + job.AppName()
-
-	obs.ItemOut(engine.StageScan)
-	obs.ItemIn(engine.StageDecode)
-	if span != nil {
-		span.ItemSpan(engine.StageDecode, name, time.Now(), 0) // already decoded at the edge
-	}
-	obs.ItemOut(engine.StageDecode)
-
-	obs.ItemIn(engine.StageFunnel)
-	var start time.Time
-	if span != nil {
-		start = time.Now()
-	}
+// trace, without the pipeline: the funnel of one trace is its validation
+// (core.EvictionReason, the rule core.Preprocessor applies) and its
+// Categorize stage is one call into the executor — each a leaf span of
+// ctx's request trace. evicted is the funnel's reason ("": the trace was
+// valid); err is a categorization failure or ctx's error.
+func (s *Server) categorizeTrace(ctx context.Context, job *darshan.Job) (res *core.Result, expl *explain.Explanation, evicted string, err error) {
+	sp := reqtrace.StartLeaf(ctx, "funnel.validate")
 	evicted = core.EvictionReason(job, nil)
-	if span != nil {
-		span.ItemSpan(engine.StageFunnel, name, start, time.Since(start))
-	}
+	sp.End()
 	if evicted != "" {
 		return nil, nil, evicted, nil
 	}
-	obs.ItemOut(engine.StageFunnel)
-
-	obs.ItemIn(engine.StageCategorize)
-	if span != nil {
-		start = time.Now()
-	}
+	sp = reqtrace.StartLeaf(ctx, "categorize.exec")
+	defer sp.End()
 	if s.exExec != nil {
 		res, expl, err = s.exExec.CategorizeExplained(ctx, job, s.cfg, s.exOpts)
 	} else {
 		res, err = s.exec.Categorize(ctx, job, s.cfg)
 	}
-	if span != nil {
-		span.ItemSpan(engine.StageCategorize, name, start, time.Since(start))
-	}
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, nil, "", cerr
 		}
-		obs.ItemError(engine.StageCategorize, err)
-		return nil, nil, "", fmt.Errorf("engine: app %s: %w", name, err)
+		return nil, nil, "", fmt.Errorf("engine: app %s/%s: %w", job.User, job.AppName(), err)
 	}
-	obs.ItemOut(engine.StageCategorize)
-	obs.ItemIn(engine.StageAggregate)
-	obs.ItemOut(engine.StageAggregate)
 	return res, expl, "", nil
 }
 
 // process categorizes one queued trace. For traced jobs it resumes the
 // request's trace across the queue boundary — on the server's run
 // context, never the (long-cancelled) request context — recording the
-// queue wait, a worker span covering the categorization, the engine's
-// per-stage spans, the outcome's group commit, and the index update,
-// then releases the reference held at enqueue so the trace can finalize
+// queue wait, a worker span covering the funnel check, the
+// categorization, the outcome's group commit and the index update, then
+// releases the reference held at enqueue so the trace can finalize
 // into the flight recorder.
 func (s *Server) process(item ingestJob) {
 	defer s.unmarkPending(item.id)
@@ -130,11 +97,7 @@ func (s *Server) process(item ingestJob) {
 	ctx, wsp := reqtrace.StartSpan(ctx, "worker.categorize", reqtrace.Str("trace", string(item.id)))
 	defer wsp.End()
 	start := time.Now()
-	obs := s.obs
-	if item.t != nil {
-		obs = engine.MultiObserver(obs, engineSpans{t: item.t, parent: wsp.ID()})
-	}
-	result, expl, evicted, err := s.categorizeTrace(ctx, item.job, obs)
+	result, expl, evicted, err := s.categorizeTrace(ctx, item.job)
 	s.categorizeSecs.Observe(time.Since(start).Seconds())
 	if wsp != nil && result != nil {
 		// Tells a big trace from a slow host.
@@ -147,13 +110,13 @@ func (s *Server) process(item ingestJob) {
 		return // forced shutdown: trace blob is durable, next startup backfills
 	case err != nil:
 		wsp.SetError(err)
-		s.recordFailure(item.id, err.Error())
+		s.recordFailure(item.id, failError, err.Error())
 		if s.log != nil {
 			s.log.Warn("categorization failed", "request_id", item.reqID, "id", string(item.id), "err", err)
 		}
 		return
 	case evicted != "":
-		s.recordFailure(item.id, "evicted by the funnel (corrupted or invalid trace)")
+		s.recordFailure(item.id, failEvicted, "evicted by the funnel (corrupted or invalid trace)")
 		if s.log != nil {
 			s.log.Warn("trace evicted by funnel", "request_id", item.reqID, "id", string(item.id), "reason", evicted)
 		}
@@ -165,7 +128,7 @@ func (s *Server) process(item ingestJob) {
 	size, explErr, err := s.st.PutOutcomeCtx(ctx, item.id, s.fp, result, expl)
 	if err != nil {
 		wsp.SetError(err)
-		s.recordFailure(item.id, err.Error())
+		s.recordFailure(item.id, failPersist, err.Error())
 		if s.log != nil {
 			s.log.Error("persisting result failed", "request_id", item.reqID, "id", string(item.id), "err", err)
 		}

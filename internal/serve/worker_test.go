@@ -5,14 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
+	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
 // archetypeJob builds one run of a generator archetype.
@@ -35,8 +39,7 @@ func (failingExec) Concurrency() int { return 1 }
 // TestWorkerDirectPathMatchesEngine is the differential test behind the
 // worker's shortcut: categorizeTrace and engine.Run over engine.Jobs of
 // the same job must agree on the result, the explanation, the eviction
-// reason and the error, and leave the same per-stage item counts in an
-// engine.Stats observer — for every generator archetype and for every
+// reason and the error — for every generator archetype and for every
 // corruption kind the funnel knows.
 func TestWorkerDirectPathMatchesEngine(t *testing.T) {
 	type tc struct {
@@ -81,22 +84,11 @@ func TestWorkerDirectPathMatchesEngine(t *testing.T) {
 			defer s.Shutdown(context.Background())
 			ctx := context.Background()
 
-			direct := engine.NewStats()
-			res, expl, evicted, err := s.categorizeTrace(ctx, c.job, direct)
-
-			piped := engine.NewStats()
+			res, expl, evicted, err := s.categorizeTrace(ctx, c.job)
 			run, runErr := engine.Run(ctx, engine.Jobs([]*darshan.Job{c.job}), engine.Options{
-				Config: s.cfg, Workers: 1, Executor: s.exec, Observer: piped,
+				Config: s.cfg, Workers: 1, Executor: s.exec,
 				Explain: true, ExplainOptions: s.exOpts,
 			})
-
-			for _, st := range engine.Stages() {
-				d, p := direct.Stage(st), piped.Stage(st)
-				if d.In != p.In || d.Out != p.Out || d.Errors != p.Errors {
-					t.Errorf("stage %s: direct in/out/err = %d/%d/%d, engine %d/%d/%d",
-						st, d.In, d.Out, d.Errors, p.In, p.Out, p.Errors)
-				}
-			}
 			if (err == nil) != (runErr == nil) || (err != nil && err.Error() != runErr.Error()) {
 				t.Fatalf("direct err = %v, engine err = %v", err, runErr)
 			}
@@ -154,11 +146,58 @@ func TestWorkerPlainExecutorStoresNoExplanation(t *testing.T) {
 	close(plain.release)
 	s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, Explain: true, Executor: plain})
 	defer s.Shutdown(context.Background())
-	res, expl, evicted, err := s.categorizeTrace(context.Background(), testJob(960), engine.NopObserver{})
+	res, expl, evicted, err := s.categorizeTrace(context.Background(), testJob(960))
 	if err != nil || evicted != "" || res == nil {
 		t.Fatalf("res=%v evicted=%q err=%v", res, evicted, err)
 	}
 	if expl != nil {
 		t.Fatalf("plain executor produced an explanation: %+v", expl)
+	}
+}
+
+// TestCategorizeFailuresCounted: a trace that produces no result is
+// counted under the reason it failed for — the funnel's eviction, the
+// executor's error, the store's refusal — and /metrics carries all three
+// series from the start.
+func TestCategorizeFailuresCounted(t *testing.T) {
+	corrupted := testJob(970)
+	corrupted.Runtime = -1
+	cases := []struct {
+		why   string
+		job   *darshan.Job
+		exec  engine.Executor
+		close bool // close the store first: the outcome cannot be persisted
+	}{
+		{why: failEvicted, job: corrupted},
+		{why: failError, job: testJob(971), exec: failingExec{}},
+		{why: failPersist, job: testJob(972), close: true},
+	}
+	for _, c := range cases {
+		t.Run(c.why, func(t *testing.T) {
+			s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true, Executor: c.exec})
+			defer s.Shutdown(context.Background())
+			if c.close {
+				st.Close()
+			}
+			id := store.TraceID("failing-" + c.why)
+			s.process(ingestJob{id: id, job: c.job, reqID: "test", enq: time.Now()})
+			if _, failed := s.failureOf(id); !failed {
+				t.Fatal("the failure left no detail for the result route")
+			}
+			var b strings.Builder
+			if err := s.Registry().WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			for _, why := range []string{failEvicted, failError, failPersist} {
+				n := 0
+				if why == c.why {
+					n = 1
+				}
+				want := fmt.Sprintf("mosaic_serve_categorize_failures_total{reason=%q} %d\n", why, n)
+				if !strings.Contains(b.String(), want) {
+					t.Errorf("/metrics lacks %q:\n%s", want, grepLines(b.String(), "failures"))
+				}
+			}
+		})
 	}
 }

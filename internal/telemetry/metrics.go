@@ -1,14 +1,15 @@
 // Package telemetry is MOSAIC's zero-dependency observability layer:
-// a concurrent-safe metrics registry with Prometheus text exposition,
-// a per-trace span recorder exporting Chrome trace-event JSON, a
-// slow-trace log, structured logging built on log/slog, and a live
-// introspection HTTP server (/metrics, /healthz, /debug/engine, pprof).
+// a concurrent-safe metrics registry with Prometheus and OpenMetrics
+// text exposition, burn-rate alerts over it, the Go runtime's vitals,
+// structured logging built on log/slog, and a live introspection HTTP
+// server (/metrics, /healthz, pprof, plus whatever routes its caller
+// mounts).
 //
-// Everything is opt-in and composes with the engine through its
-// Observer seam: the Telemetry bundle implements engine.Observer (and
-// the per-item engine.SpanObserver extension), so a frontend enables
-// full telemetry by passing one knob and pays near-zero cost when it
-// does not.
+// It knows nothing of MOSAIC: it imports no other package of this
+// module. What observes a subsystem lives in that subsystem and
+// registers here — engine.Telemetry (the pipeline's observer, its slow
+// log and /debug/engine), cluster.RegisterMetrics, ring.Metrics, the
+// serve tier's instruments. Spans are internal/reqtrace's.
 package telemetry
 
 import (

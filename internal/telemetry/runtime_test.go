@@ -83,7 +83,7 @@ func TestRegisterRuntimeMetricsIdempotent(t *testing.T) {
 // reports build info and runtime series.
 func TestNewMuxExposesRuntimeMetrics(t *testing.T) {
 	reg := NewRegistry()
-	srv := httptest.NewServer(NewMux(reg, nil))
+	srv := httptest.NewServer(NewMux(reg))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
 	"net"
 	"net/http"
@@ -11,16 +10,10 @@ import (
 	"time"
 )
 
-// EngineState is the /debug/engine JSON document: the live per-stage
-// snapshot plus the slowest traces per stage.
-type EngineState struct {
-	Stages []any                  `json:"stages"` // []engine.StageSnapshot (kept as any to avoid a JSON-only import)
-	Slow   map[string][]SlowEntry `json:"slow,omitempty"`
-}
-
 // Route is one extra handler mounted on the introspection mux — how
-// subsystems (the serve tier's flight recorder, say) surface their own
-// debug endpoints on the shared debug server.
+// subsystems (the engine's /debug/engine, the serve tier's flight
+// recorder) surface their own debug endpoints on the shared debug
+// server.
 type Route struct {
 	Pattern string
 	Handler http.Handler
@@ -46,31 +39,16 @@ func MetricsHandler(reg *Registry) http.HandlerFunc {
 //
 //	/metrics       Prometheus/OpenMetrics exposition of reg
 //	/healthz       200 "ok" liveness probe
-//	/debug/engine  live engine stage snapshot + slow-trace log (JSON)
 //	/debug/pprof/  net/http/pprof profiles
 //
-// plus any extra routes. t may be nil, in which case /debug/engine
-// reports an empty state.
-func NewMux(reg *Registry, t *Telemetry, extra ...Route) *http.ServeMux {
+// plus any extra routes.
+func NewMux(reg *Registry, extra ...Route) *http.ServeMux {
 	RegisterRuntimeMetrics(reg) // every /metrics surface reports runtime + build info
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(reg))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("/debug/engine", func(w http.ResponseWriter, r *http.Request) {
-		state := EngineState{Stages: []any{}}
-		if t != nil {
-			for _, s := range t.Stats().Snapshot() {
-				state.Stages = append(state.Stages, s)
-			}
-			state.Slow = t.Slow().Snapshot()
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(state)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -102,12 +80,12 @@ func (s *Server) Close() error {
 // StartServer binds addr and serves the introspection mux (plus any
 // extra routes) in a background goroutine. A nil log discards serve
 // errors.
-func StartServer(addr string, reg *Registry, t *Telemetry, log *slog.Logger, extra ...Route) (*Server, error) {
+func StartServer(addr string, reg *Registry, log *slog.Logger, extra ...Route) (*Server, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NewMux(reg, t, extra...), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: NewMux(reg, extra...), ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		if err := srv.Serve(l); err != nil && err != http.ErrServerClosed {
 			if log != nil {

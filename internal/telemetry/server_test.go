@@ -2,27 +2,20 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"github.com/mosaic-hpc/mosaic/internal/engine"
 )
 
-func TestMuxMetricsAndEngineEndpoints(t *testing.T) {
-	tel := New(Config{SlowK: 3})
-	// Simulate a little pipeline traffic.
-	tel.StageStarted(engine.StageDecode)
-	for i := 0; i < 5; i++ {
-		tel.ItemIn(engine.StageDecode)
-		tel.ItemOut(engine.StageDecode)
-	}
-	tel.StageFinished(engine.StageDecode)
-
-	srv := httptest.NewServer(NewMux(tel.Registry(), tel))
+func TestMuxServesMetricsHealthPprofAndRoutes(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("mux_test_total", "test", nil).Add(5)
+	srv := httptest.NewServer(NewMux(reg, Route{
+		Pattern: "/debug/extra",
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { _, _ = w.Write([]byte("extra\n")) }),
+	}))
 	defer srv.Close()
 
 	get := func(path string) (int, string, http.Header) {
@@ -39,7 +32,8 @@ func TestMuxMetricsAndEngineEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body), resp.Header
 	}
 
-	// /metrics: Prometheus exposition with engine families.
+	// /metrics: Prometheus exposition of the registry, runtime vitals
+	// included.
 	code, body, hdr := get("/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", code)
@@ -47,12 +41,7 @@ func TestMuxMetricsAndEngineEndpoints(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Fatalf("/metrics content-type = %q", ct)
 	}
-	for _, want := range []string{
-		"# TYPE mosaic_engine_items_in_total counter",
-		`mosaic_engine_items_out_total{stage="decode"} 5`,
-		"# TYPE mosaic_engine_item_seconds histogram",
-		"# TYPE mosaic_engine_stage_seconds gauge",
-	} {
+	for _, want := range []string{"# TYPE mux_test_total counter", "mux_test_total 5", "mosaic_build_info{"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
@@ -64,28 +53,10 @@ func TestMuxMetricsAndEngineEndpoints(t *testing.T) {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
 
-	// /debug/engine: live stage snapshot JSON.
-	code, body, hdr = get("/debug/engine")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/engine status = %d", code)
-	}
-	if ct := hdr.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Fatalf("/debug/engine content-type = %q", ct)
-	}
-	var state struct {
-		Stages []engine.StageSnapshot `json:"stages"`
-	}
-	if err := json.Unmarshal([]byte(body), &state); err != nil {
-		t.Fatalf("/debug/engine is not valid JSON: %v\n%s", err, body)
-	}
-	if len(state.Stages) != 1 || state.Stages[0].Stage != engine.StageDecode {
-		t.Fatalf("/debug/engine stages = %+v, want one decode snapshot", state.Stages)
-	}
-	if state.Stages[0].Out != 5 {
-		t.Fatalf("/debug/engine decode out = %d, want 5", state.Stages[0].Out)
-	}
-	if !strings.Contains(body, "items_per_sec") {
-		t.Fatalf("/debug/engine snapshot lacks items_per_sec:\n%s", body)
+	// A caller's route is mounted beside the built-in ones.
+	code, body, _ = get("/debug/extra")
+	if code != http.StatusOK || body != "extra\n" {
+		t.Fatalf("/debug/extra = %d %q", code, body)
 	}
 
 	// pprof index responds.
@@ -96,8 +67,7 @@ func TestMuxMetricsAndEngineEndpoints(t *testing.T) {
 }
 
 func TestStartServerServesAndCloses(t *testing.T) {
-	tel := New(Config{})
-	srv, err := StartServer("127.0.0.1:0", tel.Registry(), tel, nil)
+	srv, err := StartServer("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

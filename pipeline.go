@@ -36,22 +36,22 @@ type (
 	// SpanObserver is the optional Observer extension receiving one
 	// completed span per item per stage.
 	SpanObserver = engine.SpanObserver
-	// Telemetry bundles the metrics registry, span recorder, slow-trace
-	// log and structured logger behind one pipeline observer; pass it as
-	// Options.Telemetry (see NewTelemetry).
-	Telemetry = telemetry.Telemetry
+	// Telemetry bundles the metrics registry, the run's span trace, the
+	// slow-trace log and a structured logger behind one pipeline
+	// observer; pass it as Options.Telemetry (see NewTelemetry).
+	Telemetry = engine.Telemetry
 	// TelemetryConfig selects which telemetry components to enable.
-	TelemetryConfig = telemetry.Config
+	TelemetryConfig = engine.TelemetryConfig
 	// MetricsRegistry is the concurrent-safe metrics registry with
 	// Prometheus text exposition backing a Telemetry bundle.
 	MetricsRegistry = telemetry.Registry
 )
 
 // NewTelemetry builds a telemetry bundle: engine metrics registered
-// eagerly, optional span recording and slow-trace log, optional slog
-// output. Wire it via Options.Telemetry; serve its registry with
-// StartDebugServer (cmd/mosaic -debug-addr does both).
-func NewTelemetry(cfg TelemetryConfig) *Telemetry { return telemetry.New(cfg) }
+// eagerly, optional span recording (Telemetry.WriteTrace) and slow-trace
+// log, optional slog output. Wire it via Options.Telemetry; serve its
+// registry with StartDebugServer (cmd/mosaic -debug-addr does both).
+func NewTelemetry(cfg TelemetryConfig) *Telemetry { return engine.NewTelemetry(cfg) }
 
 // DebugServer is a running introspection HTTP server (see
 // StartDebugServer).
@@ -61,7 +61,7 @@ type DebugServer = telemetry.Server
 // /debug/engine and /debug/pprof endpoints on addr (":0" picks a free
 // port; Addr() reports it) in a background goroutine.
 func StartDebugServer(addr string, t *Telemetry) (*DebugServer, error) {
-	return telemetry.StartServer(addr, t.Registry(), t, t.Logger())
+	return telemetry.StartServer(addr, t.Registry(), t.Logger(), t.DebugRoute())
 }
 
 // MultiObserver fans pipeline events out to several observers in

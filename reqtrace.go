@@ -9,9 +9,10 @@ import (
 
 // Request tracing, re-exported. The serve tier's per-request span
 // trees and black-box flight recorder live in internal/reqtrace; the
-// aliases below let a program embedding MOSAIC as a library thread its
-// own request traces through AnalyzeJobsContext (via context) and
-// retain them in a flight recorder, exactly as cmd/mosaic-serve does.
+// aliases below let a program embedding MOSAIC as a library trace its
+// own requests (via context) and retain them in a flight recorder,
+// exactly as cmd/mosaic-serve does. The batch pipeline records into no
+// request trace: its spans are Options.Telemetry's.
 type (
 	// RequestTrace is one request's span tree, completed by reference
 	// counting so it can outlive the HTTP response that acknowledged it.
@@ -40,8 +41,7 @@ func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 
 // RequestTraceContext returns ctx carrying the trace with its root span
 // as the current parent; spans recorded downstream (TraceSpan, the
-// store's commit spans, the engine's stage spans under serve) nest
-// beneath it.
+// store's commit spans) nest beneath it.
 func RequestTraceContext(ctx context.Context, t *RequestTrace) context.Context {
 	return reqtrace.NewContext(ctx, t)
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,8 +52,16 @@ func TestOptionsTelemetryInstrumentsRun(t *testing.T) {
 		t.Fatalf("telemetry decode out = %d, want %d", got, len(jobs))
 	}
 	// Spans were recorded, including per-trace decode spans.
-	if tel.Spans().Len() == 0 {
-		t.Fatal("no spans recorded through the facade knob")
+	tracePath := filepath.Join(t.TempDir(), "run.trace.json")
+	if err := tel.WriteTrace(tracePath); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(doc), `"cat": "decode"`); n != len(jobs) {
+		t.Fatalf("%d decode spans recorded through the facade knob, want %d", n, len(jobs))
 	}
 
 	// The debug server serves the bundle's state over HTTP.
