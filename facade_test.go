@@ -105,7 +105,7 @@ func TestTruthFacade(t *testing.T) {
 	profile.CorruptionRate = 0
 	corpus := mosaic.PlanCorpus(profile)
 	run := corpus.GenerateRun(corpus.Apps[0], 0)
-	if mosaic.Truth(run.Job) == nil {
+	if mosaic.Truth(run.Job) == 0 {
 		t.Fatal("truth missing on generated trace")
 	}
 	if run.Job.Metadata[mosaic.TruthKey] == "" {
@@ -199,9 +199,12 @@ func TestOptionsPartialConfigNotDiscarded(t *testing.T) {
 
 func TestQueryIndexFacade(t *testing.T) {
 	ix := mosaic.NewIndex()
+	var end, start mosaic.Set
+	end.Add("write_on_end")
+	start.Add("read_on_start")
 	ix.Load([]mosaic.IndexEntry{
-		{ID: mosaic.TraceID(strings.Repeat("a", 64)), Cats: mosaic.Set{"write_on_end": {}}},
-		{ID: mosaic.TraceID(strings.Repeat("b", 64)), Cats: mosaic.Set{"read_on_start": {}}},
+		{ID: mosaic.TraceID(strings.Repeat("a", 64)), Cats: end},
+		{ID: mosaic.TraceID(strings.Repeat("b", 64)), Cats: start},
 	})
 	if err := mosaic.ParseQuery("write_on_end AND ("); err == nil {
 		t.Fatal("unbalanced query accepted")

@@ -5,6 +5,7 @@ package category
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -12,11 +13,12 @@ import (
 // Axis is one of the three classes of behaviour MOSAIC characterizes.
 type Axis uint8
 
-// Axes of the taxonomy.
+// Axes of the taxonomy. AxisNone is the axis of a name outside it.
 const (
 	AxisTemporality Axis = iota
 	AxisPeriodicity
 	AxisMetadata
+	AxisNone
 )
 
 // String implements fmt.Stringer.
@@ -28,6 +30,8 @@ func (a Axis) String() string {
 		return "periodicity"
 	case AxisMetadata:
 		return "metadata"
+	case AxisNone:
+		return ""
 	default:
 		return fmt.Sprintf("Axis(%d)", uint8(a))
 	}
@@ -103,12 +107,6 @@ func TemporalKinds() []TemporalKind {
 	return []TemporalKind{OnStart, OnEnd, AfterStart, BeforeEnd, AfterStartBeforeEnd, Steady, Insignificant}
 }
 
-// Temporal builds the temporality category for a direction,
-// e.g. Temporal(DirRead, OnStart) == "read_on_start".
-func Temporal(d Direction, k TemporalKind) Category {
-	return Category(d.String() + "_" + k.String())
-}
-
 // PeriodMagnitude is the order of magnitude of a detected period.
 type PeriodMagnitude uint8
 
@@ -156,26 +154,6 @@ func MagnitudeOf(periodSeconds float64) PeriodMagnitude {
 	}
 }
 
-// Periodic builds the base periodic category, e.g. "write_periodic".
-func Periodic(d Direction) Category {
-	return Category(d.String() + "_periodic")
-}
-
-// PeriodicMagnitude builds the magnitude-qualified periodic category,
-// e.g. "write_periodic_minute".
-func PeriodicMagnitude(d Direction, m PeriodMagnitude) Category {
-	return Category(d.String() + "_periodic_" + m.String())
-}
-
-// PeriodicBusy builds the busy-time periodic category. high reports
-// whether the job spends a large fraction of the period doing I/O.
-func PeriodicBusy(d Direction, high bool) Category {
-	if high {
-		return Category(d.String() + "_periodic_high_busy_time")
-	}
-	return Category(d.String() + "_periodic_low_busy_time")
-}
-
 // Metadata categories (Table I).
 const (
 	MetaHighSpike         Category = "metadata_high_spike"
@@ -184,135 +162,256 @@ const (
 	MetaInsignificantLoad Category = "metadata_insignificant_load"
 )
 
-// Axis reports which class of behaviour the category belongs to.
-func (c Category) Axis() Axis {
-	s := string(c)
-	switch {
-	case strings.HasPrefix(s, "metadata_"):
-		return AxisMetadata
-	case strings.Contains(s, "_periodic"):
-		return AxisPeriodicity
-	default:
-		return AxisTemporality
+// N is the size of the closed taxonomy. A category's position in All()
+// is its bit number in a Set; the store writes that word at the head of
+// every result record and the index is rebuilt from it, which freezes
+// the assignment: the taxonomy may grow at its end, into the unassigned
+// bits [N,63), but never reorder or drop an entry (TestMaskBitsAreFrozen
+// spells the order out).
+const N = 32
+
+// Closed is the whole taxonomy: every assigned bit.
+const Closed Set = 1<<N - 1
+
+// Each direction owns perDir consecutive bits, laid out alike: the seven
+// temporal kinds in declaration order, the base periodic label, the four
+// magnitudes from MagSecond, then low and high busy time. The metadata
+// categories follow both blocks.
+const (
+	perDir      = 14
+	offPeriodic = 7 // also where MagNone would sit: offPeriodic+m for m ≥ MagSecond
+	offBusy     = 12
+	metaBase    = 2 * perDir
+)
+
+// names is the taxonomy in bit order, every name built once.
+var names = func() (t [N]Category) {
+	for b, d := range []Direction{DirRead, DirWrite} {
+		dir, p := t[b*perDir:], d.String()
+		for _, k := range TemporalKinds() {
+			dir[k] = Category(p + "_" + k.String())
+		}
+		dir[offPeriodic] = Category(p + "_periodic")
+		for m := MagSecond; m <= MagDayOrMore; m++ {
+			dir[offPeriodic+m] = Category(p + "_periodic_" + m.String())
+		}
+		dir[offBusy] = Category(p + "_periodic_low_busy_time")
+		dir[offBusy+1] = Category(p + "_periodic_high_busy_time")
 	}
+	copy(t[metaBase:], []Category{MetaHighSpike, MetaMultipleSpikes, MetaHighDensity, MetaInsignificantLoad})
+	return t
+}()
+
+// bitOf maps a name of the taxonomy to its bit number: the one
+// label→bit table.
+var bitOf = func() map[Category]uint8 {
+	m := make(map[Category]uint8, N)
+	for i, c := range names {
+		m[c] = uint8(i)
+	}
+	return m
+}()
+
+// byName lists the bit numbers in order of category name, so a walk over
+// it renders a set sorted with nothing left to sort.
+var byName = func() (order [N]uint8) {
+	for i := range order {
+		order[i] = uint8(i)
+	}
+	sort.Slice(order[:], func(i, j int) bool { return names[order[i]] < names[order[j]] })
+	return order
+}()
+
+// dirName is the name at offset off of a direction's block; a direction
+// that is neither read nor write has none.
+func dirName(d Direction, off int) Category {
+	switch d {
+	case DirRead:
+		return names[off]
+	case DirWrite:
+		return names[perDir+off]
+	}
+	return ""
+}
+
+// Temporal is the temporality category for a direction,
+// e.g. Temporal(DirRead, OnStart) == "read_on_start". Like the other
+// constructors it returns "" for arguments that name no category.
+func Temporal(d Direction, k TemporalKind) Category {
+	if k > Insignificant {
+		return ""
+	}
+	return dirName(d, int(k))
+}
+
+// Periodic is the base periodic category, e.g. "write_periodic".
+func Periodic(d Direction) Category { return dirName(d, offPeriodic) }
+
+// PeriodicMagnitude is the magnitude-qualified periodic category,
+// e.g. "write_periodic_minute".
+func PeriodicMagnitude(d Direction, m PeriodMagnitude) Category {
+	if m < MagSecond || m > MagDayOrMore {
+		return ""
+	}
+	return dirName(d, offPeriodic+int(m))
+}
+
+// PeriodicBusy is the busy-time periodic category. high reports whether
+// the job spends a large fraction of the period doing I/O.
+func PeriodicBusy(d Direction, high bool) Category {
+	if high {
+		return dirName(d, offBusy+1)
+	}
+	return dirName(d, offBusy)
+}
+
+// All returns the full closed set of categories MOSAIC can emit, in bit
+// order. Useful for table headers and exhaustive tests.
+func All() []Category {
+	all := names
+	return all[:]
+}
+
+// Set is a set of categories assigned to one trace — non-exclusive
+// across axes and directions — as one machine word: bit i stands for
+// All()[i]. It is the word at the head of a stored result record and the
+// index's per-trace column; set algebra on it is the word's.
+type Set uint64
+
+// Open marks a set built from a label list that holds a name outside
+// All(): the other bits still stand for the members of All() among the
+// labels, and whoever needs the rest reads the list itself
+// (core.Result.Labels, a stored record's body).
+const Open Set = 1 << 63
+
+// axisSets and dirSets split the N bits by axis and by direction.
+var axisSets, dirSets = func() (axes [AxisNone]Set, dirs [DirWrite + 1]Set) {
+	const block, temporal = Set(1)<<perDir - 1, Set(1)<<offPeriodic - 1
+	const periodic = block &^ temporal
+	axes[AxisTemporality] = temporal | temporal<<perDir
+	axes[AxisPeriodicity] = periodic | periodic<<perDir
+	axes[AxisMetadata] = Closed &^ (1<<metaBase - 1)
+	dirs[DirRead], dirs[DirWrite], dirs[DirNone] = block, block<<perDir, axes[AxisMetadata]
+	return
+}()
+
+// Set returns the categories of the axis (none for AxisNone).
+func (a Axis) Set() Set {
+	if a >= AxisNone {
+		return 0
+	}
+	return axisSets[a]
+}
+
+// Set returns the categories of the direction; DirNone's are the
+// metadata categories.
+func (d Direction) Set() Set {
+	if d > DirWrite {
+		return 0
+	}
+	return dirSets[d]
+}
+
+// Axis reports which class of behaviour the category belongs to:
+// AxisNone for a name outside the taxonomy.
+func (c Category) Axis() Axis {
+	s := NewSet(c)
+	for a, m := range axisSets {
+		if s&m != 0 {
+			return Axis(a)
+		}
+	}
+	return AxisNone
 }
 
 // Direction reports the read/write direction of the category (DirNone for
-// metadata categories).
+// metadata categories and names outside the taxonomy).
 func (c Category) Direction() Direction {
-	s := string(c)
-	switch {
-	case strings.HasPrefix(s, "read_"):
+	switch s := NewSet(c); {
+	case s&dirSets[DirRead] != 0:
 		return DirRead
-	case strings.HasPrefix(s, "write_"):
+	case s&dirSets[DirWrite] != 0:
 		return DirWrite
-	default:
-		return DirNone
 	}
+	return DirNone
 }
-
-// All returns the full closed set of categories MOSAIC can emit, in a
-// stable order. Useful for table headers and exhaustive tests.
-func All() []Category {
-	var out []Category
-	for _, d := range []Direction{DirRead, DirWrite} {
-		for _, k := range TemporalKinds() {
-			out = append(out, Temporal(d, k))
-		}
-		out = append(out, Periodic(d))
-		for _, m := range []PeriodMagnitude{MagSecond, MagMinute, MagHour, MagDayOrMore} {
-			out = append(out, PeriodicMagnitude(d, m))
-		}
-		out = append(out, PeriodicBusy(d, false), PeriodicBusy(d, true))
-	}
-	out = append(out, MetaHighSpike, MetaMultipleSpikes, MetaHighDensity, MetaInsignificantLoad)
-	return out
-}
-
-// Set is a set of categories assigned to one trace. Categories are
-// non-exclusive across axes and directions.
-type Set map[Category]struct{}
 
 // NewSet builds a set from the given categories.
 func NewSet(cs ...Category) Set {
-	s := make(Set, len(cs))
-	for _, c := range cs {
-		s[c] = struct{}{}
+	var s Set
+	s.Add(cs...)
+	return s
+}
+
+// Of packs a label list into its set.
+func Of(labels []string) Set {
+	var s Set
+	for _, l := range labels {
+		s.Add(Category(l))
 	}
 	return s
 }
 
-// Add inserts categories into the set.
-func (s Set) Add(cs ...Category) {
+// Add inserts categories into the set; a name outside All() opens it.
+func (s *Set) Add(cs ...Category) {
 	for _, c := range cs {
-		s[c] = struct{}{}
+		if bit, ok := c.Bit(); ok {
+			*s |= 1 << bit
+		} else {
+			*s |= Open
+		}
 	}
 }
 
-// Has reports membership.
+// Bit returns the category's bit number in a Set — its position in
+// All() — and false for a name outside the taxonomy.
+func (c Category) Bit() (int, bool) {
+	bit, ok := bitOf[c]
+	return int(bit), ok
+}
+
+// Has reports membership. A name outside All() is in no set: an open set
+// does not say which names opened it.
 func (s Set) Has(c Category) bool {
-	_, ok := s[c]
-	return ok
+	bit, ok := c.Bit()
+	return ok && s>>bit&1 != 0
 }
 
 // HasAll reports whether every given category is in the set.
 func (s Set) HasAll(cs ...Category) bool {
-	for _, c := range cs {
-		if !s.Has(c) {
-			return false
+	want := NewSet(cs...)
+	return want&Open == 0 && s&want == want
+}
+
+// Len returns how many members of All() the set holds.
+func (s Set) Len() int { return bits.OnesCount64(uint64(s & Closed)) }
+
+// members lists the set's members of All() by name; never nil.
+func members[T ~string](s Set) []T {
+	out := make([]T, 0, s.Len())
+	for _, bit := range byName {
+		if s>>bit&1 != 0 {
+			out = append(out, T(names[bit]))
 		}
 	}
-	return true
+	return out
 }
 
 // Sorted returns the members in lexicographic order.
-func (s Set) Sorted() []Category {
-	out := make([]Category, 0, len(s))
-	for c := range s {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s Set) Sorted() []Category { return members[Category](s) }
 
 // Strings returns the sorted members as plain strings (for JSON output).
-func (s Set) Strings() []string {
-	cs := s.Sorted()
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = string(c)
-	}
-	return out
-}
+func (s Set) Strings() []string { return members[string](s) }
 
 // Equal reports whether two sets contain the same categories.
-func (s Set) Equal(other Set) bool {
-	if len(s) != len(other) {
-		return false
-	}
-	for c := range s {
-		if !other.Has(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns a copy of the set.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	for c := range s {
-		out[c] = struct{}{}
-	}
-	return out
-}
+func (s Set) Equal(other Set) bool { return s == other }
 
 // String implements fmt.Stringer.
 func (s Set) String() string { return strings.Join(s.Strings(), ",") }
 
 // ParseSet parses a comma-separated category list (inverse of String).
 func ParseSet(text string) Set {
-	s := make(Set)
+	var s Set
 	for _, part := range strings.Split(text, ",") {
 		part = strings.TrimSpace(part)
 		if part != "" {

@@ -39,6 +39,16 @@ func TestPeriodicLabels(t *testing.T) {
 	if got := PeriodicBusy(DirRead, false); got != "read_periodic_low_busy_time" {
 		t.Fatalf("PeriodicBusy = %q", got)
 	}
+	// Arguments that name no category yield the empty name, never a
+	// neighbour's.
+	for _, got := range []Category{
+		Temporal(DirNone, OnStart), Temporal(DirRead, Insignificant+1), Periodic(DirNone),
+		PeriodicMagnitude(DirWrite, MagNone), PeriodicMagnitude(DirWrite, MagDayOrMore+1), PeriodicBusy(DirNone, true),
+	} {
+		if got != "" {
+			t.Fatalf("constructor outside the taxonomy = %q", got)
+		}
+	}
 }
 
 func TestMagnitudeOf(t *testing.T) {
@@ -119,17 +129,17 @@ func TestSetBasics(t *testing.T) {
 	}
 }
 
-func TestSetEqualClone(t *testing.T) {
-	a := NewSet("x", "y")
-	b := a.Clone()
+func TestSetEqualCopy(t *testing.T) {
+	a := NewSet("read_steady", "write_steady")
+	b := a
 	if !a.Equal(b) {
-		t.Fatal("clone should equal original")
+		t.Fatal("copy should equal original")
 	}
-	b.Add("z")
-	if a.Equal(b) || a.Has("z") {
-		t.Fatal("clone not independent")
+	b.Add("metadata_high_density")
+	if a.Equal(b) || a.Has("metadata_high_density") {
+		t.Fatal("copy not independent")
 	}
-	if NewSet("x").Equal(NewSet("y")) {
+	if NewSet("read_steady").Equal(NewSet("write_steady")) {
 		t.Fatal("different sets equal")
 	}
 }
@@ -148,10 +158,10 @@ func TestSetStringParseRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := ParseSet(" a, b ,, c "); len(got) != 3 {
+	if got := ParseSet(" read_steady, write_steady ,, metadata_high_spike "); got.Len() != 3 || got&Open != 0 {
 		t.Fatalf("ParseSet whitespace handling: %v", got)
 	}
-	if got := ParseSet(""); len(got) != 0 {
+	if got := ParseSet(""); got != 0 {
 		t.Fatalf("ParseSet empty: %v", got)
 	}
 }

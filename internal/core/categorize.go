@@ -56,12 +56,11 @@ func Categorize(j *darshan.Job, cfg Config) (*Result, error) {
 func categorize(j *darshan.Job, cfg Config, ex *explainState) (*Result, error) {
 	c := cfg.sane()
 	res := &Result{
-		JobID:      j.JobID,
-		App:        j.AppName(),
-		User:       j.User,
-		NProcs:     j.NProcs,
-		Runtime:    j.Runtime,
-		Categories: category.NewSet(),
+		JobID:   j.JobID,
+		App:     j.AppName(),
+		User:    j.User,
+		NProcs:  j.NProcs,
+		Runtime: j.Runtime,
 	}
 	if len(j.Metadata) > 0 {
 		res.Truth = j.Metadata
@@ -88,7 +87,7 @@ func categorize(j *darshan.Job, cfg Config, ex *explainState) (*Result, error) {
 		return nil, fmt.Errorf("core: write direction of job %d: %w", j.JobID, err)
 	}
 
-	res.Meta = classifyMetadata(j, &c, &sc.rates, res.Categories)
+	res.Meta = classifyMetadata(j, &c, &sc.rates, &res.Categories)
 
 	res.Labels = res.Categories.Strings()
 	if ex != nil {
@@ -139,9 +138,7 @@ func categorizeDirection(j *darshan.Job, dir category.Direction, raw []interval.
 		return err
 	}
 	rep.Groups = groups
-	for pc := range segment.Categories(dir, groups) {
-		res.Categories.Add(pc)
-	}
+	res.Categories |= segment.Categories(dir, groups)
 	if dx != nil {
 		dx.periodicity(merged, rep, ptr, j.Runtime, cfg)
 	}

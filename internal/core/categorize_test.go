@@ -75,7 +75,7 @@ func TestCategorizeFlagshipExample(t *testing.T) {
 	if res.Read.Periodic() {
 		t.Fatal("read direction should not be periodic")
 	}
-	if len(res.Labels) != len(res.Categories) {
+	if len(res.Labels) != res.Categories.Len() {
 		t.Fatal("Labels not synced with Categories")
 	}
 }

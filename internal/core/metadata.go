@@ -40,7 +40,7 @@ const exactFloatSum = 1 << 53
 // tsSlack). Only bins that saw a request exist, in rates: every rate
 // threshold is positive (Config.sane), so an empty second can be neither
 // a spike nor the peak and adds nothing to the mean.
-func classifyMetadata(j *darshan.Job, cfg *Config, rates *rateTable, cats category.Set) MetaReport {
+func classifyMetadata(j *darshan.Job, cfg *Config, rates *rateTable, cats *category.Set) MetaReport {
 	rep := MetaReport{TotalOps: j.TotalMetaOps()}
 
 	// The insignificant threshold: fewer metadata operations than ranks

@@ -37,7 +37,7 @@ func TestMetadataInsignificantBelowRanks(t *testing.T) {
 	// 10 requests < 64 ranks: insignificant by the paper's rule.
 	j := metaJob(64, 100, []darshan.MetaEvent{{Time: 5, Count: 10}})
 	cats, rep := classifyMeta(t, j)
-	if !cats.Has(category.MetaInsignificantLoad) || len(cats) != 1 {
+	if !cats.Has(category.MetaInsignificantLoad) || cats.Len() != 1 {
 		t.Fatalf("cats = %v", cats)
 	}
 	if rep.TotalOps != 10 {
@@ -145,7 +145,7 @@ func TestMetadataModerateLoadFallsBack(t *testing.T) {
 	// More ops than ranks but no threshold crossed: insignificant load.
 	j := metaJob(8, 1000, []darshan.MetaEvent{{Time: 10, Count: 20}, {Time: 500, Count: 20}})
 	cats, _ := classifyMeta(t, j)
-	if !cats.Has(category.MetaInsignificantLoad) || len(cats) != 1 {
+	if !cats.Has(category.MetaInsignificantLoad) || cats.Len() != 1 {
 		t.Fatalf("cats = %v", cats)
 	}
 }

@@ -76,7 +76,7 @@ func oracleClassifyMetadata(j *darshan.Job, cfg *Config) (category.Set, MetaRepo
 	if rep.SpikeCount >= cfg.MultipleSpikes && rep.MeanRate >= cfg.DensityRate {
 		out.Add(category.MetaHighDensity)
 	}
-	if len(out) == 0 {
+	if out == 0 {
 		out.Add(category.MetaInsignificantLoad)
 	}
 	return out, rep
@@ -87,8 +87,8 @@ func oracleClassifyMetadata(j *darshan.Job, cfg *Config) (category.Set, MetaRepo
 // oracle's, and the table is handed back empty.
 func checkMetaAgainstOracle(t testing.TB, j *darshan.Job, cfg *Config, rates *rateTable) (category.Set, MetaReport) {
 	t.Helper()
-	cats := category.NewSet()
-	rep := classifyMetadata(j, cfg, rates, cats)
+	var cats category.Set
+	rep := classifyMetadata(j, cfg, rates, &cats)
 	wantCats, want := oracleClassifyMetadata(j, cfg)
 	if !cats.Equal(wantCats) {
 		t.Fatalf("job %d: categories %v, oracle %v", j.JobID, cats, wantCats)

@@ -215,10 +215,7 @@ func (c *Client) CategorizeContext(ctx context.Context, j *darshan.Job, cfg core
 	if err := json.Unmarshal(reply.Result, &res); err != nil {
 		return nil, "", fmt.Errorf("dist: decoding result: %w", err)
 	}
-	res.Categories = category.NewSet()
-	for _, l := range res.Labels {
-		res.Categories.Add(category.Category(l))
-	}
+	res.Categories = category.Of(res.Labels)
 	return &res, "", nil
 }
 

@@ -343,22 +343,15 @@ func Accuracy(p gen.Profile, cfg core.Config, sampleSize int, seed int64) (*Accu
 	return res, nil
 }
 
+// axisMismatches names, in alphabetical order, the axes on which the two
+// sets differ.
 func axisMismatches(truth, got category.Set) []string {
-	axes := map[string]bool{}
-	diff := func(a, b category.Set) {
-		for c := range a {
-			if !b.Has(c) {
-				axes[c.Axis().String()] = true
-			}
+	var out []string
+	for _, a := range []category.Axis{category.AxisMetadata, category.AxisPeriodicity, category.AxisTemporality} {
+		if (truth^got)&a.Set() != 0 {
+			out = append(out, a.String())
 		}
 	}
-	diff(truth, got)
-	diff(got, truth)
-	out := make([]string, 0, len(axes))
-	for a := range axes {
-		out = append(out, a)
-	}
-	sort.Strings(out)
 	return out
 }
 

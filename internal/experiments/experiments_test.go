@@ -44,7 +44,7 @@ func TestRunProducesConsistentCounts(t *testing.T) {
 		t.Fatalf("aggregator runs %d != valid %d", cr.Agg.Runs(), cr.Funnel.Valid)
 	}
 	for _, r := range cr.Results {
-		if r.Result == nil || r.Truth == nil {
+		if r.Result == nil || r.Truth == 0 {
 			t.Fatal("missing result or truth")
 		}
 	}

@@ -68,7 +68,7 @@ func Stability(seed int64, appCount, runsPerApp int, cfg core.Config) (*Stabilit
 }
 
 func modalSet(sets []category.Set) category.Set {
-	best, bestN := category.Set(nil), -1
+	best, bestN := category.Set(0), -1
 	for _, s := range sets {
 		n := 0
 		for _, o := range sets {

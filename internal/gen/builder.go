@@ -32,17 +32,10 @@ const TruthPeriodKey = "mosaic.truth.period"
 // ArchetypeKey stores the archetype name that generated the trace.
 const ArchetypeKey = "mosaic.archetype"
 
-// Truth extracts the ground-truth category set from a generated job, or
-// nil when the job carries no truth annotation.
+// Truth extracts the ground-truth category set from a generated job: the
+// empty set when the job carries no truth annotation.
 func Truth(j *darshan.Job) category.Set {
-	if j.Metadata == nil {
-		return nil
-	}
-	s, ok := j.Metadata[TruthKey]
-	if !ok {
-		return nil
-	}
-	return category.ParseSet(s)
+	return category.ParseSet(j.Metadata[TruthKey])
 }
 
 // Builder assembles one synthetic trace from I/O phases. All times are
@@ -69,8 +62,7 @@ func NewBuilder(rng *rand.Rand, user, exe string, jobID uint64, ranks int32, run
 			Runtime:  runtime,
 			Metadata: map[string]string{},
 		},
-		rng:   rng,
-		truth: category.NewSet(),
+		rng: rng,
 	}
 }
 

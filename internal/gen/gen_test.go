@@ -34,7 +34,7 @@ func TestArchetypesProduceValidTraces(t *testing.T) {
 				if err := darshan.Validate(j); err != nil {
 					t.Fatalf("trial %d: generated trace invalid: %v", trial, err)
 				}
-				if Truth(j) == nil || len(Truth(j)) == 0 {
+				if Truth(j) == 0 {
 					t.Fatalf("trial %d: no ground truth recorded", trial)
 				}
 				if j.Metadata[ArchetypeKey] == "" && arch.Name != "" {
@@ -55,8 +55,8 @@ func TestTruthRoundTrip(t *testing.T) {
 	if !truth.Has(category.Temporal(category.DirRead, category.OnStart)) || !truth.Has(category.MetaHighSpike) {
 		t.Fatalf("truth round trip lost labels: %v", truth)
 	}
-	if Truth(&darshan.Job{}) != nil {
-		t.Fatal("Truth of unannotated job should be nil")
+	if Truth(&darshan.Job{}) != 0 {
+		t.Fatal("Truth of unannotated job should be empty")
 	}
 }
 

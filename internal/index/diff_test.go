@@ -18,7 +18,7 @@ import (
 
 // Differential tests: the posting-list engine and the map-based
 // Oracle must give byte-identical answers on every query, plus
-// identical Len/Count/Categories/AxisCounts views, across archetype
+// identical Len/Count/per-trace set/AxisCounts views, across archetype
 // corpora, random corpora with churn, and store rebuilds.
 
 // diffQueries is the query battery: every operator, lazy-NOT shapes,
@@ -64,6 +64,13 @@ func checkAgree(t *testing.T, ix *Index, or *Oracle, queries []string) {
 	}
 	if got, want := ix.AxisCounts(), or.AxisCounts(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("AxisCounts:\nengine=%v\noracle=%v", got, want)
+	}
+	// Equal Len and every trace of the oracle's found: the same traces,
+	// each under the same set.
+	for tid, want := range or.byTrace {
+		if got, ok := ix.Set(tid); !ok || !slices.Equal(got.Sorted(), want) {
+			t.Fatalf("Set(%s): engine=%v (indexed %v) oracle=%v", tid, got, ok, want)
+		}
 	}
 	for _, q := range queries {
 		got, gerr := ix.Query(q)
@@ -133,9 +140,8 @@ func TestDifferentialArchetypes(t *testing.T) {
 			tid := id(n)
 			ix.Add(tid, res.Categories)
 			or.Add(tid, res.Categories)
-			cats := ix.Categories(tid)
-			if want := or.Categories(tid); !reflect.DeepEqual(cats, want) && (len(cats) != 0 || len(want) != 0) {
-				t.Fatalf("Categories(%s): engine=%v oracle=%v", tid, cats, want)
+			if got, ok := ix.Set(tid); !ok || got != res.Categories {
+				t.Fatalf("Set(%s): engine=%v (indexed %v), added %v", tid, got, ok, res.Categories)
 			}
 			n++
 		}
@@ -378,10 +384,12 @@ func TestDifferentialRebuild(t *testing.T) {
 // every form a result can have on disk — legacy documents an old store
 // wrote (testdata of internal/store), served records, a legacy record
 // superseded by a served one and the reverse order within the served
-// form, masks with the open bit both legacy and served, a record under
+// form, sets with the open bit both legacy and served, a record under
 // another fingerprint — with the engine, which reads record heads and
 // parses nothing it does not have to, and with the oracle, which decodes
-// every result. Same index, down to each trace's category list.
+// every result. Same index, down to each trace's category set; a label
+// outside the taxonomy is in neither, the engine keeping category.Open
+// where one was.
 func TestRebuildFromMasksMatchesOracle(t *testing.T) {
 	const fixture, fp = "../store/testdata/legacy-store", "cfg-legacy-fixture"
 	dir := t.TempDir()
@@ -448,17 +456,20 @@ func TestRebuildFromMasksMatchesOracle(t *testing.T) {
 	}
 	checkAgree(t, ix, or, diffQueries)
 	ids, _ := or.Query("NOT metadata_high_spike OR metadata_high_spike")
-	custom := 0
+	open := 0
 	for _, id := range ids {
-		got, want := ix.Categories(id), or.Categories(id)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Categories(%s): engine %v, oracle %v", id, got, want)
-		}
-		if slices.Contains(got, "site_custom_label") {
-			custom++
+		if got, _ := ix.Set(id); got&category.Open != 0 {
+			open++
 		}
 	}
-	if len(ids) != 231 || custom != 20 { // i%9 == 0 less the four superseded by their first half, and the fixture's
-		t.Fatalf("%d traces, %d with the custom label", len(ids), custom)
+	if len(ids) != 231 || open != 20 { // i%9 == 0 less the four superseded by their first half, and the fixture's
+		t.Fatalf("%d traces, %d of them open", len(ids), open)
+	}
+	for _, counts := range ix.AxisCounts() {
+		for _, c := range counts {
+			if _, ok := c.Category.Bit(); !ok {
+				t.Fatalf("AxisCounts lists %q, which is outside the taxonomy", c.Category)
+			}
+		}
 	}
 }

@@ -11,10 +11,11 @@
 // on ingest; all operations are safe for concurrent use.
 //
 // Internally this is a compact posting engine: trace IDs live in a
-// dense lexicographically-ordered dictionary, and each category's
-// matches are a set of ordinals in the smaller of two forms — a
-// []uint64 bitmap over [0,n) when at least one trace in 32 carries the
-// category, a sorted []uint32 list otherwise. Boolean algebra runs over
+// dense lexicographically-ordered dictionary with each trace's
+// category.Set in a column beside it, and each category's matches are a
+// set of ordinals in the smaller of two forms — a []uint64 bitmap over
+// [0,n) when at least one trace in 32 carries the category, a sorted
+// []uint32 list otherwise. Boolean algebra runs over
 // those sets in pooled scratch buffers: word-parallel AND/OR/NOT between
 // bitmaps, a bit test or bit set per entry where a list meets one,
 // galloping intersection between lists; a count is a length or a
@@ -30,7 +31,6 @@ package index
 import (
 	"context"
 	"crypto/sha256"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -52,7 +52,6 @@ type Index struct {
 	ops  []deltaOp  // append-only since the last compaction; entries are write-once
 	wmap map[store.TraceID]int
 	live int
-	cats []category.Category
 
 	// compactMin overrides the delta-compaction threshold when > 0
 	// (tests use tiny values to force fold churn).
@@ -65,89 +64,62 @@ type Index struct {
 
 // New returns an empty index.
 func New() *Index {
-	ix := &Index{wmap: make(map[store.TraceID]int), cats: catNames()}
-	ix.snap.Store(&snapshot{gen: emptyGen, cats: ix.cats})
+	ix := &Index{wmap: make(map[store.TraceID]int)}
+	ix.snap.Store(&snapshot{gen: emptyGen})
 	return ix
 }
 
 // Add (re-)indexes one trace under its category set. Re-adding a
 // trace replaces its previous postings, so re-categorization under a
-// new configuration keeps the index consistent.
+// new configuration keeps the index consistent. The taxonomy is closed:
+// a set with category.Open is indexed under its other bits and keeps the
+// bit in its column.
 func (ix *Index) Add(id store.TraceID, cats category.Set) {
-	ix.addCtx(context.Background(), id, setCatIDs(cats))
+	ix.AddCtx(context.Background(), id, cats)
 }
 
 // AddCtx is Add wrapped in a request-trace span ("index.update") when
 // ctx carries one; untraced contexts pay nothing beyond the nil check.
 func (ix *Index) AddCtx(ctx context.Context, id store.TraceID, cats category.Set) {
-	ix.addCtx(ctx, id, setCatIDs(cats))
-}
-
-// AddMaskCtx is AddCtx for a caller that holds the head of the trace's
-// result record instead of a decoded result: the categories are mask's
-// bits, and labels — the record's full list — is read only when mask
-// has category.MaskOpen (the convention of store.EachResultMask).
-func (ix *Index) AddMaskCtx(ctx context.Context, id store.TraceID, mask uint64, labels []string) {
-	ix.addCtx(ctx, id, appendMaskCats(make([]uint16, 0, bits.OnesCount64(mask)), mask, labels))
-}
-
-// setCatIDs names a category set by dense IDs; never nil, since a nil
-// op is a tombstone and a set without members is a live trace.
-func setCatIDs(cats category.Set) []uint16 {
-	sorted := cats.Sorted()
-	cids := make([]uint16, len(sorted))
-	for i, c := range sorted {
-		cids[i] = catIDOf(c)
-	}
-	return cids
-}
-
-func (ix *Index) addCtx(ctx context.Context, id store.TraceID, cids []uint16) {
 	_, _, traced := reqtrace.FromContext(ctx)
 	var start time.Time
 	if traced {
 		start = time.Now()
 	}
 	ix.mu.Lock()
-	ix.applyLocked(id, cids)
+	ix.applyLocked(deltaOp{id: id, set: cats, live: true})
 	ix.mu.Unlock()
 	if traced {
 		reqtrace.AddSpan(ctx, "index.update", start, time.Since(start),
-			reqtrace.Int("categories", int64(len(cids))))
+			reqtrace.Int("categories", int64(cats.Len())))
 	}
 }
 
 // Remove drops a trace from every posting list.
 func (ix *Index) Remove(id store.TraceID) {
 	ix.mu.Lock()
-	ix.applyLocked(id, nil)
+	ix.applyLocked(deltaOp{id: id})
 	ix.mu.Unlock()
 }
 
-// applyLocked appends one delta op (cids == nil tombstones) and
-// publishes the resulting snapshot. Caller holds ix.mu.
-func (ix *Index) applyLocked(id store.TraceID, cids []uint16) {
+// applyLocked appends one delta op and publishes the resulting
+// snapshot. Caller holds ix.mu.
+func (ix *Index) applyLocked(op deltaOp) {
 	gen := ix.snap.Load().gen
 	wasLive := false
-	if i, ok := ix.wmap[id]; ok {
-		wasLive = ix.ops[i].cats != nil
-	} else if _, ok := gen.ordinalOf(id); ok {
+	if i, ok := ix.wmap[op.id]; ok {
+		wasLive = ix.ops[i].live
+	} else if _, ok := gen.ordinalOf(op.id); ok {
 		wasLive = true
 	}
-	if cids == nil && !wasLive {
+	if !op.live && !wasLive {
 		return // removing an unknown trace: nothing to record
 	}
-	for _, c := range cids {
-		if int(c) >= len(ix.cats) {
-			ix.cats = catNames()
-			break
-		}
-	}
-	ix.ops = append(ix.ops, deltaOp{id: id, cats: cids})
-	ix.wmap[id] = len(ix.ops) - 1
-	if cids != nil && !wasLive {
+	ix.ops = append(ix.ops, op)
+	ix.wmap[op.id] = len(ix.ops) - 1
+	if op.live && !wasLive {
 		ix.live++
-	} else if cids == nil && wasLive {
+	} else if !op.live {
 		ix.live--
 	}
 	ix.publishLocked(gen)
@@ -162,7 +134,6 @@ func (ix *Index) publishLocked(gen *generation) {
 		gen:  gen,
 		ops:  ix.ops[:len(ix.ops):len(ix.ops)],
 		live: ix.live,
-		cats: ix.cats,
 	})
 }
 
@@ -210,7 +181,7 @@ func (ix *Index) compactOnce() {
 	if len(s.ops) == 0 {
 		return
 	}
-	gen := mergeGeneration(s, len(s.cats))
+	gen := mergeGeneration(s)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.snap.Load().gen != s.gen {
@@ -232,19 +203,10 @@ func (ix *Index) compactOnce() {
 // hook).
 func (ix *Index) waitCompact() { ix.compactWG.Wait() }
 
-// Categories returns the indexed category set of one trace (nil when
-// unknown).
-func (ix *Index) Categories(id store.TraceID) []category.Category {
-	s := ix.snap.Load()
-	cids, ok := s.lookup(id)
-	if !ok || len(cids) == 0 {
-		return nil
-	}
-	out := make([]category.Category, len(cids))
-	for i, c := range cids {
-		out[i] = s.cats[c]
-	}
-	return out
+// Set returns the indexed category set of one trace, and whether the
+// trace is indexed at all.
+func (ix *Index) Set(id store.TraceID) (category.Set, bool) {
+	return ix.snap.Load().lookup(id)
 }
 
 // Len returns the number of indexed traces.
@@ -273,37 +235,11 @@ func (ix *Index) Stats() Stats {
 
 // Count returns how many traces carry the exact category.
 func (ix *Index) Count(c category.Category) int {
-	cid, ok := lookupCatID(c)
+	bit, ok := c.Bit()
 	if !ok {
 		return 0
 	}
-	s := ix.snap.Load()
-	n := 0
-	if int(cid) < len(s.gen.card) {
-		n = s.gen.card[cid]
-	}
-	if len(s.ops) == 0 {
-		return n
-	}
-	seen := make(map[store.TraceID]struct{}, len(s.ops))
-	for i := len(s.ops) - 1; i >= 0; i-- {
-		op := s.ops[i]
-		if _, dup := seen[op.id]; dup {
-			continue
-		}
-		seen[op.id] = struct{}{}
-		had := false
-		if ord, ok := s.gen.ordinalOf(op.id); ok {
-			had = containsCat(s.gen.catsAt(ord), cid)
-		}
-		has := op.cats != nil && containsCat(op.cats, cid)
-		if has && !had {
-			n++
-		} else if had && !has {
-			n--
-		}
-	}
-	return n
+	return ix.snap.Load().cards()[bit]
 }
 
 // CategoryCount pairs a category with its posting size.
@@ -346,38 +282,18 @@ func copyAxes(axes map[string][]CategoryCount) map[string][]CategoryCount {
 }
 
 func computeAxes(s *snapshot) map[string][]CategoryCount {
-	counts := make([]int, len(s.cats))
-	copy(counts, s.gen.card)
-	if len(s.ops) > 0 {
-		seen := make(map[store.TraceID]struct{}, len(s.ops))
-		for i := len(s.ops) - 1; i >= 0; i-- {
-			op := s.ops[i]
-			if _, dup := seen[op.id]; dup {
-				continue
-			}
-			seen[op.id] = struct{}{}
-			if ord, ok := s.gen.ordinalOf(op.id); ok {
-				for _, c := range s.gen.catsAt(ord) {
-					counts[c]--
-				}
-			}
-			for _, c := range op.cats {
-				counts[c]++
-			}
-		}
-	}
 	out := map[string][]CategoryCount{
 		category.AxisTemporality.String(): {},
 		category.AxisPeriodicity.String(): {},
 		category.AxisMetadata.String():    {},
 	}
-	for cid, cnt := range counts {
+	all := category.All()
+	for bit, cnt := range s.cards() {
 		if cnt <= 0 {
 			continue
 		}
-		c := s.cats[cid]
-		axis := c.Axis().String()
-		out[axis] = append(out[axis], CategoryCount{Category: c, Count: cnt})
+		axis := all[bit].Axis().String()
+		out[axis] = append(out[axis], CategoryCount{Category: all[bit], Count: cnt})
 	}
 	for _, counts := range out {
 		sort.Slice(counts, func(i, j int) bool {
@@ -393,46 +309,32 @@ func computeAxes(s *snapshot) map[string][]CategoryCount {
 // Rebuild repopulates the index from every stored result under the
 // given config fingerprint, replacing current contents atomically
 // (queries running during a rebuild see the old state until the swap).
-// It streams the eight-byte category mask at the head of each record out
+// It streams the eight-byte category set at the head of each record out
 // of the log — one sequential readahead pass that parses nothing — into
-// three flat buffers, so the cost per trace is a copy of its ID, not an
+// flat buffers, so the cost per trace is a copy of its ID, not an
 // allocation. It returns the number of traces indexed.
 func (ix *Index) Rebuild(s *store.Store, fingerprint string) (int, error) {
 	n := s.Stats().Results // of every fingerprint: an upper bound
 	var (
-		ids   strings.Builder        // trace IDs, back to back
-		ends  = make([]int, 0, n)    // where each one ends in ids
-		masks = make([]uint64, 0, n) // entry → mask
-		open  map[int][]string       // entry → labels, for the masks with MaskOpen
-		ncats int
+		ids  strings.Builder              // trace IDs, back to back
+		ends = make([]int, 0, n)          // where each one ends in ids
+		sets = make([]category.Set, 0, n) // entry → set
 	)
 	ids.Grow(n * sha256.Size * 2)
-	err := s.EachResultMask(fingerprint, func(id []byte, mask uint64, labels []string) bool {
-		if mask&category.MaskOpen != 0 {
-			if open == nil {
-				open = make(map[int][]string)
-			}
-			open[len(masks)] = labels
-			ncats += len(labels)
-		} else {
-			ncats += bits.OnesCount64(mask)
-		}
+	err := s.EachResultMask(fingerprint, func(id []byte, set category.Set) bool {
 		ids.Write(id)
 		ends = append(ends, ids.Len())
-		masks = append(masks, mask)
+		sets = append(sets, set)
 		return true
 	})
 	if err != nil {
 		return 0, err
 	}
-	// Every entry's ID is a substring of one string and its categories a
-	// window of one slice.
-	arena, cats, entries := ids.String(), make([]uint16, 0, ncats), make([]entry, len(masks))
+	// Every entry's ID is a substring of one string.
+	arena, entries := ids.String(), make([]entry, len(sets))
 	start := 0
-	for i, mask := range masks {
-		from := len(cats)
-		cats = appendMaskCats(cats, mask, open[i])
-		entries[i] = entry{id: store.TraceID(arena[start:ends[i]]), cats: cats[from:len(cats):len(cats)]}
+	for i, set := range sets {
+		entries[i] = entry{id: store.TraceID(arena[start:ends[i]]), set: set}
 		start = ends[i]
 	}
 	return ix.install(entries), nil
@@ -452,12 +354,7 @@ type Entry struct {
 func (ix *Index) Load(items []Entry) int {
 	entries := make([]entry, len(items))
 	for i, it := range items {
-		sorted := it.Cats.Sorted()
-		cids := make([]uint16, len(sorted))
-		for j, c := range sorted {
-			cids[j] = catIDOf(c)
-		}
-		entries[i] = entry{id: it.ID, cats: cids}
+		entries[i] = entry{id: it.ID, set: it.Cats}
 	}
 	return ix.install(entries)
 }
@@ -466,10 +363,8 @@ func (ix *Index) Load(items []Entry) int {
 // publishes it wholesale with an empty delta.
 func (ix *Index) install(entries []entry) int {
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	names := catNames()
 	dedup := entries[:0]
 	for _, e := range entries {
-		sortCatIDs(e.cats, names)
 		if n := len(dedup); n > 0 && dedup[n-1].id == e.id {
 			dedup[n-1] = e // later entry for the same ID wins
 			continue
@@ -477,8 +372,7 @@ func (ix *Index) install(entries []entry) int {
 		dedup = append(dedup, e)
 	}
 	ix.mu.Lock()
-	ix.cats = catNames()
-	gen := buildGeneration(dedup, len(ix.cats), allPlain(dedup))
+	gen := buildGeneration(dedup, allPlain(dedup))
 	ix.ops = nil
 	ix.wmap = make(map[store.TraceID]int)
 	ix.live = gen.n()

@@ -163,7 +163,8 @@ func TestIndexRebuildFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 6 {
-		t.Fatalf("query after rebuild = %d traces, want 6 (cats of first: %v)", len(got), ix.Categories(want[0]))
+		first, _ := ix.Set(want[0])
+		t.Fatalf("query after rebuild = %d traces, want 6 (cats of first: %v)", len(got), first)
 	}
 }
 

@@ -95,8 +95,7 @@ func TestPageWordBoundaries(t *testing.T) {
 		items := make([]Entry, n)
 		for i, s := range skewedSets(rng, n) {
 			s.Add("write_on_end")
-			delete(s, "read_on_start")
-			delete(s, "metadata_high_spike")
+			s &^= set("read_on_start", "metadata_high_spike")
 			if i == n-1 {
 				s.Add("metadata_high_spike")
 			}
@@ -109,17 +108,17 @@ func TestPageWordBoundaries(t *testing.T) {
 		last, above, below := id(90+10*n), id(95+10*n), id(85+10*n)
 		steps := []struct {
 			tid  store.TraceID
-			cats category.Set // nil removes
+			cats category.Set // 0 removes
 		}{
 			{above, set("metadata_high_spike")},           // a match after every ordinal
 			{last, set("read_on_start")},                  // override on the last ordinal
 			{below, set("write_on_end", "read_on_start")}, // a match inside the last word
-			{last, nil},
+			{last, 0},
 			{last, set("write_on_end", "metadata_high_spike")},
-			{above, nil},
+			{above, 0},
 		}
 		for i, st := range steps {
-			if st.cats == nil {
+			if st.cats == 0 {
 				ix.Remove(st.tid)
 				or.Remove(st.tid)
 			} else {
@@ -132,54 +131,6 @@ func TestPageWordBoundaries(t *testing.T) {
 		ix.compactOnce()
 		checkAgree(t, ix, or, queries)
 	}
-}
-
-// TestLateCategory: a category registered after a generation was built
-// has no posting in it: its set there is empty, under every operation.
-func TestLateCategory(t *testing.T) {
-	ix, or := New(), NewOracle()
-	ix.compactMin = 1 << 30
-	var items []Entry
-	for i := 0; i < 300; i++ {
-		items = append(items, Entry{ID: id(i), Cats: set("write_on_end")})
-		or.Add(id(i), set("write_on_end"))
-	}
-	ix.Load(items)
-	g := ix.snap.Load().gen
-
-	const late = category.Category("zz_registered_after_the_build")
-	ix.Add(id(1000), set(late, "write_on_end"))
-	or.Add(id(1000), set(late, "write_on_end"))
-	cid, ok := lookupCatID(late)
-	if !ok || int(cid) < len(g.postings) || ix.snap.Load().gen != g {
-		t.Fatalf("category %d of %d is not past the generation", cid, len(g.postings))
-	}
-	if got, want := ix.Count(late), or.Count(late); got != want || got != 1 {
-		t.Fatalf("Count(late) = %d, oracle %d", got, want)
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	every := g.posting(0)
-	for c := range g.postings {
-		if g.card[c] == g.n() {
-			every = g.posting(uint16(c))
-		}
-	}
-	if p := g.posting(cid); p.dense || p.count() != 0 {
-		t.Fatalf("posting past the generation: %+v", p)
-	}
-	if got := sc.and(every, g.posting(cid)).count(); got != 0 {
-		t.Fatalf("every ∧ late has %d members", got)
-	}
-	if got := sc.or(g.posting(cid), every).count(); got != g.n() {
-		t.Fatalf("late ∨ every has %d members, want %d", got, g.n())
-	}
-	if got := sc.not(g.posting(cid), g.n()).count(); got != g.n() {
-		t.Fatalf("¬late has %d members, want %d", got, g.n())
-	}
-	ix.Remove(id(1000))
-	or.Remove(id(1000))
-	checkAgree(t, ix, or, diffQueries)
 }
 
 // TestScratchWordsFollowGeneration: the scratch outlives generations,

@@ -1,12 +1,16 @@
 package index
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
 
-// A compiled query plan. Plans bind term nodes to dense category IDs
-// (static for the closed canonical set), flatten the left-associative
-// parse tree into n-ary AND/OR nodes, and are immutable after compile —
-// safe to cache globally and share across goroutines and Index
-// instances.
+	"github.com/mosaic-hpc/mosaic/internal/category"
+)
+
+// A compiled query plan. Plans bind term nodes to category sets (static:
+// the taxonomy is closed), flatten the left-associative parse tree into
+// n-ary AND/OR nodes, and are immutable after compile — safe to cache
+// globally and share across goroutines and Index instances.
 
 const (
 	pTerm = iota
@@ -17,20 +21,14 @@ const (
 
 type planNode struct {
 	kind int
-	cats []uint16    // pTerm
-	kids []*planNode // pAnd, pOr; pNot uses kids[0]
+	cats category.Set // pTerm: the categories the term expands to
+	kids []*planNode  // pAnd, pOr; pNot uses kids[0]
 }
 
 func compile(n node) *planNode {
 	switch t := n.(type) {
 	case termNode:
-		cats := make([]uint16, 0, len(t.cats))
-		for _, c := range t.cats {
-			if id, ok := lookupCatID(c); ok {
-				cats = append(cats, id)
-			}
-		}
-		return &planNode{kind: pTerm, cats: cats}
+		return &planNode{kind: pTerm, cats: category.NewSet(t.cats...)}
 	case andNode:
 		return flatten(pAnd, compile(t.l), compile(t.r))
 	case orNode:
@@ -61,12 +59,13 @@ func flatten(kind int, l, r *planNode) *planNode {
 func (p *planNode) eval(g *generation, sc *scratch) ordSet {
 	switch p.kind {
 	case pTerm:
-		if len(p.cats) == 0 {
+		b := uint64(p.cats)
+		if b == 0 {
 			return ordSet{}
 		}
-		acc := g.posting(p.cats[0])
-		for _, c := range p.cats[1:] {
-			acc = sc.or(acc, g.posting(c))
+		acc := g.postings[bits.TrailingZeros64(b)]
+		for b &= b - 1; b != 0; b &= b - 1 {
+			acc = sc.or(acc, g.postings[bits.TrailingZeros64(b)])
 		}
 		return acc
 	case pNot:
@@ -92,15 +91,10 @@ func (p *planNode) eval(g *generation, sc *scratch) ordSet {
 // matches evaluates the plan directly against one small category set
 // — the delta-overlay path, where unfolded mutations are checked one
 // trace at a time instead of through postings.
-func (p *planNode) matches(cats []uint16) bool {
+func (p *planNode) matches(cats category.Set) bool {
 	switch p.kind {
 	case pTerm:
-		for _, c := range p.cats {
-			if containsCat(cats, c) {
-				return true
-			}
-		}
-		return false
+		return cats&p.cats != 0
 	case pNot:
 		return !p.kids[0].matches(cats)
 	case pAnd:
@@ -120,8 +114,8 @@ func (p *planNode) matches(cats []uint16) bool {
 	}
 }
 
-// planCache memoizes compiled plans by query string. Category-ID
-// binding only depends on the closed canonical set, so plans are
+// planCache memoizes compiled plans by query string. A term's set
+// only depends on the closed canonical set, so plans are
 // valid process-wide; the cache flushes wholesale when adversarial
 // unique-query traffic (fuzzing, scans) fills it.
 var planCache = struct {

@@ -311,7 +311,7 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 			if ord, ok := g.ordinalOf(op.id); ok {
 				overridden = append(overridden, ord)
 			}
-			if op.cats != nil && plan.matches(op.cats) {
+			if op.live && plan.matches(op.set) {
 				matches = append(matches, string(op.id))
 			}
 		}

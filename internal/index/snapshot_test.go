@@ -125,7 +125,7 @@ func TestSnapshotConcurrentChurn(t *testing.T) {
 					}
 				default:
 					ix.AxisCounts()
-					ix.Categories(id(n))
+					ix.Set(id(n))
 				}
 			}
 		}(g)

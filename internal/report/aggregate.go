@@ -7,6 +7,8 @@
 package report
 
 import (
+	"math/bits"
+
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/stats"
@@ -21,10 +23,9 @@ type Aggregator struct {
 	apps int
 	runs int
 
-	single map[category.Category]int // apps carrying the category
-	all    map[category.Category]int // runs carrying it (weighted)
+	all [category.N]int // runs carrying the category (weighted), by its bit
 
-	co *stats.CoMatrix // app-level co-occurrence for Jaccard/conditionals
+	co stats.CoMatrix // app-level counts and co-occurrence for Jaccard/conditionals
 
 	readPeriods  []float64 // dominant read periods of periodic apps
 	writePeriods []float64
@@ -39,9 +40,6 @@ type Aggregator struct {
 // category set.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
-		single:         make(map[category.Category]int),
-		all:            make(map[category.Category]int),
-		co:             stats.NewCoMatrix(category.All()),
 		writeMagSingle: make(map[category.PeriodMagnitude]int),
 		writeMagAll:    make(map[category.PeriodMagnitude]int),
 		readMagSingle:  make(map[category.PeriodMagnitude]int),
@@ -56,9 +54,8 @@ func (a *Aggregator) Add(res *core.Result, runs int) {
 	}
 	a.apps++
 	a.runs += runs
-	for c := range res.Categories {
-		a.single[c]++
-		a.all[c] += runs
+	for b := uint64(res.Categories & category.Closed); b != 0; b &= b - 1 {
+		a.all[bits.TrailingZeros64(b)] += runs
 	}
 	a.co.Observe(res.Categories)
 
@@ -83,23 +80,19 @@ func (a *Aggregator) Apps() int { return a.apps }
 func (a *Aggregator) Runs() int { return a.runs }
 
 // SingleRate returns the fraction of applications carrying the category.
-func (a *Aggregator) SingleRate(c category.Category) float64 {
-	if a.apps == 0 {
-		return 0
-	}
-	return float64(a.single[c]) / float64(a.apps)
-}
+func (a *Aggregator) SingleRate(c category.Category) float64 { return a.co.Rate(c) }
 
 // AllRate returns the fraction of executions carrying the category.
 func (a *Aggregator) AllRate(c category.Category) float64 {
-	if a.runs == 0 {
+	bit, ok := c.Bit()
+	if !ok || a.runs == 0 {
 		return 0
 	}
-	return float64(a.all[c]) / float64(a.runs)
+	return float64(a.all[bit]) / float64(a.runs)
 }
 
 // Co exposes the application-level co-occurrence matrix.
-func (a *Aggregator) Co() *stats.CoMatrix { return a.co }
+func (a *Aggregator) Co() *stats.CoMatrix { return &a.co }
 
 // TemporalityRow is one row of Table III: the distribution of the main
 // temporality labels for one direction and one population view.

@@ -51,7 +51,7 @@ func HeatmapPNG(w io.Writer, agg *Aggregator, minRate float64, cell int) error {
 	}
 	co := agg.Co()
 	var labels []category.Category
-	for _, l := range co.Labels {
+	for _, l := range category.All() {
 		if agg.SingleRate(l) >= minRate && co.Count(l) > 0 {
 			labels = append(labels, l)
 		}

@@ -115,7 +115,7 @@ func WriteJaccard(w io.Writer, a *Aggregator, threshold float64) {
 	co := a.Co()
 	// Keep only populated labels so the matrix stays readable.
 	var labels []category.Category
-	for _, l := range co.Labels {
+	for _, l := range category.All() {
 		if co.Count(l) > 0 {
 			labels = append(labels, l)
 		}
@@ -138,7 +138,7 @@ func WriteJaccard(w io.Writer, a *Aggregator, threshold float64) {
 func WriteHeatmap(w io.Writer, a *Aggregator, minRate float64) {
 	co := a.Co()
 	var labels []category.Category
-	for _, l := range co.Labels {
+	for _, l := range category.All() {
 		if co.Rate(l) >= minRate {
 			labels = append(labels, l)
 		}

@@ -19,7 +19,7 @@ func resultWith(id uint64, cats ...category.Category) *core.Result {
 		Categories: category.NewSet(cats...),
 	}
 	res.Labels = res.Categories.Strings()
-	for c := range res.Categories {
+	for _, c := range res.Categories.Sorted() {
 		if c == category.Periodic(category.DirWrite) {
 			res.Write.Groups = []segment.Group{{Count: 10, Period: 300, Magnitude: category.MagMinute, BusyRatio: 0.1}}
 		}

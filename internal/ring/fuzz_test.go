@@ -2,6 +2,7 @@ package ring
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +43,48 @@ func FuzzFrameWire(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("blob list re-encodes to %x, split from %x", re, data)
+		}
+	})
+}
+
+// FuzzResultPush: parseResultPush reads what a peer sends as an
+// OpResultPush body, in the blob-list form or the JSON form of a node
+// that predates it. Arbitrary bytes yield an error and nothing else, or
+// three fields that appendResultPush encodes to a body parsing to the
+// same three. The one body the two forms could disagree on starts with
+// '{' as a blob list — an ID whose length ends in that byte, which no
+// trace ID has — and it must be refused, not read as something else.
+func FuzzResultPush(f *testing.F) {
+	id, fp := strings.Repeat("ab", 32), "cfg-0123"
+	record := append([]byte{0x7b, 0x00, 0xff, 0x22, 0, 0, 0, 0x80}, "{\n  \"job_id\": 1\n}\n"...)
+	body := appendResultPush(nil, id, fp, record)
+	legacy := []byte(`{"id":"` + id + `","fp":"` + fp + `","result":{"job_id":1,"categories":["write_on_end"]}}`)
+	f.Add(body)
+	f.Add(body[:len(body)-3])
+	f.Add(AppendBlob(bytes.Clone(body), []byte("extra")))
+	f.Add(legacy)
+	f.Add(legacy[:len(legacy)-5])
+	f.Add([]byte(`{"id":7}`))
+	f.Add([]byte(`{"id":"` + strings.Repeat("a", '{') + `","result":null}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		id, fp, result, err := parseResultPush(data)
+		if err != nil {
+			if id != "" || fp != "" || result != nil {
+				t.Fatalf("error %v with a partial value: %q %q %q", err, id, fp, result)
+			}
+			return
+		}
+		re := appendResultPush(nil, id, fp, result)
+		id2, fp2, result2, err := parseResultPush(re)
+		if err != nil {
+			if byte(len(id)) != '{' {
+				t.Fatalf("(%q, %q, %q) re-encodes to a body that is refused: %v", id, fp, result, err)
+			}
+			return
+		}
+		if id2 != id || fp2 != fp || !bytes.Equal(result2, result) {
+			t.Fatalf("(%q, %q, %q) re-encodes to a body read as (%q, %q, %q)", id, fp, result, id2, fp2, result2)
 		}
 	})
 }

@@ -341,11 +341,10 @@ func (g Group) BusyHigh() bool { return g.BusyRatio >= BusyHighThreshold }
 // the given direction: the base periodic label, one magnitude label per
 // distinct magnitude, and a busy-time label per group.
 func Categories(dir category.Direction, groups []Group) category.Set {
-	s := category.NewSet()
 	if len(groups) == 0 {
-		return s
+		return 0
 	}
-	s.Add(category.Periodic(dir))
+	s := category.NewSet(category.Periodic(dir))
 	for _, g := range groups {
 		if g.Magnitude != category.MagNone {
 			s.Add(category.PeriodicMagnitude(dir, g.Magnitude))

@@ -209,7 +209,7 @@ func TestCategories(t *testing.T) {
 			t.Errorf("missing %q in %v", want, s)
 		}
 	}
-	if len(Categories(category.DirRead, nil)) != 0 {
+	if Categories(category.DirRead, nil) != 0 {
 		t.Fatal("no groups should give empty set")
 	}
 }

@@ -430,7 +430,7 @@ func (cn *clusterNode) HandleReplicate(ctx context.Context, reqID string, rawIDs
 }
 
 // HandleResultPush stores an owner-computed result and indexes it from
-// the mask at the record's head, sparing this replica the
+// the set at the record's head, sparing this replica the
 // categorization. The store validates the bytes on the way in (and
 // converts the compact document a node predating the served form
 // pushes).
@@ -441,12 +441,12 @@ func (cn *clusterNode) HandleResultPush(ctx context.Context, id, fp string, resu
 	}
 	// Copy: result aliases the connection read buffer and the store's
 	// read cache retains the value slice.
-	mask, labels, err := cn.s.st.PutResultBytesCtx(ctx, tid, fp, append([]byte(nil), result...))
+	set, err := cn.s.st.PutResultBytesCtx(ctx, tid, fp, append([]byte(nil), result...))
 	if err != nil {
 		return err
 	}
 	if fp == cn.s.fp {
-		cn.s.ix.AddMaskCtx(ctx, tid, mask, labels)
+		cn.s.ix.AddCtx(ctx, tid, set)
 		cn.mu.Lock()
 		delete(cn.repair, tid)
 		cn.mu.Unlock()

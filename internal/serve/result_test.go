@@ -12,9 +12,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
@@ -323,19 +325,11 @@ func TestResultPushIndexesFromMask(t *testing.T) {
 		}
 		return bytes.Clone(rec)
 	}
-	indexed := func(id store.TraceID) []string {
-		var out []string
-		for _, c := range nd.srv.ix.Categories(id) {
-			out = append(out, string(c))
-		}
-		return out
-	}
-
 	good := store.HashBytes([]byte("good"))
 	if err := cn.HandleResultPush(ctx, string(good), fp, record(res)); err != nil {
 		t.Fatal(err)
 	}
-	if got := indexed(good); fmt.Sprint(got) != fmt.Sprint(res.Labels) {
+	if got, ok := nd.srv.ix.Set(good); !ok || got != res.Categories {
 		t.Fatalf("indexed %v, want %v", got, res.Labels)
 	}
 
@@ -345,8 +339,8 @@ func TestResultPushIndexesFromMask(t *testing.T) {
 	if err := cn.HandleResultPush(ctx, string(custom), fp, record(&open)); err != nil {
 		t.Fatal(err)
 	}
-	if got := indexed(custom); len(got) != len(open.Labels) || !strings.Contains(fmt.Sprint(got), "site_custom_label") {
-		t.Fatalf("open-mask record indexed as %v, want %v", got, open.Labels)
+	if got, ok := nd.srv.ix.Set(custom); !ok || got != res.Categories|category.Open {
+		t.Fatalf("open record indexed as %#x, want the closed labels of %v and the open bit", uint64(got), open.Labels)
 	}
 
 	bad := store.HashBytes([]byte("bad"))
@@ -358,7 +352,7 @@ func TestResultPushIndexesFromMask(t *testing.T) {
 	if err := cn.HandleResultPush(ctx, string(bad), fp, record(res)[:5]); err == nil {
 		t.Fatal("a truncated head was accepted")
 	}
-	if nd.srv.st.HasResult(bad, fp) || indexed(bad) != nil {
+	if _, ok := nd.srv.ix.Set(bad); ok || nd.srv.st.HasResult(bad, fp) {
 		t.Fatal("a refused push reached the store or the index")
 	}
 
@@ -370,7 +364,7 @@ func TestResultPushIndexesFromMask(t *testing.T) {
 	if err := cn.HandleResultPush(ctx, string(old), fp, compact); err != nil {
 		t.Fatalf("compact document from an older peer refused: %v", err)
 	}
-	if got := indexed(old); fmt.Sprint(got) != fmt.Sprint(res.Labels) {
+	if got, ok := nd.srv.ix.Set(old); !ok || got != res.Categories {
 		t.Fatalf("converted push indexed as %v, want %v", got, res.Labels)
 	}
 	code, body := getBodyFrom(t, nd.srv.Handler(), "/v1/results/"+string(old))
@@ -379,5 +373,60 @@ func TestResultPushIndexesFromMask(t *testing.T) {
 	}
 	if st := nd.srv.st.Stats(); st.LegacyResults != 0 {
 		t.Fatalf("%d legacy records after a converted push", st.LegacyResults)
+	}
+}
+
+// TestOpenRecordOnANode: a stored result with a label outside the
+// taxonomy is served whole and indexed under the labels the taxonomy
+// has. /v1/stats names no category it could not be queried by — it used
+// to file the foreign label under temporality.
+func TestOpenRecordOnANode(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := core.DefaultConfig()
+	res, err := core.Categorize(testJob(5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Labels = []string{"metadata_high_spike", "read_on_start", "site_custom_label"}
+	id := store.HashBytes([]byte("open"))
+	if err := st.PutResult(id, cfg.Normalized().Fingerprint(), res); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, Config{Store: st, Analysis: cfg})
+	defer s.Shutdown(context.Background())
+
+	code, body := getBodyFrom(t, s.Handler(), "/v1/stats")
+	var stats StatsResponse
+	if err := json.Unmarshal([]byte(body), &stats); code != 200 || err != nil {
+		t.Fatalf("/v1/stats: %d %v\n%s", code, err, body)
+	}
+	if stats.Indexed != 1 {
+		t.Fatalf("indexed_traces = %d, want the open record counted", stats.Indexed)
+	}
+	named := 0
+	for axis, counts := range stats.Axes {
+		for _, c := range counts {
+			if !slices.Contains(category.All(), c.Category) || c.Category.Axis().String() != axis || c.Count != 1 {
+				t.Errorf("axis %q lists %q x%d", axis, c.Category, c.Count)
+			}
+			named++
+		}
+	}
+	if named != 2 {
+		t.Errorf("axes name %d categories, want the record's two known labels:\n%s", named, body)
+	}
+	for q, want := range map[string]bool{"NOT write_on_end": true, "read_on_start": true, "write_on_end": false} {
+		code, body := getBodyFrom(t, s.Handler(), "/v1/query?q="+strings.ReplaceAll(q, " ", "+"))
+		if code != 200 || strings.Contains(body, string(id)) != want {
+			t.Errorf("query %q: status %d, answer holds the open record: %v, want %v\n%s", q, code, !want, want, body)
+		}
+	}
+	code, body = getBodyFrom(t, s.Handler(), "/v1/results/"+string(id))
+	if code != 200 || body != string(encoderBody(t, res)) || !strings.Contains(body, "site_custom_label") {
+		t.Fatalf("open record served as %d\n%s", code, body)
 	}
 }

@@ -907,7 +907,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		data, ok, err := s.cluster.ring.FetchResult(r.Context(), RequestIDFrom(r.Context()), string(id))
 		var rec []byte
 		if err == nil && ok {
-			rec, _, _, err = store.CheckResultRecord(data)
+			rec, _, err = store.CheckResultRecord(data)
 		}
 		if err != nil {
 			if log := s.reqLog(r); log != nil {

@@ -385,8 +385,7 @@ func TestServeGracefulDrainPreservesAcceptedTraces(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		cats := s2.Index().Categories(id)
-		if len(cats) == 0 {
+		if cats, ok := s2.Index().Set(id); !ok || cats == 0 {
 			t.Fatalf("reopened index lost categories of %s", id)
 		}
 	}

@@ -152,6 +152,6 @@ func (s *Server) process(item ingestJob) {
 	}
 	if s.log != nil {
 		s.log.Debug("trace categorized", "request_id", item.reqID, "id", string(item.id),
-			"categories", len(result.Categories), "dur", time.Since(start))
+			"categories", result.Categories.Len(), "dur", time.Since(start))
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math/bits"
 	"sort"
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
@@ -9,50 +10,24 @@ import (
 // CoMatrix is a symmetric category co-occurrence matrix over a population
 // of category sets, from which Jaccard indices and conditional rates are
 // derived. It backs the Figure 5 heatmap and the Section IV-D correlation
-// statements.
+// statements. Rows and columns are the closed taxonomy in category.All()
+// order — a category's bit number in a set is its row; the zero value is
+// an empty matrix.
 type CoMatrix struct {
-	Labels []category.Category       // row/column order
-	index  map[category.Category]int // label -> position
-	both   [][]int                   // both[i][j]: samples in i and j
-	count  []int                     // count[i]: samples in i
-	total  int                       // population size
+	both  [category.N][category.N]int // both[i][j]: samples in i and j
+	count [category.N]int             // count[i]: samples in i
+	total int                         // population size
 }
 
-// NewCoMatrix builds an empty matrix over the given labels. Duplicate
-// labels are collapsed; order of first appearance is kept.
-func NewCoMatrix(labels []category.Category) *CoMatrix {
-	m := &CoMatrix{index: make(map[category.Category]int, len(labels))}
-	for _, l := range labels {
-		if _, dup := m.index[l]; dup {
-			continue
-		}
-		m.index[l] = len(m.Labels)
-		m.Labels = append(m.Labels, l)
-	}
-	n := len(m.Labels)
-	m.both = make([][]int, n)
-	for i := range m.both {
-		m.both[i] = make([]int, n)
-	}
-	m.count = make([]int, n)
-	return m
-}
-
-// Observe adds one sample's category set to the matrix. Categories outside
-// the label set are ignored.
+// Observe adds one sample's category set to the matrix.
 func (m *CoMatrix) Observe(s category.Set) {
 	m.total++
-	present := make([]int, 0, len(s))
-	for c := range s {
-		if i, ok := m.index[c]; ok {
-			present = append(present, i)
-		}
-	}
-	sort.Ints(present)
-	for _, i := range present {
+	members := uint64(s & category.Closed)
+	for a := members; a != 0; a &= a - 1 {
+		i := bits.TrailingZeros64(a)
 		m.count[i]++
-		for _, j := range present {
-			m.both[i][j]++
+		for b := members; b != 0; b &= b - 1 {
+			m.both[i][bits.TrailingZeros64(b)]++
 		}
 	}
 }
@@ -62,7 +37,7 @@ func (m *CoMatrix) Total() int { return m.total }
 
 // Count returns how many samples carry category c.
 func (m *CoMatrix) Count(c category.Category) int {
-	if i, ok := m.index[c]; ok {
+	if i, ok := c.Bit(); ok {
 		return m.count[i]
 	}
 	return 0
@@ -79,8 +54,8 @@ func (m *CoMatrix) Rate(c category.Category) float64 {
 // Jaccard returns the Jaccard index between the sample sets of two
 // categories: |A∩B| / |A∪B|.
 func (m *CoMatrix) Jaccard(a, b category.Category) float64 {
-	i, ok1 := m.index[a]
-	j, ok2 := m.index[b]
+	i, ok1 := a.Bit()
+	j, ok2 := b.Bit()
 	if !ok1 || !ok2 {
 		return 0
 	}
@@ -90,22 +65,22 @@ func (m *CoMatrix) Jaccard(a, b category.Category) float64 {
 
 // Conditional returns P(b | a) over the observed population.
 func (m *CoMatrix) Conditional(b, a category.Category) float64 {
-	i, ok1 := m.index[a]
-	j, ok2 := m.index[b]
+	i, ok1 := a.Bit()
+	j, ok2 := b.Bit()
 	if !ok1 || !ok2 || m.count[i] == 0 {
 		return 0
 	}
 	return float64(m.both[i][j]) / float64(m.count[i])
 }
 
-// JaccardMatrix materializes the full pairwise Jaccard matrix in label
-// order. The diagonal is 1 for categories with at least one sample.
+// JaccardMatrix materializes the full pairwise Jaccard matrix in
+// category.All() order. The diagonal is 1 for categories with at least one
+// sample.
 func (m *CoMatrix) JaccardMatrix() [][]float64 {
-	n := len(m.Labels)
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
+	out := make([][]float64, category.N)
+	for i := range out {
+		out[i] = make([]float64, category.N)
+		for j := range out[i] {
 			both := m.both[i][j]
 			out[i][j] = Jaccard(both, m.count[i]-both, m.count[j]-both)
 		}
@@ -124,12 +99,13 @@ type Pair struct {
 // "only values higher than 1% are shown" filtering of Figure 5.
 func (m *CoMatrix) TopPairs(threshold float64) []Pair {
 	var out []Pair
-	for i := 0; i < len(m.Labels); i++ {
-		for j := i + 1; j < len(m.Labels); j++ {
+	labels := category.All()
+	for i := range labels {
+		for j := i + 1; j < len(labels); j++ {
 			both := m.both[i][j]
 			jc := Jaccard(both, m.count[i]-both, m.count[j]-both)
 			if jc >= threshold {
-				out = append(out, Pair{A: m.Labels[i], B: m.Labels[j], Jaccard: jc})
+				out = append(out, Pair{A: labels[i], B: labels[j], Jaccard: jc})
 			}
 		}
 	}

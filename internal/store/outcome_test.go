@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
 )
@@ -314,7 +315,7 @@ func TestStreamingReadersStopAtCorruptFrame(t *testing.T) {
 		t.Fatalf("EachTraceBlob delivered %d traces, want %d (err %v)", gotTraces, wantTraces, err)
 	}
 	gotResults := 0
-	err = s.EachResultMask(fp, func(id []byte, _ uint64, _ []string) bool {
+	err = s.EachResultMask(fp, func(id []byte, _ category.Set) bool {
 		if !survives(s.index[resultKeyOf(TraceID(id), fp)]) {
 			t.Errorf("delivered result %s from after the damaged frame", id)
 		}

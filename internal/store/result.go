@@ -17,10 +17,10 @@ import (
 
 // A result is stored as it is served. The value of a kindServed frame is
 //
-//	[u64 category mask, little-endian][body]
+//	[u64 category set, little-endian][body]
 //
-// where the mask is category.Mask of the result's labels (bit i =
-// category.All()[i]; category.MaskOpen when a label lies outside that
+// where the set is category.Of the result's labels (bit i =
+// category.All()[i]; category.Open when a label lies outside that
 // closed set and has to be read from the body) and the body is exactly
 // what GET /v1/results/{id} sends: core.AppendResultJSON's bytes, the
 // document json.Encoder with a two-space indent writes, newline included.
@@ -50,7 +50,7 @@ var recordScratch = sync.Pool{New: func() any {
 func newResultRecord(res *core.Result) ([]byte, error) {
 	bufp := recordScratch.Get().(*[]byte)
 	defer recordScratch.Put(bufp)
-	b := binary.LittleEndian.AppendUint64((*bufp)[:0], category.Mask(res.Labels))
+	b := binary.LittleEndian.AppendUint64((*bufp)[:0], uint64(category.Of(res.Labels)))
 	b, err := core.AppendResultJSON(b, res)
 	if err != nil {
 		return nil, err
@@ -97,46 +97,33 @@ func servedRecord(kind byte, value []byte) ([]byte, error) {
 	return rec, nil
 }
 
-// recordLabels is what a result frame says about categories: the mask
-// and, only when the mask is open, the full label list (the convention
-// of EachResultMask and CheckResultRecord). A served record with a
-// closed mask is not parsed at all.
-func recordLabels(kind byte, value []byte) (mask uint64, labels []string, err error) {
+// recordSet is the category set a result frame carries: the head of a
+// served record, which is not parsed at all, or the set of a legacy
+// document's labels.
+func recordSet(kind byte, value []byte) (category.Set, error) {
 	doc, served, err := resultDocument(kind, value)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if served {
-		if mask = binary.LittleEndian.Uint64(value); mask&category.MaskOpen == 0 {
-			return mask, nil, nil
-		}
+		return category.Set(binary.LittleEndian.Uint64(value)), nil
 	}
 	res, err := decodeResult(doc)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	mask, labels = labelsOf(res)
-	return mask, labels, nil
-}
-
-// labelsOf is the (mask, labels) pair of a decoded result: the labels
-// themselves only when the mask is open.
-func labelsOf(res *core.Result) (mask uint64, labels []string) {
-	if mask = category.Mask(res.Labels); mask&category.MaskOpen != 0 {
-		labels = res.Labels
-	}
-	return mask, labels
+	return res.Categories, nil
 }
 
 // CheckResultRecord validates result bytes that came from another node
-// and returns them in served form, with what they say about categories
-// (labels is nil unless mask has category.MaskOpen). A served record must
-// carry a body decodeResult accepts and the mask of that body's labels —
-// rec then aliases data; the compact document a node predating the
-// served form ships is accepted wherever decodeResult accepts it, and
-// converted. The two cannot be confused: a served record has the body's
-// "{\n" after its head, and compact JSON holds no newline at all.
-func CheckResultRecord(data []byte) (rec []byte, mask uint64, labels []string, err error) {
+// and returns them in served form, with their category set. A served
+// record must carry a body decodeResult accepts and the set of that
+// body's labels — rec then aliases data; the compact document a node
+// predating the served form ships is accepted wherever decodeResult
+// accepts it, and converted. The two cannot be confused: a served record
+// has the body's "{\n" after its head, and compact JSON holds no newline
+// at all.
+func CheckResultRecord(data []byte) (rec []byte, set category.Set, err error) {
 	legacy := len(data) < ResultHeadLen+2 || data[ResultHeadLen] != '{' || data[ResultHeadLen+1] != '\n'
 	body := data
 	if !legacy {
@@ -144,19 +131,19 @@ func CheckResultRecord(data []byte) (rec []byte, mask uint64, labels []string, e
 	}
 	res, err := decodeResult(body)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
-	mask, labels = labelsOf(res)
+	set = res.Categories
 	if legacy {
 		if rec, err = newResultRecord(res); err != nil {
-			return nil, 0, nil, fmt.Errorf("store: converting legacy result: %w", err)
+			return nil, 0, fmt.Errorf("store: converting legacy result: %w", err)
 		}
-	} else if head := binary.LittleEndian.Uint64(data); head != mask {
-		return nil, 0, nil, fmt.Errorf("store: result record head %#x does not match its labels (%#x)", head, mask)
+	} else if head := binary.LittleEndian.Uint64(data); head != uint64(set) {
+		return nil, 0, fmt.Errorf("store: result record head %#x does not match its labels (%#x)", head, uint64(set))
 	} else {
 		rec = data
 	}
-	return rec, mask, labels, nil
+	return rec, set, nil
 }
 
 // PutResult stores one categorization result under (trace, config
@@ -206,14 +193,14 @@ func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *c
 // PutResultBytesCtx stores result bytes another node produced — the
 // replication path, where a follower persists the owner's record without
 // re-categorizing — after CheckResultRecord has vouched for them, and
-// returns what the record says about categories so the caller can index
-// it. The read cache retains data: the caller must not reuse it.
-func (s *Store) PutResultBytesCtx(ctx context.Context, id TraceID, fp string, data []byte) (mask uint64, labels []string, err error) {
-	rec, mask, labels, err := CheckResultRecord(data)
+// returns the record's category set so the caller can index it. The read
+// cache retains data: the caller must not reuse it.
+func (s *Store) PutResultBytesCtx(ctx context.Context, id TraceID, fp string, data []byte) (category.Set, error) {
+	rec, set, err := CheckResultRecord(data)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return mask, labels, s.putRecords(ctx, "result", record{kind: kindServed, key: resultKeyOf(id, fp), value: rec})
+	return set, s.putRecords(ctx, "result", record{kind: kindServed, key: resultKeyOf(id, fp), value: rec})
 }
 
 // readResult fetches the served record under key, via the LRU cache; a
@@ -305,10 +292,7 @@ func decodeResult(data []byte) (*core.Result, error) {
 	if err := json.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("store: decoding result: %w", err)
 	}
-	res.Categories = category.NewSet()
-	for _, l := range res.Labels {
-		res.Categories.Add(category.Category(l))
-	}
+	res.Categories = category.Of(res.Labels)
 	res.Read.Temporal = temporalKindOf(res.Read.TemporalS)
 	res.Write.Temporal = temporalKindOf(res.Write.TemporalS)
 	return &res, nil
@@ -361,28 +345,26 @@ func (s *Store) EachResult(fp string, fn func(TraceID, *core.Result) bool) error
 	return nil
 }
 
-// EachResultMask streams the trace ID and category mask of every live
+// EachResultMask streams the trace ID and category set of every live
 // result under the given config fingerprint, in log order (NOT sorted —
 // the caller orders): the index-rebuild path, one sequential pass
 // (eachLive) that reads a served record's eight-byte head and parses
-// nothing. labels is nil unless mask has category.MaskOpen, in which case
-// it is the record's full label list, decoded from the body; a legacy
-// record is decoded for its labels either way. id aliases the scan
-// buffer — fn must copy it before returning. fn returning false stops
-// early.
-func (s *Store) EachResultMask(fp string, fn func(id []byte, mask uint64, labels []string) bool) error {
+// nothing; only a legacy record is decoded, for its labels. id aliases
+// the scan buffer — fn must copy it before returning. fn returning false
+// stops early.
+func (s *Store) EachResultMask(fp string, fn func(id []byte, set category.Set) bool) error {
 	suffix := "/" + fp
 	var recErr error
 	err := s.eachLive("r/", func(kind byte, key, value []byte) bool {
 		if len(key) < len("r/")+len(suffix) || string(key[len(key)-len(suffix):]) != suffix {
 			return true
 		}
-		mask, labels, err := recordLabels(kind, value)
+		set, err := recordSet(kind, value)
 		if err != nil {
 			recErr = fmt.Errorf("%w (key %q)", err, key)
 			return false
 		}
-		return fn(key[len("r/"):len(key)-len(suffix)], mask, labels)
+		return fn(key[len("r/"):len(key)-len(suffix)], set)
 	})
 	if err != nil {
 		return err

@@ -98,7 +98,7 @@ func TestLegacyStoreReads(t *testing.T) {
 				}
 			}
 			rec, ok, err := s.GetResultBytes(id, fp)
-			if err != nil || !ok || binary.LittleEndian.Uint64(rec) != category.Mask(res.Labels) || !bytes.Equal(rec[ResultHeadLen:], want) {
+			if err != nil || !ok || binary.LittleEndian.Uint64(rec) != uint64(category.Of(res.Labels)) || !bytes.Equal(rec[ResultHeadLen:], want) {
 				t.Fatalf("%s: GetResultBytes ok=%v err=%v head %#x", id, ok, err, rec[:ResultHeadLen])
 			}
 			got, ok, err := s.GetResult(id, fp)
@@ -143,8 +143,8 @@ func TestLegacyStoreReads(t *testing.T) {
 }
 
 // TestEachResultMask: a store mixing legacy, served, superseded and
-// open-mask records streams one (ID, mask) per live result under the
-// fingerprint, and labels only for the open masks.
+// open records streams one (ID, set) per live result under the
+// fingerprint, the open ones marked category.Open.
 func TestEachResultMask(t *testing.T) {
 	s := openLegacy(t, Options{})
 	custom := legacyID("custom-label")
@@ -163,29 +163,25 @@ func TestEachResultMask(t *testing.T) {
 	if err := s.PutResult(over, legacyFP, &closed); err != nil {
 		t.Fatal(err)
 	}
-	want := map[TraceID]uint64{}
+	want := map[TraceID]category.Set{}
 	if err := s.EachResult(legacyFP, func(id TraceID, r *core.Result) bool {
-		want[id] = category.Mask(r.Labels)
+		want[id] = category.Of(r.Labels)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != legacyResults+2 || want[over] != category.Mask(closed.Labels) {
+	if len(want) != legacyResults+2 || want[over] != category.Of(closed.Labels) {
 		t.Fatalf("EachResult sees %d results", len(want))
 	}
-	got := map[TraceID]uint64{}
-	err := s.EachResultMask(legacyFP, func(id []byte, mask uint64, labels []string) bool {
+	got := map[TraceID]category.Set{}
+	err := s.EachResultMask(legacyFP, func(id []byte, set category.Set) bool {
 		tid := TraceID(id)
 		if _, dup := got[tid]; dup {
 			t.Fatalf("%s delivered twice", tid)
 		}
-		got[tid] = mask
-		open := tid == custom || tid == servedOpen
-		if open != (mask&category.MaskOpen != 0) || open != (labels != nil) {
-			t.Fatalf("%s: mask %#x, labels %v", tid, mask, labels)
-		}
-		if open && !slices.Equal(labels, res.Labels) {
-			t.Fatalf("%s: labels %v, want %v", tid, labels, res.Labels)
+		got[tid] = set
+		if open := tid == custom || tid == servedOpen; open != (set&category.Open != 0) {
+			t.Fatalf("%s: set %#x", tid, uint64(set))
 		}
 		return true
 	})
@@ -195,9 +191,9 @@ func TestEachResultMask(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("EachResultMask delivered %d results, want %d", len(got), len(want))
 	}
-	for id, mask := range want {
-		if got[id] != mask {
-			t.Fatalf("%s: mask %#x, want %#x", id, got[id], mask)
+	for id, set := range want {
+		if got[id] != set {
+			t.Fatalf("%s: set %#x, want %#x", id, uint64(got[id]), uint64(set))
 		}
 	}
 }
@@ -220,9 +216,9 @@ func TestResultRecordValidation(t *testing.T) {
 	}
 	id := HashBytes([]byte("pushed"))
 
-	mask, labels, err := s.PutResultBytesCtx(ctx, id, fp, bytes.Clone(rec))
-	if err != nil || mask != category.Mask(res.Labels) || labels != nil {
-		t.Fatalf("valid record: mask %#x labels %v err %v", mask, labels, err)
+	set, err := s.PutResultBytesCtx(ctx, id, fp, bytes.Clone(rec))
+	if err != nil || set != category.Of(res.Labels) {
+		t.Fatalf("valid record: set %#x err %v", uint64(set), err)
 	}
 	if got, ok, _ := s.GetResultBytes(id, fp); !ok || !bytes.Equal(got, rec) {
 		t.Fatal("valid record not stored verbatim")
@@ -231,8 +227,11 @@ func TestResultRecordValidation(t *testing.T) {
 	open := *res
 	open.Labels = append(slices.Clone(res.Labels), "site_custom_label")
 	openRec, _ := newResultRecord(&open)
-	if mask, labels, err = s.PutResultBytesCtx(ctx, id, fp, openRec); err != nil || mask&category.MaskOpen == 0 || !slices.Equal(labels, open.Labels) {
-		t.Fatalf("open record: mask %#x labels %v err %v", mask, labels, err)
+	if set, err = s.PutResultBytesCtx(ctx, id, fp, openRec); err != nil || set != category.Of(res.Labels)|category.Open {
+		t.Fatalf("open record: set %#x err %v", uint64(set), err)
+	}
+	if body, _, ok, _ := s.ResultBody(id, fp); !ok || !bytes.Equal(body, openRec[ResultHeadLen:]) {
+		t.Fatal("open record's body, the foreign label in it, not stored verbatim")
 	}
 
 	flipped := bytes.Clone(rec)
@@ -240,7 +239,7 @@ func TestResultRecordValidation(t *testing.T) {
 	truncated := bytes.Clone(rec[ResultHeadLen+40:])
 	refused := map[string][]byte{
 		"flipped mask bit":    flipped,
-		"open bit set":        append(binary.LittleEndian.AppendUint64(nil, category.Mask(res.Labels)|category.MaskOpen), rec[ResultHeadLen:]...),
+		"open bit set":        append(binary.LittleEndian.AppendUint64(nil, uint64(category.Of(res.Labels)|category.Open)), rec[ResultHeadLen:]...),
 		"head cut from front": rec[3:],
 		"head only":           rec[:ResultHeadLen],
 		"half a head":         rec[:5],
@@ -252,7 +251,7 @@ func TestResultRecordValidation(t *testing.T) {
 	}
 	before := s.Stats()
 	for name, data := range refused {
-		if _, _, err := s.PutResultBytesCtx(ctx, HashBytes([]byte(name)), fp, bytes.Clone(data)); err == nil {
+		if _, err := s.PutResultBytesCtx(ctx, HashBytes([]byte(name)), fp, bytes.Clone(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -267,8 +266,8 @@ func TestResultRecordValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := HashBytes([]byte("pushed by an old peer"))
-	if mask, labels, err = s.PutResultBytesCtx(ctx, old, fp, compact); err != nil || mask != category.Mask(res.Labels) || labels != nil {
-		t.Fatalf("legacy bytes: mask %#x labels %v err %v", mask, labels, err)
+	if set, err = s.PutResultBytesCtx(ctx, old, fp, compact); err != nil || set != category.Of(res.Labels) {
+		t.Fatalf("legacy bytes: set %#x err %v", uint64(set), err)
 	}
 	if got, ok, _ := s.GetResultBytes(old, fp); !ok || !bytes.Equal(got, rec) {
 		t.Fatal("legacy bytes were not converted to the served record")
@@ -280,7 +279,7 @@ func TestResultRecordValidation(t *testing.T) {
 
 // FuzzResultRecord: whatever a result frame or a pushed record holds,
 // the readers answer or report an error — they never panic — and what
-// they accept is consistent: a served record whose head is the mask of
+// they accept is consistent: a served record whose head is the set of
 // its body's labels.
 func FuzzResultRecord(f *testing.F) {
 	res, err := core.Categorize(testJob(5), core.DefaultConfig())
@@ -298,7 +297,7 @@ func FuzzResultRecord(f *testing.F) {
 	f.Add(byte(9), []byte{})
 	f.Add(kindResult, []byte(`{"categories":["write_on_end","x"],"read":{"chunks":[1e999]}}`))
 	f.Fuzz(func(t *testing.T, kind byte, value []byte) {
-		check := func(rec []byte, mask uint64, labels []string) {
+		check := func(rec []byte, set category.Set) {
 			t.Helper()
 			if len(rec) < ResultHeadLen {
 				t.Fatalf("accepted a record of %d bytes", len(rec))
@@ -307,18 +306,18 @@ func FuzzResultRecord(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted record's body does not decode: %v", err)
 			}
-			if want := category.Mask(got.Labels); mask != want || (mask&category.MaskOpen != 0) != (labels != nil) {
-				t.Fatalf("mask %#x (labels %v), body's labels give %#x", mask, labels, want)
+			if want := category.Of(got.Labels); set != want {
+				t.Fatalf("set %#x, body's labels give %#x", uint64(set), uint64(want))
 			}
 		}
-		if rec, mask, labels, err := CheckResultRecord(value); err == nil {
-			if binary.LittleEndian.Uint64(rec) != mask {
-				t.Fatalf("checked record's head %#x, mask %#x", rec[:ResultHeadLen], mask)
+		if rec, set, err := CheckResultRecord(value); err == nil {
+			if binary.LittleEndian.Uint64(rec) != uint64(set) {
+				t.Fatalf("checked record's head %#x, set %#x", rec[:ResultHeadLen], uint64(set))
 			}
-			check(rec, mask, labels)
+			check(rec, set)
 		}
 		served, err := servedRecord(kind, value)
-		mask, labels, lerr := recordLabels(kind, value)
+		set, lerr := recordSet(kind, value)
 		if kind != kindServed && kind != kindResult && (err == nil || lerr == nil) {
 			t.Fatalf("kind %d read as a result", kind)
 		}
@@ -326,16 +325,19 @@ func FuzzResultRecord(f *testing.F) {
 			t.Fatalf("%d-byte value read as a served record", len(value))
 		}
 		// A legacy frame is judged by decoding it, so both readers agree on
-		// it; a served frame is trusted (the CRC vouched for it), so only a
-		// mask the reader had to open the body for can be held to the body.
+		// it; a served frame is trusted (the CRC vouched for it): its head
+		// is its set, whatever the body says.
 		if kind == kindResult && (err == nil) != (lerr == nil) {
-			t.Fatalf("legacy frame: servedRecord err %v, recordLabels err %v", err, lerr)
+			t.Fatalf("legacy frame: servedRecord err %v, recordSet err %v", err, lerr)
 		}
 		if kind == kindResult && err == nil {
-			if binary.LittleEndian.Uint64(served) != mask {
-				t.Fatalf("converted head %#x, labels' mask %#x", served[:ResultHeadLen], mask)
+			if binary.LittleEndian.Uint64(served) != uint64(set) {
+				t.Fatalf("converted head %#x, labels' set %#x", served[:ResultHeadLen], uint64(set))
 			}
-			check(served, mask, labels)
+			check(served, set)
+		}
+		if kind == kindServed && lerr == nil && binary.LittleEndian.Uint64(value) != uint64(set) {
+			t.Fatalf("served frame's head %#x read as set %#x", value[:ResultHeadLen], uint64(set))
 		}
 	})
 }

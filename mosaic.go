@@ -62,7 +62,10 @@ const (
 type (
 	// Category is one behavioural label, e.g. "read_on_start".
 	Category = category.Category
-	// Set is the non-exclusive category set assigned to a trace.
+	// Set is the non-exclusive category set assigned to a trace: one
+	// 64-bit word, bit i standing for AllCategories()[i]. The zero value
+	// is the empty set; build one with Add, read it with Has, Sorted or
+	// Strings.
 	Set = category.Set
 	// Direction distinguishes read from write behaviour.
 	Direction = category.Direction

@@ -173,7 +173,7 @@ func TestAnalyzeJobsMatchesTruthMostly(t *testing.T) {
 			continue
 		}
 		truth := mosaic.Truth(jobs[i])
-		if truth == nil {
+		if truth == 0 {
 			t.Fatal("generated job without truth")
 		}
 		total++
