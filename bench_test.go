@@ -157,6 +157,12 @@ func BenchmarkPipelineParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineDir runs a directory of generated .mosd files through
+// the whole engine, the paper's own use; pinned in BENCH_pipeline.json.
+func BenchmarkPipelineDir(b *testing.B) {
+	b.Run("200files", benchsuite.PipelineDir(200))
+}
+
 // BenchmarkCategorizeSingle measures the per-trace pipeline cost on the
 // flagship checkpointing trace; BenchmarkCategorizeExplainedSingle the
 // same with decision provenance, as mosaic-serve runs it. Both are

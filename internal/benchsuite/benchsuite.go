@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -204,6 +205,32 @@ func PipelineParallel(workers int) func(b *testing.B) {
 	}
 }
 
+// PipelineDir measures one pass of the paper's own use — a directory of
+// .mosd files through the whole engine, two workers — over that many
+// traces sampled from a generated corpus with its default corruption rate
+// (pinned as BenchmarkPipelineDir/200files). B/op is the figure to
+// watch: it is what a pass materializes, and a pass decodes a whole job
+// only for the runs that survive deduplication.
+func PipelineDir(files int) func(b *testing.B) {
+	return func(b *testing.B) {
+		dir := b.TempDir()
+		for i, r := range gen.Plan(experiments.ScaledProfile(1, 60)).Reservoir(files, 1) {
+			if err := darshan.WriteFile(filepath.Join(dir, fmt.Sprintf("t%06d.mosd", i)), r.Job); err != nil {
+				b.Fatal(err)
+			}
+		}
+		opt := mosaic.Options{Config: core.DefaultConfig(), Workers: 2}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a, err := mosaic.AnalyzeCorpusContext(context.Background(), dir, opt)
+			if err != nil || a.Funnel.Total != files {
+				b.Fatalf("funnel %+v, err %v", a, err)
+			}
+		}
+	}
+}
+
 // ingestTrace builds the pinned decode/encode workload: a deterministic
 // 200-record trace with metadata and DXT segments on the heavy records,
 // the shape of a mid-size production Darshan log.
@@ -287,6 +314,32 @@ func IngestDecodeGzip(b *testing.B) {
 		if err := darshan.DecodeInto(&j, blob); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// IngestInspectGzip is the funnel's read of the blob IngestDecodeGzip
+// decodes: inflated and walked for its summary, no job built (pinned as
+// BenchmarkIngest/inspect_gzip).
+func IngestInspectGzip(b *testing.B) {
+	var buf bytes.Buffer
+	if err := darshan.WriteBinary(&buf, ingestTrace()); err != nil {
+		b.Fatal(err)
+	}
+	blob := buf.Bytes()
+	inspect := func() {
+		if s, err := darshan.InspectBinary(blob); err != nil || s.Invalid != nil {
+			b.Fatal(s.Invalid, err)
+		}
+	}
+	// testing collects before every run, which empties the pools: refill
+	// them outside the timer, or the one pooled state reads as a few
+	// B/op that depend on b.N, and the gate holds B/op exactly.
+	inspect()
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inspect()
 	}
 }
 
@@ -382,8 +435,10 @@ func Targets() []Target {
 		Target{Name: "BenchmarkCategorizeSingle", File: PipelineFile, Fn: CategorizeSingle},
 		Target{Name: "BenchmarkCategorizeExplainedSingle", File: PipelineFile, Fn: CategorizeExplainedSingle},
 		Target{Name: "BenchmarkPipelineParallel/4workers", File: PipelineFile, Fn: PipelineParallel(4)},
+		Target{Name: "BenchmarkPipelineDir/200files", File: PipelineFile, Fn: PipelineDir(200)},
 		Target{Name: "BenchmarkIngest/decode_warm", File: IngestFile, Fn: IngestDecodeWarm},
 		Target{Name: "BenchmarkIngest/decode_gzip", File: IngestFile, Fn: IngestDecodeGzip},
+		Target{Name: "BenchmarkIngest/inspect_gzip", File: IngestFile, Fn: IngestInspectGzip},
 		Target{Name: "BenchmarkIngest/encode", File: IngestFile, Fn: IngestEncode},
 		Target{Name: "BenchmarkIngest/store_append", File: IngestFile, Fn: IngestStoreAppend},
 		Target{Name: "BenchmarkServe/ingest_warm_untraced", File: ServeFile, Fn: ServeIngestWarm(false)},

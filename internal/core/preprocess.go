@@ -11,6 +11,8 @@ import (
 // ones, and deduplicate executions per (user, application), keeping only
 // the heaviest (most I/O-intensive) run. On the Blue Waters corpus this
 // funnel went from 462,502 traces to 24,606 retained entries (Figure 3).
+// The funnel decides on a darshan.Summary — validity, key, weight — so a
+// trace that loses never has to exist as a darshan.Job.
 
 // FunnelStats summarizes the pre-processing funnel.
 type FunnelStats struct {
@@ -38,31 +40,40 @@ func (s *FunnelStats) UniqueFraction() float64 {
 }
 
 // AppGroup is the deduplicated unit: all valid executions of one
-// application by one user, represented by the heaviest run.
+// application by one user, represented by the heaviest run. The group
+// remembers where that run is, not its contents: Heaviest when the
+// funnel was fed the caller's in-memory job (Add), Path when it was fed
+// what darshan.InspectFile read of a file (AddSummary) — the engine
+// materializes that file only once the whole corpus has been seen.
 type AppGroup struct {
 	App      string
 	User     string
 	Runs     int          // number of valid executions in the group
-	Heaviest *darshan.Job // the run MOSAIC analyzes
-	weight   int64        // Heaviest.Weight(), summed over its records once
+	Heaviest *darshan.Job // the run MOSAIC analyzes, when it is in memory
+	Path     string       // the file the run was inspected in, if any
+	Weight   int64        // the run's darshan.Summary.Weight
 }
 
+// appKey is the (user, application) deduplication key.
+type appKey struct{ user, app string }
+
 // Preprocessor is a streaming implementation of the funnel: feed every
-// trace with Add, then read Groups and Stats. It never holds more than one
-// job per application group, so memory stays proportional to the number
-// of distinct applications, not the corpus size — this is how the
-// 300 GB-of-RAM bottleneck of the paper's Python implementation is
-// avoided.
+// trace with Add or AddSummary, then read Groups and Stats. It reads a
+// trace's darshan.Summary and nothing else, and holds one reference per
+// application group — a path, or a job the caller already had — so its
+// memory is proportional to the number of distinct applications and
+// independent of trace size: this is how the 300 GB-of-RAM bottleneck of
+// the paper's Python implementation is avoided.
 type Preprocessor struct {
 	stats  FunnelStats
-	groups map[string]*AppGroup
+	groups map[appKey]*AppGroup
 }
 
 // NewPreprocessor returns an empty funnel.
 func NewPreprocessor() *Preprocessor {
 	return &Preprocessor{
 		stats:  FunnelStats{ByReason: make(map[string]int)},
-		groups: make(map[string]*AppGroup),
+		groups: make(map[appKey]*AppGroup),
 	}
 }
 
@@ -73,12 +84,22 @@ func NewPreprocessor() *Preprocessor {
 // analyze a single trace outside a Preprocessor (the serve worker) apply
 // this same rule.
 func EvictionReason(j *darshan.Job, readErr error) string {
+	var invalid error
+	if readErr == nil {
+		invalid = darshan.Validate(j)
+	}
+	return evictionReason(invalid, readErr)
+}
+
+// evictionReason maps a trace's read error and validation verdict
+// (darshan.Summary.Invalid) to its ByReason key.
+func evictionReason(invalid, readErr error) string {
 	if readErr != nil {
 		return "unreadable"
 	}
-	if err := darshan.Validate(j); err != nil {
+	if invalid != nil {
 		var verr *darshan.ValidationError
-		if errors.As(err, &verr) {
+		if errors.As(invalid, &verr) {
 			return verr.Kind.String()
 		}
 		return "invalid"
@@ -86,25 +107,39 @@ func EvictionReason(j *darshan.Job, readErr error) string {
 	return ""
 }
 
-// Add feeds one trace into the funnel (see EvictionReason for readErr)
-// and reports whether the trace was accepted as valid.
+// Add feeds one in-memory trace into the funnel (see EvictionReason for
+// readErr) and reports whether the trace was accepted as valid. A group
+// it leads holds j as its Heaviest.
 func (p *Preprocessor) Add(j *darshan.Job, readErr error) bool {
+	var s darshan.Summary
+	if readErr == nil {
+		s = darshan.Summarize(j)
+	}
+	return p.AddSummary(s, readErr, "", j)
+}
+
+// AddSummary is Add for a trace already reduced to its summary, the
+// form the engine's Decode stage produces: s is what the funnel reads,
+// readErr the error that prevented reading the trace, and path and j say
+// where the run is should it become the heaviest of its group (j nil for
+// a file that was inspected, never decoded).
+func (p *Preprocessor) AddSummary(s darshan.Summary, readErr error, path string, j *darshan.Job) bool {
 	p.stats.Total++
-	if reason := EvictionReason(j, readErr); reason != "" {
+	if reason := evictionReason(s.Invalid, readErr); reason != "" {
 		p.stats.Corrupted++
 		p.stats.ByReason[reason]++
 		return false
 	}
 	p.stats.Valid++
-	key, w := j.AppKey(), j.Weight()
+	key := appKey{s.User, s.App}
 	g, ok := p.groups[key]
 	if !ok {
-		p.groups[key] = &AppGroup{App: j.AppName(), User: j.User, Runs: 1, Heaviest: j, weight: w}
+		p.groups[key] = &AppGroup{App: s.App, User: s.User, Runs: 1, Heaviest: j, Path: path, Weight: s.Weight}
 		return true
 	}
 	g.Runs++
-	if w > g.weight { // strictly: of equally heavy runs the first seen stays
-		g.Heaviest, g.weight = j, w
+	if s.Weight > g.Weight { // strictly: of equally heavy runs the first seen stays
+		g.Heaviest, g.Path, g.Weight = j, path, s.Weight
 	}
 	return true
 }

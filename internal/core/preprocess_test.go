@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
@@ -47,6 +48,66 @@ func TestPreprocessorTieKeepsFirstRun(t *testing.T) {
 	p.Add(validJob("alice", "/bin/app", 4, 20), nil)
 	if g := p.Groups()[0]; g.Runs != 4 || g.Heaviest.JobID != 2 {
 		t.Fatalf("runs = %d, heaviest = job %d; want 4 runs and job 2, the first of the two heaviest", g.Runs, g.Heaviest.JobID)
+	}
+}
+
+// Counters are int64s of which validation rejects only negatives: two
+// records of math.MaxInt64 bytes are a valid trace, and the run that
+// holds them is the heaviest there can be — its weight saturates, where
+// a plain sum wrapped to -2 and lost to every other run.
+func TestPreprocessorSaturatedWeightWins(t *testing.T) {
+	huge := validJob("alice", "/bin/app", 2, math.MaxInt64)
+	huge.Records = append(huge.Records, huge.Records[0])
+	if err := darshan.Validate(huge); err != nil {
+		t.Fatal(err)
+	}
+	if w := huge.Weight(); w != math.MaxInt64 {
+		t.Fatalf("weight = %d, want it saturated at MaxInt64", w)
+	}
+	p := NewPreprocessor()
+	p.Add(validJob("alice", "/bin/app", 1, 100), nil)
+	p.Add(huge, nil)
+	p.Add(validJob("alice", "/bin/app", 3, 5000), nil)
+	if g := p.Groups()[0]; g.Runs != 3 || g.Heaviest.JobID != 2 {
+		t.Fatalf("runs = %d, heaviest = job %d; want 3 runs and job 2", g.Runs, g.Heaviest.JobID)
+	}
+}
+
+// A funnel fed summaries keeps the place of each group's heaviest run —
+// the path it was inspected at — and the same counts, order and ties as
+// one fed the jobs.
+func TestPreprocessorAddSummaryKeepsPlace(t *testing.T) {
+	jobs := []*darshan.Job{
+		validJob("alice", "/bin/app", 1, 10),
+		validJob("alice", "/bin/app", 2, 500),
+		validJob("bob", "/bin/app", 3, 7),
+		validJob("alice", "/bin/app", 4, 500),
+		validJob("alice", "/bin/app", 5, -1), // negative counter: evicted
+	}
+	byJob, bySummary := NewPreprocessor(), NewPreprocessor()
+	for i, j := range jobs {
+		byJob.Add(j, nil)
+		bySummary.AddSummary(darshan.Summarize(j), nil, fmt.Sprintf("t%d.mosd", i), nil)
+	}
+	byJob.Add(nil, errors.New("decode failure"))
+	bySummary.AddSummary(darshan.Summary{}, errors.New("decode failure"), "t5.mosd", nil)
+	if a, b := fmt.Sprint(byJob.Stats()), fmt.Sprint(bySummary.Stats()); a != b {
+		t.Fatalf("stats differ: %s from jobs, %s from summaries", a, b)
+	}
+	gj, gs := byJob.Groups(), bySummary.Groups()
+	if len(gj) != 2 || len(gs) != 2 {
+		t.Fatalf("%d and %d groups, want 2", len(gj), len(gs))
+	}
+	for i := range gj {
+		if gj[i].User != gs[i].User || gj[i].App != gs[i].App || gj[i].Runs != gs[i].Runs || gj[i].Weight != gs[i].Weight {
+			t.Fatalf("group %d: %+v from jobs, %+v from summaries", i, gj[i], gs[i])
+		}
+		if gs[i].Heaviest != nil || gj[i].Path != "" {
+			t.Fatalf("group %d holds a job it was not given, or a path", i)
+		}
+	}
+	if gs[0].Path != "t1.mosd" || gj[0].Heaviest.JobID != 2 || gs[1].Path != "t2.mosd" {
+		t.Fatalf("kept %s and %s, want t1.mosd (first of the two heaviest) and t2.mosd", gs[0].Path, gs[1].Path)
 	}
 }
 

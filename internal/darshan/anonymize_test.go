@@ -87,17 +87,18 @@ func TestAnonymizeJobPreservesCategorizationInputs(t *testing.T) {
 }
 
 func TestAnonymizeDedupStillWorks(t *testing.T) {
-	// Two runs of the same (user, app) must share an AppKey after
+	// Two runs of the same (user, app) must share the funnel's key after
 	// anonymization; runs of another app must not.
+	key := func(j *Job) [2]string { s := Summarize(j); return [2]string{s.User, s.App} }
 	a := NewAnonymizer("s")
 	j1, j2, j3 := sampleJob(), sampleJob(), sampleJob()
 	j2.JobID = 2
 	j3.Exe = "/apps/bin/other"
 	a.Corpus([]*Job{j1, j2, j3})
-	if j1.AppKey() != j2.AppKey() {
+	if key(j1) != key(j2) {
 		t.Fatal("same app diverged under anonymization")
 	}
-	if j1.AppKey() == j3.AppKey() {
+	if key(j1) == key(j3) {
 		t.Fatal("distinct apps collided under anonymization")
 	}
 }

@@ -301,15 +301,18 @@ const (
 type pathSpan struct{ off, n int }
 
 // decodeState is the pooled per-decode scratch: the inflater and its
-// output arena, the string intern table, and the record-path spans of
-// the job in flight. States cycle through a sync.Pool, so a warm decode
-// path reuses all of it.
+// output arena, the string intern table, the record-path spans of the
+// job in flight and, for a walk that materializes no job (inspectBody),
+// the DXT lists its one scratch record reuses. States cycle through a
+// sync.Pool, so a warm decode path reuses all of it.
 type decodeState struct {
 	z           inflater
 	arena       []byte
 	paths       []pathSpan
 	intern      map[string]string
 	internBytes int
+	dxtReads    []DXTEvent
+	dxtWrites   []DXTEvent
 }
 
 var decodeStatePool = sync.Pool{New: func() any { return new(decodeState) }}
@@ -350,6 +353,12 @@ func putDecodeState(st *decodeState) {
 	}
 	if cap(st.paths) > maxPooledBuf/16 {
 		st.paths = nil
+	}
+	if cap(st.dxtReads) > maxPooledBuf/dxtEventLen {
+		st.dxtReads = nil
+	}
+	if cap(st.dxtWrites) > maxPooledBuf/dxtEventLen {
+		st.dxtWrites = nil
 	}
 	decodeStatePool.Put(st)
 }
@@ -446,6 +455,21 @@ func (c *cursor) str() string {
 	return c.st.internString(b)
 }
 
+// skipStr steps over one string under str's checks, copying nothing.
+func (c *cursor) skipStr() {
+	n := c.u32()
+	if c.err != nil {
+		return
+	}
+	if n > maxStringLen {
+		c.fail(fmt.Errorf("darshan: string length %d exceeds limit", n))
+		return
+	}
+	if c.need(int(n)) {
+		c.off += int(n)
+	}
+}
+
 // dxtList decodes one DXT event list, reusing the capacity of prev when
 // it suffices. An empty list decodes to nil, matching the encoder.
 func (c *cursor) dxtList(prev []DXTEvent) []DXTEvent {
@@ -472,7 +496,8 @@ func (c *cursor) dxtList(prev []DXTEvent) []DXTEvent {
 	return out
 }
 
-func (c *cursor) decodeBody(j *Job) {
+// header decodes the fixed job fields that open a body.
+func (c *cursor) header(j *Job) {
 	j.JobID = c.u64()
 	j.UID = c.u32()
 	j.User = c.str()
@@ -481,6 +506,62 @@ func (c *cursor) decodeBody(j *Job) {
 	j.Start = c.i64()
 	j.End = c.i64()
 	j.Runtime = c.f64()
+}
+
+// record decodes the record at the cursor into r — everything but the
+// path, whose place in the body it returns — reusing the capacity of
+// prevReads and prevWrites for the DXT lists. It is the one record walk:
+// decodeBody and inspectBody both call it, so a record is malformed for
+// one exactly when it is for the other, with the same error.
+func (c *cursor) record(r *FileRecord, prevReads, prevWrites []DXTEvent) (path pathSpan, ok bool) {
+	m := c.u32()
+	if m > math.MaxUint8 {
+		c.noncanon = true // Module is a uint8: the value is narrowed here
+	}
+	r.Module = Module(m)
+	n := c.u32()
+	if c.err == nil && n > maxStringLen {
+		c.fail(fmt.Errorf("darshan: string length %d exceeds limit", n))
+	}
+	if !c.need(int(n) + recordTailLen) {
+		return pathSpan{}, false
+	}
+	path = pathSpan{c.off, int(n)}
+	t := c.data[c.off+int(n):][:recordTailLen]
+	c.off += int(n) + recordTailLen
+	le := binary.LittleEndian
+	r.Rank = int32(le.Uint32(t))
+	cc := &r.C
+	cc.Opens = int64(le.Uint64(t[4:]))
+	cc.Closes = int64(le.Uint64(t[12:]))
+	cc.Seeks = int64(le.Uint64(t[20:]))
+	cc.Stats = int64(le.Uint64(t[28:]))
+	cc.Reads = int64(le.Uint64(t[36:]))
+	cc.Writes = int64(le.Uint64(t[44:]))
+	cc.BytesRead = int64(le.Uint64(t[52:]))
+	cc.BytesWritten = int64(le.Uint64(t[60:]))
+	cc.OpenStart = math.Float64frombits(le.Uint64(t[68:]))
+	cc.OpenEnd = math.Float64frombits(le.Uint64(t[76:]))
+	cc.ReadStart = math.Float64frombits(le.Uint64(t[84:]))
+	cc.ReadEnd = math.Float64frombits(le.Uint64(t[92:]))
+	cc.WriteStart = math.Float64frombits(le.Uint64(t[100:]))
+	cc.WriteEnd = math.Float64frombits(le.Uint64(t[108:]))
+	cc.CloseStart = math.Float64frombits(le.Uint64(t[116:]))
+	cc.CloseEnd = math.Float64frombits(le.Uint64(t[124:]))
+	if c.version >= 2 {
+		r.DXTReads = c.dxtList(prevReads)
+		r.DXTWrites = c.dxtList(prevWrites)
+		if c.err != nil {
+			return path, false
+		}
+	} else {
+		r.DXTReads, r.DXTWrites = nil, nil
+	}
+	return path, true
+}
+
+func (c *cursor) decodeBody(j *Job) {
+	c.header(j)
 
 	nMeta := c.u32()
 	if !c.checkCount(nMeta, maxMetaPairs, minMetaPairLen, "metadata pair") {
@@ -529,54 +610,16 @@ func (c *cursor) decodeBody(j *Job) {
 	// Record paths are cut from one string the job owns: the loop notes
 	// where each path sits in the body, and the paths are copied out
 	// together once their total size is known.
-	le := binary.LittleEndian
 	c.st.paths = c.st.paths[:0]
 	pathBytes := 0
 	for i := range j.Records {
 		r := &j.Records[i]
-		m := c.u32()
-		if m > math.MaxUint8 {
-			c.noncanon = true // Module is a uint8: the value is narrowed here
-		}
-		r.Module = Module(m)
-		n := c.u32()
-		if c.err == nil && n > maxStringLen {
-			c.fail(fmt.Errorf("darshan: string length %d exceeds limit", n))
-		}
-		if !c.need(int(n) + recordTailLen) {
+		sp, ok := c.record(r, r.DXTReads, r.DXTWrites)
+		if !ok {
 			return
 		}
-		c.st.paths = append(c.st.paths, pathSpan{c.off, int(n)})
-		pathBytes += int(n)
-		t := c.data[c.off+int(n):][:recordTailLen]
-		c.off += int(n) + recordTailLen
-		r.Rank = int32(le.Uint32(t))
-		cc := &r.C
-		cc.Opens = int64(le.Uint64(t[4:]))
-		cc.Closes = int64(le.Uint64(t[12:]))
-		cc.Seeks = int64(le.Uint64(t[20:]))
-		cc.Stats = int64(le.Uint64(t[28:]))
-		cc.Reads = int64(le.Uint64(t[36:]))
-		cc.Writes = int64(le.Uint64(t[44:]))
-		cc.BytesRead = int64(le.Uint64(t[52:]))
-		cc.BytesWritten = int64(le.Uint64(t[60:]))
-		cc.OpenStart = math.Float64frombits(le.Uint64(t[68:]))
-		cc.OpenEnd = math.Float64frombits(le.Uint64(t[76:]))
-		cc.ReadStart = math.Float64frombits(le.Uint64(t[84:]))
-		cc.ReadEnd = math.Float64frombits(le.Uint64(t[92:]))
-		cc.WriteStart = math.Float64frombits(le.Uint64(t[100:]))
-		cc.WriteEnd = math.Float64frombits(le.Uint64(t[108:]))
-		cc.CloseStart = math.Float64frombits(le.Uint64(t[116:]))
-		cc.CloseEnd = math.Float64frombits(le.Uint64(t[124:]))
-		if c.version >= 2 {
-			r.DXTReads = c.dxtList(r.DXTReads)
-			r.DXTWrites = c.dxtList(r.DXTWrites)
-			if c.err != nil {
-				return
-			}
-		} else {
-			r.DXTReads, r.DXTWrites = nil, nil
-		}
+		c.st.paths = append(c.st.paths, sp)
+		pathBytes += sp.n
 	}
 	var arena strings.Builder
 	arena.Grow(pathBytes)
@@ -585,6 +628,66 @@ func (c *cursor) decodeBody(j *Job) {
 		s := arena.String()
 		j.Records[i].Path = s[len(s)-sp.n:]
 	}
+}
+
+// inspectBody is decodeBody for a reader that wants the funnel's view of
+// the trace and not the trace: the same cursor, counts, limits and
+// record walk, so a body is malformed for it exactly when it is for
+// decodeBody, but every record is decoded into one scratch record,
+// validated there in Validate's order (header first, first fault
+// wins) and weighed; paths and metadata are stepped over. Nothing it
+// allocates grows with the trace.
+func (c *cursor) inspectBody() Summary {
+	var hdr Job
+	c.header(&hdr)
+
+	nMeta := c.u32()
+	if !c.checkCount(nMeta, maxMetaPairs, minMetaPairLen, "metadata pair") {
+		return Summary{}
+	}
+	for i := uint32(0); i < nMeta; i++ {
+		c.skipStr()
+		c.skipStr()
+		if c.err != nil {
+			return Summary{}
+		}
+	}
+
+	nRec := c.u32()
+	if !c.checkCount(nRec, maxRecords, minRecordLen, "record") {
+		return Summary{}
+	}
+	s := Summary{User: hdr.User, App: hdr.AppName(), Invalid: validateHeader(&hdr)}
+	st := c.st
+	var r FileRecord
+	for i := 0; i < int(nRec); i++ {
+		if _, ok := c.record(&r, st.dxtReads, st.dxtWrites); !ok {
+			return Summary{}
+		}
+		if cap(r.DXTReads) > cap(st.dxtReads) {
+			st.dxtReads = r.DXTReads[:0]
+		}
+		if cap(r.DXTWrites) > cap(st.dxtWrites) {
+			st.dxtWrites = r.DXTWrites[:0]
+		}
+		if s.Invalid == nil {
+			s.Invalid = validateRecord(&r, i, hdr.Runtime)
+		}
+		s.Weight = addWeight(s.Weight, r.C.Weight())
+	}
+	return s
+}
+
+// end reports how the walk over the body finished: the first cursor
+// failure, or the bytes left over after a body that parsed.
+func (c *cursor) end() error {
+	if c.err != nil {
+		return c.err
+	}
+	if c.off != len(c.data) {
+		return fmt.Errorf("darshan: %d trailing bytes after body", len(c.data)-c.off)
+	}
+	return nil
 }
 
 // DecodeInto parses a binary-log-encoded job from data into j, reusing
@@ -619,35 +722,42 @@ func DecodeCanonical(j *Job, data []byte) (canonical bool, err error) {
 }
 
 func (st *decodeState) decode(j *Job, data []byte) (canonical bool, err error) {
+	c, flags, err := st.open(data)
+	if err != nil {
+		return false, err
+	}
+	c.decodeBody(j)
+	if err := c.end(); err != nil {
+		return false, err
+	}
+	return c.version == FormatVersion && flags == 0 && !c.noncanon, nil
+}
+
+// open checks the container header of data and returns a cursor at the
+// start of its body, inflated into the state's arena when the gzip flag
+// is set.
+func (st *decodeState) open(data []byte) (c cursor, flags uint16, err error) {
 	if len(data) < 4 {
-		return false, fmt.Errorf("darshan: reading magic: %w", io.ErrUnexpectedEOF)
+		return c, 0, fmt.Errorf("darshan: reading magic: %w", io.ErrUnexpectedEOF)
 	}
 	if [4]byte(data[:4]) != Magic {
-		return false, ErrBadMagic
+		return c, 0, ErrBadMagic
 	}
 	if len(data) < headerLen {
-		return false, fmt.Errorf("darshan: reading header: %w", io.ErrUnexpectedEOF)
+		return c, 0, fmt.Errorf("darshan: reading header: %w", io.ErrUnexpectedEOF)
 	}
 	version := binary.LittleEndian.Uint16(data[4:6])
-	flags := binary.LittleEndian.Uint16(data[6:8])
+	flags = binary.LittleEndian.Uint16(data[6:8])
 	if version < minFormatVersion || version > FormatVersion {
-		return false, fmt.Errorf("%w: %d", ErrBadVersion, version)
+		return c, 0, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 	body := data[headerLen:]
 	if flags&flagGzip != 0 {
 		if body, err = st.inflate(body); err != nil {
-			return false, err
+			return c, 0, err
 		}
 	}
-	c := cursor{data: body, version: version, st: st}
-	c.decodeBody(j)
-	if c.err != nil {
-		return false, c.err
-	}
-	if c.off != len(body) {
-		return false, fmt.Errorf("darshan: %d trailing bytes after body", len(body)-c.off)
-	}
-	return version == FormatVersion && flags == 0 && !c.noncanon, nil
+	return cursor{data: body, version: version, st: st}, flags, nil
 }
 
 // UnmarshalBinary parses a binary-log-encoded job.
@@ -663,16 +773,18 @@ func UnmarshalBinary(data []byte) (*Job, error) {
 // do not reallocate.
 var fileBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// readBinaryFile decodes one .mosd file through a size-hinted pooled
-// buffer — the corpus (engine Decode stage) fast path.
-func readBinaryFile(f *os.File) (*Job, error) {
+// fileBytes reads all of f into a size-hinted pooled buffer and hands it
+// to fn; the buffer returns to the pool when fn does, so fn must keep
+// none of it. It is how every .mosd file is read — whole (readBinaryFile)
+// or for the funnel alone (InspectFile).
+func fileBytes(f *os.File, fn func(data []byte) error) error {
 	info, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	size := info.Size()
 	if size > maxBodyBytes {
-		return nil, fmt.Errorf("darshan: %s: file exceeds %d byte limit", f.Name(), maxBodyBytes)
+		return fmt.Errorf("darshan: %s: file exceeds %d byte limit", f.Name(), maxBodyBytes)
 	}
 	bp := fileBufPool.Get().(*[]byte)
 	buf := *bp
@@ -681,9 +793,8 @@ func readBinaryFile(f *os.File) (*Job, error) {
 	} else {
 		buf = buf[:size]
 	}
-	var j *Job
 	if _, err = io.ReadFull(f, buf); err == nil {
-		j, err = UnmarshalBinary(buf)
+		err = fn(buf)
 	}
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf[:0]
@@ -691,5 +802,14 @@ func readBinaryFile(f *os.File) (*Job, error) {
 		*bp = nil
 	}
 	fileBufPool.Put(bp)
+	return err
+}
+
+// readBinaryFile decodes one .mosd file.
+func readBinaryFile(f *os.File) (j *Job, err error) {
+	err = fileBytes(f, func(data []byte) (err error) {
+		j, err = UnmarshalBinary(data)
+		return err
+	})
 	return j, err
 }

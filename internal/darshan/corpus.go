@@ -154,16 +154,6 @@ func ScanCorpus(ctx context.Context, dir string, fn func(path string) bool) erro
 	}
 }
 
-// CorpusEntry is one trace of a corpus on its way to the funnel: either
-// a decoded job or the error that prevented decoding it (the path is set
-// when it came from a file). Decoding errors are data, not failures: the
-// pre-processing funnel counts them as evictions.
-type CorpusEntry struct {
-	Path string
-	Job  *Job
-	Err  error
-}
-
 // WriteCorpus stores jobs into dir using the binary format and a
 // Blue-Waters-like naming scheme: <user>_<app>_id<jobid>.mosd.
 func WriteCorpus(dir string, jobs []*Job) error {

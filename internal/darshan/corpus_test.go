@@ -46,7 +46,7 @@ func TestStreamCorpusReportsDecodeErrors(t *testing.T) {
 	if f := res.Funnel; f.Total != 2 || f.Valid != 1 || f.Corrupted != 1 || f.ByReason["unreadable"] != 1 {
 		t.Fatalf("funnel %+v, want 2 traces: 1 valid, 1 unreadable", f)
 	}
-	if len(res.Apps) != 1 || res.Apps[0].Job.JobID != 1 {
+	if len(res.Apps) != 1 || res.Apps[0].JobID != 1 {
 		t.Fatalf("apps = %+v, want the one good trace", res.Apps)
 	}
 }
@@ -80,8 +80,8 @@ func TestStreamCorpusParallelOrderAndCompleteness(t *testing.T) {
 	}
 	for _, a := range res.Apps {
 		// t00..t03 hold jobs 39..36, the first file of each group.
-		if a.Runs != files/apps || a.Job.JobID < files-apps {
-			t.Errorf("%s: %d runs, kept job %d; want %d runs and one of the first %d files", a.App, a.Runs, a.Job.JobID, files/apps, apps)
+		if a.Runs != files/apps || a.JobID < files-apps {
+			t.Errorf("%s: %d runs, kept job %d; want %d runs and one of the first %d files", a.App, a.Runs, a.JobID, files/apps, apps)
 		}
 	}
 }
@@ -106,36 +106,50 @@ func stdlibReadFile(path string) (*darshan.Job, error) {
 	return darshan.UnmarshalBinary(append(raw, body...))
 }
 
+// damage is one way to earn each verdict Validate can give (a slice, not
+// a map: the archetypes draw from one rng, so order is part of the seed).
+var damage = []struct {
+	kind darshan.CorruptionKind
+	do   func(*darshan.Job)
+}{
+	{darshan.CorruptBadHeader, func(j *darshan.Job) { j.NProcs = 0 }},
+	{darshan.CorruptBadTimestamps, func(j *darshan.Job) { j.Records[0].C.OpenStart = math.NaN() }},
+	{darshan.CorruptEarlyDealloc, func(j *darshan.Job) {
+		c := &j.Records[0].C
+		c.Writes, c.BytesWritten, c.WriteStart, c.WriteEnd = 1, 1, 1, 2
+		c.Closes, c.CloseStart, c.CloseEnd = 1, 0, 1
+	}},
+	{darshan.CorruptAfterEnd, func(j *darshan.Job) {
+		c := &j.Records[0].C
+		c.Opens, c.OpenStart, c.OpenEnd = 1, 0, j.Runtime+100
+	}},
+	{darshan.CorruptNegativeCount, func(j *darshan.Job) { j.Records[0].C.Stats = -1 }},
+	{darshan.CorruptInverted, func(j *darshan.Job) {
+		c := &j.Records[0].C
+		c.Opens, c.OpenStart, c.OpenEnd = 1, 2, 1
+	}},
+	{darshan.CorruptBadModule, func(j *darshan.Job) { j.Records[0].Module = 77 }},
+}
+
+// allArchetypes is every application family the generator knows,
+// including the two DXT checkpointers outside the default mixture.
+func allArchetypes() []gen.Archetype {
+	return append(gen.DefaultArchetypes(), gen.DXTCheckpointerArchetype(false), gen.DXTCheckpointerArchetype(true))
+}
+
+// buildArchetype draws one run of arch from rng.
+func buildArchetype(arch gen.Archetype, rng *rand.Rand) *darshan.Job {
+	p := arch.Params(rng)
+	b := gen.NewBuilder(rng, "u1", arch.Exe, 1, p.Ranks, p.RuntimeBase)
+	arch.Build(b, p)
+	return b.Job()
+}
+
 // TestReadFileMatchesStdlibDecode: for every generator archetype, intact
 // and damaged in each way the generator and the validator know, ReadFile
 // returns the job a compress/gzip decode returns, and the two get the
 // same verdict from Validate.
 func TestReadFileMatchesStdlibDecode(t *testing.T) {
-	// One way to earn each verdict Validate can give (a slice, not a
-	// map: the archetypes draw from one rng, so order is part of the seed).
-	damage := []struct {
-		kind darshan.CorruptionKind
-		do   func(*darshan.Job)
-	}{
-		{darshan.CorruptBadHeader, func(j *darshan.Job) { j.NProcs = 0 }},
-		{darshan.CorruptBadTimestamps, func(j *darshan.Job) { j.Records[0].C.OpenStart = math.NaN() }},
-		{darshan.CorruptEarlyDealloc, func(j *darshan.Job) {
-			c := &j.Records[0].C
-			c.Writes, c.BytesWritten, c.WriteStart, c.WriteEnd = 1, 1, 1, 2
-			c.Closes, c.CloseStart, c.CloseEnd = 1, 0, 1
-		}},
-		{darshan.CorruptAfterEnd, func(j *darshan.Job) {
-			c := &j.Records[0].C
-			c.Opens, c.OpenStart, c.OpenEnd = 1, 0, j.Runtime+100
-		}},
-		{darshan.CorruptNegativeCount, func(j *darshan.Job) { j.Records[0].C.Stats = -1 }},
-		{darshan.CorruptInverted, func(j *darshan.Job) {
-			c := &j.Records[0].C
-			c.Opens, c.OpenStart, c.OpenEnd = 1, 2, 1
-		}},
-		{darshan.CorruptBadModule, func(j *darshan.Job) { j.Records[0].Module = 77 }},
-	}
-
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.mosd")
 	// check holds ReadFile to the reference on one job and returns the
@@ -171,15 +185,9 @@ func TestReadFileMatchesStdlibDecode(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(14))
-	archetypes := append(gen.DefaultArchetypes(), gen.DXTCheckpointerArchetype(false), gen.DXTCheckpointerArchetype(true))
-	for _, arch := range archetypes {
+	for _, arch := range allArchetypes() {
 		t.Run(arch.Name, func(t *testing.T) {
-			build := func() *darshan.Job {
-				p := arch.Params(rng)
-				b := gen.NewBuilder(rng, "u1", arch.Exe, 1, p.Ranks, p.RuntimeBase)
-				arch.Build(b, p)
-				return b.Job()
-			}
+			build := func() *darshan.Job { return buildArchetype(arch, rng) }
 			if k := check(t, build()); k != darshan.CorruptNone {
 				t.Fatalf("intact trace is %v", k)
 			}

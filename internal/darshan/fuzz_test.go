@@ -3,6 +3,8 @@ package darshan
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -178,6 +180,119 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if !bytes.Equal(enc1, enc3) {
 			t.Fatal("DecodeInto into a reused job diverges from a fresh decode")
+		}
+	})
+}
+
+// hostileCountSeeds returns one canonical encoding patched, one field at
+// a time, to claim more elements or longer strings than the limits allow
+// or than the bytes that follow could hold.
+func hostileCountSeeds(tb testing.TB) map[string][]byte {
+	j := &Job{
+		JobID: 9, User: "bob", Exe: "/bin/app", NProcs: 2, Runtime: 10,
+		Records: []FileRecord{{Module: ModPOSIX, Path: "/p", Rank: 1,
+			C: Counters{Opens: 1, OpenStart: 1, OpenEnd: 2}}},
+	}
+	canonical, err := MarshalBinary(j)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bare := *j
+	bare.Records = nil
+	prefix, err := MarshalBinary(&bare) // ends with the metadata and record counts
+	if err != nil {
+		tb.Fatal(err)
+	}
+	offsets := map[string]int{
+		"user length":    headerLen + 8 + 4,
+		"metadata count": len(prefix) - 8,
+		"record count":   len(prefix) - 4,
+		"path length":    len(prefix) + 4,
+		"DXT read count": len(canonical) - 8,
+	}
+	seeds := map[string][]byte{}
+	for what, off := range offsets {
+		for _, n := range []uint32{1 << 10, 1 << 28, 1<<32 - 1} {
+			b := append([]byte(nil), canonical...)
+			binary.LittleEndian.PutUint32(b[off:], n)
+			seeds[fmt.Sprintf("%s %d", what, n)] = b
+		}
+	}
+	return seeds
+}
+
+// inspectAgrees holds InspectBinary to the decoder on one input: both
+// fail, with the same error, or InspectBinary returns the summary of the
+// job the decoder returns.
+func inspectAgrees(tb testing.TB, name string, data []byte) {
+	tb.Helper()
+	j, derr := UnmarshalBinary(data)
+	s, ierr := InspectBinary(data)
+	if derr != nil || ierr != nil {
+		if derr == nil || ierr == nil || derr.Error() != ierr.Error() {
+			tb.Fatalf("%s: InspectBinary: %v; UnmarshalBinary: %v", name, ierr, derr)
+		}
+		return
+	}
+	if diff := DiffSummary(s, Summarize(j)); diff != "" {
+		tb.Fatalf("%s: InspectBinary: %s", name, diff)
+	}
+}
+
+// TestInspectFailsAsDecodeDoes: cut anywhere, patched to be non-canonical
+// or lying about a count, an encoding is unreadable to InspectBinary
+// exactly when it is to the decoder, with the decoder's error — and a
+// lying count buys no allocation from either.
+func TestInspectFailsAsDecodeDoes(t *testing.T) {
+	for i, s := range fuzzSeeds(t) {
+		for cut := 0; cut <= len(s); cut++ {
+			inspectAgrees(t, fmt.Sprintf("seed %d cut at %d of %d", i, cut, len(s)), s[:cut])
+		}
+	}
+	for name, s := range nonCanonicalSeeds(t) {
+		inspectAgrees(t, name, s)
+	}
+	for name, s := range hostileCountSeeds(t) {
+		inspectAgrees(t, name, s)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := InspectBinary(s)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: refusing it allocated %d bytes", name, grew)
+		}
+	}
+}
+
+// FuzzInspectBinary: on any bytes at all, the in-buffer walk and the
+// decoder agree — an error from both, the same one, or the summary of
+// the decoded job — and the walk allocates no more than a small multiple
+// of the input it was given (a gzip body may inflate, a DXT list is
+// decoded into scratch; a count field alone buys nothing).
+func FuzzInspectBinary(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		f.Add(s)
+	}
+	for _, s := range nonCanonicalSeeds(f) {
+		f.Add(s)
+	}
+	for _, s := range hostileCountSeeds(f) {
+		f.Add(s)
+	}
+	f.Add([]byte("MOSD\x02\x00\x01\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inspectAgrees(t, "fuzz input", data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = InspectBinary(data) // the verdict was checked above
+		runtime.ReadMemStats(&after)
+		// Deflate expands at most 1032:1, and the inflater believes a
+		// size only as far as the bytes present could reach.
+		if grew, allowed := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+2048*len(data)); grew > allowed {
+			t.Fatalf("inspecting %d bytes allocated %d", len(data), grew)
 		}
 	})
 }

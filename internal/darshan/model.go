@@ -13,6 +13,7 @@ package darshan
 
 import (
 	"fmt"
+	"math"
 	"path"
 	"strings"
 
@@ -119,8 +120,8 @@ type Job struct {
 
 // AppName derives the application identity used for deduplication: the
 // base name of the executable. The paper groups runs by (user,
-// application) and assumes all runs of an application by a user share I/O
-// behaviour (Section III-B1).
+// application) — Summary's User and App — and assumes all runs of an
+// application by a user share I/O behaviour (Section III-B1).
 func (j *Job) AppName() string {
 	exe := j.Exe
 	if i := strings.IndexByte(exe, ' '); i >= 0 {
@@ -128,9 +129,6 @@ func (j *Job) AppName() string {
 	}
 	return path.Base(exe)
 }
-
-// AppKey returns the (user, application) deduplication key.
-func (j *Job) AppKey() string { return j.User + "\x00" + j.AppName() }
 
 // TotalBytesRead sums read volume across all records.
 func (j *Job) TotalBytesRead() int64 {
@@ -159,11 +157,42 @@ func (j *Job) TotalMetaOps() int64 {
 	return n
 }
 
+// Weight is the record's share of its job's I/O intensity: bytes moved
+// plus one per metadata request, so that metadata-only jobs still rank.
+// The sum saturates: counters are attacker-supplied int64s of which only
+// negatives are rejected, and a wrapped weight would rank the heaviest
+// run of an application below every other.
+func (c *Counters) Weight() int64 {
+	w := addWeight(c.BytesRead, c.BytesWritten)
+	for _, v := range [...]int64{c.Opens, c.Closes, c.Seeks, c.Stats} {
+		w = addWeight(w, v)
+	}
+	return w
+}
+
+// addWeight is a + b clamped to the int64 range — the one accumulate
+// behind every weight sum (Counters.Weight, Job.Weight, the in-buffer
+// walk of InspectFile).
+func addWeight(a, b int64) int64 {
+	s := a + b
+	if (a^s)&(b^s) < 0 { // both operands have the sign the sum lacks
+		if a < 0 {
+			return math.MinInt64
+		}
+		return math.MaxInt64
+	}
+	return s
+}
+
 // Weight is the I/O intensity used to select the heaviest run of an
-// application during deduplication: total bytes moved plus a small
-// contribution for metadata traffic so that metadata-only jobs still rank.
+// application during deduplication: the saturating sum of its records'
+// weights.
 func (j *Job) Weight() int64 {
-	return j.TotalBytesRead() + j.TotalBytesWritten() + j.TotalMetaOps()
+	var w int64
+	for i := range j.Records {
+		w = addWeight(w, j.Records[i].C.Weight())
+	}
+	return w
 }
 
 // AppendIntervals appends the job's read (or, with write set, write)

@@ -64,8 +64,8 @@ func TestAppName(t *testing.T) {
 	if got := j2.AppName(); got != "simulation" {
 		t.Fatalf("AppName = %q", got)
 	}
-	if sampleJob().AppKey() == (&Job{User: "bob", Exe: "/apps/bin/lammps"}).AppKey() {
-		t.Fatal("different users must have different app keys")
+	if a, b := Summarize(sampleJob()), Summarize(&Job{User: "bob", Exe: "/apps/bin/lammps"}); a.App != b.App || a.User == b.User {
+		t.Fatal("the same application run by different users must differ in the funnel's key by user alone")
 	}
 }
 

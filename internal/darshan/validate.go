@@ -83,11 +83,26 @@ const tsSlack = 1.0 // seconds
 
 // Validate checks the structural integrity of a job and returns a
 // *ValidationError (wrapping ErrCorrupted) describing the first problem
-// found, or nil when the trace is usable.
+// found, or nil when the trace is usable: the header rules first, then
+// the records in order. InspectFile applies the same two functions in
+// the same order to a trace it never materializes.
 func Validate(j *Job) error {
 	if j == nil {
 		return corrupt(CorruptBadHeader, -1, "nil job")
 	}
+	if err := validateHeader(j); err != nil {
+		return err
+	}
+	for i := range j.Records {
+		if err := validateRecord(&j.Records[i], i, j.Runtime); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateHeader runs the job-level checks; it reads no record.
+func validateHeader(j *Job) error {
 	if j.Runtime <= 0 || math.IsNaN(j.Runtime) || math.IsInf(j.Runtime, 0) {
 		return corrupt(CorruptBadHeader, -1, "runtime %g", j.Runtime)
 	}
@@ -96,11 +111,6 @@ func Validate(j *Job) error {
 	}
 	if j.NProcs <= 0 {
 		return corrupt(CorruptBadHeader, -1, "nprocs %d", j.NProcs)
-	}
-	for i := range j.Records {
-		if err := validateRecord(&j.Records[i], i, j.Runtime); err != nil {
-			return err
-		}
 	}
 	return nil
 }

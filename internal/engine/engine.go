@@ -3,8 +3,18 @@
 //
 //	Scan → Decode → Funnel → Categorize → Aggregate
 //
-// with bounded channels between stages (real backpressure: a slow
-// categorizer throttles the scanner), context cancellation plumbed
+// in two passes over the corpus. The first decides: Decode inflates each
+// trace and inspects it where it lies (darshan.InspectFile — validity,
+// (user, app), weight; no darshan.Job is built), the Funnel deduplicates
+// those summaries and remembers only where each application's heaviest
+// run is. The second materializes: once the corpus has been seen, the
+// Categorize workers read the surviving groups' files — the paper's 5 %
+// — into jobs, one per worker at a time, and let each go when it has
+// been categorized. Memory is O(workers) buffers during the scan and
+// O(workers) jobs after it, whatever the corpus size.
+//
+// Stages are joined by bounded channels (real backpressure: a slow
+// categorizer throttles the scanner), with context cancellation plumbed
 // end-to-end (cancelling mid-corpus drains every worker and returns
 // ctx.Err() with no goroutine leaks), a selectable error policy
 // (fail-fast with cancellation of in-flight work, or collect-all via
@@ -32,23 +42,57 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/report"
 )
 
-// entryName identifies one corpus entry for spans and slow logs: the
-// on-disk path when the trace came from a file, the (user, app)
-// identity for in-memory jobs, a placeholder for unreadable entries.
-func entryName(e darshan.CorpusEntry) string {
+// scanned is one trace as the Decode stage leaves it: the reference it
+// arrived as, and what the funnel reads of it or the error that kept it
+// from being read.
+type scanned struct {
+	ref Ref
+	sum darshan.Summary
+	err error
+}
+
+// name identifies the trace for spans and slow logs: the on-disk path
+// when it came from a file, the (user, app) identity for in-memory jobs,
+// a placeholder for unreadable entries.
+func (t scanned) name() string {
 	switch {
-	case e.Path != "":
-		return e.Path
-	case e.Job != nil:
-		return e.Job.User + "/" + e.Job.AppName()
+	case t.ref.Path != "":
+		return t.ref.Path
+	case t.ref.Job != nil:
+		return t.sum.User + "/" + t.sum.App
 	default:
 		return "<unreadable>"
 	}
 }
 
+// ErrTraceChanged marks the item error of an application whose heaviest
+// run, when read back for categorization, was no longer the trace the
+// funnel chose: unreadable, invalid, or of another key or weight.
+var ErrTraceChanged = errors.New("trace changed during the run")
+
+// materialize reads the heaviest run of a group the funnel kept from
+// its file. The funnel decided on what InspectFile saw there; the job is
+// handed on only if it still summarizes to that, so nothing is ever
+// categorized that was not validated.
+func materialize(g *core.AppGroup) (*darshan.Job, error) {
+	j, err := darshan.ReadFile(g.Path)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w: %v", g.Path, ErrTraceChanged, err)
+	}
+	s := darshan.Summarize(j)
+	switch {
+	case s.Invalid != nil:
+		return nil, fmt.Errorf("%s: %w: %v", g.Path, ErrTraceChanged, s.Invalid)
+	case s.User != g.User || s.App != g.App || s.Weight != g.Weight:
+		return nil, fmt.Errorf("%s: %w: now %s/%s of weight %d, was of weight %d",
+			g.Path, ErrTraceChanged, s.User, s.App, s.Weight, g.Weight)
+	}
+	return j, nil
+}
+
 // ErrorPolicy selects how the pipeline reacts to per-item errors
-// (categorization failures; decode failures are funnel data, not
-// errors).
+// (categorization failures, ErrTraceChanged; decode failures during the
+// scan are funnel data, not errors).
 type ErrorPolicy int
 
 const (
@@ -97,8 +141,8 @@ type Options struct {
 type AppResult struct {
 	App    string
 	User   string
-	Runs   int          // valid executions in the group
-	Job    *darshan.Job // the heaviest run, the one analyzed
+	Runs   int    // valid executions in the group
+	JobID  uint64 // the heaviest run, the one analyzed
 	Result *core.Result
 	// Explanation is the decision-provenance record of Result, collected
 	// only when Options.Explain was set and the executor supports it.
@@ -204,41 +248,45 @@ func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
 		}
 	}()
 
-	// Stage 2: Decode — parse traces in parallel while preserving scan
-	// order, so funnel statistics (and heaviest-run tie-breaks) stay
-	// deterministic. Ordering and worker lifecycle come from
-	// parallel.MapOrdered, whose goroutines all exit on ctx cancellation
-	// even when downstream stops reading.
+	// Stage 2: Decode — inflate and inspect traces in parallel while
+	// preserving scan order, so funnel statistics (and heaviest-run
+	// tie-breaks) stay deterministic. Ordering and worker lifecycle come
+	// from parallel.MapOrdered, whose goroutines all exit on ctx
+	// cancellation even when downstream stops reading.
 	//
-	// Buffer pooling happens inside darshan.ReadFile: file bytes,
-	// inflate arenas and the inflater's tables are sync.Pool-recycled
-	// across decodes (mirroring core's cluster.Scratch pooling
-	// downstream). The contract that makes this safe is that returned
-	// Jobs never alias pooled memory — decoded strings are copied into
-	// memory the Job owns, or interned — because Jobs outlive this
-	// stage: the funnel keeps the heaviest run of each group until the
-	// final aggregate.
+	// What leaves this stage is a darshan.Summary: validation and the
+	// weight sum run here, on the workers, and no job is built. Buffer
+	// pooling happens inside darshan (file bytes, inflate arenas, the
+	// inflater's tables and the inspection scratch are sync.Pool-recycled
+	// across traces); a Summary never aliases pooled memory — its two
+	// strings are interned or copied — so it may outlive the buffers it
+	// was read from, as the funnel needs.
 	obs.StageStarted(StageDecode)
-	traces := parallel.MapOrdered(ctx, workers, refs, func(r Ref) darshan.CorpusEntry {
+	traces := parallel.MapOrdered(ctx, workers, refs, func(r Ref) scanned {
 		obs.ItemIn(StageDecode)
 		var start time.Time
 		if span != nil {
 			start = time.Now()
 		}
-		e := darshan.CorpusEntry{Path: r.Path, Job: r.Job, Err: r.Err}
-		if e.Job == nil && e.Err == nil && r.Path != "" {
-			e.Job, e.Err = darshan.ReadFile(r.Path)
+		t := scanned{ref: r, err: r.Err}
+		switch {
+		case t.err != nil:
+		case r.Job == nil && r.Path != "":
+			t.sum, t.err = darshan.InspectFile(r.Path)
+		default:
+			t.sum = darshan.Summarize(r.Job)
 		}
 		if span != nil {
-			span.ItemSpan(StageDecode, entryName(e), start, time.Since(start))
+			span.ItemSpan(StageDecode, t.name(), start, time.Since(start))
 		}
 		obs.ItemOut(StageDecode)
-		return e
+		return t
 	})
 
-	// Stage 3: Funnel — validate and deduplicate. The Preprocessor is a
-	// streaming barrier: groups are only final once the input is
-	// exhausted, so this stage emits downstream only at end-of-stream.
+	// Stage 3: Funnel — count evictions and deduplicate the summaries.
+	// The Preprocessor is a streaming barrier: groups are only final once
+	// the input is exhausted, so this stage emits downstream only at
+	// end-of-stream.
 	type indexedGroup struct {
 		idx int
 		g   *core.AppGroup
@@ -258,17 +306,17 @@ func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
 	consume:
 		for {
 			select {
-			case e, ok := <-traces:
+			case t, ok := <-traces:
 				if !ok {
 					break consume
 				}
 				obs.ItemIn(StageFunnel)
 				if span != nil {
 					start := time.Now()
-					pre.Add(e.Job, e.Err)
-					span.ItemSpan(StageFunnel, entryName(e), start, time.Since(start))
+					pre.AddSummary(t.sum, t.err, t.ref.Path, t.ref.Job)
+					span.ItemSpan(StageFunnel, t.name(), start, time.Since(start))
 				} else {
-					pre.Add(e.Job, e.Err)
+					pre.AddSummary(t.sum, t.err, t.ref.Path, t.ref.Job)
 				}
 			case <-ctx.Done():
 				close(funnelDone)
@@ -289,7 +337,10 @@ func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
 		}
 	}()
 
-	// Stage 4: Categorize — the pluggable executor stage.
+	// Stage 4: Categorize — the pluggable executor stage. A group whose
+	// heaviest run is a file gets its job here, for the length of one
+	// categorization; that read is decode work and is timed as a Decode
+	// item span, while the stage counters stay one item per trace scanned.
 	catWorkers := exec.Concurrency()
 	if catWorkers <= 0 {
 		catWorkers = workers
@@ -318,13 +369,24 @@ func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
 					if span != nil {
 						start = time.Now()
 					}
+					job := ig.g.Heaviest
 					var res *core.Result
 					var expl *explain.Explanation
 					var err error
-					if exExec != nil {
-						res, expl, err = exExec.CategorizeExplained(ctx, ig.g.Heaviest, cfg, opts.ExplainOptions)
-					} else {
-						res, err = exec.Categorize(ctx, ig.g.Heaviest, cfg)
+					if job == nil {
+						job, err = materialize(ig.g)
+						if span != nil {
+							now := time.Now()
+							span.ItemSpan(StageDecode, ig.g.Path, start, now.Sub(start))
+							start = now
+						}
+					}
+					switch {
+					case err != nil:
+					case exExec != nil:
+						res, expl, err = exExec.CategorizeExplained(ctx, job, cfg, opts.ExplainOptions)
+					default:
+						res, err = exec.Categorize(ctx, job, cfg)
 					}
 					if span != nil {
 						span.ItemSpan(StageCategorize, ig.g.User+"/"+ig.g.App, start, time.Since(start))
@@ -340,7 +402,7 @@ func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
 					obs.ItemOut(StageCategorize)
 					out := indexedResult{idx: ig.idx, res: AppResult{
 						App: ig.g.App, User: ig.g.User, Runs: ig.g.Runs,
-						Job: ig.g.Heaviest, Result: res, Explanation: expl,
+						JobID: job.JobID, Result: res, Explanation: expl,
 					}}
 					select {
 					case results <- out:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -121,46 +122,88 @@ func (s slowExec) Categorize(ctx context.Context, j *darshan.Job, cfg core.Confi
 
 func (s slowExec) Concurrency() int { return 2 }
 
+// cancelOnCategorize cancels when the first group reaches a Categorize
+// worker: the scan is over, the funnel has closed, and the worker is
+// about to read the group's file into a job.
+type cancelOnCategorize struct {
+	NopObserver
+	cancel context.CancelFunc
+}
+
+func (c cancelOnCategorize) ItemIn(s StageID) {
+	if s == StageCategorize {
+		c.cancel()
+	}
+}
+
 func TestRunCancellationPromptNoLeaks(t *testing.T) {
 	jobs := testJobs(t, 80)
-	before := runtime.NumGoroutine()
+	dir := t.TempDir()
+	for i, j := range jobs {
+		if err := darshan.WriteFile(filepath.Join(dir, fmt.Sprintf("t%03d.mosd", i)), j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		src  Source
+		// trigger returns the observer that cancels the run, or nil to
+		// cancel from outside once the pipeline has spun up.
+		trigger func(context.CancelFunc) Observer
+	}{
+		{"mid-stream", Jobs(jobs), nil},
+		{"after the funnel, while the kept runs load", Dir(dir), func(cancel context.CancelFunc) Observer {
+			return cancelOnCategorize{cancel: cancel}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(ctx, Jobs(jobs), Options{
-			Workers:  4,
-			Executor: slowExec{delay: 50 * time.Millisecond},
-			Buffer:   2,
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opts := Options{
+				Workers:  4,
+				Executor: slowExec{delay: 50 * time.Millisecond},
+				Buffer:   2,
+			}
+			if c.trigger != nil {
+				opts.Observer = c.trigger(cancel)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(ctx, c.src, opts)
+				done <- err
+			}()
+			if c.trigger == nil {
+				time.Sleep(20 * time.Millisecond) // let the pipeline spin up
+				cancel()
+			}
+			start := time.Now()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("pipeline did not shut down after cancel")
+			}
+			if waited := time.Since(start); waited > time.Second {
+				t.Fatalf("shutdown took %v, not prompt", waited)
+			}
+
+			// Every stage goroutine must have exited; poll because the final few
+			// unwind just after Run returns.
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				runtime.GC()
+				if n := runtime.NumGoroutine(); n <= before {
+					break
+				} else if time.Now().After(deadline) {
+					t.Fatalf("goroutine leak: %d before, %d after cancel", before, n)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
 		})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the pipeline spin up
-	start := time.Now()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("pipeline did not shut down after cancel")
-	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("shutdown took %v, not prompt", waited)
-	}
-
-	// Every stage goroutine must have exited; poll because the final few
-	// unwind just after Run returns.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d before, %d after cancel", before, n)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

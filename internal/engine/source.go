@@ -7,9 +7,11 @@ import (
 )
 
 // Ref identifies one trace for the Decode stage: either a path on disk
-// (decoded by darshan.ReadFile) or an in-memory job (decode is the
-// identity). Err carries a pre-existing read failure that the funnel
-// should count as an unreadable trace.
+// (inspected by darshan.InspectFile, and read into a job later only if
+// it is the heaviest run of its application) or an in-memory job
+// (summarized as it is; a Job wins over a Path when both are set). Err
+// carries a pre-existing read failure that the funnel should count as an
+// unreadable trace.
 type Ref struct {
 	Path string
 	Job  *darshan.Job
@@ -31,7 +33,7 @@ type SourceFunc func(ctx context.Context, emit func(Ref) bool) error
 func (f SourceFunc) Scan(ctx context.Context, emit func(Ref) bool) error { return f(ctx, emit) }
 
 // Dir returns a Source that walks a corpus directory, emitting one Ref
-// per trace file in deterministic lexical walk order. Decoding happens
+// per trace file in deterministic lexical walk order. Reading happens
 // downstream in the parallel Decode stage, so the scan itself is cheap
 // and the directory never needs to be listed in full before the first
 // trace flows.

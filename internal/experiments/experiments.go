@@ -93,7 +93,7 @@ func RunObserved(ctx context.Context, p gen.Profile, cfg core.Config, workers in
 	cr.Agg = res.Agg
 	cr.Results = make([]AppOutcome, len(res.Apps))
 	for i, a := range res.Apps {
-		cr.Results[i] = AppOutcome{Result: a.Result, Runs: a.Runs, Truth: gen.Truth(a.Job)}
+		cr.Results[i] = AppOutcome{Result: a.Result, Runs: a.Runs, Truth: category.ParseSet(a.Result.Truth[gen.TruthKey])}
 	}
 	cr.Stages = st.Snapshot()
 	cr.GenerateTime = st.Stage(engine.StageFunnel).Wall

@@ -111,10 +111,10 @@ func TestPlanUniqueAppKeys(t *testing.T) {
 	p := DefaultProfile()
 	p.Apps = 300
 	c := Plan(p)
-	seen := map[string]bool{}
+	seen := map[[2]string]bool{}
 	for _, a := range c.Apps {
 		r := c.GenerateRun(a, 0)
-		key := r.Job.AppKey()
+		key := [2]string{r.Job.User, r.Job.AppName()}
 		if seen[key] {
 			t.Fatalf("duplicate app key %q", key)
 		}
