@@ -84,7 +84,6 @@ func (c Config) withDefaults() Config {
 // the serve tier's IngestItem without importing it (ring sits below
 // serve).
 type ItemStatus struct {
-	Name   string `json:"name,omitempty"`
 	ID     string `json:"id,omitempty"`
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
@@ -353,14 +352,9 @@ func (c *Cluster) updatePeersUp() {
 	c.met.PeersUp.Set(float64(n))
 }
 
-// ForwardIngest routes a group of trace blobs — each paired with its
-// content address — to their owner node and returns the owner's
-// per-item statuses, in blob order.
-func (c *Cluster) ForwardIngest(ctx context.Context, reqID, peerID string, ids []string, blobs [][]byte) ([]ItemStatus, error) {
-	p, err := c.peerByID(peerID)
-	if err != nil {
-		return nil, err
-	}
+// sendPairs performs one bulk-data RPC: ids and blobs travel as an
+// appendPairs body built in pooled scratch.
+func (c *Cluster) sendPairs(ctx context.Context, p *peer, op byte, opName, reqID string, ids []string, blobs [][]byte) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
 	defer cancel()
 	bp := bodyPool.Get().(*[]byte)
@@ -370,7 +364,18 @@ func (c *Cluster) ForwardIngest(ctx context.Context, reqID, peerID string, ids [
 		return nil, err
 	}
 	*bp = body[:0]
-	resp, err := c.callPeer(ctx, p, OpIngest, "ingest", reqID, body)
+	return c.callPeer(ctx, p, op, opName, reqID, body)
+}
+
+// ForwardIngest routes a group of trace blobs — each paired with its
+// content address — to their owner node and returns the owner's
+// per-item statuses, in blob order.
+func (c *Cluster) ForwardIngest(ctx context.Context, reqID, peerID string, ids []string, blobs [][]byte) ([]ItemStatus, error) {
+	p, err := c.peerByID(peerID)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.sendPairs(ctx, p, OpIngest, "ingest", reqID, ids, blobs)
 	if err != nil {
 		return nil, err
 	}
@@ -396,16 +401,7 @@ func (c *Cluster) Replicate(ctx context.Context, reqID, peerID string, ids []str
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-	defer cancel()
-	bp := bodyPool.Get().(*[]byte)
-	defer bodyPool.Put(bp)
-	body, err := appendPairs((*bp)[:0], ids, blobs)
-	if err != nil {
-		return err
-	}
-	*bp = body[:0]
-	if _, err := c.callPeer(ctx, p, OpReplicate, "replicate", reqID, body); err != nil {
+	if _, err := c.sendPairs(ctx, p, OpReplicate, "replicate", reqID, ids, blobs); err != nil {
 		c.Hint(peerID, ids)
 		return err
 	}
@@ -588,6 +584,31 @@ func parseResultPush(body []byte) (id, fp string, result []byte, err error) {
 	return string(parts[0]), string(parts[1]), parts[2], nil
 }
 
+// scatter sends op to every peer and calls each once per peer, with the
+// peer's place in ring order and its reply. A peer believed up is asked
+// on its own goroutine under one RPC timeout and each runs there, beside
+// the other peers'; a peer already down is not asked and each gets
+// errPeerDown. scatter returns once every call to each has.
+func (c *Cluster) scatter(ctx context.Context, op byte, name, reqID string, body []byte, each func(i int, pid string, resp []byte, err error)) {
+	var wg sync.WaitGroup
+	for i, pid := range c.order {
+		p := c.peers[pid]
+		if !p.up.Load() {
+			each(i, pid, nil, errPeerDown)
+			continue
+		}
+		wg.Add(1)
+		go func(i int, p *peer) {
+			defer wg.Done()
+			cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
+			defer cancel()
+			resp, err := c.callPeer(cctx, p, op, name, reqID, body)
+			each(i, p.node.ID, resp, err)
+		}(i, p)
+	}
+	wg.Wait()
+}
+
 // ScatterQuery fans a boolean query out to every live peer and returns
 // one match list per answering peer, each already sorted by the
 // shard's index (duplicates across replicas land in different lists —
@@ -598,51 +619,28 @@ func (c *Cluster) ScatterQuery(ctx context.Context, reqID, q string) (lists [][]
 	body, _ := json.Marshal(struct {
 		Q string `json:"q"`
 	}{Q: q})
-	type reply struct {
-		peerID string
-		ids    []string
-		err    error
-	}
-	ch := make(chan reply, len(c.order))
-	n := 0
-	for _, pid := range c.order {
-		p := c.peers[pid]
-		if !p.up.Load() {
+	replies := make([]struct {
+		ids []string
+		err error
+	}, len(c.order))
+	c.scatter(ctx, OpQuery, "query", reqID, body, func(i int, _ string, resp []byte, err error) {
+		var out struct {
+			IDs []string `json:"ids"`
+		}
+		if err == nil {
+			err = json.Unmarshal(resp, &out)
+		}
+		replies[i].ids, replies[i].err = out.IDs, err
+	})
+	lists = make([][]string, 0, len(replies))
+	for i, r := range replies {
+		switch {
+		case r.err != nil:
 			if errs == nil {
 				errs = make(map[string]error)
 			}
-			errs[pid] = errors.New("peer down")
-			continue
-		}
-		n++
-		go func(pid string, p *peer) {
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-			defer cancel()
-			resp, err := c.callPeer(cctx, p, OpQuery, "query", reqID, body)
-			if err != nil {
-				ch <- reply{peerID: pid, err: err}
-				return
-			}
-			var out struct {
-				IDs []string `json:"ids"`
-			}
-			if err := json.Unmarshal(resp, &out); err != nil {
-				ch <- reply{peerID: pid, err: err}
-				return
-			}
-			ch <- reply{peerID: pid, ids: out.IDs}
-		}(pid, p)
-	}
-	for i := 0; i < n; i++ {
-		r := <-ch
-		if r.err != nil {
-			if errs == nil {
-				errs = make(map[string]error)
-			}
-			errs[r.peerID] = r.err
-			continue
-		}
-		if len(r.ids) > 0 {
+			errs[c.order[i]] = r.err
+		case len(r.ids) > 0:
 			lists = append(lists, r.ids)
 		}
 	}
@@ -653,30 +651,15 @@ func (c *Cluster) ScatterQuery(ctx context.Context, reqID, q string) (lists [][]
 // appear with Up=false), in ring order.
 func (c *Cluster) ScatterStats(ctx context.Context, reqID string) []NodeStats {
 	out := make([]NodeStats, len(c.order))
-	var wg sync.WaitGroup
-	for i, pid := range c.order {
-		p := c.peers[pid]
-		out[i] = NodeStats{Node: pid}
-		if !p.up.Load() {
-			continue
+	c.scatter(ctx, OpStats, "stats", reqID, nil, func(i int, pid string, resp []byte, err error) {
+		var ns NodeStats
+		if err == nil && json.Unmarshal(resp, &ns) == nil {
+			ns.Up = true
+			out[i] = ns
+			return
 		}
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-			defer cancel()
-			resp, err := c.callPeer(cctx, p, OpStats, "stats", reqID, nil)
-			if err != nil {
-				return
-			}
-			var ns NodeStats
-			if json.Unmarshal(resp, &ns) == nil {
-				ns.Up = true
-				out[i] = ns
-			}
-		}(i, p)
-	}
-	wg.Wait()
+		out[i] = NodeStats{Node: pid}
+	})
 	return out
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // errPeerDown marks scatter results skipped because the peer was
@@ -79,42 +80,24 @@ func (c *Cluster) PeersUp() (up, total int) {
 // failed to answer (the document may under-report the fleet).
 func (c *Cluster) ScatterStatus(ctx context.Context, reqID string) (snaps []StatusSnapshot, partial bool) {
 	snaps = make([]StatusSnapshot, len(c.order))
-	failed := make([]bool, len(c.order))
-	var wg sync.WaitGroup
-	for i, pid := range c.order {
-		p := c.peers[pid]
-		snaps[i] = StatusSnapshot{Node: pid, Status: StatusHealthDown}
-		if !p.up.Load() {
-			continue
+	var failed atomic.Bool
+	c.scatter(ctx, OpStatus, "status", reqID, nil, func(i int, pid string, resp []byte, err error) {
+		var ss StatusSnapshot
+		if err == nil {
+			err = json.Unmarshal(resp, &ss)
 		}
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-			defer cancel()
-			resp, err := c.callPeer(cctx, p, OpStatus, "status", reqID, nil)
-			if err != nil {
-				failed[i] = true
-				return
+		switch {
+		case err != nil:
+			ss = StatusSnapshot{Node: pid, Status: StatusHealthDown}
+			if !errors.Is(err, errPeerDown) {
+				failed.Store(true)
 			}
-			var ss StatusSnapshot
-			if json.Unmarshal(resp, &ss) != nil {
-				failed[i] = true
-				return
-			}
-			if ss.Status == "" {
-				ss.Status = StatusHealthOK
-			}
-			snaps[i] = ss
-		}(i, p)
-	}
-	wg.Wait()
-	for _, f := range failed {
-		if f {
-			partial = true
+		case ss.Status == "":
+			ss.Status = StatusHealthOK
 		}
-	}
-	return snaps, partial
+		snaps[i] = ss
+	})
+	return snaps, failed.Load()
 }
 
 // ScatterMetrics fetches every live peer's metrics export (the
@@ -124,28 +107,14 @@ func (c *Cluster) ScatterMetrics(ctx context.Context, reqID string) (map[string]
 	out := make(map[string][]byte, len(c.order))
 	errs := make(map[string]error)
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, pid := range c.order {
-		p := c.peers[pid]
-		if !p.up.Load() {
-			errs[pid] = errPeerDown
-			continue
+	c.scatter(ctx, OpMetricsSnap, "metrics", reqID, nil, func(_ int, pid string, resp []byte, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			errs[pid] = err
+			return
 		}
-		wg.Add(1)
-		go func(pid string, p *peer) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-			defer cancel()
-			resp, err := c.callPeer(cctx, p, OpMetricsSnap, "metrics", reqID, nil)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[pid] = err
-				return
-			}
-			out[pid] = resp
-		}(pid, p)
-	}
-	wg.Wait()
+		out[pid] = resp
+	})
 	return out, errs
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/events"
 	"github.com/mosaic-hpc/mosaic/internal/ring"
 	"github.com/mosaic-hpc/mosaic/internal/store"
@@ -27,20 +26,6 @@ import (
 // gather; result reads route to the replica set with hedging. The
 // wiring lives in clusterNode, the serve-side implementation of
 // ring.Backend.
-
-// routedItem is one decoded ingest upload annotated with its position
-// in the response, so routing can fan items out per owner and still
-// answer in request order.
-type routedItem struct {
-	idx  int // position in the items slice
-	name string
-	id   store.TraceID // content address of blob, computed once at the entry node
-	job  *darshan.Job
-	blob []byte // canonical encoding; it aliases the request's upload buffer
-	// (a canonical upload is its own blob) or, on the inbound RPC path, the
-	// connection read buffer, and is only valid until the handler returns —
-	// anything shipped asynchronously copies it first (see replicate).
-}
 
 // clusterNode binds a Server to its ring.Cluster: it implements
 // ring.Backend for inbound peer RPCs and owns the routing/replication
@@ -87,56 +72,40 @@ func (cn *clusterNode) shutdown(ctx context.Context) error {
 
 // ---- ingest routing (outbound) ----
 
-// ingestRouted is the clustered ingest path shared by the single and
-// batch endpoints: decode every upload, group the readable traces by
-// the first live node of their replica set (the owner when it is up),
-// ingest the local group directly and forward the rest — re-routing to
-// the next replica, and finally to this node (sloppy), when an owner
-// fails mid-request.
-func (cn *clusterNode) ingestRouted(ctx context.Context, reqID string, ups []upload) []IngestItem {
-	items := make([]IngestItem, len(ups))
-	var routed []*routedItem
-	for i, up := range ups {
-		job, id, blob, err := decodeUpload(up.data)
-		if err != nil {
-			items[i] = IngestItem{Name: up.name, Status: StatusUnreadable, Error: err.Error()}
-			continue
-		}
-		routed = append(routed, &routedItem{idx: i, name: up.name, id: id, job: job, blob: blob})
-	}
-	groups := make(map[string][]*routedItem)
-	var local []*routedItem
+// route is the ring's step on the write path (see ingest.go): split a
+// decoded group by the first live, untried node of each trace's replica
+// set — the owner when it is up — ingest this node's share directly and
+// forward the rest, all at once: each branch chains durable waits (the
+// owner's persist fsync, then its sync-replication fsync) that would
+// otherwise add up across owners, so the ack waits for the slowest
+// branch, not for the sum. Branches write disjoint slots of out. tried
+// holds the peers a forward of these traces already failed on and is
+// only read; a trace with no replica left lands here — the sloppy write
+// that keeps an ingest succeeding through any single-node failure.
+func (cn *clusterNode) route(ctx context.Context, reqID string, group []routedItem, tried map[string]bool, out []IngestItem) {
 	self := cn.ring.Self().ID
-	for _, it := range routed {
-		switch target := cn.routeTarget(string(it.id), nil); target {
+	var local []routedItem
+	remote := make(map[string][]routedItem)
+	for _, it := range group {
+		switch target := cn.routeTarget(string(it.id), tried); target {
 		case self, "":
 			local = append(local, it)
 		default:
-			groups[target] = append(groups[target], it)
+			remote[target] = append(remote[target], it)
 		}
 	}
-	// Fan out concurrently: each per-owner group writes disjoint items
-	// slots, and every branch chains durable waits (owner persist fsync,
-	// then its sync-replication fsync) that would otherwise serialize
-	// across owners — the batch's ack latency is the slowest branch, not
-	// the sum of all of them.
 	var wg sync.WaitGroup
-	if len(local) > 0 {
+	for pid, g := range remote {
 		wg.Add(1)
-		go func() {
+		go func(pid string, g []routedItem) {
 			defer wg.Done()
-			cn.ingestOwned(ctx, reqID, local, items)
-		}()
+			cn.forward(ctx, reqID, pid, g, tried, out)
+		}(pid, g)
 	}
-	for pid, group := range groups {
-		wg.Add(1)
-		go func(pid string, group []*routedItem) {
-			defer wg.Done()
-			cn.forwardGroup(ctx, reqID, pid, group, map[string]bool{}, items)
-		}(pid, group)
+	if len(local) > 0 {
+		cn.ingestOwned(ctx, reqID, local, out)
 	}
 	wg.Wait()
-	return items
 }
 
 // routeTarget picks the node a trace should be ingested on: the first
@@ -154,99 +123,65 @@ func (cn *clusterNode) routeTarget(key string, tried map[string]bool) string {
 	return ""
 }
 
-// forwardGroup ships one owner's worth of traces to that peer. On
-// failure (which marks the peer down when it was a transport error)
-// each item is re-routed to its next untried replica; a trace with no
-// replicas left is ingested locally — the sloppy write that keeps an
-// ingest succeeding through any single-node failure.
-func (cn *clusterNode) forwardGroup(ctx context.Context, reqID, peerID string, group []*routedItem, tried map[string]bool, items []IngestItem) {
-	ids := make([]string, len(group))
-	blobs := make([][]byte, len(group))
-	for i, it := range group {
-		ids[i] = string(it.id)
-		blobs[i] = it.blob
-	}
+// forward ships one owner's worth of traces to that peer and takes its
+// per-item statuses. A forward that fails — a transport error, which
+// also marks the peer down, or a reply naming a status this node does
+// not know — sends the group back through route with the peer tried.
+func (cn *clusterNode) forward(ctx context.Context, reqID, peerID string, group []routedItem, tried map[string]bool, out []IngestItem) {
+	ids, blobs := pairs(group)
 	sts, err := cn.ring.ForwardIngest(ctx, reqID, peerID, ids, blobs)
-	if err == nil {
-		for i, st := range sts {
-			item := IngestItem{Name: group[i].name, ID: store.TraceID(st.ID), Status: st.Status, Error: st.Error}
-			if item.ID == "" {
-				item.ID = group[i].id
-			}
-			items[group[i].idx] = item
+	for i, st := range sts {
+		// The reply is a peer's word: a status outside the five would
+		// index a nil counter when the response is tallied.
+		if cn.s.ingestStatus[st.Status] == nil {
+			err = fmt.Errorf("serve: peer %s answered item status %q", peerID, st.Status)
+			break
 		}
+		// The peer stored the blob under the ID it was sent with.
+		out[group[i].idx] = IngestItem{Name: group[i].name, ID: group[i].id, Status: st.Status, Error: st.Error}
+	}
+	if err == nil {
 		return
 	}
 	if log := cn.s.log; log != nil {
 		log.Warn("cluster: ingest forward failed, re-routing",
 			"request_id", reqID, "peer", peerID, "traces", len(group), "err", err)
 	}
-	tried[peerID] = true
-	regroups := make(map[string][]*routedItem)
-	var local []*routedItem
-	self := cn.ring.Self().ID
-	for _, it := range group {
-		switch target := cn.routeTarget(string(it.id), tried); target {
-		case self, "":
-			local = append(local, it)
-		default:
-			regroups[target] = append(regroups[target], it)
-		}
+	next := map[string]bool{peerID: true}
+	for pid := range tried {
+		next[pid] = true
 	}
-	if len(local) > 0 {
-		cn.ingestOwned(ctx, reqID, local, items)
-	}
-	for pid, g := range regroups {
-		cn.forwardGroup(ctx, reqID, pid, g, tried, items)
-	}
+	cn.route(ctx, reqID, group, next, out)
 }
 
 // ingestOwned ingests traces this node takes responsibility for:
-// persist the whole group in one batch (one group-committed fsync),
-// queue categorization, then replicate — synchronously to the first
-// ReplicaAck live followers of each trace (their fsync happens before
-// the caller acknowledges), asynchronously to the rest, hints for the
-// down ones.
-func (cn *clusterNode) ingestOwned(ctx context.Context, reqID string, group []*routedItem, items []IngestItem) {
-	s := cn.s
-	ids := make([]store.TraceID, len(group))
-	blobs := make([][]byte, len(group))
+// ingestGroup, as on a standalone node, then replication —
+// synchronously to the first ReplicaAck live followers of each trace
+// (their fsync happens before the caller acknowledges), asynchronously
+// to the rest, hints for the down ones.
+func (cn *clusterNode) ingestOwned(ctx context.Context, reqID string, group []routedItem, out []IngestItem) {
+	if cn.s.ingestGroup(ctx, reqID, group, out) {
+		cn.replicate(ctx, reqID, group)
+	}
+}
+
+// pairs lays a group out as the parallel id/blob slices the ring's
+// bulk RPCs take. The blobs still alias the items'.
+func pairs(group []routedItem) (ids []string, blobs [][]byte) {
+	ids, blobs = make([]string, len(group)), make([][]byte, len(group))
 	for i, it := range group {
-		ids[i] = it.id
-		blobs[i] = it.blob
+		ids[i], blobs[i] = string(it.id), it.blob
 	}
-	if _, err := s.st.PutTraceBatchKeyedCtx(ctx, ids, blobs); err != nil {
-		for _, it := range group {
-			items[it.idx] = IngestItem{Name: it.name, ID: it.id, Status: StatusRejected, Error: err.Error()}
-		}
-		return
-	}
-	for _, it := range group {
-		items[it.idx] = s.queueTrace(ctx, it.name, it.id, it.job, reqID)
-	}
-	cn.replicate(ctx, reqID, group)
+	return ids, blobs
 }
 
 // replicate ships follower copies of a just-persisted group, grouped
 // per peer so each follower pays one RPC and one fsync.
-func (cn *clusterNode) replicate(ctx context.Context, reqID string, group []*routedItem) {
-	type repGroup struct {
-		ids   []string
-		blobs [][]byte
-	}
+func (cn *clusterNode) replicate(ctx context.Context, reqID string, group []routedItem) {
 	self := cn.ring.Self().ID
 	ackN := cn.ring.ReplicaAck()
-	syncG := make(map[string]*repGroup)
-	asyncG := make(map[string]*repGroup)
-	add := func(m map[string]*repGroup, pid string, it *routedItem) {
-		g := m[pid]
-		if g == nil {
-			g = &repGroup{}
-			m[pid] = g
-		}
-		g.ids = append(g.ids, string(it.id))
-		g.blobs = append(g.blobs, it.blob)
-	}
+	syncG := make(map[string][]routedItem)
+	asyncG := make(map[string][]routedItem)
 	met := cn.ring.Metrics()
 	for _, it := range group {
 		acks := 0
@@ -258,10 +193,10 @@ func (cn *clusterNode) replicate(ctx context.Context, reqID string, group []*rou
 			case !cn.ring.Healthy(n.ID):
 				cn.ring.Hint(n.ID, []string{string(it.id)})
 			case acks < ackN:
-				add(syncG, n.ID, it)
+				syncG[n.ID] = append(syncG[n.ID], it)
 				acks++
 			default:
-				add(asyncG, n.ID, it)
+				asyncG[n.ID] = append(asyncG[n.ID], it)
 			}
 		}
 		if acks < ackN {
@@ -275,16 +210,17 @@ func (cn *clusterNode) replicate(ctx context.Context, reqID string, group []*rou
 	var wg sync.WaitGroup
 	for pid, g := range syncG {
 		wg.Add(1)
-		go func(pid string, g *repGroup) {
+		go func(pid string, g []routedItem) {
 			defer wg.Done()
-			if err := cn.ring.Replicate(ctx, reqID, pid, g.ids, g.blobs); err != nil {
+			ids, blobs := pairs(g)
+			if err := cn.ring.Replicate(ctx, reqID, pid, ids, blobs); err != nil {
 				// Replicate hinted the IDs; the ack goes out with fewer
 				// durable copies than configured.
-				met.DegradedAcks.Add(int64(len(g.ids)))
-				cn.emitDegradedAck(reqID, len(g.ids), "sync replication failed: "+err.Error())
+				met.DegradedAcks.Add(int64(len(ids)))
+				cn.emitDegradedAck(reqID, len(ids), "sync replication failed: "+err.Error())
 				if log := cn.s.log; log != nil {
 					log.Warn("cluster: sync replication failed, ack degraded",
-						"request_id", reqID, "peer", pid, "traces", len(g.ids), "err", err)
+						"request_id", reqID, "peer", pid, "traces", len(ids), "err", err)
 				}
 			}
 		}(pid, g)
@@ -294,11 +230,11 @@ func (cn *clusterNode) replicate(ctx context.Context, reqID string, group []*rou
 		// Best-effort copies outlive the request: the blobs alias the
 		// upload buffer or a connection read buffer, either of which is
 		// reused as soon as the handler returns.
-		blobs := make([][]byte, len(g.blobs))
-		for i, b := range g.blobs {
+		ids, blobs := pairs(g)
+		for i, b := range blobs {
 			blobs[i] = append([]byte(nil), b...)
 		}
-		go cn.ring.Replicate(context.Background(), reqID, pid, g.ids, blobs) //nolint:errcheck // failure hints for replay
+		go cn.ring.Replicate(context.Background(), reqID, pid, ids, blobs) //nolint:errcheck // failure hints for replay
 	}
 }
 
@@ -365,20 +301,21 @@ func (cn *clusterNode) repairLoop() {
 // ---- ring.Backend (inbound peer RPCs) ----
 
 // HandleIngest serves a peer-forwarded ingest: this node is (or stands
-// in for) the ring owner of every blob in the group. Protocol
-// invariant: the forwarding node canonicalized each upload and ships
-// the blob with its content address, so nothing is re-encoded or
-// re-hashed here — only decoded for categorization.
+// in for) the ring owner of every blob in the group, and from here on
+// the group is on the same path a local one takes (ingestOwned).
+// Protocol invariant: the forwarding node canonicalized each upload and
+// ships the blob with its content address, so nothing is re-encoded or
+// re-hashed here — only decoded for categorization. Upload names do not
+// travel; a forwarded item is named by the head of its ID, which is what
+// its "item:" span on this node is called.
 func (cn *clusterNode) HandleIngest(ctx context.Context, reqID string, ids []string, blobs [][]byte) []ring.ItemStatus {
 	items := make([]IngestItem, len(blobs))
-	if cn.s.draining.Load() {
-		for i := range items {
-			items[i] = IngestItem{Status: StatusRejected, Error: "server is draining"}
-		}
-		return toItemStatuses(items)
-	}
-	var group []*routedItem
+	group := make([]routedItem, 0, len(blobs))
 	for i, blob := range blobs {
+		if cn.s.draining.Load() {
+			items[i] = IngestItem{Status: StatusRejected, Error: "server is draining"}
+			continue
+		}
 		id := store.TraceID(ids[i])
 		if !id.Valid() {
 			items[i] = IngestItem{Status: StatusUnreadable, Error: "malformed trace ID"}
@@ -389,18 +326,14 @@ func (cn *clusterNode) HandleIngest(ctx context.Context, reqID string, ids []str
 			items[i] = IngestItem{Status: StatusUnreadable, Error: err.Error()}
 			continue
 		}
-		group = append(group, &routedItem{idx: i, id: id, job: job, blob: blob})
+		group = append(group, routedItem{idx: i, name: string(id[:12]), id: id, job: job, blob: blob})
 	}
 	if len(group) > 0 {
 		cn.ingestOwned(ctx, reqID, group, items)
 	}
-	return toItemStatuses(items)
-}
-
-func toItemStatuses(items []IngestItem) []ring.ItemStatus {
 	out := make([]ring.ItemStatus, len(items))
 	for i, it := range items {
-		out[i] = ring.ItemStatus{Name: it.Name, ID: string(it.ID), Status: it.Status, Error: it.Error}
+		out[i] = ring.ItemStatus{ID: string(it.ID), Status: it.Status, Error: it.Error}
 	}
 	return out
 }

@@ -1,9 +1,11 @@
 // Package serve turns the batch MOSAIC pipeline into a long-running,
 // incrementally updated analysis service. It exposes an HTTP API —
 //
-//	POST /v1/traces        multipart (or raw-body) trace ingest
-//	POST /v1/traces:batch  batch ingest: multipart or length-prefixed
-//	                       concatenation, one store write + one fsync
+//	POST /v1/traces        trace ingest: a raw body, multipart or a
+//	                       length-prefixed concatenation — one store
+//	                       write + one fsync whatever the body holds
+//	POST /v1/traces:batch  the same for multi-trace bodies only, counted
+//	                       in the batch metrics
 //	GET  /v1/results/{id}  categorization of one trace by content address
 //	GET  /v1/query?q=...   boolean category query over the live index
 //	GET  /v1/stats         store, index, queue and ingest statistics
@@ -43,7 +45,6 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/cluster"
 	"github.com/mosaic-hpc/mosaic/internal/core"
-	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/events"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
@@ -126,27 +127,6 @@ type Config struct {
 	// DiagCPUProfile bounds the CPU profile captured into a diagnostic
 	// bundle (<= 0: 2s).
 	DiagCPUProfile time.Duration
-}
-
-// Ingest item statuses reported per uploaded trace.
-const (
-	StatusAccepted   = "accepted"   // queued for categorization
-	StatusCached     = "cached"     // result already stored: cache hit
-	StatusPending    = "pending"    // same trace already queued or in flight
-	StatusRejected   = "rejected"   // queue full: retry later
-	StatusUnreadable = "unreadable" // blob did not decode as a trace
-)
-
-// IngestItem is the per-trace outcome of one ingest request. RequestID
-// echoes the originating request's correlation ID into every per-item
-// status, so a batch response's items remain correlatable after the
-// client has fanned them out.
-type IngestItem struct {
-	Name      string        `json:"name,omitempty"`
-	ID        store.TraceID `json:"id,omitempty"`
-	Status    string        `json:"status"`
-	Error     string        `json:"error,omitempty"`
-	RequestID string        `json:"request_id,omitempty"`
 }
 
 // Server is a running analysis service (HTTP handler + worker pool).
@@ -467,46 +447,6 @@ func (s *Server) Index() *index.Index { return s.ix }
 // Registry returns the registry hosting the serve metrics.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// backfill enqueues every stored trace lacking a result under the
-// current fingerprint — crash healing and config-change re-analysis
-// ride the same path as fresh ingests.
-func (s *Server) backfill() {
-	defer s.backfillWG.Done()
-	queued := 0
-	// EachTraceBlob streams the segment log sequentially (readahead,
-	// no per-trace random read), so a cold start over a large store is
-	// disk-bandwidth-bound. The blob slice is reused by the scanner;
-	// decoding it produces an independent Job.
-	err := s.st.EachTraceBlob(func(id store.TraceID, blob []byte) bool {
-		if s.st.HasResult(id, s.fp) || !s.markPending(id) {
-			return true
-		}
-		j, err := darshan.UnmarshalBinary(blob)
-		if err != nil {
-			s.unmarkPending(id)
-			if s.log != nil {
-				s.log.Warn("backfill: unreadable stored trace", "id", string(id), "err", err)
-			}
-			return true
-		}
-		select {
-		case s.queue <- ingestJob{id: id, job: j, reqID: "backfill", enq: time.Now()}:
-			s.queueDepth.Inc()
-			queued++
-			return true
-		case <-s.quit:
-			s.unmarkPending(id)
-			return false
-		}
-	})
-	if err != nil && s.log != nil {
-		s.log.Warn("backfill scan failed", "err", err)
-	}
-	if queued > 0 && s.log != nil {
-		s.log.Info("backfill queued", "traces", queued, "fingerprint", s.fp)
-	}
-}
-
 // markPending registers a trace as queued/in-flight; false when it
 // already is (the -dedup that makes double ingest categorize once).
 func (s *Server) markPending(id store.TraceID) bool {
@@ -722,147 +662,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-// ingestOne persists and enqueues a single decoded upload. reqID is
-// the originating request's ID, carried to the worker's log lines; ctx
-// carries the request trace (when tracing is on) so the store commit
-// and the queued categorization hang off the right spans.
-func (s *Server) ingestOne(ctx context.Context, name string, data []byte, reqID string) IngestItem {
-	dstart := time.Now()
-	job, id, blob, err := decodeUpload(data)
-	if err != nil {
-		return IngestItem{Name: name, Status: StatusUnreadable, Error: err.Error()}
-	}
-	reqtrace.AddSpan(ctx, "ingest.decode", dstart, time.Since(dstart),
-		reqtrace.Int("bytes", int64(len(data))))
-	// Durability before acknowledgment: once the blob is stored, the
-	// trace survives any crash (backfill completes it).
-	if _, err := s.st.PutTraceBatchKeyedCtx(ctx, []store.TraceID{id}, [][]byte{blob}); err != nil {
-		return IngestItem{Name: name, ID: id, Status: StatusRejected, Error: err.Error()}
-	}
-	return s.queueTrace(ctx, name, id, job, reqID)
-}
-
-// queueTrace runs the post-persistence tail of an ingest: cache-hit
-// check, pending dedup, then a non-blocking enqueue (a full queue is
-// the service's backpressure). The trace blob is already durable. A
-// traced request holds one trace reference per accepted job, released
-// by the worker — that is what keeps the trace open (and out of the
-// flight recorder) until its async work lands.
-func (s *Server) queueTrace(ctx context.Context, name string, id store.TraceID, job *darshan.Job, reqID string) IngestItem {
-	if s.st.HasResult(id, s.fp) {
-		s.cacheHits.Inc()
-		return IngestItem{Name: name, ID: id, Status: StatusCached}
-	}
-	if !s.markPending(id) {
-		return IngestItem{Name: name, ID: id, Status: StatusPending}
-	}
-	j := ingestJob{id: id, job: job, reqID: reqID, enq: time.Now()}
-	if t, parent, ok := reqtrace.FromContext(ctx); ok {
-		t.Hold()
-		j.t, j.parent = t, parent
-	}
-	select {
-	case s.queue <- j:
-		s.queueDepth.Inc()
-		return IngestItem{Name: name, ID: id, Status: StatusAccepted}
-	default:
-		if j.t != nil {
-			j.t.Release()
-		}
-		s.unmarkPending(id)
-		return IngestItem{Name: name, ID: id, Status: StatusRejected, Error: "ingest queue full"}
-	}
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.ingestSecs.Observe(time.Since(start).Seconds()) }()
-	s.ingestRequests.Inc()
-	reqID := RequestIDFrom(r.Context())
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is draining"})
-		return
-	}
-	var items []IngestItem
-	ct := r.Header.Get("Content-Type")
-	if strings.HasPrefix(ct, "multipart/") {
-		ups, bad, err := s.readMultipartUploads(r)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		items = append(items, bad...)
-		if s.cluster != nil {
-			items = append(items, s.cluster.ingestRouted(r.Context(), reqID, ups)...)
-		} else {
-			for _, up := range ups {
-				items = append(items, s.ingestOne(r.Context(), up.name, up.data, reqID))
-			}
-		}
-	} else {
-		data, pooled, err := s.readUpload(r)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		defer releaseUpload(pooled)
-		if int64(len(data)) > s.maxUpload {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("trace exceeds %d byte upload limit", s.maxUpload)})
-			return
-		}
-		if len(data) == 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty request body"})
-			return
-		}
-		if s.cluster != nil {
-			items = append(items, s.cluster.ingestRouted(r.Context(), reqID, []upload{{data: data}})...)
-		} else {
-			items = append(items, s.ingestOne(r.Context(), "", data, reqID))
-		}
-	}
-	if len(items) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "no traces in request"})
-		return
-	}
-	s.finishIngest(w, r, items)
-}
-
-// finishIngest tallies per-item status metrics and writes the ingest
-// response, shared by the single and batch endpoints: 200 when all
-// items resolved, 202 when any is queued, 429 (with Retry-After) when
-// the bounded queue rejected any — items already accepted in the same
-// request stay accepted.
-func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, items []IngestItem) {
-	code := http.StatusOK
-	rejected := false
-	reqID := RequestIDFrom(r.Context())
-	for i, it := range items {
-		items[i].RequestID = reqID
-		s.ingestStatus[it.Status].Inc()
-		switch it.Status {
-		case StatusRejected:
-			rejected = true
-		case StatusAccepted, StatusPending:
-			if code == http.StatusOK {
-				code = http.StatusAccepted
-			}
-		}
-	}
-	if rejected {
-		// Backpressure: the bounded queue is full. Clients retry later.
-		code = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", "1")
-		s.emitBackpressure(reqID)
-	}
-	if log := s.reqLog(r); log != nil {
-		log.Info("ingest handled", "traces", len(items), "status", code)
-	}
-	writeJSON(w, code, struct {
-		Results []IngestItem `json:"results"`
-	}{Results: items})
 }
 
 // handleResult serves one stored result. The store keeps a result in

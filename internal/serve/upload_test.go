@@ -85,13 +85,13 @@ func multipartBody(t *testing.T, names []string, blobs [][]byte) (string, *bytes
 }
 
 // TestUploadIDsAndSingleHash drives every accepted encoding through
-// every ingest path — raw single, multipart single, framed batch,
-// multipart batch, and the entry node of a three-node ring (local,
-// forwarded and replicated blobs) — and holds each to two things: the
-// acknowledged ID is store.TraceKey of the decoded job, and between
-// socket and segment each uploaded blob is content-addressed exactly
-// once, by the process-wide store.HashPasses counter (peers trust the
-// entry node's IDs, so the whole in-process ring counts as one path).
+// every body reader of the one write path — raw, multipart, framed — and
+// through the entry node of a three-node ring (local, forwarded and
+// replicated blobs), and holds each to two things: the acknowledged ID
+// is store.TraceKey of the decoded job, and between socket and segment
+// each uploaded blob is content-addressed exactly once, by the
+// process-wide store.HashPasses counter (peers trust the entry node's
+// IDs, so the whole in-process ring counts as one path).
 func TestUploadIDsAndSingleHash(t *testing.T) {
 	single, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 256, NoBackfill: true})
 	defer single.Shutdown(context.Background())
@@ -125,7 +125,7 @@ func TestUploadIDsAndSingleHash(t *testing.T) {
 		}
 	}
 	paths := []path{
-		{"single raw", func(t *testing.T, _ []string, blobs [][]byte) []IngestItem {
+		{"raw", func(t *testing.T, _ []string, blobs [][]byte) []IngestItem {
 			var items []IngestItem
 			for _, blob := range blobs {
 				resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(blob))
@@ -133,17 +133,12 @@ func TestUploadIDsAndSingleHash(t *testing.T) {
 			}
 			return items
 		}},
-		{"single multipart", func(t *testing.T, names []string, blobs [][]byte) []IngestItem {
+		{"multipart", func(t *testing.T, names []string, blobs [][]byte) []IngestItem {
 			ct, body := multipartBody(t, names, blobs)
 			resp, err := http.Post(ts.URL+"/v1/traces", ct, body)
 			return decode(t, resp, err)
 		}},
-		{"batch framed", framed(ts.URL)},
-		{"batch multipart", func(t *testing.T, names []string, blobs [][]byte) []IngestItem {
-			ct, body := multipartBody(t, names, blobs)
-			resp, err := http.Post(ts.URL+"/v1/traces:batch", ct, body)
-			return decode(t, resp, err)
-		}},
+		{"framed", framed(ts.URL)},
 		{"cluster entry", framed(ring.nodes[0].http.URL)},
 	}
 	for pi, p := range paths {
