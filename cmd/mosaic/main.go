@@ -41,6 +41,8 @@ import (
 	"time"
 
 	"github.com/mosaic-hpc/mosaic"
+	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
@@ -258,8 +260,19 @@ func writeExplanationJSON(path string, e *mosaic.Explanation) error {
 	return werr
 }
 
+// preludeNote says on stderr why a corpus run takes a second pass: a run
+// the funnel kept has a prelude that is not the summary of its body, and
+// the engine starts over with no prelude believed.
+type preludeNote struct{ engine.NopObserver }
+
+func (preludeNote) ItemError(_ mosaic.StageID, err error) {
+	if errors.Is(err, darshan.ErrPreludeMismatch) {
+		fmt.Fprintf(os.Stderr, "mosaic: %v; every file is read in full from here on\n", err)
+	}
+}
+
 func runCorpus(ctx context.Context, dir string, cfg mosaic.Config, workers int, jsonOut string, heatmap bool, co corpusOpts) error {
-	opt := mosaic.Options{Config: cfg, Workers: workers}
+	opt := mosaic.Options{Config: cfg, Workers: workers, Observer: preludeNote{}}
 
 	// -store warm-starts categorization: results cached under this
 	// config's fingerprint are read back instead of recomputed, and
@@ -302,7 +315,7 @@ func runCorpus(ctx context.Context, dir string, cfg mosaic.Config, workers int, 
 			stats = tel.Stats() // one collector feeds progress and /debug/engine
 		} else {
 			stats = mosaic.NewStageStats()
-			opt.Observer = stats
+			opt.Observer = mosaic.MultiObserver(stats, opt.Observer)
 		}
 		stopProgress = startProgress(stats)
 	}

@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic"
+	"github.com/mosaic-hpc/mosaic/internal/darshan/mosdtest"
 )
 
 // writeTestTrace builds a small checkpointing trace on disk.
@@ -177,5 +180,111 @@ func TestRunCorpusTraceOut(t *testing.T) {
 	// the one the funnel keeps is read again, as a job, to be categorized.
 	if decodes != 3 {
 		t.Fatalf("want 3 decode spans (one per trace scanned, one for the run kept), got %d", decodes)
+	}
+}
+
+// captured runs fn with *std (os.Stdout or os.Stderr) pointed at a file
+// and returns what fn wrote there.
+func captured(t *testing.T, std **os.File, fn func()) []byte {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "captured"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := *std
+	*std = f
+	fn()
+	*std = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestV2CorpusFixture: a corpus written by the last commit whose file
+// encoding was version 2 (internal/darshan/testdata/v2corpus, README
+// there) still gives, byte for byte, the report and the -json output
+// that commit gave — read as it is, and again after every file went
+// through -convert, which rewrites it as version 3.
+func TestV2CorpusFixture(t *testing.T) {
+	const fixture = "../../internal/darshan/testdata/v2corpus"
+	wantReport, err := os.ReadFile(fixture + ".report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := os.ReadFile(fixture + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := mosaic.ListCorpus(fixture)
+	if err != nil || len(files) != 12 {
+		t.Fatalf("%d fixture files, %v", len(files), err)
+	}
+	converted := t.TempDir()
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil || len(data) < 8 || data[4] != 2 {
+			t.Fatalf("%s: %v; header % x: the fixture must stay version 2", f, err, data[:min(len(data), 8)])
+		}
+		out := filepath.Join(converted, filepath.Base(f))
+		captured(t, &os.Stdout, func() {
+			if err := run(context.Background(), f, mosaic.DefaultConfig(), 1, singleOpts{}, "", false, out, "", corpusOpts{}); err != nil {
+				t.Fatalf("convert %s: %v", f, err)
+			}
+		})
+		if data, err := os.ReadFile(out); err != nil || data[4] != 3 {
+			t.Fatalf("%s: %v; -convert wrote version %d, want 3", out, err, data[4])
+		}
+	}
+	for _, dir := range []string{fixture, converted} {
+		jsonPath := filepath.Join(t.TempDir(), "out.json")
+		report := captured(t, &os.Stdout, func() {
+			if err := run(context.Background(), dir, mosaic.DefaultConfig(), 2, singleOpts{}, jsonPath, false, "", "", corpusOpts{}); err != nil {
+				t.Fatalf("%s: %v", dir, err)
+			}
+		})
+		gotJSON, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(report, wantReport) {
+			t.Errorf("%s: report differs from the checked-in one:\n%s", dir, report)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s: -json output differs from the checked-in one", dir)
+		}
+	}
+}
+
+// TestLyingPreludeIsNamed: when a kept run's prelude turns out not to be
+// the summary of its body, the run still succeeds — the engine repeats
+// the pass — and stderr says why in one line that names the file.
+func TestLyingPreludeIsNamed(t *testing.T) {
+	dir := t.TempDir()
+	writeTestTrace(t, dir, "a.mosd")
+	liar := writeTestTrace(t, dir, "b.mosd")
+	honest, err := os.ReadFile(liar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavier := mosdtest.EditPrelude(t, honest, func(p *mosdtest.Prelude) { p.Weight++ })
+	if err := os.WriteFile(liar, heavier, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var report []byte
+	stderr := captured(t, &os.Stderr, func() {
+		report = captured(t, &os.Stdout, func() {
+			if err := run(context.Background(), dir, mosaic.DefaultConfig(), 2, singleOpts{}, "", false, "", "", corpusOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	if lines := strings.Count(string(stderr), "\n"); lines != 1 || !strings.Contains(string(stderr), liar) {
+		t.Fatalf("stderr = %q, want one line naming %s", stderr, liar)
+	}
+	if !strings.Contains(string(report), "unreadable") {
+		t.Fatalf("the liar is not counted unreadable:\n%s", report)
 	}
 }

@@ -317,17 +317,25 @@ func IngestDecodeGzip(b *testing.B) {
 	}
 }
 
-// IngestInspectGzip is the funnel's read of the blob IngestDecodeGzip
-// decodes: inflated and walked for its summary, no job built (pinned as
+// IngestInspectGzip is the full walk of the blob IngestDecodeGzip
+// decodes: inflated and walked for its summary, no job built — what the
+// funnel pays for a file without a prelude (pinned as
 // BenchmarkIngest/inspect_gzip).
-func IngestInspectGzip(b *testing.B) {
+func IngestInspectGzip(b *testing.B) { ingestInspect(b, darshan.WalkBinary) }
+
+// IngestInspectPrelude is the funnel's read of the same blob: both
+// checksums verified, the summary taken from the prelude, nothing
+// inflated (pinned as BenchmarkIngest/inspect_prelude).
+func IngestInspectPrelude(b *testing.B) { ingestInspect(b, darshan.InspectBinary) }
+
+func ingestInspect(b *testing.B, read func([]byte) (darshan.Summary, error)) {
 	var buf bytes.Buffer
 	if err := darshan.WriteBinary(&buf, ingestTrace()); err != nil {
 		b.Fatal(err)
 	}
 	blob := buf.Bytes()
 	inspect := func() {
-		if s, err := darshan.InspectBinary(blob); err != nil || s.Invalid != nil {
+		if s, err := read(blob); err != nil || s.Invalid != nil {
 			b.Fatal(s.Invalid, err)
 		}
 	}
@@ -345,17 +353,22 @@ func IngestInspectGzip(b *testing.B) {
 
 // IngestInflate measures the .mosd gzip kernel alone on the gzip body of
 // the ingest trace, reusing the output arena; MB/s is of inflated bytes
-// (BenchmarkIngest/inflate). The kernel is unexported, so the caller —
-// internal/darshan's own benchmark — passes it in, and mosaic-bench,
+// (BenchmarkIngest/inflate). The kernel and the reader's own account of
+// where a file's body starts are unexported, so the caller —
+// internal/darshan's own benchmark — passes them in, and mosaic-bench,
 // which cannot, does not pin it: decode_gzip less decode_warm is the
 // pinned view of the same work.
-func IngestInflate(inflate func(dst, src []byte) ([]byte, error)) func(b *testing.B) {
+func IngestInflate(inflate func(dst, src []byte) ([]byte, error), bodyOffset func(file []byte) (int, error)) func(b *testing.B) {
 	return func(b *testing.B) {
 		var buf bytes.Buffer
 		if err := darshan.WriteBinary(&buf, ingestTrace()); err != nil {
 			b.Fatal(err)
 		}
-		member := buf.Bytes()[8:] // past the MOSD container header
+		off, err := bodyOffset(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		member := buf.Bytes()[off:]
 		body, err := inflate(nil, member)
 		if err != nil {
 			b.Fatal(err)
@@ -439,6 +452,7 @@ func Targets() []Target {
 		Target{Name: "BenchmarkIngest/decode_warm", File: IngestFile, Fn: IngestDecodeWarm},
 		Target{Name: "BenchmarkIngest/decode_gzip", File: IngestFile, Fn: IngestDecodeGzip},
 		Target{Name: "BenchmarkIngest/inspect_gzip", File: IngestFile, Fn: IngestInspectGzip},
+		Target{Name: "BenchmarkIngest/inspect_prelude", File: IngestFile, Fn: IngestInspectPrelude},
 		Target{Name: "BenchmarkIngest/encode", File: IngestFile, Fn: IngestEncode},
 		Target{Name: "BenchmarkIngest/store_append", File: IngestFile, Fn: IngestStoreAppend},
 		Target{Name: "BenchmarkServe/ingest_warm_untraced", File: ServeFile, Fn: ServeIngestWarm(false)},

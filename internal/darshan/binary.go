@@ -1,10 +1,12 @@
 package darshan
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -23,8 +25,9 @@ import (
 // Layout:
 //
 //	magic   [4]byte  "MOSD"
-//	version uint16   (current: 2)
+//	version uint16   (2, or 3 for the file encoding)
 //	flags   uint16   (bit 0: body is gzip-compressed)
+//	prelude — version 3 only, see appendPrelude
 //	body    — little-endian fields, see appendBody
 //
 // Strings are length-prefixed (uint32 + raw bytes). All multi-byte values
@@ -32,16 +35,23 @@ import (
 //
 // Two encodings share this container:
 //
-//   - The canonical encoding (MarshalBinary / AppendEncode) leaves the
-//     body raw. It is the content-addressing identity (store.TraceKey
-//     hashes these bytes) and the ingest hot path: encoding is a single
-//     buffer append and decoding parses in place with zero copies.
-//   - The file encoding (WriteBinary, .mosd corpora) gzips the body,
-//     trading decode work for disk footprint on at-rest corpora.
+//   - The canonical encoding (MarshalBinary / AppendEncode) is version 2
+//     with a raw body. It is the content-addressing identity
+//     (store.TraceKey hashes these bytes) and the ingest hot path:
+//     encoding is a single buffer append and decoding parses in place with
+//     zero copies.
+//   - The file encoding (WriteBinary, .mosd corpora) is version 3: the
+//     body gzipped, trading decode work for disk footprint on at-rest
+//     corpora, behind an uncompressed prelude that holds the trace's
+//     Summary and a checksum of the body — what the corpus funnel reads of
+//     a trace, so that it inflates only the runs it keeps. Version 3 has
+//     this one shape: any other flag word is refused.
 //
-// Both are decoded by the same reader — the flag bit, not the API,
-// selects the path — so blobs written by either remain interchangeable,
-// and files written by pre-existing (always-gzip) writers stay readable.
+// Both are decoded by the same reader — the version and flag word the
+// input carries, not the API, select the path — so blobs written by
+// either remain interchangeable, and version-2 gzip files, the file
+// encoding before the prelude, stay readable (inflated and walked for
+// their summary, as every file then was).
 //
 // The decode hot path makes one allocation when warm: the inflater's
 // tables, inflate arenas and scratch buffers are pooled via sync.Pool,
@@ -54,12 +64,13 @@ import (
 // Magic identifies MOSAIC Darshan-like binary logs.
 var Magic = [4]byte{'M', 'O', 'S', 'D'}
 
-// FormatVersion is the current binary format version. Version 2 added
-// optional DXT segment lists per record; version 1 files remain readable.
+// FormatVersion is the version of the canonical encoding, and the oldest
+// the reader accepts.
 const FormatVersion uint16 = 2
 
-// minFormatVersion is the oldest version the reader accepts.
-const minFormatVersion uint16 = 1
+// fileFormatVersion is what WriteBinary writes: the body layout of
+// FormatVersion behind a prelude.
+const fileFormatVersion uint16 = 3
 
 const flagGzip uint16 = 1 << 0
 
@@ -97,11 +108,13 @@ const maxPooledBuf = 8 << 20
 
 // ---- Encoding ----
 
-// encodeState is the pooled per-encode scratch: the body staging buffer
-// and the metadata key-sorting slice.
+// encodeState is the pooled per-encode scratch: the body staging buffer,
+// the metadata key-sorting slice and, for WriteBinary, the file being
+// assembled.
 type encodeState struct {
 	body []byte
 	keys []string
+	file bytes.Buffer
 }
 
 var encodeStatePool = sync.Pool{New: func() any { return new(encodeState) }}
@@ -148,12 +161,20 @@ func encodedLen(j *Job) int {
 	return n
 }
 
-// WriteBinary encodes the job to w in the binary log format, compressing
-// the body with gzip — the at-rest .mosd file encoding. The header and
-// body layout match AppendEncode; only the flag bit and the compression
-// wrapper differ.
+// WriteBinary encodes the job to w in the at-rest .mosd file encoding:
+// the header, the prelude — Summarize(j) and a checksum of what follows,
+// itself checksummed — and the body of AppendEncode, gzip-compressed. The
+// file is assembled in memory, since the prelude precedes the bytes it
+// sums, and written in one call.
 func WriteBinary(w io.Writer, j *Job) error {
 	st := encodeStatePool.Get().(*encodeState)
+	f := &st.file
+	defer func() {
+		if f.Cap() > maxPooledBuf {
+			*f = bytes.Buffer{}
+		}
+		encodeStatePool.Put(st)
+	}()
 	body, err := appendBody(st.body[:0], j)
 	if cap(body) <= maxPooledBuf {
 		st.body = body[:0]
@@ -161,27 +182,75 @@ func WriteBinary(w io.Writer, j *Job) error {
 		st.body = nil
 	}
 	if err != nil {
-		encodeStatePool.Put(st)
 		return err
 	}
-	var hdr [headerLen]byte
-	copy(hdr[:4], Magic[:])
-	binary.LittleEndian.PutUint16(hdr[4:6], FormatVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], flagGzip)
-	if _, err := w.Write(hdr[:]); err != nil {
-		encodeStatePool.Put(st)
+	f.Reset()
+	head := append(f.AvailableBuffer(), Magic[:]...)
+	head = binary.LittleEndian.AppendUint16(head, fileFormatVersion)
+	head = binary.LittleEndian.AppendUint16(head, flagGzip)
+	if head, err = appendPrelude(head, Summarize(j)); err != nil {
 		return err
 	}
+	f.Write(head)
 	zw := gzipWriterPool.Get().(*gzip.Writer)
-	zw.Reset(w)
-	_, werr := zw.Write(body)
-	encodeStatePool.Put(st)
-	cerr := zw.Close()
+	zw.Reset(f)
+	zw.Write(body) // into memory: only w can fail
+	zw.Close()
 	gzipWriterPool.Put(zw)
-	if werr != nil {
-		return werr
+	sealPrelude(f.Bytes(), len(head))
+	_, err = w.Write(f.Bytes())
+	return err
+}
+
+// The prelude of a version-3 file sits between the header and the gzip
+// body, uncompressed:
+//
+//	rules   uint8   summaryRules of the writer
+//	user    string  \
+//	app     string   | Summarize(j): User, App, Weight and, of Invalid,
+//	weight  int64    | the *ValidationError's Kind (0: valid), Record
+//	kind    uint8    | and Detail
+//	record  int32    |
+//	detail  string  /
+//	bodysum uint32  CRC-32 (IEEE) of every byte after the prelude
+//	sum     uint32  CRC-32 (IEEE) of the header and the prelude before it
+//
+// It is a hint that is always checked for what is kept: InspectBinary
+// answers from it without inflating, and every full read — DecodeInto,
+// WalkBinary — compares it with the summary of the body it decoded
+// (ErrPreludeMismatch). The two checksums are verified by both, before
+// anything is inflated, so a torn or damaged file is unreadable to the
+// funnel exactly as it is to the decoder.
+//
+// appendPrelude leaves the two checksums zero: they cover bytes not yet
+// written, and sealPrelude fills them in.
+func appendPrelude(dst []byte, s Summary) ([]byte, error) {
+	var invalid ValidationError // the zero value says valid: CorruptNone
+	if v, ok := s.Invalid.(*ValidationError); ok {
+		invalid = *v
 	}
-	return cerr
+	var err error
+	dst = append(dst, summaryRules)
+	if dst, err = appendStr(dst, s.User); err != nil {
+		return dst, err
+	}
+	if dst, err = appendStr(dst, s.App); err != nil {
+		return dst, err
+	}
+	dst = appendI64(dst, s.Weight)
+	dst = append(dst, byte(invalid.Kind))
+	dst = appendU32(dst, uint32(int32(invalid.Record)))
+	if dst, err = appendStr(dst, invalid.Detail); err != nil {
+		return dst, err
+	}
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0), nil
+}
+
+// sealPrelude fills in the two checksums of a version-3 file whose
+// prelude ends at bodyOff.
+func sealPrelude(file []byte, bodyOff int) {
+	binary.LittleEndian.PutUint32(file[bodyOff-8:], crc32.ChecksumIEEE(file[bodyOff:]))
+	binary.LittleEndian.PutUint32(file[bodyOff-4:], crc32.ChecksumIEEE(file[:bodyOff-4]))
 }
 
 func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
@@ -366,11 +435,10 @@ func putDecodeState(st *decodeState) {
 // cursor is the incremental body parser: a bounds-checked offset walking
 // one flat byte slice. No intermediate readers, no per-field copies.
 type cursor struct {
-	data    []byte
-	off     int
-	version uint16
-	st      *decodeState
-	err     error
+	data []byte
+	off  int
+	st   *decodeState
+	err  error
 	// noncanon is set when the body decoded so far cannot be what
 	// appendBody writes for the job it produced: metadata keys out of
 	// strictly ascending order, or a field narrowed on decode.
@@ -414,6 +482,15 @@ func (c *cursor) checkCount(n uint32, limit uint32, minLen int, what string) boo
 	return true
 }
 
+func (c *cursor) u8() uint8 {
+	if !c.need(1) {
+		return 0
+	}
+	v := c.data[c.off]
+	c.off++
+	return v
+}
+
 func (c *cursor) u32() uint32 {
 	if !c.need(4) {
 		return 0
@@ -435,39 +512,32 @@ func (c *cursor) u64() uint64 {
 func (c *cursor) i64() int64   { return int64(c.u64()) }
 func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
-func (c *cursor) str() string {
+// span steps over one length-prefixed string under the string limit and
+// returns its bytes where they lie (nil once the cursor has failed).
+func (c *cursor) span() []byte {
 	n := c.u32()
 	if c.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxStringLen {
 		c.fail(fmt.Errorf("darshan: string length %d exceeds limit", n))
-		return ""
+		return nil
 	}
 	if !c.need(int(n)) {
-		return ""
+		return nil
 	}
 	b := c.data[c.off : c.off+int(n)]
 	c.off += int(n)
-	if n == 0 {
+	return b
+}
+
+// str decodes one string through the state's intern table.
+func (c *cursor) str() string {
+	b := c.span()
+	if len(b) == 0 {
 		return ""
 	}
 	return c.st.internString(b)
-}
-
-// skipStr steps over one string under str's checks, copying nothing.
-func (c *cursor) skipStr() {
-	n := c.u32()
-	if c.err != nil {
-		return
-	}
-	if n > maxStringLen {
-		c.fail(fmt.Errorf("darshan: string length %d exceeds limit", n))
-		return
-	}
-	if c.need(int(n)) {
-		c.off += int(n)
-	}
 }
 
 // dxtList decodes one DXT event list, reusing the capacity of prev when
@@ -548,16 +618,9 @@ func (c *cursor) record(r *FileRecord, prevReads, prevWrites []DXTEvent) (path p
 	cc.WriteEnd = math.Float64frombits(le.Uint64(t[108:]))
 	cc.CloseStart = math.Float64frombits(le.Uint64(t[116:]))
 	cc.CloseEnd = math.Float64frombits(le.Uint64(t[124:]))
-	if c.version >= 2 {
-		r.DXTReads = c.dxtList(prevReads)
-		r.DXTWrites = c.dxtList(prevWrites)
-		if c.err != nil {
-			return path, false
-		}
-	} else {
-		r.DXTReads, r.DXTWrites = nil, nil
-	}
-	return path, true
+	r.DXTReads = c.dxtList(prevReads)
+	r.DXTWrites = c.dxtList(prevWrites)
+	return path, c.err == nil
 }
 
 func (c *cursor) decodeBody(j *Job) {
@@ -646,8 +709,8 @@ func (c *cursor) inspectBody() Summary {
 		return Summary{}
 	}
 	for i := uint32(0); i < nMeta; i++ {
-		c.skipStr()
-		c.skipStr()
+		c.span()
+		c.span()
 		if c.err != nil {
 			return Summary{}
 		}
@@ -708,21 +771,40 @@ func DecodeInto(j *Job, data []byte) error {
 // DecodeCanonical is DecodeInto that also reports, as a by-product of
 // the same pass, whether data is byte for byte the canonical encoding of
 // the job it decoded — what MarshalBinary(j) would write. That holds
-// when the header carries the current FormatVersion and no flag bit (raw
-// body), the metadata keys are strictly ascending, the body is consumed
-// exactly (anything else is a decode error) and no field was narrowed on
-// the way in (a module value above 255 decodes, but re-encodes as its
-// low byte). The verdict is conservative: it may be false for an input
-// that happens to re-encode identically, never true for one that does
-// not — callers use it to content-address the input without re-encoding.
+// when the header carries FormatVersion and no flag bit (raw body, no
+// prelude), the metadata keys are strictly ascending, the body is
+// consumed exactly (anything else is a decode error) and no field was
+// narrowed on the way in (a module value above 255 decodes, but
+// re-encodes as its low byte). The verdict is conservative: it may be
+// false for an input that happens to re-encode identically, never true
+// for one that does not — callers use it to content-address the input
+// without re-encoding.
 func DecodeCanonical(j *Job, data []byte) (canonical bool, err error) {
 	st := decodeStatePool.Get().(*decodeState)
 	defer putDecodeState(st)
 	return st.decode(j, data)
 }
 
+// ErrPreludeMismatch marks a version-3 file whose prelude is not the
+// summary of its body: the file is malformed, and every read of the body
+// says so. No file WriteBinary wrote is.
+var ErrPreludeMismatch = errors.New("darshan: prelude is not the summary of the body")
+
+// check holds the summary of a body that was read in full to what the
+// container claimed of it.
+func (ct *container) check(got Summary) error {
+	if !ct.claimed || ct.claim.equal(got) {
+		return nil
+	}
+	return fmt.Errorf("%w: it claims %s, the body holds %s", ErrPreludeMismatch, ct.claim.describe(), got.describe())
+}
+
 func (st *decodeState) decode(j *Job, data []byte) (canonical bool, err error) {
-	c, flags, err := st.open(data)
+	ct, err := st.open(data)
+	if err != nil {
+		return false, err
+	}
+	c, err := st.body(data, &ct)
 	if err != nil {
 		return false, err
 	}
@@ -730,34 +812,97 @@ func (st *decodeState) decode(j *Job, data []byte) (canonical bool, err error) {
 	if err := c.end(); err != nil {
 		return false, err
 	}
-	return c.version == FormatVersion && flags == 0 && !c.noncanon, nil
-}
-
-// open checks the container header of data and returns a cursor at the
-// start of its body, inflated into the state's arena when the gzip flag
-// is set.
-func (st *decodeState) open(data []byte) (c cursor, flags uint16, err error) {
-	if len(data) < 4 {
-		return c, 0, fmt.Errorf("darshan: reading magic: %w", io.ErrUnexpectedEOF)
-	}
-	if [4]byte(data[:4]) != Magic {
-		return c, 0, ErrBadMagic
-	}
-	if len(data) < headerLen {
-		return c, 0, fmt.Errorf("darshan: reading header: %w", io.ErrUnexpectedEOF)
-	}
-	version := binary.LittleEndian.Uint16(data[4:6])
-	flags = binary.LittleEndian.Uint16(data[6:8])
-	if version < minFormatVersion || version > FormatVersion {
-		return c, 0, fmt.Errorf("%w: %d", ErrBadVersion, version)
-	}
-	body := data[headerLen:]
-	if flags&flagGzip != 0 {
-		if body, err = st.inflate(body); err != nil {
-			return c, 0, err
+	if ct.claimed { // Summarize walks the records once more: only for a claim
+		if err := ct.check(Summarize(j)); err != nil {
+			return false, err
 		}
 	}
-	return cursor{data: body, version: version, st: st}, flags, nil
+	return ct.version == FormatVersion && ct.flags == 0 && !c.noncanon, nil
+}
+
+// container is an encoded trace taken apart and checked, nothing of it
+// inflated: where the body starts and how it is stored and, of a
+// version-3 file, what the prelude claims of it.
+type container struct {
+	version, flags uint16
+	bodyOff        int
+	// claim is the prelude's summary; claimed says there is one to hold
+	// the body to: a prelude, written under this reader's summaryRules.
+	// Under any other the claim answers a question this reader does not
+	// ask, and the file is read as one without a prelude.
+	claim   Summary
+	claimed bool
+}
+
+// open is where every read of an encoded trace starts — the decoder's
+// and the funnel's alike, so that one is refused what the other is. It
+// checks the header and, of a version-3 file, parses the prelude and
+// verifies both checksums: a truncated, torn or bit-flipped file fails
+// here, before anything is inflated.
+func (st *decodeState) open(data []byte) (ct container, err error) {
+	if len(data) < 4 {
+		return ct, fmt.Errorf("darshan: reading magic: %w", io.ErrUnexpectedEOF)
+	}
+	if [4]byte(data[:4]) != Magic {
+		return ct, ErrBadMagic
+	}
+	if len(data) < headerLen {
+		return ct, fmt.Errorf("darshan: reading header: %w", io.ErrUnexpectedEOF)
+	}
+	ct.version = binary.LittleEndian.Uint16(data[4:6])
+	ct.flags = binary.LittleEndian.Uint16(data[6:8])
+	ct.bodyOff = headerLen
+	switch ct.version {
+	case FormatVersion:
+		return ct, nil
+	case fileFormatVersion:
+	default:
+		return ct, fmt.Errorf("%w: %d", ErrBadVersion, ct.version)
+	}
+	if ct.flags != flagGzip {
+		return ct, fmt.Errorf("darshan: version %d with flag word %#x, want %#x", ct.version, ct.flags, flagGzip)
+	}
+	c := cursor{data: data, off: headerLen, st: st}
+	rules := c.u8()
+	var claim Summary
+	claim.User = c.str()
+	claim.App = c.str()
+	claim.Weight = c.i64()
+	kind := CorruptionKind(c.u8())
+	record := int(int32(c.u32()))
+	detail := c.span()
+	bodySum := c.u32()
+	sum := c.u32()
+	if c.err != nil {
+		return ct, fmt.Errorf("darshan: reading prelude: %w", c.err)
+	}
+	if crc32.ChecksumIEEE(data[:c.off-4]) != sum {
+		return ct, errors.New("darshan: prelude checksum mismatch")
+	}
+	if crc32.ChecksumIEEE(data[c.off:]) != bodySum {
+		return ct, errors.New("darshan: body checksum mismatch")
+	}
+	ct.bodyOff = c.off
+	if rules == summaryRules {
+		if kind != CorruptNone {
+			claim.Invalid = &ValidationError{Kind: kind, Record: record, Detail: string(detail)}
+		}
+		ct.claim, ct.claimed = claim, true
+	}
+	return ct, nil
+}
+
+// body returns a cursor at the start of the trace's body, inflated into
+// the state's arena when the container stores it compressed.
+func (st *decodeState) body(data []byte, ct *container) (cursor, error) {
+	body := data[ct.bodyOff:]
+	if ct.flags&flagGzip != 0 {
+		var err error
+		if body, err = st.inflate(body); err != nil {
+			return cursor{}, err
+		}
+	}
+	return cursor{data: body, st: st}, nil
 }
 
 // UnmarshalBinary parses a binary-log-encoded job.

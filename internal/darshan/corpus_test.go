@@ -94,7 +94,11 @@ func stdlibReadFile(path string) (*darshan.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(data[8:]))
+	off, err := darshan.BodyOffset(data)
+	if err != nil {
+		return nil, err
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data[off:]))
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +106,7 @@ func stdlibReadFile(path string) (*darshan.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw := append(append([]byte(nil), data[:6]...), 0, 0) // same version, no flag
+	raw := append(append([]byte(nil), darshan.Magic[:]...), 2, 0, 0, 0) // the canonical header: no prelude, no flag
 	return darshan.UnmarshalBinary(append(raw, body...))
 }
 

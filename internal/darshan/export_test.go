@@ -8,53 +8,24 @@ func NewInflate() func(dst, src []byte) ([]byte, error) {
 	return new(inflater).gunzip
 }
 
+// BodyOffset reports where the body of an encoded trace starts — past
+// the header and, in a version-3 file, the prelude — as the reader's own
+// open finds it.
+func BodyOffset(data []byte) (int, error) {
+	ct, err := new(decodeState).open(data)
+	return ct.bodyOff, err
+}
+
+// SummaryRules is the reader's summaryRules.
+const SummaryRules = summaryRules
+
 // DiffSummary says how two summaries differ ("" when they do not): the
 // user, application and weight, and the validation verdict down to its
 // kind, record index and text.
 func DiffSummary(got, want Summary) string {
-	if got.User != want.User || got.App != want.App || got.Weight != want.Weight {
-		return fmt.Sprintf("(%q, %q, weight %d), want (%q, %q, weight %d)",
-			got.User, got.App, got.Weight, want.User, want.App, want.Weight)
-	}
-	if (got.Invalid == nil) != (want.Invalid == nil) {
-		return fmt.Sprintf("invalid: %v, want %v", got.Invalid, want.Invalid)
-	}
-	if got.Invalid == nil {
+	if got.equal(want) {
 		return ""
 	}
-	g, gok := got.Invalid.(*ValidationError)
-	w, wok := want.Invalid.(*ValidationError)
-	if !gok || !wok || *g != *w {
-		return fmt.Sprintf("invalid: %#v, want %#v", got.Invalid, want.Invalid)
-	}
-	return ""
-}
-
-// MarshalV1 writes j as a raw-body version-1 log: the canonical encoding
-// less the two DXT lists that version 2 put after every record (j must
-// carry none). No production code writes version 1; files of that age
-// are still read.
-func MarshalV1(j *Job) ([]byte, error) {
-	bare := *j
-	bare.Records = nil
-	prefix, err := MarshalBinary(&bare) // ends with the record count, 0
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), prefix[:len(prefix)-4]...)
-	out[4], out[5] = 1, 0
-	out = appendU32(out, uint32(len(j.Records)))
-	for i := range j.Records {
-		if j.Records[i].HasDXT() {
-			return nil, fmt.Errorf("record %d carries DXT events", i)
-		}
-		one := bare
-		one.Records = j.Records[i : i+1]
-		enc, err := MarshalBinary(&one)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, enc[len(prefix):len(enc)-8]...)
-	}
-	return out, nil
+	return fmt.Sprintf("(%q, %q, weight %d, invalid: %#v), want (%q, %q, weight %d, invalid: %#v)",
+		got.User, got.App, got.Weight, got.Invalid, want.User, want.App, want.Weight, want.Invalid)
 }

@@ -3,10 +3,13 @@ package darshan
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/mosaic-hpc/mosaic/internal/darshan/mosdtest"
 )
 
 // Fuzz targets for every parser that faces the network (serve ingest
@@ -16,8 +19,8 @@ import (
 // canonically to a fixed point.
 
 // fuzzSeeds returns representative valid encodings: canonical raw
-// bodies, gzip file bodies, a v1-style body (no DXT lists), and an
-// empty job.
+// bodies, the file encoding with its prelude (version 3) and without
+// (version 2, gzip), and an empty job.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	j := sampleJob()
@@ -25,12 +28,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	seeds = append(seeds, canonical)
-	var gz bytes.Buffer
-	if err := WriteBinary(&gz, j); err != nil {
-		tb.Fatal(err)
-	}
-	seeds = append(seeds, gz.Bytes())
+	seeds = append(seeds, canonical, fileOf(tb, j), mosdtest.V2File(tb, canonical))
 	dxt := sampleJob()
 	dxt.Records[0].DXTReads = []DXTEvent{{Start: 1, End: 2, Offset: 0, Length: 4096}}
 	dxt.Records[0].DXTWrites = []DXTEvent{{Start: 3, End: 4, Offset: 4096, Length: 4096}}
@@ -43,14 +41,17 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	seeds = append(seeds, empty)
-	// A hand-built version-1 header over the same body layout (DXT lists
-	// absent in v1 bodies: drop the two trailing zero-length lists of
-	// the single-record canonical job).
-	v1 := append([]byte{}, canonical...)
-	v1[4], v1[5] = 1, 0
-	seeds = append(seeds, v1[:len(v1)-8])
-	return seeds
+	return append(seeds, empty)
+}
+
+// fileOf is WriteBinary's output for j.
+func fileOf(tb testing.TB, j *Job) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, j); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // nonCanonicalSeeds returns decodable (or, for the trailing byte,
@@ -95,10 +96,8 @@ func nonCanonicalSeeds(tb testing.TB) map[string][]byte {
 			b[6] |= 1 << 1 // not the gzip bit: the body stays raw
 			return b
 		}),
-		"version 1": patch(func(b []byte) []byte {
-			b[4], b[5] = 1, 0
-			return b[:len(b)-8] // v1 records carry no DXT lists
-		}),
+		"version-2 file": mosdtest.V2File(tb, canonical),
+		"version-3 file": fileOf(tb, j),
 		"trailing byte": patch(func(b []byte) []byte {
 			return append(b, 0)
 		}),
@@ -131,6 +130,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		f.Add(s)
 	}
 	for _, s := range nonCanonicalSeeds(f) {
+		f.Add(s)
+	}
+	for _, s := range preludeSeeds(f) {
 		f.Add(s)
 	}
 	f.Add([]byte("MOSD"))
@@ -221,28 +223,124 @@ func hostileCountSeeds(tb testing.TB) map[string][]byte {
 	return seeds
 }
 
-// inspectAgrees holds InspectBinary to the decoder on one input: both
-// fail, with the same error, or InspectBinary returns the summary of the
-// job the decoder returns.
-func inspectAgrees(tb testing.TB, name string, data []byte) {
-	tb.Helper()
-	j, derr := UnmarshalBinary(data)
-	s, ierr := InspectBinary(data)
-	if derr != nil || ierr != nil {
-		if derr == nil || ierr == nil || derr.Error() != ierr.Error() {
-			tb.Fatalf("%s: InspectBinary: %v; UnmarshalBinary: %v", name, ierr, derr)
-		}
-		return
+// preludeSeeds returns version-3 files around one honest one: a prelude
+// that lies in exactly one field (sealed again, so both checksums hold),
+// one written under other summaryRules, the shapes version 3 does not
+// have, and a prelude string claiming more bytes than any input holds.
+// The job is invalid, so that the verdict's three fields are there to lie
+// about. "honest" and "other rules" decode; the rest must not.
+func preludeSeeds(tb testing.TB) map[string][]byte {
+	j := sampleJob()
+	j.Records[1].C.Stats = -1
+	honest := fileOf(tb, j)
+	edit := func(fn func(*mosdtest.Prelude)) []byte { return mosdtest.EditPrelude(tb, honest, fn) }
+	patch := func(fn func(b []byte)) []byte {
+		b := append([]byte(nil), honest...)
+		fn(b)
+		return b
 	}
-	if diff := DiffSummary(s, Summarize(j)); diff != "" {
-		tb.Fatalf("%s: InspectBinary: %s", name, diff)
+	return map[string][]byte{
+		"honest":        honest,
+		"lie: user":     edit(func(p *mosdtest.Prelude) { p.User = "mallory" }),
+		"lie: app":      edit(func(p *mosdtest.Prelude) { p.App = "other" }),
+		"lie: heavier":  edit(func(p *mosdtest.Prelude) { p.Weight++ }),
+		"lie: lighter":  edit(func(p *mosdtest.Prelude) { p.Weight-- }),
+		"lie: valid":    edit(func(p *mosdtest.Prelude) { p.Kind, p.Record, p.Detail = 0, 0, "" }),
+		"lie: kind":     edit(func(p *mosdtest.Prelude) { p.Kind = uint8(CorruptBadModule) }),
+		"lie: record":   edit(func(p *mosdtest.Prelude) { p.Record = 0 }),
+		"lie: detail":   edit(func(p *mosdtest.Prelude) { p.Detail = "nothing to see" }),
+		"other rules":   edit(func(p *mosdtest.Prelude) { p.Rules++; p.Weight = 1 }),
+		"raw flag word": patch(func(b []byte) { b[6] = 0 }),
+		"two flag bits": patch(func(b []byte) { b[6] |= 1 << 1 }),
+		"user length 2^32-1": patch(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[headerLen+1:], 1<<32-1)
+		}),
 	}
 }
 
-// TestInspectFailsAsDecodeDoes: cut anywhere, patched to be non-canonical
-// or lying about a count, an encoding is unreadable to InspectBinary
-// exactly when it is to the decoder, with the decoder's error — and a
-// lying count buys no allocation from either.
+// TestPreludeIsCheckedAgainstBody pins the trust rule on the seeds above:
+// InspectBinary believes a sealed prelude, whatever it says; DecodeInto
+// and WalkBinary hold it to the body and refuse a liar with
+// ErrPreludeMismatch; under other rules the prelude is not read at all.
+func TestPreludeIsCheckedAgainstBody(t *testing.T) {
+	seeds := preludeSeeds(t)
+	truth, err := InspectBinary(seeds["honest"])
+	if err != nil || truth.Invalid == nil {
+		t.Fatalf("honest file: %+v, %v", truth, err)
+	}
+	for name, data := range seeds {
+		var j Job
+		canonical, derr := DecodeCanonical(&j, data)
+		s, ierr := InspectBinary(data)
+		w, werr := WalkBinary(data)
+		if canonical {
+			t.Errorf("%s: a version-3 file reported canonical", name)
+		}
+		switch {
+		case strings.HasPrefix(name, "lie: "):
+			if ierr != nil || s.equal(truth) {
+				t.Errorf("%s: InspectBinary = %+v, %v; want the prelude's claim", name, s, ierr)
+			}
+			if !errors.Is(derr, ErrPreludeMismatch) || !errors.Is(werr, ErrPreludeMismatch) || derr.Error() != werr.Error() {
+				t.Errorf("%s: DecodeInto: %v; WalkBinary: %v; want ErrPreludeMismatch from both", name, derr, werr)
+			}
+		case name == "honest", name == "other rules":
+			if derr != nil || ierr != nil || werr != nil || !s.equal(truth) || !w.equal(truth) {
+				t.Errorf("%s: DecodeInto: %v; InspectBinary: %+v, %v; WalkBinary: %+v, %v", name, derr, s, ierr, w, werr)
+			}
+		default:
+			if derr == nil || ierr == nil || werr == nil {
+				t.Errorf("%s: accepted (DecodeInto: %v; InspectBinary: %v; WalkBinary: %v)", name, derr, ierr, werr)
+			}
+		}
+	}
+}
+
+// claimsSummary reports whether data has the header of a version-3 file
+// written under this reader's summaryRules — the inputs InspectBinary
+// answers from the prelude.
+func claimsSummary(data []byte) bool {
+	return len(data) > headerLen && binary.LittleEndian.Uint16(data[4:]) == fileFormatVersion && data[headerLen] == summaryRules
+}
+
+// inspectAgrees holds the funnel's two reads to the decoder on one input.
+// WalkBinary is the decoder without the job: both fail, with the same
+// error, or it returns the summary of the job the decoder returns.
+// InspectBinary is that too — if it fails the decoder fails the same way,
+// if the decoder succeeds it succeeds with that summary — except that it
+// may accept what the decoder refuses, and then only a version-3 file
+// under the current rules, whose prelude it believed.
+func inspectAgrees(tb testing.TB, name string, data []byte) {
+	tb.Helper()
+	j, derr := UnmarshalBinary(data)
+	w, werr := WalkBinary(data)
+	s, ierr := InspectBinary(data)
+	sameErr := func(a, b error) bool { return a != nil && b != nil && a.Error() == b.Error() }
+	if derr != nil || werr != nil {
+		if !sameErr(derr, werr) {
+			tb.Fatalf("%s: WalkBinary: %v; UnmarshalBinary: %v", name, werr, derr)
+		}
+	} else if diff := DiffSummary(w, Summarize(j)); diff != "" {
+		tb.Fatalf("%s: WalkBinary: %s", name, diff)
+	}
+	switch {
+	case ierr != nil:
+		if !sameErr(derr, ierr) {
+			tb.Fatalf("%s: InspectBinary: %v; UnmarshalBinary: %v", name, ierr, derr)
+		}
+	case derr == nil:
+		if diff := DiffSummary(s, Summarize(j)); diff != "" {
+			tb.Fatalf("%s: InspectBinary: %s", name, diff)
+		}
+	case !claimsSummary(data):
+		tb.Fatalf("%s: InspectBinary accepts, with no prelude to believe, what UnmarshalBinary refuses: %v", name, derr)
+	}
+}
+
+// TestInspectFailsAsDecodeDoes: cut anywhere (the prelude at every
+// length), patched to be non-canonical, lying about a count or lying in
+// its prelude, an encoding is held to inspectAgrees — and a lying count
+// buys no allocation.
 func TestInspectFailsAsDecodeDoes(t *testing.T) {
 	for i, s := range fuzzSeeds(t) {
 		for cut := 0; cut <= len(s); cut++ {
@@ -250,6 +348,9 @@ func TestInspectFailsAsDecodeDoes(t *testing.T) {
 		}
 	}
 	for name, s := range nonCanonicalSeeds(t) {
+		inspectAgrees(t, name, s)
+	}
+	for name, s := range preludeSeeds(t) {
 		inspectAgrees(t, name, s)
 	}
 	for name, s := range hostileCountSeeds(t) {
@@ -267,11 +368,11 @@ func TestInspectFailsAsDecodeDoes(t *testing.T) {
 	}
 }
 
-// FuzzInspectBinary: on any bytes at all, the in-buffer walk and the
-// decoder agree — an error from both, the same one, or the summary of
-// the decoded job — and the walk allocates no more than a small multiple
-// of the input it was given (a gzip body may inflate, a DXT list is
-// decoded into scratch; a count field alone buys nothing).
+// FuzzInspectBinary: on any bytes at all, the funnel's reads and the
+// decoder agree as inspectAgrees says, and InspectBinary allocates no
+// more than a small multiple of the input it was given (a gzip body may
+// inflate, a DXT list is decoded into scratch; a count field alone buys
+// nothing).
 func FuzzInspectBinary(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -282,7 +383,19 @@ func FuzzInspectBinary(f *testing.F) {
 	for _, s := range hostileCountSeeds(f) {
 		f.Add(s)
 	}
+	for _, s := range preludeSeeds(f) {
+		f.Add(s)
+	}
+	honest := preludeSeeds(f)["honest"]
+	off, err := BodyOffset(honest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for cut := headerLen; cut <= off; cut++ { // the prelude, cut at every length
+		f.Add(honest[:cut])
+	}
 	f.Add([]byte("MOSD\x02\x00\x01\x00"))
+	f.Add([]byte("MOSD\x01\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inspectAgrees(t, "fuzz input", data)
 		var before, after runtime.MemStats

@@ -1,6 +1,7 @@
 package darshan
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,6 +20,37 @@ type Summary struct {
 	Invalid error  // Validate's verdict: nil, or a *ValidationError
 }
 
+// summaryRules names the version of the rule a Summary is computed by —
+// Validate, Job.Weight and Job.AppName together — and is the first byte
+// of the prelude WriteBinary puts ahead of a file's body. A reader
+// believes a prelude only under its own value: when any of the three
+// changes what it answers for some job (as Job.Weight did when it began
+// to saturate), bump it, and every file written before is walked in full
+// again instead of being believed. TestSummaryRulesPinned holds a table
+// of boundary jobs to their answers to say when.
+const summaryRules uint8 = 1
+
+// equal reports whether two summaries agree field for field, the verdict
+// down to its kind, record index and text.
+func (s Summary) equal(o Summary) bool {
+	if s.User != o.User || s.App != o.App || s.Weight != o.Weight {
+		return false
+	}
+	if s.Invalid == nil || o.Invalid == nil {
+		return s.Invalid == nil && o.Invalid == nil
+	}
+	a, aok := s.Invalid.(*ValidationError)
+	b, bok := o.Invalid.(*ValidationError)
+	return aok && bok && *a == *b
+}
+
+func (s Summary) describe() string {
+	if s.Invalid != nil {
+		return fmt.Sprintf("%s/%s of weight %d, invalid (%v)", s.User, s.App, s.Weight, s.Invalid)
+	}
+	return fmt.Sprintf("%s/%s of weight %d, valid", s.User, s.App, s.Weight)
+}
+
 // Summarize is the funnel's view of a decoded job.
 func Summarize(j *Job) Summary {
 	if j == nil {
@@ -27,16 +59,35 @@ func Summarize(j *Job) Summary {
 	return Summary{User: j.User, App: j.AppName(), Weight: j.Weight(), Invalid: Validate(j)}
 }
 
-// InspectBinary is Summarize(UnmarshalBinary(data)) without the job: it
-// inflates and walks the body through the checks DecodeInto applies, so
-// it fails exactly when DecodeInto does and with the same error, but it
-// validates and weighs each record where it sits and keeps nothing of
-// the trace except the user and executable names. A warm call allocates
-// nothing that grows with the trace.
-func InspectBinary(data []byte) (Summary, error) {
+// InspectBinary is Summarize(UnmarshalBinary(data)) without the job. It
+// starts where DecodeInto does (decodeState.open), so what is unreadable
+// to one is to the other, with the same error. A version-3 file answers
+// from its prelude and nothing is inflated — a claim DecodeInto checks
+// whenever the body is read, so the only inputs accepted here and refused
+// there are version-3 files whose gzip stream is bad or whose prelude is
+// not the summary of the body. Any other input is walked as WalkBinary
+// walks it. A warm call allocates nothing that grows with the trace.
+func InspectBinary(data []byte) (Summary, error) { return inspect(data, true) }
+
+// WalkBinary is InspectBinary that believes no prelude: it inflates and
+// walks the body through the checks DecodeInto applies, validating and
+// weighing each record where it sits and keeping nothing of the trace
+// except the user and executable names, and fails with
+// ErrPreludeMismatch when a prelude claims anything else — exactly when
+// DecodeInto fails, with the same error.
+func WalkBinary(data []byte) (Summary, error) { return inspect(data, false) }
+
+func inspect(data []byte, trust bool) (Summary, error) {
 	st := decodeStatePool.Get().(*decodeState)
 	defer putDecodeState(st)
-	c, _, err := st.open(data)
+	ct, err := st.open(data)
+	if err != nil {
+		return Summary{}, err
+	}
+	if trust && ct.claimed {
+		return ct.claim, nil
+	}
+	c, err := st.body(data, &ct)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -44,14 +95,23 @@ func InspectBinary(data []byte) (Summary, error) {
 	if err := c.end(); err != nil {
 		return Summary{}, err
 	}
+	if err := ct.check(s); err != nil {
+		return Summary{}, err
+	}
 	return s, nil
 }
 
 // InspectFile is Summarize(ReadFile(path)) with the job dropped. A .mosd
-// file is read into the pooled buffers ReadFile uses and inspected there
-// (InspectBinary); the text formats, which no large corpus is stored in,
-// are decoded and summarized.
-func InspectFile(path string) (s Summary, err error) {
+// file is read whole into the pooled buffers ReadFile uses — every byte
+// is checksummed even when only the prelude is believed — and inspected
+// there (InspectBinary); the text formats, which no large corpus is
+// stored in, are decoded and summarized.
+func InspectFile(path string) (Summary, error) { return inspectFile(path, InspectBinary) }
+
+// WalkFile is InspectFile through WalkBinary.
+func WalkFile(path string) (Summary, error) { return inspectFile(path, WalkBinary) }
+
+func inspectFile(path string, binary func([]byte) (Summary, error)) (s Summary, err error) {
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ExtJSON, ExtText:
 		j, err := ReadFile(path)
@@ -66,7 +126,7 @@ func InspectFile(path string) (s Summary, err error) {
 	}
 	defer f.Close()
 	err = fileBytes(f, func(data []byte) (err error) {
-		s, err = InspectBinary(data)
+		s, err = binary(data)
 		return err
 	})
 	return s, err

@@ -14,6 +14,7 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/darshan/mosdtest"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
 )
 
@@ -22,28 +23,60 @@ import (
 // jobs in one. These tests hold the first to the second, and cover what
 // only the first can meet: a file that changes between the passes.
 
-// writeTestCorpus writes a generated corpus (default corruption rate)
-// into a fresh directory together with two equally heavy runs of one
-// more application and a file that does not decode, and returns the
-// directory and its trace paths in scan order.
-func writeTestCorpus(t *testing.T) (dir string, paths []string) {
+// testCorpus is a generated corpus (default corruption rate) with, in the
+// middle of it, two equally heavy runs of one more application — the
+// first of which the funnel keeps — as file names in scan order and the
+// jobs they hold. writeDir adds a file that does not decode.
+func testCorpus(t *testing.T) (names []string, jobs []*darshan.Job) {
 	t.Helper()
-	dir = t.TempDir()
 	p := gen.DefaultProfile()
 	p.Seed, p.Apps, p.MaxRunsPerApp = 31, 24, 6
-	n := 0
 	gen.Plan(p).Each(func(r gen.Run) bool {
-		if err := darshan.WriteFile(filepath.Join(dir, fmt.Sprintf("t%04d.mosd", n)), r.Job); err != nil {
-			t.Fatal(err)
-		}
-		n++
+		names = append(names, fmt.Sprintf("t%04d.mosd", len(names)))
+		jobs = append(jobs, r.Job)
 		return true
 	})
-	tied := testJobs(t, 1)[0]
-	tied.User, tied.Exe = "tie", "/bin/tied"
-	for _, id := range []uint64{900001, 900002} {
-		tied.JobID = id
-		if err := darshan.WriteFile(filepath.Join(dir, fmt.Sprintf("t%04d_tied%d.mosd", n/2, id)), tied); err != nil {
+	n := len(names)
+	for _, id := range []uint64{tiedFirst, tiedSecond} {
+		tied := testJobs(t, 1)[0]
+		tied.User, tied.Exe, tied.JobID = "tie", "/bin/tied", id
+		names = append(names, fmt.Sprintf("t%04d_tied%d.mosd", n/2, id))
+		jobs = append(jobs, tied)
+	}
+	return names, jobs
+}
+
+const tiedFirst, tiedSecond = 900001, 900002
+
+// v3File is the file darshan.WriteFile writes for j, v2File the file
+// encoding of the same trace before the prelude.
+func v3File(t *testing.T, j *darshan.Job) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := darshan.WriteBinary(&buf, j); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func v2File(t *testing.T, j *darshan.Job) []byte {
+	t.Helper()
+	raw, err := darshan.MarshalBinary(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mosdtest.V2File(t, raw)
+}
+
+// writeDir writes the test corpus into a fresh directory, each trace
+// encoded by encode, together with a file that does not decode, and
+// returns the directory and its trace paths in scan order.
+func writeDir(t *testing.T, encode func(i int, j *darshan.Job) []byte) (dir string, paths []string) {
+	t.Helper()
+	dir = t.TempDir()
+	names, jobs := testCorpus(t)
+	for i, j := range jobs {
+		if err := os.WriteFile(filepath.Join(dir, names[i]), encode(i, j), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,11 +90,21 @@ func writeTestCorpus(t *testing.T) (dir string, paths []string) {
 	return dir, paths
 }
 
-// decodeSpans counts the Decode item spans of a run by item name.
+// decodeSpans counts the Decode item spans of a run by item name, and
+// how many times the Decode stage started.
 type decodeSpans struct {
 	NopObserver
 	mu     sync.Mutex
 	byName map[string]int
+	passes int
+}
+
+func (d *decodeSpans) StageStarted(s StageID) {
+	if s == StageDecode {
+		d.mu.Lock()
+		d.passes++
+		d.mu.Unlock()
+	}
 }
 
 func (d *decodeSpans) ItemSpan(s StageID, name string, _ time.Time, _ time.Duration) {
@@ -73,18 +116,10 @@ func (d *decodeSpans) ItemSpan(s StageID, name string, _ time.Time, _ time.Durat
 	d.mu.Unlock()
 }
 
-func TestDirEqualsJobs(t *testing.T) {
-	dir, paths := writeTestCorpus(t)
-
-	spans := &decodeSpans{byName: map[string]int{}}
-	stats := NewStats()
-	fromDir, err := Run(context.Background(), Dir(dir), Options{Workers: 3, Observer: MultiObserver(stats, spans)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reference: the same files, each decoded whole, through the
-	// in-memory source.
-	decoded := SourceFunc(func(ctx context.Context, emit func(Ref) bool) error {
+// decodedWhole is the reference source: the same files, each decoded
+// whole, handed on as in-memory jobs.
+func decodedWhole(paths []string) Source {
+	return SourceFunc(func(ctx context.Context, emit func(Ref) bool) error {
 		for _, p := range paths {
 			j, err := darshan.ReadFile(p)
 			if !emit(Ref{Job: j, Err: err}) {
@@ -93,26 +128,23 @@ func TestDirEqualsJobs(t *testing.T) {
 		}
 		return nil
 	})
-	fromJobs, err := Run(context.Background(), decoded, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	if !reflect.DeepEqual(fromDir.Funnel, fromJobs.Funnel) {
-		t.Fatalf("funnel %+v from the directory, %+v from the jobs", fromDir.Funnel, fromJobs.Funnel)
+// sameAnswer fails the test unless two runs agree on the funnel and, app
+// for app, on the run kept and every byte of its result; it returns the
+// job kept of the two tied runs.
+func sameAnswer(t *testing.T, got, want *Result) (tiedKept uint64) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Funnel, want.Funnel) {
+		t.Fatalf("funnel %+v, want %+v", got.Funnel, want.Funnel)
 	}
-	f := fromDir.Funnel
-	if f.Total != len(paths) || f.ByReason["unreadable"] != 1 || f.Corrupted < 5 || f.UniqueApps < 10 {
-		t.Fatalf("funnel %+v over %d files is not the mixed corpus this test wants", f, len(paths))
+	if len(got.Apps) != len(want.Apps) || len(got.Apps) != got.Funnel.UniqueApps {
+		t.Fatalf("%d apps, want %d; %d groups", len(got.Apps), len(want.Apps), got.Funnel.UniqueApps)
 	}
-	if len(fromDir.Apps) != len(fromJobs.Apps) || len(fromDir.Apps) != f.UniqueApps {
-		t.Fatalf("%d apps from the directory, %d from the jobs, %d groups", len(fromDir.Apps), len(fromJobs.Apps), f.UniqueApps)
-	}
-	var tiedKept uint64
-	for i, a := range fromDir.Apps {
-		b := fromJobs.Apps[i]
+	for i, a := range got.Apps {
+		b := want.Apps[i]
 		if a.User != b.User || a.App != b.App || a.Runs != b.Runs || a.JobID != b.JobID {
-			t.Fatalf("app %d: (%s, %s, %d runs, job %d) from the directory, (%s, %s, %d runs, job %d) from the jobs",
+			t.Fatalf("app %d: (%s, %s, %d runs, job %d), want (%s, %s, %d runs, job %d)",
 				i, a.User, a.App, a.Runs, a.JobID, b.User, b.App, b.Runs, b.JobID)
 		}
 		aj, err := core.AppendResultJSON(nil, a.Result)
@@ -130,8 +162,28 @@ func TestDirEqualsJobs(t *testing.T) {
 			tiedKept = a.JobID
 		}
 	}
-	if tiedKept != 900001 {
-		t.Fatalf("of two equally heavy runs job %d was kept, want the first in scan order, 900001", tiedKept)
+	return tiedKept
+}
+
+func TestDirEqualsJobs(t *testing.T) {
+	dir, paths := writeDir(t, func(_ int, j *darshan.Job) []byte { return v3File(t, j) })
+
+	spans := &decodeSpans{byName: map[string]int{}}
+	stats := NewStats()
+	fromDir, err := Run(context.Background(), Dir(dir), Options{Workers: 3, Observer: MultiObserver(stats, spans)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromJobs, err := Run(context.Background(), decodedWhole(paths), Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fromDir.Funnel
+	if f.Total != len(paths) || f.ByReason["unreadable"] != 1 || f.Corrupted < 5 || f.UniqueApps < 10 {
+		t.Fatalf("funnel %+v over %d files is not the mixed corpus this test wants", f, len(paths))
+	}
+	if tiedKept := sameAnswer(t, fromDir, fromJobs); tiedKept != tiedFirst {
+		t.Fatalf("of two equally heavy runs job %d was kept, want the first in scan order, %d", tiedKept, tiedFirst)
 	}
 
 	// Full decodes = groups kept, not files scanned: every file has one
@@ -147,11 +199,144 @@ func TestDirEqualsJobs(t *testing.T) {
 			t.Fatalf("%s: %d decode spans", p, spans.byName[p])
 		}
 	}
-	if twice != len(fromDir.Apps) || len(spans.byName) != len(paths) {
-		t.Fatalf("%d of %d files were read into jobs, want %d, one per group kept", twice, len(spans.byName), len(fromDir.Apps))
+	if twice != len(fromDir.Apps) || len(spans.byName) != len(paths) || spans.passes != 1 {
+		t.Fatalf("%d of %d files were read into jobs in %d passes, want %d, one per group kept, in one", twice, len(spans.byName), spans.passes, len(fromDir.Apps))
 	}
 	if d := stats.Stage(StageDecode); d.In != int64(len(paths)) || d.Out != int64(len(paths)) {
 		t.Fatalf("decode stage counted %d in, %d out over %d files", d.In, d.Out, len(paths))
+	}
+}
+
+// TestDirEncodingsAgree: the same traces as version-3 files, as version-2
+// files and as a mix of the two give the same answer at any parallelism,
+// in one pass — where the summary comes from changes nothing.
+func TestDirEncodingsAgree(t *testing.T) {
+	dirs := map[string]string{}
+	dirs["v2"], _ = writeDir(t, func(_ int, j *darshan.Job) []byte { return v2File(t, j) })
+	dirs["v3"], _ = writeDir(t, func(_ int, j *darshan.Job) []byte { return v3File(t, j) })
+	dirs["mixed"], _ = writeDir(t, func(i int, j *darshan.Job) []byte {
+		if i%2 == 0 {
+			return v2File(t, j)
+		}
+		return v3File(t, j)
+	})
+	for _, workers := range []int{1, 2, 8} {
+		want, err := Run(context.Background(), Dir(dirs["v2"]), Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"v3", "mixed"} {
+			passes := &decodeSpans{byName: map[string]int{}}
+			got, err := Run(context.Background(), Dir(dirs[name]), Options{Workers: workers, Observer: passes})
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", name, workers, err)
+			}
+			if sameAnswer(t, got, want) != tiedFirst || passes.passes != 1 {
+				t.Fatalf("%s, %d workers: tie broken differently, or %d passes", name, workers, passes.passes)
+			}
+		}
+	}
+}
+
+// TestLyingPrelude pins the trust rule on a directory of version-3 files
+// of which one — a run of the tied pair — has a prelude edited after the
+// fact and sealed again. The reference is the same directory decoded
+// whole, where the liar is a file that does not decode.
+func TestLyingPrelude(t *testing.T) {
+	withLiar := func(victim uint64, lie func(*mosdtest.Prelude)) (dir string, paths []string) {
+		return writeDir(t, func(_ int, j *darshan.Job) []byte {
+			if j.JobID != victim {
+				return v3File(t, j)
+			}
+			return mosdtest.EditPrelude(t, v3File(t, j), lie)
+		})
+	}
+	reference := func(paths []string) *Result {
+		t.Helper()
+		res, err := Run(context.Background(), decodedWhole(paths), Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	// Over-claiming: the second tied run says it is heavier and takes the
+	// place of the honest first. Reading it back shows the lie; the pass is
+	// repeated with every file walked, the liar is unreadable, the honest
+	// run wins — under either policy, without an error.
+	for _, policy := range []ErrorPolicy{FailFast, CollectAll} {
+		dir, paths := withLiar(tiedSecond, func(p *mosdtest.Prelude) { p.Weight++ })
+		want := reference(paths)
+		spans := &decodeSpans{byName: map[string]int{}}
+		got, err := Run(context.Background(), Dir(dir), Options{Workers: 2, Policy: policy, Observer: spans})
+		if err != nil {
+			t.Fatalf("over-claim, policy %d: %v", policy, err)
+		}
+		if sameAnswer(t, got, want) != tiedFirst || got.Funnel.ByReason["unreadable"] != 2 {
+			t.Fatalf("over-claim, policy %d: funnel %+v, want the liar unreadable beside the junk file and job %d kept", policy, got.Funnel, tiedFirst)
+		}
+		if spans.passes != 2 {
+			t.Fatalf("over-claim, policy %d: %d Decode passes, want the believing one and the repeat", policy, spans.passes)
+		}
+		for _, p := range paths {
+			if n := spans.byName[p]; n < 2 {
+				t.Fatalf("over-claim, policy %d: %s inspected %d times, want once per pass", policy, p, n)
+			}
+		}
+	}
+
+	// Under-claiming: the first tied run says it is lighter, so the second
+	// is kept and the liar is never read again. This is the one documented
+	// divergence from a full walk: the file removed only itself, and the
+	// funnel counts it as the valid, lighter run it claims to be.
+	dir, paths := withLiar(tiedFirst, func(p *mosdtest.Prelude) { p.Weight-- })
+	walked := reference(paths)
+	spans := &decodeSpans{byName: map[string]int{}}
+	got, err := Run(context.Background(), Dir(dir), Options{Workers: 2, Observer: spans})
+	if err != nil || spans.passes != 1 {
+		t.Fatalf("under-claim: %v, %d passes", err, spans.passes)
+	}
+	believed := walked.Funnel
+	believed.Valid, believed.Corrupted = believed.Valid+1, believed.Corrupted-1
+	believed.ByReason = map[string]int{}
+	for k, v := range walked.Funnel.ByReason {
+		believed.ByReason[k] = v
+	}
+	believed.ByReason["unreadable"]--
+	if !reflect.DeepEqual(got.Funnel, believed) {
+		t.Fatalf("under-claim: funnel %+v, want %+v (the full walk's with the liar counted valid)", got.Funnel, believed)
+	}
+	for i, a := range got.Apps {
+		b := walked.Apps[i]
+		wantRuns := b.Runs
+		if a.User == "tie" {
+			wantRuns = 2
+			if a.JobID != tiedSecond {
+				t.Fatalf("under-claim: job %d kept, want %d", a.JobID, tiedSecond)
+			}
+		}
+		if a.User != b.User || a.App != b.App || a.JobID != b.JobID || a.Runs != wantRuns {
+			t.Fatalf("under-claim: app %d is (%s, %s, job %d, %d runs), full walk has (%s, %s, job %d, %d runs)",
+				i, a.User, a.App, a.JobID, a.Runs, b.User, b.App, b.JobID, b.Runs)
+		}
+	}
+
+	// Other rules: a prelude written under rules this reader does not have
+	// is not read, whatever it says, and the file is walked like a
+	// version-2 one.
+	dir, _ = withLiar(tiedSecond, func(p *mosdtest.Prelude) { p.Rules++; p.Weight += 100 })
+	v2dir, _ := writeDir(t, func(_ int, j *darshan.Job) []byte { return v2File(t, j) })
+	want, err := Run(context.Background(), Dir(v2dir), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans = &decodeSpans{byName: map[string]int{}}
+	got, err = Run(context.Background(), Dir(dir), Options{Workers: 2, Observer: spans})
+	if err != nil || spans.passes != 1 {
+		t.Fatalf("other rules: %v, %d passes", err, spans.passes)
+	}
+	if sameAnswer(t, got, want) != tiedFirst {
+		t.Fatal("other rules: the ignored prelude moved the tie")
 	}
 }
 

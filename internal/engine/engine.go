@@ -3,15 +3,23 @@
 //
 //	Scan → Decode → Funnel → Categorize → Aggregate
 //
-// in two passes over the corpus. The first decides: Decode inflates each
-// trace and inspects it where it lies (darshan.InspectFile — validity,
-// (user, app), weight; no darshan.Job is built), the Funnel deduplicates
-// those summaries and remembers only where each application's heaviest
-// run is. The second materializes: once the corpus has been seen, the
-// Categorize workers read the surviving groups' files — the paper's 5 %
-// — into jobs, one per worker at a time, and let each go when it has
-// been categorized. Memory is O(workers) buffers during the scan and
-// O(workers) jobs after it, whatever the corpus size.
+// in two passes over the corpus. The first decides: Decode reads each
+// trace's summary (darshan.InspectFile — validity, (user, app), weight;
+// from the prelude of a version-3 file, else by inflating the trace and
+// inspecting it where it lies; no darshan.Job is built), the Funnel
+// deduplicates those summaries and remembers only where each
+// application's heaviest run is. The second materializes: once the corpus
+// has been seen, the Categorize workers read the surviving groups' files
+// — the paper's 5 % — into jobs, one per worker at a time, and let each
+// go when it has been categorized. Memory is O(workers) buffers during
+// the scan and O(workers) jobs after it, whatever the corpus size.
+//
+// A prelude is a hint that is always checked for what is kept: reading a
+// kept run decodes, validates and compares it with its prelude. One that
+// lied (darshan.ErrPreludeMismatch) may have evicted an honest run, so
+// Run throws the attempt away and repeats it once with every file walked
+// in full — the liar is then unreadable, and the answer is the one a
+// corpus without preludes gets.
 //
 // Stages are joined by bounded channels (real backpressure: a slow
 // categorizer throttles the scanner), with context cancellation plumbed
@@ -77,7 +85,7 @@ var ErrTraceChanged = errors.New("trace changed during the run")
 func materialize(g *core.AppGroup) (*darshan.Job, error) {
 	j, err := darshan.ReadFile(g.Path)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w: %v", g.Path, ErrTraceChanged, err)
+		return nil, fmt.Errorf("%s: %w: %w", g.Path, ErrTraceChanged, err)
 	}
 	s := darshan.Summarize(j)
 	switch {
@@ -163,6 +171,9 @@ type errCollector struct {
 	policy ErrorPolicy
 	cancel context.CancelFunc
 	errs   []error
+	// mismatch is the error of a kept run whose prelude lied: it ends the
+	// attempt under either policy (see abandon).
+	mismatch error
 }
 
 func (c *errCollector) add(err error) {
@@ -181,6 +192,17 @@ func (c *errCollector) add(err error) {
 	c.mu.Unlock()
 }
 
+// abandon ends the attempt, whatever the policy: what the funnel decided
+// rested on a prelude that lied, so no result of this attempt stands.
+func (c *errCollector) abandon(err error) {
+	c.mu.Lock()
+	if c.mismatch == nil {
+		c.mismatch = err
+		c.cancel()
+	}
+	c.mu.Unlock()
+}
+
 func (c *errCollector) err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -190,7 +212,29 @@ func (c *errCollector) err() error {
 // Run executes the five-stage pipeline over src and blocks until every
 // stage goroutine has exited. On cancellation it returns ctx.Err();
 // otherwise it returns the per-item errors according to the policy.
+//
+// The pipeline runs once, unless a kept run turns out to carry a prelude
+// that is not the summary of its body: then everything is run again,
+// once, with Decode walking every file in full. The observer sees both
+// attempts.
 func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
+	res, err := attempt(ctx, src, opts, true)
+	if errors.Is(err, darshan.ErrPreludeMismatch) {
+		res, err = attempt(ctx, src, opts, false)
+	}
+	return res, err
+}
+
+// attempt is one run of the pipeline. With trust, Decode believes the
+// preludes it finds, and a kept run that then fails with
+// darshan.ErrPreludeMismatch ends the attempt with that error, whatever
+// the policy; without, Decode walks every file in full and the error is
+// an item error like any other.
+func attempt(ctx context.Context, src Source, opts Options, trust bool) (*Result, error) {
+	inspect := darshan.WalkFile
+	if trust {
+		inspect = darshan.InspectFile
+	}
 	cfg := opts.Config.Normalized()
 	workers := opts.Workers
 	if workers <= 0 {
@@ -272,7 +316,7 @@ func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
 		switch {
 		case t.err != nil:
 		case r.Job == nil && r.Path != "":
-			t.sum, t.err = darshan.InspectFile(r.Path)
+			t.sum, t.err = inspect(r.Path)
 		default:
 			t.sum = darshan.Summarize(r.Job)
 		}
@@ -396,7 +440,12 @@ func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
 							return
 						}
 						obs.ItemError(StageCategorize, err)
-						ec.add(fmt.Errorf("engine: app %s/%s: %w", ig.g.User, ig.g.App, err))
+						err = fmt.Errorf("engine: app %s/%s: %w", ig.g.User, ig.g.App, err)
+						if trust && errors.Is(err, darshan.ErrPreludeMismatch) {
+							ec.abandon(err)
+							return
+						}
+						ec.add(err)
 						continue
 					}
 					obs.ItemOut(StageCategorize)
@@ -457,6 +506,9 @@ func Run(ctx context.Context, src Source, opts Options) (*Result, error) {
 
 	wg.Wait()
 
+	if ec.mismatch != nil {
+		return nil, ec.mismatch
+	}
 	if err := ctx.Err(); err != nil {
 		// Cancellation (parent cancel, timeout, or fail-fast). Fail-fast
 		// reports the causing item error; external cancellation reports

@@ -17,12 +17,14 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/darshan/mosdtest"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
 // uploadEncodings returns one trace in every encoding the ingest edge
-// accepts, keyed by name: the canonical one (a raw-body current-version
-// MOSD blob, its own content-addressed form) and five that are not.
+// accepts, keyed by name: the canonical one (a raw-body version-2 MOSD
+// blob, its own content-addressed form) and five that are not — among
+// them the file encoding with its prelude (version 3) and without.
 func uploadEncodings(t *testing.T, seed int) map[string][]byte {
 	t.Helper()
 	j := testJob(seed)
@@ -38,10 +40,6 @@ func uploadEncodings(t *testing.T, seed int) map[string][]byte {
 	if err := darshan.WriteParserText(&txt, j); err != nil {
 		t.Fatal(err)
 	}
-	// Version 1: same header and body without the two (empty) DXT lists
-	// that close the single record.
-	v1 := append([]byte(nil), canonical[:len(canonical)-8]...)
-	v1[4], v1[5] = 1, 0
 	// Metadata keys out of order: "key-c" now precedes "key-b".
 	unsorted := bytes.Replace(canonical, []byte("key-a"), []byte("key-c"), 1)
 	return map[string][]byte{
@@ -49,7 +47,7 @@ func uploadEncodings(t *testing.T, seed int) map[string][]byte {
 		"gzip":              gz.Bytes(),
 		"json":              js.Bytes(),
 		"text":              txt.Bytes(),
-		"version-1":         v1,
+		"gzip-v2":           mosdtest.V2File(t, canonical),
 		"unsorted-metadata": unsorted,
 	}
 }
