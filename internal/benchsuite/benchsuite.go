@@ -468,6 +468,7 @@ func Targets() []Target {
 		Target{Name: "BenchmarkCluster/ingest_n4_rf1", File: ClusterFile, Fn: ClusterIngest(4, 1)},
 		Target{Name: "BenchmarkCluster/ingest_n4_rf2", File: ClusterFile, Fn: ClusterIngest(4, 2)},
 		Target{Name: "BenchmarkCluster/scatter_query_n4", File: ClusterFile, Fn: ClusterScatterQuery(4)},
+		Target{Name: "BenchmarkCluster/scatter_query_page_n4", File: ClusterFile, Fn: ClusterScatterQueryPage(scatterPageIDsPerNode)},
 		Target{Name: "BenchmarkQuery/point_1m", File: QueryFile, Fn: QueryBench("point", false)},
 		Target{Name: "BenchmarkQuery/and_heavy_1m", File: QueryFile, Fn: QueryBench("and_heavy", false)},
 		Target{Name: "BenchmarkQuery/not_heavy_1m", File: QueryFile, Fn: QueryBench("not_heavy", false)},

@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/index"
 	"github.com/mosaic-hpc/mosaic/internal/ring"
 	"github.com/mosaic-hpc/mosaic/internal/serve"
 	"github.com/mosaic-hpc/mosaic/internal/store"
@@ -42,9 +45,11 @@ import (
 //     it keeps the replication tax — transport, follower persist,
 //     result push — from drifting unnoticed.
 //
-// The final pin, scatter_query_n4, is the fan-out read path over a
-// fixed corpus at RF=2: routing-table fan-out, four shard-local
-// evaluations, k-way merge of the sorted answers.
+// scatter_query_n4 is the fan-out read path over a fixed small corpus at
+// RF=2: routing-table fan-out, four shard-local evaluations, k-way merge
+// of the sorted answers. scatter_query_page_n4 is the same path over
+// 20 000 IDs per node with limit=100, pinned because its cost must not
+// follow the corpus: each node ships a page and per-class counts.
 
 // clusterBatchSize is the traces per pinned batch: large enough that
 // per-trace pipeline work dominates per-batch RPC latency, small enough
@@ -204,6 +209,57 @@ func ClusterScatterQuery(nodes int) func(b *testing.B) {
 			if qr.Partial || qr.Count != clusterBatchSize {
 				b.Fatalf("scatter query answered %d traces (partial=%v), want %d",
 					qr.Count, qr.Partial, clusterBatchSize)
+			}
+		}
+		query() // warm peer connections on the read path
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			query()
+		}
+	}
+}
+
+// scatterPageIDsPerNode is how many traces each node of the
+// scatter_query_page_n4 ring holds. The pin is O(page): run at a tenth of
+// this it must read within 25 % and two allocations of the pinned run.
+const scatterPageIDsPerNode = 20_000
+
+// ClusterScatterQueryPage measures one `NOT write_periodic&limit=100`
+// through a four-node ring at RF 2 whose nodes hold perNode traces each,
+// installed by replica set with Index.Load — what ingest, replication
+// and result pushes leave behind, without running them (pinned as
+// BenchmarkCluster/scatter_query_page_n4 at scatterPageIDsPerNode).
+func ClusterScatterQueryPage(perNode int) func(b *testing.B) {
+	return func(b *testing.B) {
+		bc := startBenchCluster(b, 4, 2)
+		table := bc.entry.Cluster().Table()
+		shards := make(map[string][]index.Entry)
+		total := perNode * len(bc.servers) / table.RF()
+		for i := 0; i < total; i++ {
+			id := store.TraceID(fmt.Sprintf("%064x", uint64(i)*0x9e3779b97f4a7c15))
+			set := category.NewSet("read_on_start")
+			if i%512 == 0 {
+				set.Add("write_periodic")
+			}
+			for _, n := range table.Replicas(string(id)) {
+				shards[n.ID] = append(shards[n.ID], index.Entry{ID: id, Cats: set})
+			}
+		}
+		for _, s := range bc.servers {
+			s.Index().Load(shards[s.Cluster().Self().ID])
+		}
+		const limit = 100
+		want := fmt.Sprintf(`"count": %d,`, total-(total+511)/512)
+		h := bc.entry.Handler()
+		query := func() {
+			req := httptest.NewRequest("GET", "/v1/query?q=NOT+write_periodic&limit=100", nil)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			body := rec.Body.String()
+			if rec.Code != 200 || !strings.Contains(body, want) || strings.Contains(body, `"partial"`) ||
+				strings.Count(body, "\n    \"") != limit {
+				b.Fatalf("scatter query answered %d, want %s and %d IDs: %.300s", rec.Code, want, limit, body)
 			}
 		}
 		query() // warm peer connections on the read path

@@ -89,13 +89,34 @@ func checkAgree(t *testing.T, ix *Index, or *Oracle, queries []string) {
 	}
 }
 
+// testClasses and testClassOf are the placement the classified runs of
+// the differential tests hand Classify: a pure function of the ID that
+// spreads neighbours in the dictionary over every class.
+const testClasses = 5
+
+func testClassOf(id store.TraceID) uint16 {
+	h := uint32(2166136261)
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint32(id[i])) * 16777619
+	}
+	return uint16(h % testClasses)
+}
+
 // checkPages asserts the paged core equals the whole answer cut
 // afterwards — count and IDs — at every limit that is an edge for this
-// answer, that it appends to what it is handed, and that it only
-// vouches for IDs that need no escaping.
+// answer, that it appends to what it is handed, that it only vouches for
+// IDs that need no escaping, and that ByClass is the whole answer split
+// by class on a classified index and nil on any other.
 func checkPages(t *testing.T, ix *Index, q string, want []store.TraceID) {
 	t.Helper()
 	n := len(want)
+	var byClass []int
+	if ix.classes > 0 {
+		byClass = make([]int, ix.classes)
+		for _, id := range want {
+			byClass[ix.classOf(id)]++
+		}
+	}
 	for _, limit := range []int{-1, 0, 1, 2, 100, n - 1, n, n + 1} {
 		page, err := ix.QueryPage([]string{"kept"}, q, limit)
 		if err != nil {
@@ -104,6 +125,9 @@ func checkPages(t *testing.T, ix *Index, q string, want []store.TraceID) {
 		cut := n
 		if limit >= 0 && limit < n {
 			cut = limit
+		}
+		if !reflect.DeepEqual(page.ByClass, byClass) {
+			t.Fatalf("QueryPage(%q, %d): by class %v, want %v", q, limit, page.ByClass, byClass)
 		}
 		if page.Count != n || len(page.IDs) != 1+cut || page.IDs[0] != "kept" {
 			t.Fatalf("QueryPage(%q, %d): count %d with %d ids after %q, want count %d with %d ids after \"kept\"",
@@ -228,6 +252,9 @@ func TestDifferentialSkewed(t *testing.T) {
 		n := 200 + rng.Intn(3000)
 		ix, or := New(), NewOracle()
 		ix.compactMin = 1 << 30
+		if seed%2 == 1 {
+			ix.Classify(testClasses, testClassOf)
+		}
 		items := make([]Entry, n)
 		for i, s := range skewedSets(rng, n) {
 			items[i] = Entry{ID: id(2 * i), Cats: s}
@@ -286,6 +313,9 @@ func TestDifferentialRandom(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ix, or := New(), NewOracle()
 			ix.compactMin = 64 // force many background folds mid-history
+			if seed == 7 {
+				ix.Classify(testClasses, testClassOf)
+			}
 			randomCorpus(seed, 3000, ix, or)
 			ix.waitCompact()
 			checkAgree(t, ix, or, diffQueries)

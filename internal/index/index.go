@@ -53,6 +53,12 @@ type Index struct {
 	wmap map[store.TraceID]int
 	live int
 
+	// Placement classes (Classify): written once before the index is
+	// shared, read-only afterwards. classes == 0 means the index keeps no
+	// class column and counts nothing by class.
+	classOf func(store.TraceID) uint16
+	classes int
+
 	// compactMin overrides the delta-compaction threshold when > 0
 	// (tests use tiny values to force fold churn).
 	compactMin int
@@ -67,6 +73,17 @@ func New() *Index {
 	ix := &Index{wmap: make(map[store.TraceID]int)}
 	ix.snap.Store(&snapshot{gen: emptyGen})
 	return ix
+}
+
+// Classify makes the index keep, beside each trace's category set, the
+// number classOf gives its ID — a ring node passes the placement class
+// of its routing table — and makes QueryPage count matches per class
+// (Page.ByClass, classes entries long). classOf must be pure, safe for
+// concurrent use and below classes for every ID. Call it once, on an
+// empty index that no other goroutine has yet: the column is filled as
+// entries arrive (Rebuild, Load, Add) and never back-filled.
+func (ix *Index) Classify(classes int, classOf func(store.TraceID) uint16) {
+	ix.classes, ix.classOf = classes, classOf
 }
 
 // Add (re-)indexes one trace under its category set. Re-adding a
@@ -114,6 +131,9 @@ func (ix *Index) applyLocked(op deltaOp) {
 	}
 	if !op.live && !wasLive {
 		return // removing an unknown trace: nothing to record
+	}
+	if op.live && ix.classOf != nil {
+		op.class = ix.classOf(op.id)
 	}
 	ix.ops = append(ix.ops, op)
 	ix.wmap[op.id] = len(ix.ops) - 1
@@ -181,7 +201,7 @@ func (ix *Index) compactOnce() {
 	if len(s.ops) == 0 {
 		return
 	}
-	gen := mergeGeneration(s)
+	gen := mergeGeneration(s, ix.classes)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.snap.Load().gen != s.gen {
@@ -360,7 +380,8 @@ func (ix *Index) Load(items []Entry) int {
 }
 
 // install sorts, dedups (latest wins), builds a generation, and
-// publishes it wholesale with an empty delta.
+// publishes it wholesale with an empty delta. Every bulk entry comes
+// through here, so this is where each gets its placement class.
 func (ix *Index) install(entries []entry) int {
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
 	dedup := entries[:0]
@@ -371,8 +392,13 @@ func (ix *Index) install(entries []entry) int {
 		}
 		dedup = append(dedup, e)
 	}
+	if ix.classOf != nil {
+		for i := range dedup {
+			dedup[i].class = ix.classOf(dedup[i].id)
+		}
+	}
 	ix.mu.Lock()
-	gen := buildGeneration(dedup, allPlain(dedup))
+	gen := buildGeneration(dedup, allPlain(dedup), ix.classes)
 	ix.ops = nil
 	ix.wmap = make(map[store.TraceID]int)
 	ix.live = gen.n()

@@ -274,17 +274,3 @@ func (o *Oracle) Query(q string) ([]store.TraceID, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
-
-// QueryIDs is Query returning plain strings, mirroring the engine's
-// API for differential tests.
-func (o *Oracle) QueryIDs(q string) ([]string, error) {
-	ids, err := o.Query(q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = string(id)
-	}
-	return out, nil
-}

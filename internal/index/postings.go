@@ -51,6 +51,27 @@ func (s ordSet) count() int {
 	return c
 }
 
+// countByClass adds to byClass how many members of s each placement
+// class of g holds: a list is walked against the class column, a bitmap
+// is intersected with each class's own, so neither costs more than the
+// set took to compute.
+func (s ordSet) countByClass(byClass []int, g *generation) {
+	if !s.dense {
+		for _, ord := range s.list {
+			byClass[g.class[ord]]++
+		}
+		return
+	}
+	words := len(s.bits)
+	for c := range byClass {
+		of, n := g.classOrd[c*words:(c+1)*words], 0
+		for i, w := range s.bits {
+			n += bits.OnesCount64(w & of[i])
+		}
+		byClass[c] += n
+	}
+}
+
 // advance returns the smallest i >= lo with s[i] >= x, galloping
 // forward then binary-searching the final range.
 func advance(s []uint32, lo int, x uint32) int {

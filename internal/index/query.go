@@ -245,22 +245,15 @@ func parseQuery(q string) (node, error) {
 // Query evaluates a boolean category expression, returning matching
 // trace IDs in lexicographic order.
 func (ix *Index) Query(q string) ([]store.TraceID, error) {
-	ids, err := ix.QueryIDs(q)
+	p, err := ix.QueryPage(nil, q, -1)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]store.TraceID, len(ids))
-	for i, id := range ids {
+	out := make([]store.TraceID, len(p.IDs))
+	for i, id := range p.IDs {
 		out[i] = store.TraceID(id)
 	}
 	return out, nil
-}
-
-// QueryIDs is Query returning plain strings — the scatter-gather and
-// benchmark shape: QueryPage with no limit.
-func (ix *Index) QueryIDs(q string) ([]string, error) {
-	p, err := ix.QueryPage(nil, q, -1)
-	return p.IDs, err
 }
 
 // Page is one query answer: how many traces match, and the first of
@@ -271,6 +264,9 @@ type Page struct {
 	// Plain is the index's word that jsontext.Plain holds for every ID in
 	// IDs, so a JSON writer may copy them without looking inside.
 	Plain bool
+	// ByClass splits Count by placement class (Classify); nil when the
+	// index keeps none.
+	ByClass []int
 }
 
 // QueryPage evaluates a boolean category expression against a single
@@ -293,6 +289,11 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 
 	res := plan.eval(g, sc)
 	count := res.count()
+	var byClass []int
+	if ix.classes > 0 {
+		byClass = make([]int, ix.classes)
+		res.countByClass(byClass, g)
+	}
 
 	// Delta overlay, latest op per ID wins: a generation ordinal the
 	// delta overrides leaves the result, and a delta trace whose
@@ -313,6 +314,9 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 			}
 			if op.live && plan.matches(op.set) {
 				matches = append(matches, string(op.id))
+				if byClass != nil {
+					byClass[op.class]++
+				}
 			}
 		}
 		sc.ids = matches
@@ -324,6 +328,9 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 		for _, ord := range overridden {
 			if res.has(ord) {
 				dropped = append(dropped, ord)
+				if byClass != nil {
+					byClass[g.class[ord]]--
+				}
 			}
 		}
 		// A delta match goes in just before the first generation ID
@@ -339,7 +346,7 @@ func (ix *Index) QueryPage(dst []string, q string, limit int) (Page, error) {
 	if limit >= 0 && limit < n {
 		n = limit
 	}
-	page := Page{Count: count, IDs: slices.Grow(dst, n), Plain: g.plain}
+	page := Page{Count: count, IDs: slices.Grow(dst, n), Plain: g.plain, ByClass: byClass}
 	if page.IDs == nil {
 		page.IDs = []string{}
 	}

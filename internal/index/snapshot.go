@@ -26,6 +26,8 @@ import (
 type generation struct {
 	ids      []store.TraceID    // ordinal → ID, lexicographically sorted
 	sets     []category.Set     // ordinal → category set
+	class    []uint16           // ordinal → placement class; nil unless the index classifies
+	classOrd []uint64           // the same column turned: one bitmap over [0,n) per class, back to back
 	postings [category.N]ordSet // bit → ordinals, each in its smaller form
 	card     [category.N]int    // bit → how many ordinals carry it
 	plain    bool               // every ID in ids satisfies jsontext.Plain
@@ -58,23 +60,35 @@ func (g *generation) ordinalOf(id store.TraceID) (uint32, bool) {
 	return 0, false
 }
 
-// entry is one (trace, category set) pair fed to a generation build.
+// entry is one (trace, category set) pair fed to a generation build,
+// with the trace's placement class where the index keeps one.
 type entry struct {
-	id  store.TraceID
-	set category.Set
+	id    store.TraceID
+	set   category.Set
+	class uint16
 }
 
 // buildGeneration constructs a generation from entries already sorted
 // by ID and free of duplicates. A category carried by at least one
 // trace in 32 gets a bitmap, any other a list (denseIsSmaller). The
 // bitmaps share one allocation, the lists another. plain is the caller's
-// word that every entry's ID satisfies jsontext.Plain.
-func buildGeneration(entries []entry, plain bool) *generation {
+// word that every entry's ID satisfies jsontext.Plain. With classes > 0
+// the entries' placement classes, each below it, are kept in both forms
+// countByClass reads.
+func buildGeneration(entries []entry, plain bool, classes int) *generation {
 	n := len(entries)
 	g := &generation{
 		ids:   make([]store.TraceID, n),
 		sets:  make([]category.Set, n),
 		plain: plain,
+	}
+	if classes > 0 {
+		words := wordsFor(n)
+		g.class, g.classOrd = make([]uint16, n), make([]uint64, classes*words)
+		for ord, e := range entries {
+			g.class[ord] = e.class
+			g.classOrd[int(e.class)*words+ord>>6] |= 1 << (uint(ord) & 63)
+		}
 	}
 	for ord, e := range entries {
 		g.ids[ord], g.sets[ord] = e.id, e.set
@@ -116,9 +130,10 @@ func buildGeneration(entries []entry, plain bool) *generation {
 // or a tombstone (live false). A live op with the empty set is a trace
 // with no categories — it matches NOT queries, as in the map engine.
 type deltaOp struct {
-	id   store.TraceID
-	set  category.Set
-	live bool
+	id    store.TraceID
+	set   category.Set
+	class uint16 // of a live op, where the index classifies
+	live  bool
 }
 
 // snapshot is the unit of epoch publication: an immutable generation
@@ -175,7 +190,7 @@ func (s *snapshot) cards() [category.N]int {
 // mergeGeneration folds a snapshot's delta into its generation,
 // producing the next generation. Runs without any Index lock: every
 // input is immutable.
-func mergeGeneration(s *snapshot) *generation {
+func mergeGeneration(s *snapshot, classes int) *generation {
 	latest := make(map[store.TraceID]int, len(s.ops))
 	for i, op := range s.ops {
 		latest[op.id] = i
@@ -193,14 +208,18 @@ func mergeGeneration(s *snapshot) *generation {
 	for i < g.n() || j < len(dops) {
 		switch {
 		case j == len(dops) || (i < g.n() && g.ids[i] < dops[j].id):
-			entries = append(entries, entry{id: g.ids[i], set: g.sets[i]})
+			e := entry{id: g.ids[i], set: g.sets[i]}
+			if classes > 0 {
+				e.class = g.class[i]
+			}
+			entries = append(entries, e)
 			i++
 		default: // an ID the generation lacks, or the same ID: the delta wins
 			if i < g.n() && g.ids[i] == dops[j].id {
 				i++
 			}
 			if dops[j].live {
-				entries = append(entries, entry{id: dops[j].id, set: dops[j].set})
+				entries = append(entries, entry{id: dops[j].id, set: dops[j].set, class: dops[j].class})
 			}
 			j++
 		}
@@ -208,7 +227,7 @@ func mergeGeneration(s *snapshot) *generation {
 	// IDs carried over from a vouched-for generation need no second
 	// look; otherwise rescan everything, so the bit comes back once the
 	// offending ID has been removed.
-	return buildGeneration(entries, g.plain && deltaPlain || allPlain(entries))
+	return buildGeneration(entries, g.plain && deltaPlain || allPlain(entries), classes)
 }
 
 func allPlain(entries []entry) bool {

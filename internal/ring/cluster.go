@@ -2,6 +2,7 @@ package ring
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -118,8 +119,11 @@ type Backend interface {
 	// result is the owner's stored record, opaque to the ring (or, from
 	// a node that predates that form, the compact result document).
 	HandleResultPush(ctx context.Context, id, fp string, result []byte) error
-	// HandleQuery answers a boolean category query over the local index.
-	HandleQuery(ctx context.Context, q string) ([]string, error)
+	// HandleQuery answers a boolean category query over the local index:
+	// the first limit matching IDs (all of them when limit < 0) appended
+	// to dst, and every match counted by placement class of the routing
+	// table (Table.Class), Table.Classes entries long.
+	HandleQuery(ctx context.Context, dst []string, q string, limit int) (ids []string, byClass []int, err error)
 	// HandleStats reports local statistics.
 	HandleStats(ctx context.Context) NodeStats
 	// HandleResult returns the locally stored result record of one trace.
@@ -142,6 +146,7 @@ type peer struct {
 	node   Node
 	client *Client
 	up     atomic.Bool
+	pushes chan resultPush // results on their way to this peer (pushLoop)
 
 	failStreak int       // probe-goroutine only
 	nextProbe  time.Time // probe-goroutine only
@@ -158,6 +163,7 @@ type Cluster struct {
 	srv     *Server
 	peers   map[string]*peer // keyed by node ID; excludes self
 	order   []string         // peer IDs in ring (ID) order
+	slot    []int            // index into table.Nodes() → 0 for self, 1 + place in order for a peer
 	met     *Metrics
 	log     *slog.Logger
 	events  *events.Log // nil: no journal
@@ -165,7 +171,10 @@ type Cluster struct {
 	hintMu sync.Mutex
 	hints  map[string]map[string]struct{} // peer ID -> trace IDs owed
 
-	quit     chan struct{}
+	// run ends when the node stops (Shutdown or Kill): the background
+	// loops select on it and the result senders' calls are cut by it.
+	run      context.Context
+	stop     context.CancelFunc
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
@@ -205,24 +214,29 @@ func NewCluster(cfg Config, backend Backend) (*Cluster, error) {
 		log:     cfg.Log,
 		events:  cfg.Events,
 		hints:   make(map[string]map[string]struct{}),
-		quit:    make(chan struct{}),
+		slot:    make([]int, len(table.Nodes())),
 	}
-	for _, n := range table.Nodes() {
+	c.run, c.stop = context.WithCancel(context.Background())
+	for i, n := range table.Nodes() {
 		if n.ID == self.ID {
 			continue
 		}
-		p := &peer{node: n, client: NewClient(n.Addr, cfg.RPCTimeout)}
+		p := &peer{node: n, client: NewClient(n.Addr, cfg.RPCTimeout), pushes: make(chan resultPush, pushQueueLen)}
 		p.up.Store(true) // optimistic: the first probe or call corrects
 		c.peers[n.ID] = p
 		c.order = append(c.order, n.ID)
+		c.slot[i] = len(c.order)
 	}
 	c.met.PeersUp.Set(float64(len(c.peers)))
 	hello, _ := json.Marshal(pingInfo{Node: self.ID, Version: table.Version()})
 	c.srv = NewServer(ServerOptions{Log: cfg.Log, Flight: cfg.Flight, Hello: hello})
 	c.registerHandlers()
-	c.wg.Add(2)
+	c.wg.Add(2 + len(c.peers))
 	go c.probeLoop()
 	go c.hintLoop()
+	for _, p := range c.peers {
+		go c.pushLoop(p)
+	}
 	return c, nil
 }
 
@@ -263,7 +277,7 @@ func (c *Cluster) Serve(l net.Listener) error { return c.srv.Serve(l) }
 
 // Shutdown stops the background loops and drains the RPC server.
 func (c *Cluster) Shutdown(ctx context.Context) error {
-	c.stopOnce.Do(func() { close(c.quit) })
+	c.stopOnce.Do(c.stop)
 	c.wg.Wait()
 	err := c.srv.Shutdown(ctx)
 	for _, p := range c.peers {
@@ -278,7 +292,7 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 // in-process stand-in for SIGKILL; after Kill the node can neither
 // serve nor originate any RPC.
 func (c *Cluster) Kill() {
-	c.stopOnce.Do(func() { close(c.quit) })
+	c.stopOnce.Do(c.stop)
 	c.srv.Kill()
 	for _, p := range c.peers {
 		p.client.Close()
@@ -291,10 +305,11 @@ func (c *Cluster) Kill() {
 // callPeer performs one RPC to a peer, with metrics and health
 // tracking: a transport failure marks the peer down (the probe loop
 // brings it back); an application-level RemoteError or ErrNotFound
-// does not.
-func (c *Cluster) callPeer(ctx context.Context, p *peer, op byte, opName, reqID string, body []byte) ([]byte, error) {
+// does not. The request body is body followed by the slices of tail,
+// which are sent as they are (Client.call).
+func (c *Cluster) callPeer(ctx context.Context, p *peer, op byte, opName, reqID string, body []byte, tail ...[]byte) ([]byte, error) {
 	start := time.Now()
-	resp, err := p.client.Call(ctx, op, opName, reqID, body)
+	resp, err := p.client.call(ctx, op, opName, reqID, body, tail)
 	c.met.RPCSeconds.Observe(time.Since(start).Seconds())
 	// A miss is an answer, and a call its own caller cancelled (the loser
 	// of a hedged fetch, a client that hung up) says nothing about the peer.
@@ -352,19 +367,16 @@ func (c *Cluster) updatePeersUp() {
 	c.met.PeersUp.Set(float64(n))
 }
 
-// sendPairs performs one bulk-data RPC: ids and blobs travel as an
-// appendPairs body built in pooled scratch.
+// sendPairs performs one bulk-data RPC: ids and blobs travel as the
+// alternating blob list of pairParts, the blobs from the slices they are
+// in.
 func (c *Cluster) sendPairs(ctx context.Context, p *peer, op byte, opName, reqID string, ids []string, blobs [][]byte) ([]byte, error) {
+	if len(ids) != len(blobs) {
+		return nil, fmt.Errorf("ring: %d ids for %d blobs", len(ids), len(blobs))
+	}
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
 	defer cancel()
-	bp := bodyPool.Get().(*[]byte)
-	defer bodyPool.Put(bp)
-	body, err := appendPairs((*bp)[:0], ids, blobs)
-	if err != nil {
-		return nil, err
-	}
-	*bp = body[:0]
-	return c.callPeer(ctx, p, op, opName, reqID, body)
+	return c.callPeer(ctx, p, op, opName, reqID, nil, pairParts(ids, blobs)...)
 }
 
 // ForwardIngest routes a group of trace blobs — each paired with its
@@ -409,37 +421,30 @@ func (c *Cluster) Replicate(ctx context.Context, reqID, peerID string, ids []str
 	return nil
 }
 
-// bodyPool recycles the request-body scratch of the bulk-data RPCs
-// (ForwardIngest, Replicate): batch bodies run to a megabyte and are
-// garbage the moment the synchronous call returns.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// appendPairs encodes parallel id/blob slices as an alternating blob
-// list — the OpIngest and OpReplicate body format. Shipping the
-// content address next to each blob lets every downstream node (owner,
-// followers) persist without re-hashing; only the entry node pays the
-// SHA-256 pass.
-func appendPairs(body []byte, ids []string, blobs [][]byte) ([]byte, error) {
-	if len(ids) != len(blobs) {
-		return nil, fmt.Errorf("ring: %d ids for %d blobs", len(ids), len(blobs))
+// pairParts lays parallel id/blob slices out as the OpIngest and
+// OpReplicate body — an alternating blob list, [len|id][len|blob] per
+// trace — without touching a blob: each trace is its two length prefixes
+// around its id, carved from one small array, then the caller's blob
+// slice itself. Shipping the content address next to each blob lets
+// every downstream node (owner, followers) persist without re-hashing;
+// only the entry node pays the SHA-256 pass.
+func pairParts(ids []string, blobs [][]byte) [][]byte {
+	n := 0
+	for _, id := range ids {
+		n += 8 + len(id)
 	}
-	total := len(body)
+	heads, parts := make([]byte, 0, n), make([][]byte, 0, 2*len(blobs))
 	for i, b := range blobs {
-		total += 8 + len(ids[i]) + len(b)
+		at := len(heads)
+		heads = binary.LittleEndian.AppendUint32(heads, uint32(len(ids[i])))
+		heads = append(heads, ids[i]...)
+		heads = binary.LittleEndian.AppendUint32(heads, uint32(len(b)))
+		parts = append(parts, heads[at:], b)
 	}
-	if cap(body) < total {
-		grown := make([]byte, len(body), total)
-		copy(grown, body)
-		body = grown
-	}
-	for i, b := range blobs {
-		body = AppendBlob(body, []byte(ids[i]))
-		body = AppendBlob(body, b)
-	}
-	return body, nil
+	return parts
 }
 
-// splitPairs decodes an alternating id/blob body built by appendPairs.
+// splitPairs decodes an alternating id/blob body laid out by pairParts.
 // The blob slices alias body; the ids are copied out.
 func splitPairs(body []byte) ([]string, [][]byte, error) {
 	parts, err := SplitBlobs(body, maxPairItems)
@@ -520,49 +525,103 @@ func (c *Cluster) takeHints(peerID string, n int) []string {
 	return out
 }
 
+// resultPush is one result on its way to one peer.
+type resultPush struct {
+	reqID, id, fp string
+	record        []byte
+}
+
+const (
+	// maxPushBatch is the most results one OpResultPush frame carries.
+	maxPushBatch = 64
+	// pushQueueLen is how many results may wait for one peer's sender:
+	// what a node's workers finish while a few frames are in flight, and
+	// no more — a peer that slow is better served by its own repair loop
+	// than by a backlog held here.
+	pushQueueLen = 4 * maxPushBatch
+)
+
 // PushResult ships an owner-computed categorization result to the
-// trace's other replicas, asynchronously and best-effort: a replica
-// that misses the push repairs itself after RepairAfter.
+// trace's other replicas, asynchronously and best-effort: it queues the
+// result for each peer's sender and returns. A peer that is down, or
+// whose queue is full, is skipped — a replica that misses a push repairs
+// itself after RepairAfter. result is read until it has been sent.
 func (c *Cluster) PushResult(reqID, id, fp string, result []byte, peerIDs []string) {
-	body := appendResultPush(nil, id, fp, result)
 	for _, pid := range peerIDs {
 		p, perr := c.peerByID(pid)
 		if perr != nil || !p.up.Load() {
 			continue
 		}
-		// Not tracked by c.wg: pushes are best-effort and time-bounded,
-		// and adding to the group concurrently with a shutdown Wait
-		// would race.
-		go func(p *peer) {
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-			defer cancel()
-			if _, err := c.callPeer(ctx, p, OpResultPush, "resultpush", reqID, body); err != nil {
-				if c.log != nil {
-					c.log.Debug("ring: result push failed (replica will self-repair)",
-						"peer", p.node.ID, "id", id, "err", err)
-				}
-				return
+		select {
+		case p.pushes <- resultPush{reqID: reqID, id: id, fp: fp, record: result}:
+		default:
+			if c.log != nil {
+				c.log.Debug("ring: result push queue full (replica will self-repair)", "peer", pid, "id", id)
 			}
-			c.met.ResultPushes.Inc()
-		}(p)
+		}
 	}
 }
 
-// The OpResultPush body is a blob list of three: trace ID, fingerprint,
-// result record — the record's bytes travel as they are stored. Nodes
-// that predate the store's served result form send a JSON object
-// instead, with the compact result document embedded; parseResultPush
-// still reads it (the store converts the document). A blob list starts
-// with the ID's length, never with '{'.
+// pushLoop is one peer's result sender: whatever is queued when it
+// looks — one result on a quiet node, a worker pool's worth under load —
+// goes out as one OpResultPush frame on one pooled connection, where a
+// goroutine and a call per result kept dialling past the client's idle
+// pool. It ends with the node; results still queued then are dropped
+// like any lost push.
+func (c *Cluster) pushLoop(p *peer) {
+	defer c.wg.Done()
+	var (
+		batch []resultPush
+		body  []byte
+	)
+	for {
+		select {
+		case <-c.run.Done():
+			return
+		case first := <-p.pushes:
+			batch = append(batch[:0], first)
+		}
+		for more := true; more && len(batch) < maxPushBatch; {
+			select {
+			case next := <-p.pushes:
+				batch = append(batch, next)
+			default:
+				more = false
+			}
+		}
+		body = body[:0]
+		for _, r := range batch {
+			body = appendResultPush(body, r.id, r.fp, r.record)
+		}
+		ctx, cancel := context.WithTimeout(c.run, c.cfg.RPCTimeout)
+		_, err := c.callPeer(ctx, p, OpResultPush, "resultpush", batch[0].reqID, body)
+		cancel()
+		if err == nil {
+			c.met.ResultPushes.Add(int64(len(batch)))
+		} else if c.log != nil {
+			c.log.Debug("ring: result push failed (replicas will self-repair)",
+				"peer", p.node.ID, "results", len(batch), "err", err)
+		}
+		clear(batch) // the records are the store's; do not hold them between frames
+	}
+}
+
+// The OpResultPush body is a blob list of three per result: trace ID,
+// fingerprint, result record — the record's bytes travel as they are
+// stored — for as many results as the sender had queued. Nodes that
+// predate the store's served result form send one result as a JSON
+// object instead, with the compact result document embedded;
+// parseResultPush still reads it (the store converts the document). A
+// blob list starts with the ID's length, never with '{'.
 func appendResultPush(dst []byte, id, fp string, result []byte) []byte {
 	dst = AppendBlob(dst, []byte(id))
 	dst = AppendBlob(dst, []byte(fp))
 	return AppendBlob(dst, result)
 }
 
-// parseResultPush decodes an OpResultPush body of either form; result
-// aliases body.
-func parseResultPush(body []byte) (id, fp string, result []byte, err error) {
+// parseResultPush decodes an OpResultPush body of either form; the
+// records alias body.
+func parseResultPush(body []byte) ([]resultPush, error) {
 	if len(body) > 0 && body[0] == '{' {
 		var push struct {
 			ID          string          `json:"id"`
@@ -570,97 +629,22 @@ func parseResultPush(body []byte) (id, fp string, result []byte, err error) {
 			Result      json.RawMessage `json:"result"`
 		}
 		if err := json.Unmarshal(body, &push); err != nil {
-			return "", "", nil, err
+			return nil, err
 		}
-		return push.ID, push.Fingerprint, push.Result, nil
+		return []resultPush{{id: push.ID, fp: push.Fingerprint, record: push.Result}}, nil
 	}
-	parts, err := SplitBlobs(body, 3)
+	parts, err := SplitBlobs(body, 3*maxPushBatch)
 	if err != nil {
-		return "", "", nil, err
+		return nil, err
 	}
-	if len(parts) != 3 {
-		return "", "", nil, fmt.Errorf("ring: result push holds %d blobs, want id, fingerprint and record", len(parts))
+	if len(parts) == 0 || len(parts)%3 != 0 {
+		return nil, fmt.Errorf("ring: result push holds %d blobs, want id, fingerprint and record per result", len(parts))
 	}
-	return string(parts[0]), string(parts[1]), parts[2], nil
-}
-
-// scatter sends op to every peer and calls each once per peer, with the
-// peer's place in ring order and its reply. A peer believed up is asked
-// on its own goroutine under one RPC timeout and each runs there, beside
-// the other peers'; a peer already down is not asked and each gets
-// errPeerDown. scatter returns once every call to each has.
-func (c *Cluster) scatter(ctx context.Context, op byte, name, reqID string, body []byte, each func(i int, pid string, resp []byte, err error)) {
-	var wg sync.WaitGroup
-	for i, pid := range c.order {
-		p := c.peers[pid]
-		if !p.up.Load() {
-			each(i, pid, nil, errPeerDown)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-			defer cancel()
-			resp, err := c.callPeer(cctx, p, op, name, reqID, body)
-			each(i, p.node.ID, resp, err)
-		}(i, p)
+	out := make([]resultPush, len(parts)/3)
+	for i := range out {
+		out[i] = resultPush{id: string(parts[3*i]), fp: string(parts[3*i+1]), record: parts[3*i+2]}
 	}
-	wg.Wait()
-}
-
-// ScatterQuery fans a boolean query out to every live peer and returns
-// one match list per answering peer, each already sorted by the
-// shard's index (duplicates across replicas land in different lists —
-// the caller runs the K-way merge), plus any per-peer failures. Down
-// peers are skipped and reported in errs; with replication >= 2 their
-// shard remains covered by the surviving replicas.
-func (c *Cluster) ScatterQuery(ctx context.Context, reqID, q string) (lists [][]string, errs map[string]error) {
-	body, _ := json.Marshal(struct {
-		Q string `json:"q"`
-	}{Q: q})
-	replies := make([]struct {
-		ids []string
-		err error
-	}, len(c.order))
-	c.scatter(ctx, OpQuery, "query", reqID, body, func(i int, _ string, resp []byte, err error) {
-		var out struct {
-			IDs []string `json:"ids"`
-		}
-		if err == nil {
-			err = json.Unmarshal(resp, &out)
-		}
-		replies[i].ids, replies[i].err = out.IDs, err
-	})
-	lists = make([][]string, 0, len(replies))
-	for i, r := range replies {
-		switch {
-		case r.err != nil:
-			if errs == nil {
-				errs = make(map[string]error)
-			}
-			errs[c.order[i]] = r.err
-		case len(r.ids) > 0:
-			lists = append(lists, r.ids)
-		}
-	}
-	return lists, errs
-}
-
-// ScatterStats collects every peer's NodeStats (down or failed peers
-// appear with Up=false), in ring order.
-func (c *Cluster) ScatterStats(ctx context.Context, reqID string) []NodeStats {
-	out := make([]NodeStats, len(c.order))
-	c.scatter(ctx, OpStats, "stats", reqID, nil, func(i int, pid string, resp []byte, err error) {
-		var ns NodeStats
-		if err == nil && json.Unmarshal(resp, &ns) == nil {
-			ns.Up = true
-			out[i] = ns
-			return
-		}
-		out[i] = NodeStats{Node: pid}
-	})
-	return out
+	return out, nil
 }
 
 // FetchResult reads one trace's stored result from its replica set
@@ -758,27 +742,21 @@ func (c *Cluster) registerHandlers() {
 		return nil, c.backend.HandleReplicate(ctx, f.RequestID, ids, blobs)
 	})
 	c.srv.Handle(OpResultPush, "resultpush", func(ctx context.Context, f *Frame) ([]byte, error) {
-		id, fp, result, err := parseResultPush(f.Body)
+		pushes, err := parseResultPush(f.Body)
 		if err != nil {
 			return nil, err
 		}
-		return nil, c.backend.HandleResultPush(ctx, id, fp, result)
+		// Each result stands alone: one the store refuses does not keep
+		// the rest of the frame from their replicas.
+		var failed error
+		for _, r := range pushes {
+			if err := c.backend.HandleResultPush(ctx, r.id, r.fp, r.record); err != nil && failed == nil {
+				failed = err
+			}
+		}
+		return nil, failed
 	})
-	c.srv.Handle(OpQuery, "query", func(ctx context.Context, f *Frame) ([]byte, error) {
-		var req struct {
-			Q string `json:"q"`
-		}
-		if err := json.Unmarshal(f.Body, &req); err != nil {
-			return nil, err
-		}
-		ids, err := c.backend.HandleQuery(ctx, req.Q)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct {
-			IDs []string `json:"ids"`
-		}{IDs: ids})
-	})
+	c.srv.Handle(OpQuery, "query", c.handleQuery)
 	c.srv.Handle(OpStats, "stats", func(ctx context.Context, f *Frame) ([]byte, error) {
 		return json.Marshal(c.backend.HandleStats(ctx))
 	})
@@ -816,7 +794,7 @@ func (c *Cluster) probeLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.quit:
+		case <-c.run.Done():
 			return
 		case <-tick.C:
 		}
@@ -867,7 +845,7 @@ func (c *Cluster) hintLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.quit:
+		case <-c.run.Done():
 			return
 		case <-tick.C:
 		}

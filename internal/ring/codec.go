@@ -77,7 +77,14 @@ type Frame struct {
 
 // AppendFrame encodes f onto dst and returns the extended slice.
 func AppendFrame(dst []byte, f *Frame) []byte {
-	n := 1 + 1 + 2 + len(f.RequestID) + 2 + len(f.Traceparent) + len(f.Body)
+	return appendFrame(dst, f, 0)
+}
+
+// appendFrame is AppendFrame for a frame whose body continues past
+// f.Body with tail more bytes that the caller writes itself, straight
+// after what this returns: the length prefix counts them.
+func appendFrame(dst []byte, f *Frame, tail int) []byte {
+	n := 1 + 1 + 2 + len(f.RequestID) + 2 + len(f.Traceparent) + len(f.Body) + tail
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = append(dst, f.Op, f.Status)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.RequestID)))

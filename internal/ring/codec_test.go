@@ -2,10 +2,15 @@ package ring
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"io"
+	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -46,6 +51,48 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("frame = %v, want %v", got, want)
+	}
+
+	// A bulk request is sent from the caller's slices, not assembled:
+	// what reaches the socket is still the frame above around one blob
+	// list of alternating ids and blobs.
+	ids, blobs := []string{"id-a", "", "id-c"}, [][]byte{[]byte("first blob"), nil, bytes.Repeat([]byte{0xfe}, 70_000)}
+	var body []byte
+	for i := range ids {
+		body = AppendBlob(AppendBlob(body, []byte(ids[i])), blobs[i])
+	}
+	want = AppendFrame(nil, &Frame{Op: OpReplicate, RequestID: "r1", Body: body})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	wire := make(chan []byte, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			wire <- nil
+			return
+		}
+		defer conn.Close()
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(conn, got); err != nil {
+			got = nil
+		}
+		conn.Write(AppendFrame(nil, &Frame{Op: OpReplicate}))
+		wire <- got
+	}()
+	c := NewClient(l.Addr().String(), 5*time.Second)
+	defer c.Close()
+	if _, err := c.call(context.Background(), OpReplicate, "replicate", "r1", nil, pairParts(ids, blobs)); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-wire; !bytes.Equal(got, want) {
+		t.Fatalf("a pair body of %d bytes reached the socket as %d other bytes", len(want), len(got))
+	}
+	gotIDs, gotBlobs, err := splitPairs(body)
+	if err != nil || !slices.Equal(gotIDs, ids) || len(gotBlobs) != 3 || !bytes.Equal(gotBlobs[2], blobs[2]) {
+		t.Fatalf("splitPairs of the same body: %q, %d blobs, err %v", gotIDs, len(gotBlobs), err)
 	}
 }
 
@@ -152,32 +199,52 @@ func TestSplitBlobsItemCap(t *testing.T) {
 	}
 }
 
+// one is parseResultPush for a body that must hold exactly one result.
+func one(t *testing.T, body []byte) (id, fp string, record []byte) {
+	t.Helper()
+	got, err := parseResultPush(body)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("parseResultPush: %d results, err %v", len(got), err)
+	}
+	return got[0].id, got[0].fp, got[0].record
+}
+
 // TestResultPushBody: the push body carries a result record as opaque
-// bytes — a binary head, newlines, whatever it holds — and the JSON body
-// of a node that predates it still parses, to the document it embeds.
+// bytes — a binary head, newlines, whatever it holds — as many results
+// as the sender had queued, and the JSON body of a node that predates it
+// still parses, to the document it embeds.
 func TestResultPushBody(t *testing.T) {
 	id, fp := strings.Repeat("ab", 32), "cfg-0123"
 	record := append([]byte{0x7b, 0x00, 0xff, 0x22, 0, 0, 0, 0x80}, "{\n  \"job_id\": 1\n}\n"...)
-	gotID, gotFP, got, err := parseResultPush(appendResultPush(nil, id, fp, record))
-	if err != nil || gotID != id || gotFP != fp || !bytes.Equal(got, record) {
-		t.Fatalf("round trip: %q %q %q, err %v", gotID, gotFP, got, err)
+	body := appendResultPush(nil, id, fp, record)
+	if gotID, gotFP, got := one(t, body); gotID != id || gotFP != fp || !bytes.Equal(got, record) {
+		t.Fatalf("round trip: %q %q %q", gotID, gotFP, got)
 	}
 	old := []byte(`{"id":"` + id + `","fp":"` + fp + `","result":{"job_id":1,"categories":["write_on_end"]}}`)
-	gotID, gotFP, got, err = parseResultPush(old)
-	if err != nil || gotID != id || gotFP != fp || string(got) != `{"job_id":1,"categories":["write_on_end"]}` {
-		t.Fatalf("legacy body: %q %q %q, err %v", gotID, gotFP, got, err)
+	if gotID, gotFP, got := one(t, old); gotID != id || gotFP != fp || string(got) != `{"job_id":1,"categories":["write_on_end"]}` {
+		t.Fatalf("legacy body: %q %q %q", gotID, gotFP, got)
 	}
-	body := appendResultPush(nil, id, fp, record)
+	id2 := strings.Repeat("cd", 32)
+	two, err := parseResultPush(appendResultPush(bytes.Clone(body), id2, fp, nil))
+	if err != nil || len(two) != 2 || two[0].id != id || !bytes.Equal(two[0].record, record) ||
+		two[1].id != id2 || two[1].fp != fp || len(two[1].record) != 0 {
+		t.Fatalf("two results in one body: %+v, err %v", two, err)
+	}
+	var full []byte
+	for i := 0; i <= maxPushBatch; i++ {
+		full = appendResultPush(full, id, fp, record)
+	}
 	for name, bad := range map[string][]byte{
-		"empty":         nil,
-		"two blobs":     AppendBlob(AppendBlob(nil, []byte(id)), []byte(fp)),
-		"four blobs":    AppendBlob(bytes.Clone(body), []byte("extra")),
-		"cut short":     body[:len(body)-3],
-		"legacy, cut":   old[:len(old)-5],
-		"legacy, typed": []byte(`{"id":7}`),
+		"empty":          nil,
+		"two blobs":      AppendBlob(AppendBlob(nil, []byte(id)), []byte(fp)),
+		"four blobs":     AppendBlob(bytes.Clone(body), []byte("extra")),
+		"cut short":      body[:len(body)-3],
+		"past the batch": full,
+		"legacy, cut":    old[:len(old)-5],
+		"legacy, typed":  []byte(`{"id":7}`),
 	} {
-		if _, _, _, err := parseResultPush(bad); err == nil {
-			t.Errorf("%s: accepted", name)
+		if got, err := parseResultPush(bad); err == nil || got != nil {
+			t.Errorf("%s: accepted as %d results, err %v", name, len(got), err)
 		}
 	}
 }

@@ -21,6 +21,8 @@ package ring
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -61,6 +63,16 @@ type Table struct {
 	vnodes  int
 	rf      int
 	version uint64
+
+	// What a key landing on each ring point gets, worked out once: point
+	// i's replica list is reps[i*rf:(i+1)*rf], owner first, and class[i]
+	// numbers that list among the distinct ones. Every copy of one trace
+	// is held by the nodes of one class, which is what lets a scatter
+	// query count per class instead of shipping IDs to deduplicate
+	// (scatter.go).
+	reps    []Node
+	class   []uint16
+	holders [][]int32 // class → indexes into nodes of its replica list, owner first
 }
 
 // NewTable builds the routing table for the given membership. vnodes
@@ -108,7 +120,43 @@ func NewTable(nodes []Node, vnodes, rf int) (*Table, error) {
 		return t.points[i].node < t.points[j].node
 	})
 	t.version = t.membershipHash()
+	if err := t.place(); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// place fills the per-point replica lists and numbers the distinct ones
+// in the order the ring's points first name them — the same order on
+// every node, because the points sort the same everywhere.
+func (t *Table) place() error {
+	t.reps = make([]Node, 0, len(t.points)*t.rf)
+	t.class = make([]uint16, len(t.points))
+	byList := make(map[string]uint16)
+	walk := make([]int32, 0, t.rf)
+	for i := range t.points {
+		walk = walk[:0]
+		for j := 0; len(walk) < t.rf; j++ {
+			n := t.points[(i+j)%len(t.points)].node
+			if !slices.Contains(walk, n) {
+				walk = append(walk, n)
+				t.reps = append(t.reps, t.nodes[n])
+			}
+		}
+		key := fmt.Sprint(walk)
+		cl, ok := byList[key]
+		if !ok {
+			if len(t.holders) == math.MaxUint16 {
+				// A query reply counts its classes in a u16.
+				return fmt.Errorf("ring: membership yields more than %d distinct replica lists", math.MaxUint16)
+			}
+			cl = uint16(len(t.holders))
+			byList[key] = cl
+			t.holders = append(t.holders, slices.Clone(walk))
+		}
+		t.class[i] = cl
+	}
+	return nil
 }
 
 // membershipHash folds the membership and tuning parameters into the
@@ -151,9 +199,13 @@ func vnodeHash(id string, v int) uint64 {
 // (already uniform); FNV keeps placement cheap and, unlike a seeded
 // hash, identical across processes.
 func keyHash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return mix64(h.Sum64())
+	// FNV-1a, written out: hash/fnv's value escapes through its interface
+	// and placement is asked once per trace on every write path.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	return mix64(h)
 }
 
 // Version identifies the membership this table routes over.
@@ -191,25 +243,15 @@ func (t *Table) successor(h uint64) int {
 // Owner returns the node owning a key: the member whose virtual node
 // first succeeds the key's hash on the ring.
 func (t *Table) Owner(key string) Node {
-	return t.nodes[t.points[t.successor(keyHash(key))].node]
+	return t.reps[t.successor(keyHash(key))*t.rf]
 }
 
 // Replicas returns the key's replica set: RF distinct nodes walking
-// the ring clockwise from the key, owner first. The returned slice is
-// freshly allocated.
+// the ring clockwise from the key, owner first. The slice is shared; do
+// not mutate.
 func (t *Table) Replicas(key string) []Node {
-	out := make([]Node, 0, t.rf)
-	seen := make(map[int32]struct{}, t.rf)
-	start := t.successor(keyHash(key))
-	for i := 0; i < len(t.points) && len(out) < t.rf; i++ {
-		p := t.points[(start+i)%len(t.points)]
-		if _, ok := seen[p.node]; ok {
-			continue
-		}
-		seen[p.node] = struct{}{}
-		out = append(out, t.nodes[p.node])
-	}
-	return out
+	i := t.successor(keyHash(key)) * t.rf
+	return t.reps[i : i+t.rf : i+t.rf]
 }
 
 // IsReplica reports whether nodeID is in the key's replica set.
@@ -220,4 +262,20 @@ func (t *Table) IsReplica(key, nodeID string) bool {
 		}
 	}
 	return false
+}
+
+// Classes returns how many distinct replica lists the table places keys
+// on (3 nodes at RF 2: 6). Class numbers run from 0 and mean something
+// only under this table's Version.
+func (t *Table) Classes() int { return len(t.holders) }
+
+// Class returns the number of the key's replica list: two keys have the
+// same class exactly when the same nodes hold them in the same order —
+// the same owner, and the same stand-in for it whichever nodes are down.
+// The order matters to who counts a class in full (scatter.go): the node
+// that takes a key's writes indexes it before it ships the result to the
+// rest, so of one list's nodes one is never behind the others, where of
+// one *set*'s nodes each is ahead of the other on the keys it owns.
+func (t *Table) Class(key string) uint16 {
+	return t.class[t.successor(keyHash(key))]
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -217,5 +218,80 @@ func TestReplicationFactorCappedAtMembers(t *testing.T) {
 	}
 	if tb.RF() != 2 {
 		t.Errorf("RF = %d, want capped at 2", tb.RF())
+	}
+}
+
+// TestClassIsReplicaList: a key's class names its replica list and
+// nothing else — two keys share a class exactly when the same nodes hold
+// them in the same order — and the table's own record of a class's
+// holders, by which entry nodes judge skew, is that list.
+func TestClassIsReplicaList(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		for rf := 1; rf <= 3; rf++ {
+			tb, err := NewTable(members(n), 32, rf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			listOf := map[uint16]string{}
+			classOf := map[string]uint16{}
+			for _, k := range traceKeys(3000) {
+				var ids []string
+				for _, r := range tb.Replicas(k) {
+					ids = append(ids, r.ID)
+				}
+				list, class := fmt.Sprint(ids), tb.Class(k)
+				if int(class) >= tb.Classes() {
+					t.Fatalf("n=%d rf=%d: class %d of %d", n, rf, class, tb.Classes())
+				}
+				if was, ok := listOf[class]; ok && was != list {
+					t.Fatalf("n=%d rf=%d: class %d names both %s and %s", n, rf, class, was, list)
+				}
+				if was, ok := classOf[list]; ok && was != class {
+					t.Fatalf("n=%d rf=%d: list %s has classes %d and %d", n, rf, list, was, class)
+				}
+				listOf[class], classOf[list] = list, class
+			}
+			for class, list := range listOf {
+				var ids []string
+				for _, ni := range tb.holders[class] {
+					ids = append(ids, tb.nodes[ni].ID)
+				}
+				if got := fmt.Sprint(ids); got != list {
+					t.Fatalf("n=%d rf=%d: class %d lists holders %s, its keys are held by %s", n, rf, class, got, list)
+				}
+			}
+		}
+	}
+	if tb, _ := NewTable(members(3), 0, 2); tb.Classes() != 6 {
+		t.Fatalf("3 nodes at RF 2: %d classes, want 6", tb.Classes())
+	}
+}
+
+// TestPlacementCostsNoAllocation: routeTarget, replicate, pushResult and
+// FetchResult ask for a key's replicas once per trace.
+func TestPlacementCostsNoAllocation(t *testing.T) {
+	tb, err := NewTable(members(5), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := traceKeys(1)[0]
+	if n := testing.AllocsPerRun(100, func() {
+		if len(tb.Replicas(key)) != 3 || tb.Owner(key).ID == "" || !tb.IsReplica(key, tb.Owner(key).ID) || int(tb.Class(key)) >= tb.Classes() {
+			t.Fatal("placement lost the key")
+		}
+	}); n != 0 {
+		t.Fatalf("Replicas, Owner, IsReplica and Class: %v allocations per run", n)
+	}
+}
+
+// TestKeyHashIsFNV1a: keyHash is written out by hand; every build of
+// every node must still place a key where hash/fnv placed it.
+func TestKeyHashIsFNV1a(t *testing.T) {
+	for _, k := range append(traceKeys(200), "", "a") {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		if got, want := keyHash(k), mix64(h.Sum64()); got != want {
+			t.Fatalf("keyHash(%q) = %x, hash/fnv gives %x", k, got, want)
+		}
 	}
 }

@@ -343,6 +343,8 @@ type Client struct {
 type clientConn struct {
 	c   net.Conn
 	buf []byte
+	vec [][]byte    // the slices of one request, kept for its storage
+	out net.Buffers // vec as WriteTo consumes it
 }
 
 // NewClient returns a client for addr. timeout bounds dial and —
@@ -411,13 +413,21 @@ func (c *Client) Close() error {
 // parent/child edge intact. A peer's StatusNotFound surfaces as
 // ErrNotFound, StatusError as an error carrying the peer's message.
 func (c *Client) Call(ctx context.Context, op byte, opName, reqID string, body []byte) ([]byte, error) {
+	return c.call(ctx, op, opName, reqID, body, nil)
+}
+
+// call is Call with a request body that continues past body with the
+// slices of tail, sent as they are: a bulk sender hands over the blobs
+// it was given instead of assembling a copy of them. The slices are the
+// caller's again when call returns.
+func (c *Client) call(ctx context.Context, op byte, opName, reqID string, body []byte, tail [][]byte) ([]byte, error) {
 	sp := reqtrace.StartLeaf(ctx, "rpc."+opName, reqtrace.Str("peer", c.addr))
 	defer sp.End()
 	tp := ""
 	if t, _, ok := reqtrace.FromContext(ctx); ok {
 		tp = reqtrace.FormatTraceparent(t.ID(), sp.ID())
 	}
-	resp, err := c.roundTrip(ctx, &Frame{Op: op, RequestID: reqID, Traceparent: tp, Body: body})
+	resp, err := c.roundTrip(ctx, &Frame{Op: op, RequestID: reqID, Traceparent: tp, Body: body}, tail)
 	if err != nil {
 		sp.SetError(err)
 		return nil, err
@@ -441,7 +451,7 @@ func (c *Client) Call(ctx context.Context, op byte, opName, reqID string, body [
 // call: the connection's deadline is forced into the past, the blocked
 // read or write fails at once, and the connection — whose peer may still
 // answer the abandoned request — never returns to the pool.
-func (c *Client) roundTrip(ctx context.Context, req *Frame) (Frame, error) {
+func (c *Client) roundTrip(ctx context.Context, req *Frame, tail [][]byte) (Frame, error) {
 	if err := ctx.Err(); err != nil {
 		// Already over: not worth a pooled connection and the redial.
 		return Frame{}, fmt.Errorf("ring: call to %s: %w", c.addr, err)
@@ -459,7 +469,7 @@ func (c *Client) roundTrip(ctx context.Context, req *Frame) (Frame, error) {
 		return Frame{}, err
 	}
 	stop := context.AfterFunc(ctx, func() { cc.c.SetDeadline(time.Unix(1, 0)) })
-	resp, err := cc.exchange(req)
+	resp, err := cc.exchange(req, tail)
 	if !stop() {
 		cc.c.Close()
 		return Frame{}, fmt.Errorf("ring: call to %s: %w", c.addr, ctx.Err())
@@ -472,14 +482,21 @@ func (c *Client) roundTrip(ctx context.Context, req *Frame) (Frame, error) {
 	return resp, nil
 }
 
-// exchange sends req and reads the response through the connection's
-// buffer, which keeps its grown storage for the next call: a client that
-// ships 1 MB ingest batches would otherwise re-grow it from scratch
-// every time.
-func (cc *clientConn) exchange(req *Frame) (Frame, error) {
-	out := AppendFrame(cc.buf[:0], req)
-	cc.buf = out[:0]
-	if _, err := cc.c.Write(out); err != nil {
+// exchange sends req — the frame encoded into the connection's buffer,
+// then tail — in one vectored write, and reads the response through the
+// same buffer, which keeps its grown storage for the next call.
+func (cc *clientConn) exchange(req *Frame, tail [][]byte) (Frame, error) {
+	n := 0
+	for _, b := range tail {
+		n += len(b)
+	}
+	head := appendFrame(cc.buf[:0], req, n)
+	cc.buf = head[:0]
+	cc.vec = append(append(cc.vec[:0], head), tail...)
+	cc.out = cc.vec
+	_, err := cc.out.WriteTo(cc.c)
+	clear(cc.vec) // the tail is the caller's
+	if err != nil {
 		return Frame{}, fmt.Errorf("writing: %w", err)
 	}
 	f, _, buf, err := readFrame(cc.c, cc.buf)

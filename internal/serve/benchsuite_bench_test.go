@@ -37,4 +37,8 @@ func BenchmarkCluster(b *testing.B) {
 	b.Run("ingest_n4_rf1", benchsuite.ClusterIngest(4, 1))
 	b.Run("ingest_n4_rf2", benchsuite.ClusterIngest(4, 2))
 	b.Run("scatter_query_n4", benchsuite.ClusterScatterQuery(4))
+	b.Run("scatter_query_page_n4", benchsuite.ClusterScatterQueryPage(20_000))
+	// Not pinned: the same query at a tenth of the corpus, to hold the
+	// pinned one to O(page) by eye or by benchstat.
+	b.Run("scatter_query_page_n4_2k", benchsuite.ClusterScatterQueryPage(2_000))
 }

@@ -387,11 +387,12 @@ func (cn *clusterNode) HandleResultPush(ctx context.Context, id, fp string, resu
 	return nil
 }
 
-// HandleQuery answers a scatter-gather query over the local shard.
-// The index materializes plain strings directly — no per-ID
-// conversion copy on the RPC path.
-func (cn *clusterNode) HandleQuery(ctx context.Context, q string) ([]string, error) {
-	return cn.s.ix.QueryIDs(q)
+// HandleQuery answers a peer's scatter query over the local shard: the
+// page the index cuts and its count split by placement class, which the
+// index keeps because New handed it the ring's classes.
+func (cn *clusterNode) HandleQuery(ctx context.Context, dst []string, q string, limit int) ([]string, []int, error) {
+	page, err := cn.s.ix.QueryPage(dst, q, limit)
+	return page.IDs, page.ByClass, err
 }
 
 // HandleStats reports this node's shard statistics.

@@ -288,6 +288,17 @@ func New(cfg Config) (*Server, error) {
 			"segment rotated", "segment", strconv.Itoa(segment))
 	})
 
+	if cfg.Cluster != nil {
+		// A ring node's index keeps each trace's placement class beside
+		// its category set, from the first entry on: scatter queries count
+		// by it (ring/scatter.go). The table is a pure function of the
+		// membership, so this one and the cluster's own agree.
+		table, err := ring.NewTable(cfg.Cluster.Nodes, cfg.Cluster.VirtualNodes, cfg.Cluster.Replication)
+		if err != nil {
+			return nil, err
+		}
+		s.ix.Classify(table.Classes(), func(id store.TraceID) uint16 { return table.Class(string(id)) })
+	}
 	n, err := s.ix.Rebuild(s.st, s.fp)
 	if err != nil {
 		return nil, fmt.Errorf("serve: rebuilding index: %w", err)
@@ -775,63 +786,60 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	bufp := queryIDBufs.Get().(*[]string)
-	defer func() {
-		// Drop ID references before pooling so result strings don't
-		// outlive the response. A page wrote nothing past its length;
-		// the merge may have.
-		b := *bufp
-		if s.cluster != nil {
-			b = b[:cap(b)]
-		}
-		clear(b)
-		queryIDBufs.Put(bufp)
-	}()
+	bufs := queryBufs.Get().(*queryBuf)
+	defer bufs.release(s.cluster != nil)
 	reply := queryReply{Query: q}
+	var evaluated time.Time
 	if s.cluster == nil {
 		// The index cuts the page: nothing exists per match beyond it.
-		page, err := s.ix.QueryPage((*bufp)[:0], q, limit)
+		page, err := s.ix.QueryPage(bufs.ids[:0], q, limit)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
-		*bufp = page.IDs
+		bufs.ids = page.IDs
 		reply.Count, reply.IDs, reply.Plain = page.Count, page.IDs, page.Plain
+		evaluated = time.Now()
+		reqtrace.AddSpan(r.Context(), "query.eval", start, evaluated.Sub(start),
+			reqtrace.Int("matches", int64(reply.Count)), reqtrace.Int("returned", int64(len(reply.IDs))))
 	} else {
-		// Scatter-gather: every live peer answers for its shard with an
-		// already-sorted list, and the reduce is one K-way merge into a
-		// pooled buffer, so the combined ordering is as stable as a
-		// single node's. A down peer's shard stays covered by its
-		// surviving replicas; partial flags that some peer could not
-		// answer at all. The page is cut after the merge: a replicated
-		// trace is in more than one list, so the count needs the dedup.
-		local, err := s.ix.QueryIDs(q)
+		// Scatter-gather, a page from each node: this node's index and
+		// every live peer's each cut their first limit matches and count
+		// the rest by placement class; the ring adds the counts up without
+		// counting a replicated trace twice, and the answer's page is the
+		// head of one K-way merge of the pages, so the ordering is as
+		// stable as a single node's. A down peer's shard stays covered by
+		// its surviving replicas; partial flags that some peer could not
+		// answer at all.
+		page, err := s.ix.QueryPage(bufs.local[:0], q, limit)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
-		remote, errs := s.cluster.ring.ScatterQuery(r.Context(), RequestIDFrom(r.Context()), q)
-		lists := make([][]string, 0, len(remote)+1)
-		lists = append(lists, local)
-		lists = append(lists, remote...)
-		*bufp = index.MergeSortedInto(*bufp, lists...)
-		ids := *bufp
-		reply.Count, reply.Partial = len(ids), len(errs) > 0
+		bufs.local = page.IDs
+		g := &bufs.gather
+		s.cluster.ring.GatherQuery(r.Context(), RequestIDFrom(r.Context()), q, limit,
+			ring.QueryShard{ByClass: page.ByClass, IDs: page.IDs}, g)
+		bufs.ids = index.MergeSortedInto(bufs.ids, g.Pages...)
+		ids := bufs.ids
 		if limit >= 0 && limit < len(ids) {
 			ids = ids[:limit]
 		}
-		reply.IDs = ids
+		reply.Count, reply.Partial, reply.IDs = g.Count, len(g.Errs) > 0, ids
 		if reply.Partial {
 			if log := s.reqLog(r); log != nil {
-				for pid, perr := range errs {
+				for pid, perr := range g.Errs {
 					log.Warn("scatter query: peer failed", "peer", pid, "err", perr)
 				}
 			}
 		}
+		// classes_skewed above zero is why a ring's count may read low:
+		// that many placement classes had holders that disagreed.
+		evaluated = time.Now()
+		reqtrace.AddSpan(r.Context(), "query.eval", start, evaluated.Sub(start),
+			reqtrace.Int("matches", int64(reply.Count)), reqtrace.Int("returned", int64(len(reply.IDs))),
+			reqtrace.Int("classes_skewed", int64(g.Skewed)))
 	}
-	evaluated := time.Now()
-	reqtrace.AddSpan(r.Context(), "query.eval", start, evaluated.Sub(start),
-		reqtrace.Int("matches", int64(reply.Count)), reqtrace.Int("returned", int64(len(reply.IDs))))
 	if log := s.reqLog(r); log != nil {
 		log.Debug("query served", "q", q, "matches", reply.Count)
 	}
@@ -840,10 +848,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		reqtrace.Int("bytes", n))
 }
 
-// queryIDBufs pools the ID list of an answer — the index's page, or
-// the scatter-gather merge output — so a request allocates nothing for
-// it beyond what an append past pooled capacity costs.
-var queryIDBufs = sync.Pool{New: func() any { return new([]string) }}
+// queryBuf is what one /v1/query evaluation is put together in, pooled
+// so a request allocates nothing for its answer beyond what an append
+// past pooled capacity costs: ids is the answer's page — the index's on
+// a standalone server, the merge output on a ring node, which also
+// holds its own shard's page and the peers' beside it.
+type queryBuf struct {
+	ids    []string
+	local  []string
+	gather ring.QueryGather
+}
+
+var queryBufs = sync.Pool{New: func() any { return &queryBuf{ids: []string{}} }}
+
+// release drops the ID references, so result strings don't outlive the
+// response, and pools the buffer. A page wrote nothing past its length;
+// a merge may have.
+func (b *queryBuf) release(merged bool) {
+	if merged {
+		clear(b.ids[:cap(b.ids)])
+		clear(b.local)
+		b.gather.Reset()
+	} else {
+		clear(b.ids)
+	}
+	queryBufs.Put(b)
+}
 
 // StatsResponse is the /v1/stats document. In cluster mode Node names
 // the answering node and Nodes carries every member's scatter-gathered
