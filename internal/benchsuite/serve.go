@@ -18,6 +18,7 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/events"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/index"
 	"github.com/mosaic-hpc/mosaic/internal/serve"
 	"github.com/mosaic-hpc/mosaic/internal/store"
@@ -118,6 +119,9 @@ type instantExec struct{ res *core.Result }
 
 func (e instantExec) Categorize(context.Context, *darshan.Job, core.Config) (*core.Result, error) {
 	return e.res, nil
+}
+func (e instantExec) CategorizeExplained(context.Context, *darshan.Job, core.Config, explain.Options) (*core.Result, *explain.Explanation, error) {
+	return e.res, nil, nil
 }
 func (instantExec) Concurrency() int { return 1 }
 

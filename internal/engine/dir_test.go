@@ -15,6 +15,7 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/darshan/mosdtest"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
 )
 
@@ -375,6 +376,11 @@ func (e *seenExec) Categorize(ctx context.Context, j *darshan.Job, cfg core.Conf
 }
 
 func (e *seenExec) Concurrency() int { return 2 }
+
+func (e *seenExec) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, _ explain.Options) (*core.Result, *explain.Explanation, error) {
+	res, err := e.Categorize(ctx, j, cfg)
+	return res, nil, err
+}
 
 func TestTraceChangedBetweenPasses(t *testing.T) {
 	jobs := testJobs(t, 8) // u0..u4 × app0..app6: eight groups of one run

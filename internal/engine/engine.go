@@ -30,8 +30,7 @@
 // timings.
 //
 // Every frontend drives this one graph: the library facade
-// (mosaic.AnalyzeCorpusContext), the mosaic CLI, the bench harness and
-// the distributed master (as an alternate Categorize-stage Executor).
+// (mosaic.AnalyzeCorpusContext), the mosaic CLI and the bench harness.
 // The paper's fixed funnel — validate, dedup, merge, detect, aggregate
 // — therefore exists exactly once.
 package engine
@@ -135,10 +134,8 @@ type Options struct {
 	Buffer int
 	// Explain enables decision-provenance collection during the
 	// Categorize stage: each AppResult carries an explain.Explanation
-	// recording why every category was (or wasn't) assigned. Requires an
-	// executor implementing ExplainExecutor (Local and the caching store
-	// executor do); otherwise explanations stay nil. Disabled, the hot
-	// path is untouched.
+	// recording why every category was (or wasn't) assigned. Disabled,
+	// the hot path is untouched.
 	Explain bool
 	// ExplainOptions tunes collection (near-miss margin, segment cap);
 	// the zero value selects the explain package defaults.
@@ -153,7 +150,7 @@ type AppResult struct {
 	JobID  uint64 // the heaviest run, the one analyzed
 	Result *core.Result
 	// Explanation is the decision-provenance record of Result, collected
-	// only when Options.Explain was set and the executor supports it.
+	// only when Options.Explain was set.
 	Explanation *explain.Explanation
 }
 
@@ -256,12 +253,6 @@ func attempt(ctx context.Context, src Source, opts Options, trust bool) (*Result
 	// implement SpanObserver, span == nil and no per-item clock reads
 	// happen on the hot path.
 	span, _ := obs.(SpanObserver)
-	// Explanation collection is an opt-in executor capability, asserted
-	// once per run like SpanObserver above.
-	var exExec ExplainExecutor
-	if opts.Explain {
-		exExec, _ = exec.(ExplainExecutor)
-	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -427,8 +418,8 @@ func attempt(ctx context.Context, src Source, opts Options, trust bool) (*Result
 					}
 					switch {
 					case err != nil:
-					case exExec != nil:
-						res, expl, err = exExec.CategorizeExplained(ctx, job, cfg, opts.ExplainOptions)
+					case opts.Explain:
+						res, expl, err = exec.CategorizeExplained(ctx, job, cfg, opts.ExplainOptions)
 					default:
 						res, err = exec.Categorize(ctx, job, cfg)
 					}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
 )
 
@@ -121,6 +122,11 @@ func (s slowExec) Categorize(ctx context.Context, j *darshan.Job, cfg core.Confi
 }
 
 func (s slowExec) Concurrency() int { return 2 }
+
+func (s slowExec) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, _ explain.Options) (*core.Result, *explain.Explanation, error) {
+	res, err := s.Categorize(ctx, j, cfg)
+	return res, nil, err
+}
 
 // cancelOnCategorize cancels when the first group reaches a Categorize
 // worker: the scan is over, the funnel has closed, and the worker is
@@ -237,6 +243,11 @@ func (f failExec) Categorize(ctx context.Context, j *darshan.Job, cfg core.Confi
 }
 
 func (f failExec) Concurrency() int { return 1 }
+
+func (f failExec) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, _ explain.Options) (*core.Result, *explain.Explanation, error) {
+	res, err := f.Categorize(ctx, j, cfg)
+	return res, nil, err
+}
 
 func TestRunFailFast(t *testing.T) {
 	jobs := testJobs(t, 60)

@@ -10,34 +10,23 @@ import (
 
 // Executor runs the Categorize stage for one validated trace. The
 // default Local executor calls the in-process detection chain; the
-// distributed Master (internal/dist) satisfies the same interface and
-// fans the stage out over RPC workers — the engine does not know the
-// difference, which is the seam future backends (sharded, cached,
-// accelerated) plug into.
+// result store's caching executor wraps it — the engine does not know
+// the difference.
 type Executor interface {
 	// Categorize analyzes one validated trace under ctx. Implementations
 	// must return promptly with ctx.Err() once ctx is cancelled.
 	Categorize(ctx context.Context, j *darshan.Job, cfg core.Config) (*core.Result, error)
+	// CategorizeExplained is Categorize that also returns the result's
+	// decision-provenance record. The engine calls it instead of
+	// Categorize when Options.Explain is set.
+	CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, opts explain.Options) (*core.Result, *explain.Explanation, error)
 	// Concurrency returns how many in-flight categorizations the engine
 	// should maintain (<= 0 selects the engine's worker default).
 	Concurrency() int
 }
 
-// ExplainExecutor is the optional capability of executors that can
-// collect decision provenance alongside the result. The engine
-// type-asserts once per run (mirroring SpanObserver): executors without
-// the capability — e.g. the distributed master, whose wire protocol does
-// not carry explanations — run the plain stage and the engine records a
-// nil Explanation.
-type ExplainExecutor interface {
-	Executor
-	// CategorizeExplained analyzes one validated trace and returns the
-	// result together with its provenance record.
-	CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, opts explain.Options) (*core.Result, *explain.Explanation, error)
-}
-
 // Local is the in-process executor: one categorization per worker
-// goroutine, the Dispy-free fast path.
+// goroutine.
 type Local struct {
 	// Workers is the desired stage concurrency (<= 0: engine default).
 	Workers int
@@ -51,7 +40,7 @@ func (l Local) Categorize(ctx context.Context, j *darshan.Job, cfg core.Config) 
 	return core.Categorize(j, cfg)
 }
 
-// CategorizeExplained implements ExplainExecutor.
+// CategorizeExplained implements Executor.
 func (l Local) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, opts explain.Options) (*core.Result, *explain.Explanation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

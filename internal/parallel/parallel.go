@@ -7,7 +7,6 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,9 +14,6 @@ import (
 
 // DefaultWorkers returns the default worker count: one per logical CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// ErrStopped is returned by operations on a closed pool.
-var ErrStopped = errors.New("parallel: pool stopped")
 
 // ForEach runs fn(i) for every i in [0, n) on the given number of workers
 // and blocks until all invocations return. Indices are distributed by an
@@ -177,50 +173,4 @@ func MapOrdered[T, R any](ctx context.Context, workers int, in <-chan T, fn func
 		}
 	}()
 	return out
-}
-
-// Pool is a long-lived worker pool for irregular task submission, used by
-// the distributed master to overlap RPC round trips.
-type Pool struct {
-	tasks   chan func()
-	wg      sync.WaitGroup
-	stopped atomic.Bool
-}
-
-// NewPool starts a pool with the given number of workers (<= 0 selects
-// DefaultWorkers).
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	p := &Pool{tasks: make(chan func(), workers*2)}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer p.wg.Done()
-			for task := range p.tasks {
-				task()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues a task; it blocks when the queue is full, providing
-// back-pressure. Returns ErrStopped after Close.
-func (p *Pool) Submit(task func()) error {
-	if p.stopped.Load() {
-		return ErrStopped
-	}
-	p.tasks <- task
-	return nil
-}
-
-// Close stops accepting tasks and waits for in-flight ones to finish.
-func (p *Pool) Close() {
-	if p.stopped.Swap(true) {
-		return
-	}
-	close(p.tasks)
-	p.wg.Wait()
 }

@@ -131,30 +131,6 @@ func TestMapOrderedPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestPoolRunsTasks(t *testing.T) {
-	p := NewPool(4)
-	var count atomic.Int32
-	for i := 0; i < 100; i++ {
-		if err := p.Submit(func() { count.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Close()
-	if count.Load() != 100 {
-		t.Fatalf("count = %d", count.Load())
-	}
-}
-
-func TestPoolRejectsAfterClose(t *testing.T) {
-	p := NewPool(1)
-	p.Close()
-	if err := p.Submit(func() {}); err != ErrStopped {
-		t.Fatalf("err = %v", err)
-	}
-	// Double close is safe.
-	p.Close()
-}
-
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers < 1")
@@ -190,6 +166,66 @@ func TestForEachCtxStopsPromptlyOnCancel(t *testing.T) {
 	// Workers stop dispatching after cancel: far fewer than n ran.
 	if got := ran.Load(); got > 1000 {
 		t.Fatalf("%d indices ran after cancellation", got)
+	}
+}
+
+// TestForEachCtxDegenerate: an empty range runs nothing and reports
+// only the context's state; workers <= 0 selects the default and still
+// covers every index once.
+func TestForEachCtxDegenerate(t *testing.T) {
+	called := false
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) { called = true }); err != nil || called {
+		t.Fatalf("n=0: err=%v called=%v", err, called)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := ForEachCtx(ctx, 4, -1, func(int) { called = true }); err != context.Canceled || called {
+		t.Fatalf("n=-1 on a cancelled context: err=%v called=%v", err, called)
+	}
+	const n = 64
+	var hits [n]atomic.Int32
+	if err := ForEachCtx(context.Background(), 0, n, func(i int) { hits[i].Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	for i := range hits {
+		if hits[i].Load() != 1 {
+			t.Fatalf("workers=0: index %d ran %d times", i, hits[i].Load())
+		}
+	}
+}
+
+// TestMapOrderedCancellation: after cancel, MapOrdered's output closes
+// even though its input never does, and what it delivered before was
+// in order.
+func TestMapOrderedCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	in := make(chan int)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case in <- i:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	out := MapOrdered(ctx, 3, in, func(i int) int { return i })
+	for want := 0; want < 10; want++ {
+		if got := <-out; got != want {
+			t.Fatalf("out of order before cancel: got %d, want %d", got, want)
+		}
+	}
+	cancel()
+	deadline := time.After(2 * time.Second)
+	for {
+		select {
+		case _, ok := <-out:
+			if !ok {
+				return
+			}
+		case <-deadline:
+			t.Fatal("MapOrdered did not terminate after cancel")
+		}
 	}
 }
 

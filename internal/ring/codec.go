@@ -32,8 +32,8 @@ const (
 	StatusNotFound = 2
 )
 
-// Operation codes. Codes below 16 are reserved for the cluster
-// subsystem; dist's categorize RPC rides the same transport at 16.
+// Operation codes. Opcode 16 (remote categorization) is retired and
+// never reused: a peer that still sends it gets the unknown-op error.
 const (
 	OpPing       = 1
 	OpIngest     = 2
@@ -50,10 +50,6 @@ const (
 	// OpMetricsSnap returns the node's full metrics registry export
 	// (JSON-encoded telemetry family snapshots) for federation.
 	OpMetricsSnap = 10
-
-	// OpCategorize is internal/dist's remote categorization, absorbed
-	// onto this transport.
-	OpCategorize = 16
 )
 
 // MaxFrameBytes bounds one frame: a whole replication batch rides in

@@ -19,7 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Op: OpIngest, Status: StatusOK, RequestID: "req-123", Traceparent: "00-aaaa-bbbb-01", Body: []byte("payload")},
 		{Op: OpQuery, Status: StatusError, RequestID: "r", Body: []byte("boom")},
 		{Op: OpResult, Status: StatusNotFound, Body: nil},
-		{Op: OpCategorize, Status: StatusOK, Body: bytes.Repeat([]byte{0xab}, 1<<16)},
+		{Op: OpReplicate, Status: StatusOK, Body: bytes.Repeat([]byte{0xab}, 1<<16)},
 	}
 	for i, want := range cases {
 		enc := AppendFrame(nil, &want)

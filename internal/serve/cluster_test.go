@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -289,5 +291,26 @@ func TestClusterKillOwnerMidIngest(t *testing.T) {
 	// corpse).
 	for _, id := range ids {
 		waitResult(t, tc.nodes[1].http.URL, id)
+	}
+}
+
+// TestClusterNodeRejectsRetiredCategorizeOp: a peer that still speaks
+// the retired remote-categorization opcode (16) gets the unknown-op
+// application error from a serve node, and the connection stays usable
+// — the frame was read whole, never misread as another op.
+func TestClusterNodeRejectsRetiredCategorizeOp(t *testing.T) {
+	tc := startTestCluster(t, 2)
+	c := ring.NewClient(tc.nodes[0].rpc.Addr().String(), 2*time.Second)
+	defer c.Close()
+	_, err := c.Call(context.Background(), 16, "categorize", "retired", []byte("a trace and a config"))
+	var re *ring.RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("opcode 16 answered with %T %v, want a RemoteError", err, err)
+	}
+	if !strings.Contains(re.Msg, "unknown op") {
+		t.Fatalf("opcode 16 answered %q, want the unknown-op error", re.Msg)
+	}
+	if _, err := c.Call(context.Background(), ring.OpPing, "ping", "", nil); err != nil {
+		t.Fatalf("ping after the retired op: %v", err)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/index"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
 	"github.com/mosaic-hpc/mosaic/internal/ring"
@@ -59,6 +60,11 @@ func (variedExec) Categorize(_ context.Context, j *darshan.Job, _ core.Config) (
 }
 
 func (variedExec) Concurrency() int { return 1 }
+
+func (e variedExec) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, _ explain.Options) (*core.Result, *explain.Explanation, error) {
+	res, err := e.Categorize(ctx, j, cfg)
+	return res, nil, err
+}
 
 // queryRing is an in-process ring whose nodes can be killed and brought
 // back over the store and the addresses they had.

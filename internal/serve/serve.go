@@ -71,7 +71,7 @@ type Config struct {
 	// MaxUploadBytes caps one uploaded trace (<= 0: 256 MiB).
 	MaxUploadBytes int64
 	// Executor, when non-nil, replaces the in-process Categorize
-	// backend — pass a dist Master to categorize on remote workers.
+	// backend.
 	Executor engine.Executor
 	// Metrics, when non-nil, hosts the serve metrics; nil creates a
 	// private registry.
@@ -138,7 +138,6 @@ type Server struct {
 	log *slog.Logger
 
 	exec       engine.Executor
-	exExec     engine.ExplainExecutor // exec's explain capability; nil: plain Categorize
 	maxUpload  int64
 	queueCap   int
 	queue      chan ingestJob
@@ -215,13 +214,6 @@ func New(cfg Config) (*Server, error) {
 	if exec == nil {
 		exec = engine.Local{Workers: 1}
 	}
-	// Explanation collection is an opt-in executor capability, asserted
-	// once like the engine does per run: executors without it (the
-	// distributed master) categorize plainly and store no explanation.
-	var exExec engine.ExplainExecutor
-	if cfg.Explain {
-		exExec, _ = exec.(engine.ExplainExecutor)
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -235,7 +227,6 @@ func New(cfg Config) (*Server, error) {
 		fp:        analysis.Fingerprint(),
 		log:       cfg.Log,
 		exec:      exec,
-		exExec:    exExec,
 		maxUpload: maxUpload,
 		queueCap:  depth,
 		queue:     make(chan ingestJob, depth),

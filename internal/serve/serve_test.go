@@ -16,6 +16,7 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
@@ -276,6 +277,11 @@ func (b *blockingExec) Categorize(ctx context.Context, j *darshan.Job, cfg core.
 }
 
 func (b *blockingExec) Concurrency() int { return 1 }
+
+func (b *blockingExec) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, _ explain.Options) (*core.Result, *explain.Explanation, error) {
+	res, err := b.Categorize(ctx, j, cfg)
+	return res, nil, err
+}
 
 func TestServeBackpressure(t *testing.T) {
 	exec := &blockingExec{release: make(chan struct{}), inner: engine.Local{Workers: 1}}

@@ -63,8 +63,8 @@ func (s *Server) categorizeTrace(ctx context.Context, job *darshan.Job) (res *co
 	}
 	sp = reqtrace.StartLeaf(ctx, "categorize.exec")
 	defer sp.End()
-	if s.exExec != nil {
-		res, expl, err = s.exExec.CategorizeExplained(ctx, job, s.cfg, s.exOpts)
+	if s.explainOn {
+		res, expl, err = s.exec.CategorizeExplained(ctx, job, s.cfg, s.exOpts)
 	} else {
 		res, err = s.exec.Categorize(ctx, job, s.cfg)
 	}

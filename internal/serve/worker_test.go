@@ -9,12 +9,14 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
@@ -33,6 +35,9 @@ type failingExec struct{}
 
 func (failingExec) Categorize(context.Context, *darshan.Job, core.Config) (*core.Result, error) {
 	return nil, errors.New("executor down")
+}
+func (failingExec) CategorizeExplained(context.Context, *darshan.Job, core.Config, explain.Options) (*core.Result, *explain.Explanation, error) {
+	return nil, nil, errors.New("executor down")
 }
 func (failingExec) Concurrency() int { return 1 }
 
@@ -138,20 +143,52 @@ func sameJSON(t *testing.T, what string, a, b any) {
 	}
 }
 
-// TestWorkerPlainExecutorStoresNoExplanation: an executor without the
-// explain capability categorizes plainly even on an explain-enabled
-// server, as the engine's own capability check does.
-func TestWorkerPlainExecutorStoresNoExplanation(t *testing.T) {
-	plain := &blockingExec{release: make(chan struct{})}
-	close(plain.release)
-	s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, Explain: true, Executor: plain})
-	defer s.Shutdown(context.Background())
-	res, expl, evicted, err := s.categorizeTrace(context.Background(), testJob(960))
-	if err != nil || evicted != "" || res == nil {
-		t.Fatalf("res=%v evicted=%q err=%v", res, evicted, err)
-	}
-	if expl != nil {
-		t.Fatalf("plain executor produced an explanation: %+v", expl)
+// entryExec is engine.Local that counts calls to each of the Executor
+// contract's two categorization entry points.
+type entryExec struct {
+	engine.Local
+	plain, explained atomic.Int64
+}
+
+func (e *entryExec) Categorize(ctx context.Context, j *darshan.Job, cfg core.Config) (*core.Result, error) {
+	e.plain.Add(1)
+	return e.Local.Categorize(ctx, j, cfg)
+}
+
+func (e *entryExec) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, opts explain.Options) (*core.Result, *explain.Explanation, error) {
+	e.explained.Add(1)
+	return e.Local.CategorizeExplained(ctx, j, cfg, opts)
+}
+
+// TestWorkerExplainSelectsEntryPoint: Config.Explain alone decides
+// which method of any executor the worker calls, and an explain-enabled
+// server always gets an explanation back.
+func TestWorkerExplainSelectsEntryPoint(t *testing.T) {
+	for _, explainOn := range []bool{true, false} {
+		name := "plain"
+		if explainOn {
+			name = "explain"
+		}
+		t.Run(name, func(t *testing.T) {
+			exec := &entryExec{Local: engine.Local{Workers: 1}}
+			s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true, Explain: explainOn, Executor: exec})
+			defer s.Shutdown(context.Background())
+			res, expl, evicted, err := s.categorizeTrace(context.Background(), testJob(960))
+			if err != nil || evicted != "" || res == nil {
+				t.Fatalf("res=%v evicted=%q err=%v", res, evicted, err)
+			}
+			if (expl != nil) != explainOn {
+				t.Fatalf("explanation %v with Explain=%v", expl, explainOn)
+			}
+			wantPlain, wantExplained := int64(1), int64(0)
+			if explainOn {
+				wantPlain, wantExplained = 0, 1
+			}
+			if exec.plain.Load() != wantPlain || exec.explained.Load() != wantExplained {
+				t.Fatalf("Categorize called %d times, CategorizeExplained %d; want %d and %d",
+					exec.plain.Load(), exec.explained.Load(), wantPlain, wantExplained)
+			}
+		})
 	}
 }
 

@@ -10,15 +10,11 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/explain"
 )
 
-// CachingExecutor wraps any engine.Executor (the in-process Local
-// executor or the distributed Master) with the result store: before
-// categorizing a trace it looks up (content address, config
+// CachingExecutor wraps an engine.Executor with the result store:
+// before categorizing a trace it looks up (content address, config
 // fingerprint), and after a miss it persists the fresh result. This
 // is the warm-start path — repeat corpus runs over an unchanged
 // corpus under unchanged thresholds skip categorization entirely.
-//
-// The engine does not know the difference: caching plugs into the
-// same Categorize-stage seam as the distributed backend.
 type CachingExecutor struct {
 	store *Store
 	inner engine.Executor
@@ -71,22 +67,15 @@ func (e *CachingExecutor) Categorize(ctx context.Context, j *darshan.Job, cfg co
 	return res, nil
 }
 
-// CategorizeExplained implements engine.ExplainExecutor: a warm hit
-// requires both the result and its explanation to be stored; when the
-// result is present but the explanation is not (e.g. it was computed
-// before explanations existed, or with explain disabled), both are
-// recomputed and only the missing explanation is written back — the
-// stored result stays authoritative. Inner executors without the
-// ExplainExecutor capability degrade to the plain path with a nil
-// explanation.
+// CategorizeExplained implements engine.Executor: a warm hit requires
+// both the result and its explanation to be stored; when the result is
+// present but the explanation is not (e.g. it was computed before
+// explanations existed, or with explain disabled), both are recomputed
+// and only the missing explanation is written back — the stored result
+// stays authoritative.
 func (e *CachingExecutor) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, opts explain.Options) (*core.Result, *explain.Explanation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
-	}
-	ex, ok := e.inner.(engine.ExplainExecutor)
-	if !ok {
-		res, err := e.Categorize(ctx, j, cfg)
-		return res, nil, err
 	}
 	fp := cfg.Fingerprint()
 	id, data, err := TraceKey(j)
@@ -105,7 +94,7 @@ func (e *CachingExecutor) CategorizeExplained(ctx context.Context, j *darshan.Jo
 			return res, expl, nil
 		}
 	}
-	fresh, expl, err := ex.CategorizeExplained(ctx, j, cfg, opts)
+	fresh, expl, err := e.inner.CategorizeExplained(ctx, j, cfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,7 +126,4 @@ func (e *CachingExecutor) Hits() int64 { return e.hits.Load() }
 // Misses returns how many categorizations ran and were written back.
 func (e *CachingExecutor) Misses() int64 { return e.misses.Load() }
 
-var (
-	_ engine.Executor        = (*CachingExecutor)(nil)
-	_ engine.ExplainExecutor = (*CachingExecutor)(nil)
-)
+var _ engine.Executor = (*CachingExecutor)(nil)

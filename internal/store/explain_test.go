@@ -2,6 +2,8 @@ package store
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
@@ -9,6 +11,128 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
 )
+
+// innerExec is an inner executor that counts its calls and fails every
+// one of them when err is set.
+type innerExec struct {
+	engine.Local
+	err   error
+	calls atomic.Int64
+}
+
+func (e *innerExec) Categorize(ctx context.Context, j *darshan.Job, cfg core.Config) (*core.Result, error) {
+	e.calls.Add(1)
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.Local.Categorize(ctx, j, cfg)
+}
+
+func (e *innerExec) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, opts explain.Options) (*core.Result, *explain.Explanation, error) {
+	e.calls.Add(1)
+	if e.err != nil {
+		return nil, nil, e.err
+	}
+	return e.Local.CategorizeExplained(ctx, j, cfg, opts)
+}
+
+func openTestStore(t *testing.T) *Store {
+	t.Helper()
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestCachingExecutorConcurrencyDelegates: the store adds no
+// parallelism of its own; the engine sizes the stage by the inner
+// executor.
+func TestCachingExecutorConcurrencyDelegates(t *testing.T) {
+	s := openTestStore(t)
+	for _, w := range []int{0, 1, 7} {
+		if got := NewCachingExecutor(s, engine.Local{Workers: w}).Concurrency(); got != w {
+			t.Fatalf("Concurrency() = %d over Local{Workers: %d}", got, w)
+		}
+	}
+}
+
+// TestCachingExecutorExplainedInnerError: an inner failure on the
+// explained path is returned as is and leaves nothing in the store, so
+// the next call retries rather than serving a half-written record.
+func TestCachingExecutorExplainedInnerError(t *testing.T) {
+	s := openTestStore(t)
+	boom := errors.New("inner down")
+	inner := &innerExec{err: boom}
+	exec := NewCachingExecutor(s, inner)
+	exec.StoreTraces = true
+	cfg, j := core.DefaultConfig(), testJob(11)
+	res, expl, err := exec.CategorizeExplained(context.Background(), j, cfg, explain.Options{})
+	if !errors.Is(err, boom) || res != nil || expl != nil {
+		t.Fatalf("res=%v expl=%v err=%v, want the inner error", res, expl, err)
+	}
+	if exec.Hits() != 0 || exec.Misses() != 0 {
+		t.Fatalf("failed call counted: hits=%d misses=%d", exec.Hits(), exec.Misses())
+	}
+	id, _, err := TraceKey(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := s.GetResult(id, cfg.Fingerprint()); ok || s.HasExplanation(id, cfg.Fingerprint()) {
+		t.Fatal("a failed categorization was persisted")
+	}
+	if st := s.Stats(); st.Traces != 0 {
+		t.Fatalf("a failed categorization stored %d traces", st.Traces)
+	}
+	inner.err = nil
+	if _, expl, err := exec.CategorizeExplained(context.Background(), j, cfg, explain.Options{}); err != nil || expl == nil {
+		t.Fatalf("retry: expl=%v err=%v", expl, err)
+	}
+	if inner.calls.Load() != 2 || exec.Misses() != 1 {
+		t.Fatalf("retry did not reach the inner executor: calls=%d misses=%d", inner.calls.Load(), exec.Misses())
+	}
+}
+
+// TestCachingExecutorExplainedCancelled: a done context is answered
+// before the store or the inner executor is touched.
+func TestCachingExecutorExplainedCancelled(t *testing.T) {
+	inner := &innerExec{}
+	exec := NewCachingExecutor(openTestStore(t), inner)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, expl, err := exec.CategorizeExplained(ctx, testJob(12), core.DefaultConfig(), explain.Options{})
+	if !errors.Is(err, context.Canceled) || res != nil || expl != nil {
+		t.Fatalf("res=%v expl=%v err=%v, want context.Canceled", res, expl, err)
+	}
+	if inner.calls.Load() != 0 || exec.Misses() != 0 || exec.Hits() != 0 {
+		t.Fatalf("cancelled call did work: inner calls=%d hits=%d misses=%d", inner.calls.Load(), exec.Hits(), exec.Misses())
+	}
+}
+
+// TestCachingExecutorExplainedStoresTrace: with StoreTraces set, an
+// explained miss persists the trace blob beside its result and
+// explanation, as the plain path does.
+func TestCachingExecutorExplainedStoresTrace(t *testing.T) {
+	s := openTestStore(t)
+	exec := NewCachingExecutor(s, engine.Local{Workers: 1})
+	exec.StoreTraces = true
+	j := testJob(13)
+	if _, _, err := exec.CategorizeExplained(context.Background(), j, core.DefaultConfig(), explain.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := TraceKey(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, ok, err := s.GetTrace(id)
+	if err != nil || !ok {
+		t.Fatalf("trace not stored on an explained miss: ok=%v err=%v", ok, err)
+	}
+	if back.JobID != j.JobID {
+		t.Fatalf("stored trace is job %d, want %d", back.JobID, j.JobID)
+	}
+}
 
 func testExplained(t *testing.T, seed int) (*core.Result, *explain.Explanation) {
 	t.Helper()
@@ -188,34 +312,3 @@ func TestCachingExecutorBackfillsExplanation(t *testing.T) {
 		t.Fatalf("after backfill: hits=%d, want 1", exec.Hits())
 	}
 }
-
-func TestCachingExecutorExplainDegradesWithoutCapability(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	exec := NewCachingExecutor(s, noExplainExec{engine.Local{Workers: 1}})
-	res, expl, err := exec.CategorizeExplained(context.Background(), testJob(11), core.DefaultConfig(), explain.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil {
-		t.Fatal("no result from degraded path")
-	}
-	if expl != nil {
-		t.Fatal("capability-less inner executor produced an explanation")
-	}
-}
-
-// noExplainExec wraps Local but only exposes the plain Executor
-// interface, standing in for an executor (e.g. an old remote master)
-// that cannot collect evidence.
-type noExplainExec struct{ inner engine.Local }
-
-func (n noExplainExec) Categorize(ctx context.Context, j *darshan.Job, cfg core.Config) (*core.Result, error) {
-	return n.inner.Categorize(ctx, j, cfg)
-}
-
-func (n noExplainExec) Concurrency() int { return n.inner.Concurrency() }

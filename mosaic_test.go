@@ -3,6 +3,7 @@ package mosaic_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -192,11 +193,34 @@ func TestAnalyzeJobsMatchesTruthMostly(t *testing.T) {
 	}
 }
 
-func TestDistributedFacade(t *testing.T) {
-	// Covered in depth by internal/dist tests; here only the facade
-	// wiring: dial failure surfaces an error.
-	if _, err := mosaic.DialWorker("127.0.0.1:1"); err == nil {
-		t.Fatal("expected dial failure")
+// TestClusterFacade: the re-exported routing table places every key on
+// rf distinct members, owner first, whatever order the membership is
+// listed in.
+func TestClusterFacade(t *testing.T) {
+	if _, err := mosaic.NewClusterTable(nil, 0, 0); err == nil {
+		t.Fatal("empty membership accepted")
+	}
+	nodes := []mosaic.ClusterNode{{ID: "a", Addr: "h1:7070"}, {ID: "b", Addr: "h2:7070"}, {ID: "c", Addr: "h3:7070"}}
+	table, err := mosaic.NewClusterTable(nodes, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled, err := mosaic.NewClusterTable([]mosaic.ClusterNode{nodes[2], nodes[0], nodes[1]}, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.RF() != 2 || table.VirtualNodes() <= 0 || table.Version() != shuffled.Version() {
+		t.Fatalf("rf=%d vnodes=%d versions %x/%x", table.RF(), table.VirtualNodes(), table.Version(), shuffled.Version())
+	}
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprintf("trace-%d", i)
+		reps := table.Replicas(key)
+		if len(reps) != 2 || reps[0] == reps[1] || reps[0] != table.Owner(key) {
+			t.Fatalf("%s: replicas %v, owner %v", key, reps, table.Owner(key))
+		}
+		if other := shuffled.Replicas(key); other[0] != reps[0] || other[1] != reps[1] {
+			t.Fatalf("%s: placement depends on membership order: %v vs %v", key, reps, other)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/parallel"
 	"github.com/mosaic-hpc/mosaic/internal/report"
+	"github.com/mosaic-hpc/mosaic/internal/store"
 	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
@@ -30,9 +31,6 @@ type (
 	StageSnapshot = engine.StageSnapshot
 	// StageID names one pipeline stage.
 	StageID = engine.StageID
-	// Executor runs the Categorize stage; the distributed Master is an
-	// alternate implementation.
-	Executor = engine.Executor
 	// SpanObserver is the optional Observer extension receiving one
 	// completed span per item per stage.
 	SpanObserver = engine.SpanObserver
@@ -102,13 +100,10 @@ type Options struct {
 	Policy ErrorPolicy
 	// Observer, when non-nil, receives per-stage events (see NewStageStats).
 	Observer Observer
-	// Executor, when non-nil, replaces the in-process Categorize stage —
-	// pass a *Master to categorize on remote workers.
-	Executor Executor
 	// Store, when non-nil, warm-starts the Categorize stage from the
 	// result store: traces already analyzed under this Config's
 	// fingerprint are served from disk, fresh results are written back
-	// (see OpenStore). Composes with Executor — the store wraps it.
+	// (see OpenStore).
 	Store *Store
 	// Telemetry, when non-nil, instruments the run with metrics,
 	// per-trace spans and the slow-trace log (see NewTelemetry). It
@@ -137,21 +132,20 @@ func (o Options) engine() (engine.Options, *CachingExecutor) {
 			obs = o.Telemetry
 		}
 	}
-	exec := o.Executor
-	var ce *CachingExecutor
-	if o.Store != nil {
-		ce = cachingExecutor(o.Store, exec, o.Workers)
-		exec = ce
-	}
-	return engine.Options{
+	eo := engine.Options{
 		Config:         o.Config,
 		Workers:        o.Workers,
 		Policy:         o.Policy,
 		Observer:       obs,
-		Executor:       exec,
 		Explain:        o.Explain,
 		ExplainOptions: o.ExplainOptions,
-	}, ce
+	}
+	var ce *CachingExecutor
+	if o.Store != nil {
+		ce = store.NewCachingExecutor(o.Store, engine.Local{Workers: o.Workers})
+		eo.Executor = ce
+	}
+	return eo, ce
 }
 
 // finishRun flushes per-run telemetry: the engine gauges via

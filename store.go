@@ -1,9 +1,6 @@
 package mosaic
 
-import (
-	"github.com/mosaic-hpc/mosaic/internal/engine"
-	"github.com/mosaic-hpc/mosaic/internal/store"
-)
+import "github.com/mosaic-hpc/mosaic/internal/store"
 
 // Result store, re-exported. The store gives corpus analysis a durable
 // memory: traces are content-addressed (SHA-256 of their canonical
@@ -21,8 +18,8 @@ type (
 	StoreStats = store.Stats
 	// TraceID is the content address of a trace (SHA-256 hex digest).
 	TraceID = store.TraceID
-	// CachingExecutor wraps an Executor with store lookup/write-back;
-	// Options.Store installs one automatically.
+	// CachingExecutor wraps the in-process categorizer with store
+	// lookup/write-back; Options.Store installs one automatically.
 	CachingExecutor = store.CachingExecutor
 )
 
@@ -37,13 +34,3 @@ func OpenStoreOptions(dir string, o StoreOptions) (*Store, error) { return store
 // TraceKey computes the content address of a trace (and its canonical
 // binary encoding) without storing it.
 func TraceKey(j *Job) (TraceID, []byte, error) { return store.TraceKey(j) }
-
-// cachingExecutor wraps the pipeline's effective executor with the
-// store. Worker defaulting mirrors the engine: an explicit Executor
-// keeps its own concurrency, otherwise Local{Workers} is used.
-func cachingExecutor(s *store.Store, inner engine.Executor, workers int) *store.CachingExecutor {
-	if inner == nil {
-		inner = engine.Local{Workers: workers}
-	}
-	return store.NewCachingExecutor(s, inner)
-}
