@@ -623,7 +623,11 @@ func (c *cursor) record(r *FileRecord, prevReads, prevWrites []DXTEvent) (path p
 	return path, c.err == nil
 }
 
-func (c *cursor) decodeBody(j *Job) {
+// decodeBody decodes the body at the cursor into j. With summarize it
+// also returns the job's Summary, taken in the same record loop — what
+// Summarize(j) would answer without a second walk; without, the zero
+// Summary.
+func (c *cursor) decodeBody(j *Job, summarize bool) (s Summary) {
 	c.header(j)
 
 	nMeta := c.u32()
@@ -659,6 +663,9 @@ func (c *cursor) decodeBody(j *Job) {
 	if !c.checkCount(nRec, maxRecords, minRecordLen, "record") {
 		return
 	}
+	if summarize {
+		s = headSummary(j)
+	}
 	if nRec == 0 {
 		if j.Records != nil {
 			j.Records = j.Records[:0]
@@ -681,6 +688,9 @@ func (c *cursor) decodeBody(j *Job) {
 		if !ok {
 			return
 		}
+		if summarize {
+			s.addRecord(r, i, j.Runtime)
+		}
 		c.st.paths = append(c.st.paths, sp)
 		pathBytes += sp.n
 	}
@@ -688,9 +698,10 @@ func (c *cursor) decodeBody(j *Job) {
 	arena.Grow(pathBytes)
 	for i, sp := range c.st.paths {
 		arena.Write(c.data[sp.off : sp.off+sp.n])
-		s := arena.String()
-		j.Records[i].Path = s[len(s)-sp.n:]
+		all := arena.String()
+		j.Records[i].Path = all[len(all)-sp.n:]
 	}
+	return s
 }
 
 // inspectBody is decodeBody for a reader that wants the funnel's view of
@@ -720,7 +731,7 @@ func (c *cursor) inspectBody() Summary {
 	if !c.checkCount(nRec, maxRecords, minRecordLen, "record") {
 		return Summary{}
 	}
-	s := Summary{User: hdr.User, App: hdr.AppName(), Invalid: validateHeader(&hdr)}
+	s := headSummary(&hdr)
 	st := c.st
 	var r FileRecord
 	for i := 0; i < int(nRec); i++ {
@@ -733,10 +744,7 @@ func (c *cursor) inspectBody() Summary {
 		if cap(r.DXTWrites) > cap(st.dxtWrites) {
 			st.dxtWrites = r.DXTWrites[:0]
 		}
-		if s.Invalid == nil {
-			s.Invalid = validateRecord(&r, i, hdr.Runtime)
-		}
-		s.Weight = addWeight(s.Weight, r.C.Weight())
+		s.addRecord(&r, i, hdr.Runtime)
 	}
 	return s
 }
@@ -782,7 +790,8 @@ func DecodeInto(j *Job, data []byte) error {
 func DecodeCanonical(j *Job, data []byte) (canonical bool, err error) {
 	st := decodeStatePool.Get().(*decodeState)
 	defer putDecodeState(st)
-	return st.decode(j, data)
+	canonical, _, err = st.decode(j, data, false)
+	return canonical, err
 }
 
 // ErrPreludeMismatch marks a version-3 file whose prelude is not the
@@ -799,25 +808,27 @@ func (ct *container) check(got Summary) error {
 	return fmt.Errorf("%w: it claims %s, the body holds %s", ErrPreludeMismatch, ct.claim.describe(), got.describe())
 }
 
-func (st *decodeState) decode(j *Job, data []byte) (canonical bool, err error) {
+// decode is DecodeCanonical that, with summarize, also returns the
+// decoded job's Summary. The summary is taken in decodeBody's record
+// loop whenever it is wanted or the container claims one to check it
+// against; an unclaimed body decoded without summarize is not summarized.
+func (st *decodeState) decode(j *Job, data []byte, summarize bool) (canonical bool, s Summary, err error) {
 	ct, err := st.open(data)
 	if err != nil {
-		return false, err
+		return false, Summary{}, err
 	}
 	c, err := st.body(data, &ct)
 	if err != nil {
-		return false, err
+		return false, Summary{}, err
 	}
-	c.decodeBody(j)
+	s = c.decodeBody(j, summarize || ct.claimed)
 	if err := c.end(); err != nil {
-		return false, err
+		return false, Summary{}, err
 	}
-	if ct.claimed { // Summarize walks the records once more: only for a claim
-		if err := ct.check(Summarize(j)); err != nil {
-			return false, err
-		}
+	if err := ct.check(s); err != nil {
+		return false, Summary{}, err
 	}
-	return ct.version == FormatVersion && ct.flags == 0 && !c.noncanon, nil
+	return ct.version == FormatVersion && ct.flags == 0 && !c.noncanon, s, nil
 }
 
 // container is an encoded trace taken apart and checked, nothing of it
@@ -950,11 +961,14 @@ func fileBytes(f *os.File, fn func(data []byte) error) error {
 	return err
 }
 
-// readBinaryFile decodes one .mosd file.
-func readBinaryFile(f *os.File) (j *Job, err error) {
+// readBinaryFile decodes one .mosd file into j and, with summarize,
+// returns its Summary.
+func readBinaryFile(j *Job, f *os.File, summarize bool) (s Summary, err error) {
+	st := decodeStatePool.Get().(*decodeState)
+	defer putDecodeState(st)
 	err = fileBytes(f, func(data []byte) (err error) {
-		j, err = UnmarshalBinary(data)
+		_, s, err = st.decode(j, data, summarize)
 		return err
 	})
-	return j, err
+	return s, err
 }

@@ -22,19 +22,48 @@ const (
 
 // ReadFile loads a single trace, dispatching on the file extension.
 func ReadFile(path string) (*Job, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	j := new(Job)
+	if _, err := readFile(j, path, false); err != nil {
 		return nil, err
 	}
+	return j, nil
+}
+
+// ReadFileInto loads a single trace into j, dispatching on the file
+// extension, and returns its Summary. A .mosd file is decoded as
+// DecodeInto decodes it — into j's own storage, its Metadata map
+// included, and with the summary taken in the decoder's record walk,
+// where a prelude is also checked against it — so a caller that reads
+// many files through one Job allocates little beyond the record paths.
+// The text formats are parsed into a new job that replaces *j. On error
+// j's contents are unspecified.
+func ReadFileInto(j *Job, path string) (Summary, error) { return readFile(j, path, true) }
+
+// readFile is ReadFileInto that takes the Summary only with summarize or
+// where a prelude must be checked against it: ReadFile has no use for it.
+func readFile(j *Job, path string, summarize bool) (Summary, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Summary{}, err
+	}
 	defer f.Close()
+	var parsed *Job
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ExtJSON:
-		return ReadJSON(f)
+		parsed, err = ReadJSON(f)
 	case ExtText:
-		return ReadParserText(f)
+		parsed, err = ReadParserText(f)
 	default:
-		return readBinaryFile(f)
+		return readBinaryFile(j, f, summarize)
 	}
+	if err != nil {
+		return Summary{}, err
+	}
+	*j = *parsed
+	if !summarize {
+		return Summary{}, nil
+	}
+	return Summarize(j), nil
 }
 
 // WriteFile stores a trace, dispatching on the file extension.

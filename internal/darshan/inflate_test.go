@@ -591,7 +591,7 @@ func TestInternTableSurvivesManyPaths(t *testing.T) {
 		j    *Job
 		blob []byte
 	}{{&first, laterBlob}, {&filler, wideBlob}, {&second, laterBlob}} {
-		if _, err := st.decode(step.j, step.blob); err != nil {
+		if _, _, err := st.decode(step.j, step.blob, false); err != nil {
 			t.Fatal(err)
 		}
 	}

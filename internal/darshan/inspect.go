@@ -56,7 +56,29 @@ func Summarize(j *Job) Summary {
 	if j == nil {
 		return Summary{Invalid: Validate(j)}
 	}
-	return Summary{User: j.User, App: j.AppName(), Weight: j.Weight(), Invalid: Validate(j)}
+	s := headSummary(j)
+	for i := range j.Records {
+		s.addRecord(&j.Records[i], i, j.Runtime)
+	}
+	return s
+}
+
+// headSummary is the summary of a job with no records yet: its user and
+// application, and validateHeader's verdict. Every summary — Summarize,
+// the decoder's, the in-buffer walk's — starts here and takes the records
+// in order through addRecord, so the three cannot differ.
+func headSummary(j *Job) Summary {
+	return Summary{User: j.User, App: j.AppName(), Invalid: validateHeader(j)}
+}
+
+// addRecord adds record i of a job of the given runtime: its weight to
+// the saturating sum (Job.Weight), and its validateRecord verdict unless
+// an earlier fault was found (Validate: the first fault wins).
+func (s *Summary) addRecord(r *FileRecord, i int, runtime float64) {
+	if s.Invalid == nil {
+		s.Invalid = validateRecord(r, i, runtime)
+	}
+	s.Weight = addWeight(s.Weight, r.C.Weight())
 }
 
 // InspectBinary is Summarize(UnmarshalBinary(data)) without the job. It
@@ -114,11 +136,7 @@ func WalkFile(path string) (Summary, error) { return inspectFile(path, WalkBinar
 func inspectFile(path string, binary func([]byte) (Summary, error)) (s Summary, err error) {
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ExtJSON, ExtText:
-		j, err := ReadFile(path)
-		if err != nil {
-			return Summary{}, err
-		}
-		return Summarize(j), nil
+		return ReadFileInto(new(Job), path)
 	}
 	f, err := os.Open(path)
 	if err != nil {

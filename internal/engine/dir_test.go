@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -449,5 +451,138 @@ func TestTraceChangedBetweenPasses(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDirReusesWorkerJob reads every kept run of a directory through one
+// Categorize worker, hence one job, in an order that makes each read
+// undo the last: large and small record counts alternate, so do DXT and
+// aggregate-only traces and traces with and without metadata, and one run
+// is a JSON file. Results, explanations and the funnel must be those of
+// the same traces handed over as in-memory jobs.
+func TestDirReusesWorkerJob(t *testing.T) {
+	checkpointer, _ := gen.ArchetypeByName("checkpointer-minute")
+	quiet, _ := gen.ArchetypeByName("quiet")
+	dxt := gen.DXTCheckpointerArchetype(true)
+	runs := []struct {
+		arch  gen.Archetype
+		small bool // cut to its first three records
+		meta  bool
+		ext   string
+	}{
+		{checkpointer, false, true, darshan.ExtBinary},
+		{quiet, true, false, darshan.ExtBinary},
+		{dxt, false, true, darshan.ExtBinary},
+		{dxt, true, false, darshan.ExtBinary},
+		{dxt, false, false, darshan.ExtJSON},
+		{checkpointer, true, true, darshan.ExtBinary},
+		{checkpointer, false, false, darshan.ExtBinary},
+		{dxt, true, true, darshan.ExtBinary},
+		{quiet, false, true, darshan.ExtBinary},
+	}
+	dir := t.TempDir()
+	var jobs []*darshan.Job
+	for i, r := range runs {
+		rng := rand.New(rand.NewSource(int64(40 + i)))
+		p := r.arch.Params(rng)
+		b := gen.NewBuilder(rng, fmt.Sprintf("u%02d", i), r.arch.Exe, uint64(i+1), p.Ranks, p.RuntimeBase)
+		r.arch.Build(b, p)
+		j := b.Job()
+		if r.small && len(j.Records) > 3 {
+			j.Records = j.Records[:3]
+		}
+		if !r.meta {
+			j.Metadata = nil
+		}
+		if err := darshan.Validate(j); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if err := darshan.WriteFile(filepath.Join(dir, fmt.Sprintf("t%02d%s", i, r.ext)), j); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	opts := Options{Workers: 1, Explain: true}
+	fromDir, err := Run(context.Background(), Dir(dir), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromJobs, err := Run(context.Background(), Jobs(jobs), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromDir.Apps) != len(runs) {
+		t.Fatalf("%d apps, want every one of the %d runs kept", len(fromDir.Apps), len(runs))
+	}
+	sameAnswer(t, fromDir, fromJobs)
+	for i, a := range fromDir.Apps {
+		got, err := json.Marshal(a.Explanation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(fromJobs.Apps[i].Explanation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("app %s/%s: explanation differs:\n%s\n%s", a.User, a.App, got, want)
+		}
+	}
+}
+
+// TestResultOutlivesItsJob holds a result to what it said when it was
+// made after its worker's job has been read into again: nothing of it —
+// Truth above all, a map the decoder refills in place — may change.
+func TestResultOutlivesItsJob(t *testing.T) {
+	dir := t.TempDir()
+	var groups []*core.AppGroup
+	for i, name := range []string{"checkpointer-minute", "metastorm"} {
+		arch, _ := gen.ArchetypeByName(name)
+		rng := rand.New(rand.NewSource(int64(3 + i)))
+		p := arch.Params(rng)
+		b := gen.NewBuilder(rng, "u1", arch.Exe, uint64(i+1), p.Ranks, p.RuntimeBase)
+		arch.Build(b, p)
+		path := filepath.Join(dir, name+darshan.ExtBinary)
+		if err := darshan.WriteFile(path, b.Job()); err != nil {
+			t.Fatal(err)
+		}
+		s, err := darshan.InspectFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, &core.AppGroup{User: s.User, App: s.App, Path: path, Weight: s.Weight})
+	}
+	var own darshan.Job
+	if err := materialize(&own, groups[0]); err != nil {
+		t.Fatal(err)
+	}
+	res, exp, err := core.CategorizeExplained(&own, core.DefaultConfig(), explain.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() []byte {
+		out, err := core.AppendResultJSON(nil, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := json.Marshal(exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(out, e...)
+	}
+	before := snapshot()
+	truth := res.Truth[gen.TruthKey]
+	if truth == "" {
+		t.Fatal("the first trace carries no truth: the test cannot see the map")
+	}
+	if err := materialize(&own, groups[1]); err != nil {
+		t.Fatal(err)
+	}
+	if own.Metadata[gen.TruthKey] == truth {
+		t.Fatalf("both traces carry truth %q: the test cannot tell them apart", truth)
+	}
+	if after := snapshot(); !bytes.Equal(after, before) {
+		t.Fatalf("the first result changed when the second trace was read into its job:\nbefore %s\nafter  %s", before, after)
 	}
 }

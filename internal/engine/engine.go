@@ -10,9 +10,10 @@
 // deduplicates those summaries and remembers only where each
 // application's heaviest run is. The second materializes: once the corpus
 // has been seen, the Categorize workers read the surviving groups' files
-// — the paper's 5 % — into jobs, one per worker at a time, and let each
-// go when it has been categorized. Memory is O(workers) buffers during
-// the scan and O(workers) jobs after it, whatever the corpus size.
+// — the paper's 5 % — each into the one job it owns for the run, reused
+// from kept run to kept run and never queued. Memory is O(workers)
+// buffers during the scan and O(workers) jobs after it, whatever the
+// corpus size.
 //
 // A prelude is a hint that is always checked for what is kept: reading a
 // kept run decodes, validates and compares it with its prelude. One that
@@ -78,23 +79,24 @@ func (t scanned) name() string {
 var ErrTraceChanged = errors.New("trace changed during the run")
 
 // materialize reads the heaviest run of a group the funnel kept from
-// its file. The funnel decided on what InspectFile saw there; the job is
-// handed on only if it still summarizes to that, so nothing is ever
-// categorized that was not validated.
-func materialize(g *core.AppGroup) (*darshan.Job, error) {
-	j, err := darshan.ReadFile(g.Path)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w: %w", g.Path, ErrTraceChanged, err)
-	}
-	s := darshan.Summarize(j)
+// its file into j, a Categorize worker's own job. The funnel decided on
+// what InspectFile saw there; the job is handed on only if the summary
+// the decoder took of it is still that, so nothing is ever categorized
+// that was not validated. The decoder refills a Metadata map in place, and
+// a core.Result keeps the map as its Truth: each run gets a map of its own.
+func materialize(j *darshan.Job, g *core.AppGroup) error {
+	j.Metadata = nil
+	s, err := darshan.ReadFileInto(j, g.Path)
 	switch {
+	case err != nil:
+		return fmt.Errorf("%s: %w: %w", g.Path, ErrTraceChanged, err)
 	case s.Invalid != nil:
-		return nil, fmt.Errorf("%s: %w: %v", g.Path, ErrTraceChanged, s.Invalid)
+		return fmt.Errorf("%s: %w: %v", g.Path, ErrTraceChanged, s.Invalid)
 	case s.User != g.User || s.App != g.App || s.Weight != g.Weight:
-		return nil, fmt.Errorf("%s: %w: now %s/%s of weight %d, was of weight %d",
+		return fmt.Errorf("%s: %w: now %s/%s of weight %d, was of weight %d",
 			g.Path, ErrTraceChanged, s.User, s.App, s.Weight, g.Weight)
 	}
-	return j, nil
+	return nil
 }
 
 // ErrorPolicy selects how the pipeline reacts to per-item errors
@@ -373,9 +375,11 @@ func attempt(ctx context.Context, src Source, opts Options, trust bool) (*Result
 	}()
 
 	// Stage 4: Categorize — the pluggable executor stage. A group whose
-	// heaviest run is a file gets its job here, for the length of one
-	// categorization; that read is decode work and is timed as a Decode
-	// item span, while the stage counters stay one item per trace scanned.
+	// heaviest run is a file is read here, into the worker's own job, which
+	// the next such group overwrites, all but the Metadata map a result
+	// may keep (materialize). That read is decode work and is timed as a
+	// Decode item span, while the stage counters stay one item per trace
+	// scanned.
 	catWorkers := exec.Concurrency()
 	if catWorkers <= 0 {
 		catWorkers = workers
@@ -393,6 +397,7 @@ func attempt(ctx context.Context, src Source, opts Options, trust bool) (*Result
 		go func() {
 			defer wg.Done()
 			defer catWG.Done()
+			var own darshan.Job
 			for {
 				select {
 				case ig, ok := <-groups:
@@ -409,7 +414,8 @@ func attempt(ctx context.Context, src Source, opts Options, trust bool) (*Result
 					var expl *explain.Explanation
 					var err error
 					if job == nil {
-						job, err = materialize(ig.g)
+						job = &own
+						err = materialize(job, ig.g)
 						if span != nil {
 							now := time.Now()
 							span.ItemSpan(StageDecode, ig.g.Path, start, now.Sub(start))

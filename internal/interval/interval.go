@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Interval is a half-open time span [Start, End) with an associated byte
@@ -89,8 +91,75 @@ func (iv Interval) String() string {
 	return fmt.Sprintf("[%.3fs, %.3fs) %dB %dmeta", iv.Start, iv.End, iv.Bytes, iv.Meta)
 }
 
-// SortByStart sorts intervals in place by (Start, End).
-func SortByStart(ivs []Interval) { slices.SortFunc(ivs, byStart) }
+// SortByStart sorts intervals in place by (Start, End), into the order
+// slices.SortFunc(ivs, byStart) gives them, up to intervals that tie on
+// both. It sorts one word per interval with slices.Sort — orderKey(Start)
+// with its low bits given over to the interval's index — moves every
+// interval once to the place of its word, and then puts each run of words
+// with equal keys, equal Starts among them, in (Start, End) order:
+// mergeConcurrent fuses [s,s] with [s,e] only in that order.
+func SortByStart(ivs []Interval) {
+	n := len(ivs)
+	if n < 2 {
+		return
+	}
+	wp := wordPool.Get().(*[]uint64)
+	words := slices.Grow((*wp)[:0], n)[:n]
+	idxBits := bits.Len(uint(n - 1))
+	index := uint64(1)<<idxBits - 1
+	for i := range ivs {
+		words[i] = orderKey(ivs[i].Start)&^index | uint64(i)
+	}
+	slices.Sort(words)
+	// ivs[i] takes the interval at index(words[i]). Following each cycle of
+	// that permutation moves every interval once; a word whose index is
+	// its own position is in place.
+	for i := range words {
+		if words[i]&index == uint64(i) {
+			continue
+		}
+		held := ivs[i]
+		j := i
+		for {
+			k := int(words[j] & index)
+			words[j] = words[j]&^index | uint64(j)
+			if k == i {
+				ivs[j] = held
+				break
+			}
+			ivs[j] = ivs[k]
+			j = k
+		}
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && words[j]&^index == words[i]&^index {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(ivs[i:j], byStart)
+		}
+		i = j
+	}
+	*wp = words
+	wordPool.Put(wp)
+}
+
+// wordPool holds SortByStart's words, 8 bytes per interval.
+var wordPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// orderKey maps a float64 to a uint64 that orders as the float does
+// under <: the sign bit flipped on non-negatives, every bit on
+// negatives. −0 is taken as +0 first, since the two compare equal. NaNs
+// land above +Inf (sign clear) or below −Inf (sign set); no comparison
+// sort gives them a place.
+func orderKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b == 1<<63 {
+		b = 0
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
 
 // byStart orders by (Start, End) with plain comparisons.
 func byStart(a, b Interval) int {
