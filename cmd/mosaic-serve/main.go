@@ -106,7 +106,7 @@ func main() {
 		workers      = flag.Int("workers", 2, "ingest workers draining the categorization queue")
 		queueDepth   = flag.Int("queue", 256, "ingest queue depth; a full queue answers 429")
 		maxUploadMB  = flag.Int64("max-upload-mb", 256, "largest accepted trace upload in MiB")
-		cacheMB      = flag.Int64("cache-mb", 32, "store read-cache budget in MiB (0 disables)")
+		cacheMB      = flag.Int64("cache-mb", 32, "store read-cache budget in MiB; reads of results and explanations fill it, writes do not (0 disables)")
 		syncWrites   = flag.Bool("sync", false, "fsync the store after every append (durable but slow)")
 		debugAddr    = flag.String("debug-addr", "", "serve engine metrics, spans and pprof on this address (empty: disabled)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to finish queued traces on shutdown")

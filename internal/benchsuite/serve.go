@@ -39,8 +39,9 @@ import (
 
 // ServeIngestWarm measures one warm cache-hit ingest per iteration
 // through the full serve handler chain — request-ID middleware, trace
-// middleware (or its identity twin), sniff, decode, content addressing,
-// stored-result lookup, JSON response — with no network and no fsync in
+// middleware (or its identity twin), sniff, canonical walk, content
+// addressing, stored-result lookup, JSON response — no decode, since a
+// cached trace never becomes a job — with no network and no fsync in
 // the way, so the traced/untraced delta is the tracing layer itself.
 // ServeIngestObserved measures the same warm cache-hit ingest with the
 // full cluster observability plane on versus off. On: the event
@@ -127,11 +128,13 @@ func (instantExec) Concurrency() int { return 1 }
 
 // ServeIngestFresh measures one never-seen canonical single-trace POST
 // per iteration through the full handler chain: the sized body read,
-// one decode, one SHA-256 pass, one copy into the store's staging
-// buffer, the append, the enqueue and the JSON answer — the write path
-// a collector's raw MarshalBinary upload takes. Its B/op is the
-// allocation budget of that path (the upload itself is ≈45 KB; a second
-// copy of it anywhere shows). Categorization is stubbed out and the loop
+// one canonical walk, one SHA-256 pass, one copy into the store's
+// staging buffer, the append, the enqueue of the ID and the JSON answer —
+// the write path a collector's raw MarshalBinary upload takes — plus,
+// on the workers, the read of the stored blob and its decode into each
+// worker's own job. Its B/op is the allocation budget of that path (the
+// upload itself is ≈45 KB; a second copy of it anywhere shows, and so
+// does a job built per upload). Categorization is stubbed out and the loop
 // yields while the two workers are behind, so the bounded queue never
 // answers 429. Distinct content per iteration comes from rewriting the
 // JobID bytes in place, as IngestStoreAppend does; every freshEpoch
@@ -393,8 +396,8 @@ func ServeResult(hot bool) func(b *testing.B) {
 }
 
 // StorePutResult measures one Store.PutResult per iteration — encode the
-// result as it will be served, frame it, append it, index it, leave it
-// in the read cache — without fsync, over the corpus results
+// result as it will be served, frame it, append it, index it (the read
+// cache admits nothing on a write) — without fsync, over the corpus results
 // (BenchmarkStore/put_result). This is the write side of the served
 // form: it has to stay under what json.Marshal of the compact document
 // cost.

@@ -79,21 +79,12 @@ func NewPreprocessor() *Preprocessor {
 
 // EvictionReason is the funnel's validity rule for one trace: "" when
 // the trace is valid, otherwise the FunnelStats.ByReason key it is
-// evicted under. readErr, when non-nil, is the error that prevented
-// decoding the trace (decode failures count as corrupted). Callers that
-// analyze a single trace outside a Preprocessor (the serve worker) apply
-// this same rule.
-func EvictionReason(j *darshan.Job, readErr error) string {
-	var invalid error
-	if readErr == nil {
-		invalid = darshan.Validate(j)
-	}
-	return evictionReason(invalid, readErr)
-}
-
-// evictionReason maps a trace's read error and validation verdict
-// (darshan.Summary.Invalid) to its ByReason key.
-func evictionReason(invalid, readErr error) string {
+// evicted under. invalid is the trace's validation verdict
+// (darshan.Summary.Invalid); readErr, when non-nil, is the error that
+// prevented reading the trace (read failures count as corrupted).
+// Callers that analyze a single trace outside a Preprocessor (the serve
+// worker) apply this same rule.
+func EvictionReason(invalid, readErr error) string {
 	if readErr != nil {
 		return "unreadable"
 	}
@@ -125,7 +116,7 @@ func (p *Preprocessor) Add(j *darshan.Job, readErr error) bool {
 // a file that was inspected, never decoded).
 func (p *Preprocessor) AddSummary(s darshan.Summary, readErr error, path string, j *darshan.Job) bool {
 	p.stats.Total++
-	if reason := evictionReason(s.Invalid, readErr); reason != "" {
+	if reason := EvictionReason(s.Invalid, readErr); reason != "" {
 		p.stats.Corrupted++
 		p.stats.ByReason[reason]++
 		return false

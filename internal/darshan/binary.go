@@ -582,7 +582,8 @@ func (c *cursor) header(j *Job) {
 // path, whose place in the body it returns — reusing the capacity of
 // prevReads and prevWrites for the DXT lists. It is the one record walk:
 // decodeBody and inspectBody both call it, so a record is malformed for
-// one exactly when it is for the other, with the same error.
+// one exactly when it is for the other, with the same error. walkBody
+// takes its steps without it (see there).
 func (c *cursor) record(r *FileRecord, prevReads, prevWrites []DXTEvent) (path pathSpan, ok bool) {
 	m := c.u32()
 	if m > math.MaxUint8 {
@@ -749,6 +750,71 @@ func (c *cursor) inspectBody() Summary {
 	return s
 }
 
+// walkBody is decodeBody for a reader that wants to know whether the body
+// decodes, and to what canonical verdict, and not the trace: the same
+// cursor methods make the same count, limit and truncation checks in the
+// same order — so a body is malformed for it exactly when it is for
+// decodeBody, with the same error, and non-canonical exactly when it is
+// there — but no field is kept, no string interned and the DXT events
+// are stepped over. It returns the record count and allocates nothing.
+// The record steps are record's, written out rather than shared: a
+// shared helper is a call per record the decoder does not inline, ≈ 7 %
+// of a warm decode (FuzzWalkCanonical holds the two to one answer).
+func (c *cursor) walkBody() (records int) {
+	c.u64()  // JobID
+	c.u32()  // UID
+	c.span() // User
+	c.span() // Exe
+	c.u32()  // NProcs
+	c.u64()  // Start
+	c.u64()  // End
+	c.u64()  // Runtime
+
+	nMeta := c.u32()
+	if !c.checkCount(nMeta, maxMetaPairs, minMetaPairLen, "metadata pair") {
+		return 0
+	}
+	var prev []byte
+	for i := uint32(0); i < nMeta; i++ {
+		k := c.span()
+		c.span()
+		if c.err != nil {
+			return 0
+		}
+		if i > 0 && string(k) <= string(prev) {
+			c.noncanon = true
+		}
+		prev = k
+	}
+
+	nRec := c.u32()
+	if !c.checkCount(nRec, maxRecords, minRecordLen, "record") {
+		return 0
+	}
+	for i := uint32(0); i < nRec; i++ {
+		if c.u32() > math.MaxUint8 { // module
+			c.noncanon = true
+		}
+		n := c.u32() // path length
+		if c.err == nil && n > maxStringLen {
+			c.fail(fmt.Errorf("darshan: string length %d exceeds limit", n))
+		}
+		if !c.need(int(n) + recordTailLen) {
+			return 0
+		}
+		c.off += int(n) + recordTailLen
+		for range 2 { // the DXT read and write lists
+			if m := c.u32(); c.checkCount(m, maxDXTPerList, dxtEventLen, "DXT list") {
+				c.off += int(m) * dxtEventLen
+			}
+		}
+		if c.err != nil {
+			return 0
+		}
+	}
+	return int(nRec)
+}
+
 // end reports how the walk over the body finished: the first cursor
 // failure, or the bytes left over after a body that parsed.
 func (c *cursor) end() error {
@@ -792,6 +858,38 @@ func DecodeCanonical(j *Job, data []byte) (canonical bool, err error) {
 	defer putDecodeState(st)
 	canonical, _, err = st.decode(j, data, false)
 	return canonical, err
+}
+
+// DecodeSummarized is DecodeInto that also returns the decoded job's
+// Summary, taken in the decoder's record walk: what Summarize(j) answers,
+// without a second walk over the records.
+func DecodeSummarized(j *Job, data []byte) (Summary, error) {
+	st := decodeStatePool.Get().(*decodeState)
+	defer putDecodeState(st)
+	_, s, err := st.decode(j, data, true)
+	return s, err
+}
+
+// WalkCanonical is DecodeCanonical without the job, for a raw
+// current-version body — the header MarshalBinary writes, FormatVersion
+// with no flag bit: it walks the body through the decoder's checks
+// (walkBody) and returns what DecodeCanonical would — its error, its
+// verdict and, as records, len(j.Records) — allocating nothing. Any other
+// input (a version-3 file, a flagged or compressed body, a foreign or
+// short header) is never canonical, and only the decoder can say whether
+// it is readable: WalkCanonical answers false, 0 and no error without
+// reading past the header.
+func WalkCanonical(data []byte) (canonical bool, records int, err error) {
+	if len(data) < headerLen || [4]byte(data[:4]) != Magic ||
+		binary.LittleEndian.Uint16(data[4:6]) != FormatVersion || binary.LittleEndian.Uint16(data[6:8]) != 0 {
+		return false, 0, nil
+	}
+	c := cursor{data: data[headerLen:]}
+	records = c.walkBody()
+	if err := c.end(); err != nil {
+		return false, 0, err
+	}
+	return !c.noncanon, records, nil
 }
 
 // ErrPreludeMismatch marks a version-3 file whose prelude is not the

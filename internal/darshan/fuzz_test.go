@@ -303,19 +303,52 @@ func claimsSummary(data []byte) bool {
 	return len(data) > headerLen && binary.LittleEndian.Uint16(data[4:]) == fileFormatVersion && data[headerLen] == summaryRules
 }
 
-// inspectAgrees holds the funnel's two reads to the decoder on one input.
-// WalkBinary is the decoder without the job: both fail, with the same
-// error, or it returns the summary of the job the decoder returns.
+// rawCurrent reports whether data has the header MarshalBinary writes:
+// the inputs WalkCanonical walks.
+func rawCurrent(data []byte) bool {
+	return len(data) >= headerLen && [4]byte(data[:4]) == Magic &&
+		binary.LittleEndian.Uint16(data[4:]) == FormatVersion && binary.LittleEndian.Uint16(data[6:]) == 0
+}
+
+func sameErr(a, b error) bool { return a != nil && b != nil && a.Error() == b.Error() }
+
+// walkAgrees holds WalkCanonical to the decoder on one input: on a raw
+// current-version body the same error or, when it decodes, the same
+// canonical verdict and record count; on anything else false, 0 and no
+// error. j, canonical and derr are what DecodeCanonical made of data.
+func walkAgrees(tb testing.TB, name string, data []byte, j *Job, canonical bool, derr error) {
+	tb.Helper()
+	wc, wn, werr := WalkCanonical(data)
+	switch {
+	case !rawCurrent(data):
+		if wc || wn != 0 || werr != nil {
+			tb.Fatalf("%s: WalkCanonical walked what is not a raw current-version body: %v, %d, %v", name, wc, wn, werr)
+		}
+	case derr != nil || werr != nil:
+		if !sameErr(derr, werr) {
+			tb.Fatalf("%s: WalkCanonical: %v; DecodeCanonical: %v", name, werr, derr)
+		}
+	case wc != canonical || wn != len(j.Records):
+		tb.Fatalf("%s: WalkCanonical: canonical %v, %d records; DecodeCanonical: canonical %v, %d records",
+			name, wc, wn, canonical, len(j.Records))
+	}
+}
+
+// inspectAgrees holds the reads that make no job to the decoder on one
+// input. WalkBinary is the decoder without the job: both fail, with the
+// same error, or it returns the summary of the job the decoder returns.
 // InspectBinary is that too — if it fails the decoder fails the same way,
 // if the decoder succeeds it succeeds with that summary — except that it
 // may accept what the decoder refuses, and then only a version-3 file
-// under the current rules, whose prelude it believed.
+// under the current rules, whose prelude it believed. WalkCanonical is
+// held to walkAgrees.
 func inspectAgrees(tb testing.TB, name string, data []byte) {
 	tb.Helper()
-	j, derr := UnmarshalBinary(data)
+	j := new(Job)
+	canonical, derr := DecodeCanonical(j, data)
+	walkAgrees(tb, name, data, j, canonical, derr)
 	w, werr := WalkBinary(data)
 	s, ierr := InspectBinary(data)
-	sameErr := func(a, b error) bool { return a != nil && b != nil && a.Error() == b.Error() }
 	if derr != nil || werr != nil {
 		if !sameErr(derr, werr) {
 			tb.Fatalf("%s: WalkBinary: %v; UnmarshalBinary: %v", name, werr, derr)
@@ -340,7 +373,8 @@ func inspectAgrees(tb testing.TB, name string, data []byte) {
 // TestInspectFailsAsDecodeDoes: cut anywhere (the prelude at every
 // length), patched to be non-canonical, lying about a count or lying in
 // its prelude, an encoding is held to inspectAgrees — and a lying count
-// buys no allocation.
+// buys no allocation. The raw seeds, cut at every length, and the
+// non-canonical ones are what WalkCanonical walks.
 func TestInspectFailsAsDecodeDoes(t *testing.T) {
 	for i, s := range fuzzSeeds(t) {
 		for cut := 0; cut <= len(s); cut++ {
@@ -406,6 +440,43 @@ func FuzzInspectBinary(f *testing.F) {
 		// size only as far as the bytes present could reach.
 		if grew, allowed := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+2048*len(data)); grew > allowed {
 			t.Fatalf("inspecting %d bytes allocated %d", len(data), grew)
+		}
+	})
+}
+
+// FuzzWalkCanonical: on any bytes at all, WalkCanonical agrees with the
+// decoder as walkAgrees says, and a walk that succeeds allocates nothing
+// (a failed one allocates its error, nothing that grows with the claim).
+// Plain `go test` holds every seed — DXT lists, unsorted metadata, each
+// hostile count — to that.
+func FuzzWalkCanonical(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		f.Add(s)
+	}
+	for _, s := range nonCanonicalSeeds(f) {
+		f.Add(s)
+	}
+	for _, s := range hostileCountSeeds(f) {
+		f.Add(s)
+	}
+	f.Add([]byte("MOSD\x02\x00\x00\x00"))
+	f.Add([]byte("MOSD\x02\x00\x01\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j := new(Job)
+		canonical, derr := DecodeCanonical(j, data)
+		walkAgrees(t, "fuzz input", data, j, canonical, derr)
+		// The least of a few readings: the fuzzing process allocates on
+		// other goroutines too.
+		grew := ^uint64(0)
+		var before, after runtime.MemStats
+		for range 3 {
+			runtime.ReadMemStats(&before)
+			_, _, _ = WalkCanonical(data)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if derr == nil && grew != 0 || grew > 1<<10 {
+			t.Fatalf("walking %d bytes (error: %v) allocated %d bytes", len(data), derr, grew)
 		}
 	})
 }

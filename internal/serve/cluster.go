@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -239,12 +240,9 @@ func (cn *clusterNode) replicate(ctx context.Context, reqID string, group []rout
 }
 
 // pushResult ships a freshly computed result to the trace's other
-// replicas (called by the worker after the result is durable).
-func (cn *clusterNode) pushResult(reqID string, id store.TraceID) {
-	data, ok, err := cn.s.st.GetResultBytes(id, cn.s.fp)
-	if err != nil || !ok {
-		return
-	}
+// replicas (called by the worker after the result is durable): rec is
+// the record the worker committed, so the owner reads nothing back.
+func (cn *clusterNode) pushResult(reqID string, id store.TraceID, rec []byte) {
 	var peers []string
 	for _, n := range cn.ring.Table().Replicas(string(id)) {
 		if n.ID != cn.ring.Self().ID {
@@ -252,7 +250,7 @@ func (cn *clusterNode) pushResult(reqID string, id store.TraceID) {
 		}
 	}
 	if len(peers) > 0 {
-		cn.ring.PushResult(reqID, string(id), cn.s.fp, data, peers)
+		cn.ring.PushResult(reqID, string(id), cn.s.fp, rec, peers)
 	}
 }
 
@@ -286,11 +284,7 @@ func (cn *clusterNode) repairLoop() {
 			if cn.s.st.HasResult(id, cn.s.fp) {
 				continue
 			}
-			job, ok, err := cn.s.st.GetTrace(id)
-			if err != nil || !ok {
-				continue
-			}
-			it := cn.s.queueTrace(context.Background(), "", id, job, "repair")
+			it := cn.s.queueTrace(context.Background(), "", id, "repair")
 			if log := cn.s.log; log != nil {
 				log.Info("cluster: repairing replica without result", "id", string(id), "status", it.Status)
 			}
@@ -305,7 +299,9 @@ func (cn *clusterNode) repairLoop() {
 // the group is on the same path a local one takes (ingestOwned).
 // Protocol invariant: the forwarding node canonicalized each upload and
 // ships the blob with its content address, so nothing is re-encoded or
-// re-hashed here — only decoded for categorization. Upload names do not
+// re-hashed here, and nothing is decoded either: the blob is walked
+// (walkCanonical), and one that is not canonical is refused as
+// unreadable. The worker decodes the stored copy. Upload names do not
 // travel; a forwarded item is named by the head of its ID, which is what
 // its "item:" span on this node is called.
 func (cn *clusterNode) HandleIngest(ctx context.Context, reqID string, ids []string, blobs [][]byte) []ring.ItemStatus {
@@ -321,12 +317,15 @@ func (cn *clusterNode) HandleIngest(ctx context.Context, reqID string, ids []str
 			items[i] = IngestItem{Status: StatusUnreadable, Error: "malformed trace ID"}
 			continue
 		}
-		job, _, err := decodeBlob(blob)
+		canonical, err := walkCanonical(blob)
+		if err == nil && !canonical {
+			err = errors.New("forwarded blob is not a canonical trace encoding")
+		}
 		if err != nil {
 			items[i] = IngestItem{Status: StatusUnreadable, Error: err.Error()}
 			continue
 		}
-		group = append(group, routedItem{idx: i, name: string(id[:12]), id: id, job: job, blob: blob})
+		group = append(group, routedItem{idx: i, name: string(id[:12]), id: id, blob: blob})
 	}
 	if len(group) > 0 {
 		cn.ingestOwned(ctx, reqID, group, items)
@@ -373,7 +372,7 @@ func (cn *clusterNode) HandleResultPush(ctx context.Context, id, fp string, resu
 		return fmt.Errorf("serve: result push with invalid trace ID %q", id)
 	}
 	// Copy: result aliases the connection read buffer and the store's
-	// read cache retains the value slice.
+	// read cache may retain the value slice.
 	set, err := cn.s.st.PutResultBytesCtx(ctx, tid, fp, append([]byte(nil), result...))
 	if err != nil {
 		return err
@@ -449,7 +448,8 @@ func (cn *clusterNode) HandleResult(ctx context.Context, id string) ([]byte, boo
 }
 
 // FetchTrace reads a stored trace blob — the hinted-handoff replay
-// source.
+// source. Like every trace read it goes past the store's read cache: no
+// client ever reads a trace blob.
 func (cn *clusterNode) FetchTrace(id string) ([]byte, bool, error) {
 	return cn.s.st.GetTraceBytes(store.TraceID(id))
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
 	"github.com/mosaic-hpc/mosaic/internal/ring"
 	"github.com/mosaic-hpc/mosaic/internal/store"
@@ -20,9 +19,11 @@ import (
 // The write path (DESIGN.md §8 draws it). Every upload — a raw body, a
 // multipart part or a length-prefixed frame, on either ingest route, on
 // a standalone node or on the ring, first hop or forwarded — takes the
-// same steps: a body reader makes it an upload, ingest decodes it,
-// ingestGroup persists and queues it. The ring is one step on that path
-// (clusterNode.route, between the two), not a path of its own.
+// same steps: a body reader makes it an upload, ingest content-addresses
+// it, ingestGroup persists it and queues its ID. The ring is one step on
+// that path (clusterNode.route, between the two), not a path of its own.
+// Until a worker reads it back from the store, a trace is bytes: no
+// darshan.Job is built for a canonical upload, and none is ever queued.
 
 // Ingest item statuses reported per uploaded trace.
 const (
@@ -173,7 +174,8 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, items []In
 // uploadBufs pools the buffers raw single-trace bodies are read into. A
 // buffer goes back when its handler returns, because nothing down the
 // write path keeps the request's bytes: darshan's decoders never alias
-// their input, the store copies before it returns, and the cluster tier
+// their input, the store copies before it returns, the queue carries
+// IDs (a worker reads the stored copy), and the cluster tier
 // copies a blob into an RPC body (forward, synchronous replication) or a
 // private slice (best-effort replication) first.
 var uploadBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -313,15 +315,14 @@ func (s *Server) readMultipartUploads(r *http.Request) ([]upload, []IngestItem, 
 
 // ---- decode, persist, queue ----
 
-// routedItem is one decoded upload on its way to the store and the
-// queue, annotated with its slot in the response so a group can be split
-// per ring owner and still answer in request order.
+// routedItem is one content-addressed upload on its way to the store and
+// the queue, annotated with its slot in the response so a group can be
+// split per ring owner and still answer in request order.
 type routedItem struct {
 	idx  int // slot in the response
 	name string
 	id   store.TraceID // content address of blob, computed once at the entry node
-	job  *darshan.Job
-	blob []byte // canonical encoding; it aliases the request's upload buffer
+	blob []byte        // canonical encoding; it aliases the request's upload buffer
 	// (a canonical upload is its own blob) or, on the inbound RPC path, the
 	// connection read buffer, and is only valid until the handler returns —
 	// anything shipped asynchronously copies it first (see replicate).
@@ -329,8 +330,9 @@ type routedItem struct {
 
 // ingest runs one request's uploads down the write path and returns
 // items — what the body reader already refused — extended by one entry
-// per upload, in upload order. Every upload is decoded and
-// content-addressed here, once, under one "ingest.decode" span; the
+// per upload, in upload order. Every upload is checked and
+// content-addressed here, once, under one "ingest.decode" span
+// (decodeUpload: a canonical upload is walked, any other decoded); the
 // readable ones form one group, which the ring routes to its owners or,
 // on a standalone node, is ingested where it stands.
 func (s *Server) ingest(ctx context.Context, reqID string, ups []upload, items []IngestItem) []IngestItem {
@@ -347,12 +349,12 @@ func (s *Server) ingest(ctx context.Context, reqID string, ups []upload, items [
 	size := 0
 	for i, up := range ups {
 		size += len(up.data)
-		job, id, blob, err := decodeUpload(up.data)
+		id, blob, err := decodeUpload(up.data)
 		if err != nil {
 			out[i] = IngestItem{Name: up.name, Status: StatusUnreadable, Error: err.Error()}
 			continue
 		}
-		group = append(group, routedItem{idx: i, name: up.name, id: id, job: job, blob: blob})
+		group = append(group, routedItem{idx: i, name: up.name, id: id, blob: blob})
 	}
 	reqtrace.AddSpan(ctx, "ingest.decode", dstart, time.Since(dstart),
 		reqtrace.Int("bytes", int64(size)), reqtrace.Int("traces", int64(len(group))))
@@ -366,7 +368,7 @@ func (s *Server) ingest(ctx context.Context, reqID string, ups []upload, items [
 	return items
 }
 
-// ingestGroup makes a group of decoded traces durable and queues them:
+// ingestGroup makes a group of traces durable and queues them:
 // one keyed store write acknowledged by one group-committed fsync (one
 // store.commit span covering every frame), then queueTrace per item.
 // Durability comes before acknowledgment: once the blobs are stored the
@@ -398,7 +400,7 @@ func (s *Server) ingestGroup(ctx context.Context, reqID string, group []routedIt
 		if it.name != "" {
 			ictx, isp = reqtrace.StartSpan(ctx, "item:"+it.name, reqtrace.Str("id", string(it.id)))
 		}
-		out[it.idx] = s.queueTrace(ictx, it.name, it.id, it.job, reqID)
+		out[it.idx] = s.queueTrace(ictx, it.name, it.id, reqID)
 		isp.SetAttr(reqtrace.Str("status", out[it.idx].Status))
 		isp.End()
 	}
@@ -406,12 +408,13 @@ func (s *Server) ingestGroup(ctx context.Context, reqID string, group []routedIt
 }
 
 // queueTrace runs the post-persistence tail of an ingest: cache-hit
-// check, pending dedup, then a non-blocking enqueue (a full queue is
-// the service's backpressure). The trace blob is already durable. A
-// traced request holds one trace reference per accepted job, released
-// by the worker — that is what keeps the trace open (and out of the
-// flight recorder) until its async work lands.
-func (s *Server) queueTrace(ctx context.Context, name string, id store.TraceID, job *darshan.Job, reqID string) IngestItem {
+// check, pending dedup, then a non-blocking enqueue of the ID (a full
+// queue is the service's backpressure). The trace blob is already
+// durable, and the worker reads it back. A traced request holds one
+// trace reference per accepted job, released by the worker — that is
+// what keeps the trace open (and out of the flight recorder) until its
+// async work lands.
+func (s *Server) queueTrace(ctx context.Context, name string, id store.TraceID, reqID string) IngestItem {
 	if s.st.HasResult(id, s.fp) {
 		s.cacheHits.Inc()
 		return IngestItem{Name: name, ID: id, Status: StatusCached}
@@ -419,7 +422,7 @@ func (s *Server) queueTrace(ctx context.Context, name string, id store.TraceID, 
 	if !s.markPending(id) {
 		return IngestItem{Name: name, ID: id, Status: StatusPending}
 	}
-	j := ingestJob{id: id, job: job, reqID: reqID, enq: time.Now()}
+	j := ingestJob{id: id, reqID: reqID, enq: time.Now()}
 	if t, parent, ok := reqtrace.FromContext(ctx); ok {
 		t.Hold()
 		j.t, j.parent = t, parent
@@ -439,28 +442,20 @@ func (s *Server) queueTrace(ctx context.Context, name string, id store.TraceID, 
 
 // backfill enqueues every stored trace lacking a result under the
 // current fingerprint — crash healing and config-change re-analysis
-// ride the same queue as fresh ingests.
+// ride the same queue as fresh ingests. It queues IDs, reading nothing:
+// the workers read each blob as they do a fresh ingest's, and a blob
+// that does not decode is a failure the result route reports. The IDs go
+// in log order, so on a cold store those reads sweep the segments front
+// to back.
 func (s *Server) backfill() {
 	defer s.backfillWG.Done()
 	queued := 0
-	// EachTraceBlob streams the segment log sequentially (readahead,
-	// no per-trace random read), so a cold start over a large store is
-	// disk-bandwidth-bound. The blob slice is reused by the scanner;
-	// decoding it produces an independent Job.
-	err := s.st.EachTraceBlob(func(id store.TraceID, blob []byte) bool {
+	s.st.EachTraceID(func(id store.TraceID) bool {
 		if s.st.HasResult(id, s.fp) || !s.markPending(id) {
 			return true
 		}
-		j, err := darshan.UnmarshalBinary(blob)
-		if err != nil {
-			s.unmarkPending(id)
-			if s.log != nil {
-				s.log.Warn("backfill: unreadable stored trace", "id", string(id), "err", err)
-			}
-			return true
-		}
 		select {
-		case s.queue <- ingestJob{id: id, job: j, reqID: "backfill", enq: time.Now()}:
+		case s.queue <- ingestJob{id: id, reqID: "backfill", enq: time.Now()}:
 			s.queueDepth.Inc()
 			queued++
 			return true
@@ -469,9 +464,6 @@ func (s *Server) backfill() {
 			return false
 		}
 	})
-	if err != nil && s.log != nil {
-		s.log.Warn("backfill scan failed", "err", err)
-	}
 	if queued > 0 && s.log != nil {
 		s.log.Info("backfill queued", "traces", queued, "fingerprint", s.fp)
 	}

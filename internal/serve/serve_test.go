@@ -413,6 +413,12 @@ func TestServeBackfillHealsMissingResults(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	// A stored blob that does not decode is not skipped: it fails like
+	// any trace a worker cannot read, and its result route says so.
+	junk, _, err := st.PutTraceBytes([]byte("MOSD\x02\x00\x00\x00 not a trace body"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, _ := newTestServer(t, Config{Store: st, Workers: 2, QueueDepth: 16})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
@@ -426,6 +432,13 @@ func TestServeBackfillHealsMissingResults(t *testing.T) {
 	}
 	if got := s.cacheMisses.Value(); got != 5 {
 		t.Fatalf("backfill categorized %d traces, want 5", got)
+	}
+	waitFor(t, "the undecodable blob to be answered for", func() bool {
+		resp, body := getBody(t, ts.URL+"/v1/results/"+string(junk))
+		return resp.StatusCode == http.StatusUnprocessableEntity && strings.Contains(body, "decoding the stored trace")
+	})
+	if got := s.failures[failError].Value(); got != 1 {
+		t.Fatalf("%d failures counted as %s, want the undecodable blob's", got, failError)
 	}
 }
 

@@ -56,7 +56,7 @@ func uploadEncodings(t *testing.T, seed int) map[string][]byte {
 // under: store.TraceKey of the job it decodes to.
 func wantUploadID(t *testing.T, data []byte) store.TraceID {
 	t.Helper()
-	job, _, err := decodeBlob(data)
+	job, err := decodeBlob(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,8 @@ func (b *spyBody) Read(p []byte) (int, error) {
 // TestUploadBufferReleasedSafely is the poison test for the pooled read
 // buffer: once the handler has returned the buffer is fair game, so
 // overwrite it and check that what the request left behind — the stored
-// blob, the queued job and its later result — never looked at it again.
+// blob and the result the worker later derives from it — never looked at
+// it again.
 func TestUploadBufferReleasedSafely(t *testing.T) {
 	exec := &blockingExec{release: make(chan struct{})}
 	s, st := newTestServer(t, Config{Workers: 1, QueueDepth: 4, NoBackfill: true, Executor: exec})
@@ -218,8 +219,8 @@ func TestUploadBufferReleasedSafely(t *testing.T) {
 	if len(body.reads) == 0 || len(body.reads[0]) != len(blob) {
 		t.Fatalf("first read offered %d bytes, want the declared %d", len(body.reads[0]), len(blob))
 	}
-	// The categorization is parked in the executor: the job is queued,
-	// the handler long gone. Poison everything the body was read into.
+	// The categorization is parked in the executor, the handler long
+	// gone. Poison everything the body was read into.
 	for _, p := range body.reads {
 		p = p[:cap(p)]
 		for i := range p {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -12,28 +13,66 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
-// ingestJob is one queued categorization. reqID names the HTTP request
-// (or synthetic origin, e.g. "backfill") that enqueued it, so worker
-// log lines correlate with the ingest request that caused them. When
-// the enqueuing request was traced, t carries its trace (one reference
-// held until the worker finishes) and parent the span to hang the
-// worker's spans under; enq timestamps admission for the queue-wait
-// span and histogram.
+// ingestJob is one queued categorization: the ID of a stored trace, whose
+// durable copy the worker reads back — ingest, backfill and repair queue
+// the same thing. reqID names the HTTP request (or synthetic origin, e.g.
+// "backfill") that enqueued it, so worker log lines correlate with the
+// ingest request that caused them. When the enqueuing request was traced,
+// t carries its trace (one reference held until the worker finishes) and
+// parent the span to hang the worker's spans under; enq timestamps
+// admission for the queue-wait span and histogram.
 type ingestJob struct {
 	id     store.TraceID
-	job    *darshan.Job
 	reqID  string
 	t      *reqtrace.Trace
 	parent reqtrace.SpanID
 	enq    time.Time
 }
 
-// worker drains the ingest queue: each trace is validated and
-// categorized on this goroutine (see categorizeTrace), and the outcome
-// is persisted and indexed. Workers exit when the queue is closed and
-// drained, or when the run context is cancelled (forced shutdown).
+// traceReader is what one worker reuses from trace to trace: the buffer
+// it reads stored blobs into and the job it decodes them into. It is
+// never queued or shared, so memory is O(workers), not O(queue depth).
+type traceReader struct {
+	buf []byte
+	job darshan.Job
+}
+
+// errStoredBlob marks a worker failure that is the store's: the queued
+// trace's blob could not be read back. It is counted as failPersist.
+var errStoredBlob = errors.New("serve: reading the stored trace")
+
+// read reads the stored blob of id into the reader's buffer and decodes
+// it into the reader's job, taking the job's summary in the decoder's
+// record walk. The Metadata map is dropped first: a core.Result keeps it
+// as its Truth, so each trace gets a map of its own (engine.materialize
+// does the same).
+func (r *traceReader) read(st *store.Store, id store.TraceID) (darshan.Summary, error) {
+	data, ok, err := st.ReadTrace(r.buf, id)
+	if err == nil && !ok {
+		err = errors.New("not stored")
+	}
+	if err != nil {
+		return darshan.Summary{}, fmt.Errorf("%w %s: %w", errStoredBlob, id, err)
+	}
+	if cap(data) <= maxPooledUpload { // the upload buffers' retention rule
+		r.buf = data
+	}
+	r.job.Metadata = nil
+	sum, err := darshan.DecodeSummarized(&r.job, data)
+	if err != nil {
+		return darshan.Summary{}, fmt.Errorf("serve: decoding the stored trace %s: %w", id, err)
+	}
+	return sum, nil
+}
+
+// worker drains the ingest queue: each trace is read, validated and
+// categorized on this goroutine, into its own traceReader (see
+// categorizeTrace), and the outcome is persisted and indexed. Workers
+// exit when the queue is closed and drained, or when the run context is
+// cancelled (forced shutdown).
 func (s *Server) worker() {
 	defer s.workerWG.Done()
+	var r traceReader
 	for {
 		select {
 		case item, ok := <-s.queue:
@@ -41,7 +80,7 @@ func (s *Server) worker() {
 				return
 			}
 			s.queueDepth.Dec()
-			s.process(item)
+			s.process(&r, item)
 		case <-s.runCtx.Done():
 			return
 		}
@@ -49,18 +88,25 @@ func (s *Server) worker() {
 }
 
 // categorizeTrace is what the engine pipeline does for a corpus of one
-// trace, without the pipeline: the funnel of one trace is its validation
-// (core.EvictionReason, the rule core.Preprocessor applies) and its
+// trace, without the pipeline: the funnel of one trace reads its stored
+// blob into r's job and applies core.EvictionReason, the rule
+// core.Preprocessor applies, to the summary the decoder took of it; its
 // Categorize stage is one call into the executor — each a leaf span of
 // ctx's request trace. evicted is the funnel's reason ("": the trace was
-// valid); err is a categorization failure or ctx's error.
-func (s *Server) categorizeTrace(ctx context.Context, job *darshan.Job) (res *core.Result, expl *explain.Explanation, evicted string, err error) {
+// valid); err is a failure to read (wrapping errStoredBlob) or decode the
+// blob, a categorization failure, or ctx's error.
+func (s *Server) categorizeTrace(ctx context.Context, r *traceReader, id store.TraceID) (res *core.Result, expl *explain.Explanation, evicted string, err error) {
 	sp := reqtrace.StartLeaf(ctx, "funnel.validate")
-	evicted = core.EvictionReason(job, nil)
+	sum, err := r.read(s.st, id)
+	sp.SetError(err)
 	sp.End()
-	if evicted != "" {
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if evicted = core.EvictionReason(sum.Invalid, nil); evicted != "" {
 		return nil, nil, evicted, nil
 	}
+	job := &r.job
 	sp = reqtrace.StartLeaf(ctx, "categorize.exec")
 	defer sp.End()
 	if s.explainOn {
@@ -80,11 +126,11 @@ func (s *Server) categorizeTrace(ctx context.Context, job *darshan.Job) (res *co
 // process categorizes one queued trace. For traced jobs it resumes the
 // request's trace across the queue boundary — on the server's run
 // context, never the (long-cancelled) request context — recording the
-// queue wait, a worker span covering the funnel check, the
-// categorization, the outcome's group commit and the index update, then
-// releases the reference held at enqueue so the trace can finalize
+// queue wait, a worker span covering the funnel (read, decode, verdict),
+// the categorization, the outcome's group commit and the index update,
+// then releases the reference held at enqueue so the trace can finalize
 // into the flight recorder.
-func (s *Server) process(item ingestJob) {
+func (s *Server) process(r *traceReader, item ingestJob) {
 	defer s.unmarkPending(item.id)
 	wait := time.Since(item.enq)
 	s.queueWaitSecs.Observe(wait.Seconds())
@@ -97,7 +143,7 @@ func (s *Server) process(item ingestJob) {
 	ctx, wsp := reqtrace.StartSpan(ctx, "worker.categorize", reqtrace.Str("trace", string(item.id)))
 	defer wsp.End()
 	start := time.Now()
-	result, expl, evicted, err := s.categorizeTrace(ctx, item.job)
+	result, expl, evicted, err := s.categorizeTrace(ctx, r, item.id)
 	s.categorizeSecs.Observe(time.Since(start).Seconds())
 	if wsp != nil && result != nil {
 		// Tells a big trace from a slow host.
@@ -110,9 +156,13 @@ func (s *Server) process(item ingestJob) {
 		return // forced shutdown: trace blob is durable, next startup backfills
 	case err != nil:
 		wsp.SetError(err)
-		s.recordFailure(item.id, failError, err.Error())
+		why := failError
+		if errors.Is(err, errStoredBlob) {
+			why = failPersist
+		}
+		s.recordFailure(item.id, why, err.Error())
 		if s.log != nil {
-			s.log.Warn("categorization failed", "request_id", item.reqID, "id", string(item.id), "err", err)
+			s.log.Warn("categorization failed", "request_id", item.reqID, "id", string(item.id), "reason", why, "err", err)
 		}
 		return
 	case evicted != "":
@@ -125,7 +175,7 @@ func (s *Server) process(item ingestJob) {
 	// One commit per categorized trace: result and explanation land
 	// together (or, cut short by a crash, not at all — backfill re-queues
 	// a trace without a result).
-	size, explErr, err := s.st.PutOutcomeCtx(ctx, item.id, s.fp, result, expl)
+	rec, size, explErr, err := s.st.PutOutcomeCtx(ctx, item.id, s.fp, result, expl)
 	if err != nil {
 		wsp.SetError(err)
 		s.recordFailure(item.id, failPersist, err.Error())
@@ -147,8 +197,8 @@ func (s *Server) process(item ingestJob) {
 	s.cacheMisses.Inc()
 	s.ix.AddCtx(ctx, item.id, result.Categories)
 	if s.cluster != nil {
-		// Replicas never re-categorize: ship them the result.
-		s.cluster.pushResult(item.reqID, item.id)
+		// Replicas never re-categorize: ship them the record just committed.
+		s.cluster.pushResult(item.reqID, item.id, rec)
 	}
 	if s.log != nil {
 		s.log.Debug("trace categorized", "request_id", item.reqID, "id", string(item.id),

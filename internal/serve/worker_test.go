@@ -41,11 +41,23 @@ func (failingExec) CategorizeExplained(context.Context, *darshan.Job, core.Confi
 }
 func (failingExec) Concurrency() int { return 1 }
 
+// storeJob puts j's canonical encoding into s's store, as the write path
+// does, and returns its ID: what a queued categorization reads back.
+func storeJob(t *testing.T, s *Server, j *darshan.Job) store.TraceID {
+	t.Helper()
+	id, _, err := s.st.PutTrace(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 // TestWorkerDirectPathMatchesEngine is the differential test behind the
-// worker's shortcut: categorizeTrace and engine.Run over engine.Jobs of
-// the same job must agree on the result, the explanation, the eviction
-// reason and the error — for every generator archetype and for every
-// corruption kind the funnel knows.
+// worker's shortcut: categorizeTrace over the stored job and engine.Run
+// over engine.Jobs of the job itself must agree on the result, the
+// explanation, the eviction reason and the error — for every generator
+// archetype and for every corruption kind the funnel knows. One reader
+// serves every case, as one worker serves every trace.
 func TestWorkerDirectPathMatchesEngine(t *testing.T) {
 	type tc struct {
 		name string
@@ -81,6 +93,7 @@ func TestWorkerDirectPathMatchesEngine(t *testing.T) {
 	}
 	cases = append(cases, tc{name: "executor error", job: testJob(950), exec: failingExec{}})
 
+	var reader traceReader
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s, _ := newTestServer(t, Config{
@@ -89,7 +102,7 @@ func TestWorkerDirectPathMatchesEngine(t *testing.T) {
 			defer s.Shutdown(context.Background())
 			ctx := context.Background()
 
-			res, expl, evicted, err := s.categorizeTrace(ctx, c.job)
+			res, expl, evicted, err := s.categorizeTrace(ctx, &reader, storeJob(t, s, c.job))
 			run, runErr := engine.Run(ctx, engine.Jobs([]*darshan.Job{c.job}), engine.Options{
 				Config: s.cfg, Workers: 1, Executor: s.exec,
 				Explain: true, ExplainOptions: s.exOpts,
@@ -173,7 +186,7 @@ func TestWorkerExplainSelectsEntryPoint(t *testing.T) {
 			exec := &entryExec{Local: engine.Local{Workers: 1}}
 			s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true, Explain: explainOn, Executor: exec})
 			defer s.Shutdown(context.Background())
-			res, expl, evicted, err := s.categorizeTrace(context.Background(), testJob(960))
+			res, expl, evicted, err := s.categorizeTrace(context.Background(), new(traceReader), storeJob(t, s, testJob(960)))
 			if err != nil || evicted != "" || res == nil {
 				t.Fatalf("res=%v evicted=%q err=%v", res, evicted, err)
 			}
@@ -203,7 +216,7 @@ func TestCategorizeFailuresCounted(t *testing.T) {
 		why   string
 		job   *darshan.Job
 		exec  engine.Executor
-		close bool // close the store first: the outcome cannot be persisted
+		close bool // close the store before the worker reads the trace back
 	}{
 		{why: failEvicted, job: corrupted},
 		{why: failError, job: testJob(971), exec: failingExec{}},
@@ -213,11 +226,11 @@ func TestCategorizeFailuresCounted(t *testing.T) {
 		t.Run(c.why, func(t *testing.T) {
 			s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true, Executor: c.exec})
 			defer s.Shutdown(context.Background())
+			id := storeJob(t, s, c.job)
 			if c.close {
 				st.Close()
 			}
-			id := store.TraceID("failing-" + c.why)
-			s.process(ingestJob{id: id, job: c.job, reqID: "test", enq: time.Now()})
+			s.process(new(traceReader), ingestJob{id: id, reqID: "test", enq: time.Now()})
 			if _, failed := s.failureOf(id); !failed {
 				t.Fatal("the failure left no detail for the result route")
 			}
@@ -236,5 +249,62 @@ func TestCategorizeFailuresCounted(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkerJobOutlivesTruth: one worker's reader categorizes trace A,
+// which carries metadata, then trace B — other metadata, more records,
+// DXT events — then A again, into the job B left behind. What is stored
+// for each is byte for byte what a fresh job categorizes to: nothing of
+// one trace leaks into the next through the reused job. And a Result
+// handed out before keeps its Truth, the job's Metadata map at the time:
+// reading the next trace into the job must not rewrite it.
+func TestWorkerJobOutlivesTruth(t *testing.T) {
+	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, Explain: true, DisableAlerts: true})
+	defer s.Shutdown(context.Background())
+	ctx := context.Background()
+	a := testJob(980)
+	a.Metadata = map[string]string{gen.TruthKey: "write_on_end", "site": "a"}
+	b := archetypeJob(gen.DXTCheckpointerArchetype(true), 981)
+	b.Metadata["site"] = "b"
+	if len(b.Records) <= len(a.Records) || len(b.Records[0].DXTWrites)+len(b.Records[0].DXTReads) == 0 {
+		t.Fatalf("trace B has %d records (A %d), DXT on its first: %v; the test needs more, and DXT",
+			len(b.Records), len(a.Records), b.Records[0].DXTWrites != nil)
+	}
+	var reader traceReader
+	first, _, _, err := s.categorizeTrace(ctx, &reader, storeJob(t, s, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstJSON, err := json.Marshal(first)
+	if err != nil || first.Truth["site"] != "a" {
+		t.Fatalf("A's result carries truth %v (%v)", first.Truth, err)
+	}
+	for _, j := range []*darshan.Job{a, b, a} {
+		id := storeJob(t, s, j)
+		s.process(&reader, ingestJob{id: id, reqID: "test", enq: time.Now()})
+		res, expl, err := s.exec.CategorizeExplained(ctx, j, s.cfg, s.exOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.AppendResultJSON(nil, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _, ok, err := st.ResultBody(id, s.fp)
+		if err != nil || !ok || !bytes.Equal(body, want) {
+			t.Fatalf("%s: stored result (ok=%v err=%v)\n%s\nwant\n%s", j.Exe, ok, err, body, want)
+		}
+		stored, ok, err := st.GetExplanation(id, s.fp)
+		if err != nil || !ok {
+			t.Fatalf("%s: explanation ok=%v err=%v", j.Exe, ok, err)
+		}
+		sameJSON(t, j.Exe+" explanation", stored, expl)
+		if got := reader.job.Metadata["site"]; got != j.Metadata["site"] {
+			t.Fatalf("%s: the reader's job carries site %q", j.Exe, got)
+		}
+		if again, _ := json.Marshal(first); !bytes.Equal(again, firstJSON) {
+			t.Fatalf("after reading %s, A's first result reads\n%s\nwas\n%s", j.Exe, again, firstJSON)
+		}
 	}
 }

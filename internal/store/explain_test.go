@@ -125,11 +125,10 @@ func TestCachingExecutorExplainedStoresTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, ok, err := s.GetTrace(id)
-	if err != nil || !ok {
-		t.Fatalf("trace not stored on an explained miss: ok=%v err=%v", ok, err)
+	if !s.HasTrace(id) {
+		t.Fatal("trace not stored on an explained miss")
 	}
-	if back.JobID != j.JobID {
+	if back := storedJob(t, s, id); back.JobID != j.JobID {
 		t.Fatalf("stored trace is job %d, want %d", back.JobID, j.JobID)
 	}
 }

@@ -247,7 +247,10 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestEachTraceBlob(t *testing.T) {
+// TestEachLiveTraceFrames: the sequential reader delivers every trace
+// blob across segment rotation, skips the other record kinds, and stops
+// when asked.
+func TestEachLiveTraceFrames(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{MaxSegmentBytes: 2 << 10}) // force rotation mid-corpus
 	if err != nil {
@@ -272,8 +275,9 @@ func TestEachTraceBlob(t *testing.T) {
 		t.Fatal("test needs multiple segments to cover the rotation path")
 	}
 	got := make(map[TraceID][]byte)
-	err = s.EachTraceBlob(func(id TraceID, blob []byte) bool {
-		if HashBytes(blob) != id {
+	err = s.eachLive("t/", func(kind byte, key, blob []byte) bool {
+		id := TraceID(key[len("t/"):])
+		if kind != kindTrace || HashBytes(blob) != id {
 			t.Fatalf("blob content does not match its address %s", id)
 		}
 		got[id] = append([]byte(nil), blob...) // the slice is reused
@@ -292,7 +296,7 @@ func TestEachTraceBlob(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	if err := s.EachTraceBlob(func(TraceID, []byte) bool { n++; return n < 3 }); err != nil {
+	if err := s.eachLive("t/", func(byte, []byte, []byte) bool { n++; return n < 3 }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {

@@ -49,34 +49,54 @@ func (c *lru) get(key string) ([]byte, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// put inserts or refreshes a value, evicting least-recently-used
-// entries until the byte bound holds. Values larger than the whole
-// cache are not cached at all.
-func (c *lru) put(key string, val []byte) {
-	if c.maxBytes == 0 || int64(len(val)) > c.maxBytes {
+// put admits a value read from the log as the most recently used,
+// evicting least-recently-used entries until the byte bound holds.
+func (c *lru) put(key string, val []byte) { c.set(key, val, true) }
+
+// refresh gives a cached key the value just written under it and admits
+// nothing: a write never serves old bytes, and never fills the cache.
+func (c *lru) refresh(key string, val []byte) { c.set(key, val, false) }
+
+// set replaces the value of a cached key, and with admit caches an
+// uncached one and makes it the most recent. A value larger than the
+// whole cache is not cached at all, and the key's old value goes with it.
+func (c *lru) set(key string, val []byte, admit bool) {
+	if c.maxBytes == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	el, cached := c.items[key]
+	switch {
+	case int64(len(val)) > c.maxBytes:
+		if cached {
+			c.remove(el)
+		}
+		return
+	case cached:
 		e := el.Value.(*lruEntry)
 		c.size += int64(len(val)) - int64(len(e.val))
 		e.val = val
-		c.ll.MoveToFront(el)
-	} else {
+		if admit {
+			c.ll.MoveToFront(el)
+		}
+	case !admit:
+		return
+	default:
 		c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
 		c.size += int64(len(val))
 	}
 	for c.size > c.maxBytes {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*lruEntry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.size -= int64(len(e.val))
+		c.remove(c.ll.Back())
 	}
+}
+
+// remove drops one entry.
+func (c *lru) remove(el *list.Element) {
+	e := el.Value.(*lruEntry)
+	c.ll.Remove(el)
+	delete(c.items, e.key)
+	c.size -= int64(len(e.val))
 }
 
 // stats returns the current item count and byte size.

@@ -95,7 +95,7 @@ func TestOutcomeTornAtEveryByte(t *testing.T) {
 					// One category's evidence: the property is about the two
 					// frames, and every byte of the pair costs one recovery.
 					expl = expl.FilterCategory("write_on_end")
-					size, explErr, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
+					_, size, explErr, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
 					if err != nil || explErr != nil || size <= 0 {
 						t.Fatalf("PutOutcomeCtx: size=%d explErr=%v err=%v", size, explErr, err)
 					}
@@ -301,7 +301,8 @@ func TestStreamingReadersStopAtCorruptFrame(t *testing.T) {
 		t.Fatalf("degenerate layout: %d/%d traces and %d/%d results survive", wantTraces, len(ids), wantResults, len(ids))
 	}
 	gotTraces := 0
-	err = s.EachTraceBlob(func(id TraceID, blob []byte) bool {
+	err = s.eachLive("t/", func(_ byte, key, blob []byte) bool {
+		id := TraceID(key[len("t/"):])
 		if HashBytes(blob) != id {
 			t.Errorf("delivered a blob that does not hash to its ID %s", id)
 		}
@@ -312,7 +313,7 @@ func TestStreamingReadersStopAtCorruptFrame(t *testing.T) {
 		return true
 	})
 	if err != nil || gotTraces != wantTraces {
-		t.Fatalf("EachTraceBlob delivered %d traces, want %d (err %v)", gotTraces, wantTraces, err)
+		t.Fatalf("the trace scan delivered %d traces, want %d (err %v)", gotTraces, wantTraces, err)
 	}
 	gotResults := 0
 	err = s.EachResultMask(fp, func(id []byte, _ category.Set) bool {
@@ -329,7 +330,7 @@ func TestStreamingReadersStopAtCorruptFrame(t *testing.T) {
 
 // TestOutcomeOneCommit pins what the pair costs under Options.Sync: one
 // fsync covering two frames, where PutResult followed by PutExplanation
-// pays two.
+// pays two. The record it hands back is the one a read finds.
 func TestOutcomeOneCommit(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{Sync: true})
 	if err != nil {
@@ -343,7 +344,8 @@ func TestOutcomeOneCommit(t *testing.T) {
 	fp := core.DefaultConfig().Fingerprint()
 	res, expl := testExplained(t, 12)
 	before := s.Stats()
-	if _, _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl); err != nil {
+	rec, _, _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := s.Stats()
@@ -352,6 +354,9 @@ func TestOutcomeOneCommit(t *testing.T) {
 	}
 	if got := after.SyncedFrames - before.SyncedFrames; got != 2 {
 		t.Fatalf("that fsync covered %d frames, want 2", got)
+	}
+	if got, ok, err := s.GetResultBytes(id, fp); err != nil || !ok || !bytes.Equal(got, rec) {
+		t.Fatalf("PutOutcomeCtx handed back a record the store does not hold (ok=%v err=%v)", ok, err)
 	}
 }
 
@@ -369,7 +374,7 @@ func TestOutcomeUnencodableExplanation(t *testing.T) {
 	}
 	fp := core.DefaultConfig().Fingerprint()
 	res, _ := testExplained(t, 13)
-	size, explErr, err := s.PutOutcomeCtx(context.Background(), id, fp, res, &explain.Explanation{Runtime: math.NaN()})
+	_, size, explErr, err := s.PutOutcomeCtx(context.Background(), id, fp, res, &explain.Explanation{Runtime: math.NaN()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ import (
 const ResultHeadLen = 8
 
 // recordScratch holds the buffers served records are appended into
-// before an exact-size copy goes to the log and the read cache.
+// before an exact-size copy is committed.
 var recordScratch = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4<<10)
 	return &b
@@ -156,7 +156,7 @@ func (s *Store) PutResult(id TraceID, fp string, res *core.Result) error {
 // PutResultCtx is PutResult under a request-trace context: the commit
 // is recorded as a "store.commit" span (kind=result).
 func (s *Store) PutResultCtx(ctx context.Context, id TraceID, fp string, res *core.Result) error {
-	_, _, err := s.PutOutcomeCtx(ctx, id, fp, res, nil)
+	_, _, _, err := s.PutOutcomeCtx(ctx, id, fp, res, nil)
 	return err
 }
 
@@ -166,15 +166,18 @@ func (s *Store) PutResultCtx(ctx context.Context, id TraceID, fp string, res *co
 // written with one write(2), indexed together and acknowledged by one
 // durable wait. Recovery therefore finds both, neither, or (a tail torn
 // inside the second frame) the result alone — never an explanation
-// without its result. It returns the explanation's serialized size,
+// without its result. It returns the result record it committed, in
+// served form (what GetResultBytes would read back, for a caller that
+// ships it on without a read; the store may share it with its read
+// cache, so nobody writes to it), and the explanation's serialized size,
 // which feeds the explanation-size telemetry. A lost explanation only
 // degrades inspectability, so one that cannot be encoded does not fail
 // the trace: the result is committed alone and the encoding error comes
 // back as explErr.
-func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *core.Result, expl *explain.Explanation) (explSize int, explErr, err error) {
-	rec, err := newResultRecord(res)
+func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *core.Result, expl *explain.Explanation) (rec []byte, explSize int, explErr, err error) {
+	rec, err = newResultRecord(res)
 	if err != nil {
-		return 0, nil, fmt.Errorf("store: encoding result %s: %w", id, err)
+		return nil, 0, nil, fmt.Errorf("store: encoding result %s: %w", id, err)
 	}
 	var pair [2]record
 	recs := append(pair[:0], record{kind: kindServed, key: resultKeyOf(id, fp), value: rec})
@@ -187,14 +190,18 @@ func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *c
 			explSize = len(edata)
 		}
 	}
-	return explSize, explErr, s.putRecords(ctx, "result", recs...)
+	if err := s.putRecords(ctx, "result", recs...); err != nil {
+		return nil, 0, nil, err
+	}
+	return rec, explSize, explErr, nil
 }
 
 // PutResultBytesCtx stores result bytes another node produced — the
 // replication path, where a follower persists the owner's record without
 // re-categorizing — after CheckResultRecord has vouched for them, and
 // returns the record's category set so the caller can index it. The read
-// cache retains data: the caller must not reuse it.
+// cache may retain data (when it holds the key): the caller must not
+// reuse it.
 func (s *Store) PutResultBytesCtx(ctx context.Context, id TraceID, fp string, data []byte) (category.Set, error) {
 	rec, set, err := CheckResultRecord(data)
 	if err != nil {
@@ -210,7 +217,7 @@ func (s *Store) readResult(key string, l loc) (rec []byte, cached bool, err erro
 	if v, ok := s.cache.get(key); ok {
 		return v, true, nil
 	}
-	raw, err := s.pread(key, l)
+	raw, err := s.pread(nil, key, l)
 	if err != nil {
 		return nil, false, err
 	}

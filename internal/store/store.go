@@ -16,7 +16,9 @@
 // a torn tail (kill mid-append) fails its CRC or length check on
 // recovery and only the torn frame is dropped — every fully written
 // record survives. Hot values are served from a byte-bounded LRU
-// cache so memory stays flat regardless of store size.
+// cache so memory stays flat regardless of store size. The cache fills
+// on reads: a write only refreshes a key that is already cached, and
+// trace blobs, which no client reads, are never cached.
 //
 // Durability (Options.Sync) is group-committed: concurrent writers
 // share one fsync, so a burst of appends costs one disk flush, not
@@ -24,6 +26,7 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -32,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -420,8 +424,9 @@ func (s *Store) appendLocked(recs ...record) (seq, written int64, err error) {
 }
 
 // putRecords appends recs as one commit — one lock acquisition, one
-// write, one durable wait — and leaves their values in the read cache.
-// kind labels the "store.commit" span of a traced ctx.
+// write, one durable wait. A key the read cache holds gets its new value
+// there; the cache admits nothing on a write (readValue and readResult
+// fill it). kind labels the "store.commit" span of a traced ctx.
 func (s *Store) putRecords(ctx context.Context, kind string, recs ...record) error {
 	s.mu.Lock()
 	seq, written, err := s.appendLocked(recs...)
@@ -430,7 +435,7 @@ func (s *Store) putRecords(ctx context.Context, kind string, recs ...record) err
 		return err
 	}
 	for _, r := range recs {
-		s.cache.put(r.key, r.value)
+		s.cache.refresh(r.key, r.value)
 	}
 	return s.commitCtx(ctx, seq, kind, int64(len(recs)), written)
 }
@@ -498,7 +503,7 @@ func (s *Store) readValue(key string, l loc) ([]byte, error) {
 	if v, ok := s.cache.get(key); ok {
 		return v, nil
 	}
-	buf, err := s.pread(key, l)
+	buf, err := s.pread(nil, key, l)
 	if err != nil {
 		return nil, err
 	}
@@ -506,8 +511,9 @@ func (s *Store) readValue(key string, l loc) ([]byte, error) {
 	return buf, nil
 }
 
-// pread reads a value from its segment.
-func (s *Store) pread(key string, l loc) ([]byte, error) {
+// pread reads a value from its segment into dst's storage, growing it
+// when it is too small.
+func (s *Store) pread(dst []byte, key string, l loc) ([]byte, error) {
 	s.mu.RLock()
 	if l.seg < 1 || int(l.seg) > len(s.readers) {
 		s.mu.RUnlock()
@@ -515,7 +521,7 @@ func (s *Store) pread(key string, l loc) ([]byte, error) {
 	}
 	r := s.readers[l.seg-1]
 	s.mu.RUnlock()
-	buf := make([]byte, l.valLen)
+	buf := slices.Grow(dst[:0], int(l.valLen))[:l.valLen]
 	if _, err := r.ReadAt(buf, l.valOff); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("store: reading %q: %w", key, err)
 	}
@@ -657,8 +663,19 @@ func (s *Store) HasTrace(id TraceID) bool {
 }
 
 // GetTraceBytes returns the stored encoding of a trace, or (nil,
-// false) when absent.
+// false) when absent: ReadTrace into a buffer of its own.
 func (s *Store) GetTraceBytes(id TraceID) ([]byte, bool, error) {
+	return s.ReadTrace(nil, id)
+}
+
+// ReadTrace reads the stored encoding of a trace into dst's storage,
+// growing it when it is too small, and returns the bytes read, or (nil,
+// false) when the trace is absent. It goes past the read cache, neither
+// asking it nor filling it: a trace blob is read by whoever decodes or
+// ships it once — a categorizing worker, a hint replay — never by a
+// client, so a cached blob would only push out the results clients read.
+// A caller that reads many reuses dst.
+func (s *Store) ReadTrace(dst []byte, id TraceID) ([]byte, bool, error) {
 	key := traceKeyOf(id)
 	s.mu.RLock()
 	l, ok := s.index[key]
@@ -666,21 +683,8 @@ func (s *Store) GetTraceBytes(id TraceID) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	v, err := s.readValue(key, l)
+	v, err := s.pread(dst, key, l)
 	return v, err == nil, err
-}
-
-// GetTrace decodes a stored trace.
-func (s *Store) GetTrace(id TraceID) (*darshan.Job, bool, error) {
-	data, ok, err := s.GetTraceBytes(id)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	j, err := darshan.UnmarshalBinary(data)
-	if err != nil {
-		return nil, true, fmt.Errorf("store: decoding trace %s: %w", id, err)
-	}
-	return j, true, nil
 }
 
 // PutExplanation stores the decision-provenance record of (trace,
@@ -786,31 +790,28 @@ func (s *Store) eachLive(prefix string, fn func(kind byte, key, value []byte) bo
 	return nil
 }
 
-// EachTraceBlob streams every live trace blob in log order (eachLive):
-// the bulk backfill path, one readahead pass over the log instead of one
-// random read per trace. The blob slice is reused between calls — fn
-// must copy or decode it before returning. fn returning false stops
-// early.
-func (s *Store) EachTraceBlob(fn func(TraceID, []byte) bool) error {
-	return s.eachLive("t/", func(_ byte, key, blob []byte) bool {
-		return fn(TraceID(key[len("t/"):]), blob)
-	})
-}
-
 // EachTraceID calls fn for every stored trace blob's content address,
-// in lexicographic order. fn returning false stops early.
+// in log order — the order in which reading the blobs one by one reads
+// the segments front to back — from the index alone, reading nothing.
+// fn returning false stops early.
 func (s *Store) EachTraceID(fn func(TraceID) bool) {
+	type placed struct {
+		id  string
+		loc loc
+	}
 	s.mu.RLock()
-	ids := make([]string, 0, s.traces)
-	for k := range s.index {
+	traces := make([]placed, 0, s.traces)
+	for k, l := range s.index {
 		if strings.HasPrefix(k, "t/") {
-			ids = append(ids, strings.TrimPrefix(k, "t/"))
+			traces = append(traces, placed{k[len("t/"):], l})
 		}
 	}
 	s.mu.RUnlock()
-	sort.Strings(ids)
-	for _, id := range ids {
-		if !fn(TraceID(id)) {
+	slices.SortFunc(traces, func(a, b placed) int {
+		return cmp.Or(cmp.Compare(a.loc.seg, b.loc.seg), cmp.Compare(a.loc.valOff, b.loc.valOff))
+	})
+	for _, t := range traces {
+		if !fn(TraceID(t.id)) {
 			return
 		}
 	}

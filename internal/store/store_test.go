@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,6 +50,20 @@ func testResult(t *testing.T, j *darshan.Job) *core.Result {
 	return res
 }
 
+// storedJob reads the trace stored under id and decodes it.
+func storedJob(t *testing.T, s *Store, id TraceID) *darshan.Job {
+	t.Helper()
+	data, ok, err := s.GetTraceBytes(id)
+	if err != nil || !ok {
+		t.Fatalf("trace %s: ok=%v err=%v", id, ok, err)
+	}
+	j, err := darshan.UnmarshalBinary(data)
+	if err != nil {
+		t.Fatalf("trace %s: %v", id, err)
+	}
+	return j
+}
+
 func TestTraceKeyDeterministic(t *testing.T) {
 	a, dataA, err := TraceKey(testJob(1))
 	if err != nil {
@@ -88,11 +104,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, existed, err = s.PutTrace(j); err != nil || !existed {
 		t.Fatalf("second PutTrace: err=%v existed=%v, want idempotent hit", err, existed)
 	}
-	got, ok, err := s.GetTrace(id)
-	if err != nil || !ok {
-		t.Fatalf("GetTrace: ok=%v err=%v", ok, err)
-	}
-	if !reflect.DeepEqual(j, got) {
+	if got := storedJob(t, s, id); !reflect.DeepEqual(j, got) {
 		t.Fatal("trace round trip mismatch")
 	}
 
@@ -237,9 +249,8 @@ func TestStoreCrashRecoveryDropsOnlyTornTail(t *testing.T) {
 	if err != nil || existed || id != lastID {
 		t.Fatalf("re-append after recovery: id=%s existed=%v err=%v", id, existed, err)
 	}
-	got, ok, err := s2.GetTrace(lastID)
-	if err != nil || !ok || !reflect.DeepEqual(lastJob, got) {
-		t.Fatalf("re-appended trace unreadable (ok=%v err=%v)", ok, err)
+	if got := storedJob(t, s2, lastID); !reflect.DeepEqual(lastJob, got) {
+		t.Fatal("re-appended trace reads back different")
 	}
 }
 
@@ -296,10 +307,13 @@ func TestStoreSegmentRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var put []TraceID
 	for i := 0; i < 8; i++ {
-		if _, _, err := s.PutTrace(testJob(i)); err != nil {
+		id, _, err := s.PutTrace(testJob(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		put = append(put, id)
 	}
 	st := s.Stats()
 	if st.Segments < 2 {
@@ -316,16 +330,17 @@ func TestStoreSegmentRotation(t *testing.T) {
 	if got := s2.Stats().Traces; got != 8 {
 		t.Fatalf("recovered %d traces across segments, want 8", got)
 	}
-	n := 0
+	// In log order: the order the traces were put, across segments.
+	var visited []TraceID
 	s2.EachTraceID(func(id TraceID) bool {
 		if _, ok, err := s2.GetTraceBytes(id); err != nil || !ok {
 			t.Fatalf("trace %s unreadable after rotation (ok=%v err=%v)", id, ok, err)
 		}
-		n++
+		visited = append(visited, id)
 		return true
 	})
-	if n != 8 {
-		t.Fatalf("EachTraceID visited %d, want 8", n)
+	if !slices.Equal(visited, put) {
+		t.Fatalf("EachTraceID visited %v, want the log order %v", visited, put)
 	}
 }
 
@@ -389,6 +404,99 @@ func TestLRUBound(t *testing.T) {
 	c.put("huge", make([]byte, 1000))
 	if _, ok := c.get("huge"); ok {
 		t.Fatal("value larger than the cache must not be cached")
+	}
+}
+
+// TestLRUOversizedDropsStale: a value too large to cache, put or written
+// under a cached key, takes the key's old value out of the cache with it
+// — the next read goes to the log and finds the new bytes, never the old.
+func TestLRUOversizedDropsStale(t *testing.T) {
+	for _, admit := range []bool{true, false} {
+		c := newLRU(100)
+		c.put("k", []byte("old"))
+		c.put("other", []byte("kept"))
+		c.set("k", make([]byte, 101), admit)
+		if v, ok := c.get("k"); ok {
+			t.Fatalf("admit=%v: an oversized value left %q cached under its key", admit, v)
+		}
+		if items, size := c.stats(); items != 1 || size != int64(len("kept")) {
+			t.Fatalf("admit=%v: %d items of %d bytes left, want the other entry alone", admit, items, size)
+		}
+	}
+}
+
+// TestLRURefreshAdmitsNothing: a write refreshes a cached key in place
+// and leaves an uncached one uncached.
+func TestLRURefreshAdmitsNothing(t *testing.T) {
+	c := newLRU(100)
+	c.refresh("cold", []byte("v"))
+	if _, ok := c.get("cold"); ok {
+		t.Fatal("refresh admitted an uncached key")
+	}
+	c.put("hot", []byte("v1"))
+	c.refresh("hot", []byte("v2-longer"))
+	if v, ok := c.get("hot"); !ok || string(v) != "v2-longer" {
+		t.Fatalf("refreshed key reads %q, %v", v, ok)
+	}
+	if _, size := c.stats(); size != int64(len("v2-longer")) {
+		t.Fatalf("cache accounts %d bytes after a refresh", size)
+	}
+}
+
+// TestCacheFillsOnRead: a write admits nothing — a result, an
+// explanation, a trace blob — the first read of a record is cold and the
+// second hot, a write to a cached key serves its new bytes from the
+// cache, and a trace blob is never cached at all.
+func TestCacheFillsOnRead(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fp := core.DefaultConfig().Fingerprint()
+	j := testJob(40)
+	id, _, err := s.PutTrace(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, expl := testExplained(t, 40)
+	if _, _, _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl); err != nil {
+		t.Fatal(err)
+	}
+	if items, size := s.cache.stats(); items != 0 || size != 0 {
+		t.Fatalf("writes left %d items, %d bytes in the read cache", items, size)
+	}
+	for lap, want := range []bool{false, true} {
+		if _, cached, ok, err := s.ResultBody(id, fp); err != nil || !ok || cached != want {
+			t.Fatalf("read %d: cached=%v ok=%v err=%v, want cached=%v", lap, cached, ok, err, want)
+		}
+	}
+	if _, ok, err := s.GetExplanation(id, fp); err != nil || !ok {
+		t.Fatalf("explanation: ok=%v err=%v", ok, err)
+	}
+	if _, ok := s.cache.get(explainKeyOf(id, fp)); !ok {
+		t.Fatal("a read explanation was not cached")
+	}
+	if blob, ok, err := s.GetTraceBytes(id); err != nil || !ok || HashBytes(blob) != id {
+		t.Fatalf("trace: ok=%v err=%v", ok, err)
+	}
+	if _, ok := s.cache.get(traceKeyOf(id)); ok {
+		t.Fatal("a read trace blob was cached")
+	}
+
+	// A write to the cached key: the next read is a hit on the new bytes.
+	other := *res
+	other.Labels = append(slices.Clone(res.Labels), "site_custom_label")
+	if err := s.PutResult(id, fp, &other); err != nil {
+		t.Fatal(err)
+	}
+	want, err := newResultRecord(&other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, cached, ok, err := s.ResultBody(id, fp)
+	if err != nil || !ok || !cached || !bytes.Equal(body, want[ResultHeadLen:]) {
+		t.Fatalf("after the write: cached=%v ok=%v err=%v, new bytes served: %v", cached, ok, err, bytes.Equal(body, want[ResultHeadLen:]))
 	}
 }
 
