@@ -62,6 +62,7 @@ import (
 	"strings"
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
+	"github.com/mosaic-hpc/mosaic/internal/debughttp"
 	"github.com/mosaic-hpc/mosaic/internal/events"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
 	"github.com/mosaic-hpc/mosaic/internal/ring"
@@ -288,14 +289,14 @@ func main() {
 		// The flight recorder rides on the debug server too, next to
 		// /metrics and pprof, so request introspection does not require
 		// the API address.
-		var extra []telemetry.Route
+		var extra []debughttp.Route
 		if flight != nil {
-			fh := flight.Handler()
+			fh := debughttp.RequestsHandler(flight)
 			extra = append(extra,
-				telemetry.Route{Pattern: "GET /debug/requests", Handler: fh},
-				telemetry.Route{Pattern: "GET /debug/requests/{id}", Handler: fh})
+				debughttp.Route{Pattern: "GET /debug/requests", Handler: fh},
+				debughttp.Route{Pattern: "GET /debug/requests/{id}", Handler: fh})
 		}
-		dbg, err := telemetry.StartServer(*debugAddr, reg, log, extra...)
+		dbg, err := debughttp.StartServer(*debugAddr, reg, log, extra...)
 		if err != nil {
 			log.Error("debug server failed to start", "addr", *debugAddr, "err", err)
 			st.Close()

@@ -22,9 +22,14 @@
 // Corpus runs are also observable: -trace-out writes a Chrome
 // trace-event JSON of every trace's journey through the pipeline
 // (openable in Perfetto / chrome://tracing), -slow K reports the K
-// slowest traces per stage, -debug-addr serves live /metrics,
-// /debug/engine and pprof while the run is in flight, and
-// -log-level/-log-format control structured diagnostics.
+// slowest traces per stage, and -log-level/-log-format control
+// structured diagnostics (at info or debug, the engine's stage lifecycle
+// lines).
+//
+// The command opens no socket: it imports the domain packages directly,
+// not the library facade, so it links no network stack and builds as a
+// static binary. Programs that want live /metrics, /debug/engine and
+// pprof during a run call mosaic.StartDebugServer.
 package main
 
 import (
@@ -40,17 +45,20 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/mosaic-hpc/mosaic"
+	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
+	"github.com/mosaic-hpc/mosaic/internal/report"
+	"github.com/mosaic-hpc/mosaic/internal/store"
 	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
 func main() {
 	var (
-		explain   = flag.Bool("explain", false, "print the decision-provenance rule trace for a single trace (why every category was or wasn't assigned)")
+		explainTx = flag.Bool("explain", false, "print the decision-provenance rule trace for a single trace (why every category was or wasn't assigned)")
 		explainJS = flag.String("explain-json", "", "write the decision-provenance record as JSON to this file ('-' = stdout; single trace)")
-		explainM  = flag.Float64("explain-margin", mosaic.DefaultExplainMargin, "near-miss margin for explanation evidence, as a fraction of each threshold")
+		explainM  = flag.Float64("explain-margin", explain.DefaultMargin, "near-miss margin for explanation evidence, as a fraction of each threshold")
 		jsonOut   = flag.String("json", "", "write per-trace results as JSON to this file")
 		workers   = flag.Int("workers", 0, "parallel categorization workers (0 = NumCPU)")
 		sigMB     = flag.Int64("significance-mb", 100, "significance threshold in MB for read/write volumes")
@@ -68,7 +76,6 @@ func main() {
 
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON of the corpus run to this file (open in Perfetto / chrome://tracing)")
 		slowK     = flag.Int("slow", 0, "print the K slowest traces per stage after a corpus run (0 = off)")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/engine and pprof during the run (empty: disabled)")
 		logLevel  = flag.String("log-level", "warn", "log level: debug, info, warn, error")
 		logFormat = flag.String("log-format", "text", "log format: text or json")
 	)
@@ -81,7 +88,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := mosaic.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.SignificanceBytes = *sigMB << 20
 	cfg.ChunkCount = *chunks
 	cfg.MeanShiftBandwidth = *bw
@@ -105,19 +112,18 @@ func main() {
 	}
 
 	so := singleOpts{
-		explain:       *explain,
+		explain:       *explainTx,
 		explainJSON:   *explainJS,
 		explainMargin: *explainM,
 		jsonOut:       *jsonOut,
 		timeline:      *timeline,
 	}
 	err = run(ctx, flag.Arg(0), cfg, *workers, so, *jsonOut, *heatmap, *convert, *anonSalt, corpusOpts{
-		progress:  *progress,
-		traceOut:  *traceOut,
-		slowK:     *slowK,
-		debugAddr: *debugAddr,
-		storeDir:  *storeDir,
-		log:       log,
+		progress: *progress,
+		traceOut: *traceOut,
+		slowK:    *slowK,
+		storeDir: *storeDir,
+		log:      log,
 	})
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -143,20 +149,21 @@ type singleOpts struct {
 
 // corpusOpts bundles the observability knobs of a corpus run.
 type corpusOpts struct {
-	progress  bool
-	traceOut  string // Chrome trace-event JSON output path
-	slowK     int    // slowest-traces-per-stage report size
-	debugAddr string // live introspection server address
-	storeDir  string // warm-start result store directory
-	log       *slog.Logger
+	progress bool
+	traceOut string // Chrome trace-event JSON output path
+	slowK    int    // slowest-traces-per-stage report size
+	storeDir string // warm-start result store directory
+	log      *slog.Logger
 }
 
-// telemetryEnabled reports whether any knob needs a telemetry bundle.
+// telemetryEnabled reports whether any knob needs a telemetry bundle: a
+// trace or slow-log report, or a logger that would print the bundle's
+// run summary (info) and stage lifecycle lines (debug).
 func (o corpusOpts) telemetryEnabled() bool {
-	return o.traceOut != "" || o.slowK > 0 || o.debugAddr != ""
+	return o.traceOut != "" || o.slowK > 0 || o.log != nil && o.log.Enabled(context.Background(), slog.LevelInfo)
 }
 
-func run(ctx context.Context, target string, cfg mosaic.Config, workers int, so singleOpts, jsonOut string, heatmap bool, convert, anonSalt string, co corpusOpts) error {
+func run(ctx context.Context, target string, cfg core.Config, workers int, so singleOpts, jsonOut string, heatmap bool, convert, anonSalt string, co corpusOpts) error {
 	info, err := os.Stat(target)
 	if err != nil {
 		return err
@@ -173,47 +180,47 @@ func run(ctx context.Context, target string, cfg mosaic.Config, workers int, so 
 // runConvert re-encodes a trace into the format selected by the output
 // extension (binary .mosd, .json, or darshan-parser-style .txt).
 func runConvert(in, out, anonSalt string) error {
-	job, err := mosaic.ReadTrace(in)
+	job, err := darshan.ReadFile(in)
 	if err != nil {
 		return err
 	}
 	if anonSalt != "" {
-		mosaic.Anonymize(job, anonSalt)
+		darshan.NewAnonymizer(anonSalt).Job(job)
 	}
-	if err := mosaic.WriteTrace(out, job); err != nil {
+	if err := darshan.WriteFile(out, job); err != nil {
 		return err
 	}
 	fmt.Printf("converted %s -> %s (%d records)\n", in, out, len(job.Records))
 	return nil
 }
 
-func runSingle(path string, cfg mosaic.Config, so singleOpts) error {
-	job, err := mosaic.ReadTrace(path)
+func runSingle(path string, cfg core.Config, so singleOpts) error {
+	job, err := darshan.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if err := mosaic.Validate(job); err != nil {
+	if err := darshan.Validate(job); err != nil {
 		return fmt.Errorf("trace is corrupted and would be evicted: %w", err)
 	}
-	var res *mosaic.Result
-	var expl *mosaic.Explanation
+	var res *core.Result
+	var expl *explain.Explanation
 	if so.explain || so.explainJSON != "" {
 		// Provenance requested: collect evidence alongside the labels.
 		// Labels are guaranteed identical to the plain Categorize path.
-		res, expl, err = mosaic.CategorizeExplained(job, cfg,
-			mosaic.ExplainOptions{Margin: so.explainMargin})
+		res, expl, err = core.CategorizeExplained(job, cfg,
+			explain.Options{Margin: so.explainMargin})
 	} else {
-		res, err = mosaic.Categorize(job, cfg)
+		res, err = core.Categorize(job, cfg)
 	}
 	if err != nil {
 		return err
 	}
 	if so.timeline {
-		mosaic.WriteTimeline(os.Stdout, job, res, cfg)
+		report.WriteTimeline(os.Stdout, job, res, cfg)
 	}
 	switch {
 	case so.explain:
-		mosaic.RenderExplanation(os.Stdout, expl)
+		explain.Render(os.Stdout, expl)
 	case so.explainJSON == "-" || so.timeline:
 		// stdout is reserved for the requested artifact.
 	default:
@@ -232,14 +239,14 @@ func runSingle(path string, cfg mosaic.Config, so singleOpts) error {
 		}
 	}
 	if so.jsonOut != "" {
-		return writeJSON(so.jsonOut, []*mosaic.Result{res})
+		return writeJSON(so.jsonOut, []*core.Result{res})
 	}
 	return nil
 }
 
 // writeExplanationJSON writes the provenance record as indented JSON to
 // path, or to stdout when path is "-".
-func writeExplanationJSON(path string, e *mosaic.Explanation) error {
+func writeExplanationJSON(path string, e *explain.Explanation) error {
 	var w io.Writer = os.Stdout
 	var f *os.File
 	if path != "-" {
@@ -265,20 +272,20 @@ func writeExplanationJSON(path string, e *mosaic.Explanation) error {
 // the engine starts over with no prelude believed.
 type preludeNote struct{ engine.NopObserver }
 
-func (preludeNote) ItemError(_ mosaic.StageID, err error) {
+func (preludeNote) ItemError(_ engine.StageID, err error) {
 	if errors.Is(err, darshan.ErrPreludeMismatch) {
 		fmt.Fprintf(os.Stderr, "mosaic: %v; every file is read in full from here on\n", err)
 	}
 }
 
-func runCorpus(ctx context.Context, dir string, cfg mosaic.Config, workers int, jsonOut string, heatmap bool, co corpusOpts) error {
-	opt := mosaic.Options{Config: cfg, Workers: workers, Observer: preludeNote{}}
+func runCorpus(ctx context.Context, dir string, cfg core.Config, workers int, jsonOut string, heatmap bool, co corpusOpts) error {
+	opt := engine.Options{Config: cfg, Workers: workers, Observer: preludeNote{}}
 
 	// -store warm-starts categorization: results cached under this
 	// config's fingerprint are read back instead of recomputed, and
 	// fresh ones are persisted for the next run.
 	if co.storeDir != "" {
-		st, err := mosaic.OpenStore(co.storeDir)
+		st, err := store.Open(co.storeDir, store.Options{})
 		if err != nil {
 			return fmt.Errorf("opening result store: %w", err)
 		}
@@ -288,38 +295,32 @@ func runCorpus(ctx context.Context, dir string, cfg mosaic.Config, workers int, 
 				co.storeDir, s.Hits, s.Misses, cfg.Fingerprint())
 			st.Close()
 		}()
-		opt.Store = st
+		opt.Executor = store.NewCachingExecutor(st, engine.Local{Workers: workers})
 	}
 
-	var tel *mosaic.Telemetry
+	var tel *engine.Telemetry
+	var stats *engine.Stats
 	if co.telemetryEnabled() {
-		tel = mosaic.NewTelemetry(mosaic.TelemetryConfig{
+		tel = engine.NewTelemetry(engine.TelemetryConfig{
 			Spans:  co.traceOut != "",
 			SlowK:  co.slowK,
 			Logger: co.log,
 		})
-		opt.Telemetry = tel
-		if co.debugAddr != "" {
-			dbg, err := mosaic.StartDebugServer(co.debugAddr, tel)
-			if err != nil {
-				return fmt.Errorf("debug server: %w", err)
-			}
-			defer dbg.Close()
-		}
+		stats = tel.Stats() // one collector feeds progress and the bundle
+		opt.Observer = engine.MultiObserver(opt.Observer, tel)
+	} else if co.progress {
+		stats = engine.NewStats()
+		opt.Observer = engine.MultiObserver(stats, opt.Observer)
 	}
 
-	var stats *mosaic.StageStats
 	var stopProgress func()
 	if co.progress {
-		if tel != nil {
-			stats = tel.Stats() // one collector feeds progress and /debug/engine
-		} else {
-			stats = mosaic.NewStageStats()
-			opt.Observer = mosaic.MultiObserver(stats, opt.Observer)
-		}
 		stopProgress = startProgress(stats)
 	}
-	analysis, err := mosaic.AnalyzeCorpusContext(ctx, dir, opt)
+	res, err := engine.Run(ctx, engine.Dir(dir), opt)
+	if tel != nil {
+		tel.FinishRun()
+	}
 	if stopProgress != nil {
 		stopProgress()
 		fmt.Fprintln(os.Stderr, "pipeline stage breakdown:")
@@ -333,14 +334,14 @@ func runCorpus(ctx context.Context, dir string, cfg mosaic.Config, workers int, 
 	if err != nil {
 		return err
 	}
-	analysis.WriteReport(os.Stdout)
+	report.WriteReport(os.Stdout, res.Funnel, res.Agg)
 	if heatmap {
 		fmt.Println()
-		mosaic.WriteHeatmap(os.Stdout, analysis.Aggregate, 0.005)
+		report.WriteHeatmap(os.Stdout, res.Agg, 0.005)
 	}
 	if jsonOut != "" {
-		results := make([]*mosaic.Result, 0, len(analysis.Apps))
-		for _, a := range analysis.Apps {
+		results := make([]*core.Result, 0, len(res.Apps))
+		for _, a := range res.Apps {
 			results = append(results, a.Result)
 		}
 		return writeJSON(jsonOut, results)
@@ -350,7 +351,7 @@ func runCorpus(ctx context.Context, dir string, cfg mosaic.Config, workers int, 
 
 // writeCorpusTelemetry flushes post-run telemetry artifacts: the Chrome
 // trace-event JSON (-trace-out) and the slowest-traces report (-slow).
-func writeCorpusTelemetry(tel *mosaic.Telemetry, co corpusOpts) error {
+func writeCorpusTelemetry(tel *engine.Telemetry, co corpusOpts) error {
 	if co.traceOut != "" {
 		if err := tel.WriteTrace(co.traceOut); err != nil {
 			return fmt.Errorf("writing %s: %w", co.traceOut, err)
@@ -375,7 +376,7 @@ func writeCorpusTelemetry(tel *mosaic.Telemetry, co corpusOpts) error {
 // startProgress renders the per-stage counters of a running pipeline to
 // stderr a few times per second; the returned stop function prints the
 // final line and ends the refresher.
-func startProgress(stats *mosaic.StageStats) (stop func()) {
+func startProgress(stats *engine.Stats) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
@@ -398,7 +399,7 @@ func startProgress(stats *mosaic.StageStats) (stop func()) {
 	}
 }
 
-func writeJSON(path string, results []*mosaic.Result) error {
+func writeJSON(path string, results []*core.Result) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

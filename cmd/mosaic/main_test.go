@@ -12,6 +12,7 @@ import (
 
 	"github.com/mosaic-hpc/mosaic"
 	"github.com/mosaic-hpc/mosaic/internal/darshan/mosdtest"
+	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
 // writeTestTrace builds a small checkpointing trace on disk.
@@ -286,5 +287,74 @@ func TestLyingPreludeIsNamed(t *testing.T) {
 	}
 	if !strings.Contains(string(report), "unreadable") {
 		t.Fatalf("the liar is not counted unreadable:\n%s", report)
+	}
+}
+
+// TestLogLevelReachesTheEngine: -log-level alone turns the engine's
+// logging on — at debug stderr carries the stage lifecycle lines, at the
+// default warn it carries none.
+func TestLogLevelReachesTheEngine(t *testing.T) {
+	dir := t.TempDir()
+	writeTestTrace(t, dir, "a.mosd")
+	writeTestTrace(t, dir, "b.mosd")
+	for _, tc := range []struct {
+		level string
+		lines bool
+	}{{"debug", true}, {"warn", false}} {
+		stderr := captured(t, &os.Stderr, func() {
+			log, err := telemetry.NewLogger(os.Stderr, tc.level, "text")
+			if err != nil {
+				t.Fatal(err)
+			}
+			captured(t, &os.Stdout, func() {
+				if err := run(context.Background(), dir, mosaic.DefaultConfig(), 2, singleOpts{}, "", false, "", "", corpusOpts{log: log}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+		for _, line := range []string{`msg="stage started" stage=categorize`, `msg="stage finished" stage=categorize`} {
+			if strings.Contains(string(stderr), line) != tc.lines {
+				t.Errorf("-log-level %s: stderr has %q = %v, want %v:\n%s", tc.level, line, !tc.lines, tc.lines, stderr)
+			}
+		}
+	}
+}
+
+// TestCorpusOutputIsTheFacades: the CLI's report and -json are, byte for
+// byte, what a library caller gets from mosaic.AnalyzeCorpus rendered
+// through the facade — the report layout exists once, in package report.
+func TestCorpusOutputIsTheFacades(t *testing.T) {
+	const fixture = "../../internal/darshan/testdata/v2corpus"
+	jsonPath := filepath.Join(t.TempDir(), "out.json")
+	gotReport := captured(t, &os.Stdout, func() {
+		if err := run(context.Background(), fixture, mosaic.DefaultConfig(), 2, singleOpts{}, jsonPath, false, "", "", corpusOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	gotJSON, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := mosaic.AnalyzeCorpus(fixture, mosaic.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantReport, wantJSON bytes.Buffer
+	a.WriteReport(&wantReport)
+	results := make([]*mosaic.Result, len(a.Apps))
+	for i, app := range a.Apps {
+		results[i] = app.Result
+	}
+	enc := json.NewEncoder(&wantJSON)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(results); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotReport, wantReport.Bytes()) {
+		t.Errorf("CLI report differs from the facade's:\n%s\n---\n%s", gotReport, wantReport.Bytes())
+	}
+	if !bytes.Equal(gotJSON, wantJSON.Bytes()) {
+		t.Error("CLI -json differs from the facade's results")
 	}
 }

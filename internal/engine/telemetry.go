@@ -2,10 +2,8 @@ package engine
 
 import (
 	"container/heap"
-	"encoding/json"
 	"errors"
 	"log/slog"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -206,21 +204,6 @@ func (t *Telemetry) FinishRun() {
 	if t.log != nil {
 		t.log.Info("pipeline run finished", "wall", elapsed)
 	}
-}
-
-// DebugRoute is the /debug/engine endpoint for telemetry.NewMux: the
-// live per-stage snapshot plus the slowest traces per stage, as JSON.
-func (t *Telemetry) DebugRoute() telemetry.Route {
-	return telemetry.Route{Pattern: "/debug/engine", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		state := struct {
-			Stages []StageSnapshot        `json:"stages"`
-			Slow   map[string][]SlowEntry `json:"slow,omitempty"`
-		}{t.stats.Snapshot(), t.slow.Snapshot()}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(state)
-	})}
 }
 
 var (

@@ -4,10 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +13,6 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
-	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
 // corpusJobs builds a deterministic valid corpus of n traces across a
@@ -200,75 +196,6 @@ func TestTelemetryWithoutSpansRecordsNoSpans(t *testing.T) {
 	tel.FinishRun() // must not panic with spans disabled
 	if err := tel.WriteTrace(filepath.Join(t.TempDir(), "x.json")); err == nil {
 		t.Fatal("WriteTrace succeeded on a bundle without spans")
-	}
-}
-
-func TestDebugEngineRoute(t *testing.T) {
-	tel := NewTelemetry(TelemetryConfig{SlowK: 3})
-	// Simulate a little pipeline traffic.
-	tel.StageStarted(StageDecode)
-	for i := 0; i < 5; i++ {
-		tel.ItemIn(StageDecode)
-		tel.ItemOut(StageDecode)
-	}
-	tel.ItemSpan(StageDecode, "a.mosd", time.Now(), time.Millisecond)
-	tel.StageFinished(StageDecode)
-
-	srv := httptest.NewServer(telemetry.NewMux(tel.Registry(), tel.DebugRoute()))
-	defer srv.Close()
-	get := func(path string) (string, http.Header) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status = %d", path, resp.StatusCode)
-		}
-		return string(body), resp.Header
-	}
-
-	// /metrics: the engine families, on the shared mux.
-	body, _ := get("/metrics")
-	for _, want := range []string{
-		"# TYPE mosaic_engine_items_in_total counter",
-		`mosaic_engine_items_out_total{stage="decode"} 5`,
-		"# TYPE mosaic_engine_item_seconds histogram",
-		"# TYPE mosaic_engine_stage_seconds gauge",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, body)
-		}
-	}
-
-	// /debug/engine: live stage snapshot + slow log, JSON.
-	body, hdr := get("/debug/engine")
-	if ct := hdr.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Fatalf("/debug/engine content-type = %q", ct)
-	}
-	var state struct {
-		Stages []StageSnapshot        `json:"stages"`
-		Slow   map[string][]SlowEntry `json:"slow"`
-	}
-	if err := json.Unmarshal([]byte(body), &state); err != nil {
-		t.Fatalf("/debug/engine is not valid JSON: %v\n%s", err, body)
-	}
-	if len(state.Stages) != 1 || state.Stages[0].Stage != StageDecode {
-		t.Fatalf("/debug/engine stages = %+v, want one decode snapshot", state.Stages)
-	}
-	if state.Stages[0].Out != 5 {
-		t.Fatalf("/debug/engine decode out = %d, want 5", state.Stages[0].Out)
-	}
-	if !strings.Contains(body, "items_per_sec") {
-		t.Fatalf("/debug/engine snapshot lacks items_per_sec:\n%s", body)
-	}
-	if got := state.Slow["decode"]; len(got) != 1 || got[0].Name != "a.mosd" {
-		t.Fatalf("/debug/engine slow = %+v, want the one decode entry", state.Slow)
 	}
 }
 

@@ -16,6 +16,24 @@ import (
 
 func pct(v float64) string { return fmt.Sprintf("%5.1f%%", v*100) }
 
+// WriteReport renders the complete text report of a corpus run: funnel,
+// periodicity and temporality tables, metadata distribution, correlations
+// and the Jaccard pair list.
+func WriteReport(w io.Writer, f core.FunnelStats, a *Aggregator) {
+	WriteFunnel(w, f)
+	fmt.Fprintln(w)
+	WritePeriodicity(w, a, category.DirWrite)
+	WritePeriodicity(w, a, category.DirRead)
+	fmt.Fprintln(w)
+	WriteTemporality(w, a)
+	fmt.Fprintln(w)
+	WriteMetadata(w, a)
+	fmt.Fprintln(w)
+	WriteCorrelations(w, a.Correlations())
+	fmt.Fprintln(w)
+	WriteJaccard(w, a, 0.01)
+}
+
 // WriteFunnel renders the pre-processing funnel (Figure 3).
 func WriteFunnel(w io.Writer, s core.FunnelStats) {
 	fmt.Fprintf(w, "Pre-processing funnel (Figure 3)\n")

@@ -4,7 +4,8 @@
 // queue admission, worker categorization, store group-commit, index
 // update — plus a fixed-size flight recorder retaining the last N
 // completed request traces and auto-dumping Chrome-trace JSON for
-// requests that error or run slow.
+// requests that error or run slow. Its /debug/requests API is
+// internal/debughttp's.
 //
 // Like internal/telemetry it is stdlib-only and opt-in: a context
 // without an active trace makes every StartSpan/AddSpan call a no-op

@@ -45,6 +45,7 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/cluster"
 	"github.com/mosaic-hpc/mosaic/internal/core"
+	"github.com/mosaic-hpc/mosaic/internal/debughttp"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/events"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
@@ -326,8 +327,8 @@ func (s *Server) Alerts() *telemetry.AlertEvaluator { return s.alerts }
 
 func (s *Server) registerMetrics() {
 	// Every binary serving /metrics reports build info and Go runtime
-	// vitals — the serve handler wires MetricsHandler directly, so the
-	// runtime bridge is registered here rather than through NewMux.
+	// vitals — the serve handler wires debughttp.MetricsHandler directly,
+	// so the runtime bridge is registered here rather than through NewMux.
 	telemetry.RegisterRuntimeMetrics(s.reg)
 	s.ingestRequests = s.reg.Counter("mosaic_serve_ingest_requests_total", "Ingest HTTP requests received.", nil)
 	s.batchRequests = s.reg.Counter("mosaic_serve_batch_requests_total", "Batch ingest HTTP requests received.", nil)
@@ -584,9 +585,9 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("ok\n"))
 	})
-	mux.Handle("GET /metrics", telemetry.MetricsHandler(s.reg))
+	mux.Handle("GET /metrics", debughttp.MetricsHandler(s.reg))
 	if s.flight != nil {
-		fh := s.flight.Handler()
+		fh := debughttp.RequestsHandler(s.flight)
 		mux.Handle("GET /debug/requests", fh)
 		mux.Handle("GET /debug/requests/{id}", fh)
 	}

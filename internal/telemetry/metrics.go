@@ -1,15 +1,15 @@
 // Package telemetry is MOSAIC's zero-dependency observability layer:
 // a concurrent-safe metrics registry with Prometheus and OpenMetrics
-// text exposition, burn-rate alerts over it, the Go runtime's vitals,
-// structured logging built on log/slog, and a live introspection HTTP
-// server (/metrics, /healthz, pprof, plus whatever routes its caller
-// mounts).
+// text exposition, burn-rate alerts over it, the Go runtime's vitals and
+// structured logging built on log/slog.
 //
 // It knows nothing of MOSAIC: it imports no other package of this
 // module. What observes a subsystem lives in that subsystem and
-// registers here — engine.Telemetry (the pipeline's observer, its slow
-// log and /debug/engine), cluster.RegisterMetrics, ring.Metrics, the
-// serve tier's instruments. Spans are internal/reqtrace's.
+// registers here — engine.Telemetry (the pipeline's observer and its
+// slow log), cluster.RegisterMetrics, ring.Metrics, the serve tier's
+// instruments. Spans are internal/reqtrace's. It imports no net either,
+// since every program that categorizes links it: the HTTP surface over
+// it (/metrics, /healthz, pprof) is internal/debughttp's.
 package telemetry
 
 import (

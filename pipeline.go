@@ -2,13 +2,13 @@ package mosaic
 
 import (
 	"context"
-	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"sync"
 
-	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/debughttp"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/parallel"
 	"github.com/mosaic-hpc/mosaic/internal/report"
@@ -48,18 +48,27 @@ type (
 // NewTelemetry builds a telemetry bundle: engine metrics registered
 // eagerly, optional span recording (Telemetry.WriteTrace) and slow-trace
 // log, optional slog output. Wire it via Options.Telemetry; serve its
-// registry with StartDebugServer (cmd/mosaic -debug-addr does both).
+// registry with StartDebugServer.
 func NewTelemetry(cfg TelemetryConfig) *Telemetry { return engine.NewTelemetry(cfg) }
 
 // DebugServer is a running introspection HTTP server (see
 // StartDebugServer).
-type DebugServer = telemetry.Server
+type DebugServer = debughttp.Server
 
 // StartDebugServer serves the bundle's /metrics, /healthz,
 // /debug/engine and /debug/pprof endpoints on addr (":0" picks a free
-// port; Addr() reports it) in a background goroutine.
+// port; Addr() reports it) in a background goroutine. /debug/engine is
+// the live per-stage snapshot plus the slowest items per stage, as JSON.
 func StartDebugServer(addr string, t *Telemetry) (*DebugServer, error) {
-	return telemetry.StartServer(addr, t.Registry(), t.Logger(), t.DebugRoute())
+	return debughttp.StartServer(addr, t.Registry(), t.Logger(), debughttp.Route{
+		Pattern: "/debug/engine",
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			debughttp.WriteJSON(w, http.StatusOK, struct {
+				Stages []StageSnapshot               `json:"stages"`
+				Slow   map[string][]engine.SlowEntry `json:"slow,omitempty"`
+			}{t.Stats().Snapshot(), t.Slow().Snapshot()})
+		}),
+	})
 }
 
 // MultiObserver fans pipeline events out to several observers in
@@ -272,20 +281,7 @@ func CategorizeAll(ctx context.Context, jobs []*Job, opt Options) ([]*Result, er
 // WriteReport renders the complete text report of an analysis: funnel,
 // periodicity and temporality tables, metadata distribution, correlations
 // and the Jaccard pair list.
-func (a *Analysis) WriteReport(w io.Writer) {
-	report.WriteFunnel(w, a.Funnel)
-	fmt.Fprintln(w)
-	report.WritePeriodicity(w, a.Aggregate, category.DirWrite)
-	report.WritePeriodicity(w, a.Aggregate, category.DirRead)
-	fmt.Fprintln(w)
-	report.WriteTemporality(w, a.Aggregate)
-	fmt.Fprintln(w)
-	report.WriteMetadata(w, a.Aggregate)
-	fmt.Fprintln(w)
-	report.WriteCorrelations(w, a.Aggregate.Correlations())
-	fmt.Fprintln(w)
-	report.WriteJaccard(w, a.Aggregate, 0.01)
-}
+func (a *Analysis) WriteReport(w io.Writer) { report.WriteReport(w, a.Funnel, a.Aggregate) }
 
 // TopCategories returns the categories sorted by decreasing application
 // rate, for quick summaries.

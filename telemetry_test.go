@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/mosaic-hpc/mosaic"
 )
@@ -100,5 +101,79 @@ func TestOptionsTelemetryInstrumentsRun(t *testing.T) {
 	}
 	if !strings.Contains(string(metrics), "mosaic_engine_items_out_total") {
 		t.Fatalf("/metrics lacks engine families:\n%s", metrics)
+	}
+}
+
+func TestDebugEngineRoute(t *testing.T) {
+	tel := mosaic.NewTelemetry(mosaic.TelemetryConfig{SlowK: 3})
+	// Simulate a little pipeline traffic.
+	tel.StageStarted(mosaic.StageDecode)
+	for i := 0; i < 5; i++ {
+		tel.ItemIn(mosaic.StageDecode)
+		tel.ItemOut(mosaic.StageDecode)
+	}
+	tel.ItemSpan(mosaic.StageDecode, "a.mosd", time.Now(), time.Millisecond)
+	tel.StageFinished(mosaic.StageDecode)
+
+	srv, err := mosaic.StartDebugServer("127.0.0.1:0", tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	get := func(path string) (string, http.Header) {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status = %d", path, resp.StatusCode)
+		}
+		return string(body), resp.Header
+	}
+
+	// /metrics: the engine families, on the shared mux.
+	body, _ := get("/metrics")
+	for _, want := range []string{
+		"# TYPE mosaic_engine_items_in_total counter",
+		`mosaic_engine_items_out_total{stage="decode"} 5`,
+		"# TYPE mosaic_engine_item_seconds histogram",
+		"# TYPE mosaic_engine_stage_seconds gauge",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+
+	// /debug/engine: live stage snapshot + slow log, JSON.
+	body, hdr := get("/debug/engine")
+	if ct := hdr.Get("Content-Type"); !strings.Contains(ct, "application/json") {
+		t.Fatalf("/debug/engine content-type = %q", ct)
+	}
+	var state struct {
+		Stages []mosaic.StageSnapshot `json:"stages"`
+		Slow   map[string][]struct {
+			Name string `json:"name"`
+		} `json:"slow"`
+	}
+	if err := json.Unmarshal([]byte(body), &state); err != nil {
+		t.Fatalf("/debug/engine is not valid JSON: %v\n%s", err, body)
+	}
+	if len(state.Stages) != 1 || state.Stages[0].Stage != mosaic.StageDecode {
+		t.Fatalf("/debug/engine stages = %+v, want one decode snapshot", state.Stages)
+	}
+	if state.Stages[0].Out != 5 {
+		t.Fatalf("/debug/engine decode out = %d, want 5", state.Stages[0].Out)
+	}
+	if !strings.Contains(body, "items_per_sec") {
+		t.Fatalf("/debug/engine snapshot lacks items_per_sec:\n%s", body)
+	}
+	if got := state.Slow["decode"]; len(got) != 1 || got[0].Name != "a.mosd" {
+		t.Fatalf("/debug/engine slow = %+v, want the one decode entry", state.Slow)
 	}
 }
