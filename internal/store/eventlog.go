@@ -2,24 +2,20 @@ package store
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"sync"
 )
 
 // AppendLog is a minimal CRC-framed append-only log for small records
-// (the cluster event journal). It reuses the store's frame layout
-// (frame.go) with kind = kindEvent and an empty key, so the same
-// torn-tail recovery guarantees apply: on open the file is scanned,
-// validated, and truncated to the last intact frame. All methods are
-// safe for concurrent use.
+// (the cluster event journal). It is the store's appender (log.go) run
+// with kind = kindEvent, an empty key and, optionally, an fsync per
+// append, so the same torn-tail recovery guarantees apply: on open the
+// file is scanned, validated, and truncated to the last intact frame.
+// All methods are safe for concurrent use.
 type AppendLog struct {
 	mu     sync.Mutex
-	f      *os.File
+	log    *logFile
 	path   string
-	size   int64
 	sync   bool
-	buf    []byte
 	closed bool
 
 	records      int
@@ -29,72 +25,33 @@ type AppendLog struct {
 // OpenAppendLog opens (creating if necessary) the log at path. With
 // syncEach set, every Append is fsynced before it returns.
 func OpenAppendLog(path string, syncEach bool) (*AppendLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	return openAppendLog(osFS{}, path, syncEach)
+}
+
+func openAppendLog(fs fsys, path string, syncEach bool) (*AppendLog, error) {
+	l := &AppendLog{path: path, sync: syncEach}
+	var err error
+	l.log, l.droppedBytes, err = openLog(fs, path, eventFrame, true, func(int64, byte, []byte, []byte) scanEnd { l.records++; return scanToLimit })
 	if err != nil {
 		return nil, fmt.Errorf("store: opening append log %s: %w", path, err)
 	}
-	size, err := fileSize(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	records := 0
-	good, err := scanEvents(f, size, func([]byte) bool { records++; return true })
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if good < size {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seeking %s: %w", path, err)
-	}
-	return &AppendLog{f: f, path: path, sync: syncEach, size: good, records: records, droppedBytes: size - good}, nil
+	return l, nil
 }
 
-// scanEvents is scanFrames for an event log: only kindEvent frames with
-// an empty key are legal, and fn sees each one's value until it returns
-// false.
-func scanEvents(f *os.File, limit int64, fn func(value []byte) bool) (good int64, err error) {
-	good, _, err = scanFrames(f, limit, func(_ int64, kind byte, key, value []byte) scanEnd {
-		switch {
-		case kind != kindEvent || len(key) != 0:
-			return scanInvalid
-		case !fn(value):
-			return scanStopped
-		}
-		return scanToLimit
-	})
-	if err != nil {
-		err = fmt.Errorf("store: append log %s: %w", f.Name(), err)
-	}
-	return good, err
-}
+// eventFrame reports whether a frame may appear in an event log.
+func eventFrame(kind byte, key []byte) bool { return kind == kindEvent && len(key) == 0 }
 
 // Append writes one record. The value is framed and CRC-protected;
 // with sync-each enabled it is durable when Append returns.
 func (l *AppendLog) Append(value []byte) error {
-	if err := checkRecord("", value); err != nil {
-		return err
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("store: append log %s is closed", l.path)
-	}
-	l.buf = appendFrame(l.buf[:0], kindEvent, "", value)
-	if _, err := l.f.Write(l.buf); err != nil {
+	if err := l.log.append(record{kind: kindEvent, value: value}); err != nil {
 		return fmt.Errorf("store: appending to %s: %w", l.path, err)
 	}
-	l.size += int64(len(l.buf))
 	l.records++
 	if l.sync {
-		if err := l.f.Sync(); err != nil {
+		if err := l.log.sync(); err != nil {
 			return fmt.Errorf("store: syncing %s: %w", l.path, err)
 		}
 	}
@@ -106,21 +63,20 @@ func (l *AppendLog) Append(value []byte) error {
 func (l *AppendLog) AppendRecord(value []byte) error { return l.Append(value) }
 
 // Replay calls fn with every intact record value in append order,
-// stopping early if fn returns false. It opens its own read handle so
-// concurrent Appends are unaffected; frames appended after the replay
-// begins may or may not be delivered.
+// stopping early if fn returns false. It reads the log's own handle up to
+// the size it had when the replay began, so concurrent Appends are
+// unaffected and are not delivered.
 func (l *AppendLog) Replay(fn func(value []byte) bool) error {
-	f, err := os.Open(l.path)
+	_, _, err := l.log.scan(l.Size(), func(_ int64, _ byte, _, value []byte) scanEnd {
+		if !fn(value) {
+			return scanStopped
+		}
+		return scanToLimit
+	})
 	if err != nil {
-		return fmt.Errorf("store: opening append log for replay: %w", err)
+		return fmt.Errorf("store: append log %s: %w", l.path, err)
 	}
-	defer f.Close()
-	size, err := fileSize(f)
-	if err != nil {
-		return err
-	}
-	_, err = scanEvents(f, size, fn)
-	return err
+	return nil
 }
 
 // Records reports how many intact records the log holds.
@@ -134,7 +90,7 @@ func (l *AppendLog) Records() int {
 func (l *AppendLog) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.size
+	return l.log.size
 }
 
 // DroppedTailBytes reports how many torn-tail bytes were discarded
@@ -145,7 +101,7 @@ func (l *AppendLog) DroppedTailBytes() int64 {
 	return l.droppedBytes
 }
 
-// Close flushes and closes the log. Further Appends fail.
+// Close closes the log. Further Appends fail.
 func (l *AppendLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -153,5 +109,5 @@ func (l *AppendLog) Close() error {
 		return nil
 	}
 	l.closed = true
-	return l.f.Close()
+	return l.log.f.Close()
 }

@@ -6,18 +6,18 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
-// The one on-disk format of this package, shared by the segment log and
-// the standalone AppendLog. All integers are little-endian:
+// The one on-disk format of this package, written by its one appender
+// (logFile, log.go) into store segments and AppendLogs alike. All
+// integers are little-endian:
 //
 //	[u32 payloadLen][payload][u32 crc32(payload)]
 //	payload = [u8 kind][u16 keyLen][key][value]
 //
 // appendFrame is the only writer and scanFrames the only reader; what a
 // particular file accepts (which kinds, which key lengths) is decided by
-// the callback its owner hands to scanFrames.
+// the filter its owner opens the logFile with.
 const (
 	frameHeaderLen  = 4
 	framePayloadMin = 1 + 2
@@ -149,13 +149,4 @@ func scanFrames(r io.ReaderAt, limit int64, fn func(off int64, kind byte, key, v
 		off = next
 	}
 	return off, scanToLimit, nil
-}
-
-// fileSize is the scan limit of a file no writer is appending to.
-func fileSize(f *os.File) (int64, error) {
-	info, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("store: stat %s: %w", f.Name(), err)
-	}
-	return info.Size(), nil
 }

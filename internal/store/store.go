@@ -33,10 +33,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,17 +146,15 @@ type Stats struct {
 // Store is a content-addressed trace/result store backed by an
 // append-only segment log. All methods are safe for concurrent use.
 type Store struct {
+	fs   fsys
 	dir  string
 	opts Options
 
-	mu      sync.RWMutex // guards index, segment bookkeeping, appends
-	index   map[string]loc
-	readers []*os.File // one read handle per segment, index = segment number - 1
-	active  *os.File   // append handle of the last segment
-	size    int64      // bytes in the active segment
-	seq     int64      // appended-frame watermark (monotonic across segments)
-	wbuf    []byte     // reusable frame staging buffer (guarded by mu)
-	closed  bool
+	mu     sync.RWMutex // guards index, segment bookkeeping, appends
+	index  map[string]loc
+	segs   []*logFile // index = segment number - 1; the last is the active one
+	seq    int64      // appended-frame watermark (monotonic across segments)
+	closed bool
 
 	gc groupCommit // fsync cohort state; locked after mu, never before
 
@@ -203,11 +199,16 @@ type groupCommit struct {
 // a crashed writer are detected by CRC/length validation and dropped;
 // everything before them is recovered.
 func Open(dir string, opts Options) (*Store, error) {
+	return openStore(osFS{}, dir, opts)
+}
+
+func openStore(fs fsys, dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
 	s := &Store{
+		fs:    fs,
 		dir:   dir,
 		opts:  opts,
 		index: make(map[string]loc),
@@ -226,11 +227,10 @@ func (s *Store) segPath(n int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%06d.seg", n))
 }
 
-// recover scans every segment in order, rebuilding the index. The
-// last segment becomes the active one; if its tail is torn it is
-// truncated to the last valid frame so appends resume cleanly.
+// recover opens every segment in order, rebuilding the index. The last
+// segment becomes the active one.
 func (s *Store) recover() error {
-	entries, err := os.ReadDir(s.dir)
+	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: reading %s: %w", s.dir, err)
 	}
@@ -240,51 +240,37 @@ func (s *Store) recover() error {
 			names = append(names, e.Name())
 		}
 	}
-	sort.Strings(names)
 	if len(names) == 0 {
-		return s.openSegment(1)
+		return s.loadSegment(s.segPath(1), true)
 	}
 	for i, name := range names {
-		f, err := os.Open(filepath.Join(s.dir, name))
-		if err != nil {
-			return fmt.Errorf("store: opening segment %s: %w", name, err)
-		}
-		s.readers = append(s.readers, f)
-		size, err := fileSize(f)
-		if err != nil {
+		if err := s.loadSegment(filepath.Join(s.dir, name), i == len(names)-1); err != nil {
 			return err
-		}
-		seg := int32(i + 1)
-		good, _, err := scanFrames(f, size, func(off int64, kind byte, key, value []byte) scanEnd {
-			if !segmentFrame(kind, key) {
-				return scanInvalid
-			}
-			s.indexPut(string(key), loc{seg: seg, valOff: valueOff(off, len(key)), valLen: int32(len(value)), kind: kind})
-			s.recoveredFrames++
-			return scanToLimit
-		})
-		if err != nil {
-			return fmt.Errorf("store: segment %s: %w", name, err)
-		}
-		dropped := size - good
-		s.droppedTailBytes += dropped
-		last := i == len(names)-1
-		if dropped > 0 && last {
-			if err := os.Truncate(filepath.Join(s.dir, name), good); err != nil {
-				return fmt.Errorf("store: truncating torn tail of %s: %w", name, err)
-			}
-		}
-		if last {
-			w, err := os.OpenFile(filepath.Join(s.dir, name), os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("store: reopening %s for append: %w", name, err)
-			}
-			s.active = w
-			s.size = good
 		}
 	}
 	return nil
 }
+
+// loadSegment opens the segment at path as the next segment number and
+// indexes the frames it holds; a new segment holds none. The last
+// segment's torn tail is truncated so appends resume cleanly.
+func (s *Store) loadSegment(path string, last bool) error {
+	seg := int32(len(s.segs) + 1)
+	l, dropped, err := openLog(s.fs, path, segmentFrame, last, func(off int64, kind byte, key, value []byte) scanEnd {
+		s.indexPut(string(key), loc{seg: seg, valOff: valueOff(off, len(key)), valLen: int32(len(value)), kind: kind})
+		s.recoveredFrames++
+		return scanToLimit
+	})
+	if err != nil {
+		return fmt.Errorf("store: segment %s: %w", path, err)
+	}
+	s.segs = append(s.segs, l)
+	s.droppedTailBytes += dropped
+	return nil
+}
+
+// active is the segment appends go to. Callers hold s.mu.
+func (s *Store) active() *logFile { return s.segs[len(s.segs)-1] }
 
 // segmentFrame reports whether a frame may appear in a segment; one that
 // may not is treated like a torn tail.
@@ -316,60 +302,39 @@ func (s *Store) indexPut(key string, l loc) {
 	s.index[key] = l
 }
 
-// openSegment creates segment n and makes it active. When rotating away
-// from a live segment under Options.Sync, the sealed segment is synced
-// first and the durable watermark advanced, so no group-commit leader
-// ever needs a write handle to a sealed segment.
-func (s *Store) openSegment(n int) error {
-	path := s.segPath(n)
-	w, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating segment %s: %w", path, err)
-	}
-	r, err := os.Open(path)
-	if err != nil {
-		w.Close()
-		return fmt.Errorf("store: opening segment %s: %w", path, err)
-	}
-	if s.active != nil {
-		if s.opts.Sync {
-			if err := s.active.Sync(); err != nil {
-				w.Close()
-				r.Close()
-				return fmt.Errorf("store: syncing sealed segment: %w", err)
-			}
-			s.gc.mu.Lock()
-			if s.seq > s.gc.synced {
-				s.groupSyncs.Add(1)
-				s.syncedFrames.Add(s.seq - s.gc.synced)
-				s.gc.synced = s.seq
-			}
-			s.gc.cond.Broadcast()
-			s.gc.mu.Unlock()
+// rotate seals the active segment and opens the next one. Under
+// Options.Sync the sealed segment is synced first and the durable
+// watermark advanced, so no group-commit leader ever has to sync a sealed
+// segment.
+func (s *Store) rotate() error {
+	if s.opts.Sync {
+		if err := s.active().sync(); err != nil {
+			return fmt.Errorf("store: syncing sealed segment: %w", err)
 		}
-		s.active.Close() // seal previous segment; its reader stays open
-		if fn, ok := s.rotateHook.Load().(func(segment int)); ok && fn != nil {
-			fn(n)
-		}
+		s.groupSyncs.Add(1)
+		s.markSynced(s.seq)
 	}
-	s.active = w
-	s.readers = append(s.readers, r)
-	s.size = 0
+	sealed, n := s.active(), len(s.segs)+1
+	if err := s.loadSegment(s.segPath(n), true); err != nil {
+		return err
+	}
+	s.active().buf, sealed.buf = sealed.buf, nil // the staging buffer moves on with the appends
+	if fn, ok := s.rotateHook.Load().(func(segment int)); ok && fn != nil {
+		fn(n)
+	}
 	return nil
 }
 
-// maxStagedBuf bounds the frame staging buffer kept across appends; one
-// oversized batch must not pin its buffer for the store's lifetime.
-const maxStagedBuf = 8 << 20
-
-// trimWbuf returns the staging buffer for reuse, dropping it past the
-// retention bound.
-func (s *Store) trimWbuf(buf []byte) {
-	if cap(buf) <= maxStagedBuf {
-		s.wbuf = buf[:0]
-	} else {
-		s.wbuf = nil
+// markSynced advances the durable watermark to seq, counting the frames
+// it newly covers. A waiter only sleeps while a leader syncs, and the
+// leader wakes it.
+func (s *Store) markSynced(seq int64) {
+	s.gc.mu.Lock()
+	if seq > s.gc.synced {
+		s.syncedFrames.Add(seq - s.gc.synced)
+		s.gc.synced = seq
 	}
+	s.gc.mu.Unlock()
 }
 
 // record is one log entry on its way into the segment.
@@ -379,44 +344,30 @@ type record struct {
 	value []byte
 }
 
-// appendLocked stages recs, in order, into the write buffer, hands them
-// to the segment in one write(2) and indexes them, returning the
-// sequence number of the last frame and the bytes written. Callers hold
-// s.mu; when Options.Sync is set they must call waitDurable(seq) after
-// releasing it — acknowledgment before durability is the group-commit
-// protocol's only caller obligation. Frames of one call are contiguous
-// in the log, so recovery keeps a prefix of them and nothing else.
+// appendLocked hands recs, in order, to the active segment in one write
+// and indexes them, returning the sequence number of the last frame and
+// the bytes written. Callers hold s.mu; when Options.Sync is set they
+// must call waitDurable(seq) after releasing it — acknowledgment before
+// durability is the group-commit protocol's only caller obligation.
+// Frames of one call are contiguous in the log, so recovery keeps a
+// prefix of them and nothing else.
 func (s *Store) appendLocked(recs ...record) (seq, written int64, err error) {
-	if s.closed {
-		return 0, 0, fmt.Errorf("store: closed")
-	}
-	for i := range recs {
-		if err := checkRecord(recs[i].key, recs[i].value); err != nil {
-			return 0, 0, err
-		}
-	}
-	buf := s.wbuf[:0]
-	for i := range recs {
-		buf = appendFrame(buf, recs[i].kind, recs[i].key, recs[i].value)
-	}
-	written = int64(len(buf))
-	_, err = s.active.Write(buf)
-	s.trimWbuf(buf)
-	if err != nil {
+	active := s.active()
+	seg, off := int32(len(s.segs)), active.size
+	if err := active.append(recs...); err != nil {
 		return 0, 0, fmt.Errorf("store: appending %d record(s): %w", len(recs), err)
 	}
-	seg, off := int32(len(s.readers)), s.size
+	written = active.size - off
 	for i := range recs {
 		r := &recs[i]
 		valOff := valueOff(off, len(r.key))
 		s.indexPut(r.key, loc{seg: seg, valOff: valOff, valLen: int32(len(r.value)), kind: r.kind})
 		off = valOff + int64(len(r.value)) + frameCRCLen
 	}
-	s.size += written
 	s.seq += int64(len(recs))
 	seq = s.seq
-	if s.size >= s.opts.MaxSegmentBytes {
-		if err := s.openSegment(len(s.readers) + 1); err != nil {
+	if active.size >= s.opts.MaxSegmentBytes {
+		if err := s.rotate(); err != nil {
 			return seq, written, err
 		}
 	}
@@ -445,7 +396,10 @@ func (s *Store) putRecords(ctx context.Context, kind string, recs ...record) err
 // the leader and syncs the active segment once for every frame appended
 // before its snapshot; waiters whose frames land during that fsync form
 // the next cohort. One fsync therefore acknowledges a whole group of
-// concurrent appends, while writers keep appending during the flush.
+// concurrent appends, while writers keep appending during the flush. A
+// failed fsync poisons the segment: its waiters, and all later ones, are
+// acknowledged only if another fsync (a rotation's, Close's) covered
+// their frames before it failed.
 func (s *Store) waitDurable(seq int64) error {
 	g := &s.gc
 	g.mu.Lock()
@@ -456,42 +410,21 @@ func (s *Store) waitDurable(seq int64) error {
 			continue
 		}
 		g.syncing = true
-		prev := g.synced
 		g.mu.Unlock()
 
 		s.mu.RLock()
-		f, target, closed := s.active, s.seq, s.closed
+		l, target := s.active(), s.seq
 		s.mu.RUnlock()
-		var err error
-		if f != nil && !closed {
-			s.groupSyncs.Add(1)
-			if err = f.Sync(); err != nil {
-				// The handle may have been sealed by a segment rotation
-				// or the store closed mid-flight; both sync before
-				// closing, so the watermark (rechecked below) or the
-				// closed flag tells us the cohort is already durable.
-				s.mu.RLock()
-				if s.closed {
-					err = nil
-				}
-				s.mu.RUnlock()
-			}
+		s.groupSyncs.Add(1)
+		err := l.sync()
+		if err == nil {
+			s.markSynced(target)
 		}
 
 		g.mu.Lock()
 		g.syncing = false
-		if err == nil {
-			if target > g.synced {
-				g.synced = target
-			}
-		} else if g.synced >= target {
-			err = nil // rotation made the cohort durable under us
-		}
-		if g.synced > prev {
-			s.syncedFrames.Add(g.synced - prev)
-		}
 		g.cond.Broadcast()
-		if err != nil {
+		if err != nil && g.synced < seq {
 			return fmt.Errorf("store: sync: %w", err)
 		}
 	}
@@ -515,11 +448,11 @@ func (s *Store) readValue(key string, l loc) ([]byte, error) {
 // when it is too small.
 func (s *Store) pread(dst []byte, key string, l loc) ([]byte, error) {
 	s.mu.RLock()
-	if l.seg < 1 || int(l.seg) > len(s.readers) {
+	if l.seg < 1 || int(l.seg) > len(s.segs) {
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("store: invalid segment %d for key %q", l.seg, key)
 	}
-	r := s.readers[l.seg-1]
+	r := s.segs[l.seg-1].f
 	s.mu.RUnlock()
 	buf := slices.Grow(dst[:0], int(l.valLen))[:l.valLen]
 	if _, err := r.ReadAt(buf, l.valOff); err != nil && err != io.EOF {
@@ -634,7 +567,13 @@ func (s *Store) putTraces(ctx context.Context, ids []TraceID, blobs [][]byte, du
 		recs = append(recs, record{kind: kindTrace, key: key, value: b})
 	}
 	if len(recs) == 0 {
+		// A duplicate is acknowledged once the frame it found is durable:
+		// that frame's own commit may still await its fsync, or have failed.
+		seq := s.seq
 		s.mu.Unlock()
+		if s.opts.Sync {
+			return s.waitDurable(seq)
+		}
 		return nil
 	}
 	seq, written, err := s.appendLocked(recs...)
@@ -748,27 +687,15 @@ func (s *Store) HasExplanation(id TraceID, fp string) bool {
 // stops the pass.
 func (s *Store) eachLive(prefix string, fn func(kind byte, key, value []byte) bool) error {
 	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return fmt.Errorf("store: closed")
+	segs := make([]*logFile, len(s.segs))
+	limits := make([]int64, len(s.segs))
+	for i, l := range s.segs {
+		segs[i], limits[i] = l, l.size
 	}
-	readers := make([]*os.File, len(s.readers))
-	copy(readers, s.readers)
-	activeSize := s.size
 	s.mu.RUnlock()
-	for si, r := range readers {
+	for si, l := range segs {
 		seg := int32(si + 1)
-		limit := activeSize
-		if si != len(readers)-1 {
-			var err error
-			if limit, err = fileSize(r); err != nil {
-				return err
-			}
-		}
-		_, end, err := scanFrames(r, limit, func(off int64, k byte, key, value []byte) scanEnd {
-			if !segmentFrame(k, key) {
-				return scanInvalid
-			}
+		_, end, err := l.scan(limits[si], func(off int64, k byte, key, value []byte) scanEnd {
 			if len(key) < len(prefix) || string(key[:len(prefix)]) != prefix {
 				return scanToLimit
 			}
@@ -825,16 +752,12 @@ func (s *Store) Stats() Stats {
 		Results:          s.results,
 		LegacyResults:    s.legacy,
 		Explanations:     s.explains,
-		Segments:         len(s.readers),
+		Segments:         len(s.segs),
 		RecoveredFrames:  s.recoveredFrames,
 		DroppedTailBytes: s.droppedTailBytes,
 	}
-	for i, r := range s.readers {
-		if i == len(s.readers)-1 {
-			st.DiskBytes += s.size
-		} else if info, err := r.Stat(); err == nil {
-			st.DiskBytes += info.Size()
-		}
+	for _, l := range s.segs {
+		st.DiskBytes += l.size
 	}
 	s.mu.RUnlock()
 	st.CacheItems, st.CacheBytes = s.cache.stats()
@@ -845,18 +768,8 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Sync flushes the active segment to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.active == nil || s.closed {
-		return nil
-	}
-	return s.active.Sync()
-}
-
-// Close flushes and closes every file handle. The store must not be
-// used afterwards.
+// Close syncs the active segment and closes every file handle. The
+// store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -865,25 +778,15 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	var first error
-	if s.active != nil {
-		if err := s.active.Sync(); err != nil && first == nil {
-			first = err
-		}
-		if err := s.active.Close(); err != nil && first == nil {
-			first = err
+	if len(s.segs) > 0 {
+		// Everything appended before Close is covered by this sync, and
+		// only if it succeeds.
+		if first = s.active().sync(); first == nil {
+			s.markSynced(s.seq)
 		}
 	}
-	// Wake group-commit waiters: everything appended before Close is
-	// covered by the final sync above.
-	s.gc.mu.Lock()
-	if first == nil && s.seq > s.gc.synced {
-		s.syncedFrames.Add(s.seq - s.gc.synced)
-		s.gc.synced = s.seq
-	}
-	s.gc.cond.Broadcast()
-	s.gc.mu.Unlock()
-	for _, r := range s.readers {
-		if err := r.Close(); err != nil && first == nil {
+	for _, l := range s.segs {
+		if err := l.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
