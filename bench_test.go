@@ -55,10 +55,11 @@ func corpusRun(b *testing.B) *experiments.CorpusRun {
 }
 
 func BenchmarkFig3Funnel(b *testing.B) {
-	p := benchProfile(2)
+	cr := corpusRun(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig3(p)
+		res := experiments.Fig3(cr)
 		if res.Funnel.Total == 0 {
 			b.Fatal("empty funnel")
 		}

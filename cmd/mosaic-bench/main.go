@@ -169,7 +169,7 @@ func run(exp string, apps int, seed int64, workers, sample int, outDir, traceOut
 	// Experiments that need the full corpus run share one; -trace-out
 	// forces the run so there are spans to write.
 	var cr *experiments.CorpusRun
-	needCorpus := want("table2") || want("table3") || want("fig4") || want("fig5") || traceOut != ""
+	needCorpus := want("fig3") || want("table2") || want("table3") || want("fig4") || want("fig5") || traceOut != ""
 	if needCorpus {
 		var tel *engine.Telemetry
 		var obs engine.Observer
@@ -197,7 +197,7 @@ func run(exp string, apps int, seed int64, workers, sample int, outDir, traceOut
 
 	if want("fig3") {
 		header("Figure 3: pre-processing funnel")
-		experiments.Fig3(profile).Write(out)
+		experiments.Fig3(cr).Write(out)
 	}
 	if want("table2") {
 		header("Table II: periodic write detection")

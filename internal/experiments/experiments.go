@@ -33,8 +33,8 @@ type CorpusRun struct {
 	Agg     *report.Aggregator
 
 	Stages          []engine.StageSnapshot // per-stage counts and wall times
-	GenerateTime    time.Duration          // wall time of generate+funnel (funnel stage)
-	CategorizeTime  time.Duration          // wall time of the categorize stage
+	GenerateTime    time.Duration          // wall time of the corpus stream, funneled as it goes (scan stage)
+	CategorizeTime  time.Duration          // the rest of the run: categorizing the kept runs
 	TracesPerSecond float64                // corpus traces funneled per second overall
 }
 
@@ -96,8 +96,13 @@ func RunObserved(ctx context.Context, p gen.Profile, cfg core.Config, workers in
 		cr.Results[i] = AppOutcome{Result: a.Result, Runs: a.Runs, Truth: category.ParseSet(a.Result.Truth[gen.TruthKey])}
 	}
 	cr.Stages = st.Snapshot()
-	cr.GenerateTime = st.Stage(engine.StageFunnel).Wall
-	cr.CategorizeTime = st.Stage(engine.StageCategorize).Wall
+	// Every stage starts with the run. The funnel decides as the corpus
+	// streams past and releases no run before the stream ends, so the
+	// categorize stage's time past the end of the scan is its own. (The
+	// funnel stage itself finishes only once the categorize workers have
+	// taken all but a channel's worth of its groups.)
+	cr.GenerateTime = st.Stage(engine.StageScan).Wall
+	cr.CategorizeTime = max(0, st.Stage(engine.StageCategorize).Wall-cr.GenerateTime)
 	total := time.Since(start)
 	if total > 0 {
 		cr.TracesPerSecond = float64(cr.Funnel.Total) / total.Seconds()
@@ -144,15 +149,9 @@ type Fig3Result struct {
 	Refs   []PaperRef
 }
 
-// Fig3 runs only the funnel (no categorization needed).
-func Fig3(p gen.Profile) *Fig3Result {
-	corpus := gen.Plan(p)
-	pre := core.NewPreprocessor()
-	corpus.Each(func(r gen.Run) bool {
-		pre.Add(r.Job, nil)
-		return true
-	})
-	s := pre.Stats()
+// Fig3 reports the funnel of a corpus run.
+func Fig3(cr *CorpusRun) *Fig3Result {
+	s := cr.Funnel
 	return &Fig3Result{
 		Funnel: s,
 		Refs: []PaperRef{
@@ -303,7 +302,34 @@ type AccuracyResult struct {
 	Accuracy      float64
 	CILow, CIHigh float64        // 95% bootstrap confidence interval
 	ByAxisErrors  map[string]int // axis name -> traces wrong on that axis
+	ByArchetype   []ArchetypeAccuracy
 	PaperAccuracy float64
+}
+
+// ArchetypeAccuracy scores the sampled traces of one generator archetype
+// label by label: a detected category the truth holds is a true
+// positive, one it lacks a false positive, and a true category not
+// detected a false negative.
+type ArchetypeAccuracy struct {
+	Name       string
+	Traces     int // sampled traces of the archetype
+	Correct    int // traces whose whole category set was right
+	TP, FP, FN int
+}
+
+// Precision is TP/(TP+FP): the share of detected labels that are true (1
+// when nothing was detected).
+func (a ArchetypeAccuracy) Precision() float64 { return ratio(a.TP, a.TP+a.FP) }
+
+// Recall is TP/(TP+FN): the share of true labels that were detected (1
+// when the truth is empty).
+func (a ArchetypeAccuracy) Recall() float64 { return ratio(a.TP, a.TP+a.FN) }
+
+func ratio(n, d int) float64 {
+	if d == 0 {
+		return 1
+	}
+	return float64(n) / float64(d)
 }
 
 // Accuracy samples sampleSize valid traces from the corpus and scores the
@@ -315,6 +341,7 @@ func Accuracy(p gen.Profile, cfg core.Config, sampleSize int, seed int64) (*Accu
 	// traces): oversample, then filter.
 	sample := corpus.Reservoir(sampleSize*2, seed)
 	res := &AccuracyResult{ByAxisErrors: map[string]int{}, PaperAccuracy: 0.92}
+	byArch := map[string]*ArchetypeAccuracy{}
 	for _, r := range sample {
 		if res.Sampled >= sampleSize {
 			break
@@ -326,16 +353,31 @@ func Accuracy(p gen.Profile, cfg core.Config, sampleSize int, seed int64) (*Accu
 		if err != nil {
 			return nil, err
 		}
-		truth := gen.Truth(r.Job)
+		truth, got := gen.Truth(r.Job), out.Categories
+		name := r.App.Archetype.Name
+		a := byArch[name]
+		if a == nil {
+			a = &ArchetypeAccuracy{Name: name}
+			byArch[name] = a
+		}
+		a.Traces++
+		a.TP += (truth & got).Len()
+		a.FP += (got &^ truth).Len()
+		a.FN += (truth &^ got).Len()
 		res.Sampled++
-		if out.Categories.Equal(truth) {
+		if got.Equal(truth) {
 			res.Correct++
+			a.Correct++
 			continue
 		}
-		for _, axis := range axisMismatches(truth, out.Categories) {
+		for _, axis := range axisMismatches(truth, got) {
 			res.ByAxisErrors[axis]++
 		}
 	}
+	for _, a := range byArch {
+		res.ByArchetype = append(res.ByArchetype, *a)
+	}
+	sort.Slice(res.ByArchetype, func(i, j int) bool { return res.ByArchetype[i].Name < res.ByArchetype[j].Name })
 	if res.Sampled > 0 {
 		res.Accuracy = float64(res.Correct) / float64(res.Sampled)
 		res.CILow, res.CIHigh = stats.BootstrapProportionCI(res.Correct, res.Sampled, 0.95, 1000, seed)
@@ -367,5 +409,9 @@ func (r *AccuracyResult) Write(w io.Writer) {
 	sort.Strings(axes)
 	for _, a := range axes {
 		fmt.Fprintf(w, "  traces wrong on %-12s %d\n", a+":", r.ByAxisErrors[a])
+	}
+	fmt.Fprintf(w, "  %-26s %6s %8s %10s %8s\n", "archetype (label level)", "traces", "correct", "precision", "recall")
+	for _, a := range r.ByArchetype {
+		fmt.Fprintf(w, "  %-26s %6d %8d %9.1f%% %7.1f%%\n", a.Name, a.Traces, a.Correct, a.Precision()*100, a.Recall()*100)
 	}
 }

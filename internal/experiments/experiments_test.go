@@ -2,31 +2,124 @@ package experiments
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
+	"github.com/mosaic-hpc/mosaic/internal/gen"
 	"github.com/mosaic-hpc/mosaic/internal/report"
 )
 
-// smallRun is shared by the table/figure tests; generating the corpus once
-// keeps the suite fast.
+// Each shared run happens at most once per test binary.
 var (
-	smallRunOnce sync.Once
-	smallRunVal  *CorpusRun
-	smallRunErr  error
+	smallRun = onceRun(func() (*CorpusRun, error) {
+		return Run(ScaledProfile(2, 300), core.DefaultConfig(), 0)
+	})
+	// paperRun is the corpus behind experiments_output.txt
+	// (mosaic-bench -exp all -apps 1500 -seed 1), shared by the table
+	// and figure tests and the golden.
+	paperRun = onceRun(func() (*CorpusRun, error) {
+		return Run(ScaledProfile(1, 1500), core.DefaultConfig(), 0)
+	})
+	// paperAccuracy is that file's accuracy experiment: mosaic-bench
+	// samples 512 traces with seed+100.
+	paperAccuracy = onceRun(func() (*AccuracyResult, error) {
+		return Accuracy(ScaledProfile(1, 1500), core.DefaultConfig(), 512, 101)
+	})
 )
 
-func smallRun(t *testing.T) *CorpusRun {
-	t.Helper()
-	smallRunOnce.Do(func() {
-		smallRunVal, smallRunErr = Run(ScaledProfile(1, 250), core.DefaultConfig(), 0)
-	})
-	if smallRunErr != nil {
-		t.Fatal(smallRunErr)
+func onceRun[T any](fn func() (T, error)) func(*testing.T) T {
+	once := sync.OnceValues(fn)
+	return func(t *testing.T) T {
+		t.Helper()
+		v, err := once()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	return smallRunVal
+}
+
+// TestPaperGolden holds every paper table and figure this package
+// derives to the archived run, byte for byte: each section of
+// experiments_output.txt below is what its experiment writes over the
+// 20,764-trace corpus. Only the timing lines of that file (the corpus
+// header, the stage breakdown, the performance section) are free.
+func TestPaperGolden(t *testing.T) {
+	archived, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, acc := paperRun(t), paperAccuracy(t)
+	for _, sec := range []struct {
+		title string
+		write func(io.Writer)
+	}{
+		{"Figure 3: pre-processing funnel", func(w io.Writer) { Fig3(cr).Write(w) }},
+		{"Table II: periodic write detection", func(w io.Writer) { Table2(cr).Write(w, cr.Agg) }},
+		{"Table III: access temporality", func(w io.Writer) { Table3(cr).Write(w, cr.Agg) }},
+		{"Figure 4: metadata category distribution", func(w io.Writer) { Fig4(cr).Write(w, cr.Agg) }},
+		{"Figure 5 / Section IV-D: correlations", func(w io.Writer) { Fig5(cr).Write(w, cr.Agg) }},
+		{"Section IV-E: accuracy (sampled validation)", acc.Write},
+	} {
+		want, ok := section(string(archived), sec.title)
+		if !ok {
+			t.Errorf("experiments_output.txt has no section %q", sec.title)
+			continue
+		}
+		var got strings.Builder
+		sec.write(&got)
+		if got.String() != want {
+			t.Errorf("section %q differs from experiments_output.txt\n--- got\n%s--- archived\n%s", sec.title, got.String(), want)
+		}
+	}
+}
+
+// section returns the body of a titled section of mosaic-bench's
+// output: the lines after the title and its underline, up to the blank
+// line that opens the next section.
+func section(out, title string) (string, bool) {
+	head := "\n" + title + "\n" + strings.Repeat("=", len(title)) + "\n"
+	i := strings.Index(out, head)
+	if i < 0 {
+		return "", false
+	}
+	body := out[i+len(head):]
+	if j := strings.Index(body, "\n\n"); j >= 0 {
+		body = body[:j+1]
+	}
+	return body, true
+}
+
+// TestEngineFunnelEqualsPreprocessor shows that the funnel a corpus run
+// reports, which Figure 3 prints, is what a Preprocessor counts over
+// the same corpus on its own.
+func TestEngineFunnelEqualsPreprocessor(t *testing.T) {
+	cr := smallRun(t)
+	pre := core.NewPreprocessor()
+	gen.Plan(cr.Profile).Each(func(r gen.Run) bool {
+		pre.Add(r.Job, nil)
+		return true
+	})
+	want := pre.Stats()
+	if got := cr.Funnel; !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine funnel %+v\npreprocessor  %+v", got, want)
+	}
+}
+
+// TestCategorizeTimeIsItsOwn: categorization of the kept runs starts
+// when the funnel has decided, so its time is not the whole run's.
+func TestCategorizeTimeIsItsOwn(t *testing.T) {
+	cr := smallRun(t)
+	if cr.GenerateTime <= 0 || cr.CategorizeTime >= cr.GenerateTime {
+		t.Fatalf("generated+funneled in %v, categorized in %v: categorization should be the smaller part",
+			cr.GenerateTime, cr.CategorizeTime)
+	}
 }
 
 func TestRunProducesConsistentCounts(t *testing.T) {
@@ -51,7 +144,7 @@ func TestRunProducesConsistentCounts(t *testing.T) {
 }
 
 func TestFig3FunnelShape(t *testing.T) {
-	res := Fig3(ScaledProfile(2, 300))
+	res := Fig3(paperRun(t))
 	if res.Funnel.CorruptedFraction() < 0.25 || res.Funnel.CorruptedFraction() > 0.40 {
 		t.Fatalf("corrupted fraction = %g, not Blue-Waters-shaped", res.Funnel.CorruptedFraction())
 	}
@@ -66,7 +159,7 @@ func TestFig3FunnelShape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	cr := smallRun(t)
+	cr := paperRun(t)
 	res := Table2(cr)
 	// Periodic writes: rare among applications, more common among runs.
 	if res.WriteSingle.Periodic > 0.10 {
@@ -82,7 +175,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	cr := smallRun(t)
+	cr := paperRun(t)
 	res := Table3(cr)
 	// Single-run: insignificant dominates both directions (paper: 85/87%).
 	if res.ReadSingle.Insignificant < 0.7 || res.WriteSingle.Insignificant < 0.7 {
@@ -108,7 +201,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	cr := smallRun(t)
+	cr := paperRun(t)
 	res := Fig4(cr)
 	// The all-runs view must be more metadata-intensive than single-run
 	// (a few heavy apps run very often).
@@ -122,7 +215,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Correlations(t *testing.T) {
-	cr := smallRun(t)
+	cr := paperRun(t)
 	res := Fig5(cr)
 	if res.Corr.ReadStartWritesEnd < 0.4 || res.Corr.ReadStartWritesEnd > 0.9 {
 		t.Fatalf("P(we|rs) = %g, paper says 66%%", res.Corr.ReadStartWritesEnd)
@@ -139,11 +232,8 @@ func TestFig5Correlations(t *testing.T) {
 }
 
 func TestAccuracyMeetsPaper(t *testing.T) {
-	res, err := Accuracy(ScaledProfile(3, 250), core.DefaultConfig(), 256, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sampled < 200 {
+	res := paperAccuracy(t)
+	if res.Sampled < 500 {
 		t.Fatalf("sampled only %d traces", res.Sampled)
 	}
 	if res.Accuracy < res.PaperAccuracy {

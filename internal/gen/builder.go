@@ -13,9 +13,9 @@
 package gen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
@@ -40,17 +40,38 @@ func Truth(j *darshan.Job) category.Set {
 
 // Builder assembles one synthetic trace from I/O phases. All times are
 // seconds from job start.
+//
+// Record paths are not strings until Job: each one is appended to paths
+// and noted in pathOf, and Job cuts them all from one string the job
+// owns, as the decoder does.
 type Builder struct {
-	job   *darshan.Job
-	rng   *rand.Rand
-	truth category.Set
-	files int // counter for distinct synthetic file paths
+	job    *darshan.Job
+	rng    *rand.Rand
+	truth  category.Set
+	files  int    // counter for distinct synthetic file paths
+	paths  []byte // every path handed out so far, back to back
+	pathOf []pathRef
+	cut    int // pathOf entries Job has already turned into Record.Path
 }
+
+// pathRef places records[rec].Path at paths[off:end].
+type pathRef struct{ rec, off, end int32 }
+
+// maxPathLen bounds one nextPath result for a user name of n bytes:
+// "/scratch/" + user + "/" + the longest prefix, "stream", + "." + six
+// digits.
+func maxPathLen(n int) int { return len("/scratch/") + n + len("/stream.") + 6 }
 
 // NewBuilder starts a trace for one execution.
 func NewBuilder(rng *rand.Rand, user, exe string, jobID uint64, ranks int32, runtime float64) *Builder {
+	return newBuilder(rng, user, exe, jobID, ranks, runtime, 0)
+}
+
+// newBuilder is NewBuilder with room for records file records made up
+// front, so that a trace of that size is built without regrowing.
+func newBuilder(rng *rand.Rand, user, exe string, jobID uint64, ranks int32, runtime float64, records int) *Builder {
 	start := int64(1546300800) + rng.Int63n(365*24*3600) // within 2019, like the dataset
-	return &Builder{
+	b := &Builder{
 		job: &darshan.Job{
 			JobID:    jobID,
 			UID:      uint32(1000 + hashString(user)%9000),
@@ -60,10 +81,16 @@ func NewBuilder(rng *rand.Rand, user, exe string, jobID uint64, ranks int32, run
 			Start:    start,
 			End:      start + int64(math.Ceil(runtime)),
 			Runtime:  runtime,
-			Metadata: map[string]string{},
+			Metadata: make(map[string]string, 3),
 		},
 		rng: rng,
 	}
+	if records > 0 {
+		b.job.Records = make([]darshan.FileRecord, 0, records)
+		b.paths = make([]byte, 0, records*maxPathLen(len(user)))
+		b.pathOf = make([]pathRef, 0, records)
+	}
+	return b
 }
 
 func hashString(s string) uint32 {
@@ -86,9 +113,28 @@ func (b *Builder) Runtime() float64 { return b.job.Runtime }
 // Rng exposes the builder's random source for archetype-level decisions.
 func (b *Builder) Rng() *rand.Rand { return b.rng }
 
-func (b *Builder) nextPath(prefix string) string {
+// nextPath appends the next distinct path, /scratch/<user>/<prefix>.<n>
+// with n zero-padded to six digits, and returns where it sits in paths.
+func (b *Builder) nextPath(prefix string) pathRef {
 	b.files++
-	return fmt.Sprintf("/scratch/%s/%s.%06d", b.job.User, prefix, b.files)
+	off := len(b.paths)
+	b.paths = append(b.paths, "/scratch/"...)
+	b.paths = append(b.paths, b.job.User...)
+	b.paths = append(b.paths, '/')
+	b.paths = append(b.paths, prefix...)
+	b.paths = append(b.paths, '.')
+	for d := 100000; d > 1 && b.files < d; d /= 10 {
+		b.paths = append(b.paths, '0')
+	}
+	b.paths = strconv.AppendInt(b.paths, int64(b.files), 10)
+	return pathRef{off: int32(off), end: int32(len(b.paths))}
+}
+
+// addRecord appends rec, whose path is p, to the job.
+func (b *Builder) addRecord(rec darshan.FileRecord, p pathRef) {
+	p.rec = int32(len(b.job.Records))
+	b.job.Records = append(b.job.Records, rec)
+	b.pathOf = append(b.pathOf, p)
 }
 
 // clampT keeps a timestamp within [0, runtime].
@@ -130,12 +176,12 @@ func (b *Builder) Burst(s BurstSpec) {
 	}
 	perRec := s.Bytes / int64(s.Records)
 	rem := s.Bytes - perRec*int64(s.Records)
-	sharedPath := ""
+	prefix := "in"
+	if s.Write {
+		prefix = "out"
+	}
+	var sharedPath pathRef
 	if s.Shared {
-		prefix := "in"
-		if s.Write {
-			prefix = "out"
-		}
 		sharedPath = b.nextPath(prefix)
 	}
 	for r := 0; r < s.Records; r++ {
@@ -153,16 +199,11 @@ func (b *Builder) Burst(s BurstSpec) {
 			bytes += rem
 		}
 		path := sharedPath
-		if path == "" {
-			prefix := "in"
-			if s.Write {
-				prefix = "out"
-			}
+		if !s.Shared {
 			path = b.nextPath(prefix)
 		}
 		rec := darshan.FileRecord{
 			Module: s.Module,
-			Path:   path,
 			Rank:   int32(r % int(b.job.NProcs)),
 			C: darshan.Counters{
 				Opens:      1,
@@ -185,7 +226,7 @@ func (b *Builder) Burst(s BurstSpec) {
 			rec.C.ReadStart = start
 			rec.C.ReadEnd = end
 		}
-		b.job.Records = append(b.job.Records, rec)
+		b.addRecord(rec, path)
 	}
 }
 
@@ -282,7 +323,6 @@ func (b *Builder) MetadataStorm(from, to float64, records int, requestsPer int64
 		t := b.clampT(from + (float64(r)+b.rng.Float64()*0.5)*step)
 		rec := darshan.FileRecord{
 			Module: darshan.ModPOSIX,
-			Path:   b.nextPath("meta"),
 			Rank:   int32(r % int(b.job.NProcs)),
 			C: darshan.Counters{
 				Opens:      requestsPer / 2,
@@ -294,13 +334,24 @@ func (b *Builder) MetadataStorm(from, to float64, records int, requestsPer int64
 				CloseEnd:   b.clampT(t + 0.51),
 			},
 		}
-		b.job.Records = append(b.job.Records, rec)
+		b.addRecord(rec, b.nextPath("meta"))
 	}
 }
 
 // Job finalizes the trace: the ground-truth annotation is serialized into
-// the metadata, and the assembled job is returned.
+// the metadata, the paths of the records added since the last call are
+// cut from one new string, and the assembled job is returned. Building
+// may go on after Job; the next call finalizes what was added.
 func (b *Builder) Job() *darshan.Job {
 	b.job.Metadata[TruthKey] = b.truth.String()
+	if b.cut < len(b.pathOf) {
+		all := string(b.paths)
+		for _, p := range b.pathOf[b.cut:] {
+			if int(p.rec) < len(b.job.Records) {
+				b.job.Records[p.rec].Path = all[p.off:p.end]
+			}
+		}
+		b.cut = len(b.pathOf)
+	}
 	return b.job
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync/atomic"
 
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 )
@@ -46,6 +47,10 @@ type App struct {
 	Exe       string
 	Runs      int
 	seed      int64
+
+	// records is the most file records any run of the app has had so
+	// far: the next run starts with room for that many.
+	records atomic.Int64
 }
 
 // Run is one generated execution.
@@ -162,10 +167,11 @@ func (c *Corpus) GenerateRun(app *App, runIdx int) Run {
 	rng := rand.New(rand.NewSource(app.seed ^ (int64(runIdx)+1)*0x7F4A7C159E3779B9))
 	runtime := runJitter(rng, app.Params.RuntimeBase)
 	jobID := uint64(app.Index)*1_000_000 + uint64(runIdx) + 1
-	b := NewBuilder(rng, app.User, app.Exe, jobID, app.Params.Ranks, runtime)
+	b := newBuilder(rng, app.User, app.Exe, jobID, app.Params.Ranks, runtime, int(app.records.Load()))
 	b.Annotate(ArchetypeKey, app.Archetype.Name)
 	app.Archetype.Build(b, app.Params)
 	job := b.Job()
+	app.sawRecords(len(job.Records))
 
 	run := Run{Job: job, App: app, RunIndex: runIdx}
 	if rng.Float64() < c.Profile.CorruptionRate {
@@ -173,6 +179,15 @@ func (c *Corpus) GenerateRun(app *App, runIdx int) Run {
 		run.Corrupted = true
 	}
 	return run
+}
+
+// sawRecords raises app.records to n if n is larger.
+func (app *App) sawRecords(n int) {
+	for seen := app.records.Load(); int64(n) > seen; seen = app.records.Load() {
+		if app.records.CompareAndSwap(seen, int64(n)) {
+			return
+		}
+	}
 }
 
 // Each streams every run of the corpus in plan order. The callback returns

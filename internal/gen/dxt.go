@@ -39,9 +39,9 @@ func (b *Builder) SteadyHiddenPeriodic(write bool, period, phaseFrac float64, by
 	first := phases[0]
 	last := phases[len(phases)-1] + phaseDur
 	for r := 0; r < records; r++ {
+		path := b.nextPath("stream")
 		rec := darshan.FileRecord{
 			Module: darshan.ModPOSIX,
-			Path:   b.nextPath("stream"),
 			Rank:   int32(r % int(b.job.NProcs)),
 			C: darshan.Counters{
 				Opens: 1, Closes: 1, Seeks: 1,
@@ -83,7 +83,7 @@ func (b *Builder) SteadyHiddenPeriodic(write bool, period, phaseFrac float64, by
 				rec.DXTReads = events
 			}
 		}
-		b.job.Records = append(b.job.Records, rec)
+		b.addRecord(rec, path)
 	}
 	return len(phases)
 }
