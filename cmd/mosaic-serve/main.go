@@ -19,6 +19,8 @@
 //	GET  /debug/requests   recent requests with per-phase latency
 //	                       (?format=text for a table); /{id} for the
 //	                       full span tree of one request
+//	GET  /debug/budget     per route, each span's share of the request
+//	                       time (?format=text for a table)
 //
 // Every request carries a correlation ID: a client-supplied
 // X-Request-Id is kept, otherwise one is generated; the ID is echoed in
@@ -294,7 +296,8 @@ func main() {
 			fh := debughttp.RequestsHandler(flight)
 			extra = append(extra,
 				debughttp.Route{Pattern: "GET /debug/requests", Handler: fh},
-				debughttp.Route{Pattern: "GET /debug/requests/{id}", Handler: fh})
+				debughttp.Route{Pattern: "GET /debug/requests/{id}", Handler: fh},
+				debughttp.Route{Pattern: "GET /debug/budget", Handler: debughttp.BudgetHandler(reg)})
 		}
 		dbg, err := debughttp.StartServer(*debugAddr, reg, log, extra...)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -295,10 +296,12 @@ type SpanJSON struct {
 }
 
 // Detail is the full /debug/requests/{id} document: the summary row
-// plus every span with parent links.
+// plus every span with parent links. Traces counts the retained traces
+// the tree merges (see Get).
 type Detail struct {
 	Summary
 	Traceparent string     `json:"traceparent"`
+	Traces      int        `json:"traces"`
 	SpanTree    []SpanJSON `json:"span_tree"`
 }
 
@@ -316,18 +319,49 @@ func (r *Recorder) Recent(n int) []Summary {
 	return out
 }
 
-// Get returns the full detail of one retained trace by 32-hex-char ID.
+// Get returns the full detail of one request by 32-hex-char trace ID:
+// every retained trace with that ID merged into one span tree. A ring
+// node holds several — its own request's, and one per RPC of a request
+// that reached it, an RPC coming back to the node that sent it included;
+// each RPC root keeps its remote parent, the span on the calling node.
+// The summary is that of the trace whose root has no remote parent (the
+// node's own request), or else the earliest, widened to the whole tree:
+// its start, envelope, span count and phases. Span starts count from
+// the earliest trace's start.
 func (r *Recorder) Get(id string) (Detail, bool) {
+	var parts []*Trace
 	for _, t := range r.snapshot() {
-		if t.ID().String() != id {
-			continue
+		if t.ID().String() == id {
+			parts = append(parts, t)
 		}
-		d := Detail{Summary: summarize(t), Traceparent: t.Traceparent()}
+	}
+	if len(parts) == 0 {
+		return Detail{}, false
+	}
+	sort.SliceStable(parts, func(i, j int) bool { return parts[i].start.Before(parts[j].start) })
+	primary := parts[0]
+	for _, t := range parts {
+		if t.remoteParent.IsZero() {
+			primary = t
+			break
+		}
+	}
+	epoch, end := parts[0].start, parts[0].start
+	d := Detail{Summary: summarize(primary), Traceparent: primary.Traceparent(), Traces: len(parts)}
+	d.Spans, d.Dropped, d.Phases = 0, 0, map[string]float64{}
+	for _, t := range parts {
+		if e := t.start.Add(t.Duration()); e.After(end) {
+			end = e
+		}
+		d.Dropped += t.Dropped()
 		for _, s := range t.Spans() {
+			if s.ID != t.root {
+				d.Phases[s.Name] += float64(s.Dur.Nanoseconds()) / 1e6
+			}
 			sj := SpanJSON{
 				ID:      s.ID.String(),
 				Name:    s.Name,
-				StartUS: float64(s.Start.Sub(t.start).Nanoseconds()) / 1e3,
+				StartUS: float64(s.Start.Sub(epoch).Nanoseconds()) / 1e3,
 				DurUS:   float64(s.Dur.Nanoseconds()) / 1e3,
 				Attrs:   s.Attrs,
 				Err:     s.Err,
@@ -337,7 +371,9 @@ func (r *Recorder) Get(id string) (Detail, bool) {
 			}
 			d.SpanTree = append(d.SpanTree, sj)
 		}
-		return d, true
 	}
-	return Detail{}, false
+	d.Spans = len(d.SpanTree)
+	d.Start = epoch
+	d.DurMS = float64(end.Sub(epoch).Nanoseconds()) / 1e6
+	return d, true
 }

@@ -119,6 +119,21 @@ func newTraceID() TraceID {
 	return id
 }
 
+var spanCtr atomic.Uint64
+
+// newSpanBase returns where a new trace's span IDs start counting: a
+// random-looking point in the 64-bit space, so the traces one request
+// leaves on the nodes it crosses — and on one node, an RPC that comes back
+// to it — share a trace ID but no span ID, and merge into one tree.
+func newSpanBase() uint64 {
+	x := binary.LittleEndian.Uint64(idSeed[:8]) + spanCtr.Add(1)*0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
 // Attr is one span annotation.
 type Attr struct {
 	Key   string `json:"key"`
@@ -189,7 +204,8 @@ type Trace struct {
 	tp           string  // cached traceparent value, built once in New
 	rootRef      spanRef // context value for NewContext, zero-alloc
 
-	spanCtr atomic.Uint64
+	spanBase uint64 // span IDs are spanBase + 1, + 2, ...
+	spanCtr  atomic.Uint64
 
 	mu        sync.Mutex
 	spans     []Span
@@ -252,6 +268,7 @@ func New(o StartOptions) *Trace {
 	} else {
 		t.id = newTraceID()
 	}
+	t.spanBase = newSpanBase()
 	t.root = t.newSpanID()
 	t.scratch = scratchPool.Get().(*traceScratch)
 	t.spans = t.scratch.spanBuf[:0]
@@ -263,7 +280,11 @@ func New(o StartOptions) *Trace {
 
 func (t *Trace) newSpanID() SpanID {
 	var id SpanID
-	binary.BigEndian.PutUint64(id[:], t.spanCtr.Add(1))
+	n := t.spanBase + t.spanCtr.Add(1)
+	if n == 0 { // the invalid ID: skip it
+		n = t.spanBase + t.spanCtr.Add(1)
+	}
+	binary.BigEndian.PutUint64(id[:], n)
 	return id
 }
 
@@ -278,6 +299,11 @@ func (t *Trace) RequestID() string { return t.reqID }
 
 // Start returns the request arrival time.
 func (t *Trace) Start() time.Time { return t.start }
+
+// Method and Route return what the root span is named by: "POST" and
+// "/v1/traces", or "RPC" and an operation's name.
+func (t *Trace) Method() string { return t.method }
+func (t *Trace) Route() string  { return t.route }
 
 // name is what the trace traces — "POST /v1/traces", or the bare route
 // when there is no method: the root span's name and the trace's label in
@@ -591,13 +617,22 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 // that will have no traced descendants (a store commit, a decode). It
 // skips StartSpan's context allocation; otherwise identical.
 func StartLeaf(ctx context.Context, name string, attrs ...Attr) *ActiveSpan {
+	return StartLeafAt(ctx, name, time.Time{}, attrs...)
+}
+
+// StartLeafAt is StartLeaf for a span that began at start (zero: now):
+// one whose caller read the clock before it knew the span's attributes.
+func StartLeafAt(ctx context.Context, name string, start time.Time, attrs ...Attr) *ActiveSpan {
 	sc, ok := ctx.Value(ctxKey{}).(*spanRef)
 	if !ok {
 		return nil
 	}
+	if start.IsZero() {
+		start = time.Now()
+	}
 	sp := &ActiveSpan{
 		t: sc.t, id: sc.t.newSpanID(), parent: sc.parent,
-		name: name, start: time.Now(),
+		name: name, start: start,
 	}
 	sp.childRef = spanRef{t: sc.t, parent: sp.id}
 	sp.SetAttr(attrs...)

@@ -10,6 +10,7 @@ import (
 	"net"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +55,10 @@ type Config struct {
 	Log *slog.Logger
 	// Registry hosts the mosaic_ring_* metrics (nil: private registry).
 	Registry *telemetry.Registry
-	// Flight, when non-nil, records inbound RPC traces (cross-node span
-	// trees) into this flight recorder.
-	Flight *reqtrace.Recorder
+	// OnTrace, when non-nil, turns on server-side tracing of inbound
+	// RPCs and receives each finished RPC trace (a cross-node span tree):
+	// a flight recorder's Complete, or a hook that also feeds a budget.
+	OnTrace func(*reqtrace.Trace)
 	// Events, when non-nil, receives cluster health events (peer
 	// up/down, hinted-handoff activity, routing-version mismatches).
 	Events *events.Log
@@ -106,11 +108,14 @@ type NodeStats struct {
 // the connection read buffer; implementations must copy what they keep.
 type Backend interface {
 	// HandleIngest ingests traces this node owns (forwarded by a peer):
-	// persist durably, queue categorization, replicate onward. One
-	// status per blob, in order. ids[i] is blobs[i]'s content address,
-	// computed by the forwarding node from the canonical encoding it
-	// ships — receivers persist under it without re-hashing.
-	HandleIngest(ctx context.Context, reqID string, ids []string, blobs [][]byte) []ItemStatus
+	// persist durably, place the follower copies the sender did not,
+	// queue categorization. One status per blob, in order. ids[i] is
+	// blobs[i]'s content address, computed by the forwarding node from
+	// the canonical encoding it ships — receivers persist under it
+	// without re-hashing. placed[i] lists the followers the sender
+	// already copied blobs[i] to; placed is nil for OpIngest, whose
+	// sender placed nothing.
+	HandleIngest(ctx context.Context, reqID string, ids []string, blobs [][]byte, placed [][]string) []ItemStatus
 	// HandleReplicate persists follower copies durably without
 	// categorizing them (the owner pushes results separately). IDs
 	// pair with blobs as in HandleIngest.
@@ -229,7 +234,7 @@ func NewCluster(cfg Config, backend Backend) (*Cluster, error) {
 	}
 	c.met.PeersUp.Set(float64(len(c.peers)))
 	hello, _ := json.Marshal(pingInfo{Node: self.ID, Version: table.Version()})
-	c.srv = NewServer(ServerOptions{Log: cfg.Log, Flight: cfg.Flight, Hello: hello})
+	c.srv = NewServer(ServerOptions{Log: cfg.Log, OnTrace: cfg.OnTrace, Hello: hello})
 	c.registerHandlers()
 	c.wg.Add(2 + len(c.peers))
 	go c.probeLoop()
@@ -367,27 +372,47 @@ func (c *Cluster) updatePeersUp() {
 	c.met.PeersUp.Set(float64(n))
 }
 
-// sendPairs performs one bulk-data RPC: ids and blobs travel as the
-// alternating blob list of pairParts, the blobs from the slices they are
-// in.
-func (c *Cluster) sendPairs(ctx context.Context, p *peer, op byte, opName, reqID string, ids []string, blobs [][]byte) ([]byte, error) {
-	if len(ids) != len(blobs) {
-		return nil, fmt.Errorf("ring: %d ids for %d blobs", len(ids), len(blobs))
+// sendItems performs one bulk-data RPC: ids and blobs (and, when not
+// nil, placed) travel as the blob list of itemParts, the blobs from the
+// slices they are in.
+func (c *Cluster) sendItems(ctx context.Context, p *peer, op byte, opName, reqID string, ids []string, blobs [][]byte, placed [][]string) ([]byte, error) {
+	if len(ids) != len(blobs) || (placed != nil && len(placed) != len(blobs)) {
+		return nil, fmt.Errorf("ring: %d ids and %d placed lists for %d blobs", len(ids), len(placed), len(blobs))
 	}
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
 	defer cancel()
-	return c.callPeer(ctx, p, op, opName, reqID, nil, pairParts(ids, blobs)...)
+	return c.callPeer(ctx, p, op, opName, reqID, nil, itemParts(ids, blobs, placed)...)
 }
 
 // ForwardIngest routes a group of trace blobs — each paired with its
 // content address — to their owner node and returns the owner's
-// per-item statuses, in blob order.
+// per-item statuses, in blob order. The owner places every follower
+// copy itself.
 func (c *Cluster) ForwardIngest(ctx context.Context, reqID, peerID string, ids []string, blobs [][]byte) ([]ItemStatus, error) {
+	return c.ForwardPlaced(ctx, reqID, peerID, ids, blobs, nil)
+}
+
+// ForwardPlaced is ForwardIngest from a sender that copies blobs[i] to
+// the followers placed[i] itself (OpIngestPlaced): the owner places the
+// others. A nil placed sends OpIngest, and so does a resend to a peer
+// that answers OpIngestPlaced as an unknown op.
+func (c *Cluster) ForwardPlaced(ctx context.Context, reqID, peerID string, ids []string, blobs [][]byte, placed [][]string) ([]ItemStatus, error) {
 	p, err := c.peerByID(peerID)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.sendPairs(ctx, p, OpIngest, "ingest", reqID, ids, blobs)
+	op := byte(OpIngest)
+	if placed != nil {
+		op = OpIngestPlaced
+	}
+	resp, err := c.sendItems(ctx, p, op, "ingest", reqID, ids, blobs, placed)
+	var re *RemoteError
+	if op == OpIngestPlaced && errors.As(err, &re) && strings.HasPrefix(re.Msg, unknownOp) {
+		// A node that predates OpIngestPlaced, mid rolling upgrade: as
+		// OpIngest the share is placed in full by the owner, the followers
+		// already copied to included.
+		resp, err = c.sendItems(ctx, p, OpIngest, "ingest", reqID, ids, blobs, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -407,60 +432,113 @@ func (c *Cluster) ForwardIngest(ctx context.Context, reqID, peerID string, ids [
 // Replicate ships follower copies of the given blobs to one peer,
 // synchronously. On failure the trace IDs are recorded as hints for
 // later replay and the error returned (callers decide whether the
-// failure degrades an ack or was best-effort anyway).
+// failure degrades an ack or was best-effort anyway). Only a node that
+// stores the blobs calls it: a hint is replayed from the local store.
 func (c *Cluster) Replicate(ctx context.Context, reqID, peerID string, ids []string, blobs [][]byte) error {
+	if _, err := c.peerByID(peerID); err != nil {
+		return err
+	}
+	if err := c.Copy(ctx, reqID, peerID, ids, blobs); err != nil {
+		c.Hint(peerID, ids)
+		return err
+	}
+	return nil
+}
+
+// Copy is Replicate without the hint: the call of a node that places
+// copies of blobs it may not store itself, and hands a copy that failed
+// to a node that does.
+func (c *Cluster) Copy(ctx context.Context, reqID, peerID string, ids []string, blobs [][]byte) error {
 	p, err := c.peerByID(peerID)
 	if err != nil {
 		return err
 	}
-	if _, err := c.sendPairs(ctx, p, OpReplicate, "replicate", reqID, ids, blobs); err != nil {
-		c.Hint(peerID, ids)
+	if _, err := c.sendItems(ctx, p, OpReplicate, "replicate", reqID, ids, blobs, nil); err != nil {
 		return err
 	}
 	c.met.ReplicatedTraces.Add(int64(len(blobs)))
 	return nil
 }
 
-// pairParts lays parallel id/blob slices out as the OpIngest and
+// itemParts lays parallel id/blob slices out as the OpIngest and
 // OpReplicate body — an alternating blob list, [len|id][len|blob] per
 // trace — without touching a blob: each trace is its two length prefixes
 // around its id, carved from one small array, then the caller's blob
 // slice itself. Shipping the content address next to each blob lets
 // every downstream node (owner, followers) persist without re-hashing;
-// only the entry node pays the SHA-256 pass.
-func pairParts(ids []string, blobs [][]byte) [][]byte {
-	n := 0
-	for _, id := range ids {
+// only the entry node pays the SHA-256 pass. With placed, the
+// OpIngestPlaced body, each trace has a third blob after its blob: the
+// followers it was placed on, itself a blob list of node IDs.
+func itemParts(ids []string, blobs [][]byte, placed [][]string) [][]byte {
+	n, per := 0, 2
+	for i, id := range ids {
 		n += 8 + len(id)
+		if placed != nil {
+			n += 4
+			for _, f := range placed[i] {
+				n += 4 + len(f)
+			}
+		}
 	}
-	heads, parts := make([]byte, 0, n), make([][]byte, 0, 2*len(blobs))
+	if placed != nil {
+		per = 3
+	}
+	heads, parts := make([]byte, 0, n), make([][]byte, 0, per*len(blobs))
 	for i, b := range blobs {
 		at := len(heads)
 		heads = binary.LittleEndian.AppendUint32(heads, uint32(len(ids[i])))
 		heads = append(heads, ids[i]...)
 		heads = binary.LittleEndian.AppendUint32(heads, uint32(len(b)))
 		parts = append(parts, heads[at:], b)
+		if placed != nil {
+			at = len(heads)
+			heads = binary.LittleEndian.AppendUint32(heads, 0)
+			for _, f := range placed[i] {
+				heads = AppendBlob(heads, []byte(f))
+			}
+			binary.LittleEndian.PutUint32(heads[at:], uint32(len(heads)-at-4))
+			parts = append(parts, heads[at:])
+		}
 	}
 	return parts
 }
 
-// splitPairs decodes an alternating id/blob body laid out by pairParts.
-// The blob slices alias body; the ids are copied out.
-func splitPairs(body []byte) ([]string, [][]byte, error) {
-	parts, err := SplitBlobs(body, maxPairItems)
+// splitItems decodes a body laid out by itemParts, with placed lists
+// when withPlaced. The blob slices alias body; the ids and placed
+// followers are copied out.
+func splitItems(body []byte, withPlaced bool) (ids []string, blobs [][]byte, placed [][]string, err error) {
+	per := 2
+	if withPlaced {
+		per = 3
+	}
+	parts, err := SplitBlobs(body, per*maxTraceItems)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if len(parts)%2 != 0 {
-		return nil, nil, fmt.Errorf("ring: odd id/blob element count %d", len(parts))
+	if len(parts)%per != 0 {
+		return nil, nil, nil, fmt.Errorf("ring: %d blobs is not %d per trace", len(parts), per)
 	}
-	ids := make([]string, len(parts)/2)
-	blobs := make([][]byte, len(parts)/2)
+	ids = make([]string, len(parts)/per)
+	blobs = make([][]byte, len(parts)/per)
+	if withPlaced {
+		placed = make([][]string, len(parts)/per)
+	}
 	for i := range ids {
-		ids[i] = string(parts[2*i])
-		blobs[i] = parts[2*i+1]
+		ids[i] = string(parts[per*i])
+		blobs[i] = parts[per*i+1]
+		if !withPlaced {
+			continue
+		}
+		fs, err := SplitBlobs(parts[per*i+2], maxPlacedFollowers)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("ring: placed list of trace %d: %w", i, err)
+		}
+		placed[i] = make([]string, len(fs))
+		for j, f := range fs {
+			placed[i][j] = string(f)
+		}
 	}
-	return ids, blobs, nil
+	return ids, blobs, placed, nil
 }
 
 // Hint records trace IDs owed to a peer for hinted-handoff replay.
@@ -724,18 +802,24 @@ func (c *Cluster) FetchResult(ctx context.Context, reqID, id string) ([]byte, bo
 // ---- inbound handlers ----
 
 func (c *Cluster) registerHandlers() {
-	c.srv.Handle(OpIngest, "ingest", func(ctx context.Context, f *Frame) ([]byte, error) {
-		ids, blobs, err := splitPairs(f.Body)
-		if err != nil {
-			return nil, err
+	// One handler for both ingest ops: OpIngest arrives with nothing
+	// placed, so a node that predates OpIngestPlaced still forwards.
+	ingest := func(withPlaced bool) Handler {
+		return func(ctx context.Context, f *Frame) ([]byte, error) {
+			ids, blobs, placed, err := splitItems(f.Body, withPlaced)
+			if err != nil {
+				return nil, err
+			}
+			items := c.backend.HandleIngest(ctx, f.RequestID, ids, blobs, placed)
+			return json.Marshal(struct {
+				Items []ItemStatus `json:"items"`
+			}{Items: items})
 		}
-		items := c.backend.HandleIngest(ctx, f.RequestID, ids, blobs)
-		return json.Marshal(struct {
-			Items []ItemStatus `json:"items"`
-		}{Items: items})
-	})
+	}
+	c.srv.Handle(OpIngest, "ingest", ingest(false))
+	c.srv.Handle(OpIngestPlaced, "ingest", ingest(true))
 	c.srv.Handle(OpReplicate, "replicate", func(ctx context.Context, f *Frame) ([]byte, error) {
-		ids, blobs, err := splitPairs(f.Body)
+		ids, blobs, _, err := splitItems(f.Body, false)
 		if err != nil {
 			return nil, err
 		}

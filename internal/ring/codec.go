@@ -50,6 +50,11 @@ const (
 	// OpMetricsSnap returns the node's full metrics registry export
 	// (JSON-encoded telemetry family snapshots) for federation.
 	OpMetricsSnap = 10
+	// OpIngestPlaced is OpIngest from a sender that has placed follower
+	// copies itself: each trace's id and blob are followed by the list of
+	// followers it already copied the blob to, and the owner places only
+	// the rest. A node that predates it answers the unknown-op error.
+	OpIngestPlaced = 11
 )
 
 // MaxFrameBytes bounds one frame: a whole replication batch rides in
@@ -139,10 +144,15 @@ func AppendBlob(dst, blob []byte) []byte {
 	return append(dst, blob...)
 }
 
-// maxPairItems caps the blobs of one OpIngest/OpReplicate body: an id
-// and a blob for each trace of the largest batch the HTTP edge accepts
-// (1024 traces; hint replay ships 64 at a time).
-const maxPairItems = 2 * 1024
+// maxTraceItems caps the traces of one OpIngest, OpIngestPlaced or
+// OpReplicate body at the largest batch the HTTP edge accepts (1024
+// traces; hint replay ships 64 at a time). A trace is two blobs, an id
+// and its blob, or three with the placed list of OpIngestPlaced.
+const maxTraceItems = 1024
+
+// maxPlacedFollowers caps one trace's placed list: no replica set is
+// larger.
+const maxPlacedFollowers = 64
 
 // SplitBlobs decodes a frame body of length-prefixed blobs, rejecting
 // one that holds more than maxItems: each blob costs a 24-byte slice

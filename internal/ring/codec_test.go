@@ -84,15 +84,41 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}()
 	c := NewClient(l.Addr().String(), 5*time.Second)
 	defer c.Close()
-	if _, err := c.call(context.Background(), OpReplicate, "replicate", "r1", nil, pairParts(ids, blobs)); err != nil {
+	if _, err := c.call(context.Background(), OpReplicate, "replicate", "r1", nil, itemParts(ids, blobs, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got := <-wire; !bytes.Equal(got, want) {
 		t.Fatalf("a pair body of %d bytes reached the socket as %d other bytes", len(want), len(got))
 	}
-	gotIDs, gotBlobs, err := splitPairs(body)
-	if err != nil || !slices.Equal(gotIDs, ids) || len(gotBlobs) != 3 || !bytes.Equal(gotBlobs[2], blobs[2]) {
-		t.Fatalf("splitPairs of the same body: %q, %d blobs, err %v", gotIDs, len(gotBlobs), err)
+	gotIDs, gotBlobs, placed, err := splitItems(body, false)
+	if err != nil || !slices.Equal(gotIDs, ids) || len(gotBlobs) != 3 || !bytes.Equal(gotBlobs[2], blobs[2]) || placed != nil {
+		t.Fatalf("splitItems of the same body: %q, %d blobs, placed %q, err %v", gotIDs, len(gotBlobs), placed, err)
+	}
+}
+
+// TestPlacedItemsRoundTrip: an OpIngestPlaced body carries each trace's
+// placed followers — none, one or several — after its blob, and reads
+// back as sent; the same body is not an OpIngest body, nor the other way
+// round.
+func TestPlacedItemsRoundTrip(t *testing.T) {
+	ids := []string{"id-a", "id-b", "id-c"}
+	blobs := [][]byte{[]byte("first blob"), nil, bytes.Repeat([]byte{0xfe}, 300)}
+	placed := [][]string{{"b"}, nil, {"c", "node-with-a-long-name"}}
+	body := bytes.Join(itemParts(ids, blobs, placed), nil)
+	gotIDs, gotBlobs, gotPlaced, err := splitItems(body, true)
+	if err != nil || !slices.Equal(gotIDs, ids) || len(gotBlobs) != 3 || !bytes.Equal(gotBlobs[2], blobs[2]) || len(gotBlobs[1]) != 0 {
+		t.Fatalf("splitItems: %q, %d blobs, err %v", gotIDs, len(gotBlobs), err)
+	}
+	for i := range placed {
+		if !slices.Equal(gotPlaced[i], placed[i]) {
+			t.Fatalf("trace %d placed on %q, sent %q", i, gotPlaced[i], placed[i])
+		}
+	}
+	if _, _, _, err := splitItems(body, false); err == nil {
+		t.Fatal("a placed body of three traces split as id/blob pairs")
+	}
+	if _, _, _, err := splitItems(bytes.Join(itemParts(ids[:2], blobs[:2], nil), nil), true); err == nil {
+		t.Fatal("a pair body of two traces split as placed triples")
 	}
 }
 
@@ -184,12 +210,12 @@ func TestBlobsRoundTrip(t *testing.T) {
 // stops at its caller's cap instead of building the six-fold list.
 func TestSplitBlobsItemCap(t *testing.T) {
 	body := make([]byte, 4*(1<<20)) // 1 Mi empty blobs
-	if got, err := SplitBlobs(body[:4*maxPairItems], maxPairItems); err != nil || len(got) != maxPairItems {
+	if got, err := SplitBlobs(body[:4*maxPairBlobs], maxPairBlobs); err != nil || len(got) != maxPairBlobs {
 		t.Fatalf("a body at the cap: %d blobs, %v", len(got), err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := SplitBlobs(body, maxPairItems)
+	_, err := SplitBlobs(body, maxPairBlobs)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a body past the cap was accepted")
@@ -248,3 +274,7 @@ func TestResultPushBody(t *testing.T) {
 		}
 	}
 }
+
+// maxPairBlobs is the blob cap of an id/blob pair body (OpIngest,
+// OpReplicate).
+const maxPairBlobs = 2 * maxTraceItems

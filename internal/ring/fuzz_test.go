@@ -30,12 +30,12 @@ func FuzzFrameWire(f *testing.F) {
 			}
 			data = fr.Body
 		}
-		blobs, err := SplitBlobs(data, maxPairItems)
+		blobs, err := SplitBlobs(data, maxPairBlobs)
 		if err != nil {
 			return
 		}
-		if len(blobs) > maxPairItems {
-			t.Fatalf("%d blobs past the cap of %d", len(blobs), maxPairItems)
+		if len(blobs) > maxPairBlobs {
+			t.Fatalf("%d blobs past the cap of %d", len(blobs), maxPairBlobs)
 		}
 		var re []byte
 		for _, b := range blobs {

@@ -267,8 +267,8 @@ func TestClassIsReplicaList(t *testing.T) {
 	}
 }
 
-// TestPlacementCostsNoAllocation: routeTarget, replicate, pushResult and
-// FetchResult ask for a key's replicas once per trace.
+// TestPlacementCostsNoAllocation: placement, pushResult and FetchResult
+// ask for a key's replicas once per trace.
 func TestPlacementCostsNoAllocation(t *testing.T) {
 	tb, err := NewTable(members(5), 0, 3)
 	if err != nil {

@@ -45,11 +45,12 @@ type Handler func(ctx context.Context, req *Frame) ([]byte, error)
 type ServerOptions struct {
 	// Log receives connection lifecycle events (nil: silent).
 	Log *slog.Logger
-	// Flight, when non-nil, turns on server-side request tracing: each
-	// inbound frame becomes a root span (adopting the propagated
-	// traceparent, so the trace ID matches the originating request) and
-	// the completed trace lands in this recorder.
-	Flight *reqtrace.Recorder
+	// OnTrace, when non-nil, turns on server-side request tracing: each
+	// inbound frame becomes a root span from its first byte (adopting the
+	// propagated traceparent, so the trace ID matches the originating
+	// request), its read a "frame.read" span, and the completed trace is
+	// handed to OnTrace — normally a flight recorder's Complete.
+	OnTrace func(*reqtrace.Trace)
 	// Hello is the OpPing response body ({"ok":true} when empty) —
 	// clusters answer it with their identity and routing-table version.
 	Hello []byte
@@ -186,11 +187,46 @@ func readFrame(r io.Reader, buf []byte) (Frame, int, []byte, error) {
 	}
 }
 
+// stampedReader remembers when reads delivered bytes: first since it was
+// reset, and last.
+type stampedReader struct {
+	r           io.Reader
+	first, last time.Time
+}
+
+func (r *stampedReader) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	if n > 0 {
+		r.last = time.Now()
+		if r.first.IsZero() {
+			r.first = r.last
+		}
+	}
+	return n, err
+}
+
 // serveConn reads frames off one connection and answers each in order.
+// A traced server stamps its reads: a frame arrives with its first byte,
+// the read that delivered it, which is the one before this frame's own
+// when the previous frame's read brought the start of this one along.
+// A frame's trace is finished once its reply is written, so the trace's
+// hooks run off the caller's wait.
 func (s *Server) serveConn(c net.Conn) error {
 	var buf, out []byte
+	var in io.Reader = c
+	var stamps *stampedReader
+	if s.opts.OnTrace != nil {
+		stamps = &stampedReader{r: c}
+		in = stamps
+	}
 	for {
-		f, n, grown, err := readFrame(c, buf)
+		if stamps != nil {
+			stamps.first = time.Time{}
+			if len(buf) > 0 {
+				stamps.first = stamps.last
+			}
+		}
+		f, n, grown, err := readFrame(in, buf)
 		if err == io.EOF {
 			return nil
 		}
@@ -200,8 +236,19 @@ func (s *Server) serveConn(c net.Conn) error {
 		if !s.beginFrame() {
 			return nil // draining: the peer's call fails over or retries
 		}
-		out = s.dispatch(out[:0], &f)
+		var (
+			t           *reqtrace.Trace
+			status      int
+			first, last time.Time
+		)
+		if stamps != nil {
+			first, last = stamps.first, stamps.last
+		}
+		out, t, status = s.dispatch(out[:0], &f, first, last, n)
 		_, err = c.Write(out)
+		if t != nil {
+			t.FinishRoot(status)
+		}
 		s.frames.Done()
 		if err != nil {
 			return err
@@ -223,10 +270,15 @@ func (s *Server) beginFrame() bool {
 	return true
 }
 
-// dispatch runs one frame through its handler — opening and finishing
-// a request trace around it when the server records flights — and
-// appends the response frame to out.
-func (s *Server) dispatch(out []byte, f *Frame) []byte {
+// unknownOp heads the error a server answers an op it has no handler
+// for: a peer that predates the op, to its caller.
+const unknownOp = "ring: unknown op "
+
+// dispatch runs one frame of size bytes, which arrived from first to
+// last, through its handler and appends the response frame to out. When
+// the server traces, it opens the frame's request trace and returns it
+// with the status its root is to finish with.
+func (s *Server) dispatch(out []byte, f *Frame, first, last time.Time, size int) ([]byte, *reqtrace.Trace, int) {
 	h := s.handlers[f.Op]
 	name := s.opNames[f.Op]
 	if name == "" {
@@ -234,18 +286,20 @@ func (s *Server) dispatch(out []byte, f *Frame) []byte {
 	}
 	if h == nil {
 		return AppendFrame(out, &Frame{Op: f.Op, Status: StatusError,
-			RequestID: f.RequestID, Body: []byte("ring: unknown op " + name)})
+			RequestID: f.RequestID, Body: []byte(unknownOp + name)}), nil, 0
 	}
 	ctx := context.Background()
 	var t *reqtrace.Trace
-	if s.opts.Flight != nil {
+	if s.opts.OnTrace != nil {
 		t = reqtrace.New(reqtrace.StartOptions{
 			Traceparent: f.Traceparent,
 			RequestID:   f.RequestID,
 			Method:      "RPC",
 			Route:       name,
-			OnDone:      s.opts.Flight.Complete,
+			Start:       first,
+			OnDone:      s.opts.OnTrace,
 		})
+		t.AddCompleted(t.Root(), "frame.read", first, last.Sub(first), reqtrace.Int("bytes", int64(size)))
 		ctx = reqtrace.NewContext(ctx, t)
 	}
 	body, err := h(ctx, f)
@@ -261,10 +315,7 @@ func (s *Server) dispatch(out []byte, f *Frame) []byte {
 			t.SetError(err.Error())
 		}
 	}
-	if t != nil {
-		t.FinishRoot(status)
-	}
-	return AppendFrame(out, &resp)
+	return AppendFrame(out, &resp), t, status
 }
 
 // Shutdown stops accepting, waits for in-flight frames to finish (or

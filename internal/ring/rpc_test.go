@@ -90,7 +90,7 @@ func TestClientErrorMapping(t *testing.T) {
 // shows the same trace.
 func TestTracePropagation(t *testing.T) {
 	rec := reqtrace.NewRecorder(reqtrace.RecorderConfig{Capacity: 8})
-	s := NewServer(ServerOptions{Flight: rec})
+	s := NewServer(ServerOptions{OnTrace: rec.Complete})
 	var gotRID, gotTP string
 	s.Handle(OpQuery, "query", func(ctx context.Context, f *Frame) ([]byte, error) {
 		gotRID, gotTP = f.RequestID, f.Traceparent

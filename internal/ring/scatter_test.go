@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"slices"
 	"strings"
@@ -252,5 +253,49 @@ func TestResultPushFrameIsServedWhole(t *testing.T) {
 	}
 	if !slices.Equal(b.pushed, []string{"one", "two", "three"}) {
 		t.Fatalf("the backend saw %q", b.pushed)
+	}
+}
+
+// TestForwardPlacedToAnOlderNode: a peer that predates OpIngestPlaced
+// answers it as an unknown op, and the share goes again as OpIngest —
+// no placed lists, so that owner places every follower — instead of
+// failing the forward.
+func TestForwardPlacedToAnOlderNode(t *testing.T) {
+	old := NewServer(ServerOptions{})
+	var (
+		mu   sync.Mutex
+		seen []string // ids of each OpIngest the older node took
+	)
+	old.Handle(OpIngest, "ingest", func(_ context.Context, f *Frame) ([]byte, error) {
+		ids, _, placed, err := splitItems(f.Body, false)
+		if err != nil || placed != nil {
+			return nil, fmt.Errorf("not an OpIngest body: %v", err)
+		}
+		mu.Lock()
+		seen = append(seen, ids...)
+		mu.Unlock()
+		return []byte(`{"items":[{"id":"t1","status":"accepted"},{"id":"t2","status":"cached"}]}`), nil
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go old.Serve(l) //nolint:errcheck
+	t.Cleanup(old.Kill)
+	c := startStubNode(t, &stubBackend{}, l.Addr().String())
+
+	sts, err := c.ForwardPlaced(context.Background(), "r", "b",
+		[]string{"t1", "t2"}, [][]byte{[]byte("one"), []byte("two")}, [][]string{{"c"}, nil})
+	if err != nil {
+		t.Fatalf("forward to an older node: %v", err)
+	}
+	if len(sts) != 2 || sts[0].Status != "accepted" || sts[1].Status != "cached" {
+		t.Fatalf("statuses %+v", sts)
+	}
+	if !slices.Equal(seen, []string{"t1", "t2"}) {
+		t.Fatalf("the older node took %v, want the share once", seen)
+	}
+	if !c.Healthy("b") {
+		t.Fatal("an unknown-op answer marked the older node down")
 	}
 }

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"github.com/mosaic-hpc/mosaic/internal/events"
+	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
 	"github.com/mosaic-hpc/mosaic/internal/ring"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
@@ -48,8 +50,8 @@ func newClusterNode(s *Server, rcfg ring.Config) (*clusterNode, error) {
 	if rcfg.Registry == nil {
 		rcfg.Registry = s.reg
 	}
-	if rcfg.Flight == nil {
-		rcfg.Flight = s.flight
+	if rcfg.OnTrace == nil {
+		rcfg.OnTrace = s.onTraceDone
 	}
 	if rcfg.Events == nil {
 		rcfg.Events = s.events
@@ -71,66 +73,201 @@ func (cn *clusterNode) shutdown(ctx context.Context) error {
 	return err
 }
 
-// ---- ingest routing (outbound) ----
+// ---- placement (outbound) ----
 
-// route is the ring's step on the write path (see ingest.go): split a
-// decoded group by the first live, untried node of each trace's replica
-// set — the owner when it is up — ingest this node's share directly and
-// forward the rest, all at once: each branch chains durable waits (the
-// owner's persist fsync, then its sync-replication fsync) that would
-// otherwise add up across owners, so the ack waits for the slowest
-// branch, not for the sum. Branches write disjoint slots of out. tried
-// holds the peers a forward of these traces already failed on and is
+// route is the ring's step on the write path (see ingest.go). The node
+// an upload lands on, the entry, places each trace once: its acting
+// owner (actingOwner) and the first ReplicaAck live followers under it
+// (placement). It then makes every copy the ack waits for itself, all at
+// once: this node's owned share goes to its store, each other owner's
+// share is one OpIngestPlaced RPC naming the followers placed, each
+// follower's copies are one OpReplicate — or a local store write when
+// this node is the follower. No ack waits on a second hop: the owners
+// persist and queue, and place only the followers left unplaced
+// (placeRest). Branches write disjoint slots of out, and this node's
+// share is queued after every branch has returned, so categorization
+// starts after the durable waits. A follower copy that fails goes to its
+// trace's owner as an unplaced item, whose first status stands; a
+// forward that fails re-routes its share with the peer tried. tried is
 // only read; a trace with no replica left lands here — the sloppy write
 // that keeps an ingest succeeding through any single-node failure.
 func (cn *clusterNode) route(ctx context.Context, reqID string, group []routedItem, tried map[string]bool, out []IngestItem) {
 	self := cn.ring.Self().ID
-	var local []routedItem
-	remote := make(map[string][]routedItem)
-	for _, it := range group {
-		switch target := cn.routeTarget(string(it.id), tried); target {
-		case self, "":
-			local = append(local, it)
-		default:
-			remote[target] = append(remote[target], it)
+	owners := make([]string, len(group))
+	placed := make([][]string, len(group))
+	var own []int                      // positions in group this node owns
+	forwards := make(map[string][]int) // owner peer → positions
+	copies := make(map[string][]int)   // follower, this node included → positions
+	failed := make(map[string]bool)    // followers whose copies failed
+	for k, it := range group {
+		owner := cn.actingOwner(string(it.id), tried)
+		owners[k] = owner
+		placed[k] = cn.placement(string(it.id), owner, nil).sync
+		if owner == self {
+			own = append(own, k)
+		} else {
+			forwards[owner] = append(forwards[owner], k)
+		}
+		for _, f := range placed[k] {
+			copies[f] = append(copies[f], k)
 		}
 	}
-	var wg sync.WaitGroup
-	for pid, g := range remote {
+	var (
+		mu        sync.Mutex
+		wg        sync.WaitGroup
+		forwarded = make(map[string]bool) // owners that answered
+	)
+	// The branches take their shares as arguments: a group that no
+	// goroutine captures stays on its caller's stack.
+	for pid, ks := range forwards {
 		wg.Add(1)
-		go func(pid string, g []routedItem) {
+		go func(pid string, g []routedItem, pl [][]string) {
 			defer wg.Done()
-			cn.forward(ctx, reqID, pid, g, tried, out)
-		}(pid, g)
+			if cn.forward(ctx, reqID, pid, g, pl, tried, out) {
+				mu.Lock()
+				forwarded[pid] = true
+				mu.Unlock()
+			}
+		}(pid, pick(group, ks), pickPlaced(placed, ks))
 	}
-	if len(local) > 0 {
-		cn.ingestOwned(ctx, reqID, local, out)
+	for f, ks := range copies {
+		wg.Add(1)
+		go func(f string, g []routedItem) {
+			defer wg.Done()
+			ids, blobs := pairs(g)
+			var err error
+			if f == self {
+				err = cn.HandleReplicate(ctx, reqID, ids, blobs)
+			} else {
+				err = cn.ring.Copy(ctx, reqID, f, ids, blobs)
+			}
+			if err != nil {
+				mu.Lock()
+				failed[f] = true
+				mu.Unlock()
+				if log := cn.s.log; log != nil {
+					log.Warn("cluster: follower copy failed, handing it to the owner",
+						"request_id", reqID, "peer", f, "traces", len(ids), "err", err)
+				}
+			}
+		}(f, pick(group, ks))
 	}
+	ownG := pick(group, own)
+	persisted := len(ownG) > 0 && cn.s.persist(ctx, ownG, out)
 	wg.Wait()
+	if len(failed) > 0 {
+		// The copies that failed go to the owners that answered, which
+		// hold the blobs and place what is still missing; this node's own
+		// share places them below.
+		unplaced := make(map[string][]int)
+		for k := range group {
+			if owners[k] != self && forwarded[owners[k]] && slices.ContainsFunc(placed[k], func(f string) bool { return failed[f] }) {
+				unplaced[owners[k]] = append(unplaced[owners[k]], k)
+			}
+		}
+		missing := make([][]string, len(group)) // followers whose copies failed, per trace
+		for k := range placed {
+			for _, f := range placed[k] {
+				if failed[f] {
+					missing[k] = append(missing[k], f)
+				}
+			}
+			placed[k] = slices.DeleteFunc(slices.Clone(placed[k]), func(f string) bool { return failed[f] })
+		}
+		for pid, ks := range unplaced {
+			ids, blobs := pairs(pick(group, ks))
+			if _, err := cn.ring.ForwardPlaced(ctx, reqID, pid, ids, blobs, pickPlaced(placed, ks)); err != nil {
+				cn.holdCopies(ctx, reqID, pick(group, ks), pickPlaced(missing, ks), err)
+			}
+		}
+	}
+	if persisted {
+		cn.placeRest(ctx, reqID, ownG, pickPlaced(placed, own))
+		cn.s.queueGroup(ctx, reqID, ownG, out)
+	}
 }
 
-// routeTarget picks the node a trace should be ingested on: the first
-// live, untried member of its replica set, "" when every one is down
-// or tried (the caller falls back to a local sloppy write).
-func (cn *clusterNode) routeTarget(key string, tried map[string]bool) string {
-	for _, n := range cn.ring.Table().Replicas(key) {
-		if tried[n.ID] {
-			continue
+// holdCopies makes this node the holder of follower copies that neither
+// it nor the trace's owner placed — the owner answered the share and then
+// failed the retry: it stores the blobs, as a follower would, and hints
+// missing[i], the followers group[i] still lacks, from here, where the
+// blob is. The ack goes out with fewer durable copies than configured.
+func (cn *clusterNode) holdCopies(ctx context.Context, reqID string, group []routedItem, missing [][]string, cause error) {
+	cn.ring.Metrics().DegradedAcks.Add(int64(len(group)))
+	cn.emitDegradedAck(reqID, len(group), "owner could not place a failed follower copy: "+cause.Error())
+	ids, blobs := pairs(group)
+	if err := cn.HandleReplicate(ctx, reqID, ids, blobs); err != nil {
+		if log := cn.s.log; log != nil {
+			log.Warn("cluster: follower copies lost: neither the owner nor this node could hold them",
+				"request_id", reqID, "traces", len(ids), "err", err)
 		}
-		if n.ID == cn.ring.Self().ID || cn.ring.Healthy(n.ID) {
+		return
+	}
+	self := cn.ring.Self().ID
+	owed := make(map[string][]string) // follower → trace IDs
+	for i, id := range ids {
+		for _, f := range missing[i] {
+			if f != self {
+				owed[f] = append(owed[f], id)
+			}
+		}
+	}
+	for f, fids := range owed {
+		cn.ring.Hint(f, fids)
+	}
+}
+
+// actingOwner picks the node a trace should be ingested on: the first
+// live, untried member of its replica set, or this node when every one
+// is down or tried (a sloppy write).
+func (cn *clusterNode) actingOwner(key string, tried map[string]bool) string {
+	for _, n := range cn.ring.Table().Replicas(key) {
+		if !tried[n.ID] && cn.ring.Healthy(n.ID) {
 			return n.ID
 		}
 	}
-	return ""
+	return cn.ring.Self().ID
 }
 
-// forward ships one owner's worth of traces to that peer and takes its
-// per-item statuses. A forward that fails — a transport error, which
-// also marks the peer down, or a reply naming a status this node does
-// not know — sends the group back through route with the peer tried.
-func (cn *clusterNode) forward(ctx context.Context, reqID, peerID string, group []routedItem, tried map[string]bool, out []IngestItem) {
+// followers is where the follower copies of one trace go.
+type followers struct {
+	sync  []string // copies the ack waits for
+	async []string // copies it does not
+	down  []string // followers believed down: hinted by the owner
+	acks  int      // synchronous copies, those already placed included
+}
+
+// placement classes the followers of key under owner — every other
+// replica, in ring order — except those in placed, copies already made,
+// which count toward ReplicaAck: a follower believed down is hinted, the
+// first live ones get synchronous copies until ReplicaAck exist, the rest
+// asynchronous ones.
+func (cn *clusterNode) placement(key, owner string, placed []string) followers {
+	ackN := cn.ring.ReplicaAck()
+	c := followers{acks: len(placed)}
+	for _, n := range cn.ring.Table().Replicas(key) {
+		switch {
+		case n.ID == owner || slices.Contains(placed, n.ID):
+		case !cn.ring.Healthy(n.ID):
+			c.down = append(c.down, n.ID)
+		case c.acks < ackN:
+			c.sync = append(c.sync, n.ID)
+			c.acks++
+		default:
+			c.async = append(c.async, n.ID)
+		}
+	}
+	return c
+}
+
+// forward ships one owner's share, with the followers placed for each
+// trace, and takes the owner's per-item statuses. A forward that fails —
+// a transport error, which also marks the peer down, or a reply naming a
+// status this node does not know — sends the share back through route
+// with the peer tried. It reports whether the owner answered.
+func (cn *clusterNode) forward(ctx context.Context, reqID, peerID string, group []routedItem, placed [][]string, tried map[string]bool, out []IngestItem) bool {
 	ids, blobs := pairs(group)
-	sts, err := cn.ring.ForwardIngest(ctx, reqID, peerID, ids, blobs)
+	sts, err := cn.ring.ForwardPlaced(ctx, reqID, peerID, ids, blobs, placed)
 	for i, st := range sts {
 		// The reply is a peer's word: a status outside the five would
 		// index a nil counter when the response is tallied.
@@ -142,7 +279,7 @@ func (cn *clusterNode) forward(ctx context.Context, reqID, peerID string, group 
 		out[group[i].idx] = IngestItem{Name: group[i].name, ID: group[i].id, Status: st.Status, Error: st.Error}
 	}
 	if err == nil {
-		return
+		return true
 	}
 	if log := cn.s.log; log != nil {
 		log.Warn("cluster: ingest forward failed, re-routing",
@@ -153,17 +290,25 @@ func (cn *clusterNode) forward(ctx context.Context, reqID, peerID string, group 
 		next[pid] = true
 	}
 	cn.route(ctx, reqID, group, next, out)
+	return false
 }
 
-// ingestOwned ingests traces this node takes responsibility for:
-// ingestGroup, as on a standalone node, then replication —
-// synchronously to the first ReplicaAck live followers of each trace
-// (their fsync happens before the caller acknowledges), asynchronously
-// to the rest, hints for the down ones.
-func (cn *clusterNode) ingestOwned(ctx context.Context, reqID string, group []routedItem, out []IngestItem) {
-	if cn.s.ingestGroup(ctx, reqID, group, out) {
-		cn.replicate(ctx, reqID, group)
+// pick returns the items of group at positions ks.
+func pick(group []routedItem, ks []int) []routedItem {
+	out := make([]routedItem, len(ks))
+	for i, k := range ks {
+		out[i] = group[k]
 	}
+	return out
+}
+
+// pickPlaced returns the placed lists at positions ks.
+func pickPlaced(placed [][]string, ks []int) [][]string {
+	out := make([][]string, len(ks))
+	for i, k := range ks {
+		out[i] = placed[k]
+	}
+	return out
 }
 
 // pairs lays a group out as the parallel id/blob slices the ring's
@@ -176,31 +321,39 @@ func pairs(group []routedItem) (ids []string, blobs [][]byte) {
 	return ids, blobs
 }
 
-// replicate ships follower copies of a just-persisted group, grouped
-// per peer so each follower pays one RPC and one fsync.
-func (cn *clusterNode) replicate(ctx context.Context, reqID string, group []routedItem) {
+// placeRest places what is left of each trace's follower copies, on the
+// owner, which stores the blobs: placed[i] lists the followers of
+// group[i] already copied (nil: none). The rest are hinted when down,
+// copied synchronously — grouped per peer, so each follower pays one RPC
+// and one fsync — until ReplicaAck copies exist, and asynchronously
+// after. With every follower placed by the entry it sends nothing.
+func (cn *clusterNode) placeRest(ctx context.Context, reqID string, group []routedItem, placed [][]string) {
 	self := cn.ring.Self().ID
 	ackN := cn.ring.ReplicaAck()
-	syncG := make(map[string][]routedItem)
-	asyncG := make(map[string][]routedItem)
+	var syncG, asyncG map[string][]routedItem
 	met := cn.ring.Metrics()
-	for _, it := range group {
-		acks := 0
-		for _, n := range cn.ring.Table().Replicas(string(it.id)) {
-			if n.ID == self {
-				continue
-			}
-			switch {
-			case !cn.ring.Healthy(n.ID):
-				cn.ring.Hint(n.ID, []string{string(it.id)})
-			case acks < ackN:
-				syncG[n.ID] = append(syncG[n.ID], it)
-				acks++
-			default:
-				asyncG[n.ID] = append(asyncG[n.ID], it)
-			}
+	for i, it := range group {
+		var pl []string
+		if placed != nil {
+			pl = placed[i]
 		}
-		if acks < ackN {
+		c := cn.placement(string(it.id), self, pl)
+		for _, pid := range c.down {
+			cn.ring.Hint(pid, []string{string(it.id)})
+		}
+		for _, pid := range c.sync {
+			if syncG == nil {
+				syncG = make(map[string][]routedItem)
+			}
+			syncG[pid] = append(syncG[pid], it)
+		}
+		for _, pid := range c.async {
+			if asyncG == nil {
+				asyncG = make(map[string][]routedItem)
+			}
+			asyncG[pid] = append(asyncG[pid], it)
+		}
+		if c.acks < ackN {
 			met.DegradedAcks.Inc()
 			cn.emitDegradedAck(reqID, 1, "not enough live followers")
 		}
@@ -295,18 +448,22 @@ func (cn *clusterNode) repairLoop() {
 // ---- ring.Backend (inbound peer RPCs) ----
 
 // HandleIngest serves a peer-forwarded ingest: this node is (or stands
-// in for) the ring owner of every blob in the group, and from here on
-// the group is on the same path a local one takes (ingestOwned).
+// in for) the ring owner of every blob in the group. It persists the
+// group, places the follower copies the sender did not (placed[i] lists
+// those it did; nil, from OpIngest: none) and queues it — after its own
+// persist when the sender placed every copy the ack waits for.
 // Protocol invariant: the forwarding node canonicalized each upload and
 // ships the blob with its content address, so nothing is re-encoded or
 // re-hashed here, and nothing is decoded either: the blob is walked
-// (walkCanonical), and one that is not canonical is refused as
-// unreadable. The worker decodes the stored copy. Upload names do not
-// travel; a forwarded item is named by the head of its ID, which is what
-// its "item:" span on this node is called.
-func (cn *clusterNode) HandleIngest(ctx context.Context, reqID string, ids []string, blobs [][]byte) []ring.ItemStatus {
+// (walkCanonical, under "ingest.decode"), and one that is not canonical
+// is refused as unreadable. The worker decodes the stored copy. Upload
+// names do not travel; a forwarded item is named by the head of its ID,
+// which is what its "item:" span on this node is called.
+func (cn *clusterNode) HandleIngest(ctx context.Context, reqID string, ids []string, blobs [][]byte, placed [][]string) []ring.ItemStatus {
 	items := make([]IngestItem, len(blobs))
 	group := make([]routedItem, 0, len(blobs))
+	var kept [][]string // placed lists of the group's items
+	dstart, size := time.Now(), 0
 	for i, blob := range blobs {
 		if cn.s.draining.Load() {
 			items[i] = IngestItem{Status: StatusRejected, Error: "server is draining"}
@@ -317,6 +474,7 @@ func (cn *clusterNode) HandleIngest(ctx context.Context, reqID string, ids []str
 			items[i] = IngestItem{Status: StatusUnreadable, Error: "malformed trace ID"}
 			continue
 		}
+		size += len(blob)
 		canonical, err := walkCanonical(blob)
 		if err == nil && !canonical {
 			err = errors.New("forwarded blob is not a canonical trace encoding")
@@ -326,9 +484,15 @@ func (cn *clusterNode) HandleIngest(ctx context.Context, reqID string, ids []str
 			continue
 		}
 		group = append(group, routedItem{idx: i, name: string(id[:12]), id: id, blob: blob})
+		if placed != nil {
+			kept = append(kept, placed[i])
+		}
 	}
-	if len(group) > 0 {
-		cn.ingestOwned(ctx, reqID, group, items)
+	reqtrace.AddSpan(ctx, "ingest.decode", dstart, time.Since(dstart),
+		reqtrace.Int("bytes", int64(size)), reqtrace.Int("traces", int64(len(group))))
+	if len(group) > 0 && cn.s.persist(ctx, group, items) {
+		cn.placeRest(ctx, reqID, group, kept)
+		cn.s.queueGroup(ctx, reqID, group, items)
 	}
 	out := make([]ring.ItemStatus, len(items))
 	for i, it := range items {

@@ -20,8 +20,9 @@ import (
 // multipart part or a length-prefixed frame, on either ingest route, on
 // a standalone node or on the ring, first hop or forwarded — takes the
 // same steps: a body reader makes it an upload, ingest content-addresses
-// it, ingestGroup persists it and queues its ID. The ring is one step on
-// that path (clusterNode.route, between the two), not a path of its own.
+// it, persist stores it and queueGroup queues its ID. The ring is one
+// step on that path (clusterNode.route, between the two: it places every
+// copy the ack waits for), not a path of its own.
 // Until a worker reads it back from the store, a trace is bytes: no
 // darshan.Job is built for a canonical upload, and none is ever queued.
 
@@ -122,6 +123,7 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, batch bool)
 		}
 		ups = []upload{{data: data}}
 	}
+	reqtrace.AddSpan(r.Context(), "ingest.read", start, time.Since(start)) // ingest.decode counts the bytes
 	if err == nil && len(ups)+len(bad) == 0 {
 		err = errors.New("no traces in request")
 	}
@@ -362,20 +364,19 @@ func (s *Server) ingest(ctx context.Context, reqID string, ups []upload, items [
 	case len(group) == 0:
 	case s.cluster != nil:
 		s.cluster.route(ctx, reqID, group, nil, out)
-	default:
-		s.ingestGroup(ctx, reqID, group, out)
+	case s.persist(ctx, group, out):
+		s.queueGroup(ctx, reqID, group, out)
 	}
 	return items
 }
 
-// ingestGroup makes a group of traces durable and queues them:
-// one keyed store write acknowledged by one group-committed fsync (one
-// store.commit span covering every frame), then queueTrace per item.
-// Durability comes before acknowledgment: once the blobs are stored the
-// traces survive any crash (backfill completes them), whatever the queue
-// then says. It reports whether the group was persisted; when not, every
-// item is rejected with the store's error.
-func (s *Server) ingestGroup(ctx context.Context, reqID string, group []routedItem, out []IngestItem) bool {
+// persist makes a group of traces durable: one keyed store write
+// acknowledged by one group-committed fsync (one store.commit span
+// covering every frame). Durability comes before acknowledgment: once
+// the blobs are stored the traces survive any crash (backfill completes
+// them), whatever the queue then says. It reports whether the group was
+// persisted; when not, every item is rejected with the store's error.
+func (s *Server) persist(ctx context.Context, group []routedItem, out []IngestItem) bool {
 	// A single trace's id and blob stay on the stack.
 	ids, blobs := make([]store.TraceID, 0, 1), make([][]byte, 0, 1)
 	if len(group) > 1 {
@@ -390,6 +391,11 @@ func (s *Server) ingestGroup(ctx context.Context, reqID string, group []routedIt
 		}
 		return false
 	}
+	return true
+}
+
+// queueGroup queues a persisted group, queueTrace per item.
+func (s *Server) queueGroup(ctx context.Context, reqID string, group []routedItem, out []IngestItem) {
 	for _, it := range group {
 		// A named item — a part, a frame, a forwarded blob — gets its own
 		// span under the request's: queue admission happens inside it, so
@@ -404,7 +410,6 @@ func (s *Server) ingestGroup(ctx context.Context, reqID string, group []routedIt
 		isp.SetAttr(reqtrace.Str("status", out[it.idx].Status))
 		isp.End()
 	}
-	return true
 }
 
 // queueTrace runs the post-persistence tail of an ingest: cache-hit

@@ -178,9 +178,10 @@ func spansOf(t *testing.T, tid string, recs ...*reqtrace.Recorder) []traceSpan {
 // multipart to /v1/traces, as frames to /v1/traces:batch and as frames
 // to the entry node of a three-node ring. There is one write path, so
 // all three answer the same (name, id, status) sequence and leave the
-// same trace shape: one ingest.decode, one item span per readable item,
-// and each queued item's queue.wait and worker.categorize under its own
-// item span, on whichever node took it.
+// same trace shape: one ingest.decode per node the uploads reached (the
+// entry, and on the ring each owner of a forwarded share), one item span
+// per readable item, and each queued item's queue.wait and
+// worker.categorize under its own item span, on whichever node took it.
 func TestIngestOnePathAcrossModes(t *testing.T) {
 	const cachedSeed = 3004
 	blobs := [][]byte{
@@ -309,8 +310,11 @@ func TestIngestOnePathAcrossModes(t *testing.T) {
 				spans = spansOf(t, tid.String(), recs...)
 				return count(func(sp traceSpan) bool { return sp.name == "worker.categorize" }) == accepted
 			})
-			if n := count(func(sp traceSpan) bool { return sp.name == "ingest.decode" }); n != 1 {
-				t.Errorf("%d ingest.decode spans, want 1", n)
+			// One walk per node the uploads reached: the entry's, and each
+			// owner's of the share forwarded to it.
+			owners := count(func(sp traceSpan) bool { return sp.name == "RPC ingest" })
+			if n := count(func(sp traceSpan) bool { return sp.name == "ingest.decode" }); n != 1+owners {
+				t.Errorf("%d ingest.decode spans, want 1 and one per forwarded share (%d)", n, owners)
 			}
 			items := map[string]traceSpan{} // by span ID
 			for _, sp := range spans {

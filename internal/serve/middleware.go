@@ -38,6 +38,7 @@ var routePatterns = []struct {
 	{http.MethodGet, "/v1/cluster/metrics", "/v1/cluster/metrics"},
 	{http.MethodGet, "/v1/cluster", "/v1/cluster"},
 	{http.MethodGet, "/debug/requests", "/debug/requests"},
+	{http.MethodGet, "/debug/budget", "/debug/budget"},
 	{http.MethodGet, "/healthz", "/healthz"},
 	{http.MethodGet, "/metrics", "/metrics"},
 }
@@ -55,6 +56,18 @@ func normalizeRoute(r *http.Request) string {
 		}
 	}
 	return routeOther
+}
+
+// normalizeMethod maps a request's method to a bounded label: the
+// server accepts any token as a method, and the root span's name, which
+// labels the request's latency budget, carries it.
+func normalizeMethod(m string) string {
+	switch m {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
+		return m
+	}
+	return "OTHER"
 }
 
 // routeInstruments is one route's RED instrument pair.
@@ -120,7 +133,7 @@ func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 		t := reqtrace.New(reqtrace.StartOptions{
 			Traceparent: r.Header.Get(reqtrace.TraceparentHeader),
 			RequestID:   RequestIDFrom(r.Context()),
-			Method:      r.Method,
+			Method:      normalizeMethod(r.Method),
 			Route:       route,
 			Start:       start,
 			OnDone:      s.onTraceDone,

@@ -147,17 +147,22 @@ func (qr *queryRing) kill(i int) {
 
 func (qr *queryRing) restart(i int) {
 	qr.t.Helper()
-	var l net.Listener
+	qr.boot(i, qr.rebind(i))
+}
+
+// rebind listens again on node i's address, once its killed server has
+// let go of it.
+func (qr *queryRing) rebind(i int) net.Listener {
+	qr.t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		var err error
-		if l, err = net.Listen("tcp", qr.members[i].Addr); err == nil {
-			break
+		l, err := net.Listen("tcp", qr.members[i].Addr)
+		if err == nil {
+			return l
 		}
 		if time.Now().After(deadline) {
 			qr.t.Fatalf("rebinding %s: %v", qr.members[i].Addr, err)
 		}
 	}
-	qr.boot(i, l)
 }
 
 // ingest posts jobs first..first+n-1 as one batch through node via and

@@ -156,7 +156,7 @@ type Server struct {
 
 	traceOn     bool
 	flight      *reqtrace.Recorder
-	onTraceDone func(*reqtrace.Trace) // flight.Complete, bound once
+	onTraceDone func(*reqtrace.Trace) // budget, then flight.Complete, bound once
 	slo         time.Duration
 
 	events    *events.Log
@@ -259,7 +259,11 @@ func New(cfg Config) (*Server, error) {
 		s.flight = reqtrace.NewRecorder(reqtrace.RecorderConfig{Log: cfg.Log})
 	}
 	if s.traceOn {
-		s.onTraceDone = s.flight.Complete
+		budget := debughttp.NewBudget(s.reg)
+		s.onTraceDone = func(t *reqtrace.Trace) {
+			budget.Observe(t)
+			s.flight.Complete(t)
+		}
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	s.registerMetrics()
@@ -564,8 +568,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // middleware (every response echoes or is assigned an X-Request-Id)
 // and — unless tracing is disabled — the request-trace middleware:
 // every response carries a traceparent header, every request becomes a
-// span tree in the flight recorder, and GET /debug/requests{,/{id}}
-// serve the recent-request table and full span trees.
+// span tree in the flight recorder, GET /debug/requests{,/{id}}
+// serve the recent-request table and full span trees, and GET
+// /debug/budget the span budget of every route.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/traces", s.handleIngest)
@@ -590,6 +595,7 @@ func (s *Server) Handler() http.Handler {
 		fh := debughttp.RequestsHandler(s.flight)
 		mux.Handle("GET /debug/requests", fh)
 		mux.Handle("GET /debug/requests/{id}", fh)
+		mux.Handle("GET /debug/budget", debughttp.BudgetHandler(s.reg))
 	}
 	return RequestIDMiddleware(s.traceMiddleware(mux))
 }

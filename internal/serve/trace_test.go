@@ -149,7 +149,7 @@ func TestSlowIngestProducesFlightDump(t *testing.T) {
 		spanByID[ev.Args["span_id"]] = i
 	}
 	want := map[string]int{
-		"POST /v1/traces": 1, "ingest.decode": 1, "store.commit": 2,
+		"POST /v1/traces": 1, "ingest.read": 1, "ingest.decode": 1, "store.commit": 2,
 		"queue.wait": 1, "worker.categorize": 1, "funnel.validate": 1,
 		"categorize.exec": 1, "index.update": 1,
 	}
@@ -409,4 +409,57 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return b.String()
+}
+
+// TestBudgetRoutesStayBounded sends requests with many made-up methods:
+// each would be a new route of the latency budget if the raw method
+// named it, so the budget's series count would grow without end.
+func TestBudgetRoutesStayBounded(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	routes := func() map[string]bool {
+		out := map[string]bool{}
+		for _, f := range s.reg.Export() {
+			if f.Name == "mosaic_span_seconds" {
+				for _, sr := range f.Series {
+					out[sr.Labels["route"]] = true
+				}
+			}
+		}
+		return out
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		req, err := http.NewRequest("X"+strconv.Itoa(i)+"Y", ts.URL+"/v1/nothing/"+strconv.Itoa(i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	// The budget observes a trace as its root finishes, after the
+	// response went out: wait for the last request's unattributed row.
+	waitFor(t, "the budget to see every request", func() bool {
+		var seen int64
+		for _, f := range s.reg.Export() {
+			if f.Name != "mosaic_span_seconds" {
+				continue
+			}
+			for _, sr := range f.Series {
+				if sr.Labels["name"] == reqtrace.Unattributed {
+					seen += sr.Count
+				}
+			}
+		}
+		return seen == n
+	})
+	if got := routes(); len(got) != 1 || !got["OTHER other"] {
+		t.Fatalf("budget routes after %d made-up methods: %v, want only \"OTHER other\"", n, got)
+	}
 }

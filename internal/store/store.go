@@ -38,6 +38,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
@@ -379,6 +380,7 @@ func (s *Store) appendLocked(recs ...record) (seq, written int64, err error) {
 // there; the cache admits nothing on a write (readValue and readResult
 // fill it). kind labels the "store.commit" span of a traced ctx.
 func (s *Store) putRecords(ctx context.Context, kind string, recs ...record) error {
+	start := tracedNow(ctx)
 	s.mu.Lock()
 	seq, written, err := s.appendLocked(recs...)
 	s.mu.Unlock()
@@ -388,7 +390,7 @@ func (s *Store) putRecords(ctx context.Context, kind string, recs ...record) err
 	for _, r := range recs {
 		s.cache.refresh(r.key, r.value)
 	}
-	return s.commitCtx(ctx, seq, kind, int64(len(recs)), written)
+	return s.commitCtx(ctx, start, seq, kind, int64(len(recs)), written)
 }
 
 // waitDurable blocks until the durable watermark covers seq: the heart
@@ -485,23 +487,33 @@ func (s *Store) PutTraceBytesCtx(ctx context.Context, data []byte) (TraceID, boo
 	return id, dup[0], err
 }
 
+// tracedNow reads the clock for a traced ctx — the start of a commit's
+// "store.commit" span, taken before the store lock so the span covers
+// the wait for it and the append — and returns zero for an untraced one.
+func tracedNow(ctx context.Context) time.Time {
+	if _, _, traced := reqtrace.FromContext(ctx); traced {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
 // commitCtx acknowledges one append: under Options.Sync it blocks in
 // waitDurable until the group-commit watermark covers seq. When ctx
-// carries an active request trace the wait is recorded as a
+// carries an active request trace (start, from tracedNow, is set) the
+// lock wait, the append and the durable wait are recorded as one
 // "store.commit" span annotated with the record count, appended bytes
 // and how many leader fsyncs the store issued while this commit
 // waited (group_syncs — 0 means the cohort rode someone else's
-// flush). The traced-ness check runs first so untraced callers (the
-// batch engine, backfill, benchmarks) take the exact pre-tracing
-// path: no clock reads, no allocations.
-func (s *Store) commitCtx(ctx context.Context, seq int64, kind string, records, nbytes int64) error {
-	if _, _, traced := reqtrace.FromContext(ctx); !traced {
+// flush). Untraced callers (the batch engine, backfill, benchmarks)
+// take the exact pre-tracing path: no clock reads, no allocations.
+func (s *Store) commitCtx(ctx context.Context, start time.Time, seq int64, kind string, records, nbytes int64) error {
+	if start.IsZero() {
 		if s.opts.Sync {
 			return s.waitDurable(seq)
 		}
 		return nil
 	}
-	sp := reqtrace.StartLeaf(ctx, "store.commit",
+	sp := reqtrace.StartLeafAt(ctx, "store.commit", start,
 		reqtrace.Str("kind", kind),
 		reqtrace.Int("records", records),
 		reqtrace.Int("bytes", nbytes))
@@ -550,6 +562,7 @@ func (s *Store) PutTraceBatchKeyedCtx(ctx context.Context, ids []TraceID, blobs 
 // blobs not yet stored (and not repeated earlier in the call) become one
 // appendLocked call, the rest are flagged in dup.
 func (s *Store) putTraces(ctx context.Context, ids []TraceID, blobs [][]byte, dup []bool) error {
+	start := tracedNow(ctx)
 	recs := make([]record, 0, len(blobs))
 	seen := make(map[TraceID]bool, len(blobs)) // duplicates within the call
 	s.mu.Lock()
@@ -581,7 +594,7 @@ func (s *Store) putTraces(ctx context.Context, ids []TraceID, blobs [][]byte, du
 	if err != nil {
 		return err
 	}
-	return s.commitCtx(ctx, seq, "traces", int64(len(recs)), written)
+	return s.commitCtx(ctx, start, seq, "traces", int64(len(recs)), written)
 }
 
 // PutTrace canonically encodes and stores a job.

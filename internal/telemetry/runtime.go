@@ -181,16 +181,16 @@ func (c *runtimeCollector) collect() {
 // foldRuntimeHistogram feeds the delta between a runtime
 // Float64Histogram and its previous snapshot into dst, observing each
 // bucket's delta at the bucket midpoint. It returns the new snapshot
-// of cumulative counts for the next collect.
+// of cumulative counts for the next collect. The first read folds from
+// zero: the runtime counts from process start, and so do the histograms,
+// like mosaic_runtime_gc_cycles_total beside them.
 func foldRuntimeHistogram(dst *Histogram, h *runtimemetrics.Float64Histogram, prev []uint64) []uint64 {
 	if h == nil {
 		return prev
 	}
 	counts := h.Counts
 	if len(prev) != len(counts) {
-		// First read (or the runtime changed bucket layout): baseline
-		// without observing, so restarts don't replay history.
-		return append([]uint64(nil), counts...)
+		prev = make([]uint64, len(counts))
 	}
 	for i, n := range counts {
 		delta := int64(n - prev[i])

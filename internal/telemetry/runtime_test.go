@@ -44,6 +44,24 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 	}
 }
 
+// TestRuntimeHistogramsCountFromStart: the first collect folds what the
+// runtime counted since the process started, as the GC cycle counter
+// does, instead of taking it as a baseline and dropping it.
+func TestRuntimeHistogramsCountFromStart(t *testing.T) {
+	runtime.GC()
+	reg := NewRegistry()
+	RegisterRuntimeMetrics(reg)
+	reg.runCollectors()
+	pauses := reg.Histogram("mosaic_runtime_gc_pause_seconds", "", nil, nil).Snapshot().Count
+	cycles := reg.Counter("mosaic_runtime_gc_cycles_total", "", nil).Value()
+	if cycles < 1 || pauses < 1 {
+		t.Fatalf("first collect after runtime.GC: %d GC cycles, %d pauses; want both counted from process start", cycles, pauses)
+	}
+	if n := reg.Histogram("mosaic_runtime_sched_latency_seconds", "", nil, nil).Snapshot().Count; n < 1 {
+		t.Fatalf("first collect: %d scheduling latencies, want those since process start", n)
+	}
+}
+
 func TestBuildInfoGaugeCarriesVersion(t *testing.T) {
 	SetBuildVersion("9.9.9-test")
 	defer buildVersion.Store("")
