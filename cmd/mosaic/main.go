@@ -15,9 +15,10 @@
 // -json, per-trace results are written as a JSON array to the given
 // file, the paper's step (4).
 //
-// Corpus runs are cancellable: Ctrl-C (SIGINT) or -timeout drains every
-// pipeline stage cleanly, and -progress shows live per-stage counters
-// fed by the engine's observer.
+// Corpus runs are cancellable: Ctrl-C (SIGINT), SIGTERM or -timeout
+// drains every pipeline stage cleanly, and -progress shows live
+// per-stage counters fed by the engine's observer. A single-trace or
+// -convert run installs no signal handler: a signal ends it at once.
 //
 // Corpus runs are also observable: -trace-out writes a Chrome
 // trace-event JSON of every trace's journey through the pipeline
@@ -70,7 +71,7 @@ func main() {
 		timeline  = flag.Bool("timeline", false, "print an ASCII timeline of a single trace (Figure 2 view)")
 		convert   = flag.String("convert", "", "convert a single trace to this path (.mosd, .json or .txt) and exit")
 		anonSalt  = flag.String("anonymize", "", "when converting, anonymize identities with this salt")
-		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
+		timeout   = flag.Duration("timeout", 0, "abort a corpus run after this duration (0 = no limit; a single-trace run never reads it)")
 		progress  = flag.Bool("progress", false, "print live per-stage pipeline progress to stderr (corpus mode)")
 		storeDir  = flag.String("store", "", "warm-start categorization from this result store directory (corpus mode; created when missing)")
 
@@ -101,10 +102,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// SIGINT/SIGTERM cancel the pipeline context: the engine drains its
-	// stages and the process exits cleanly instead of mid-write.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -279,6 +277,13 @@ func (preludeNote) ItemError(_ engine.StageID, err error) {
 }
 
 func runCorpus(ctx context.Context, dir string, cfg core.Config, workers int, jsonOut string, heatmap bool, co corpusOpts) error {
+	// SIGINT/SIGTERM cancel the pipeline context: the engine drains its
+	// stages and the process exits cleanly instead of mid-write. Only a
+	// corpus run catches them; the handler's threads would cost a
+	// single-trace run more than its categorization, and there the
+	// default disposition ends the process at once.
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	opt := engine.Options{Config: cfg, Workers: workers, Observer: preludeNote{}}
 
 	// -store warm-starts categorization: results cached under this

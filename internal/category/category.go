@@ -6,7 +6,6 @@ package category
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -184,43 +183,25 @@ const (
 	metaBase    = 2 * perDir
 )
 
-// names is the taxonomy in bit order, every name built once.
-var names = func() (t [N]Category) {
-	for b, d := range []Direction{DirRead, DirWrite} {
-		dir, p := t[b*perDir:], d.String()
-		for _, k := range TemporalKinds() {
-			dir[k] = Category(p + "_" + k.String())
-		}
-		dir[offPeriodic] = Category(p + "_periodic")
-		for m := MagSecond; m <= MagDayOrMore; m++ {
-			dir[offPeriodic+m] = Category(p + "_periodic_" + m.String())
-		}
-		dir[offBusy] = Category(p + "_periodic_low_busy_time")
-		dir[offBusy+1] = Category(p + "_periodic_high_busy_time")
-	}
-	copy(t[metaBase:], []Category{MetaHighSpike, MetaMultipleSpikes, MetaHighDensity, MetaInsignificantLoad})
-	return t
-}()
-
-// bitOf maps a name of the taxonomy to its bit number: the one
-// label→bit table.
-var bitOf = func() map[Category]uint8 {
-	m := make(map[Category]uint8, N)
-	for i, c := range names {
-		m[c] = uint8(i)
-	}
-	return m
-}()
+// names is the taxonomy in bit order. Like byName it is a literal, so
+// the package has nothing to build at init; TestTablesFollowTheirRules
+// derives both from the layout above and the kinds' String methods.
+var names = [N]Category{
+	"read_on_start", "read_on_end", "read_after_start", "read_before_end",
+	"read_after_start_before_end", "read_steady", "read_insignificant",
+	"read_periodic", "read_periodic_second", "read_periodic_minute", "read_periodic_hour",
+	"read_periodic_day_or_more", "read_periodic_low_busy_time", "read_periodic_high_busy_time",
+	"write_on_start", "write_on_end", "write_after_start", "write_before_end",
+	"write_after_start_before_end", "write_steady", "write_insignificant",
+	"write_periodic", "write_periodic_second", "write_periodic_minute", "write_periodic_hour",
+	"write_periodic_day_or_more", "write_periodic_low_busy_time", "write_periodic_high_busy_time",
+	MetaHighSpike, MetaMultipleSpikes, MetaHighDensity, MetaInsignificantLoad,
+}
 
 // byName lists the bit numbers in order of category name, so a walk over
-// it renders a set sorted with nothing left to sort.
-var byName = func() (order [N]uint8) {
-	for i := range order {
-		order[i] = uint8(i)
-	}
-	sort.Slice(order[:], func(i, j int) bool { return names[order[i]] < names[order[j]] })
-	return order
-}()
+// it renders a set sorted with nothing left to sort, and a binary search
+// over it finds a name's bit.
+var byName = [N]uint8{30, 28, 31, 29, 2, 4, 3, 6, 1, 0, 7, 11, 13, 10, 12, 9, 8, 5, 16, 18, 17, 20, 15, 14, 21, 25, 27, 24, 26, 23, 22, 19}
 
 // dirName is the name at offset off of a direction's block; a direction
 // that is neither read nor write has none.
@@ -284,16 +265,24 @@ type Set uint64
 // (core.Result.Labels, a stored record's body).
 const Open Set = 1 << 63
 
+// The bits of one direction's block, of its temporal kinds, of its
+// periodic labels, and of the metadata categories.
+const (
+	dirBits      Set = 1<<perDir - 1
+	temporalBits Set = 1<<offPeriodic - 1
+	periodicBits     = dirBits &^ temporalBits
+	metaBits         = Closed &^ (1<<metaBase - 1)
+)
+
 // axisSets and dirSets split the N bits by axis and by direction.
-var axisSets, dirSets = func() (axes [AxisNone]Set, dirs [DirWrite + 1]Set) {
-	const block, temporal = Set(1)<<perDir - 1, Set(1)<<offPeriodic - 1
-	const periodic = block &^ temporal
-	axes[AxisTemporality] = temporal | temporal<<perDir
-	axes[AxisPeriodicity] = periodic | periodic<<perDir
-	axes[AxisMetadata] = Closed &^ (1<<metaBase - 1)
-	dirs[DirRead], dirs[DirWrite], dirs[DirNone] = block, block<<perDir, axes[AxisMetadata]
-	return
-}()
+var (
+	axisSets = [AxisNone]Set{
+		AxisTemporality: temporalBits | temporalBits<<perDir,
+		AxisPeriodicity: periodicBits | periodicBits<<perDir,
+		AxisMetadata:    metaBits,
+	}
+	dirSets = [DirWrite + 1]Set{DirNone: metaBits, DirRead: dirBits, DirWrite: dirBits << perDir}
+)
 
 // Set returns the categories of the axis (none for AxisNone).
 func (a Axis) Set() Set {
@@ -364,10 +353,22 @@ func (s *Set) Add(cs ...Category) {
 }
 
 // Bit returns the category's bit number in a Set — its position in
-// All() — and false for a name outside the taxonomy.
+// All() — and false for a name outside the taxonomy: the one label→bit
+// lookup.
 func (c Category) Bit() (int, bool) {
-	bit, ok := bitOf[c]
-	return int(bit), ok
+	lo, hi := 0, N
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if names[byName[mid]] < c {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < N && names[byName[lo]] == c {
+		return int(byName[lo]), true
+	}
+	return 0, false
 }
 
 // Has reports membership. A name outside All() is in no set: an open set

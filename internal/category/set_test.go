@@ -190,3 +190,46 @@ func TestAxisAndDirectionSetsPartition(t *testing.T) {
 		t.Errorf("a name outside the taxonomy has axis %v direction %v", c.Axis(), c.Direction())
 	}
 }
+
+// TestTablesFollowTheirRules derives the literal tables from the rules
+// they encode: names from the per-direction layout and the kinds' String
+// methods, byName by sorting, and Bit as their inverse.
+func TestTablesFollowTheirRules(t *testing.T) {
+	var want [N]Category
+	for b, d := range []Direction{DirRead, DirWrite} {
+		dir, p := want[b*perDir:], d.String()
+		for _, k := range TemporalKinds() {
+			dir[k] = Category(p + "_" + k.String())
+		}
+		dir[offPeriodic] = Category(p + "_periodic")
+		for m := MagSecond; m <= MagDayOrMore; m++ {
+			dir[offPeriodic+m] = Category(p + "_periodic_" + m.String())
+		}
+		dir[offBusy] = Category(p + "_periodic_low_busy_time")
+		dir[offBusy+1] = Category(p + "_periodic_high_busy_time")
+	}
+	copy(want[metaBase:], []Category{MetaHighSpike, MetaMultipleSpikes, MetaHighDensity, MetaInsignificantLoad})
+	if names != want {
+		t.Fatalf("names = %q\nwant %q", names, want)
+	}
+
+	var order [N]uint8
+	for i := range order {
+		order[i] = uint8(i)
+	}
+	sort.Slice(order[:], func(i, j int) bool { return names[order[i]] < names[order[j]] })
+	if byName != order {
+		t.Fatalf("byName = %v, want %v", byName, order)
+	}
+
+	for i, c := range names {
+		if bit, ok := c.Bit(); !ok || bit != i {
+			t.Fatalf("%q.Bit() = %d, %v; want %d", c, bit, ok, i)
+		}
+	}
+	for _, c := range []Category{"", "a", "read", "read_on", "read_on_start_", "metadata_high_spikes", "zzz", "READ_ON_START"} {
+		if bit, ok := c.Bit(); ok {
+			t.Fatalf("%q.Bit() = %d, true; it is outside the taxonomy", c, bit)
+		}
+	}
+}

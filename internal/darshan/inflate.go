@@ -96,12 +96,20 @@ var litLenSyms, distSyms, preSyms = func() (ll [maxLitLenSyms]uint32, d [maxDist
 }()
 
 var (
-	errGzipHeader  = errors.New("darshan: invalid gzip header")
-	errGzipEOF     = fmt.Errorf("darshan: truncated gzip member: %w", io.ErrUnexpectedEOF)
-	errGzipTrailer = errors.New("darshan: gzip checksum or size mismatch")
-	errDeflate     = errors.New("darshan: corrupted deflate stream")
-	errDeflateEOF  = fmt.Errorf("darshan: truncated deflate stream: %w", io.ErrUnexpectedEOF)
+	errGzipHeader        = errors.New("darshan: invalid gzip header")
+	errGzipEOF     error = truncated("darshan: truncated gzip member: unexpected EOF")
+	errGzipTrailer       = errors.New("darshan: gzip checksum or size mismatch")
+	errDeflate           = errors.New("darshan: corrupted deflate stream")
+	errDeflateEOF  error = truncated("darshan: truncated deflate stream: unexpected EOF")
 )
+
+// truncated is the error of an input that ends too soon: its text, and
+// io.ErrUnexpectedEOF underneath. A constant rather than a wrapped
+// error, so the package builds nothing at init.
+type truncated string
+
+func (e truncated) Error() string { return string(e) }
+func (truncated) Unwrap() error   { return io.ErrUnexpectedEOF }
 
 // inflater is the decoder's working state: the bit reader and the three
 // decode tables, about 8 KB. It lives in the pooled decodeState.

@@ -32,62 +32,50 @@ import (
 //
 // Counter rows aggregate per (module, rank, record id).
 
-// counterSetter maps darshan-parser counter names onto the Counters model.
-// Integer and float counters share the table; values arrive as float64 and
-// are truncated for integer counters.
-var counterSetter = map[string]func(*Counters, float64){
-	"POSIX_OPENS":  func(c *Counters, v float64) { c.Opens += int64(v) },
-	"POSIX_SEEKS":  func(c *Counters, v float64) { c.Seeks += int64(v) },
-	"POSIX_STATS":  func(c *Counters, v float64) { c.Stats += int64(v) },
-	"POSIX_READS":  func(c *Counters, v float64) { c.Reads += int64(v) },
-	"POSIX_WRITES": func(c *Counters, v float64) { c.Writes += int64(v) },
+// counterSetter maps a darshan-parser counter name onto the Counters
+// model, nil for a counter MOSAIC does not consume. Integer and float
+// counters share it; values arrive as float64 and are truncated for
+// integer counters. MPI-IO and STDIO counters map onto the same model as
+// POSIX ones. It is a switch rather than a map so the package builds
+// nothing at init.
+func counterSetter(name string) func(*Counters, float64) {
+	switch name {
+	case "POSIX_OPENS", "MPIIO_INDEP_OPENS", "MPIIO_COLL_OPENS", "STDIO_OPENS":
+		return func(c *Counters, v float64) { c.Opens += int64(v) }
+	case "POSIX_SEEKS", "STDIO_SEEKS":
+		return func(c *Counters, v float64) { c.Seeks += int64(v) }
+	case "POSIX_STATS":
+		return func(c *Counters, v float64) { c.Stats += int64(v) }
+	case "POSIX_READS", "MPIIO_INDEP_READS", "MPIIO_COLL_READS", "STDIO_READS":
+		return func(c *Counters, v float64) { c.Reads += int64(v) }
+	case "POSIX_WRITES", "MPIIO_INDEP_WRITES", "MPIIO_COLL_WRITES", "STDIO_WRITES":
+		return func(c *Counters, v float64) { c.Writes += int64(v) }
 	// darshan-parser has no explicit close counter; POSIX_FILENOS and
 	// friends are ignored and closes are assumed to mirror opens when the
 	// close timestamps are present.
-	"POSIX_BYTES_READ":    func(c *Counters, v float64) { c.BytesRead += int64(v) },
-	"POSIX_BYTES_WRITTEN": func(c *Counters, v float64) { c.BytesWritten += int64(v) },
+	case "POSIX_BYTES_READ", "MPIIO_BYTES_READ", "STDIO_BYTES_READ":
+		return func(c *Counters, v float64) { c.BytesRead += int64(v) }
+	case "POSIX_BYTES_WRITTEN", "MPIIO_BYTES_WRITTEN", "STDIO_BYTES_WRITTEN":
+		return func(c *Counters, v float64) { c.BytesWritten += int64(v) }
 
-	"POSIX_F_OPEN_START_TIMESTAMP":  func(c *Counters, v float64) { c.OpenStart = v },
-	"POSIX_F_OPEN_END_TIMESTAMP":    func(c *Counters, v float64) { c.OpenEnd = v },
-	"POSIX_F_READ_START_TIMESTAMP":  func(c *Counters, v float64) { c.ReadStart = v },
-	"POSIX_F_READ_END_TIMESTAMP":    func(c *Counters, v float64) { c.ReadEnd = v },
-	"POSIX_F_WRITE_START_TIMESTAMP": func(c *Counters, v float64) { c.WriteStart = v },
-	"POSIX_F_WRITE_END_TIMESTAMP":   func(c *Counters, v float64) { c.WriteEnd = v },
-	"POSIX_F_CLOSE_START_TIMESTAMP": func(c *Counters, v float64) { c.CloseStart = v },
-	"POSIX_F_CLOSE_END_TIMESTAMP":   func(c *Counters, v float64) { c.CloseEnd = v },
-
-	// MPI-IO and STDIO module counters map onto the same model.
-	"MPIIO_INDEP_OPENS":             func(c *Counters, v float64) { c.Opens += int64(v) },
-	"MPIIO_COLL_OPENS":              func(c *Counters, v float64) { c.Opens += int64(v) },
-	"MPIIO_INDEP_READS":             func(c *Counters, v float64) { c.Reads += int64(v) },
-	"MPIIO_COLL_READS":              func(c *Counters, v float64) { c.Reads += int64(v) },
-	"MPIIO_INDEP_WRITES":            func(c *Counters, v float64) { c.Writes += int64(v) },
-	"MPIIO_COLL_WRITES":             func(c *Counters, v float64) { c.Writes += int64(v) },
-	"MPIIO_BYTES_READ":              func(c *Counters, v float64) { c.BytesRead += int64(v) },
-	"MPIIO_BYTES_WRITTEN":           func(c *Counters, v float64) { c.BytesWritten += int64(v) },
-	"MPIIO_F_OPEN_START_TIMESTAMP":  func(c *Counters, v float64) { c.OpenStart = v },
-	"MPIIO_F_OPEN_END_TIMESTAMP":    func(c *Counters, v float64) { c.OpenEnd = v },
-	"MPIIO_F_READ_START_TIMESTAMP":  func(c *Counters, v float64) { c.ReadStart = v },
-	"MPIIO_F_READ_END_TIMESTAMP":    func(c *Counters, v float64) { c.ReadEnd = v },
-	"MPIIO_F_WRITE_START_TIMESTAMP": func(c *Counters, v float64) { c.WriteStart = v },
-	"MPIIO_F_WRITE_END_TIMESTAMP":   func(c *Counters, v float64) { c.WriteEnd = v },
-	"MPIIO_F_CLOSE_START_TIMESTAMP": func(c *Counters, v float64) { c.CloseStart = v },
-	"MPIIO_F_CLOSE_END_TIMESTAMP":   func(c *Counters, v float64) { c.CloseEnd = v },
-
-	"STDIO_OPENS":                   func(c *Counters, v float64) { c.Opens += int64(v) },
-	"STDIO_SEEKS":                   func(c *Counters, v float64) { c.Seeks += int64(v) },
-	"STDIO_READS":                   func(c *Counters, v float64) { c.Reads += int64(v) },
-	"STDIO_WRITES":                  func(c *Counters, v float64) { c.Writes += int64(v) },
-	"STDIO_BYTES_READ":              func(c *Counters, v float64) { c.BytesRead += int64(v) },
-	"STDIO_BYTES_WRITTEN":           func(c *Counters, v float64) { c.BytesWritten += int64(v) },
-	"STDIO_F_OPEN_START_TIMESTAMP":  func(c *Counters, v float64) { c.OpenStart = v },
-	"STDIO_F_OPEN_END_TIMESTAMP":    func(c *Counters, v float64) { c.OpenEnd = v },
-	"STDIO_F_READ_START_TIMESTAMP":  func(c *Counters, v float64) { c.ReadStart = v },
-	"STDIO_F_READ_END_TIMESTAMP":    func(c *Counters, v float64) { c.ReadEnd = v },
-	"STDIO_F_WRITE_START_TIMESTAMP": func(c *Counters, v float64) { c.WriteStart = v },
-	"STDIO_F_WRITE_END_TIMESTAMP":   func(c *Counters, v float64) { c.WriteEnd = v },
-	"STDIO_F_CLOSE_START_TIMESTAMP": func(c *Counters, v float64) { c.CloseStart = v },
-	"STDIO_F_CLOSE_END_TIMESTAMP":   func(c *Counters, v float64) { c.CloseEnd = v },
+	case "POSIX_F_OPEN_START_TIMESTAMP", "MPIIO_F_OPEN_START_TIMESTAMP", "STDIO_F_OPEN_START_TIMESTAMP":
+		return func(c *Counters, v float64) { c.OpenStart = v }
+	case "POSIX_F_OPEN_END_TIMESTAMP", "MPIIO_F_OPEN_END_TIMESTAMP", "STDIO_F_OPEN_END_TIMESTAMP":
+		return func(c *Counters, v float64) { c.OpenEnd = v }
+	case "POSIX_F_READ_START_TIMESTAMP", "MPIIO_F_READ_START_TIMESTAMP", "STDIO_F_READ_START_TIMESTAMP":
+		return func(c *Counters, v float64) { c.ReadStart = v }
+	case "POSIX_F_READ_END_TIMESTAMP", "MPIIO_F_READ_END_TIMESTAMP", "STDIO_F_READ_END_TIMESTAMP":
+		return func(c *Counters, v float64) { c.ReadEnd = v }
+	case "POSIX_F_WRITE_START_TIMESTAMP", "MPIIO_F_WRITE_START_TIMESTAMP", "STDIO_F_WRITE_START_TIMESTAMP":
+		return func(c *Counters, v float64) { c.WriteStart = v }
+	case "POSIX_F_WRITE_END_TIMESTAMP", "MPIIO_F_WRITE_END_TIMESTAMP", "STDIO_F_WRITE_END_TIMESTAMP":
+		return func(c *Counters, v float64) { c.WriteEnd = v }
+	case "POSIX_F_CLOSE_START_TIMESTAMP", "MPIIO_F_CLOSE_START_TIMESTAMP", "STDIO_F_CLOSE_START_TIMESTAMP":
+		return func(c *Counters, v float64) { c.CloseStart = v }
+	case "POSIX_F_CLOSE_END_TIMESTAMP", "MPIIO_F_CLOSE_END_TIMESTAMP", "STDIO_F_CLOSE_END_TIMESTAMP":
+		return func(c *Counters, v float64) { c.CloseEnd = v }
+	}
+	return nil
 }
 
 func moduleFromParserName(s string) (Module, bool) {
@@ -140,8 +128,8 @@ func ReadParserText(r io.Reader) (*Job, error) {
 		if !ok {
 			continue // module MOSAIC does not consume (LUSTRE, DXT, ...)
 		}
-		setter, ok := counterSetter[fields[3]]
-		if !ok {
+		setter := counterSetter(fields[3])
+		if setter == nil {
 			continue
 		}
 		rank64, err := strconv.ParseInt(fields[1], 10, 32)

@@ -1,9 +1,11 @@
 // Package debughttp is the HTTP surface of the introspection plane: the
-// debug server (/metrics, /healthz, pprof), the metrics scrape handler
-// and the flight recorder's /debug/requests API. It is the one package
-// of the observability plane that imports net: telemetry and reqtrace
-// stay socket-free, so a program that only categorizes — the mosaic CLI
-// — links no network stack and builds as a static binary.
+// debug server (/metrics, /healthz, pprof), the metrics scrape handler,
+// the Go runtime's vitals on every /metrics surface, and the flight
+// recorder's /debug/requests API. It is the one package of the
+// observability plane that imports net or runtime/metrics: telemetry and
+// reqtrace stay free of both, so a program that only categorizes — the
+// mosaic CLI — links no network stack, builds as a static binary and
+// runs no runtime/metrics init.
 package debughttp
 
 import (
@@ -52,7 +54,7 @@ func MetricsHandler(reg *telemetry.Registry) http.HandlerFunc {
 //
 // plus any extra routes.
 func NewMux(reg *telemetry.Registry, extra ...Route) *http.ServeMux {
-	telemetry.RegisterRuntimeMetrics(reg) // every /metrics surface reports runtime + build info
+	RegisterRuntimeMetrics(reg) // every /metrics surface reports runtime + build info
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(reg))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

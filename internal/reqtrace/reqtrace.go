@@ -21,9 +21,9 @@ package reqtrace
 
 import (
 	"context"
-	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"math/rand/v2"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -98,35 +98,48 @@ func FormatTraceparent(tid TraceID, sid SpanID) string {
 	return string(b[:])
 }
 
-// idSeed randomizes generated trace IDs per process; the per-trace
-// counter then guarantees uniqueness without per-request entropy reads.
-var idSeed [16]byte
+// idSeed randomizes generated trace and span IDs per process; the
+// per-trace counter then guarantees uniqueness without per-request
+// entropy reads. It is drawn on first use, not at package init: a
+// program that never starts a trace never pays for it.
+var (
+	idSeed     [16]byte
+	idSeedOnce sync.Once
+	idCtr      atomic.Uint64
+	spanCtr    atomic.Uint64
+)
 
-var idCtr atomic.Uint64
-
-func init() {
-	if _, err := rand.Read(idSeed[:]); err != nil {
-		// Degraded but functional: IDs stay unique via the counter.
-		binary.LittleEndian.PutUint64(idSeed[:8], uint64(time.Now().UnixNano()))
+// drawSeed fills idSeed from the runtime's OS-seeded generator. Its high
+// half is never zero, so no trace ID is the invalid all-zero one.
+func drawSeed() {
+	hi := rand.Uint64()
+	for hi == 0 {
+		hi = rand.Uint64()
 	}
+	binary.BigEndian.PutUint64(idSeed[:8], hi)
+	binary.BigEndian.PutUint64(idSeed[8:], rand.Uint64())
+}
+
+// seed returns the process's ID seed, drawing it on first use.
+func seed() *[16]byte {
+	idSeedOnce.Do(drawSeed)
+	return &idSeed
 }
 
 // newTraceID returns a process-unique random-looking trace ID.
 func newTraceID() TraceID {
-	id := idSeed
+	id := TraceID(*seed())
 	c := idCtr.Add(1)
 	binary.BigEndian.PutUint64(id[8:], binary.BigEndian.Uint64(id[8:])^c)
 	return id
 }
-
-var spanCtr atomic.Uint64
 
 // newSpanBase returns where a new trace's span IDs start counting: a
 // random-looking point in the 64-bit space, so the traces one request
 // leaves on the nodes it crosses — and on one node, an RPC that comes back
 // to it — share a trace ID but no span ID, and merge into one tree.
 func newSpanBase() uint64 {
-	x := binary.LittleEndian.Uint64(idSeed[:8]) + spanCtr.Add(1)*0x9e3779b97f4a7c15
+	x := binary.LittleEndian.Uint64(seed()[:8]) + spanCtr.Add(1)*0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -407,15 +420,14 @@ func (t *Trace) FinishRoot(status int, attrs ...Attr) {
 	t.Release()
 }
 
-// statusTab caches the decimal strings of common HTTP statuses so
+// statusTab holds the decimal strings of common HTTP statuses so
 // FinishRoot skips strconv on the hot path.
-var statusTab [600]string
-
-func init() {
-	for _, c := range []int{200, 201, 202, 204, 206, 301, 302, 304, 400,
-		401, 403, 404, 405, 409, 410, 413, 415, 422, 429, 500, 501, 502, 503, 504} {
-		statusTab[c] = strconv.Itoa(c)
-	}
+var statusTab = [600]string{
+	200: "200", 201: "201", 202: "202", 204: "204", 206: "206",
+	301: "301", 302: "302", 304: "304",
+	400: "400", 401: "401", 403: "403", 404: "404", 405: "405", 409: "409",
+	410: "410", 413: "413", 415: "415", 422: "422", 429: "429",
+	500: "500", 501: "501", 502: "502", 503: "503", 504: "504",
 }
 
 func statusString(code int) string {

@@ -2,6 +2,7 @@ package reqtrace
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync"
@@ -92,6 +93,54 @@ func TestUniqueIDs(t *testing.T) {
 			t.Fatalf("duplicate trace id after %d draws", i)
 		}
 		seen[id] = true
+	}
+}
+
+// TestIDsUniqueAcrossGoroutines starts traces from 8 goroutines at once,
+// the first of them racing to draw the ID seed: every trace ID and every
+// span ID is distinct, and none is the all-zero ID W3C trace context
+// treats as invalid. Run it with -race.
+func TestIDsUniqueAcrossGoroutines(t *testing.T) {
+	const goroutines, perG = 8, 500
+	type ids struct {
+		traces []TraceID
+		spans  []SpanID
+	}
+	got := make([]ids, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(out *ids) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				tr := New(StartOptions{Method: "GET", Route: "/x"})
+				child := tr.AddCompleted(tr.Root(), "child", time.Now(), time.Microsecond)
+				out.traces = append(out.traces, tr.ID())
+				out.spans = append(out.spans, tr.Root(), child)
+				tr.FinishRoot(200)
+			}
+		}(&got[g])
+	}
+	wg.Wait()
+
+	traces := make(map[TraceID]bool, goroutines*perG)
+	spans := make(map[SpanID]bool, 2*goroutines*perG)
+	for _, g := range got {
+		for _, id := range g.traces {
+			if id.IsZero() || traces[id] {
+				t.Fatalf("trace id %s is zero or repeated", id)
+			}
+			traces[id] = true
+		}
+		for _, id := range g.spans {
+			if id.IsZero() || spans[id] {
+				t.Fatalf("span id %s is zero or repeated", id)
+			}
+			spans[id] = true
+		}
+	}
+	if binary.BigEndian.Uint64(seed()[:8]) == 0 {
+		t.Fatal("the seed's high half is zero: a trace ID could be all-zero")
 	}
 }
 

@@ -300,14 +300,19 @@ func TestQueryRefusedBeforeAnyWork(t *testing.T) {
 		t.Fatalf("good query: status %d: %s", resp.StatusCode, body)
 	}
 	for i, nd := range tc.nodes[1:] {
-		rpcs := 0
-		for _, sum := range nd.srv.Flight().Recent(0) {
-			if sum.Method == "RPC" && sum.Route == "query" {
-				rpcs++
+		rpcs := func() (n int) {
+			for _, sum := range nd.srv.Flight().Recent(0) {
+				if sum.Method == "RPC" && sum.Route == "query" {
+					n++
+				}
 			}
+			return n
 		}
-		if rpcs != 1 {
-			t.Fatalf("peer %d saw %d query RPCs, want only the good query's", i+1, rpcs)
+		// A peer finishes an RPC's trace after it writes the reply, so the
+		// good query's may land in its recorder after the entry answered.
+		waitFor(t, fmt.Sprintf("peer %d's query RPC", i+1), func() bool { return rpcs() > 0 })
+		if n := rpcs(); n != 1 {
+			t.Fatalf("peer %d saw %d query RPCs, want only the good query's", i+1, n)
 		}
 	}
 }

@@ -333,7 +333,7 @@ func (s *Server) registerMetrics() {
 	// Every binary serving /metrics reports build info and Go runtime
 	// vitals — the serve handler wires debughttp.MetricsHandler directly,
 	// so the runtime bridge is registered here rather than through NewMux.
-	telemetry.RegisterRuntimeMetrics(s.reg)
+	debughttp.RegisterRuntimeMetrics(s.reg)
 	s.ingestRequests = s.reg.Counter("mosaic_serve_ingest_requests_total", "Ingest HTTP requests received.", nil)
 	s.batchRequests = s.reg.Counter("mosaic_serve_batch_requests_total", "Batch ingest HTTP requests received.", nil)
 	s.batchTraces = s.reg.Histogram("mosaic_serve_batch_traces", "Traces per batch ingest request.",

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -28,5 +30,54 @@ func TestOnCollectRunsBeforeExposition(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "hook_fired_total 2") {
 		t.Fatalf("hook not re-run on second exposition:\n%s", b.String())
+	}
+}
+
+// TestOnCollectConcurrentWithCollect hammers hook registration,
+// instrument registration inside hooks, and expositions from multiple
+// goroutines — the seam the federation path leans on. Run with -race.
+func TestOnCollectConcurrentWithCollect(t *testing.T) {
+	reg := NewRegistry()
+	stop := make(chan struct{})
+	var registrars, exporters sync.WaitGroup
+
+	for w := 0; w < 4; w++ {
+		registrars.Add(1)
+		go func(w int) {
+			defer registrars.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				name := fmt.Sprintf("hook-%d-%d", w, i%10)
+				reg.OnCollect(name, func() {
+					reg.Counter("m_hook_total", "", Labels{"w": fmt.Sprintf("%d", w)}).Inc()
+				})
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		exporters.Add(1)
+		go func() {
+			defer exporters.Done()
+			for i := 0; i < 100; i++ {
+				var sb strings.Builder
+				if err := reg.WritePrometheus(&sb); err != nil {
+					t.Error(err)
+					return
+				}
+				reg.Export()
+			}
+		}()
+	}
+
+	exporters.Wait()
+	close(stop)
+	registrars.Wait()
+
+	if reg.Counter("m_hook_total", "", Labels{"w": "0"}).Value() == 0 {
+		t.Fatal("hooks never ran during concurrent expositions")
 	}
 }

@@ -166,19 +166,41 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// observeBulk records n observations of value v in one lock hold. The
-// runtime-metrics bridge uses it to fold whole bucket deltas from
-// runtime histograms into a registry histogram without n round trips.
-func (h *Histogram) observeBulk(v float64, n int64) {
-	if n <= 0 || math.IsNaN(v) {
-		return
+// FoldCumulative feeds the growth of a cumulative bucket histogram into
+// h: counts[i] observations so far between buckets[i] and buckets[i+1]
+// (edges may be ±Inf), against prev, the counts of the last fold. Each
+// bucket's growth is observed at the bucket's midpoint, in one lock
+// hold. It returns the snapshot for the next fold; a nil or differently
+// sized prev folds from zero.
+func (h *Histogram) FoldCumulative(counts []uint64, buckets []float64, prev []uint64) []uint64 {
+	if len(prev) != len(counts) {
+		prev = make([]uint64, len(counts))
 	}
-	idx := sort.SearchFloat64s(h.bounds, v)
 	h.mu.Lock()
-	h.counts[idx] += n
-	h.sum += v * float64(n)
-	h.count += n
+	for i, n := range counts {
+		delta := int64(n - prev[i])
+		if delta <= 0 {
+			continue
+		}
+		lo, hi := buckets[i], buckets[i+1]
+		var mid float64
+		switch {
+		case math.IsInf(lo, -1) && math.IsInf(hi, 1):
+			mid = 0
+		case math.IsInf(lo, -1):
+			mid = hi
+		case math.IsInf(hi, 1):
+			mid = lo
+		default:
+			mid = lo + (hi-lo)/2
+		}
+		h.counts[sort.SearchFloat64s(h.bounds, mid)] += delta
+		h.sum += mid * float64(delta)
+		h.count += delta
+	}
 	h.mu.Unlock()
+	copy(prev, counts)
+	return prev
 }
 
 // ObserveWithExemplar records one value and remembers (traceID, v, now)

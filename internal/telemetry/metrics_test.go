@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -236,5 +237,31 @@ func TestWriteOpenMetricsGolden(t *testing.T) {
 	}
 	if strings.Contains(p.String(), "# {") {
 		t.Fatalf("Prometheus 0.0.4 exposition leaked exemplars:\n%s", p.String())
+	}
+}
+
+// TestFoldCumulative: each bucket's growth since the last fold lands at
+// the bucket's midpoint, an infinite edge yields to the finite one, and a
+// fold with nothing new observes nothing.
+func TestFoldCumulative(t *testing.T) {
+	h := NewRegistry().Histogram("fold_seconds", "", []float64{1, 10}, nil)
+	inf := math.Inf(1)
+	buckets := []float64{-inf, 0.5, 4, 100, inf}
+	prev := h.FoldCumulative([]uint64{1, 2, 3, 4}, buckets, nil)
+	s := h.Snapshot()
+	// midpoints: 0.5 (-Inf edge), 2.25, 52, 100 (+Inf edge)
+	if want := []int64{1, 2, 7}; !slices.Equal(s.Counts, want) || s.Count != 10 {
+		t.Fatalf("first fold: counts %v (total %d), want %v (total 10)", s.Counts, s.Count, want)
+	}
+	if want := 1*0.5 + 2*2.25 + 3*52 + 4*100.0; s.Sum != want {
+		t.Fatalf("first fold: sum %v, want %v", s.Sum, want)
+	}
+	prev = h.FoldCumulative([]uint64{1, 2, 3, 4}, buckets, prev)
+	prev = h.FoldCumulative([]uint64{1, 2, 3, 6}, buckets, prev)
+	if s := h.Snapshot(); s.Count != 12 || s.Counts[2] != 9 {
+		t.Fatalf("after two more folds: counts %v (total %d), want +Inf bucket 9 of 12", s.Counts, s.Count)
+	}
+	if !slices.Equal(prev, []uint64{1, 2, 3, 6}) {
+		t.Fatalf("snapshot %v, want the last counts", prev)
 	}
 }
