@@ -206,11 +206,14 @@ func captured(t *testing.T, std **os.File, fn func()) []byte {
 
 // TestV2CorpusFixture: a corpus written by the last commit whose file
 // encoding was version 2 (internal/darshan/testdata/v2corpus, README
-// there) still gives, byte for byte, the report and the -json output
-// that commit gave — read as it is, and again after every file went
-// through -convert, which rewrites it as version 3.
+// there), and the same corpus as the last version-3 writer rewrote it
+// (testdata/v3corpus), still give, byte for byte, the report and the
+// -json output that commit gave at 1, 2 and 8 workers — read as they
+// are, and again after every file went through -convert, which rewrites
+// it as version 4.
 func TestV2CorpusFixture(t *testing.T) {
 	const fixture = "../../internal/darshan/testdata/v2corpus"
+	const v3fixture = "../../internal/darshan/testdata/v3corpus"
 	wantReport, err := os.ReadFile(fixture + ".report")
 	if err != nil {
 		t.Fatal(err)
@@ -219,42 +222,48 @@ func TestV2CorpusFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := mosaic.ListCorpus(fixture)
-	if err != nil || len(files) != 12 {
-		t.Fatalf("%d fixture files, %v", len(files), err)
-	}
-	converted := t.TempDir()
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil || len(data) < 8 || data[4] != 2 {
-			t.Fatalf("%s: %v; header % x: the fixture must stay version 2", f, err, data[:min(len(data), 8)])
+	dirs := []string{fixture, v3fixture}
+	for version, dir := range map[byte]string{2: fixture, 3: v3fixture} {
+		files, err := mosaic.ListCorpus(dir)
+		if err != nil || len(files) != 12 {
+			t.Fatalf("%s: %d fixture files, %v", dir, len(files), err)
 		}
-		out := filepath.Join(converted, filepath.Base(f))
-		captured(t, &os.Stdout, func() {
-			if err := run(context.Background(), f, mosaic.DefaultConfig(), 1, singleOpts{}, "", false, out, "", corpusOpts{}); err != nil {
-				t.Fatalf("convert %s: %v", f, err)
+		converted := t.TempDir()
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil || len(data) < 8 || data[4] != version {
+				t.Fatalf("%s: %v; header % x: the fixture must stay version %d", f, err, data[:min(len(data), 8)], version)
 			}
-		})
-		if data, err := os.ReadFile(out); err != nil || data[4] != 3 {
-			t.Fatalf("%s: %v; -convert wrote version %d, want 3", out, err, data[4])
-		}
-	}
-	for _, dir := range []string{fixture, converted} {
-		jsonPath := filepath.Join(t.TempDir(), "out.json")
-		report := captured(t, &os.Stdout, func() {
-			if err := run(context.Background(), dir, mosaic.DefaultConfig(), 2, singleOpts{}, jsonPath, false, "", "", corpusOpts{}); err != nil {
-				t.Fatalf("%s: %v", dir, err)
+			out := filepath.Join(converted, filepath.Base(f))
+			captured(t, &os.Stdout, func() {
+				if err := run(context.Background(), f, mosaic.DefaultConfig(), 1, singleOpts{}, "", false, out, "", corpusOpts{}); err != nil {
+					t.Fatalf("convert %s: %v", f, err)
+				}
+			})
+			if data, err := os.ReadFile(out); err != nil || data[4] != 4 {
+				t.Fatalf("%s: %v; -convert wrote version %d, want 4", out, err, data[4])
 			}
-		})
-		gotJSON, err := os.ReadFile(jsonPath)
-		if err != nil {
-			t.Fatal(err)
 		}
-		if !bytes.Equal(report, wantReport) {
-			t.Errorf("%s: report differs from the checked-in one:\n%s", dir, report)
-		}
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("%s: -json output differs from the checked-in one", dir)
+		dirs = append(dirs, converted)
+	}
+	for _, dir := range dirs {
+		for _, workers := range []int{1, 2, 8} {
+			jsonPath := filepath.Join(t.TempDir(), "out.json")
+			report := captured(t, &os.Stdout, func() {
+				if err := run(context.Background(), dir, mosaic.DefaultConfig(), workers, singleOpts{}, jsonPath, false, "", "", corpusOpts{}); err != nil {
+					t.Fatalf("%s: %v", dir, err)
+				}
+			})
+			gotJSON, err := os.ReadFile(jsonPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(report, wantReport) {
+				t.Errorf("%s, %d workers: report differs from the checked-in one:\n%s", dir, workers, report)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("%s, %d workers: -json output differs from the checked-in one", dir, workers)
+			}
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/cluster"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/darshan/mosdtest"
 	"github.com/mosaic-hpc/mosaic/internal/experiments"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
@@ -298,14 +299,36 @@ func IngestDecodeWarm(b *testing.B) {
 	}
 }
 
-// IngestDecodeGzip decodes the at-rest .mosd encoding (gzip body) with
-// pooled inflate state (pinned as BenchmarkIngest/decode_gzip).
-func IngestDecodeGzip(b *testing.B) {
+// ingestFile is the ingest trace in the .mosd file encoding WriteBinary
+// writes (version 4: prelude, compact body).
+func ingestFile(b *testing.B) []byte {
 	var buf bytes.Buffer
 	if err := darshan.WriteBinary(&buf, ingestTrace()); err != nil {
 		b.Fatal(err)
 	}
-	blob := buf.Bytes()
+	return buf.Bytes()
+}
+
+// ingestGzipFile is the ingest trace in the version-3 file encoding, the
+// prelude over a gzip body: no writer in production makes it any more,
+// and the gzip benchmarks below keep measuring the read of it.
+func ingestGzipFile(b *testing.B) []byte {
+	canonical, err := darshan.MarshalBinary(ingestTrace())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mosdtest.V3File(b, ingestFile(b), canonical)
+}
+
+// IngestDecodeGzip decodes the version-3 .mosd encoding (gzip body) with
+// pooled inflate state (pinned as BenchmarkIngest/decode_gzip).
+func IngestDecodeGzip(b *testing.B) { ingestDecode(b, ingestGzipFile(b)) }
+
+// IngestDecodeFile decodes the .mosd encoding WriteBinary writes, the
+// compact body read where it lies (pinned as BenchmarkIngest/decode_file).
+func IngestDecodeFile(b *testing.B) { ingestDecode(b, ingestFile(b)) }
+
+func ingestDecode(b *testing.B, blob []byte) {
 	var j darshan.Job
 	b.SetBytes(int64(len(blob)))
 	b.ReportAllocs()
@@ -321,19 +344,21 @@ func IngestDecodeGzip(b *testing.B) {
 // decodes: inflated and walked for its summary, no job built — what the
 // funnel pays for a file without a prelude (pinned as
 // BenchmarkIngest/inspect_gzip).
-func IngestInspectGzip(b *testing.B) { ingestInspect(b, darshan.WalkBinary) }
+func IngestInspectGzip(b *testing.B) { ingestInspect(b, darshan.WalkBinary, ingestGzipFile(b)) }
 
 // IngestInspectPrelude is the funnel's read of the same blob: both
 // checksums verified, the summary taken from the prelude, nothing
 // inflated (pinned as BenchmarkIngest/inspect_prelude).
-func IngestInspectPrelude(b *testing.B) { ingestInspect(b, darshan.InspectBinary) }
+func IngestInspectPrelude(b *testing.B) {
+	ingestInspect(b, darshan.InspectBinary, ingestGzipFile(b))
+}
 
-func ingestInspect(b *testing.B, read func([]byte) (darshan.Summary, error)) {
-	var buf bytes.Buffer
-	if err := darshan.WriteBinary(&buf, ingestTrace()); err != nil {
-		b.Fatal(err)
-	}
-	blob := buf.Bytes()
+// IngestInspectFile is the funnel's read of the blob IngestDecodeFile
+// decodes: both checksums verified over the compact body, the summary
+// taken from the prelude (pinned as BenchmarkIngest/inspect_file).
+func IngestInspectFile(b *testing.B) { ingestInspect(b, darshan.InspectBinary, ingestFile(b)) }
+
+func ingestInspect(b *testing.B, read func([]byte) (darshan.Summary, error), blob []byte) {
 	inspect := func() {
 		if s, err := read(blob); err != nil || s.Invalid != nil {
 			b.Fatal(s.Invalid, err)
@@ -352,23 +377,20 @@ func ingestInspect(b *testing.B, read func([]byte) (darshan.Summary, error)) {
 }
 
 // IngestInflate measures the .mosd gzip kernel alone on the gzip body of
-// the ingest trace, reusing the output arena; MB/s is of inflated bytes
-// (BenchmarkIngest/inflate). The kernel and the reader's own account of
-// where a file's body starts are unexported, so the caller —
-// internal/darshan's own benchmark — passes them in, and mosaic-bench,
-// which cannot, does not pin it: decode_gzip less decode_warm is the
-// pinned view of the same work.
+// the ingest trace's version-3 file, reusing the output arena; MB/s is of
+// inflated bytes (BenchmarkIngest/inflate). The kernel and the reader's
+// own account of where a file's body starts are unexported, so the
+// caller — internal/darshan's own benchmark — passes them in, and
+// mosaic-bench, which cannot, does not pin it: decode_gzip less
+// decode_warm is the pinned view of the same work.
 func IngestInflate(inflate func(dst, src []byte) ([]byte, error), bodyOffset func(file []byte) (int, error)) func(b *testing.B) {
 	return func(b *testing.B) {
-		var buf bytes.Buffer
-		if err := darshan.WriteBinary(&buf, ingestTrace()); err != nil {
-			b.Fatal(err)
-		}
-		off, err := bodyOffset(buf.Bytes())
+		file := ingestGzipFile(b)
+		off, err := bodyOffset(file)
 		if err != nil {
 			b.Fatal(err)
 		}
-		member := buf.Bytes()[off:]
+		member := file[off:]
 		body, err := inflate(nil, member)
 		if err != nil {
 			b.Fatal(err)
@@ -453,6 +475,8 @@ func Targets() []Target {
 		Target{Name: "BenchmarkIngest/decode_gzip", File: IngestFile, Fn: IngestDecodeGzip},
 		Target{Name: "BenchmarkIngest/inspect_gzip", File: IngestFile, Fn: IngestInspectGzip},
 		Target{Name: "BenchmarkIngest/inspect_prelude", File: IngestFile, Fn: IngestInspectPrelude},
+		Target{Name: "BenchmarkIngest/decode_file", File: IngestFile, Fn: IngestDecodeFile},
+		Target{Name: "BenchmarkIngest/inspect_file", File: IngestFile, Fn: IngestInspectFile},
 		Target{Name: "BenchmarkIngest/encode", File: IngestFile, Fn: IngestEncode},
 		Target{Name: "BenchmarkIngest/store_append", File: IngestFile, Fn: IngestStoreAppend},
 		Target{Name: "BenchmarkServe/ingest_warm_untraced", File: ServeFile, Fn: ServeIngestWarm(false)},

@@ -1,14 +1,13 @@
 package darshan
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
 	"strings"
@@ -18,40 +17,44 @@ import (
 // Binary codec for Darshan-like logs. Real Darshan logs are a compressed
 // binary container (zlib regions indexed by a header); we reproduce the
 // same architecture with a small header followed by a little-endian body
-// that is either raw or gzip-compressed, selected by a header flag. The
-// format is versioned and self-describing enough for the corpus reader
-// to reject foreign files cheaply.
+// in one of a few layouts, selected by the header's version and flag
+// word. The format is versioned and self-describing enough for the
+// corpus reader to reject foreign files cheaply.
 //
 // Layout:
 //
 //	magic   [4]byte  "MOSD"
-//	version uint16   (2, or 3 for the file encoding)
+//	version uint16   (2, or 3 or 4 for the file encoding)
 //	flags   uint16   (bit 0: body is gzip-compressed)
-//	prelude — version 3 only, see appendPrelude
-//	body    — little-endian fields, see appendBody
+//	prelude — versions 3 and 4, see appendPrelude
+//	body    — little-endian fields, see appendBody; version 4 delta-codes
+//	          the records, see appendCompactBody
 //
 // Strings are length-prefixed (uint32 + raw bytes). All multi-byte values
 // are little-endian.
 //
-// Two encodings share this container:
+// Two encodings are written:
 //
 //   - The canonical encoding (MarshalBinary / AppendEncode) is version 2
 //     with a raw body. It is the content-addressing identity
 //     (store.TraceKey hashes these bytes) and the ingest hot path:
 //     encoding is a single buffer append and decoding parses in place with
 //     zero copies.
-//   - The file encoding (WriteBinary, .mosd corpora) is version 3: the
-//     body gzipped, trading decode work for disk footprint on at-rest
-//     corpora, behind an uncompressed prelude that holds the trace's
-//     Summary and a checksum of the body — what the corpus funnel reads of
-//     a trace, so that it inflates only the runs it keeps. Version 3 has
-//     this one shape: any other flag word is refused.
+//   - The file encoding (WriteBinary, .mosd corpora) is version 4, flag
+//     word 0: an uncompressed prelude that holds the trace's Summary and a
+//     checksum of the body — what the corpus funnel reads of a trace — and
+//     a compact body that the decoder reads where it lies, nothing
+//     inflated. Any other flag word is refused.
 //
-// Both are decoded by the same reader — the version and flag word the
-// input carries, not the API, select the path — so blobs written by
-// either remain interchangeable, and version-2 gzip files, the file
-// encoding before the prelude, stay readable (inflated and walked for
-// their summary, as every file then was).
+// Two more are read and no longer written: version 3 (the version-4
+// prelude over the canonical body, gzipped; flag word 1 only) and
+// version 2 with the gzip flag (the file encoding before the prelude,
+// inflated and walked for its summary, as every file then was).
+// internal/darshan/mosdtest writes both, for tests.
+//
+// All of them are decoded by the same reader — the version and flag word
+// the input carries, not the API, select the path — so blobs written by
+// any of them remain interchangeable.
 //
 // The decode hot path makes one allocation when warm: the inflater's
 // tables, inflate arenas and scratch buffers are pooled via sync.Pool,
@@ -68,9 +71,14 @@ var Magic = [4]byte{'M', 'O', 'S', 'D'}
 // the reader accepts.
 const FormatVersion uint16 = 2
 
-// fileFormatVersion is what WriteBinary writes: the body layout of
-// FormatVersion behind a prelude.
-const fileFormatVersion uint16 = 3
+// fileFormatVersion is what WriteBinary writes: a prelude, then the
+// compact body, flag word 0.
+const fileFormatVersion uint16 = 4
+
+// gzipFileVersion is the file encoding before fileFormatVersion: the
+// same prelude, then the body layout of FormatVersion gzipped, flag word
+// flagGzip. It is read and no longer written.
+const gzipFileVersion uint16 = 3
 
 const flagGzip uint16 = 1 << 0
 
@@ -83,7 +91,11 @@ const (
 	maxRecords    = 1 << 26 // 64M records per job
 	maxMetaPairs  = 1 << 16
 	maxDXTPerList = 1 << 24 // 16M traced segments per record
-	maxBodyBytes  = 1 << 30 // 1 GiB decompressed body (gzip-bomb guard)
+	// maxBodyBytes bounds a file and what one body decodes to: the
+	// inflated size of a gzip body (gzip-bomb guard), and the canonical
+	// size of what a compact body holds (a shared path prefix is its
+	// bomb).
+	maxBodyBytes = 1 << 30
 )
 
 // Minimum encoded sizes, used to validate hostile element counts against
@@ -93,6 +105,15 @@ const (
 	minRecordLen   = 4 + 4 + recordTailLen // module + path prefix + tail
 	dxtEventLen    = 4 * 8
 	minMetaPairLen = 4 + 4 // two empty length-prefixed strings
+
+	// canonRecordLen is a record's canonical size less its path and DXT
+	// events: what a compact record counts for against maxBodyBytes.
+	canonRecordLen = minRecordLen + 4 + 4
+	// A compact record is at least a module, the two path lengths, the
+	// rank, eight counters, four width bytes and two DXT counts; a
+	// compact DXT event a width byte and two deltas.
+	minCompactRecordLen = 1 + 1 + 1 + 1 + 8 + 4 + 1 + 1
+	minCompactEventLen  = 1 + 1 + 1
 )
 
 // ErrBadMagic reports that a stream does not start with the MOSD magic.
@@ -108,26 +129,14 @@ const maxPooledBuf = 8 << 20
 
 // ---- Encoding ----
 
-// encodeState is the pooled per-encode scratch: the body staging buffer,
-// the metadata key-sorting slice and, for WriteBinary, the file being
-// assembled.
+// encodeState is the pooled per-encode scratch: the metadata key-sorting
+// slice and, for WriteBinary, the file being assembled.
 type encodeState struct {
-	body []byte
 	keys []string
-	file bytes.Buffer
+	file []byte
 }
 
 var encodeStatePool = sync.Pool{New: func() any { return new(encodeState) }}
-
-// gzipWriterPool pools file-encoding compressors. BestSpeed: corpus
-// files are written once and read many times by a decoder whose inflate
-// cost barely depends on the compression level.
-var gzipWriterPool = sync.Pool{
-	New: func() any {
-		zw, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-		return zw
-	},
-}
 
 // AppendEncode appends the canonical (raw-body) binary encoding of j to
 // dst and returns the extended slice. This is the zero-allocation encode
@@ -161,48 +170,35 @@ func encodedLen(j *Job) int {
 	return n
 }
 
-// WriteBinary encodes the job to w in the at-rest .mosd file encoding:
-// the header, the prelude — Summarize(j) and a checksum of what follows,
-// itself checksummed — and the body of AppendEncode, gzip-compressed. The
-// file is assembled in memory, since the prelude precedes the bytes it
-// sums, and written in one call.
+// WriteBinary encodes the job to w in the at-rest .mosd file encoding,
+// version 4: the header, the prelude — Summarize(j) and a checksum of
+// what follows, itself checksummed — and the compact body
+// (appendCompactBody). The file is assembled in memory, since the prelude
+// precedes the bytes it sums, and written in one call.
 func WriteBinary(w io.Writer, j *Job) error {
 	st := encodeStatePool.Get().(*encodeState)
-	f := &st.file
-	defer func() {
-		if f.Cap() > maxPooledBuf {
-			*f = bytes.Buffer{}
-		}
-		encodeStatePool.Put(st)
-	}()
-	body, err := appendBody(st.body[:0], j)
-	if cap(body) <= maxPooledBuf {
-		st.body = body[:0]
+	f := append(st.file[:0], Magic[:]...)
+	f = binary.LittleEndian.AppendUint16(f, fileFormatVersion)
+	f = binary.LittleEndian.AppendUint16(f, 0)
+	f, err := appendPrelude(f, Summarize(j))
+	bodyOff := len(f)
+	if err == nil {
+		f, err = appendCompactBody(f, j)
+	}
+	if err == nil {
+		sealPrelude(f, bodyOff)
+		_, err = w.Write(f)
+	}
+	if cap(f) <= maxPooledBuf {
+		st.file = f[:0]
 	} else {
-		st.body = nil
+		st.file = nil
 	}
-	if err != nil {
-		return err
-	}
-	f.Reset()
-	head := append(f.AvailableBuffer(), Magic[:]...)
-	head = binary.LittleEndian.AppendUint16(head, fileFormatVersion)
-	head = binary.LittleEndian.AppendUint16(head, flagGzip)
-	if head, err = appendPrelude(head, Summarize(j)); err != nil {
-		return err
-	}
-	f.Write(head)
-	zw := gzipWriterPool.Get().(*gzip.Writer)
-	zw.Reset(f)
-	zw.Write(body) // into memory: only w can fail
-	zw.Close()
-	gzipWriterPool.Put(zw)
-	sealPrelude(f.Bytes(), len(head))
-	_, err = w.Write(f.Bytes())
+	encodeStatePool.Put(st)
 	return err
 }
 
-// The prelude of a version-3 file sits between the header and the gzip
+// The prelude of a version-3 or -4 file sits between the header and the
 // body, uncompressed:
 //
 //	rules   uint8   summaryRules of the writer
@@ -246,8 +242,8 @@ func appendPrelude(dst []byte, s Summary) ([]byte, error) {
 	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0), nil
 }
 
-// sealPrelude fills in the two checksums of a version-3 file whose
-// prelude ends at bodyOff.
+// sealPrelude fills in the two checksums of a file whose prelude ends at
+// bodyOff.
 func sealPrelude(file []byte, bodyOff int) {
 	binary.LittleEndian.PutUint32(file[bodyOff-8:], crc32.ChecksumIEEE(file[bodyOff:]))
 	binary.LittleEndian.PutUint32(file[bodyOff-4:], crc32.ChecksumIEEE(file[:bodyOff-4]))
@@ -269,6 +265,44 @@ func appendStr(dst []byte, s string) ([]byte, error) {
 }
 
 func appendBody(dst []byte, j *Job) ([]byte, error) {
+	dst, err := appendHead(dst, j)
+	if err != nil {
+		return dst, err
+	}
+	dst = appendU32(dst, uint32(len(j.Records)))
+	for i := range j.Records {
+		r := &j.Records[i]
+		dst = appendU32(dst, uint32(r.Module))
+		if dst, err = appendStr(dst, r.Path); err != nil {
+			return dst, err
+		}
+		dst = appendU32(dst, uint32(r.Rank))
+		c := &r.C
+		dst = appendI64(dst, c.Opens)
+		dst = appendI64(dst, c.Closes)
+		dst = appendI64(dst, c.Seeks)
+		dst = appendI64(dst, c.Stats)
+		dst = appendI64(dst, c.Reads)
+		dst = appendI64(dst, c.Writes)
+		dst = appendI64(dst, c.BytesRead)
+		dst = appendI64(dst, c.BytesWritten)
+		dst = appendF64(dst, c.OpenStart)
+		dst = appendF64(dst, c.OpenEnd)
+		dst = appendF64(dst, c.ReadStart)
+		dst = appendF64(dst, c.ReadEnd)
+		dst = appendF64(dst, c.WriteStart)
+		dst = appendF64(dst, c.WriteEnd)
+		dst = appendF64(dst, c.CloseStart)
+		dst = appendF64(dst, c.CloseEnd)
+		dst = appendDXTList(dst, r.DXTReads)
+		dst = appendDXTList(dst, r.DXTWrites)
+	}
+	return dst, nil
+}
+
+// appendHead appends what opens every body, canonical and compact: the
+// job fields and the metadata.
+func appendHead(dst []byte, j *Job) ([]byte, error) {
 	var err error
 	dst = appendU64(dst, j.JobID)
 	dst = appendU32(dst, j.UID)
@@ -304,40 +338,8 @@ func appendBody(dst []byte, j *Job) ([]byte, error) {
 		}
 		st.keys = keys[:0]
 		encodeStatePool.Put(st)
-		if err != nil {
-			return dst, err
-		}
 	}
-
-	dst = appendU32(dst, uint32(len(j.Records)))
-	for i := range j.Records {
-		r := &j.Records[i]
-		dst = appendU32(dst, uint32(r.Module))
-		if dst, err = appendStr(dst, r.Path); err != nil {
-			return dst, err
-		}
-		dst = appendU32(dst, uint32(r.Rank))
-		c := &r.C
-		dst = appendI64(dst, c.Opens)
-		dst = appendI64(dst, c.Closes)
-		dst = appendI64(dst, c.Seeks)
-		dst = appendI64(dst, c.Stats)
-		dst = appendI64(dst, c.Reads)
-		dst = appendI64(dst, c.Writes)
-		dst = appendI64(dst, c.BytesRead)
-		dst = appendI64(dst, c.BytesWritten)
-		dst = appendF64(dst, c.OpenStart)
-		dst = appendF64(dst, c.OpenEnd)
-		dst = appendF64(dst, c.ReadStart)
-		dst = appendF64(dst, c.ReadEnd)
-		dst = appendF64(dst, c.WriteStart)
-		dst = appendF64(dst, c.WriteEnd)
-		dst = appendF64(dst, c.CloseStart)
-		dst = appendF64(dst, c.CloseEnd)
-		dst = appendDXTList(dst, r.DXTReads)
-		dst = appendDXTList(dst, r.DXTWrites)
-	}
-	return dst, nil
+	return dst, err
 }
 
 func appendDXTList(dst []byte, events []DXTEvent) []byte {
@@ -348,6 +350,116 @@ func appendDXTList(dst []byte, events []DXTEvent) []byte {
 		dst = appendF64(dst, ev.End)
 		dst = appendI64(dst, ev.Offset)
 		dst = appendI64(dst, ev.Length)
+	}
+	return dst
+}
+
+// The compact body of a version-4 file is appendBody's with the records
+// delta-coded, each against the one before it. The head — the job
+// fields, the metadata and the record count — is appendBody's byte for
+// byte; each record is then
+//
+//	module   uint8
+//	shared   uvarint  leading bytes of the path shared with the previous
+//	                  record's path (0 for the first record)
+//	suffix   uvarint  length, then that many bytes: the rest of the path
+//	rank     varint
+//	counters 8 × varint: Opens, Closes, Seeks, Stats, Reads, Writes,
+//	         BytesRead, BytesWritten
+//	times    4 pairs — open, read, write, close — of appendPair's, each
+//	         against the previous record's same pair (zero before the
+//	         first record)
+//	reads    DXT list of appendCompactDXT's
+//	writes   DXT list of appendCompactDXT's
+//
+// The varints are encoding/binary's (a varint is a zigzag uvarint). A
+// decoder holds the count of records and DXT events to the bytes left,
+// and the canonical size of what it decodes — paths included, however
+// short their encoding — to maxBodyBytes.
+func appendCompactBody(dst []byte, j *Job) ([]byte, error) {
+	dst, err := appendHead(dst, j)
+	if err != nil {
+		return dst, err
+	}
+	dst = appendU32(dst, uint32(len(j.Records)))
+	prevPath := ""
+	var open, read, write, close [2]uint64
+	for i := range j.Records {
+		r := &j.Records[i]
+		if len(r.Path) > maxStringLen {
+			return dst, fmt.Errorf("darshan: string too long (%d bytes)", len(r.Path))
+		}
+		shared := sharedPrefix(prevPath, r.Path)
+		prevPath = r.Path
+		dst = append(dst, byte(r.Module))
+		dst = binary.AppendUvarint(dst, uint64(shared))
+		dst = binary.AppendUvarint(dst, uint64(len(r.Path)-shared))
+		dst = append(dst, r.Path[shared:]...)
+		dst = binary.AppendVarint(dst, int64(r.Rank))
+		c := &r.C
+		dst = binary.AppendVarint(dst, c.Opens)
+		dst = binary.AppendVarint(dst, c.Closes)
+		dst = binary.AppendVarint(dst, c.Seeks)
+		dst = binary.AppendVarint(dst, c.Stats)
+		dst = binary.AppendVarint(dst, c.Reads)
+		dst = binary.AppendVarint(dst, c.Writes)
+		dst = binary.AppendVarint(dst, c.BytesRead)
+		dst = binary.AppendVarint(dst, c.BytesWritten)
+		dst = appendPair(dst, &open, c.OpenStart, c.OpenEnd)
+		dst = appendPair(dst, &read, c.ReadStart, c.ReadEnd)
+		dst = appendPair(dst, &write, c.WriteStart, c.WriteEnd)
+		dst = appendPair(dst, &close, c.CloseStart, c.CloseEnd)
+		dst = appendCompactDXT(dst, r.DXTReads)
+		dst = appendCompactDXT(dst, r.DXTWrites)
+	}
+	return dst, nil
+}
+
+// sharedPrefix is the length of the longest common prefix of a and b.
+func sharedPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// appendPair appends a timestamp pair: one byte holding the widths of
+// the two values (low nibble the first, high the second), then for each
+// the low bytes of its bits XOR'd with prev's, little-endian, as many as
+// the XOR has once its zero high bytes are trimmed (0 to 8). Timestamps
+// close to the previous record's share their sign, exponent and high
+// mantissa, and an unused pair is (0, 0) twice over: both cost nothing.
+// prev becomes the pair's bits.
+func appendPair(dst []byte, prev *[2]uint64, a, b float64) []byte {
+	ab, bb := math.Float64bits(a), math.Float64bits(b)
+	xa, xb := ab^prev[0], bb^prev[1]
+	prev[0], prev[1] = ab, bb
+	wa, wb := (bits.Len64(xa)+7)/8, (bits.Len64(xb)+7)/8
+	dst = append(dst, byte(wa|wb<<4))
+	n := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, xa)[:n+wa]
+	n += wa
+	return binary.LittleEndian.AppendUint64(dst, xb)[:n+wb]
+}
+
+// appendCompactDXT appends one DXT list of a compact record: a uvarint
+// count, then per event its (Start, End) pair of appendPair's against the
+// event before it in the list, a varint Offset less where the event
+// before it ended (Offset + Length) and a varint Length less the event
+// before it's — contiguous equal segments cost three bytes each.
+func appendCompactDXT(dst []byte, events []DXTEvent) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(events)))
+	var t [2]uint64
+	var end, length int64
+	for i := range events {
+		ev := &events[i]
+		dst = appendPair(dst, &t, ev.Start, ev.End)
+		dst = binary.AppendVarint(dst, ev.Offset-end)
+		dst = binary.AppendVarint(dst, ev.Length-length)
+		end, length = ev.Offset+ev.Length, ev.Length
 	}
 	return dst
 }
@@ -366,8 +478,10 @@ const (
 	maxInternBytes   = 1 << 20
 )
 
-// pathSpan locates one record's path in the body being decoded.
-type pathSpan struct{ off, n int }
+// pathSpan locates one record's path in the body being decoded: n bytes
+// at off, after, in a compact body, the first shared bytes of the path
+// before it.
+type pathSpan struct{ off, n, shared int }
 
 // decodeState is the pooled per-decode scratch: the inflater and its
 // output arena, the string intern table, the record-path spans of the
@@ -443,6 +557,9 @@ type cursor struct {
 	// appendBody writes for the job it produced: metadata keys out of
 	// strictly ascending order, or a field narrowed on decode.
 	noncanon bool
+	// decoded is, in a compact body, the canonical size of what the
+	// walk has decoded so far (grow).
+	decoded int64
 }
 
 func (c *cursor) fail(err error) {
@@ -467,7 +584,7 @@ func (c *cursor) need(n int) bool {
 // checkCount validates an element count against both its absolute limit
 // and the bytes actually remaining (each element needs at least minLen
 // bytes), so hostile counts fail before any proportional allocation.
-func (c *cursor) checkCount(n uint32, limit uint32, minLen int, what string) bool {
+func (c *cursor) checkCount(n, limit uint64, minLen int, what string) bool {
 	if c.err != nil {
 		return false
 	}
@@ -475,7 +592,7 @@ func (c *cursor) checkCount(n uint32, limit uint32, minLen int, what string) boo
 		c.fail(fmt.Errorf("darshan: %s count %d exceeds limit", what, n))
 		return false
 	}
-	if int64(len(c.data)-c.off) < int64(n)*int64(minLen) {
+	if int64(len(c.data)-c.off) < int64(n)*int64(minLen) { // n ≤ limit: no overflow
 		c.fail(fmt.Errorf("darshan: truncated body: %s count %d exceeds remaining bytes", what, n))
 		return false
 	}
@@ -512,6 +629,97 @@ func (c *cursor) u64() uint64 {
 func (c *cursor) i64() int64   { return int64(c.u64()) }
 func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
+// uvarint decodes one uvarint as encoding/binary writes it: at most ten
+// bytes, the tenth at most 1. Read past a failure, the value is as
+// meaningless as any then. A one-load fast path measured no faster here,
+// alone or across a record's nine varints in a row (DESIGN §10).
+func (c *cursor) uvarint() uint64 {
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if !c.need(i + 1) {
+			return 0
+		}
+		b := c.data[c.off+i]
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			break
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			c.off += i + 1
+			return v
+		}
+	}
+	c.fail(errors.New("darshan: varint overflows 64 bits"))
+	return 0
+}
+
+// varint decodes one varint (a zigzag uvarint).
+func (c *cursor) varint() int64 {
+	u := c.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// times decodes a compact record's four timestamp pairs — open, read,
+// write, close — each of appendPair's against the same pair in prev,
+// which becomes the record's.
+func (c *cursor) times(cc *Counters, prev *[4][2]uint64) {
+	cc.OpenStart, cc.OpenEnd = c.pair(&prev[0])
+	cc.ReadStart, cc.ReadEnd = c.pair(&prev[1])
+	cc.WriteStart, cc.WriteEnd = c.pair(&prev[2])
+	cc.CloseStart, cc.CloseEnd = c.pair(&prev[3])
+}
+
+// pair decodes one timestamp pair of appendPair's against prev, which
+// becomes the pair's bits. Where 17 bytes are left — the longest pair —
+// it is two loads and two masks; byte by byte (pairLong) a warm compact
+// decode takes about 15 % longer.
+func (c *cursor) pair(prev *[2]uint64) (a, b float64) {
+	if len(c.data)-c.off >= 17 {
+		w := c.data[c.off]
+		if wa, wb := uint(w&15), uint(w>>4); wa <= 8 && wb <= 8 {
+			le := binary.LittleEndian
+			prev[0] ^= le.Uint64(c.data[c.off+1:]) & (1<<(8*wa) - 1)
+			prev[1] ^= le.Uint64(c.data[c.off+1+int(wa):]) & (1<<(8*wb) - 1)
+			c.off += 1 + int(wa+wb)
+			return math.Float64frombits(prev[0]), math.Float64frombits(prev[1])
+		}
+	}
+	return c.pairLong(prev)
+}
+
+func (c *cursor) pairLong(prev *[2]uint64) (a, b float64) {
+	w := c.u8()
+	wa, wb := int(w&15), int(w>>4)
+	if c.err == nil && max(wa, wb) > 8 {
+		c.fail(fmt.Errorf("darshan: timestamp width %d exceeds 8", max(wa, wb)))
+	}
+	if !c.need(wa + wb) {
+		return 0, 0
+	}
+	for _, p := range [2]*uint64{&prev[0], &prev[1]} {
+		var v uint64
+		for i := wa - 1; i >= 0; i-- {
+			v = v<<8 | uint64(c.data[c.off+i])
+		}
+		*p ^= v
+		c.off += wa
+		wa = wb
+	}
+	return math.Float64frombits(prev[0]), math.Float64frombits(prev[1])
+}
+
+// grow adds n bytes to the canonical size of what a compact walk has
+// decoded and fails the cursor once it passes maxBodyBytes — the bound
+// inflate holds a gzip body to, here held before anything is allocated
+// for the bytes counted.
+func (c *cursor) grow(n int64) bool {
+	c.decoded += n
+	if c.decoded > maxBodyBytes {
+		c.fail(fmt.Errorf("darshan: body exceeds %d byte limit", maxBodyBytes))
+	}
+	return c.err == nil
+}
+
 // span steps over one length-prefixed string under the string limit and
 // returns its bytes where they lie (nil once the cursor has failed).
 func (c *cursor) span() []byte {
@@ -544,7 +752,7 @@ func (c *cursor) str() string {
 // it suffices. An empty list decodes to nil, matching the encoder.
 func (c *cursor) dxtList(prev []DXTEvent) []DXTEvent {
 	n := c.u32()
-	if !c.checkCount(n, maxDXTPerList, dxtEventLen, "DXT list") || n == 0 {
+	if !c.checkCount(uint64(n), maxDXTPerList, dxtEventLen, "DXT list") || n == 0 {
 		return nil
 	}
 	var out []DXTEvent
@@ -562,6 +770,39 @@ func (c *cursor) dxtList(prev []DXTEvent) []DXTEvent {
 	}
 	if c.err != nil {
 		return nil
+	}
+	return out
+}
+
+// compactDXT decodes one DXT list of appendCompactDXT's, reusing the
+// capacity of prev when it suffices. Its count is held to the limit, to
+// the bytes left and to maxBodyBytes before anything is allocated. An
+// empty list decodes to nil, matching the encoder. A list that fails part
+// way — its events are not fixed-width, so the count does not vouch for
+// them — comes back empty with the storage it was given, for a scratch
+// record to keep.
+func (c *cursor) compactDXT(prev []DXTEvent) []DXTEvent {
+	n := c.uvarint()
+	if !c.checkCount(n, maxDXTPerList, minCompactEventLen, "DXT list") || !c.grow(int64(n)*dxtEventLen) || n == 0 {
+		return nil
+	}
+	var out []DXTEvent
+	if uint64(cap(prev)) >= n {
+		out = prev[:n]
+	} else {
+		out = make([]DXTEvent, n)
+	}
+	var t [2]uint64
+	var end, length int64
+	for i := range out {
+		ev := &out[i]
+		ev.Start, ev.End = c.pair(&t)
+		ev.Offset = end + c.varint()
+		ev.Length = length + c.varint()
+		end, length = ev.Offset+ev.Length, ev.Length
+	}
+	if c.err != nil {
+		return out[:0]
 	}
 	return out
 }
@@ -597,7 +838,7 @@ func (c *cursor) record(r *FileRecord, prevReads, prevWrites []DXTEvent) (path p
 	if !c.need(int(n) + recordTailLen) {
 		return pathSpan{}, false
 	}
-	path = pathSpan{c.off, int(n)}
+	path = pathSpan{off: c.off, n: int(n)}
 	t := c.data[c.off+int(n):][:recordTailLen]
 	c.off += int(n) + recordTailLen
 	le := binary.LittleEndian
@@ -629,39 +870,8 @@ func (c *cursor) record(r *FileRecord, prevReads, prevWrites []DXTEvent) (path p
 // Summarize(j) would answer without a second walk; without, the zero
 // Summary.
 func (c *cursor) decodeBody(j *Job, summarize bool) (s Summary) {
-	c.header(j)
-
-	nMeta := c.u32()
-	if !c.checkCount(nMeta, maxMetaPairs, minMetaPairLen, "metadata pair") {
-		return
-	}
-	if nMeta == 0 {
-		j.Metadata = nil
-	} else {
-		if j.Metadata == nil {
-			j.Metadata = make(map[string]string, nMeta)
-		} else {
-			clear(j.Metadata)
-		}
-		prev := ""
-		for i := uint32(0); i < nMeta; i++ {
-			k := c.str()
-			v := c.str()
-			if c.err != nil {
-				return
-			}
-			// The encoder emits each key once, sorted: a repeated or
-			// descending key re-encodes differently.
-			if i > 0 && k <= prev {
-				c.noncanon = true
-			}
-			prev = k
-			j.Metadata[k] = v
-		}
-	}
-
-	nRec := c.u32()
-	if !c.checkCount(nRec, maxRecords, minRecordLen, "record") {
+	nRec, ok := c.decodeHead(j, minRecordLen)
+	if !ok {
 		return
 	}
 	if summarize {
@@ -705,6 +915,128 @@ func (c *cursor) decodeBody(j *Job, summarize bool) (s Summary) {
 	return s
 }
 
+// decodeHead decodes what opens every body — the job fields and the
+// metadata — into j and returns the record count, checked against its
+// limit and, at minRecord bytes a record, the bytes left.
+func (c *cursor) decodeHead(j *Job, minRecord int) (nRec uint32, ok bool) {
+	c.header(j)
+
+	nMeta := c.u32()
+	if !c.checkCount(uint64(nMeta), maxMetaPairs, minMetaPairLen, "metadata pair") {
+		return 0, false
+	}
+	if nMeta == 0 {
+		j.Metadata = nil
+	} else {
+		if j.Metadata == nil {
+			j.Metadata = make(map[string]string, nMeta)
+		} else {
+			clear(j.Metadata)
+		}
+		prev := ""
+		for i := uint32(0); i < nMeta; i++ {
+			k := c.str()
+			v := c.str()
+			if c.err != nil {
+				return 0, false
+			}
+			// The encoder emits each key once, sorted: a repeated or
+			// descending key re-encodes differently.
+			if i > 0 && k <= prev {
+				c.noncanon = true
+			}
+			prev = k
+			j.Metadata[k] = v
+		}
+	}
+
+	nRec = c.u32()
+	return nRec, c.checkCount(uint64(nRec), maxRecords, minRecord, "record")
+}
+
+// decodeCompact is decodeBody for a compact body: the same head, then
+// the records of appendCompactBody's, decoded into j with the same
+// storage reuse and, with summarize, summarized in the same loop. The
+// record steps are written out here and again in inspectCompact, in the
+// same order and with the same checks, as walkBody's are beside
+// record's.
+func (c *cursor) decodeCompact(j *Job, summarize bool) (s Summary) {
+	nRec, ok := c.decodeHead(j, minCompactRecordLen)
+	if !ok || !c.grow(int64(c.off)+int64(nRec)*canonRecordLen) {
+		return
+	}
+	if summarize {
+		s = headSummary(j)
+	}
+	if nRec == 0 {
+		if j.Records != nil {
+			j.Records = j.Records[:0]
+		}
+		return
+	}
+	if cap(j.Records) >= int(nRec) {
+		j.Records = j.Records[:nRec]
+	} else {
+		j.Records = make([]FileRecord, nRec)
+	}
+	// Each path is noted as the bytes it shares with the one before and
+	// where the rest of it lies; once the walk has held their total to
+	// maxBodyBytes they are assembled into one string the job owns.
+	st := c.st
+	st.paths = st.paths[:0]
+	pathBytes, prevLen := 0, uint64(0)
+	var v [9]int64         // rank, then the counters
+	var times [4][2]uint64 // the previous record's timestamps
+	for i := range j.Records {
+		r := &j.Records[i]
+		r.Module = Module(c.u8())
+		shared, n := c.uvarint(), c.uvarint()
+		if c.err == nil && shared > prevLen {
+			c.fail(fmt.Errorf("darshan: path shares %d bytes with a previous path of %d", shared, prevLen))
+		}
+		if c.err == nil && n > maxStringLen-shared {
+			c.fail(fmt.Errorf("darshan: path length %d+%d exceeds limit", shared, n))
+		}
+		if !c.need(int(n)) || !c.grow(int64(shared+n)) {
+			return
+		}
+		st.paths = append(st.paths, pathSpan{off: c.off, n: int(n), shared: int(shared)})
+		c.off += int(n)
+		prevLen = shared + n
+		pathBytes += int(prevLen)
+		for k := range v {
+			v[k] = c.varint()
+		}
+		if c.err == nil && int64(int32(v[0])) != v[0] {
+			c.fail(fmt.Errorf("darshan: rank %d outside int32", v[0]))
+		}
+		r.Rank = int32(v[0])
+		cc := &r.C
+		cc.Opens, cc.Closes, cc.Seeks, cc.Stats = v[1], v[2], v[3], v[4]
+		cc.Reads, cc.Writes, cc.BytesRead, cc.BytesWritten = v[5], v[6], v[7], v[8]
+		c.times(cc, &times)
+		r.DXTReads = c.compactDXT(r.DXTReads)
+		r.DXTWrites = c.compactDXT(r.DXTWrites)
+		if c.err != nil {
+			return
+		}
+		if summarize {
+			s.addRecord(r, i, j.Runtime)
+		}
+	}
+	var arena strings.Builder
+	arena.Grow(pathBytes)
+	prev := ""
+	for i, sp := range st.paths {
+		start := arena.Len()
+		arena.WriteString(prev[:sp.shared]) // no growth: the bytes are the builder's own
+		arena.Write(c.data[sp.off : sp.off+sp.n])
+		prev = arena.String()[start:]
+		j.Records[i].Path = prev
+	}
+	return s
+}
+
 // inspectBody is decodeBody for a reader that wants the funnel's view of
 // the trace and not the trace: the same cursor, counts, limits and
 // record walk, so a body is malformed for it exactly when it is for
@@ -714,22 +1046,8 @@ func (c *cursor) decodeBody(j *Job, summarize bool) (s Summary) {
 // allocates grows with the trace.
 func (c *cursor) inspectBody() Summary {
 	var hdr Job
-	c.header(&hdr)
-
-	nMeta := c.u32()
-	if !c.checkCount(nMeta, maxMetaPairs, minMetaPairLen, "metadata pair") {
-		return Summary{}
-	}
-	for i := uint32(0); i < nMeta; i++ {
-		c.span()
-		c.span()
-		if c.err != nil {
-			return Summary{}
-		}
-	}
-
-	nRec := c.u32()
-	if !c.checkCount(nRec, maxRecords, minRecordLen, "record") {
+	nRec, ok := c.inspectHead(&hdr, minRecordLen)
+	if !ok {
 		return Summary{}
 	}
 	s := headSummary(&hdr)
@@ -744,6 +1062,85 @@ func (c *cursor) inspectBody() Summary {
 		}
 		if cap(r.DXTWrites) > cap(st.dxtWrites) {
 			st.dxtWrites = r.DXTWrites[:0]
+		}
+		s.addRecord(&r, i, hdr.Runtime)
+	}
+	return s
+}
+
+// inspectHead is decodeHead for a walk that keeps no job: the job fields
+// go to hdr, the metadata is stepped over.
+func (c *cursor) inspectHead(hdr *Job, minRecord int) (nRec uint32, ok bool) {
+	c.header(hdr)
+
+	nMeta := c.u32()
+	if !c.checkCount(uint64(nMeta), maxMetaPairs, minMetaPairLen, "metadata pair") {
+		return 0, false
+	}
+	for i := uint32(0); i < nMeta; i++ {
+		c.span()
+		c.span()
+		if c.err != nil {
+			return 0, false
+		}
+	}
+
+	nRec = c.u32()
+	return nRec, c.checkCount(uint64(nRec), maxRecords, minRecord, "record")
+}
+
+// inspectCompact is inspectBody for a compact body: decodeCompact's
+// steps, checks and order, into one scratch record validated and weighed
+// where it stands. Of each path it keeps only the length, which is all
+// the next record's shared prefix is checked against; nothing it
+// allocates grows with the trace.
+func (c *cursor) inspectCompact() Summary {
+	var hdr Job
+	nRec, ok := c.inspectHead(&hdr, minCompactRecordLen)
+	if !ok || !c.grow(int64(c.off)+int64(nRec)*canonRecordLen) {
+		return Summary{}
+	}
+	s := headSummary(&hdr)
+	st := c.st
+	var r FileRecord
+	prevLen := uint64(0)
+	var v [9]int64
+	var times [4][2]uint64
+	for i := 0; i < int(nRec); i++ {
+		r.Module = Module(c.u8())
+		shared, n := c.uvarint(), c.uvarint()
+		if c.err == nil && shared > prevLen {
+			c.fail(fmt.Errorf("darshan: path shares %d bytes with a previous path of %d", shared, prevLen))
+		}
+		if c.err == nil && n > maxStringLen-shared {
+			c.fail(fmt.Errorf("darshan: path length %d+%d exceeds limit", shared, n))
+		}
+		if !c.need(int(n)) || !c.grow(int64(shared+n)) {
+			return Summary{}
+		}
+		c.off += int(n)
+		prevLen = shared + n
+		for k := range v {
+			v[k] = c.varint()
+		}
+		if c.err == nil && int64(int32(v[0])) != v[0] {
+			c.fail(fmt.Errorf("darshan: rank %d outside int32", v[0]))
+		}
+		r.Rank = int32(v[0])
+		cc := &r.C
+		cc.Opens, cc.Closes, cc.Seeks, cc.Stats = v[1], v[2], v[3], v[4]
+		cc.Reads, cc.Writes, cc.BytesRead, cc.BytesWritten = v[5], v[6], v[7], v[8]
+		c.times(cc, &times)
+		r.DXTReads = c.compactDXT(st.dxtReads)
+		r.DXTWrites = c.compactDXT(st.dxtWrites)
+		if cap(r.DXTReads) > cap(st.dxtReads) {
+			st.dxtReads = r.DXTReads[:0]
+		}
+		if cap(r.DXTWrites) > cap(st.dxtWrites) {
+			st.dxtWrites = r.DXTWrites[:0]
+		}
+		if c.err != nil {
+			return Summary{}
 		}
 		s.addRecord(&r, i, hdr.Runtime)
 	}
@@ -771,7 +1168,7 @@ func (c *cursor) walkBody() (records int) {
 	c.u64()  // Runtime
 
 	nMeta := c.u32()
-	if !c.checkCount(nMeta, maxMetaPairs, minMetaPairLen, "metadata pair") {
+	if !c.checkCount(uint64(nMeta), maxMetaPairs, minMetaPairLen, "metadata pair") {
 		return 0
 	}
 	var prev []byte
@@ -788,7 +1185,7 @@ func (c *cursor) walkBody() (records int) {
 	}
 
 	nRec := c.u32()
-	if !c.checkCount(nRec, maxRecords, minRecordLen, "record") {
+	if !c.checkCount(uint64(nRec), maxRecords, minRecordLen, "record") {
 		return 0
 	}
 	for i := uint32(0); i < nRec; i++ {
@@ -804,7 +1201,7 @@ func (c *cursor) walkBody() (records int) {
 		}
 		c.off += int(n) + recordTailLen
 		for range 2 { // the DXT read and write lists
-			if m := c.u32(); c.checkCount(m, maxDXTPerList, dxtEventLen, "DXT list") {
+			if m := c.u32(); c.checkCount(uint64(m), maxDXTPerList, dxtEventLen, "DXT list") {
 				c.off += int(m) * dxtEventLen
 			}
 		}
@@ -875,8 +1272,8 @@ func DecodeSummarized(j *Job, data []byte) (Summary, error) {
 // with no flag bit: it walks the body through the decoder's checks
 // (walkBody) and returns what DecodeCanonical would — its error, its
 // verdict and, as records, len(j.Records) — allocating nothing. Any other
-// input (a version-3 file, a flagged or compressed body, a foreign or
-// short header) is never canonical, and only the decoder can say whether
+// input (a file with a prelude, a flagged or compressed body, a foreign
+// or short header) is never canonical, and only the decoder can say whether
 // it is readable: WalkCanonical answers false, 0 and no error without
 // reading past the header.
 func WalkCanonical(data []byte) (canonical bool, records int, err error) {
@@ -892,8 +1289,8 @@ func WalkCanonical(data []byte) (canonical bool, records int, err error) {
 	return !c.noncanon, records, nil
 }
 
-// ErrPreludeMismatch marks a version-3 file whose prelude is not the
-// summary of its body: the file is malformed, and every read of the body
+// ErrPreludeMismatch marks a file whose prelude is not the summary of its
+// body: the file is malformed, and every read of the body
 // says so. No file WriteBinary wrote is.
 var ErrPreludeMismatch = errors.New("darshan: prelude is not the summary of the body")
 
@@ -919,7 +1316,11 @@ func (st *decodeState) decode(j *Job, data []byte, summarize bool) (canonical bo
 	if err != nil {
 		return false, Summary{}, err
 	}
-	s = c.decodeBody(j, summarize || ct.claimed)
+	if ct.version == fileFormatVersion {
+		s = c.decodeCompact(j, summarize || ct.claimed)
+	} else {
+		s = c.decodeBody(j, summarize || ct.claimed)
+	}
 	if err := c.end(); err != nil {
 		return false, Summary{}, err
 	}
@@ -931,7 +1332,7 @@ func (st *decodeState) decode(j *Job, data []byte, summarize bool) (canonical bo
 
 // container is an encoded trace taken apart and checked, nothing of it
 // inflated: where the body starts and how it is stored and, of a
-// version-3 file, what the prelude claims of it.
+// version-3 or -4 file, what the prelude claims of it.
 type container struct {
 	version, flags uint16
 	bodyOff        int
@@ -945,9 +1346,9 @@ type container struct {
 
 // open is where every read of an encoded trace starts — the decoder's
 // and the funnel's alike, so that one is refused what the other is. It
-// checks the header and, of a version-3 file, parses the prelude and
-// verifies both checksums: a truncated, torn or bit-flipped file fails
-// here, before anything is inflated.
+// checks the header and, of a version-3 or -4 file, parses the prelude
+// and verifies both checksums: a truncated, torn or bit-flipped file
+// fails here, before anything is inflated or decoded.
 func (st *decodeState) open(data []byte) (ct container, err error) {
 	if len(data) < 4 {
 		return ct, fmt.Errorf("darshan: reading magic: %w", io.ErrUnexpectedEOF)
@@ -961,15 +1362,18 @@ func (st *decodeState) open(data []byte) (ct container, err error) {
 	ct.version = binary.LittleEndian.Uint16(data[4:6])
 	ct.flags = binary.LittleEndian.Uint16(data[6:8])
 	ct.bodyOff = headerLen
+	var want uint16 // the one flag word a file with a prelude may carry
 	switch ct.version {
 	case FormatVersion:
 		return ct, nil
 	case fileFormatVersion:
+	case gzipFileVersion:
+		want = flagGzip
 	default:
 		return ct, fmt.Errorf("%w: %d", ErrBadVersion, ct.version)
 	}
-	if ct.flags != flagGzip {
-		return ct, fmt.Errorf("darshan: version %d with flag word %#x, want %#x", ct.version, ct.flags, flagGzip)
+	if ct.flags != want {
+		return ct, fmt.Errorf("darshan: version %d with flag word %#x, want %#x", ct.version, ct.flags, want)
 	}
 	c := cursor{data: data, off: headerLen, st: st}
 	rules := c.u8()
@@ -1001,8 +1405,9 @@ func (st *decodeState) open(data []byte) (ct container, err error) {
 	return ct, nil
 }
 
-// body returns a cursor at the start of the trace's body, inflated into
-// the state's arena when the container stores it compressed.
+// body returns a cursor at the start of the trace's body: where it lies
+// in data or, when the container stores it compressed, inflated into the
+// state's arena.
 func (st *decodeState) body(data []byte, ct *container) (cursor, error) {
 	body := data[ct.bodyOff:]
 	if ct.flags&flagGzip != 0 {

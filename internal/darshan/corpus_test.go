@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/darshan/mosdtest"
 	"github.com/mosaic-hpc/mosaic/internal/engine"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
 )
@@ -86,8 +87,8 @@ func TestStreamCorpusParallelOrderAndCompleteness(t *testing.T) {
 	}
 }
 
-// stdlibReadFile decodes a .mosd file the way the reader did before it
-// had its own inflater: compress/gzip over the body, then the raw-body
+// stdlibReadFile decodes a gzip .mosd file the way the reader did before
+// it had its own inflater: compress/gzip over the body, then the raw-body
 // decoder.
 func stdlibReadFile(path string) (*darshan.Job, error) {
 	data, err := os.ReadFile(path)
@@ -151,11 +152,12 @@ func buildArchetype(arch gen.Archetype, rng *rand.Rand) *darshan.Job {
 
 // TestReadFileMatchesStdlibDecode: for every generator archetype, intact
 // and damaged in each way the generator and the validator know, ReadFile
-// returns the job a compress/gzip decode returns, and the two get the
-// same verdict from Validate.
+// of a version-3 file returns the job a compress/gzip decode returns,
+// ReadFile of the version-4 file WriteFile writes returns it too, and all
+// three get the same verdict from Validate.
 func TestReadFileMatchesStdlibDecode(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.mosd")
+	path, v3path := filepath.Join(dir, "trace.mosd"), filepath.Join(dir, "v3.mosd")
 	// check holds ReadFile to the reference on one job and returns the
 	// verdict Validate gives both.
 	check := func(t *testing.T, j *darshan.Job) darshan.CorruptionKind {
@@ -163,18 +165,37 @@ func TestReadFileMatchesStdlibDecode(t *testing.T) {
 		if err := darshan.WriteFile(path, j); err != nil {
 			t.Fatal(err)
 		}
-		got, err := darshan.ReadFile(path)
+		file, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := stdlibReadFile(path)
+		canonical, err := darshan.MarshalBinary(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(v3path, mosdtest.V3File(t, file, canonical), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := darshan.ReadFile(v3path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := stdlibReadFile(v3path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v4, err := darshan.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gotEnc, _ := darshan.MarshalBinary(got)
 		refEnc, _ := darshan.MarshalBinary(ref)
+		v4Enc, _ := darshan.MarshalBinary(v4)
 		if !bytes.Equal(gotEnc, refEnc) {
 			t.Fatal("ReadFile and the compress/gzip decode return different jobs")
+		}
+		if !bytes.Equal(v4Enc, refEnc) {
+			t.Fatal("the version-4 file reads as another job than the version-3 one")
 		}
 		kind := func(j *darshan.Job) darshan.CorruptionKind {
 			if verr, ok := darshan.Validate(j).(*darshan.ValidationError); ok {
@@ -210,5 +231,36 @@ func TestReadFileMatchesStdlibDecode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestV3FileIsTheOldWriter: mosdtest.V3File, the one version-3 writer
+// left, writes byte for byte what the last writer of that version wrote —
+// testdata/v3corpus is that writer's rewrite of every v2corpus file.
+func TestV3FileIsTheOldWriter(t *testing.T) {
+	old, err := darshan.ListCorpus("testdata/v3corpus")
+	if err != nil || len(old) != 12 {
+		t.Fatalf("%d files, %v", len(old), err)
+	}
+	for _, path := range old {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := darshan.ReadFile(filepath.Join("testdata/v2corpus", filepath.Base(path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := darshan.WriteBinary(&file, j); err != nil {
+			t.Fatal(err)
+		}
+		canonical, err := darshan.MarshalBinary(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mosdtest.V3File(t, file.Bytes(), canonical); !bytes.Equal(got, want) {
+			t.Errorf("%s: mosdtest.V3File differs from the version-3 writer's file", filepath.Base(path))
+		}
 	}
 }

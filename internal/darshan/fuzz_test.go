@@ -19,8 +19,9 @@ import (
 // canonically to a fixed point.
 
 // fuzzSeeds returns representative valid encodings: canonical raw
-// bodies, the file encoding with its prelude (version 3) and without
-// (version 2, gzip), and an empty job.
+// bodies, the file encoding with its prelude over a compact body
+// (version 4) and over a gzip one (version 3), the file encoding without
+// a prelude (version 2, gzip), and an empty job.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	j := sampleJob()
@@ -28,7 +29,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	seeds = append(seeds, canonical, fileOf(tb, j), mosdtest.V2File(tb, canonical))
+	seeds = append(seeds, canonical, fileOf(tb, j), v3FileOf(tb, j), mosdtest.V2File(tb, canonical))
 	dxt := sampleJob()
 	dxt.Records[0].DXTReads = []DXTEvent{{Start: 1, End: 2, Offset: 0, Length: 4096}}
 	dxt.Records[0].DXTWrites = []DXTEvent{{Start: 3, End: 4, Offset: 4096, Length: 4096}}
@@ -52,6 +53,16 @@ func fileOf(tb testing.TB, j *Job) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// v3FileOf is the version-3 file of j, as its last writer wrote it.
+func v3FileOf(tb testing.TB, j *Job) []byte {
+	tb.Helper()
+	canonical, err := MarshalBinary(j)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mosdtest.V3File(tb, fileOf(tb, j), canonical)
 }
 
 // nonCanonicalSeeds returns decodable (or, for the trailing byte,
@@ -97,7 +108,8 @@ func nonCanonicalSeeds(tb testing.TB) map[string][]byte {
 			return b
 		}),
 		"version-2 file": mosdtest.V2File(tb, canonical),
-		"version-3 file": fileOf(tb, j),
+		"version-3 file": v3FileOf(tb, j),
+		"version-4 file": fileOf(tb, j),
 		"trailing byte": patch(func(b []byte) []byte {
 			return append(b, 0)
 		}),
@@ -223,39 +235,46 @@ func hostileCountSeeds(tb testing.TB) map[string][]byte {
 	return seeds
 }
 
-// preludeSeeds returns version-3 files around one honest one: a prelude
-// that lies in exactly one field (sealed again, so both checksums hold),
-// one written under other summaryRules, the shapes version 3 does not
-// have, and a prelude string claiming more bytes than any input holds.
-// The job is invalid, so that the verdict's three fields are there to lie
-// about. "honest" and "other rules" decode; the rest must not.
+// preludeSeeds returns, for each version with a prelude (3 and 4), files
+// around one honest one: a prelude that lies in exactly one field
+// (sealed again, so both checksums hold), one written under other
+// summaryRules, the flag words the version does not have, and a prelude
+// string claiming more bytes than any input holds. The job is invalid,
+// so that the verdict's three fields are there to lie about. Each name
+// starts with the version ("v3 ", "v4 "); "honest" and "other rules"
+// decode, the rest must not.
 func preludeSeeds(tb testing.TB) map[string][]byte {
 	j := sampleJob()
 	j.Records[1].C.Stats = -1
-	honest := fileOf(tb, j)
-	edit := func(fn func(*mosdtest.Prelude)) []byte { return mosdtest.EditPrelude(tb, honest, fn) }
-	patch := func(fn func(b []byte)) []byte {
-		b := append([]byte(nil), honest...)
-		fn(b)
-		return b
+	seeds := map[string][]byte{}
+	for version, honest := range map[string][]byte{"v3 ": v3FileOf(tb, j), "v4 ": fileOf(tb, j)} {
+		edit := func(fn func(*mosdtest.Prelude)) []byte { return mosdtest.EditPrelude(tb, honest, fn) }
+		patch := func(fn func(b []byte)) []byte {
+			b := append([]byte(nil), honest...)
+			fn(b)
+			return b
+		}
+		for name, data := range map[string][]byte{
+			"honest":         honest,
+			"lie: user":      edit(func(p *mosdtest.Prelude) { p.User = "mallory" }),
+			"lie: app":       edit(func(p *mosdtest.Prelude) { p.App = "other" }),
+			"lie: heavier":   edit(func(p *mosdtest.Prelude) { p.Weight++ }),
+			"lie: lighter":   edit(func(p *mosdtest.Prelude) { p.Weight-- }),
+			"lie: valid":     edit(func(p *mosdtest.Prelude) { p.Kind, p.Record, p.Detail = 0, 0, "" }),
+			"lie: kind":      edit(func(p *mosdtest.Prelude) { p.Kind = uint8(CorruptBadModule) }),
+			"lie: record":    edit(func(p *mosdtest.Prelude) { p.Record = 0 }),
+			"lie: detail":    edit(func(p *mosdtest.Prelude) { p.Detail = "nothing to see" }),
+			"other rules":    edit(func(p *mosdtest.Prelude) { p.Rules++; p.Weight = 1 }),
+			"other flag bit": patch(func(b []byte) { b[6] ^= 1 }), // v3 raw, v4 gzip
+			"two flag bits":  patch(func(b []byte) { b[6] |= 1 << 1 }),
+			"user length 2^32-1": patch(func(b []byte) {
+				binary.LittleEndian.PutUint32(b[headerLen+1:], 1<<32-1)
+			}),
+		} {
+			seeds[version+name] = data
+		}
 	}
-	return map[string][]byte{
-		"honest":        honest,
-		"lie: user":     edit(func(p *mosdtest.Prelude) { p.User = "mallory" }),
-		"lie: app":      edit(func(p *mosdtest.Prelude) { p.App = "other" }),
-		"lie: heavier":  edit(func(p *mosdtest.Prelude) { p.Weight++ }),
-		"lie: lighter":  edit(func(p *mosdtest.Prelude) { p.Weight-- }),
-		"lie: valid":    edit(func(p *mosdtest.Prelude) { p.Kind, p.Record, p.Detail = 0, 0, "" }),
-		"lie: kind":     edit(func(p *mosdtest.Prelude) { p.Kind = uint8(CorruptBadModule) }),
-		"lie: record":   edit(func(p *mosdtest.Prelude) { p.Record = 0 }),
-		"lie: detail":   edit(func(p *mosdtest.Prelude) { p.Detail = "nothing to see" }),
-		"other rules":   edit(func(p *mosdtest.Prelude) { p.Rules++; p.Weight = 1 }),
-		"raw flag word": patch(func(b []byte) { b[6] = 0 }),
-		"two flag bits": patch(func(b []byte) { b[6] |= 1 << 1 }),
-		"user length 2^32-1": patch(func(b []byte) {
-			binary.LittleEndian.PutUint32(b[headerLen+1:], 1<<32-1)
-		}),
-	}
+	return seeds
 }
 
 // TestPreludeIsCheckedAgainstBody pins the trust rule on the seeds above:
@@ -264,7 +283,7 @@ func preludeSeeds(tb testing.TB) map[string][]byte {
 // ErrPreludeMismatch; under other rules the prelude is not read at all.
 func TestPreludeIsCheckedAgainstBody(t *testing.T) {
 	seeds := preludeSeeds(t)
-	truth, err := InspectBinary(seeds["honest"])
+	truth, err := InspectBinary(seeds["v4 honest"])
 	if err != nil || truth.Invalid == nil {
 		t.Fatalf("honest file: %+v, %v", truth, err)
 	}
@@ -274,8 +293,9 @@ func TestPreludeIsCheckedAgainstBody(t *testing.T) {
 		s, ierr := InspectBinary(data)
 		w, werr := WalkBinary(data)
 		if canonical {
-			t.Errorf("%s: a version-3 file reported canonical", name)
+			t.Errorf("%s: a file with a prelude reported canonical", name)
 		}
+		name = name[len("v3 "):]
 		switch {
 		case strings.HasPrefix(name, "lie: "):
 			if ierr != nil || s.equal(truth) {
@@ -296,11 +316,15 @@ func TestPreludeIsCheckedAgainstBody(t *testing.T) {
 	}
 }
 
-// claimsSummary reports whether data has the header of a version-3 file
-// written under this reader's summaryRules — the inputs InspectBinary
-// answers from the prelude.
+// claimsSummary reports whether data has the header of a file with a
+// prelude (version 3 or 4) written under this reader's summaryRules —
+// the inputs InspectBinary answers from the prelude.
 func claimsSummary(data []byte) bool {
-	return len(data) > headerLen && binary.LittleEndian.Uint16(data[4:]) == fileFormatVersion && data[headerLen] == summaryRules
+	if len(data) <= headerLen {
+		return false
+	}
+	v := binary.LittleEndian.Uint16(data[4:])
+	return (v == gzipFileVersion || v == fileFormatVersion) && data[headerLen] == summaryRules
 }
 
 // rawCurrent reports whether data has the header MarshalBinary writes:
@@ -339,8 +363,8 @@ func walkAgrees(tb testing.TB, name string, data []byte, j *Job, canonical bool,
 // same error, or it returns the summary of the job the decoder returns.
 // InspectBinary is that too — if it fails the decoder fails the same way,
 // if the decoder succeeds it succeeds with that summary — except that it
-// may accept what the decoder refuses, and then only a version-3 file
-// under the current rules, whose prelude it believed. WalkCanonical is
+// may accept what the decoder refuses, and then only a file with a
+// prelude under the current rules, which it believed. WalkCanonical is
 // held to walkAgrees.
 func inspectAgrees(tb testing.TB, name string, data []byte) {
 	tb.Helper()
@@ -420,7 +444,7 @@ func FuzzInspectBinary(f *testing.F) {
 	for _, s := range preludeSeeds(f) {
 		f.Add(s)
 	}
-	honest := preludeSeeds(f)["honest"]
+	honest := preludeSeeds(f)["v4 honest"]
 	off, err := BodyOffset(honest)
 	if err != nil {
 		f.Fatal(err)
@@ -430,6 +454,7 @@ func FuzzInspectBinary(f *testing.F) {
 	}
 	f.Add([]byte("MOSD\x02\x00\x01\x00"))
 	f.Add([]byte("MOSD\x01\x00\x00\x00"))
+	f.Add([]byte("MOSD\x04\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inspectAgrees(t, "fuzz input", data)
 		var before, after runtime.MemStats

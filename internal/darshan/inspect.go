@@ -83,20 +83,21 @@ func (s *Summary) addRecord(r *FileRecord, i int, runtime float64) {
 
 // InspectBinary is Summarize(UnmarshalBinary(data)) without the job. It
 // starts where DecodeInto does (decodeState.open), so what is unreadable
-// to one is to the other, with the same error. A version-3 file answers
-// from its prelude and nothing is inflated — a claim DecodeInto checks
-// whenever the body is read, so the only inputs accepted here and refused
-// there are version-3 files whose gzip stream is bad or whose prelude is
-// not the summary of the body. Any other input is walked as WalkBinary
-// walks it. A warm call allocates nothing that grows with the trace.
+// to one is to the other, with the same error. A file with a prelude
+// (version 3 or 4) answers from it and nothing of the body is decoded —
+// a claim DecodeInto checks whenever the body is read, so the only
+// inputs accepted here and refused there are such files whose body is
+// malformed or whose prelude is not the summary of the body. Any other
+// input is walked as WalkBinary walks it. A warm call allocates nothing
+// that grows with the trace.
 func InspectBinary(data []byte) (Summary, error) { return inspect(data, true) }
 
-// WalkBinary is InspectBinary that believes no prelude: it inflates and
-// walks the body through the checks DecodeInto applies, validating and
-// weighing each record where it sits and keeping nothing of the trace
-// except the user and executable names, and fails with
-// ErrPreludeMismatch when a prelude claims anything else — exactly when
-// DecodeInto fails, with the same error.
+// WalkBinary is InspectBinary that believes no prelude: it walks the
+// body (inflated first, when gzipped) through the checks DecodeInto
+// applies, validating and weighing each record where it sits and keeping
+// nothing of the trace except the user and executable names, and fails
+// with ErrPreludeMismatch when a prelude claims anything else — exactly
+// when DecodeInto fails, with the same error.
 func WalkBinary(data []byte) (Summary, error) { return inspect(data, false) }
 
 func inspect(data []byte, trust bool) (Summary, error) {
@@ -113,7 +114,12 @@ func inspect(data []byte, trust bool) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	s := c.inspectBody()
+	var s Summary
+	if ct.version == fileFormatVersion {
+		s = c.inspectCompact()
+	} else {
+		s = c.inspectBody()
+	}
 	if err := c.end(); err != nil {
 		return Summary{}, err
 	}

@@ -59,15 +59,25 @@ var dxtDamage = []struct {
 	}},
 }
 
-// v3File is what WriteBinary writes for j, and v2File the file encoding
-// of the same trace before the prelude.
-func v3File(t testing.TB, j *darshan.Job) []byte {
+// v4File is what WriteBinary writes for j; v3File and v2File are the
+// file encodings of the same trace before it, with a prelude over a gzip
+// body and without one.
+func v4File(t testing.TB, j *darshan.Job) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := darshan.WriteBinary(&buf, j); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+func v3File(t testing.TB, j *darshan.Job) []byte {
+	t.Helper()
+	raw, err := darshan.MarshalBinary(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mosdtest.V3File(t, v4File(t, j), raw)
 }
 
 func v2File(t testing.TB, j *darshan.Job) []byte {
@@ -81,9 +91,9 @@ func v2File(t testing.TB, j *darshan.Job) []byte {
 
 // TestInspectEqualsSummarize: for every generator archetype — intact,
 // damaged in each way the validator and the generator know, several ways
-// at once, with and without DXT events — written as a version-3 file and
-// a version-2 one (the intact trace in every form: those two, the raw
-// canonical encoding, .json, .txt), InspectFile(path) is
+// at once, with and without DXT events — written as a version-4, a
+// version-3 and a version-2 file (the intact trace in every form: those
+// three, the raw canonical encoding, .json, .txt), InspectFile(path) is
 // Summarize(ReadFile(path)): the same user, application and weight, and
 // the same verdict down to the record index and the text.
 func TestInspectEqualsSummarize(t *testing.T) {
@@ -98,11 +108,15 @@ func TestInspectEqualsSummarize(t *testing.T) {
 		}
 		j, rerr := darshan.ReadFile(path)
 		got, err := darshan.InspectFile(path)
-		if rerr != nil || err != nil {
-			t.Fatalf("%s: InspectFile: %v; ReadFile: %v", name, err, rerr)
+		walked, werr := darshan.WalkFile(path)
+		if rerr != nil || err != nil || werr != nil {
+			t.Fatalf("%s: InspectFile: %v; WalkFile: %v; ReadFile: %v", name, err, werr, rerr)
 		}
 		if diff := darshan.DiffSummary(got, darshan.Summarize(j)); diff != "" {
 			t.Fatalf("%s: InspectFile: %s", name, diff)
+		}
+		if diff := darshan.DiffSummary(walked, darshan.Summarize(j)); diff != "" {
+			t.Fatalf("%s: WalkFile: %s", name, diff)
 		}
 		if verr, ok := got.Invalid.(*darshan.ValidationError); ok {
 			return verr.Kind
@@ -110,7 +124,7 @@ func TestInspectEqualsSummarize(t *testing.T) {
 		return darshan.CorruptNone
 	}
 	// checkAll runs check over encodings of the job, requiring the
-	// verdict want of the binary ones: both file encodings and, with full
+	// verdict want of the binary ones: the three file encodings and, with full
 	// set, the canonical encoding and the two text formats (which cannot
 	// carry every damage: NaN has no JSON form, a module outside the known
 	// ones no name).
@@ -124,6 +138,7 @@ func TestInspectEqualsSummarize(t *testing.T) {
 			return buf.Bytes()
 		}
 		binaries := map[string][]byte{
+			"v4.mosd":      v4File(t, j),
 			"v3.mosd":      v3File(t, j),
 			"v2-gzip.mosd": v2File(t, j),
 		}
@@ -196,7 +211,8 @@ func TestInspectEqualsSummarize(t *testing.T) {
 				for seen := map[int]bool{}; len(seen) < gen.CorruptKinds; {
 					j := build()
 					seen[gen.Corrupt(j, rng)] = true
-					if check(t, "v3.mosd", v3File(t, j)) == darshan.CorruptNone ||
+					if check(t, "v4.mosd", v4File(t, j)) == darshan.CorruptNone ||
+						check(t, "v3.mosd", v3File(t, j)) == darshan.CorruptNone ||
 						check(t, "v2-gzip.mosd", v2File(t, j)) == darshan.CorruptNone {
 						t.Fatal("trace the generator corrupted validates")
 					}
@@ -207,22 +223,37 @@ func TestInspectEqualsSummarize(t *testing.T) {
 }
 
 // TestInspectFileUnreadable: a file ReadFile cannot read is unreadable to
-// InspectFile too, with the same error.
+// InspectFile too, with the same error. The damaged tails are flipped,
+// not zeroed: a compact body may end in zero bytes already.
 func TestInspectFileUnreadable(t *testing.T) {
 	dir := t.TempDir()
-	zeroTail := func(b []byte) []byte {
-		return append(append([]byte(nil), b[:len(b)-8]...), 0, 0, 0, 0, 0, 0, 0, 0)
+	flipTail := func(b []byte) []byte {
+		out := append([]byte(nil), b...)
+		for i := len(out) - 8; i < len(out); i++ {
+			out[i] ^= 0xFF
+		}
+		return out
 	}
-	good, old := v3File(t, tiedJob(0, 1)), v2File(t, tiedJob(0, 1))
+	withFlags := func(b []byte, flags byte) []byte {
+		out := append([]byte(nil), b...)
+		out[6] = flags
+		return out
+	}
+	good, v3, old := v4File(t, tiedJob(0, 1)), v3File(t, tiedJob(0, 1)), v2File(t, tiedJob(0, 1))
 	version1 := append([]byte(nil), old...)
 	version1[4] = 1
 	for name, data := range map[string][]byte{
 		"junk.mosd":      []byte("junk"),
 		"empty.mosd":     nil,
 		"cut.mosd":       good[:len(good)/2],
-		"crc.mosd":       zeroTail(good),
+		"crc.mosd":       flipTail(good),
+		"gzip-flag.mosd": withFlags(good, 1),
+		"flag-2.mosd":    withFlags(good, 2),
+		"cut-v3.mosd":    v3[:len(v3)/2],
+		"crc-v3.mosd":    flipTail(v3),
+		"raw-v3.mosd":    withFlags(v3, 0),
 		"cut-v2.mosd":    old[:len(old)/2],
-		"crc-v2.mosd":    zeroTail(old),
+		"crc-v2.mosd":    flipTail(old),
 		"version1.mosd":  version1,
 		"junk.json":      []byte("{"),
 		"junk.txt":       []byte("nprocs: x\n"),
@@ -248,31 +279,33 @@ func TestInspectFileUnreadable(t *testing.T) {
 	}
 }
 
-// TestDamagedFileUnreadable: an honest version-3 file cut at any length,
-// or with any one byte changed, is unreadable — to InspectFile, which
-// would have believed its prelude, exactly as to ReadFile, and with the
-// same error. It is the two checksums that make this hold: without the
-// body's, InspectFile accepts every file damaged past the prelude.
+// TestDamagedFileUnreadable: an honest version-4 or version-3 file cut
+// at any length, or with any one byte changed, is unreadable — to
+// InspectFile, which would have believed its prelude, exactly as to
+// ReadFile, and with the same error. It is the two checksums that make
+// this hold: without the body's, InspectFile accepts every file damaged
+// past the prelude.
 func TestDamagedFileUnreadable(t *testing.T) {
-	good := v3File(t, tiedJob(0, 1))
 	path := filepath.Join(t.TempDir(), "trace.mosd")
-	check := func(what string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+	for version, good := range map[int][]byte{4: v4File(t, tiedJob(0, 1)), 3: v3File(t, tiedJob(0, 1))} {
+		check := func(what string, data []byte) {
+			t.Helper()
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, rerr := darshan.ReadFile(path)
+			_, ierr := darshan.InspectFile(path)
+			if rerr == nil || ierr == nil || rerr.Error() != ierr.Error() {
+				t.Fatalf("version %d, %s of %d: InspectFile: %v; ReadFile: %v", version, what, len(good), ierr, rerr)
+			}
 		}
-		_, rerr := darshan.ReadFile(path)
-		_, ierr := darshan.InspectFile(path)
-		if rerr == nil || ierr == nil || rerr.Error() != ierr.Error() {
-			t.Fatalf("%s of %d: InspectFile: %v; ReadFile: %v", what, len(good), ierr, rerr)
-		}
-	}
-	for off := range good {
-		check(fmt.Sprintf("cut at %d", off), good[:off])
-		for _, mask := range []byte{0x01, 0xFF} {
-			flipped := append([]byte(nil), good...)
-			flipped[off] ^= mask
-			check(fmt.Sprintf("byte %d ^ %#x", off, mask), flipped)
+		for off := range good {
+			check(fmt.Sprintf("cut at %d", off), good[:off])
+			for _, mask := range []byte{0x01, 0xFF} {
+				flipped := append([]byte(nil), good...)
+				flipped[off] ^= mask
+				check(fmt.Sprintf("byte %d ^ %#x", off, mask), flipped)
+			}
 		}
 	}
 }
@@ -379,8 +412,8 @@ func TestWeightEqualsOldSum(t *testing.T) {
 // of a trace: with warm pools, inspecting a .mosd file allocates what
 // opening and sizing a file costs and nothing that grows with the trace
 // — a 20-record file and a 2 000-record file allocate the same, whether
-// the summary comes from a version-3 prelude or from walking a version-2
-// body. The figure is the least of several runs, as in core's
+// the summary comes from a version-4 or version-3 prelude or from
+// walking a version-2 body. The figure is the least of several runs, as in core's
 // TestCategorizeAllocs.
 func TestInspectFileAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
@@ -390,7 +423,7 @@ func TestInspectFileAllocs(t *testing.T) {
 		b.Burst(gen.BurstSpec{At: 30, Duration: 60, Bytes: 1 << 30, Records: records})
 		j := b.Job()
 		attachDXT(j)
-		for version, data := range map[int][]byte{3: v3File(t, j), 2: v2File(t, j)} {
+		for version, data := range map[int][]byte{4: v4File(t, j), 3: v3File(t, j), 2: v2File(t, j)} {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}

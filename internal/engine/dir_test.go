@@ -51,15 +51,25 @@ func testCorpus(t *testing.T) (names []string, jobs []*darshan.Job) {
 
 const tiedFirst, tiedSecond = 900001, 900002
 
-// v3File is the file darshan.WriteFile writes for j, v2File the file
-// encoding of the same trace before the prelude.
-func v3File(t *testing.T, j *darshan.Job) []byte {
+// v4File is the file darshan.WriteFile writes for j; v3File and v2File
+// are the file encodings of the same trace before it, with a prelude over
+// a gzip body and without one.
+func v4File(t *testing.T, j *darshan.Job) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := darshan.WriteBinary(&buf, j); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+func v3File(t *testing.T, j *darshan.Job) []byte {
+	t.Helper()
+	raw, err := darshan.MarshalBinary(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mosdtest.V3File(t, v4File(t, j), raw)
 }
 
 func v2File(t *testing.T, j *darshan.Job) []byte {
@@ -169,7 +179,7 @@ func sameAnswer(t *testing.T, got, want *Result) (tiedKept uint64) {
 }
 
 func TestDirEqualsJobs(t *testing.T) {
-	dir, paths := writeDir(t, func(_ int, j *darshan.Job) []byte { return v3File(t, j) })
+	dir, paths := writeDir(t, func(_ int, j *darshan.Job) []byte { return v4File(t, j) })
 
 	spans := &decodeSpans{byName: map[string]int{}}
 	stats := NewStats()
@@ -210,25 +220,30 @@ func TestDirEqualsJobs(t *testing.T) {
 	}
 }
 
-// TestDirEncodingsAgree: the same traces as version-3 files, as version-2
-// files and as a mix of the two give the same answer at any parallelism,
-// in one pass — where the summary comes from changes nothing.
+// TestDirEncodingsAgree: the same traces as version-4, version-3 and
+// version-2 files and as a mix of the three give the same answer at any
+// parallelism, in one pass — where the summary comes from, and how the
+// body is stored, changes nothing.
 func TestDirEncodingsAgree(t *testing.T) {
 	dirs := map[string]string{}
 	dirs["v2"], _ = writeDir(t, func(_ int, j *darshan.Job) []byte { return v2File(t, j) })
 	dirs["v3"], _ = writeDir(t, func(_ int, j *darshan.Job) []byte { return v3File(t, j) })
+	dirs["v4"], _ = writeDir(t, func(_ int, j *darshan.Job) []byte { return v4File(t, j) })
 	dirs["mixed"], _ = writeDir(t, func(i int, j *darshan.Job) []byte {
-		if i%2 == 0 {
+		switch i % 3 {
+		case 0:
 			return v2File(t, j)
+		case 1:
+			return v3File(t, j)
 		}
-		return v3File(t, j)
+		return v4File(t, j)
 	})
 	for _, workers := range []int{1, 2, 8} {
 		want, err := Run(context.Background(), Dir(dirs["v2"]), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{"v3", "mixed"} {
+		for _, name := range []string{"v3", "v4", "mixed"} {
 			passes := &decodeSpans{byName: map[string]int{}}
 			got, err := Run(context.Background(), Dir(dirs[name]), Options{Workers: workers, Observer: passes})
 			if err != nil {
@@ -241,7 +256,7 @@ func TestDirEncodingsAgree(t *testing.T) {
 	}
 }
 
-// TestLyingPrelude pins the trust rule on a directory of version-3 files
+// TestLyingPrelude pins the trust rule on a directory of version-4 files
 // of which one — a run of the tied pair — has a prelude edited after the
 // fact and sealed again. The reference is the same directory decoded
 // whole, where the liar is a file that does not decode.
@@ -249,9 +264,9 @@ func TestLyingPrelude(t *testing.T) {
 	withLiar := func(victim uint64, lie func(*mosdtest.Prelude)) (dir string, paths []string) {
 		return writeDir(t, func(_ int, j *darshan.Job) []byte {
 			if j.JobID != victim {
-				return v3File(t, j)
+				return v4File(t, j)
 			}
-			return mosdtest.EditPrelude(t, v3File(t, j), lie)
+			return mosdtest.EditPrelude(t, v4File(t, j), lie)
 		})
 	}
 	reference := func(paths []string) *Result {

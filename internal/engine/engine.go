@@ -5,8 +5,8 @@
 //
 // in two passes over the corpus. The first decides: Decode reads each
 // trace's summary (darshan.InspectFile — validity, (user, app), weight;
-// from the prelude of a version-3 file, else by inflating the trace and
-// inspecting it where it lies; no darshan.Job is built), the Funnel
+// from the prelude of a version-3 or -4 file, else by inflating the trace
+// and inspecting it where it lies; no darshan.Job is built), the Funnel
 // deduplicates those summaries and remembers only where each
 // application's heaviest run is. The second materializes: once the corpus
 // has been seen, the Categorize workers read the surviving groups' files

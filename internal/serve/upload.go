@@ -53,7 +53,7 @@ func walkCanonical(data []byte) (canonical bool, err error) {
 // to persist under it. An upload that already is that encoding — raw-body
 // current-version MOSD, what darshan.MarshalBinary writes — is walked,
 // not decoded, and is its own blob (aliasing data): one hash of it is the
-// ID, and no job is built. Every other accepted encoding (gzip .mosd,
+// ID, and no job is built. Every other accepted encoding (.mosd files,
 // JSON, darshan-parser text, old versions, unsorted metadata) is decoded
 // and re-encoded by store.TraceKey. Either way this is the blob's one
 // SHA-256 pass: the write path hands the ID on to the store's keyed put,

@@ -23,15 +23,16 @@ import (
 
 // uploadEncodings returns one trace in every encoding the ingest edge
 // accepts, keyed by name: the canonical one (a raw-body version-2 MOSD
-// blob, its own content-addressed form) and five that are not — among
-// them the file encoding with its prelude (version 3) and without.
+// blob, its own content-addressed form) and six that are not — among
+// them the file encoding with its prelude over a compact body (version
+// 4), over a gzip one (version 3), and without a prelude.
 func uploadEncodings(t *testing.T, seed int) map[string][]byte {
 	t.Helper()
 	j := testJob(seed)
 	j.Metadata = map[string]string{"key-a": "1", "key-b": "2"}
 	canonical := encodeJob(t, j)
-	var gz, js, txt bytes.Buffer
-	if err := darshan.WriteBinary(&gz, j); err != nil {
+	var file, js, txt bytes.Buffer
+	if err := darshan.WriteBinary(&file, j); err != nil {
 		t.Fatal(err)
 	}
 	if err := darshan.WriteJSON(&js, j); err != nil {
@@ -44,9 +45,10 @@ func uploadEncodings(t *testing.T, seed int) map[string][]byte {
 	unsorted := bytes.Replace(canonical, []byte("key-a"), []byte("key-c"), 1)
 	return map[string][]byte{
 		"canonical":         canonical,
-		"gzip":              gz.Bytes(),
+		"file":              file.Bytes(),
 		"json":              js.Bytes(),
 		"text":              txt.Bytes(),
+		"gzip-v3":           mosdtest.V3File(t, file.Bytes(), canonical),
 		"gzip-v2":           mosdtest.V2File(t, canonical),
 		"unsorted-metadata": unsorted,
 	}
