@@ -10,7 +10,8 @@
 //	                       fsync before any item is acknowledged
 //	GET  /v1/results/{id}  categorization of one trace by content address
 //	GET  /v1/explain/{id}  decision provenance: why each category was (or
-//	                       wasn't) assigned (?category= filters rules)
+//	                       wasn't) assigned, derived from the stored trace
+//	                       when asked (?category= filters rules)
 //	GET  /v1/query?q=...   boolean query, e.g. 'periodic_minute AND write_on_end'
 //	GET  /v1/stats         store, index and queue statistics
 //	GET  /metrics          Prometheus exposition (OpenMetrics with
@@ -106,15 +107,14 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "HTTP address to serve the analysis API on")
 		storeDir     = flag.String("store", "", "result store directory (required; created when missing)")
-		workers      = flag.Int("workers", 2, "ingest workers draining the categorization queue")
+		workers      = flag.Int("workers", 2, "ingest workers draining the categorization queue; also how many GET /v1/explain/{id} derivations run at once")
 		queueDepth   = flag.Int("queue", 256, "ingest queue depth; a full queue answers 429")
 		maxUploadMB  = flag.Int64("max-upload-mb", 256, "largest accepted trace upload in MiB")
-		cacheMB      = flag.Int64("cache-mb", 32, "store read-cache budget in MiB; reads of results and explanations fill it, writes do not (0 disables)")
+		cacheMB      = flag.Int64("cache-mb", 32, "store read-cache budget in MiB; result reads fill it, writes do not (0 disables)")
 		syncWrites   = flag.Bool("sync", false, "fsync the store after every append (durable but slow)")
 		debugAddr    = flag.String("debug-addr", "", "serve engine metrics, spans and pprof on this address (empty: disabled)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to finish queued traces on shutdown")
-		explainOn    = flag.Bool("explain", true, "collect and store a decision-provenance record per trace, served on GET /v1/explain/{id}")
-		explainM     = flag.Float64("explain-margin", 0.05, "near-miss margin for explanation evidence, as a fraction of each threshold")
+		explainM     = flag.Float64("explain-margin", 0.05, "near-miss margin of the evidence GET /v1/explain/{id} collects, as a fraction of each threshold")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat    = flag.String("log-format", "text", "log format: text or json")
 		showVersion  = flag.Bool("v", false, "print version and exit")
@@ -235,7 +235,6 @@ func main() {
 		MaxUploadBytes: *maxUploadMB << 20,
 		Metrics:        reg,
 		Log:            log,
-		Explain:        *explainOn,
 		ExplainMargin:  *explainM,
 		Flight:         flight,
 		DisableTracing: *noTraces,

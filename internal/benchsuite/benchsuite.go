@@ -487,6 +487,7 @@ func Targets() []Target {
 		Target{Name: "BenchmarkServe/query_or_page", File: ServeFile, Fn: ServeQueryOrPage},
 		Target{Name: "BenchmarkServe/result_hot", File: ServeFile, Fn: ServeResult(true)},
 		Target{Name: "BenchmarkServe/result_cold", File: ServeFile, Fn: ServeResult(false)},
+		Target{Name: "BenchmarkServe/explain_get", File: ServeFile, Fn: ServeExplain},
 		Target{Name: "BenchmarkStore/put_result", File: ServeFile, Fn: StorePutResult},
 		Target{Name: "BenchmarkCluster/ingest_n1", File: ClusterFile, Fn: ClusterIngest(1, 1)},
 		Target{Name: "BenchmarkCluster/ingest_n4_rf1", File: ClusterFile, Fn: ClusterIngest(4, 1)},

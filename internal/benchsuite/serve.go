@@ -37,12 +37,43 @@ import (
 // the overhead ratio reflects what a real request pays, not a toy blob
 // whose handler cost is all framing.
 
-// ServeIngestWarm measures one warm cache-hit ingest per iteration
-// through the full serve handler chain — request-ID middleware, trace
-// middleware (or its identity twin), sniff, canonical walk, content
-// addressing, stored-result lookup, JSON response — no decode, since a
-// cached trace never becomes a job — with no network and no fsync in
-// the way, so the traced/untraced delta is the tracing layer itself.
+// resultStore opens a store holding the result of ingestTrace() under
+// the default configuration — with its blob too when withBlob is set — and
+// returns it with the blob.
+func resultStore(b *testing.B, withBlob bool) (*store.Store, []byte) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	j := ingestTrace()
+	blob, err := darshan.MarshalBinary(j)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{}.Normalized()
+	res, err := core.Categorize(j, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if withBlob {
+		if _, _, err := st.PutTraceBytes(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.PutResult(store.HashBytes(blob), cfg.Fingerprint(), res); err != nil {
+		b.Fatal(err)
+	}
+	return st, blob
+}
+
+// shutdown stops s and closes its store.
+func shutdown(s *serve.Server, st *store.Store) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_ = s.Shutdown(ctx)
+	st.Close()
+}
+
 // ServeIngestObserved measures the same warm cache-hit ingest with the
 // full cluster observability plane on versus off. On: the event
 // journal tees every event into a CRC-framed append log, the
@@ -55,30 +86,13 @@ import (
 // own ticker, so a healthy request pays nothing.
 func ServeIngestObserved(on bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		st, err := store.Open(b.TempDir(), store.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		j := ingestTrace()
-		blob, err := darshan.MarshalBinary(j)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := core.Config{}.Normalized()
-		res, err := core.Categorize(j, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.PutResult(store.HashBytes(blob), cfg.Fingerprint(), res); err != nil {
-			b.Fatal(err)
-		}
+		st, blob := resultStore(b, false)
 		scfg := serve.Config{
 			Store: st, Workers: 1, QueueDepth: 16, NoBackfill: true,
 			DisableAlerts: !on,
 		}
-		var sink *store.AppendLog
 		if on {
-			sink, err = store.OpenAppendLog(filepath.Join(b.TempDir(), "events.log"), false)
+			sink, err := store.OpenAppendLog(filepath.Join(b.TempDir(), "events.log"), false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -90,12 +104,7 @@ func ServeIngestObserved(on bool) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			defer cancel()
-			_ = s.Shutdown(ctx)
-			st.Close()
-		}()
+		defer shutdown(s, st)
 		h := s.Handler()
 		rd := bytes.NewReader(nil)
 		b.SetBytes(int64(len(blob)))
@@ -222,12 +231,7 @@ func ServeQueryOrPage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-		st.Close()
-	}()
+	defer shutdown(s, st)
 	entries := make([]index.Entry, 48_000)
 	for i := range entries {
 		cats := category.NewSet("read_on_start")
@@ -270,25 +274,15 @@ func (w *discardResponse) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// ServeIngestWarm measures one warm cache-hit ingest per iteration
+// through the full serve handler chain — request-ID middleware, trace
+// middleware (or its identity twin), sniff, canonical walk, content
+// addressing, stored-result lookup, JSON response — no decode, since a
+// cached trace never becomes a job — with no network and no fsync in
+// the way, so the traced/untraced delta is the tracing layer itself.
 func ServeIngestWarm(traced bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		st, err := store.Open(b.TempDir(), store.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		j := ingestTrace()
-		blob, err := darshan.MarshalBinary(j)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := core.Config{}.Normalized()
-		res, err := core.Categorize(j, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.PutResult(store.HashBytes(blob), cfg.Fingerprint(), res); err != nil {
-			b.Fatal(err)
-		}
+		st, blob := resultStore(b, false)
 		s, err := serve.New(serve.Config{
 			Store: st, Workers: 1, QueueDepth: 16,
 			NoBackfill: true, DisableTracing: !traced,
@@ -296,12 +290,7 @@ func ServeIngestWarm(traced bool) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			defer cancel()
-			_ = s.Shutdown(ctx)
-			st.Close()
-		}()
+		defer shutdown(s, st)
 		h := s.Handler()
 		rd := bytes.NewReader(nil)
 		b.SetBytes(int64(len(blob)))
@@ -368,12 +357,7 @@ func ServeResult(hot bool) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			defer cancel()
-			_ = s.Shutdown(ctx)
-			st.Close()
-		}()
+		defer shutdown(s, st)
 		h := s.Handler()
 		get := func(i int) {
 			w := discardResponse{h: http.Header{}}
@@ -392,6 +376,33 @@ func ServeResult(hot bool) func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			get(i)
 		}
+	}
+}
+
+// ServeExplain measures one warm GET /v1/explain/{id} per iteration
+// through the full handler chain with tracing on, over ingestTrace's
+// stored blob and result: the read and decode of the blob, the explained
+// categorization, the label check and the JSON encoding of the record.
+func ServeExplain(b *testing.B) {
+	st, blob := resultStore(b, true)
+	s, err := serve.New(serve.Config{Store: st, Workers: 1, QueueDepth: 16, NoBackfill: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer shutdown(s, st)
+	h, target := s.Handler(), "/v1/explain/"+string(store.HashBytes(blob))
+	get := func() {
+		w := discardResponse{h: http.Header{}}
+		h.ServeHTTP(&w, httptest.NewRequest("GET", target, nil))
+		if w.code != http.StatusOK {
+			b.Fatalf("%s answered %d", target, w.code)
+		}
+	}
+	get() // warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
 	}
 }
 

@@ -90,7 +90,8 @@ func TestClientErrorMapping(t *testing.T) {
 // shows the same trace.
 func TestTracePropagation(t *testing.T) {
 	rec := reqtrace.NewRecorder(reqtrace.RecorderConfig{Capacity: 8})
-	s := NewServer(ServerOptions{OnTrace: rec.Complete})
+	recorded := make(chan struct{}, 1) // the server finishes its trace after writing the reply
+	s := NewServer(ServerOptions{OnTrace: func(tr *reqtrace.Trace) { rec.Complete(tr); recorded <- struct{}{} }})
 	var gotRID, gotTP string
 	s.Handle(OpQuery, "query", func(ctx context.Context, f *Frame) ([]byte, error) {
 		gotRID, gotTP = f.RequestID, f.Traceparent
@@ -113,6 +114,10 @@ func TestTracePropagation(t *testing.T) {
 	tid, _, ok := reqtrace.ParseTraceparent(gotTP)
 	if !ok || tid != ct.ID() {
 		t.Errorf("peer saw traceparent %q, want trace %s", gotTP, ct.ID())
+	}
+	select {
+	case <-recorded:
+	case <-time.After(5 * time.Second):
 	}
 	recent := rec.Recent(1)
 	if len(recent) != 1 {

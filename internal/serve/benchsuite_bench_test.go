@@ -8,8 +8,8 @@ import (
 
 // BenchmarkServe exposes the pinned serve benchmarks (the tracing and
 // observability overhead budget pairs, the fresh canonical POST's
-// allocation budget, the ten-thousand-ID query answer and the two
-// result reads in BENCH_serve.json) to plain
+// allocation budget, the ten-thousand-ID query answer, the two result
+// reads and the explanation read in BENCH_serve.json) to plain
 // `go test -bench`. The bodies live in internal/benchsuite so
 // `mosaic-bench -bench-json` runs the identical code; this file is in
 // the external test package because benchsuite imports serve.
@@ -22,6 +22,7 @@ func BenchmarkServe(b *testing.B) {
 	b.Run("query_or_page", benchsuite.ServeQueryOrPage)
 	b.Run("result_hot", benchsuite.ServeResult(true))
 	b.Run("result_cold", benchsuite.ServeResult(false))
+	b.Run("explain_get", benchsuite.ServeExplain)
 }
 
 // BenchmarkStore exposes the pinned result write (BENCH_serve.json).

@@ -1,19 +1,27 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/mosaic-hpc/mosaic/internal/core"
+	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
+	"github.com/mosaic-hpc/mosaic/internal/gen"
+	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
 	"github.com/mosaic-hpc/mosaic/internal/store"
 )
 
 func TestServeExplainEndpoint(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 16, Explain: true})
+	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 16})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -89,7 +97,7 @@ func TestServeExplainEndpoint(t *testing.T) {
 }
 
 func TestServeExplainStatusCodes(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Explain: true})
+	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -110,32 +118,312 @@ func TestServeExplainStatusCodes(t *testing.T) {
 	if !strings.Contains(body, "unknown trace") {
 		t.Fatalf("unknown explain body: %s", body)
 	}
-}
-
-// A server with explanation collection disabled serves results but
-// answers 404 with a remediation hint for /v1/explain.
-func TestServeExplainDisabled(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Explain: false})
-	defer s.Shutdown(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	j := testJob(23)
-	if resp, body := postBlob(t, ts.URL, encodeJob(t, j)); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("ingest: status %d, body %s", resp.StatusCode, body)
-	}
-	id, _, err := store.TraceKey(j)
+	// A result stored without its blob, as `mosaic -store` leaves it,
+	// has nothing to derive an explanation from.
+	res, err := core.Categorize(testJob(28), s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitResult(t, ts.URL, id)
-
-	resp, body := getBody(t, ts.URL+"/v1/explain/"+string(id))
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled explain: status %d, body %s", resp.StatusCode, body)
+	bare := strings.Repeat("cd", 32)
+	if err := s.st.PutResult(store.TraceID(bare), s.fp, res); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(body, "no explanation is stored") {
-		t.Fatalf("disabled explain body lacks remediation hint: %s", body)
+	resp, body = getBody(t, ts.URL+"/v1/explain/"+bare)
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, "without its trace") {
+		t.Fatalf("result without its blob: status %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// explainBody is what GET /v1/explain/{id} answers for e: the server's
+// encoder over it.
+func explainBody(t *testing.T, e *explain.Explanation) string {
+	t.Helper()
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(e); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// wantExplainBody is the body a fresh core.CategorizeExplained of j gives
+// under s's configuration, checked against what a server that stored
+// explanations served: the record json.Marshal wrote, decoded and
+// encoded again.
+func wantExplainBody(t *testing.T, s *Server, j *darshan.Job) string {
+	t.Helper()
+	_, e, err := core.CategorizeExplained(j, s.cfg, s.exOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored explain.Explanation
+	if err := json.Unmarshal(data, &stored); err != nil {
+		t.Fatal(err)
+	}
+	want := explainBody(t, e)
+	if got := explainBody(t, &stored); got != want {
+		t.Fatalf("%s: the stored record's round trip changes the body:\n%s\nwant\n%s", j.Exe, got, want)
+	}
+	return want
+}
+
+// TestServeExplainDerivedForEveryArchetype: for a trace of every
+// generator archetype, GET /v1/explain/{id} answers the body of a fresh
+// explained categorization of the trace, and its request trace carries
+// the categorization's two spans, so /debug/budget attributes the route.
+func TestServeExplainDerivedForEveryArchetype(t *testing.T) {
+	rec := reqtrace.NewRecorder(reqtrace.RecorderConfig{Capacity: 64})
+	s, st := newTestServer(t, Config{Workers: 2, QueueDepth: 64, Flight: rec})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i, arch := range gen.DefaultArchetypes() {
+		j := archetypeJob(arch, int64(i+1))
+		if resp, body := postBlob(t, ts.URL, encodeJob(t, j)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: ingest status %d: %s", arch.Name, resp.StatusCode, body)
+		}
+		id, _, err := store.TraceKey(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitResult(t, ts.URL, id)
+		if st.HasExplanation(id, s.fp) {
+			t.Fatalf("%s: the worker stored an explanation", arch.Name)
+		}
+		resp, body := getBody(t, ts.URL+"/v1/explain/"+string(id))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: explain status %d: %s", arch.Name, resp.StatusCode, body)
+		}
+		if want := wantExplainBody(t, s, j); body != want {
+			t.Fatalf("%s: served\n%s\nwant\n%s", arch.Name, body, want)
+		}
+		tid, _, ok := reqtrace.ParseTraceparent(resp.Header.Get("Traceparent"))
+		if !ok {
+			t.Fatalf("traceparent %q", resp.Header.Get("Traceparent"))
+		}
+		var det reqtrace.Detail
+		waitFor(t, "trace of the explain request", func() bool {
+			det, ok = rec.Get(tid.String())
+			return ok
+		})
+		var names []string
+		for _, sp := range det.SpanTree[:len(det.SpanTree)-1] {
+			names = append(names, sp.Name)
+		}
+		if strings.Join(names, ",") != "funnel.validate,categorize.exec" {
+			t.Fatalf("%s: explain spans %v, want funnel.validate then categorize.exec", arch.Name, names)
+		}
+	}
+}
+
+// TestServeExplainOnTheRing: on a three-node ring (RF 2) the owner and
+// the follower of a trace of every generator archetype both explain it —
+// each from its own copy of the blob — with the same body, a fresh
+// explained categorization's; the third node holds nothing of it.
+func TestServeExplainOnTheRing(t *testing.T) {
+	tc := startTestCluster(t, 3)
+	byID := map[string]*clusterTestNode{}
+	for _, nd := range tc.nodes {
+		byID[nd.id] = nd
+	}
+	table := tc.nodes[0].srv.Cluster().Table()
+	var blobs [][]byte
+	var jobs []*darshan.Job
+	for i, arch := range gen.DefaultArchetypes() {
+		j := archetypeJob(arch, int64(40+i))
+		jobs = append(jobs, j)
+		blobs = append(blobs, encodeJob(t, j))
+	}
+	resp, ir := postBatch(t, tc.nodes[0].http.URL, BatchContentType, batchBody(blobs...))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	ids := acked(t, ir)
+	for k, id := range ids {
+		want := wantExplainBody(t, tc.nodes[0].srv, jobs[k])
+		holders := map[string]bool{}
+		for _, nd := range table.Replicas(string(id)) {
+			holders[nd.ID] = true
+			node := byID[nd.ID]
+			var body string
+			waitFor(t, "explanation on "+nd.ID, func() bool {
+				var resp *http.Response
+				resp, body = getBody(t, node.http.URL+"/v1/explain/"+string(id))
+				return resp.StatusCode == http.StatusOK
+			})
+			if body != want {
+				t.Fatalf("%s on %s: served\n%s\nwant\n%s", id, nd.ID, body, want)
+			}
+		}
+		if len(holders) != 2 {
+			t.Fatalf("%s has %d replicas, want 2", id, len(holders))
+		}
+		for _, nd := range tc.nodes {
+			if holders[nd.id] {
+				continue
+			}
+			if resp, body := getBody(t, nd.http.URL+"/v1/explain/"+string(id)); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s on %s, which holds nothing of it: status %d: %s", id, nd.id, resp.StatusCode, body)
+			}
+		}
+	}
+}
+
+// TestServeExplainConflict: a stored result whose category set is not
+// the recomputation's is never explained — 409, with both label sets.
+func TestServeExplainConflict(t *testing.T) {
+	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true})
+	defer s.Shutdown(context.Background())
+	j := testJob(24)
+	other := archetypeJob(gen.DXTCheckpointerArchetype(true), 25)
+	id := storeJob(t, s, j)
+	fresh, err := core.Categorize(j, s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := core.Categorize(other, s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrong.Categories == fresh.Categories {
+		t.Fatal("the two traces categorize alike; the test needs different sets")
+	}
+	if err := st.PutResult(id, s.fp, wrong); err != nil {
+		t.Fatal(err)
+	}
+	code, body := getBodyFrom(t, s.Handler(), "/v1/explain/"+string(id))
+	if code != http.StatusConflict {
+		t.Fatalf("status %d, want 409: %s", code, body)
+	}
+	var c struct {
+		Stored     []string `json:"stored_labels"`
+		Recomputed []string `json:"recomputed_labels"`
+	}
+	if err := json.Unmarshal([]byte(body), &c); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(c.Stored, wrong.Categories.Strings()) || !slices.Equal(c.Recomputed, fresh.Categories.Strings()) {
+		t.Fatalf("409 names stored %v and recomputed %v, want %v and %v",
+			c.Stored, c.Recomputed, wrong.Categories.Strings(), fresh.Categories.Strings())
+	}
+}
+
+// gatedExplainExec categorizes as core does, but holds every explained
+// categorization until release is closed, announcing each on entered.
+type gatedExplainExec struct {
+	entered chan struct{}
+	release chan struct{}
+	calls   atomic.Int32
+}
+
+func (g *gatedExplainExec) Categorize(_ context.Context, j *darshan.Job, cfg core.Config) (*core.Result, error) {
+	return core.Categorize(j, cfg)
+}
+
+func (g *gatedExplainExec) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, opts explain.Options) (*core.Result, *explain.Explanation, error) {
+	g.calls.Add(1)
+	g.entered <- struct{}{}
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+		return nil, nil, ctx.Err()
+	}
+	return core.CategorizeExplained(j, cfg, opts)
+}
+
+func (g *gatedExplainExec) Concurrency() int { return 1 }
+
+// TestServeExplainBounded: a server derives at most Workers explanations
+// at once. While two GETs hold both of a two-worker server's slots,
+// further GETs answer 429 with Retry-After and run no categorization;
+// the two held ones are then served, and so is the next GET.
+func TestServeExplainBounded(t *testing.T) {
+	exec := &gatedExplainExec{entered: make(chan struct{}, 8), release: make(chan struct{})}
+	s, st := newTestServer(t, Config{Workers: 2, NoBackfill: true, DisableAlerts: true, Executor: exec})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	j := testJob(27)
+	id := storeJob(t, s, j)
+	res, err := core.Categorize(j, s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutResult(id, s.fp, res); err != nil {
+		t.Fatal(err)
+	}
+	want := wantExplainBody(t, s, j)
+	path := "/v1/explain/" + string(id)
+	type answer struct {
+		code int
+		body string
+	}
+	held := make(chan answer, 2)
+	for range 2 {
+		go func() {
+			code, body := getBodyFrom(t, h, path)
+			held <- answer{code, body}
+		}()
+	}
+	<-exec.entered
+	<-exec.entered
+	// A GET that ran a categorization would wait for release; the
+	// deadline turns that into a failure instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i := range 3 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil).WithContext(ctx))
+		if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("GET %d beyond the bound: status %d, Retry-After %q: %s", i, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+		}
+	}
+	if n := exec.calls.Load(); n != 2 {
+		t.Fatalf("%d categorizations ran, want the 2 that hold the slots", n)
+	}
+	close(exec.release)
+	for range 2 {
+		if a := <-held; a.code != http.StatusOK || a.body != want {
+			t.Fatalf("held GET: status %d, served\n%s\nwant\n%s", a.code, a.body, want)
+		}
+	}
+	if code, body := getBodyFrom(t, h, path); code != http.StatusOK || body != want {
+		t.Fatalf("GET after the slots came back: status %d: %s", code, body)
+	}
+}
+
+// TestServeExplainWithoutStoredRecord: a trace whose result was stored
+// without an explanation — by a server with explanations off — is
+// explained on read with the body of a fresh one, and an explanation
+// record an earlier server stored is not what is served.
+func TestServeExplainWithoutStoredRecord(t *testing.T) {
+	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true})
+	defer s.Shutdown(context.Background())
+	for _, seed := range []int{23, 26} {
+		j := testJob(seed)
+		id := storeJob(t, s, j)
+		res, e, err := core.CategorizeExplained(j, s.cfg, s.exOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutResult(id, s.fp, res); err != nil {
+			t.Fatal(err)
+		}
+		if seed == 26 {
+			stale := *e
+			stale.App = "stale"
+			if _, err := st.PutExplanation(id, s.fp, &stale); err != nil {
+				t.Fatal(err)
+			}
+		}
+		code, body := getBodyFrom(t, s.Handler(), "/v1/explain/"+string(id))
+		if want := wantExplainBody(t, s, j); code != http.StatusOK || body != want {
+			t.Fatalf("seed %d: status %d, served\n%s\nwant\n%s", seed, code, body, want)
+		}
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/cluster"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/debughttp"
@@ -63,8 +64,8 @@ type Config struct {
 	// Analysis holds the detection thresholds; a zero value selects the
 	// defaults. Its fingerprint defines result identity.
 	Analysis core.Config
-	// Workers is the number of ingest workers draining the queue
-	// (<= 0: 2).
+	// Workers is the number of ingest workers draining the queue, and of
+	// explanations GET /v1/explain/{id} derives at once (<= 0: 2).
 	Workers int
 	// QueueDepth bounds the ingest queue; a full queue answers 429
 	// (<= 0: 256).
@@ -82,13 +83,12 @@ type Config struct {
 	// NoBackfill disables the startup pass that re-enqueues stored
 	// traces lacking a result under the current fingerprint.
 	NoBackfill bool
-	// Explain enables decision-provenance collection: every
-	// categorization additionally produces an explain.Explanation,
-	// persisted under the same (trace hash × config fingerprint) key as
-	// the result and served on GET /v1/explain/{id}.
+	// Explain is ignored: no explanation is built at ingest, and GET
+	// /v1/explain/{id} derives one from the stored trace when asked. The
+	// field stays for callers that still set it.
 	Explain bool
-	// ExplainMargin is the near-miss margin for evidence collection
-	// (<= 0: explain.DefaultMargin).
+	// ExplainMargin is the near-miss margin GET /v1/explain/{id}
+	// collects evidence with (<= 0: explain.DefaultMargin).
 	ExplainMargin float64
 	// Flight is the flight recorder receiving completed request traces.
 	// nil gets a default in-memory recorder (ring of 256, no dumps) so
@@ -151,8 +151,10 @@ type Server struct {
 
 	cluster *clusterNode // nil in single-node mode
 
-	explainOn bool
-	exOpts    explain.Options
+	exOpts explain.Options
+	// explainReaders bounds GET /v1/explain/{id}: one reader per worker,
+	// so derivations hold no more decoded traces than the workers do.
+	explainReaders chan *traceReader
 
 	traceOn     bool
 	flight      *reqtrace.Recorder
@@ -189,7 +191,6 @@ type Server struct {
 	queries        *telemetry.Counter
 	resultsServed  *telemetry.Counter
 	explainsServed *telemetry.Counter
-	exMetrics      *explainMetrics
 }
 
 // New builds a server over an open store: it rebuilds the category
@@ -235,7 +236,6 @@ func New(cfg Config) (*Server, error) {
 		pending:   make(map[store.TraceID]struct{}),
 		failed:    make(map[store.TraceID]string),
 		reg:       reg,
-		explainOn: cfg.Explain,
 		exOpts:    explain.Options{Margin: cfg.ExplainMargin}.Normalized(),
 		traceOn:   !cfg.DisableTracing,
 		flight:    cfg.Flight,
@@ -244,6 +244,10 @@ func New(cfg Config) (*Server, error) {
 		startedAt: time.Now(),
 		diagDir:   cfg.DiagDir,
 		diagCPU:   cfg.DiagCPUProfile,
+	}
+	s.explainReaders = make(chan *traceReader, workers)
+	for range workers {
+		s.explainReaders <- new(traceReader)
 	}
 	if s.events == nil {
 		node := ""
@@ -361,9 +365,6 @@ func (s *Server) registerMetrics() {
 	s.queries = s.reg.Counter("mosaic_serve_queries_total", "Category queries served.", nil)
 	s.resultsServed = s.reg.Counter("mosaic_serve_results_total", "Result lookups served.", nil)
 	s.explainsServed = s.reg.Counter("mosaic_serve_explains_total", "Explanation lookups served.", nil)
-	if s.explainOn {
-		s.exMetrics = newExplainMetrics(s.reg)
-	}
 	if s.traceOn {
 		s.registerRouteMetrics()
 	}
@@ -612,9 +613,11 @@ func (s *Server) reqLog(r *http.Request) *slog.Logger {
 	return s.log
 }
 
-// handleExplain serves the stored decision-provenance record of one
-// trace under the server's fingerprint. ?category=<substring> narrows
-// the evidence lists to entries about matching categories.
+// handleExplain derives the decision-provenance record of one trace from
+// its stored blob, through the worker's categorizeTrace, in one of the
+// pooled readers (429 when none is free), and serves it only when its
+// labels are the stored result's (409 with both sets otherwise).
+// ?category=<substring> narrows the evidence to matching categories.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.explainsServed.Inc()
 	id := store.TraceID(strings.ToLower(r.PathValue("id")))
@@ -622,43 +625,62 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "id must be a 64-char SHA-256 hex digest"})
 		return
 	}
-	e, ok, err := s.st.GetExplanation(id, s.fp)
+	rec, ok, err := s.st.GetResultBytes(id, s.fp)
+	var stored category.Set
+	if err == nil && ok {
+		_, stored, err = store.CheckResultRecord(rec)
+	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	if ok {
-		if c := r.URL.Query().Get("category"); c != "" {
-			e = e.FilterCategory(c)
+	if !ok || !s.st.HasTrace(id) {
+		switch {
+		case ok:
+			writeJSON(w, http.StatusNotFound, errorResponse{Error: "the result is stored without its trace, which an explanation is derived from"})
+		case s.isPending(id):
+			writePending(w)
+		case s.writeFailed(w, id):
+		case s.st.HasTrace(id):
+			writePending(w)
+		default:
+			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown trace"})
 		}
-		if log := s.reqLog(r); log != nil {
-			log.Debug("explanation served", "id", string(id), "evidence", e.EvidenceCount())
-		}
-		writeJSON(w, http.StatusOK, e)
 		return
 	}
-	switch {
-	case s.isPending(id):
-		writePending(w)
-	case s.st.HasResult(id, s.fp):
-		// Categorized before explanations existed (or with explain
-		// disabled): re-ingesting under an explain-enabled server heals.
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			Error: "result exists but no explanation is stored; re-ingest with explanation collection enabled"})
+	var tr *traceReader
+	select {
+	case tr = <-s.explainReaders:
+		defer func() { s.explainReaders <- tr }()
 	default:
-		if reason, failed := s.failureOf(id); failed {
-			writeJSON(w, http.StatusUnprocessableEntity, struct {
-				Status string `json:"status"`
-				Error  string `json:"error"`
-			}{Status: "failed", Error: reason})
-			return
-		}
-		if s.st.HasTrace(id) {
-			writePending(w)
-			return
-		}
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown trace"})
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "every explanation slot is busy"})
+		return
 	}
+	res, e, _, err := s.categorizeTrace(r.Context(), tr, id, true)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
+	if res == nil || res.Categories != stored {
+		conflict := struct {
+			Error      string   `json:"error"`
+			Stored     []string `json:"stored_labels"`
+			Recomputed []string `json:"recomputed_labels"`
+		}{Error: "the recomputed categorization differs from the stored result", Stored: stored.Strings()}
+		if res != nil {
+			conflict.Recomputed = res.Categories.Strings()
+		}
+		writeJSON(w, http.StatusConflict, conflict)
+		return
+	}
+	if c := r.URL.Query().Get("category"); c != "" {
+		e = e.FilterCategory(c)
+	}
+	if log := s.reqLog(r); log != nil {
+		log.Debug("explanation served", "id", string(id), "evidence", e.EvidenceCount())
+	}
+	writeJSON(w, http.StatusOK, e)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -697,11 +719,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writePending(w)
 		return
 	}
-	if reason, failed := s.failureOf(id); failed {
-		writeJSON(w, http.StatusUnprocessableEntity, struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		}{Status: "failed", Error: reason})
+	if s.writeFailed(w, id) {
 		return
 	}
 	if s.cluster != nil {
@@ -748,6 +766,19 @@ func writeResultBody(ctx context.Context, w http.ResponseWriter, body []byte, st
 	_, _ = w.Write(body) // the only failure is a client that left
 	reqtrace.AddSpan(ctx, "result.read", start, time.Since(start),
 		reqtrace.Int("bytes", int64(len(body))), reqtrace.Str("cache_hit", strconv.FormatBool(cached)))
+}
+
+// writeFailed answers 422 for a trace whose categorization failed, and
+// reports whether it did.
+func (s *Server) writeFailed(w http.ResponseWriter, id store.TraceID) bool {
+	reason, failed := s.failureOf(id)
+	if failed {
+		writeJSON(w, http.StatusUnprocessableEntity, struct {
+			Status string `json:"status"`
+			Error  string `json:"error"`
+		}{Status: "failed", Error: reason})
+	}
+	return failed
 }
 
 // writePending answers 202 for a trace whose categorization has not

@@ -92,10 +92,12 @@ func (s *Server) worker() {
 // blob into r's job and applies core.EvictionReason, the rule
 // core.Preprocessor applies, to the summary the decoder took of it; its
 // Categorize stage is one call into the executor — each a leaf span of
-// ctx's request trace. evicted is the funnel's reason ("": the trace was
-// valid); err is a failure to read (wrapping errStoredBlob) or decode the
-// blob, a categorization failure, or ctx's error.
-func (s *Server) categorizeTrace(ctx context.Context, r *traceReader, id store.TraceID) (res *core.Result, expl *explain.Explanation, evicted string, err error) {
+// ctx's request trace. With explained set it also collects the trace's
+// explanation, under the server's margin (GET /v1/explain/{id}); the
+// labels are the same either way. evicted is the funnel's reason ("": the
+// trace was valid); err is a failure to read (wrapping errStoredBlob) or
+// decode the blob, a categorization failure, or ctx's error.
+func (s *Server) categorizeTrace(ctx context.Context, r *traceReader, id store.TraceID, explained bool) (res *core.Result, expl *explain.Explanation, evicted string, err error) {
 	sp := reqtrace.StartLeaf(ctx, "funnel.validate")
 	sum, err := r.read(s.st, id)
 	sp.SetError(err)
@@ -109,7 +111,7 @@ func (s *Server) categorizeTrace(ctx context.Context, r *traceReader, id store.T
 	job := &r.job
 	sp = reqtrace.StartLeaf(ctx, "categorize.exec")
 	defer sp.End()
-	if s.explainOn {
+	if explained {
 		res, expl, err = s.exec.CategorizeExplained(ctx, job, s.cfg, s.exOpts)
 	} else {
 		res, err = s.exec.Categorize(ctx, job, s.cfg)
@@ -143,7 +145,7 @@ func (s *Server) process(r *traceReader, item ingestJob) {
 	ctx, wsp := reqtrace.StartSpan(ctx, "worker.categorize", reqtrace.Str("trace", string(item.id)))
 	defer wsp.End()
 	start := time.Now()
-	result, expl, evicted, err := s.categorizeTrace(ctx, r, item.id)
+	result, _, evicted, err := s.categorizeTrace(ctx, r, item.id, false)
 	s.categorizeSecs.Observe(time.Since(start).Seconds())
 	if wsp != nil && result != nil {
 		// Tells a big trace from a slow host.
@@ -172,10 +174,11 @@ func (s *Server) process(r *traceReader, item ingestJob) {
 		}
 		return
 	}
-	// One commit per categorized trace: result and explanation land
-	// together (or, cut short by a crash, not at all — backfill re-queues
-	// a trace without a result).
-	rec, size, explErr, err := s.st.PutOutcomeCtx(ctx, item.id, s.fp, result, expl)
+	// One commit per categorized trace: the result alone (GET
+	// /v1/explain/{id} derives the explanation from the blob). A crash
+	// before it lands leaves a trace without a result, which backfill
+	// re-queues.
+	rec, err := s.st.PutOutcomeCtx(ctx, item.id, s.fp, result, nil)
 	if err != nil {
 		wsp.SetError(err)
 		s.recordFailure(item.id, failPersist, err.Error())
@@ -183,16 +186,6 @@ func (s *Server) process(r *traceReader, item ingestJob) {
 			s.log.Error("persisting result failed", "request_id", item.reqID, "id", string(item.id), "err", err)
 		}
 		return
-	}
-	switch {
-	case explErr != nil:
-		// The result is durable; a lost explanation only degrades
-		// inspectability, so log and continue rather than fail the trace.
-		if s.log != nil {
-			s.log.Error("persisting explanation failed", "request_id", item.reqID, "id", string(item.id), "err", explErr)
-		}
-	case expl != nil:
-		s.exMetrics.Observe(expl.EvidenceCount(), expl.NearMissCount(), size)
 	}
 	s.cacheMisses.Inc()
 	s.ix.AddCtx(ctx, item.id, result.Categories)

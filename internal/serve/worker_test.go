@@ -97,12 +97,12 @@ func TestWorkerDirectPathMatchesEngine(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s, _ := newTestServer(t, Config{
-				Workers: 1, NoBackfill: true, Explain: true, DisableAlerts: true, Executor: c.exec,
+				Workers: 1, NoBackfill: true, DisableAlerts: true, Executor: c.exec,
 			})
 			defer s.Shutdown(context.Background())
 			ctx := context.Background()
 
-			res, expl, evicted, err := s.categorizeTrace(ctx, &reader, storeJob(t, s, c.job))
+			res, expl, evicted, err := s.categorizeTrace(ctx, &reader, storeJob(t, s, c.job), true)
 			run, runErr := engine.Run(ctx, engine.Jobs([]*darshan.Job{c.job}), engine.Options{
 				Config: s.cfg, Workers: 1, Executor: s.exec,
 				Explain: true, ExplainOptions: s.exOpts,
@@ -135,7 +135,7 @@ func TestWorkerDirectPathMatchesEngine(t *testing.T) {
 			sameJSON(t, "result", res, run.Apps[0].Result)
 			sameJSON(t, "explanation", expl, run.Apps[0].Explanation)
 			if expl == nil {
-				t.Fatal("explain-enabled server produced no explanation")
+				t.Fatal("an explained categorization produced no explanation")
 			}
 		})
 	}
@@ -173,28 +173,29 @@ func (e *entryExec) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg
 	return e.Local.CategorizeExplained(ctx, j, cfg, opts)
 }
 
-// TestWorkerExplainSelectsEntryPoint: Config.Explain alone decides
-// which method of any executor the worker calls, and an explain-enabled
-// server always gets an explanation back.
+// TestWorkerExplainSelectsEntryPoint: categorizeTrace's explained
+// argument alone decides which method of any executor it calls — the
+// worker's plain categorization, GET /v1/explain's explained one — and an
+// explained call always gets an explanation back.
 func TestWorkerExplainSelectsEntryPoint(t *testing.T) {
-	for _, explainOn := range []bool{true, false} {
+	for _, explained := range []bool{true, false} {
 		name := "plain"
-		if explainOn {
+		if explained {
 			name = "explain"
 		}
 		t.Run(name, func(t *testing.T) {
 			exec := &entryExec{Local: engine.Local{Workers: 1}}
-			s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true, Explain: explainOn, Executor: exec})
+			s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true, Executor: exec})
 			defer s.Shutdown(context.Background())
-			res, expl, evicted, err := s.categorizeTrace(context.Background(), new(traceReader), storeJob(t, s, testJob(960)))
+			res, expl, evicted, err := s.categorizeTrace(context.Background(), new(traceReader), storeJob(t, s, testJob(960)), explained)
 			if err != nil || evicted != "" || res == nil {
 				t.Fatalf("res=%v evicted=%q err=%v", res, evicted, err)
 			}
-			if (expl != nil) != explainOn {
-				t.Fatalf("explanation %v with Explain=%v", expl, explainOn)
+			if (expl != nil) != explained {
+				t.Fatalf("explanation %v with explained=%v", expl, explained)
 			}
 			wantPlain, wantExplained := int64(1), int64(0)
-			if explainOn {
+			if explained {
 				wantPlain, wantExplained = 0, 1
 			}
 			if exec.plain.Load() != wantPlain || exec.explained.Load() != wantExplained {
@@ -255,12 +256,13 @@ func TestCategorizeFailuresCounted(t *testing.T) {
 // TestWorkerJobOutlivesTruth: one worker's reader categorizes trace A,
 // which carries metadata, then trace B — other metadata, more records,
 // DXT events — then A again, into the job B left behind. What is stored
-// for each is byte for byte what a fresh job categorizes to: nothing of
-// one trace leaks into the next through the reused job. And a Result
-// handed out before keeps its Truth, the job's Metadata map at the time:
-// reading the next trace into the job must not rewrite it.
+// for each, and the explanation the same reader derives next, are byte
+// for byte what a fresh job categorizes to: nothing of one trace leaks
+// into the next through the reused job. And a Result handed out before
+// keeps its Truth, the job's Metadata map at the time: reading the next
+// trace into the job must not rewrite it.
 func TestWorkerJobOutlivesTruth(t *testing.T) {
-	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, Explain: true, DisableAlerts: true})
+	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true})
 	defer s.Shutdown(context.Background())
 	ctx := context.Background()
 	a := testJob(980)
@@ -272,7 +274,7 @@ func TestWorkerJobOutlivesTruth(t *testing.T) {
 			len(b.Records), len(a.Records), b.Records[0].DXTWrites != nil)
 	}
 	var reader traceReader
-	first, _, _, err := s.categorizeTrace(ctx, &reader, storeJob(t, s, a))
+	first, _, _, err := s.categorizeTrace(ctx, &reader, storeJob(t, s, a), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +297,14 @@ func TestWorkerJobOutlivesTruth(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(body, want) {
 			t.Fatalf("%s: stored result (ok=%v err=%v)\n%s\nwant\n%s", j.Exe, ok, err, body, want)
 		}
-		stored, ok, err := st.GetExplanation(id, s.fp)
-		if err != nil || !ok {
-			t.Fatalf("%s: explanation ok=%v err=%v", j.Exe, ok, err)
+		if st.HasExplanation(id, s.fp) {
+			t.Fatalf("%s: the worker stored an explanation", j.Exe)
 		}
-		sameJSON(t, j.Exe+" explanation", stored, expl)
+		_, derived, _, err := s.categorizeTrace(ctx, &reader, id, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameJSON(t, j.Exe+" explanation", derived, expl)
 		if got := reader.job.Metadata["site"]; got != j.Metadata["site"] {
 			t.Fatalf("%s: the reader's job carries site %q", j.Exe, got)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -115,10 +117,7 @@ func crashSchedule(t *testing.T) []crashOp {
 				op.recs = append(op.recs, kv{explainKeyOf(id, ofp), o.edata})
 			}
 			op.do = func(s *Store, _ *AppendLog) error {
-				_, _, explErr, err := s.PutOutcomeCtx(context.Background(), id, ofp, o.res, expl)
-				if explErr != nil {
-					t.Fatal(explErr)
-				}
+				_, err := s.PutOutcomeCtx(context.Background(), id, ofp, o.res, expl)
 				return err
 			}
 			ops = append(ops, op)
@@ -154,6 +153,7 @@ type crashRun struct {
 	// enumerate crashes the run at every boundary and checks the image.
 	enumerate  bool
 	boundaries []boundary // every boundary the run passed, buffers dropped
+	opened     int        // boundaries[:opened] came while opening the store and the journal
 	images     int        // crash images checked
 }
 
@@ -194,10 +194,6 @@ func (r *crashRun) run(ops []crashOp) (*Store, *AppendLog) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := openAppendLog(r.fs, crashJournal, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for key := range s.index {
 		v, _, err := readKey(s, key)
 		if err != nil {
@@ -205,6 +201,11 @@ func (r *crashRun) run(ops []crashOp) (*Store, *AppendLog) {
 		}
 		r.keys[key] = &keyState{acked: v}
 	}
+	j, err := openAppendLog(r.fs, crashJournal, true) // creates the journal: a crash may fall in its directory sync
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.opened = len(r.boundaries)
 	for i, op := range ops {
 		for _, rec := range op.recs {
 			st := r.keys[rec.key]
@@ -228,7 +229,9 @@ func (r *crashRun) run(ops []crashOp) (*Store, *AppendLog) {
 			if r.faulted[path] {
 				t.Fatalf("op %d was acknowledged after a failed write or sync on %s", i, path)
 			}
-			r.ackedEnd[path] = len(r.fs.files[path].data)
+			if m := r.fs.files[path]; m != nil { // not the directory
+				r.ackedEnd[path] = len(m.data)
+			}
 		}
 		for _, rec := range op.recs {
 			r.keys[rec.key].acked, r.keys[rec.key].maybe = rec.value, nil
@@ -243,7 +246,8 @@ func (r *crashRun) run(ops []crashOp) (*Store, *AppendLog) {
 // crashAt checks the images a crash just before boundary b leaves. Before
 // a write: nothing of it, and torn prefixes of it — every whole-frame one
 // and one cut inside a frame. Before a sync: everything written since the
-// last one, whole, as a kill between write and fsync leaves it.
+// last one, whole, as a kill between write and fsync leaves it. Before a
+// directory sync: no file created since the last one.
 func (r *crashRun) crashAt(b boundary) {
 	pending := r.fs.pending(b.path)
 	if b.sync {
@@ -397,10 +401,18 @@ func TestCrashEnumeration(t *testing.T) {
 	plain := newCrashRun(t, fixture, sets)
 	s, j := plain.run(ops)
 	boundaries := plain.boundaries // not Close's
+	dirSyncs := 0
+	for _, b := range boundaries {
+		if b.path == crashDir {
+			dirSyncs++
+		}
+	}
 	if st := s.Stats(); st.Segments < 3 {
 		t.Fatalf("the schedule wrote %d segments, want two rolls at least", st.Segments)
+	} else if dirSyncs != st.Segments { // one per rotation, one for the new journal
+		t.Fatalf("%d directory syncs for %d segments and a new journal", dirSyncs, st.Segments)
 	} else {
-		t.Logf("%d ops, %d boundaries, %d segments", len(ops), len(boundaries), st.Segments)
+		t.Logf("%d ops, %d boundaries (%d directory syncs), %d segments", len(ops), len(boundaries), dirSyncs, st.Segments)
 	}
 	s.Close()
 	j.Close()
@@ -423,7 +435,7 @@ func TestCrashEnumeration(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			start, runs := time.Now(), 0
-			for _, at := range boundaries {
+			for _, at := range boundaries[plain.opened:] { // a fault while opening fails the open, not an operation
 				if at.sync != (tc.fault == syncEIO) {
 					continue
 				}
@@ -453,6 +465,94 @@ func TestCrashEnumeration(t *testing.T) {
 				t.Fatal("no boundary to fail")
 			}
 			t.Logf("%d runs, %v", runs, time.Since(start))
+		})
+	}
+}
+
+// TestRotationFrameSurvivesCrash: the first frame acknowledged in a
+// segment a rotation created survives a crash — the new segment's name
+// was made durable before anything in it was acknowledged.
+func TestRotationFrameSurvivesCrash(t *testing.T) {
+	fs := newFaultFS()
+	s, err := openStore(fs, crashDir, Options{Sync: true, MaxSegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; s.Stats().Segments < 2; i++ {
+		if i > 100 {
+			t.Fatal("no rotation after 100 traces")
+		}
+		if _, _, err := s.PutTraceBytes(encodedJob(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last, _, err := s.PutTraceBytes(encodedJob(t, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := s.index[traceKeyOf(last)]; l.seg != 2 {
+		t.Fatalf("the trace after the rotation landed in segment %d", l.seg)
+	}
+	img, err := openStore(fs.crash("", nil), crashDir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer img.Close()
+	if !img.HasTrace(last) {
+		t.Fatal("a crash lost the acknowledged first frame of the rotated-to segment")
+	}
+}
+
+// TestRotationOpenFailureIsRetried: a rotation whose next segment cannot
+// be opened (EMFILE, say) fails the append that triggered it and no
+// more. Appends stay on the sealed segment, and the first one after the
+// open succeeds again rotates and is acknowledged, with or without
+// Options.Sync.
+func TestRotationOpenFailureIsRetried(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync=%v", durable), func(t *testing.T) {
+			fs := newFaultFS()
+			s, err := openStore(fs, crashDir, Options{Sync: durable, MaxSegmentBytes: 4 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var opens atomic.Bool
+			fs.openErr = func(string) error {
+				if opens.Load() {
+					return nil
+				}
+				return syscall.EMFILE
+			}
+			failed := 0
+			for i := 0; failed < 2; i++ {
+				if i > 100 {
+					t.Fatal("no rotation after 100 traces")
+				}
+				if _, _, err := s.PutTraceBytes(encodedJob(t, i)); err != nil {
+					if !errors.Is(err, syscall.EMFILE) {
+						t.Fatalf("trace %d: %v, want the failed open", i, err)
+					}
+					failed++
+				}
+			}
+			if n := s.Stats().Segments; n != 1 {
+				t.Fatalf("%d segments after failed rotations, want 1", n)
+			}
+			opens.Store(true)
+			for i := 1000; i < 1002; i++ {
+				id, _, err := s.PutTraceBytes(encodedJob(t, i))
+				if err != nil {
+					t.Fatalf("an append after the open succeeds again: %v", err)
+				}
+				if l := s.index[traceKeyOf(id)]; i == 1001 && l.seg != 2 {
+					t.Fatalf("the trace after the rotation landed in segment %d", l.seg)
+				}
+			}
+			if n := s.Stats().Segments; n != 2 {
+				t.Fatalf("%d segments, want 2", n)
+			}
 		})
 	}
 }

@@ -31,7 +31,7 @@ func OpenAppendLog(path string, syncEach bool) (*AppendLog, error) {
 func openAppendLog(fs fsys, path string, syncEach bool) (*AppendLog, error) {
 	l := &AppendLog{path: path, sync: syncEach}
 	var err error
-	l.log, l.droppedBytes, err = openLog(fs, path, eventFrame, true, func(int64, byte, []byte, []byte) scanEnd { l.records++; return scanToLimit })
+	l.log, l.droppedBytes, err = openLog(fs, path, eventFrame, true, syncEach, func(int64, byte, []byte, []byte) scanEnd { l.records++; return scanToLimit })
 	if err != nil {
 		return nil, fmt.Errorf("store: opening append log %s: %w", path, err)
 	}

@@ -68,9 +68,10 @@ func (e *CachingExecutor) Categorize(ctx context.Context, j *darshan.Job, cfg co
 }
 
 // CategorizeExplained implements engine.Executor: a warm hit requires
-// both the result and its explanation to be stored; when the result is
+// both the result and its explanation to be stored. A cold miss writes
+// the pair back as one commit (PutOutcomeCtx); when the result is
 // present but the explanation is not (e.g. it was computed before
-// explanations existed, or with explain disabled), both are recomputed
+// explanations existed, or by a plain Categorize), both are recomputed
 // and only the missing explanation is written back — the stored result
 // stays authoritative.
 func (e *CachingExecutor) CategorizeExplained(ctx context.Context, j *darshan.Job, cfg core.Config, opts explain.Options) (*core.Result, *explain.Explanation, error) {
@@ -104,13 +105,13 @@ func (e *CachingExecutor) CategorizeExplained(ctx context.Context, j *darshan.Jo
 			return nil, nil, err
 		}
 	}
-	if !haveRes {
-		if err := e.store.PutResult(id, fp, fresh); err != nil {
-			return nil, nil, err
-		}
+	if haveRes {
+		_, err = e.store.PutExplanation(id, fp, expl)
+	} else {
 		res = fresh
+		_, err = e.store.PutOutcomeCtx(ctx, id, fp, fresh, expl)
 	}
-	if _, err := e.store.PutExplanation(id, fp, expl); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	return res, expl, nil

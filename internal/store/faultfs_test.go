@@ -33,13 +33,17 @@ type boundary struct {
 
 // faultFS is an in-memory fsys that tells what reached the disk from what
 // only reached the page cache, so a test can crash it at any write or
-// sync and reopen what a real disk would hold. Its hook sees every write
-// and sync before it happens and may replace it with a fault.
+// sync and reopen what a real disk would hold: a file it created keeps
+// its name only once its directory is synced. Its hook sees every write
+// and sync (of a file or of a directory) before it happens and may
+// replace it with a fault.
 type faultFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile
 	n     int
 	hook  func(boundary) fault
+	// openErr, when set, may fail an OpenFile before it creates anything.
+	openErr func(name string) error
 }
 
 // memFile is one file of a faultFS.
@@ -47,6 +51,9 @@ type memFile struct {
 	data   []byte     // what reads see: the page cache
 	synced int        // data[:synced] is on disk ...
 	holes  [][2]int64 // ... apart from these ranges, which a failed fsync lost: the disk holds zeros there
+	// volatile: the file was created and its directory not synced since;
+	// a crash loses it whole.
+	volatile bool
 }
 
 func newFaultFS() *faultFS { return &faultFS{files: make(map[string]*memFile)} }
@@ -54,9 +61,14 @@ func newFaultFS() *faultFS { return &faultFS{files: make(map[string]*memFile)} }
 func (fs *faultFS) OpenFile(name string) (file, int64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.openErr != nil {
+		if err := fs.openErr(name); err != nil {
+			return nil, 0, err
+		}
+	}
 	m := fs.files[name]
 	if m == nil {
-		m = &memFile{}
+		m = &memFile{volatile: true}
 		fs.files[name] = m
 	}
 	return &faultFile{fs: fs, path: name, m: m}, int64(len(m.data)), nil
@@ -76,6 +88,22 @@ func (fs *faultFS) ReadDir(dir string) ([]os.DirEntry, error) {
 
 func (fs *faultFS) MkdirAll(string) error { return nil }
 
+// SyncDir makes the names of dir's files durable; a failed one leaves
+// them as they were.
+func (fs *faultFS) SyncDir(dir string) error {
+	if fs.boundary(boundary{path: dir, sync: true}) == syncEIO {
+		return syscall.EIO
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for path, m := range fs.files {
+		if filepath.Dir(path) == dir {
+			m.volatile = false
+		}
+	}
+	return nil
+}
+
 // put installs a file whose bytes are all on disk.
 func (fs *faultFS) put(path string, data []byte) {
 	fs.files[path] = &memFile{data: slices.Clone(data), synced: len(data)}
@@ -92,14 +120,18 @@ func (m *memFile) disk() []byte {
 }
 
 // crash returns a new file system holding what a crash at this moment
-// leaves on disk: every file's synced bytes, and for the file at path
-// also tail, the unsynced bytes that happened to reach the disk (a torn
-// prefix of the last write, or all of it).
+// leaves on disk: every file whose name is durable, with its synced
+// bytes, and for the file at path also tail, the unsynced bytes that
+// happened to reach the disk (a torn prefix of the last write, or all of
+// it).
 func (fs *faultFS) crash(path string, tail []byte) *faultFS {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	img := newFaultFS()
 	for name, m := range fs.files {
+		if m.volatile {
+			continue
+		}
 		data := m.disk()
 		if name == path {
 			data = append(data, tail...)
@@ -110,11 +142,14 @@ func (fs *faultFS) crash(path string, tail []byte) *faultFS {
 }
 
 // pending returns the bytes of path that reads see and the disk does not
-// hold yet.
+// hold yet; a directory has none.
 func (fs *faultFS) pending(path string) []byte {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	m := fs.files[path]
+	if m == nil {
+		return nil
+	}
 	return slices.Clone(m.data[m.synced:])
 }
 

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 )
 
@@ -16,6 +19,9 @@ type fsys interface {
 	OpenFile(name string) (f file, size int64, err error)
 	ReadDir(dir string) ([]os.DirEntry, error) // sorted by name
 	MkdirAll(dir string) error
+	// SyncDir makes the names in dir durable: a file created there
+	// survives a power loss only once its directory is synced.
+	SyncDir(dir string) error
 }
 
 // file is one open log file. It is only ever read and written at an
@@ -47,6 +53,18 @@ func (osFS) ReadDir(dir string) ([]os.DirEntry, error) { return os.ReadDir(dir) 
 
 func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// errDirSync marks an openLog failure that is the directory sync's.
+var errDirSync = errors.New("syncing the directory")
+
 // logFile is the package's one appender: a segment of the store, or an
 // AppendLog. It owns one read-write handle of its file, and its owner's
 // lock orders the appends. Reads may run beside them.
@@ -66,8 +84,9 @@ type logFile struct {
 // prefix as a torn one does. With truncate set, whatever follows the
 // prefix is cut off so that appends resume on a frame boundary; otherwise
 // it is only skipped (a sealed segment is never written again). dropped
-// counts those bytes.
-func openLog(fs fsys, path string, accept func(kind byte, key []byte) bool, truncate bool, fn func(off int64, kind byte, key, value []byte) scanEnd) (l *logFile, dropped int64, err error) {
+// counts those bytes. With durable set, an empty (maybe new) file has its
+// directory synced before any frame in it can be acknowledged.
+func openLog(fs fsys, path string, accept func(kind byte, key []byte) bool, truncate, durable bool, fn func(off int64, kind byte, key, value []byte) scanEnd) (l *logFile, dropped int64, err error) {
 	f, size, err := fs.OpenFile(path)
 	if err != nil {
 		return nil, 0, err
@@ -76,6 +95,11 @@ func openLog(fs fsys, path string, accept func(kind byte, key []byte) bool, trun
 	good, _, err := l.scan(size, fn)
 	if err == nil && truncate && good < size {
 		err = f.Truncate(good)
+	}
+	if err == nil && durable && size == 0 {
+		if err = fs.SyncDir(filepath.Dir(path)); err != nil {
+			err = fmt.Errorf("%w: %w", errDirSync, err)
+		}
 	}
 	if err != nil {
 		f.Close()

@@ -95,9 +95,8 @@ func TestOutcomeTornAtEveryByte(t *testing.T) {
 					// One category's evidence: the property is about the two
 					// frames, and every byte of the pair costs one recovery.
 					expl = expl.FilterCategory("write_on_end")
-					_, size, explErr, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
-					if err != nil || explErr != nil || size <= 0 {
-						t.Fatalf("PutOutcomeCtx: size=%d explErr=%v err=%v", size, explErr, err)
+					if _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl); err != nil {
+						t.Fatalf("PutOutcomeCtx: %v", err)
 					}
 					if st := s.Stats(); st.Results != 1 || st.Explanations != 1 {
 						t.Fatalf("stored %d results, %d explanations, want 1 and 1", st.Results, st.Explanations)
@@ -344,7 +343,7 @@ func TestOutcomeOneCommit(t *testing.T) {
 	fp := core.DefaultConfig().Fingerprint()
 	res, expl := testExplained(t, 12)
 	before := s.Stats()
-	rec, _, _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
+	rec, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +360,8 @@ func TestOutcomeOneCommit(t *testing.T) {
 }
 
 // TestOutcomeUnencodableExplanation: an explanation JSON cannot carry
-// (NaN) is reported, and the result is still committed — alone.
+// (NaN) fails the commit before anything is written — the result is not
+// committed without it.
 func TestOutcomeUnencodableExplanation(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -374,14 +374,10 @@ func TestOutcomeUnencodableExplanation(t *testing.T) {
 	}
 	fp := core.DefaultConfig().Fingerprint()
 	res, _ := testExplained(t, 13)
-	_, size, explErr, err := s.PutOutcomeCtx(context.Background(), id, fp, res, &explain.Explanation{Runtime: math.NaN()})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, &explain.Explanation{Runtime: math.NaN()}); err == nil {
+		t.Fatal("an unencodable explanation was committed")
 	}
-	if explErr == nil || size != 0 {
-		t.Fatalf("unencodable explanation: size=%d explErr=%v", size, explErr)
-	}
-	if !s.HasResult(id, fp) || s.HasExplanation(id, fp) {
-		t.Fatalf("want the result alone: result=%v explanation=%v", s.HasResult(id, fp), s.HasExplanation(id, fp))
+	if s.HasResult(id, fp) || s.HasExplanation(id, fp) {
+		t.Fatalf("want nothing committed: result=%v explanation=%v", s.HasResult(id, fp), s.HasExplanation(id, fp))
 	}
 }

@@ -156,7 +156,7 @@ func (s *Store) PutResult(id TraceID, fp string, res *core.Result) error {
 // PutResultCtx is PutResult under a request-trace context: the commit
 // is recorded as a "store.commit" span (kind=result).
 func (s *Store) PutResultCtx(ctx context.Context, id TraceID, fp string, res *core.Result) error {
-	_, _, _, err := s.PutOutcomeCtx(ctx, id, fp, res, nil)
+	_, err := s.PutOutcomeCtx(ctx, id, fp, res, nil)
 	return err
 }
 
@@ -169,31 +169,26 @@ func (s *Store) PutResultCtx(ctx context.Context, id TraceID, fp string, res *co
 // without its result. It returns the result record it committed, in
 // served form (what GetResultBytes would read back, for a caller that
 // ships it on without a read; the store may share it with its read
-// cache, so nobody writes to it), and the explanation's serialized size,
-// which feeds the explanation-size telemetry. A lost explanation only
-// degrades inspectability, so one that cannot be encoded does not fail
-// the trace: the result is committed alone and the encoding error comes
-// back as explErr.
-func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *core.Result, expl *explain.Explanation) (rec []byte, explSize int, explErr, err error) {
-	rec, err = newResultRecord(res)
+// cache, so nobody writes to it). A result or explanation that cannot be
+// encoded fails the call before anything is written.
+func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *core.Result, expl *explain.Explanation) ([]byte, error) {
+	rec, err := newResultRecord(res)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("store: encoding result %s: %w", id, err)
+		return nil, fmt.Errorf("store: encoding result %s: %w", id, err)
 	}
 	var pair [2]record
 	recs := append(pair[:0], record{kind: kindServed, key: resultKeyOf(id, fp), value: rec})
 	if expl != nil {
-		edata, merr := json.Marshal(expl)
-		if merr != nil {
-			explErr = fmt.Errorf("store: encoding explanation %s: %w", id, merr)
-		} else {
-			recs = append(recs, record{kind: kindExplain, key: explainKeyOf(id, fp), value: edata})
-			explSize = len(edata)
+		edata, err := json.Marshal(expl)
+		if err != nil {
+			return nil, fmt.Errorf("store: encoding explanation %s: %w", id, err)
 		}
+		recs = append(recs, record{kind: kindExplain, key: explainKeyOf(id, fp), value: edata})
 	}
 	if err := s.putRecords(ctx, "result", recs...); err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
-	return rec, explSize, explErr, nil
+	return rec, nil
 }
 
 // PutResultBytesCtx stores result bytes another node produced — the

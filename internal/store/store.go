@@ -31,6 +31,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -257,7 +258,7 @@ func (s *Store) recover() error {
 // segment's torn tail is truncated so appends resume cleanly.
 func (s *Store) loadSegment(path string, last bool) error {
 	seg := int32(len(s.segs) + 1)
-	l, dropped, err := openLog(s.fs, path, segmentFrame, last, func(off int64, kind byte, key, value []byte) scanEnd {
+	l, dropped, err := openLog(s.fs, path, segmentFrame, last, s.opts.Sync, func(off int64, kind byte, key, value []byte) scanEnd {
 		s.indexPut(string(key), loc{seg: seg, valOff: valueOff(off, len(key)), valLen: int32(len(value)), kind: kind})
 		s.recoveredFrames++
 		return scanToLimit
@@ -306,7 +307,7 @@ func (s *Store) indexPut(key string, l loc) {
 // rotate seals the active segment and opens the next one. Under
 // Options.Sync the sealed segment is synced first and the durable
 // watermark advanced, so no group-commit leader ever has to sync a sealed
-// segment.
+// segment, and the new segment's name is synced before it takes a frame.
 func (s *Store) rotate() error {
 	if s.opts.Sync {
 		if err := s.active().sync(); err != nil {
@@ -317,6 +318,14 @@ func (s *Store) rotate() error {
 	}
 	sealed, n := s.active(), len(s.segs)+1
 	if err := s.loadSegment(s.segPath(n), true); err != nil {
+		// Appends stay on the sealed segment and the next one retries
+		// the rotation, unless the new segment's name could not be made
+		// durable: a failed directory sync is not known to be repaired by
+		// a later one, so the sealed segment is poisoned and nothing more
+		// is acknowledged until a restart.
+		if errors.Is(err, errDirSync) {
+			return sealed.poison(err)
+		}
 		return err
 	}
 	s.active().buf, sealed.buf = sealed.buf, nil // the staging buffer moves on with the appends

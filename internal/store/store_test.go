@@ -460,7 +460,7 @@ func TestCacheFillsOnRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, expl := testExplained(t, 40)
-	if _, _, _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl); err != nil {
+	if _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl); err != nil {
 		t.Fatal(err)
 	}
 	if items, size := s.cache.stats(); items != 0 || size != 0 {

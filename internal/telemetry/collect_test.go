@@ -36,16 +36,23 @@ func TestOnCollectRunsBeforeExposition(t *testing.T) {
 // TestOnCollectConcurrentWithCollect hammers hook registration,
 // instrument registration inside hooks, and expositions from multiple
 // goroutines — the seam the federation path leans on. Run with -race.
+// The exporters start once every registrar has registered its first hook,
+// so each worker's hook is there for them to run whatever the scheduler
+// does; registration goes on beside the expositions.
 func TestOnCollectConcurrentWithCollect(t *testing.T) {
 	reg := NewRegistry()
 	stop := make(chan struct{})
-	var registrars, exporters sync.WaitGroup
+	var registered, registrars, exporters sync.WaitGroup
 
 	for w := 0; w < 4; w++ {
+		registered.Add(1)
 		registrars.Add(1)
 		go func(w int) {
 			defer registrars.Done()
 			for i := 0; ; i++ {
+				if i == 1 {
+					registered.Done()
+				}
 				select {
 				case <-stop:
 					return
@@ -58,6 +65,7 @@ func TestOnCollectConcurrentWithCollect(t *testing.T) {
 			}
 		}(w)
 	}
+	registered.Wait()
 	for r := 0; r < 4; r++ {
 		exporters.Add(1)
 		go func() {
