@@ -122,18 +122,10 @@ func MeanShiftSizes() []Size {
 	return []Size{{"1k", 1000}, {"5k", 5000}, {"20k", 20000}}
 }
 
-// MeanShiftModes lists the pinned configurations per scale. The exact
-// reference path is only pinned up to 5k — at 20k the O(n²·iters) scan is
-// too slow to gate CI on.
+// MeanShiftModes lists the pinned configurations per scale: the one
+// production path, the grid-accelerated flat Mean Shift.
 func MeanShiftModes(n int) []Mode {
-	var modes []Mode
-	if n <= 5000 {
-		modes = append(modes, Mode{"exact", cluster.MeanShiftConfig{Exact: true}})
-	}
-	return append(modes,
-		Mode{"grid", cluster.MeanShiftConfig{}},
-		Mode{"binned", cluster.MeanShiftConfig{BinSeeding: true}},
-	)
+	return []Mode{{"grid", cluster.MeanShiftConfig{}}}
 }
 
 // corpusJobs lazily builds the small deduplicated corpus the pipeline

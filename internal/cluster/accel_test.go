@@ -40,8 +40,8 @@ func mustShift(t *testing.T, pts []Point, cfg MeanShiftConfig) *Result {
 	return res
 }
 
-// TestAcceleratedFlatMatchesExact: the grid-accelerated path with the flat
-// kernel must produce label-identical results to the exact O(n²) path —
+// TestAcceleratedFlatMatchesExact: the grid-accelerated path must produce
+// label-identical results to the O(n²) reference (reference_test.go) —
 // the flat kernel neighborhood (radius h) is fully covered by the radius-1
 // cell probe, so only the accumulation order differs.
 func TestAcceleratedFlatMatchesExact(t *testing.T) {
@@ -49,7 +49,7 @@ func TestAcceleratedFlatMatchesExact(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(n)))
 			pts := noisyBlobs(rng, n, 4, 0.02, 0.2)
-			exact := mustShift(t, pts, MeanShiftConfig{Bandwidth: 0.08, Exact: true})
+			exact := ReferenceMeanShift(pts, 0.08)
 			var st MeanShiftStats
 			accel := mustShift(t, pts, MeanShiftConfig{Bandwidth: 0.08, Stats: &st})
 			if !st.Accelerated {
@@ -69,38 +69,6 @@ func TestAcceleratedFlatMatchesExact(t *testing.T) {
 	}
 }
 
-// TestAcceleratedGaussianCloseToExact: the gaussian kernel is truncated at
-// 3h on the grid path; the clustering must stay essentially identical.
-func TestAcceleratedGaussianCloseToExact(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(40 + seed))
-		pts := noisyBlobs(rng, 600, 3, 0.02, 0.1)
-		exact := mustShift(t, pts, MeanShiftConfig{Bandwidth: 0.08, Kernel: GaussianKernel, Exact: true})
-		accel := mustShift(t, pts, MeanShiftConfig{Bandwidth: 0.08, Kernel: GaussianKernel})
-		if ari := AdjustedRandIndex(exact.Labels, accel.Labels); ari < 0.99 {
-			t.Fatalf("seed=%d: gaussian accelerated ARI %.4f < 0.99", seed, ari)
-		}
-	}
-}
-
-// TestBinSeedingCloseToExact: bin seeding shifts far fewer seeds but must
-// recover the same cluster structure.
-func TestBinSeedingCloseToExact(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(60 + seed))
-		pts := noisyBlobs(rng, 1000, 4, 0.015, 0.1)
-		exact := mustShift(t, pts, MeanShiftConfig{Bandwidth: 0.08, Exact: true})
-		var st MeanShiftStats
-		binned := mustShift(t, pts, MeanShiftConfig{Bandwidth: 0.08, BinSeeding: true, Stats: &st})
-		if st.Seeds >= st.Points {
-			t.Fatalf("seed=%d: bin seeding did not reduce seeds (%d/%d)", seed, st.Seeds, st.Points)
-		}
-		if ari := AdjustedRandIndex(exact.Labels, binned.Labels); ari < 0.99 {
-			t.Fatalf("seed=%d: binned ARI %.4f < 0.99", seed, ari)
-		}
-	}
-}
-
 // TestMeanShiftDeterministicAcrossSchedules: labels AND centers must be
 // bit-identical across worker counts, GOMAXPROCS settings and repeated
 // runs — the property the serial commit pass exists to guarantee. Run
@@ -115,7 +83,6 @@ func TestMeanShiftDeterministicAcrossSchedules(t *testing.T) {
 	}
 	variants := []variant{
 		{"exhaustive", MeanShiftConfig{Bandwidth: 0.07}},
-		{"binned", MeanShiftConfig{Bandwidth: 0.07, BinSeeding: true}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -168,30 +135,28 @@ func TestMeanShiftDeterministicAcrossSchedules(t *testing.T) {
 	}
 }
 
-// TestMeanShiftStatsPopulated checks the cost profile reporting.
+// TestMeanShiftStatsPopulated checks the cost profile reporting of a
+// dense run (below denseCutoff points) and a grid run.
 func TestMeanShiftStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := noisyBlobs(rng, 800, 3, 0.02, 0.1)
 
-	var exact MeanShiftStats
-	mustShift(t, pts, MeanShiftConfig{Bandwidth: 0.08, Exact: true, Stats: &exact})
-	if exact.Accelerated || exact.GridCells != 0 {
-		t.Fatalf("exact run reported acceleration: %+v", exact)
+	var dense MeanShiftStats
+	mustShift(t, pts[:denseCutoff-1], MeanShiftConfig{Bandwidth: 0.08, Stats: &dense})
+	if dense.Accelerated || dense.GridCells != 0 {
+		t.Fatalf("dense run reported acceleration: %+v", dense)
 	}
-	if exact.Points != 800 || exact.Seeds != 800 || exact.Rounds == 0 || exact.Iterations < exact.Seeds {
-		t.Fatalf("implausible exact stats: %+v", exact)
+	if dense.Points != denseCutoff-1 || dense.Seeds != dense.Points || dense.Rounds == 0 || dense.Iterations < dense.Seeds {
+		t.Fatalf("implausible dense stats: %+v", dense)
 	}
 
-	var binned MeanShiftStats
-	mustShift(t, pts, MeanShiftConfig{Bandwidth: 0.08, BinSeeding: true, Stats: &binned})
-	if !binned.Accelerated || binned.GridCells == 0 {
-		t.Fatalf("binned run did not use the grid: %+v", binned)
+	var grid MeanShiftStats
+	mustShift(t, pts, MeanShiftConfig{Bandwidth: 0.08, Stats: &grid})
+	if !grid.Accelerated || grid.GridCells == 0 || grid.GridCells > grid.Points {
+		t.Fatalf("grid run did not use the grid: %+v", grid)
 	}
-	if binned.Seeds != binned.GridCells {
-		t.Fatalf("binned seeds %d != occupied cells %d", binned.Seeds, binned.GridCells)
-	}
-	if binned.Iterations >= exact.Iterations {
-		t.Fatalf("bin seeding did not reduce iterations: %d vs %d", binned.Iterations, exact.Iterations)
+	if grid.Points != 800 || grid.Seeds != 800 || grid.Rounds == 0 || grid.Iterations < grid.Seeds {
+		t.Fatalf("implausible grid stats: %+v", grid)
 	}
 
 	before := TotalStats()

@@ -48,18 +48,6 @@ func TestMeanShiftSeparatesBlobs(t *testing.T) {
 	}
 }
 
-func TestMeanShiftGaussianKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts, truth := blobs(rng, 2, 30, 10, 0.3)
-	res, err := MeanShift(pts, MeanShiftConfig{Bandwidth: 1.5, Kernel: GaussianKernel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ari := AdjustedRandIndex(res.Labels, truth); ari < 0.95 {
-		t.Fatalf("gaussian ARI = %g", ari)
-	}
-}
-
 func TestMeanShiftSingleCluster(t *testing.T) {
 	pts := []Point{{0, 0}, {0.1, 0}, {0, 0.1}, {0.05, 0.05}}
 	res, err := MeanShift(pts, MeanShiftConfig{Bandwidth: 1})

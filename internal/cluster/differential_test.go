@@ -2,8 +2,8 @@ package cluster_test
 
 // Differential tests of the accelerated Mean Shift path on realistic
 // inputs: every generator archetype's segment features, embedded exactly
-// as the production pipeline embeds them, clustered by the exact
-// reference path and by each accelerated configuration.
+// as the production pipeline embeds them, clustered by the O(n²)
+// reference (reference_test.go) and by MeanShift.
 
 import (
 	"math/rand"
@@ -39,18 +39,14 @@ func archetypeFeatures(t *testing.T, arch gen.Archetype, seed int64) [][]cluster
 }
 
 // TestArchetypesFlatAcceleratedIdentical: for every archetype and both
-// directions, the accelerated flat-kernel clustering must be
-// label-identical to the exact path.
+// directions, MeanShift must be label-identical to the O(n²) reference.
 func TestArchetypesFlatAcceleratedIdentical(t *testing.T) {
 	for _, arch := range gen.DefaultArchetypes() {
 		arch := arch
 		t.Run(arch.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				for di, pts := range archetypeFeatures(t, arch, seed) {
-					exact, err := cluster.MeanShift(pts, cluster.MeanShiftConfig{Bandwidth: 0.05, Exact: true})
-					if err != nil {
-						t.Fatal(err)
-					}
+					exact := cluster.ReferenceMeanShift(pts, 0.05)
 					accel, err := cluster.MeanShift(pts, cluster.MeanShiftConfig{Bandwidth: 0.05})
 					if err != nil {
 						t.Fatal(err)
@@ -71,48 +67,9 @@ func TestArchetypesFlatAcceleratedIdentical(t *testing.T) {
 	}
 }
 
-// TestArchetypesBinSeedingAgreement: bin seeding must recover essentially
-// the same grouping on every archetype's segment population. Tiny inputs
-// are allowed a little slack (a one-point disagreement moves ARI a lot);
-// populous ones must agree almost perfectly.
-func TestArchetypesBinSeedingAgreement(t *testing.T) {
-	var total, sum float64
-	for _, arch := range gen.DefaultArchetypes() {
-		for seed := int64(1); seed <= 3; seed++ {
-			for di, pts := range archetypeFeatures(t, arch, seed) {
-				exact, err := cluster.MeanShift(pts, cluster.MeanShiftConfig{Bandwidth: 0.05, Exact: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				binned, err := cluster.MeanShift(pts, cluster.MeanShiftConfig{Bandwidth: 0.05, BinSeeding: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ari := cluster.AdjustedRandIndex(exact.Labels, binned.Labels)
-				total++
-				sum += ari
-				floor := 0.99
-				if len(pts) < 32 {
-					floor = 0.8
-				}
-				if ari < floor {
-					t.Errorf("%s seed=%d dir=%d n=%d: binned ARI %.4f < %.2f",
-						arch.Name, seed, di, len(pts), ari, floor)
-				}
-			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("no archetype produced clusterable segments")
-	}
-	if mean := sum / total; mean < 0.99 {
-		t.Fatalf("mean binned ARI %.4f < 0.99 over %d datasets", mean, int(total))
-	}
-}
-
 // TestSegmentDetectAccelerationEquivalent: segment.Detect must return the
-// same groups with and without a scratch, and near-identical groups with
-// bin seeding, on the benchmark's two-train periodic trace.
+// same groups with and without a scratch on the benchmark's two-train
+// periodic trace.
 func TestSegmentDetectAccelerationEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var ops []interval.Interval
@@ -145,22 +102,6 @@ func TestSegmentDetectAccelerationEquivalent(t *testing.T) {
 	for i := range plain {
 		if plain[i].Count != scratched[i].Count || plain[i].Period != scratched[i].Period {
 			t.Fatalf("scratch changed group %d: %+v vs %+v", i, plain[i], scratched[i])
-		}
-	}
-
-	binnedCfg := base
-	binnedCfg.BinSeeding = true
-	binned, err := segment.Detect(segs, binnedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(binned) != len(plain) {
-		t.Fatalf("bin seeding changed group count: %d vs %d", len(binned), len(plain))
-	}
-	for i := range plain {
-		if binned[i].Count != plain[i].Count {
-			t.Fatalf("bin seeding changed group %d occurrence count: %d vs %d",
-				i, binned[i].Count, plain[i].Count)
 		}
 	}
 }

@@ -9,8 +9,7 @@ import "math"
 // of a query point then lies in one of the 3^d cells surrounding the
 // query's cell, so a kernel-mean evaluation visits only those buckets
 // instead of the whole data set — the standard route to near-linear
-// mean shift (scikit-learn's binned implementation uses the same idea
-// through its BinSeeding/radius-neighbors machinery).
+// mean shift (scikit-learn's radius-neighbors queries use the same idea).
 //
 // Cells are identified by the hash of their quantized integer
 // coordinates. Hash collisions merge two buckets; that is harmless for

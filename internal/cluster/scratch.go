@@ -17,13 +17,11 @@ type Scratch struct {
 	coords  []float64 // flattened input points
 	seeds   []float64 // seed positions, mutated in place
 	next    []float64 // next-round positions
-	modes   []float64 // memoized converged modes (bin-seeded runs)
 	centers []float64 // merge-phase center accumulator
 	ptsBack []float64 // backing store handed out by Points
 	pts     []Point   // point headers handed out by Points
 	weights []int32   // merge-phase member counts
 	active  []int32   // active seed worklist
-	seedLab []int32   // per-seed labels (bin-seeded runs)
 	cellIDs []int32   // grid build: per-point cell id
 	starts  []int32   // grid CSR starts
 	items   []int32   // grid CSR items
@@ -88,11 +86,10 @@ func growI64(buf *[]int64, n int) []int64 {
 // RegisterMetrics exports as mosaic_cluster_* metrics.
 type MeanShiftStats struct {
 	Points      int  // input points
-	Seeds       int  // shifted seeds (== Points unless BinSeeding)
+	Seeds       int  // shifted seeds (== Points: every point is a seed)
 	GridCells   int  // occupied grid cells (0 on the dense path)
 	Rounds      int  // lockstep iteration rounds executed
 	Iterations  int  // total kernel-mean evaluations across all seeds
-	EarlyStops  int  // seeds snapped onto an already-converged mode
 	Parallel    bool // whether any round ran on multiple goroutines
 	Accelerated bool // whether the grid index was used
 }
@@ -101,7 +98,7 @@ type MeanShiftStats struct {
 // RegisterMetrics. Atomic: MeanShift may run
 // on many categorization workers at once.
 var clusterTotals struct {
-	runs, seeds, gridCells, iterations, earlyStops, parallelRuns atomic.Int64
+	runs, seeds, gridCells, iterations, parallelRuns atomic.Int64
 }
 
 // Totals is a snapshot of the package-wide clustering counters.
@@ -110,7 +107,6 @@ type Totals struct {
 	Seeds        int64 // seeds shifted
 	GridCells    int64 // occupied grid cells across runs
 	Iterations   int64 // kernel-mean evaluations
-	EarlyStops   int64 // basin-of-attraction memoization hits
 	ParallelRuns int64 // runs that used multiple goroutines
 }
 
@@ -121,7 +117,6 @@ func TotalStats() Totals {
 		Seeds:        clusterTotals.seeds.Load(),
 		GridCells:    clusterTotals.gridCells.Load(),
 		Iterations:   clusterTotals.iterations.Load(),
-		EarlyStops:   clusterTotals.earlyStops.Load(),
 		ParallelRuns: clusterTotals.parallelRuns.Load(),
 	}
 }
@@ -131,7 +126,6 @@ func recordTotals(st *MeanShiftStats) {
 	clusterTotals.seeds.Add(int64(st.Seeds))
 	clusterTotals.gridCells.Add(int64(st.GridCells))
 	clusterTotals.iterations.Add(int64(st.Iterations))
-	clusterTotals.earlyStops.Add(int64(st.EarlyStops))
 	if st.Parallel {
 		clusterTotals.parallelRuns.Add(1)
 	}

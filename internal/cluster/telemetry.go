@@ -20,8 +20,6 @@ func RegisterMetrics(reg *telemetry.Registry) {
 		"Kernel-mean evaluations across all Mean Shift runs.", nil)
 	cells := reg.Counter("mosaic_cluster_grid_cells_total",
 		"Occupied spatial-grid cells built across accelerated runs.", nil)
-	early := reg.Counter("mosaic_cluster_early_stops_total",
-		"Seeds snapped onto an already-converged mode (basin memoization hits).", nil)
 	par := reg.Counter("mosaic_cluster_parallel_runs_total",
 		"Mean Shift runs that shifted seeds on multiple goroutines.", nil)
 
@@ -35,7 +33,6 @@ func RegisterMetrics(reg *telemetry.Registry) {
 		seeds.Add(t.Seeds - last.Seeds)
 		iters.Add(t.Iterations - last.Iterations)
 		cells.Add(t.GridCells - last.GridCells)
-		early.Add(t.EarlyStops - last.EarlyStops)
 		par.Add(t.ParallelRuns - last.ParallelRuns)
 		last = t
 	})

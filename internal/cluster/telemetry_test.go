@@ -28,7 +28,6 @@ func TestRegisterMetrics(t *testing.T) {
 		"mosaic_cluster_seeds_total",
 		"mosaic_cluster_shift_iterations_total",
 		"mosaic_cluster_grid_cells_total",
-		"mosaic_cluster_early_stops_total",
 		"mosaic_cluster_parallel_runs_total",
 	} {
 		if !strings.Contains(out, "# TYPE "+name+" counter") {

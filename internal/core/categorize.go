@@ -133,14 +133,14 @@ func categorizeDirection(j *darshan.Job, dir category.Direction, raw []interval.
 	if dx != nil {
 		ptr = &periodicityTrace{}
 	}
-	groups, err := detectPeriodicity(merged, j.Runtime, cfg, ptr)
+	groups, err := meanShiftGroups(merged, j.Runtime, cfg, ptr)
 	if err != nil {
 		return err
 	}
 	rep.Groups = groups
 	res.Categories |= segment.Categories(dir, groups)
 	if dx != nil {
-		dx.periodicity(merged, rep, ptr, j.Runtime, cfg)
+		dx.periodicity(rep, ptr, cfg)
 	}
 	return nil
 }

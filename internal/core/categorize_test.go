@@ -235,3 +235,16 @@ func TestDominantPeriodEmpty(t *testing.T) {
 		t.Fatal("empty direction report")
 	}
 }
+
+func TestMeanShiftRejectsAperiodicJob(t *testing.T) {
+	j := checkpointJob()
+	// Strip the checkpoints, keep only start read + end write.
+	j.Records = append(j.Records[:1], j.Records[len(j.Records)-1])
+	res, err := Categorize(j, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Write.Periodic() {
+		t.Fatal("Mean Shift flagged an aperiodic trace")
+	}
+}

@@ -5,10 +5,7 @@
 // analysis).
 package core
 
-import (
-	"github.com/mosaic-hpc/mosaic/internal/cluster"
-	"github.com/mosaic-hpc/mosaic/internal/interval"
-)
+import "github.com/mosaic-hpc/mosaic/internal/interval"
 
 // Config gathers every threshold of the method. The zero value is not
 // usable; start from DefaultConfig, which encodes the values of the paper,
@@ -32,16 +29,12 @@ type Config struct {
 	DominanceFactor float64 // chunk dominates when > factor × every other chunk (paper: 2)
 	SteadyCV        float64 // coefficient of variation below which volumes are steady (paper: 0.25)
 
-	// Periodicity (Section III-B3a). PeriodicityDetector selects the
-	// algorithm: the paper's segmentation + Mean Shift (default), the
-	// frequency-technique baseline, or a hybrid (the paper's stated
-	// future work).
-	PeriodicityDetector PeriodicityDetector
-	MeanShiftBandwidth  float64        // feature-space bandwidth
-	MeanShiftKernel     cluster.Kernel // kernel profile
-	MinGroupSize        int            // cluster size strictly greater than 1 → periodic
-	MinGroupCoverage    float64        // fraction of runtime a group must span
-	VolumeLogScale      float64        // volume feature scaling
+	// Periodicity (Section III-B3a): segmentation, then a flat-kernel
+	// Mean Shift over the segments' (duration, volume) features.
+	MeanShiftBandwidth float64 // feature-space bandwidth
+	MinGroupSize       int     // cluster size strictly greater than 1 → periodic
+	MinGroupCoverage   float64 // fraction of runtime a group must span
+	VolumeLogScale     float64 // volume feature scaling
 
 	// DisableDXT ignores DXT extended-tracing segments even when a trace
 	// carries them, reproducing the aggregated-only view of the Blue
@@ -69,7 +62,6 @@ func DefaultConfig() Config {
 		DominanceFactor:       2,
 		SteadyCV:              0.25,
 		MeanShiftBandwidth:    0.05,
-		MeanShiftKernel:       cluster.FlatKernel,
 		MinGroupSize:          2,
 		MinGroupCoverage:      0.5,
 		VolumeLogScale:        64,
@@ -93,9 +85,7 @@ func (c Config) IsZero() bool {
 		c.ChunkCount == 0 &&
 		c.DominanceFactor == 0 &&
 		c.SteadyCV == 0 &&
-		c.PeriodicityDetector == 0 &&
 		c.MeanShiftBandwidth == 0 &&
-		c.MeanShiftKernel == 0 &&
 		c.MinGroupSize == 0 &&
 		c.MinGroupCoverage == 0 &&
 		c.VolumeLogScale == 0 &&

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"sync"
 
-	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/cluster"
-	"github.com/mosaic-hpc/mosaic/internal/dsp"
 	"github.com/mosaic-hpc/mosaic/internal/interval"
 	"github.com/mosaic-hpc/mosaic/internal/segment"
 )
@@ -18,108 +14,24 @@ import (
 // trajectories, and mode-merge working sets all live in the scratch.
 var clusterScratchPool = sync.Pool{New: func() any { return cluster.NewScratch() }}
 
-// PeriodicityDetector selects the algorithm used for step (3)(a). The
-// paper ships the segmentation + Mean Shift detector and names
-// signal-processing techniques [24] as short-term future work; this
-// implementation provides both, plus a hybrid that cross-checks the
-// segmentation result with the spectrum.
-type PeriodicityDetector uint8
-
-// Available periodicity detectors.
-const (
-	// DetectMeanShift is the paper's detector: segmentation + Mean Shift
-	// clustering. Detects multiple interleaved periodic operations.
-	DetectMeanShift PeriodicityDetector = iota
-	// DetectDFT is the frequency-technique baseline: binned byte-rate
-	// signal, periodogram, dominant-peak test. Single period only.
-	DetectDFT
-	// DetectHybrid runs Mean Shift and keeps only groups whose period is
-	// corroborated by a spectral peak, falling back to the DFT result
-	// when segmentation finds nothing (e.g. heavily smeared traces).
-	DetectHybrid
-)
-
-// String implements fmt.Stringer.
-func (d PeriodicityDetector) String() string {
-	switch d {
-	case DetectMeanShift:
-		return "meanshift"
-	case DetectDFT:
-		return "dft"
-	case DetectHybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("PeriodicityDetector(%d)", uint8(d))
-	}
-}
-
 // periodicityTrace collects the detector evidence discarded by the plain
-// path: which algorithm ran, the segmentation clustering trace, and the
-// spectral detection (when the dft or hybrid detector consulted it). A
-// nil trace costs a pointer check per call site.
+// path: the segments and the clustering trace. A nil trace costs a
+// pointer check per call site.
 type periodicityTrace struct {
-	Detector string
-	Seg      segment.DetectTrace
-	Spectral dsp.Detection
+	Segs []segment.Segment
+	Seg  segment.DetectTrace
 }
 
-// detectPeriodicity dispatches on the configured detector and returns the
-// periodic groups of one direction. tr, when non-nil, receives the
-// detection evidence; results are identical either way.
-func detectPeriodicity(merged []interval.Interval, runtime float64, cfg *Config, tr *periodicityTrace) ([]segment.Group, error) {
-	if tr != nil {
-		tr.Detector = cfg.PeriodicityDetector.String()
-	}
-	switch cfg.PeriodicityDetector {
-	case DetectDFT:
-		det := dsp.DetectPeriodicity(merged, runtime, dsp.DetectorConfig{})
-		if tr != nil {
-			tr.Spectral = det
-		}
-		return dftGroupsFrom(det, merged, runtime), nil
-	case DetectHybrid:
-		groups, err := meanShiftGroups(merged, runtime, cfg, tr)
-		if err != nil {
-			return nil, err
-		}
-		if len(groups) == 0 {
-			det := dsp.DetectPeriodicity(merged, runtime, dsp.DetectorConfig{})
-			if tr != nil {
-				tr.Spectral = det
-			}
-			return dftGroupsFrom(det, merged, runtime), nil
-		}
-		det := dsp.DetectPeriodicity(merged, runtime, dsp.DetectorConfig{})
-		if tr != nil {
-			tr.Spectral = det
-		}
-		if !det.Periodic {
-			return groups, nil
-		}
-		// Keep groups compatible with the dominant spectral period or
-		// one of its harmonics; drop the rest as likely noise.
-		kept := groups[:0]
-		for _, g := range groups {
-			if harmonicOf(g.Period, det.Period, 0.25) {
-				kept = append(kept, g)
-			}
-		}
-		if len(kept) == 0 {
-			return groups, nil // spectrum disagrees entirely: trust segmentation
-		}
-		return kept, nil
-	default: // DetectMeanShift
-		return meanShiftGroups(merged, runtime, cfg, tr)
-	}
-}
-
+// meanShiftGroups is step (3)(a), the paper's detector: it segments the
+// merged operations of one direction and groups the segments with Mean
+// Shift. tr, when non-nil, receives the detection evidence; results are
+// identical either way.
 func meanShiftGroups(merged []interval.Interval, runtime float64, cfg *Config, tr *periodicityTrace) ([]segment.Group, error) {
 	segs := segment.Split(merged, runtime)
 	sc := clusterScratchPool.Get().(*cluster.Scratch)
 	defer clusterScratchPool.Put(sc)
 	dc := segment.DetectConfig{
 		Bandwidth:    cfg.MeanShiftBandwidth,
-		Kernel:       cfg.MeanShiftKernel,
 		MinGroupSize: cfg.MinGroupSize,
 		MinCoverage:  cfg.MinGroupCoverage,
 		Features: segment.FeatureConfig{
@@ -129,51 +41,8 @@ func meanShiftGroups(merged []interval.Interval, runtime float64, cfg *Config, t
 		Scratch: sc,
 	}
 	if tr != nil {
+		tr.Segs = segs
 		dc.Trace = &tr.Seg
 	}
 	return segment.Detect(segs, dc)
-}
-
-// dftGroups runs the spectral detector and adapts its result (see
-// dftGroupsFrom).
-func dftGroups(merged []interval.Interval, runtime float64) []segment.Group {
-	return dftGroupsFrom(dsp.DetectPeriodicity(merged, runtime, dsp.DetectorConfig{}), merged, runtime)
-}
-
-// dftGroupsFrom adapts a frequency-domain detection into the Group shape
-// so the rest of the pipeline (category assignment, reporting) is
-// agnostic to the detector.
-func dftGroupsFrom(det dsp.Detection, merged []interval.Interval, runtime float64) []segment.Group {
-	if !det.Periodic || det.Period <= 0 {
-		return nil
-	}
-	count := int(runtime / det.Period)
-	if count < 2 {
-		return nil
-	}
-	var bytes, busy float64
-	for _, op := range merged {
-		bytes += float64(op.Bytes)
-		busy += op.Duration()
-	}
-	return []segment.Group{{
-		Count:     count,
-		Period:    det.Period,
-		Magnitude: category.MagnitudeOf(det.Period),
-		MeanBytes: bytes / float64(count),
-		BusyRatio: busy / runtime,
-	}}
-}
-
-// harmonicOf reports whether a is within tol of b, b/2, b/3, 2b or 3b.
-func harmonicOf(a, b, tol float64) bool {
-	if a <= 0 || b <= 0 {
-		return false
-	}
-	for _, m := range []float64{1, 0.5, 1.0 / 3, 2, 3} {
-		if math.Abs(a-b*m)/(b*m) <= tol {
-			return true
-		}
-	}
-	return false
 }

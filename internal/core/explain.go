@@ -6,7 +6,6 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/explain"
-	"github.com/mosaic-hpc/mosaic/internal/interval"
 	"github.com/mosaic-hpc/mosaic/internal/segment"
 )
 
@@ -256,14 +255,11 @@ func setOperands(chunks []float64, set []int) (minSet, maxRest float64) {
 // periodicity records the detector evidence of a significant direction:
 // the segment features, every cluster with its verdict, and one
 // classifiable rule per periodicity category.
-func (dx *dirExplain) periodicity(merged []interval.Interval, rep *DirectionReport, tr *periodicityTrace, runtime float64, cfg *Config) {
-	dx.d.Detector = tr.Detector
+func (dx *dirExplain) periodicity(rep *DirectionReport, tr *periodicityTrace, cfg *Config) {
+	dx.d.Detector = "meanshift"
 	dx.d.Bandwidth = cfg.MeanShiftBandwidth
-	if tr.Spectral.Period > 0 {
-		dx.d.SpectralPeriod = tr.Spectral.Period
-	}
 
-	segs := segment.Split(merged, runtime)
+	segs := tr.Segs
 	dx.d.SegmentCount = len(segs)
 	keep := len(segs)
 	if keep > dx.st.opts.MaxSegments {

@@ -167,8 +167,8 @@ type Direction struct {
 	Chunks []float64 `json:"chunks"`
 	// CV is the coefficient of variation of the chunk volumes.
 	CV float64 `json:"cv"`
-	// Detector names the periodicity algorithm used ("" when the
-	// direction was insignificant and periodicity never ran).
+	// Detector names the periodicity algorithm: "meanshift", or "" when
+	// the direction was insignificant and periodicity never ran.
 	Detector  string  `json:"detector,omitempty"`
 	Bandwidth float64 `json:"bandwidth,omitempty"`
 	// SegmentCount is the number of segments clustered; Segments holds
@@ -178,9 +178,6 @@ type Direction struct {
 	Segments          []SegmentFeature `json:"segments,omitempty"`
 	SegmentsTruncated bool             `json:"segments_truncated,omitempty"`
 	Clusters          []Cluster        `json:"clusters,omitempty"`
-	// SpectralPeriod carries the DFT detector's dominant period when
-	// the dft or hybrid detector ran (0 otherwise).
-	SpectralPeriod float64 `json:"spectral_period,omitempty"`
 	// Evidence lists every rule evaluated for this direction.
 	Evidence []Evidence `json:"evidence"`
 }

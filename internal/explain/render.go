@@ -52,11 +52,7 @@ func renderDirection(w io.Writer, d *Direction) {
 		fmt.Fprintln(w)
 	}
 	if d.Detector != "" {
-		fmt.Fprintf(w, "  periodicity: detector=%s bandwidth=%g segments=%d", d.Detector, d.Bandwidth, d.SegmentCount)
-		if d.SpectralPeriod > 0 {
-			fmt.Fprintf(w, " spectral_period=%.3fs", d.SpectralPeriod)
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  periodicity: detector=%s bandwidth=%g segments=%d\n", d.Detector, d.Bandwidth, d.SegmentCount)
 		for i, c := range d.Clusters {
 			fmt.Fprintf(w, "    cluster %d: size=%d period=%.3fs mean_bytes=%.0f centroid=(%.4f,%.4f) spread=(%.4f,%.4f) coverage=%.3f -> %s\n",
 				i, c.Size, c.Period, c.MeanBytes,

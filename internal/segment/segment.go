@@ -147,9 +147,6 @@ type DetectConfig struct {
 	// occurrences may drift by 5% of the runtime in cadence or ~8x in
 	// volume and still group).
 	Bandwidth float64
-	// Kernel is the Mean Shift kernel (default flat, like the paper's
-	// scikit-learn).
-	Kernel cluster.Kernel
 	// MinGroupSize is the minimum cluster size to call a group periodic
 	// (paper: strictly greater than 1, i.e. 2).
 	MinGroupSize int
@@ -164,10 +161,6 @@ type DetectConfig struct {
 	// cluster with size/centroid/spread and its verdict). Detection
 	// results are identical with or without it; nil costs nothing.
 	Trace *DetectTrace
-	// BinSeeding, when true, asks Mean Shift to seed from occupied grid
-	// cells instead of every segment — much faster on large traces, with
-	// near-identical (not bit-identical) grouping. Off by default.
-	BinSeeding bool
 	// Scratch, when non-nil, supplies reusable clustering buffers so
 	// repeated Detect calls stay allocation-free in the hot path. Results
 	// are identical with or without it. Not safe for concurrent use.
@@ -179,7 +172,6 @@ type DetectConfig struct {
 func DefaultDetectConfig(runtime float64) DetectConfig {
 	return DetectConfig{
 		Bandwidth:    0.05,
-		Kernel:       cluster.FlatKernel,
 		MinGroupSize: 2,
 		Features:     FeatureConfig{Runtime: runtime, VolumeLogScale: DefaultVolumeLogScale},
 		MinCoverage:  0.5,
@@ -217,10 +209,8 @@ func Detect(segs []Segment, cfg DetectConfig) ([]Group, error) {
 		pts = Features(segs, cfg.Features)
 	}
 	res, err := cluster.MeanShift(pts, cluster.MeanShiftConfig{
-		Bandwidth:  cfg.Bandwidth,
-		Kernel:     cfg.Kernel,
-		BinSeeding: cfg.BinSeeding,
-		Scratch:    cfg.Scratch,
+		Bandwidth: cfg.Bandwidth,
+		Scratch:   cfg.Scratch,
 	})
 	if err != nil {
 		return nil, err
