@@ -89,6 +89,15 @@ func TestUnionSumsVolumes(t *testing.T) {
 	if u.Start != 0 || u.End != 5 || u.Bytes != 30 || u.Meta != 3 {
 		t.Fatalf("Union = %v", u)
 	}
+	// Each count is validated non-negative, not their sum: two volumes
+	// near 2^63 saturate instead of wrapping negative.
+	huge := Interval{Start: 0, End: 1, Bytes: math.MaxInt64 - 5, Meta: math.MaxInt64}
+	if u := huge.Union(huge); u.Bytes != math.MaxInt64 || u.Meta != math.MaxInt64 {
+		t.Fatalf("Union of huge volumes = %v", u)
+	}
+	if n := TotalBytes([]Interval{huge, huge}); n != math.MaxInt64 {
+		t.Fatalf("TotalBytes of huge volumes = %d", n)
+	}
 }
 
 func TestMergeConcurrentBasic(t *testing.T) {
