@@ -40,7 +40,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: all, fig3, table2, table3, fig4, fig5, accuracy, stability, perf, ablation, dxt, sched")
+		exp      = flag.String("exp", "all", "experiment: all, fig3, table2, table3, fig4, fig5, accuracy, stability, perf, ablation, dxt")
 		apps     = flag.Int("apps", 1500, "number of unique applications in the synthetic corpus")
 		seed     = flag.Int64("seed", 1, "corpus seed")
 		workers  = flag.Int("workers", 0, "categorization workers (0 = NumCPU)")
@@ -257,14 +257,6 @@ func run(exp string, apps int, seed int64, workers, sample int, outDir, traceOut
 			return err
 		}
 		dx.Write(out)
-	}
-	if want("sched") {
-		header("I/O-aware scheduling (Section V application)")
-		sr, err := experiments.Sched(seed, 8)
-		if err != nil {
-			return err
-		}
-		sr.Write(out)
 	}
 	if want("ablation") {
 		header("Ablations: merging thresholds, bandwidth, detector comparison")

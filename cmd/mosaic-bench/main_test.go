@@ -9,7 +9,7 @@ import (
 func TestRunEachExperimentSmall(t *testing.T) {
 	// Exercise every experiment selector at a tiny scale; "all" is the
 	// union and covered implicitly.
-	for _, exp := range []string{"fig3", "table2", "table3", "fig4", "fig5", "accuracy", "stability", "perf", "dxt", "sched", "ablation"} {
+	for _, exp := range []string{"fig3", "table2", "table3", "fig4", "fig5", "accuracy", "stability", "perf", "dxt", "ablation"} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
 			if err := run(exp, 80, 1, 2, 32, "", ""); err != nil {
