@@ -29,8 +29,7 @@
 //
 // The command opens no socket: it imports the domain packages directly,
 // not the library facade, so it links no network stack and builds as a
-// static binary. Programs that want live /metrics, /debug/engine and
-// pprof during a run call mosaic.StartDebugServer.
+// static binary.
 package main
 
 import (

@@ -330,7 +330,7 @@ func TestLogLevelReachesTheEngine(t *testing.T) {
 }
 
 // TestCorpusOutputIsTheFacades: the CLI's report and -json are, byte for
-// byte, what a library caller gets from mosaic.AnalyzeCorpus rendered
+// byte, what a library caller gets from mosaic.AnalyzeCorpusContext rendered
 // through the facade — the report layout exists once, in package report.
 func TestCorpusOutputIsTheFacades(t *testing.T) {
 	const fixture = "../../internal/darshan/testdata/v2corpus"
@@ -345,7 +345,7 @@ func TestCorpusOutputIsTheFacades(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := mosaic.AnalyzeCorpus(fixture, mosaic.Options{Workers: 2})
+	a, err := mosaic.AnalyzeCorpusContext(context.Background(), fixture, mosaic.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

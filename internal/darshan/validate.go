@@ -180,6 +180,3 @@ func validateSpan(idx int, name string, start, end float64, active bool, runtime
 	}
 	return nil
 }
-
-// IsCorrupted reports whether err marks a corrupted trace.
-func IsCorrupted(err error) bool { return errors.Is(err, ErrCorrupted) }

@@ -40,8 +40,8 @@ func TestValidateHeader(t *testing.T) {
 			if verr.Kind != c.kind {
 				t.Fatalf("kind = %v, want %v", verr.Kind, c.kind)
 			}
-			if !IsCorrupted(err) {
-				t.Fatal("IsCorrupted should be true")
+			if !errors.Is(err, ErrCorrupted) {
+				t.Fatal("a validation error should wrap ErrCorrupted")
 			}
 		})
 	}

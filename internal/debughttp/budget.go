@@ -205,7 +205,7 @@ func BudgetHandler(reg *telemetry.Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		doc := readBudget(reg)
 		if req.URL.Query().Get("format") != "text" && !wantsText(req) {
-			WriteJSON(w, http.StatusOK, doc)
+			writeJSON(w, http.StatusOK, doc)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -31,7 +31,7 @@ func RequestsHandler(rec *reqtrace.Recorder) http.Handler {
 		if lv := req.URL.Query().Get("limit"); lv != "" {
 			n, err := strconv.Atoi(lv)
 			if err != nil || n < 0 {
-				WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "limit must be a non-negative integer"})
+				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "limit must be a non-negative integer"})
 				return
 			}
 			limit = n
@@ -42,17 +42,17 @@ func RequestsHandler(rec *reqtrace.Recorder) http.Handler {
 			writeSummaryTable(w, sums)
 			return
 		}
-		WriteJSON(w, http.StatusOK, RequestsDoc{
+		writeJSON(w, http.StatusOK, RequestsDoc{
 			Count: len(sums), Recorded: rec.Recorded(), Dumps: rec.Dumps(), Requests: sums,
 		})
 	})
 	mux.HandleFunc("GET /debug/requests/{id}", func(w http.ResponseWriter, req *http.Request) {
 		d, ok := rec.Get(strings.ToLower(req.PathValue("id")))
 		if !ok {
-			WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown or rotated-out request trace"})
+			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown or rotated-out request trace"})
 			return
 		}
-		WriteJSON(w, http.StatusOK, d)
+		writeJSON(w, http.StatusOK, d)
 	})
 	return mux
 }

@@ -22,9 +22,8 @@ import (
 )
 
 // Route is one extra handler mounted on the introspection mux — how
-// subsystems (the engine's /debug/engine, the serve tier's flight
-// recorder) surface their own debug endpoints on the shared debug
-// server.
+// subsystems (the serve tier's flight recorder and span budget) surface
+// their own debug endpoints on the shared debug server.
 type Route struct {
 	Pattern string
 	Handler http.Handler
@@ -72,9 +71,9 @@ func NewMux(reg *telemetry.Registry, extra ...Route) *http.ServeMux {
 	return mux
 }
 
-// WriteJSON writes v as two-space-indented JSON with status code: the
+// writeJSON writes v as two-space-indented JSON with status code: the
 // body of every JSON debug endpoint.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)

@@ -139,8 +139,8 @@ type StageSnapshot struct {
 	Started  bool          `json:"started"`
 	Finished bool          `json:"finished"`
 	Wall     time.Duration `json:"wall_ns"` // stage start to finish (or to now)
-	// ItemsPerSec mirrors Throughput() so JSON snapshots (stages.json,
-	// /debug/engine) carry the rate without the reader re-deriving it.
+	// ItemsPerSec mirrors Throughput() so JSON snapshots (stages.json)
+	// carry the rate without the reader re-deriving it.
 	ItemsPerSec float64 `json:"items_per_sec"`
 }
 

@@ -30,7 +30,7 @@ type TelemetryConfig struct {
 }
 
 // Telemetry instruments one pipeline run: the mosaic_engine_* metrics,
-// the slow log, the stage stats behind /debug/engine, a logger and —
+// the slow log, the stage stats behind -progress, a logger and —
 // with Spans — the run's trace. It implements Observer and SpanObserver,
 // so passing it as (or composing it into) Options.Observer instruments
 // the whole pipeline.
@@ -87,19 +87,12 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 	return t
 }
 
-// Registry returns the bundle's metrics registry (for /metrics and for
-// registering further subsystem metrics, e.g. dist RPC).
-func (t *Telemetry) Registry() *telemetry.Registry { return t.reg }
-
 // Slow returns the slow-trace log.
 func (t *Telemetry) Slow() *SlowLog { return t.slow }
 
 // Stats returns the embedded per-stage counter collector, snapshotable
-// while the pipeline runs (it backs /debug/engine).
+// while the pipeline runs (it backs -progress).
 func (t *Telemetry) Stats() *Stats { return t.stats }
-
-// Logger returns the bundle's logger (nil when logging is off).
-func (t *Telemetry) Logger() *slog.Logger { return t.log }
 
 // WriteTrace writes the run's spans to path as a Chrome trace-event
 // document — one lane per stage, one "X" event per item per stage with
@@ -274,21 +267,5 @@ func (l *SlowLog) Slowest(stage string) []SlowEntry {
 	}
 	out := append([]SlowEntry(nil), (*h)...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Dur > out[j].Dur })
-	return out
-}
-
-// Snapshot returns every stage's slow entries, slowest first within a
-// stage, keyed by stage name.
-func (l *SlowLog) Snapshot() map[string][]SlowEntry {
-	l.mu.Lock()
-	stages := make([]string, 0, len(l.by))
-	for s := range l.by {
-		stages = append(stages, s)
-	}
-	l.mu.Unlock()
-	out := make(map[string][]SlowEntry, len(stages))
-	for _, s := range stages {
-		out[s] = l.Slowest(s)
-	}
 	return out
 }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
+	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
 // corpusJobs builds a deterministic valid corpus of n traces across a
@@ -63,7 +64,8 @@ func writtenTrace(t *testing.T, tel *Telemetry) runTrace {
 }
 
 func TestTelemetryInstrumentsEngineRun(t *testing.T) {
-	tel := NewTelemetry(TelemetryConfig{Spans: true, SlowK: 5})
+	reg := telemetry.NewRegistry()
+	tel := NewTelemetry(TelemetryConfig{Metrics: reg, Spans: true, SlowK: 5})
 	jobs := corpusJobs(24)
 	res, err := Run(context.Background(), Jobs(jobs), Options{
 		Workers:  4,
@@ -76,7 +78,7 @@ func TestTelemetryInstrumentsEngineRun(t *testing.T) {
 
 	// Metrics: decode saw every trace, categorize every unique app.
 	var b strings.Builder
-	if err := tel.Registry().WritePrometheus(&b); err != nil {
+	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	prom := b.String()
@@ -217,9 +219,5 @@ func TestSlowLogKeepsKSlowest(t *testing.T) {
 	}
 	if l.Slowest("categorize") != nil {
 		t.Fatal("unknown stage should return nil")
-	}
-	snap := l.Snapshot()
-	if len(snap["decode"]) != 3 {
-		t.Fatalf("snapshot decode = %d entries, want 3", len(snap["decode"]))
 	}
 }

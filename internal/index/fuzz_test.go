@@ -27,7 +27,7 @@ func fuzzIndex() *Index {
 
 // FuzzQueryParse hammers the boolean query parser: queries now arrive
 // over the peer RPC as well as the public API, so arbitrary input must
-// never panic or overflow the stack, Parse and Query must agree on
+// never panic or overflow the stack, parseQuery and Query must agree on
 // validity, and every accepted query must evaluate to a sorted,
 // deduplicated ID list.
 func FuzzQueryParse(f *testing.F) {
@@ -61,10 +61,10 @@ func FuzzQueryParse(f *testing.F) {
 		if len(q) > 1<<16 {
 			return // bound tokenizer work, not a parser property
 		}
-		parseErr := Parse(q)
+		_, parseErr := parseQuery(q)
 		ids, queryErr := ix.Query(q)
 		if (parseErr == nil) != (queryErr == nil) {
-			t.Fatalf("Parse err %v but Query err %v for %q", parseErr, queryErr, q)
+			t.Fatalf("parse err %v but Query err %v for %q", parseErr, queryErr, q)
 		}
 		if queryErr != nil {
 			return

@@ -69,11 +69,11 @@ func TestIndexQueryErrors(t *testing.T) {
 			t.Errorf("Query(%q) should fail", q)
 		}
 	}
-	// Parse mirrors Query's validation without evaluating.
-	if err := Parse("read_on_start AND (write_on_end OR read_steady)"); err != nil {
+	// parseQuery mirrors Query's validation without evaluating.
+	if _, err := parseQuery("read_on_start AND (write_on_end OR read_steady)"); err != nil {
 		t.Fatalf("valid query rejected: %v", err)
 	}
-	if err := Parse("((("); err == nil {
+	if _, err := parseQuery("((("); err == nil {
 		t.Fatal("malformed query accepted")
 	}
 }

@@ -221,12 +221,6 @@ func expandTerm(term string) []category.Category {
 	return out
 }
 
-// Parse validates a query, returning its parse error if malformed.
-func Parse(q string) error {
-	_, err := parseQuery(q)
-	return err
-}
-
 func parseQuery(q string) (node, error) {
 	p := &parser{query: q, tokens: tokenize(q)}
 	if len(p.tokens) == 0 {

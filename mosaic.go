@@ -24,17 +24,15 @@
 //	res, err := mosaic.Categorize(job, mosaic.DefaultConfig())
 //	fmt.Println(res.Labels) // e.g. [metadata_multiple_spikes write_periodic ...]
 //
-// For whole corpora, AnalyzeCorpus streams a directory of traces through
-// the full pipeline in parallel and returns funnel statistics, per-
-// application results and aggregate distributions.
+// For whole corpora, AnalyzeCorpusContext streams a directory of traces
+// through the full pipeline in parallel and returns funnel statistics,
+// per-application results and aggregate distributions.
 package mosaic
 
 import (
-	"fmt"
-
-	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/report"
 )
 
@@ -47,70 +45,10 @@ type (
 	FileRecord = darshan.FileRecord
 	// Counters is the Darshan-style counter set of a record.
 	Counters = darshan.Counters
-	// Module identifies the I/O API of a record (POSIX, MPI-IO, STDIO).
-	Module = darshan.Module
 )
 
-// Module constants.
-const (
-	ModPOSIX = darshan.ModPOSIX
-	ModMPIIO = darshan.ModMPIIO
-	ModSTDIO = darshan.ModSTDIO
-)
-
-// Category taxonomy, re-exported.
-type (
-	// Category is one behavioural label, e.g. "read_on_start".
-	Category = category.Category
-	// Set is the non-exclusive category set assigned to a trace: one
-	// 64-bit word, bit i standing for AllCategories()[i]. The zero value
-	// is the empty set; build one with Add, read it with Has, Sorted or
-	// Strings.
-	Set = category.Set
-	// Direction distinguishes read from write behaviour.
-	Direction = category.Direction
-	// TemporalKind enumerates the temporality sub-labels.
-	TemporalKind = category.TemporalKind
-	// PeriodMagnitude is the order of magnitude of a detected period.
-	PeriodMagnitude = category.PeriodMagnitude
-)
-
-// Re-exported category constructors and constants. See package
-// internal/category for the full taxonomy.
-var (
-	// Temporal builds a temporality category, e.g. Temporal(DirRead, OnStart).
-	Temporal = category.Temporal
-	// Periodic builds the base periodicity category for a direction.
-	Periodic = category.Periodic
-	// PeriodicMagnitude builds a magnitude-qualified periodicity category.
-	PeriodicMagnitudeCat = category.PeriodicMagnitude
-	// PeriodicBusy builds the busy-time periodicity category.
-	PeriodicBusy = category.PeriodicBusy
-	// AllCategories returns the closed set of categories MOSAIC can emit.
-	AllCategories = category.All
-)
-
-// Direction and temporality constants.
-const (
-	DirRead  = category.DirRead
-	DirWrite = category.DirWrite
-
-	OnStart             = category.OnStart
-	OnEnd               = category.OnEnd
-	AfterStart          = category.AfterStart
-	BeforeEnd           = category.BeforeEnd
-	AfterStartBeforeEnd = category.AfterStartBeforeEnd
-	Steady              = category.Steady
-	Insignificant       = category.Insignificant
-)
-
-// Metadata categories.
-const (
-	MetaHighSpike         = category.MetaHighSpike
-	MetaMultipleSpikes    = category.MetaMultipleSpikes
-	MetaHighDensity       = category.MetaHighDensity
-	MetaInsignificantLoad = category.MetaInsignificantLoad
-)
+// ModPOSIX marks a record of the POSIX I/O API.
+const ModPOSIX = darshan.ModPOSIX
 
 // Pipeline types, re-exported.
 type (
@@ -118,16 +56,13 @@ type (
 	Config = core.Config
 	// Result is the categorization of one trace.
 	Result = core.Result
-	// DirectionReport describes the detected behaviour of one direction.
-	DirectionReport = core.DirectionReport
-	// MetaReport describes the measured metadata load.
-	MetaReport = core.MetaReport
 	// FunnelStats summarizes the pre-processing funnel.
 	FunnelStats = core.FunnelStats
-	// AppGroup is a deduplicated application with its run count.
-	AppGroup = core.AppGroup
 	// Aggregator accumulates results into corpus-level distributions.
 	Aggregator = report.Aggregator
+	// Explanation is the decision-provenance record of one
+	// categorization, as `mosaic -explain-json` writes it.
+	Explanation = explain.Explanation
 )
 
 // DefaultConfig returns the thresholds used in the paper's evaluation
@@ -135,32 +70,14 @@ type (
 // req/s metadata spikes, 0.1%/1% merge gaps).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// NewAggregator returns an empty corpus aggregator.
-func NewAggregator() *Aggregator { return report.NewAggregator() }
-
 // Validate checks a trace's structural integrity, returning an error
-// describing the first corruption found (IsCorrupted reports whether an
-// error marks corruption).
+// describing the first corruption found.
 func Validate(j *Job) error { return darshan.Validate(j) }
-
-// IsCorrupted reports whether err was produced by Validate for a
-// corrupted trace.
-func IsCorrupted(err error) bool { return darshan.IsCorrupted(err) }
 
 // Categorize runs the full MOSAIC detection chain — merging, periodicity,
 // temporality and metadata analysis — on one validated trace.
 func Categorize(j *Job, cfg Config) (*Result, error) {
 	return core.Categorize(j, cfg)
-}
-
-// MustCategorize is Categorize for traces known to be well-formed; it
-// panics on pipeline errors. Intended for tests and examples.
-func MustCategorize(j *Job, cfg Config) *Result {
-	res, err := core.Categorize(j, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("mosaic: categorize: %v", err))
-	}
-	return res
 }
 
 // ReadTrace loads one trace file (binary .mosd or .json).
@@ -171,12 +88,3 @@ func WriteTrace(path string, j *Job) error { return darshan.WriteFile(path, j) }
 
 // ListCorpus returns the trace files under a directory.
 func ListCorpus(dir string) ([]string, error) { return darshan.ListCorpus(dir) }
-
-// Anonymize replaces identifying fields of a trace (user, uid,
-// executable, file paths, free-form metadata) with salted pseudonyms,
-// like publicly released Darshan corpora. Counters and timestamps are
-// untouched, so categorization is unaffected; pseudonyms are stable
-// within a salt, so per-application deduplication keeps working.
-func Anonymize(j *Job, salt string) {
-	darshan.NewAnonymizer(salt).Job(j)
-}

@@ -3,22 +3,29 @@ package mosaic_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/mosaic-hpc/mosaic"
+	"github.com/mosaic-hpc/mosaic/internal/category"
+	"github.com/mosaic-hpc/mosaic/internal/darshan"
+	"github.com/mosaic-hpc/mosaic/internal/gen"
 )
 
 func writeCorpus(t *testing.T, dir string, apps, maxTraces int, seed int64) int {
 	t.Helper()
-	profile := mosaic.DefaultCorpusProfile()
+	profile := gen.DefaultProfile()
 	profile.Apps = apps
 	profile.Seed = seed
-	corpus := mosaic.PlanCorpus(profile)
+	corpus := gen.Plan(profile)
 	n := 0
 	var werr error
-	corpus.Each(func(r mosaic.CorpusRun) bool {
+	corpus.Each(func(r gen.Run) bool {
 		name := filepath.Join(dir, r.Job.User+"_"+r.Job.AppName()+"_"+itoa(int(r.Job.JobID))+".mosd")
 		if err := mosaic.WriteTrace(name, r.Job); err != nil {
 			werr = err
@@ -50,7 +57,7 @@ func itoa(v int) string {
 func TestAnalyzeCorpusEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	n := writeCorpus(t, dir, 30, 300, 5)
-	analysis, err := mosaic.AnalyzeCorpus(dir, mosaic.Options{})
+	analysis, err := mosaic.AnalyzeCorpusContext(context.Background(), dir, mosaic.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +83,6 @@ func TestAnalyzeCorpusEndToEnd(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty report")
 	}
-	if top := analysis.TopCategories(); len(top) == 0 {
-		t.Fatal("no top categories")
-	}
 }
 
 func TestCategorizeFacade(t *testing.T) {
@@ -97,7 +101,7 @@ func TestCategorizeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Categories.Has(mosaic.Temporal(mosaic.DirRead, mosaic.OnStart)) {
+	if !res.Categories.Has(category.Temporal(category.DirRead, category.OnStart)) {
 		t.Fatalf("categories = %v", res.Categories)
 	}
 	var buf bytes.Buffer
@@ -105,28 +109,24 @@ func TestCategorizeFacade(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty explanation")
 	}
-	// MustCategorize mirrors Categorize on valid traces.
-	if got := mosaic.MustCategorize(job, mosaic.DefaultConfig()); got == nil {
-		t.Fatal("MustCategorize returned nil")
-	}
 }
 
 func TestValidateFacadeDetectsCorruption(t *testing.T) {
 	bad := &mosaic.Job{Runtime: -1, NProcs: 1}
 	err := mosaic.Validate(bad)
-	if err == nil || !mosaic.IsCorrupted(err) {
+	if err == nil || !errors.Is(err, darshan.ErrCorrupted) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestCategorizeAllSkipsCorrupted(t *testing.T) {
-	profile := mosaic.DefaultCorpusProfile()
+	profile := gen.DefaultProfile()
 	profile.Apps = 10
 	profile.Seed = 3
-	corpus := mosaic.PlanCorpus(profile)
+	corpus := gen.Plan(profile)
 	var jobs []*mosaic.Job
 	var corrupted int
-	corpus.Each(func(r mosaic.CorpusRun) bool {
+	corpus.Each(func(r gen.Run) bool {
 		jobs = append(jobs, r.Job)
 		if r.Corrupted {
 			corrupted++
@@ -154,13 +154,13 @@ func TestCategorizeAllSkipsCorrupted(t *testing.T) {
 }
 
 func TestAnalyzeJobsMatchesTruthMostly(t *testing.T) {
-	profile := mosaic.DefaultCorpusProfile()
+	profile := gen.DefaultProfile()
 	profile.Apps = 40
 	profile.Seed = 9
 	profile.CorruptionRate = 0 // clean corpus for truth comparison
-	corpus := mosaic.PlanCorpus(profile)
+	corpus := gen.Plan(profile)
 	var jobs []*mosaic.Job
-	corpus.Each(func(r mosaic.CorpusRun) bool {
+	corpus.Each(func(r gen.Run) bool {
 		jobs = append(jobs, r.Job)
 		return len(jobs) < 400
 	})
@@ -173,7 +173,7 @@ func TestAnalyzeJobsMatchesTruthMostly(t *testing.T) {
 		if r == nil {
 			continue
 		}
-		truth := mosaic.Truth(jobs[i])
+		truth := gen.Truth(jobs[i])
 		if truth == 0 {
 			t.Fatal("generated job without truth")
 		}
@@ -193,44 +193,123 @@ func TestAnalyzeJobsMatchesTruthMostly(t *testing.T) {
 	}
 }
 
-// TestClusterFacade: the re-exported routing table places every key on
-// rf distinct members, owner first, whatever order the membership is
-// listed in.
-func TestClusterFacade(t *testing.T) {
-	if _, err := mosaic.NewClusterTable(nil, 0, 0); err == nil {
-		t.Fatal("empty membership accepted")
-	}
-	nodes := []mosaic.ClusterNode{{ID: "a", Addr: "h1:7070"}, {ID: "b", Addr: "h2:7070"}, {ID: "c", Addr: "h3:7070"}}
-	table, err := mosaic.NewClusterTable(nodes, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shuffled, err := mosaic.NewClusterTable([]mosaic.ClusterNode{nodes[2], nodes[0], nodes[1]}, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.RF() != 2 || table.VirtualNodes() <= 0 || table.Version() != shuffled.Version() {
-		t.Fatalf("rf=%d vnodes=%d versions %x/%x", table.RF(), table.VirtualNodes(), table.Version(), shuffled.Version())
-	}
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("trace-%d", i)
-		reps := table.Replicas(key)
-		if len(reps) != 2 || reps[0] == reps[1] || reps[0] != table.Owner(key) {
-			t.Fatalf("%s: replicas %v, owner %v", key, reps, table.Owner(key))
-		}
-		if other := shuffled.Replicas(key); other[0] != reps[0] || other[1] != reps[1] {
-			t.Fatalf("%s: placement depends on membership order: %v vs %v", key, reps, other)
-		}
-	}
-}
-
 func TestTraceBuilderFacade(t *testing.T) {
 	arch, ok := mosaic.ArchetypeByName("checkpointer-minute")
 	if !ok {
 		t.Fatal("archetype lookup failed")
 	}
-	if len(mosaic.Archetypes()) < 10 {
-		t.Fatal("too few archetypes")
+	if arch.Exe == "" {
+		t.Fatalf("archetype %q has no executable", arch.Name)
 	}
-	_ = arch
+	if _, ok := mosaic.ArchetypeByName("no-such-archetype"); ok {
+		t.Fatal("unknown archetype found")
+	}
+}
+
+func TestWriteTimelineFacade(t *testing.T) {
+	job := &mosaic.Job{
+		JobID: 2, User: "u", Exe: "/bin/b", NProcs: 4, Runtime: 1000, End: 1000,
+		Records: []mosaic.FileRecord{{
+			Module: mosaic.ModPOSIX, Path: "/f",
+			C: mosaic.Counters{Writes: 5, BytesWritten: 1 << 30, WriteStart: 900, WriteEnd: 950},
+		}},
+	}
+	res, err := mosaic.Categorize(job, mosaic.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	mosaic.WriteTimeline(&buf, job, res, mosaic.DefaultConfig())
+	if !strings.Contains(buf.String(), "writes (merged)") {
+		t.Fatal("timeline facade broken")
+	}
+}
+
+func TestCategorizeAllContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	jobs := []*mosaic.Job{{JobID: 1, User: "u", Exe: "/bin/c", NProcs: 1, Runtime: 10, End: 10}}
+	if _, err := mosaic.CategorizeAll(ctx, jobs, mosaic.Options{}); err == nil {
+		t.Fatal("cancelled context not surfaced")
+	}
+}
+
+func buildFacadeCorpus(t *testing.T, n int) []*mosaic.Job {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	jobs := make([]*mosaic.Job, 0, n)
+	for i := 0; i < n; i++ {
+		b := mosaic.NewTraceBuilder(rng, "user", fmt.Sprintf("/bin/app%d", i%4), uint64(i+1), 8, 3600)
+		b.Burst(mosaic.BurstSpec{At: 30, Duration: 60, Bytes: 1 << 30, Records: 4})
+		jobs = append(jobs, b.Job())
+	}
+	return jobs
+}
+
+func writeJobs(t *testing.T, dir string, jobs []*mosaic.Job) {
+	t.Helper()
+	for i, j := range jobs {
+		if err := mosaic.WriteTrace(filepath.Join(dir, fmt.Sprintf("t%d.mosd", i)), j); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAnalyzeJobsMatchesCorpus: the in-memory and the directory entry
+// points run one engine, so the same traces give the same funnel and
+// the same results in the same order. Ten traces keep the files' names
+// (t0 … t9) in input order, so ties between equally heavy runs break the
+// same way.
+func TestAnalyzeJobsMatchesCorpus(t *testing.T) {
+	jobs := buildFacadeCorpus(t, 10)
+	dir := t.TempDir()
+	writeJobs(t, dir, jobs)
+	mem, err := mosaic.AnalyzeJobsContext(context.Background(), jobs, mosaic.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := mosaic.AnalyzeCorpusContext(context.Background(), dir, mosaic.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mem.Funnel, disk.Funnel) {
+		t.Fatalf("funnels differ: %+v vs %+v", mem.Funnel, disk.Funnel)
+	}
+	if len(mem.Apps) != 4 || len(mem.Apps) != len(disk.Apps) {
+		t.Fatalf("apps %d vs %d, want 4", len(mem.Apps), len(disk.Apps))
+	}
+	for i := range mem.Apps {
+		m, d := mem.Apps[i], disk.Apps[i]
+		if m.Runs != d.Runs || m.Result.JobID != d.Result.JobID || m.Result.Categories != d.Result.Categories {
+			t.Fatalf("app %d: %d runs of job %d %v vs %d runs of job %d %v", i,
+				m.Runs, m.Result.JobID, m.Result.Categories, d.Runs, d.Result.JobID, d.Result.Categories)
+		}
+	}
+}
+
+func TestAnalyzeCorpusContextCancelled(t *testing.T) {
+	dir := t.TempDir()
+	writeJobs(t, dir, buildFacadeCorpus(t, 5))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := mosaic.AnalyzeCorpusContext(ctx, dir, mosaic.Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+func TestOptionsPartialConfigNotDiscarded(t *testing.T) {
+	// A config with only one threshold set must be honored (sane-clamped),
+	// not silently replaced by DefaultConfig — the old zero-value
+	// comparison got this right only by accident of comparability.
+	jobs := buildFacadeCorpus(t, 4)
+	cfg := mosaic.Config{SignificanceBytes: 1 << 50} // absurdly high: everything insignificant
+	a, err := mosaic.AnalyzeJobsContext(context.Background(), jobs, mosaic.Options{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range a.Apps {
+		if app.Result.Read.Significant() || app.Result.Write.Significant() {
+			t.Fatal("partial config was discarded: significance threshold ignored")
+		}
+	}
 }

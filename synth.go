@@ -3,27 +3,16 @@ package mosaic
 import (
 	"math/rand"
 
-	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/gen"
 )
 
-// Synthetic workload generation, re-exported. The generator produces
+// Synthetic trace generation, re-exported. The generator produces
 // Darshan-like traces for the I/O motifs observed in production HPC
 // systems (checkpointing, read-on-start, write-on-end, steady streaming,
-// metadata storms), each annotated with its intended ("ground truth")
-// category set. It substitutes for the non-redistributable Blue Waters
-// corpus in every experiment of this repository and doubles as a test
-// fixture factory for downstream users.
+// metadata storms). It substitutes for the non-redistributable Blue
+// Waters corpus in every experiment of this repository and doubles as a
+// test fixture factory for downstream users.
 type (
-	// CorpusProfile describes a synthetic corpus (size, mixture,
-	// corruption rate, seed).
-	CorpusProfile = gen.Profile
-	// Corpus is a deterministic plan of applications and runs.
-	Corpus = gen.Corpus
-	// CorpusApp is one planned application.
-	CorpusApp = gen.App
-	// CorpusRun is one generated execution.
-	CorpusRun = gen.Run
 	// Archetype is one synthetic application family.
 	Archetype = gen.Archetype
 	// TraceBuilder assembles a single synthetic trace from I/O phases.
@@ -34,16 +23,6 @@ type (
 	PeriodicSpec = gen.PeriodicSpec
 )
 
-// DefaultCorpusProfile returns the Blue-Waters-shaped corpus profile used
-// by the experiments (calibrated archetype mixture, 32% corruption).
-func DefaultCorpusProfile() CorpusProfile { return gen.DefaultProfile() }
-
-// PlanCorpus lays out a deterministic corpus from a profile.
-func PlanCorpus(p CorpusProfile) *Corpus { return gen.Plan(p) }
-
-// Archetypes returns the calibrated archetype mixture.
-func Archetypes() []Archetype { return gen.DefaultArchetypes() }
-
 // ArchetypeByName looks up one archetype of the default mixture.
 func ArchetypeByName(name string) (Archetype, bool) { return gen.ArchetypeByName(name) }
 
@@ -51,12 +30,3 @@ func ArchetypeByName(name string) (Archetype, bool) { return gen.ArchetypeByName
 func NewTraceBuilder(rng *rand.Rand, user, exe string, jobID uint64, ranks int32, runtime float64) *TraceBuilder {
 	return gen.NewBuilder(rng, user, exe, jobID, ranks, runtime)
 }
-
-// Truth extracts the generator's ground-truth category set from a
-// synthetic trace (nil for traces without the annotation).
-func Truth(j *Job) Set { return gen.Truth(j) }
-
-// TruthKey is the job-metadata key holding the ground-truth categories.
-const TruthKey = gen.TruthKey
-
-var _ = category.All // keep the import alive if aliases change
