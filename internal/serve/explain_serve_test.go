@@ -175,7 +175,8 @@ func wantExplainBody(t *testing.T, s *Server, j *darshan.Job) string {
 // TestServeExplainDerivedForEveryArchetype: for a trace of every
 // generator archetype, GET /v1/explain/{id} answers the body of a fresh
 // explained categorization of the trace, and its request trace carries
-// the categorization's two spans, so /debug/budget attributes the route.
+// the lookup's, the categorization's two and the reply's spans, so
+// /debug/budget attributes the route.
 func TestServeExplainDerivedForEveryArchetype(t *testing.T) {
 	rec := reqtrace.NewRecorder(reqtrace.RecorderConfig{Capacity: 64})
 	s, st := newTestServer(t, Config{Workers: 2, QueueDepth: 64, Flight: rec})
@@ -212,11 +213,15 @@ func TestServeExplainDerivedForEveryArchetype(t *testing.T) {
 			return ok
 		})
 		var names []string
+		root := det.SpanTree[len(det.SpanTree)-1] // spans are kept in the order they ended
 		for _, sp := range det.SpanTree[:len(det.SpanTree)-1] {
+			if sp.Parent != root.ID {
+				t.Fatalf("%s: span %s is not a child of the root %s", arch.Name, sp.Name, root.Name)
+			}
 			names = append(names, sp.Name)
 		}
-		if strings.Join(names, ",") != "funnel.validate,categorize.exec" {
-			t.Fatalf("%s: explain spans %v, want funnel.validate then categorize.exec", arch.Name, names)
+		if want := "explain.read,funnel.validate,categorize.exec,explain.encode"; strings.Join(names, ",") != want {
+			t.Fatalf("%s: explain spans %v, want %s", arch.Name, names, want)
 		}
 	}
 }

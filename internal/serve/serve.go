@@ -618,7 +618,11 @@ func (s *Server) reqLog(r *http.Request) *slog.Logger {
 // pooled readers (429 when none is free), and serves it only when its
 // labels are the stored result's (409 with both sets otherwise).
 // ?category=<substring> narrows the evidence to matching categories.
+// The request's spans split its time: explain.read (the stored result's
+// lookup and check), the categorization's funnel.validate and
+// categorize.exec, and explain.encode (the filter and the JSON reply).
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	s.explainsServed.Inc()
 	id := store.TraceID(strings.ToLower(r.PathValue("id")))
 	if !id.Valid() {
@@ -630,11 +634,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if err == nil && ok {
 		_, stored, err = store.CheckResultRecord(rec)
 	}
+	found := err == nil && ok && s.st.HasTrace(id)
+	reqtrace.AddSpan(r.Context(), "explain.read", start, time.Since(start),
+		reqtrace.Str("found", strconv.FormatBool(found)))
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	if !ok || !s.st.HasTrace(id) {
+	if !found {
 		switch {
 		case ok:
 			writeJSON(w, http.StatusNotFound, errorResponse{Error: "the result is stored without its trace, which an explanation is derived from"})
@@ -674,6 +681,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, conflict)
 		return
 	}
+	encode := time.Now()
 	if c := r.URL.Query().Get("category"); c != "" {
 		e = e.FilterCategory(c)
 	}
@@ -681,6 +689,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		log.Debug("explanation served", "id", string(id), "evidence", e.EvidenceCount())
 	}
 	writeJSON(w, http.StatusOK, e)
+	reqtrace.AddSpan(r.Context(), "explain.encode", encode, time.Since(encode))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
