@@ -37,8 +37,12 @@ const (
 // crashOp is one operation of the schedule.
 type crashOp struct {
 	do    func(s *Store, j *AppendLog) error
-	recs  []kv   // what reading each key the operation writes returns once it is acknowledged
+	recs  []kv   // what reading each key the operation writes returns once it is durable
 	event []byte // a journal append's value
+	// derived: an outcome put, whose acknowledgment promises no
+	// durability — its records are durable once a later segment sync
+	// (a trace commit's, a rotation's) completes.
+	derived bool
 }
 
 type kv struct {
@@ -109,7 +113,7 @@ func crashSchedule(t *testing.T) []crashOp {
 			if rng.Intn(4) == 0 {
 				id, ofp = superseded[rng.Intn(len(superseded))], legacyFP
 			}
-			op := crashOp{recs: []kv{{resultKeyOf(id, ofp), o.rec}}}
+			op := crashOp{recs: []kv{{resultKeyOf(id, ofp), o.rec}}, derived: true}
 			expl := o.expl
 			if rng.Intn(3) == 0 {
 				expl = nil
@@ -131,8 +135,8 @@ func crashSchedule(t *testing.T) []crashOp {
 
 // keyState is what the model knows of one key.
 type keyState struct {
-	acked []byte   // the value of the last acknowledged write; nil when none
-	maybe [][]byte // values written after it that nobody acknowledged
+	acked []byte   // the value of the last write known durable; nil when none
+	maybe [][]byte // values written after it: unacknowledged, or derived and not yet synced
 }
 
 // crashRun runs the schedule once on its own faultFS and keeps the model
@@ -144,10 +148,14 @@ type crashRun struct {
 	events [][]byte // every journal append, in call order
 	// eventsAcked: events[:eventsAcked] were acknowledged.
 	eventsAcked int
-	// ackedEnd: per file, the bytes acknowledgments made durable.
+	// ackedEnd: per file, the bytes acknowledged syncs made durable.
 	ackedEnd map[string]int
 	touched  map[string]bool // files the running operation wrote or synced
+	synced   map[string]bool // files the running operation synced
 	faulted  map[string]bool // files a fault was injected into
+	// deferred: keys of acknowledged derived writes no segment sync has
+	// covered yet → how many of the key's maybe values that write ends.
+	deferred map[string]int
 	inject   func(boundary) fault
 	sets     map[string]category.Set // result record → its category set, shared between runs
 	// enumerate crashes the run at every boundary and checks the image.
@@ -165,7 +173,9 @@ func newCrashRun(t *testing.T, fixture []byte, sets map[string]category.Set) *cr
 		keys:     make(map[string]*keyState),
 		ackedEnd: map[string]int{crashDir + "/000001.seg": len(fixture)},
 		touched:  make(map[string]bool),
+		synced:   make(map[string]bool),
 		faulted:  make(map[string]bool),
+		deferred: make(map[string]int),
 		inject:   func(boundary) fault { return noFault },
 	}
 	r.fs.put(crashDir+"/000001.seg", fixture)
@@ -175,6 +185,9 @@ func newCrashRun(t *testing.T, fixture []byte, sets map[string]category.Set) *cr
 
 func (r *crashRun) hook(b boundary) fault {
 	r.touched[b.path] = true
+	if b.sync {
+		r.synced[b.path] = true
+	}
 	r.boundaries = append(r.boundaries, boundary{n: b.n, path: b.path, sync: b.sync})
 	if r.enumerate {
 		r.crashAt(b)
@@ -219,22 +232,42 @@ func (r *crashRun) run(ops []crashOp) (*Store, *AppendLog) {
 			r.events = append(r.events, op.event)
 		}
 		clear(r.touched)
+		clear(r.synced)
 		if err := op.do(s, j); err != nil {
 			if len(r.faulted) == 0 {
 				t.Fatalf("op %d failed with no fault injected: %v", i, err)
 			}
 			continue
 		}
+		segSynced := false
 		for path := range r.touched {
 			if r.faulted[path] {
 				t.Fatalf("op %d was acknowledged after a failed write or sync on %s", i, path)
 			}
+		}
+		for path := range r.synced {
 			if m := r.fs.files[path]; m != nil { // not the directory
 				r.ackedEnd[path] = len(m.data)
+				segSynced = segSynced || strings.HasSuffix(path, ".seg")
 			}
 		}
 		for _, rec := range op.recs {
-			r.keys[rec.key].acked, r.keys[rec.key].maybe = rec.value, nil
+			st := r.keys[rec.key]
+			if op.derived {
+				r.deferred[rec.key] = len(st.maybe)
+			} else {
+				st.acked, st.maybe = rec.value, nil
+			}
+		}
+		if segSynced {
+			// The sync covered every frame appended before it: each
+			// deferred write is durable, and what was written to its key
+			// before it can no longer be read back.
+			for key, n := range r.deferred {
+				st := r.keys[key]
+				st.acked, st.maybe = st.maybe[n-1], st.maybe[n:]
+			}
+			clear(r.deferred)
 		}
 		if op.event != nil {
 			r.eventsAcked = len(r.events)

@@ -328,8 +328,9 @@ func TestStreamingReadersStopAtCorruptFrame(t *testing.T) {
 }
 
 // TestOutcomeOneCommit pins what the pair costs under Options.Sync: one
-// fsync covering two frames, where PutResult followed by PutExplanation
-// pays two. The record it hands back is the one a read finds.
+// write and no fsync. Its two frames ride the next trace put's fsync,
+// which covers them and the trace's frame at once. The record it hands
+// back is the one a read finds.
 func TestOutcomeOneCommit(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{Sync: true})
 	if err != nil {
@@ -348,14 +349,29 @@ func TestOutcomeOneCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := s.Stats()
-	if got := after.GroupSyncs - before.GroupSyncs; got != 1 {
-		t.Fatalf("the pair cost %d fsyncs, want 1", got)
-	}
-	if got := after.SyncedFrames - before.SyncedFrames; got != 2 {
-		t.Fatalf("that fsync covered %d frames, want 2", got)
+	if got := after.GroupSyncs - before.GroupSyncs; got != 0 {
+		t.Fatalf("the pair cost %d fsyncs, want 0", got)
 	}
 	if got, ok, err := s.GetResultBytes(id, fp); err != nil || !ok || !bytes.Equal(got, rec) {
 		t.Fatalf("PutOutcomeCtx handed back a record the store does not hold (ok=%v err=%v)", ok, err)
+	}
+	// A re-put of a stored trace waits for trace frames only: it forces
+	// no fsync of the pair.
+	if _, dup, err := s.PutTrace(testJob(12)); err != nil || !dup {
+		t.Fatalf("re-put: dup=%v err=%v", dup, err)
+	}
+	if got := s.Stats().GroupSyncs - before.GroupSyncs; got != 0 {
+		t.Fatalf("a duplicate trace put cost %d fsyncs, want 0", got)
+	}
+	if _, _, err := s.PutTrace(testJob(14)); err != nil {
+		t.Fatal(err)
+	}
+	next := s.Stats()
+	if got := next.GroupSyncs - after.GroupSyncs; got != 1 {
+		t.Fatalf("the next trace put cost %d fsyncs, want 1", got)
+	}
+	if got := next.SyncedFrames - after.SyncedFrames; got != 3 {
+		t.Fatalf("that fsync covered %d frames, want 3: the pair's and the trace's", got)
 	}
 }
 

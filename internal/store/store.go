@@ -23,6 +23,10 @@
 // Durability (Options.Sync) is group-committed: concurrent writers
 // share one fsync, so a burst of appends costs one disk flush, not
 // one per record — see waitDurable for the leader/follower protocol.
+// Only trace puts wait for it. A result or explanation is derived from a
+// stored trace, so it rides the next fsync of its segment instead of
+// forcing one; a crash that takes it leaves a trace without a result,
+// which the serve tier's startup backfill derives again.
 package store
 
 import (
@@ -98,12 +102,16 @@ type Options struct {
 	// CacheBytes bounds the in-memory value cache (0: 32 MiB; < 0:
 	// cache disabled). The key → location index is always resident.
 	CacheBytes int64
-	// Sync makes every Put durable before it returns: an append is only
-	// acknowledged after an fsync covering it. Syncs are group-committed —
-	// concurrent writers (and every record of one batch or outcome put)
+	// Sync makes every trace put durable before it returns: an append is
+	// only acknowledged after an fsync covering it. Syncs are
+	// group-committed — concurrent writers (and every blob of one batch)
 	// share one fsync, so durability costs one disk flush per batch, not
-	// per record. Without Sync the log is still crash-consistent (torn tails
-	// are dropped on recovery).
+	// per record. A result or explanation put is not waited on: it returns
+	// after its write, and its frames become durable with the next fsync
+	// of their segment — a later trace put's, a rotation's or Close's. A
+	// crash before that may take them; what they were derived from is
+	// durable, so they can be derived again. Without Sync the log is still
+	// crash-consistent (torn tails are dropped on recovery).
 	Sync bool
 }
 
@@ -152,11 +160,12 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu     sync.RWMutex // guards index, segment bookkeeping, appends
-	index  map[string]loc
-	segs   []*logFile // index = segment number - 1; the last is the active one
-	seq    int64      // appended-frame watermark (monotonic across segments)
-	closed bool
+	mu       sync.RWMutex // guards index, segment bookkeeping, appends
+	index    map[string]loc
+	segs     []*logFile // index = segment number - 1; the last is the active one
+	seq      int64      // appended-frame watermark (monotonic across segments)
+	traceSeq int64      // seq after the last trace frame: a duplicate trace put waits on it, not on later results
+	closed   bool
 
 	gc groupCommit // fsync cohort state; locked after mu, never before
 
@@ -356,9 +365,10 @@ type record struct {
 
 // appendLocked hands recs, in order, to the active segment in one write
 // and indexes them, returning the sequence number of the last frame and
-// the bytes written. Callers hold s.mu; when Options.Sync is set they
-// must call waitDurable(seq) after releasing it — acknowledgment before
-// durability is the group-commit protocol's only caller obligation.
+// the bytes written. Callers hold s.mu; when Options.Sync is set, a
+// trace put must call waitDurable(seq) after releasing it — acknowledging
+// a trace before it is durable is the one thing the group-commit protocol
+// forbids.
 // Frames of one call are contiguous in the log, so recovery keeps a
 // prefix of them and nothing else.
 func (s *Store) appendLocked(recs ...record) (seq, written int64, err error) {
@@ -384,10 +394,12 @@ func (s *Store) appendLocked(recs ...record) (seq, written int64, err error) {
 	return seq, written, nil
 }
 
-// putRecords appends recs as one commit — one lock acquisition, one
-// write, one durable wait. A key the read cache holds gets its new value
-// there; the cache admits nothing on a write (readValue and readResult
-// fill it). kind labels the "store.commit" span of a traced ctx.
+// putRecords appends derived records (results, explanations) as one
+// commit — one lock acquisition, one write — and returns without waiting
+// for durability: under Options.Sync the frames ride the next fsync of
+// their segment. A key the read cache holds gets its new value there;
+// the cache admits nothing on a write (readValue and readResult fill
+// it). kind labels the "store.commit" span of a traced ctx.
 func (s *Store) putRecords(ctx context.Context, kind string, recs ...record) error {
 	start := tracedNow(ctx)
 	s.mu.Lock()
@@ -399,7 +411,7 @@ func (s *Store) putRecords(ctx context.Context, kind string, recs ...record) err
 	for _, r := range recs {
 		s.cache.refresh(r.key, r.value)
 	}
-	return s.commitCtx(ctx, start, seq, kind, int64(len(recs)), written)
+	return s.commitCtx(ctx, start, seq, kind, int64(len(recs)), written, false)
 }
 
 // waitDurable blocks until the durable watermark covers seq: the heart
@@ -506,18 +518,21 @@ func tracedNow(ctx context.Context) time.Time {
 	return time.Time{}
 }
 
-// commitCtx acknowledges one append: under Options.Sync it blocks in
-// waitDurable until the group-commit watermark covers seq. When ctx
-// carries an active request trace (start, from tracedNow, is set) the
-// lock wait, the append and the durable wait are recorded as one
-// "store.commit" span annotated with the record count, appended bytes
-// and how many leader fsyncs the store issued while this commit
-// waited (group_syncs — 0 means the cohort rode someone else's
-// flush). Untraced callers (the batch engine, backfill, benchmarks)
-// take the exact pre-tracing path: no clock reads, no allocations.
-func (s *Store) commitCtx(ctx context.Context, start time.Time, seq int64, kind string, records, nbytes int64) error {
+// commitCtx acknowledges one append: when durable is set under
+// Options.Sync it blocks in waitDurable until the group-commit watermark
+// covers seq. When ctx carries an active request trace (start, from
+// tracedNow, is set) the lock wait, the append and the durable wait are
+// recorded as one "store.commit" span annotated with the record count,
+// appended bytes, its durability — "fsync", "deferred" (a derived record
+// under Options.Sync, riding the next fsync) or "buffered" (no Sync) —
+// and, for an fsync, how many leader fsyncs the store issued while this
+// commit waited (group_syncs — 0 means the cohort rode someone else's
+// flush). Untraced callers (the batch engine, backfill, benchmarks) take
+// the exact pre-tracing path: no clock reads, no allocations.
+func (s *Store) commitCtx(ctx context.Context, start time.Time, seq int64, kind string, records, nbytes int64, durable bool) error {
+	wait := durable && s.opts.Sync
 	if start.IsZero() {
-		if s.opts.Sync {
+		if wait {
 			return s.waitDurable(seq)
 		}
 		return nil
@@ -526,8 +541,12 @@ func (s *Store) commitCtx(ctx context.Context, start time.Time, seq int64, kind 
 		reqtrace.Str("kind", kind),
 		reqtrace.Int("records", records),
 		reqtrace.Int("bytes", nbytes))
-	if !s.opts.Sync {
-		sp.SetAttr(reqtrace.Str("durability", "buffered"))
+	if !wait {
+		durability := "buffered"
+		if s.opts.Sync {
+			durability = "deferred"
+		}
+		sp.SetAttr(reqtrace.Str("durability", durability))
 		sp.End()
 		return nil
 	}
@@ -591,7 +610,9 @@ func (s *Store) putTraces(ctx context.Context, ids []TraceID, blobs [][]byte, du
 	if len(recs) == 0 {
 		// A duplicate is acknowledged once the frame it found is durable:
 		// that frame's own commit may still await its fsync, or have failed.
-		seq := s.seq
+		// The last trace frame appended bounds it; results appended since
+		// are not waited for.
+		seq := s.traceSeq
 		s.mu.Unlock()
 		if s.opts.Sync {
 			return s.waitDurable(seq)
@@ -599,11 +620,14 @@ func (s *Store) putTraces(ctx context.Context, ids []TraceID, blobs [][]byte, du
 		return nil
 	}
 	seq, written, err := s.appendLocked(recs...)
+	if seq > 0 { // appended, even if the rotation after it failed
+		s.traceSeq = seq
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return s.commitCtx(ctx, start, seq, "traces", int64(len(recs)), written)
+	return s.commitCtx(ctx, start, seq, "traces", int64(len(recs)), written, true)
 }
 
 // PutTrace canonically encodes and stores a job.
