@@ -281,24 +281,24 @@ func TestLyingPrelude(t *testing.T) {
 	// Over-claiming: the second tied run says it is heavier and takes the
 	// place of the honest first. Reading it back shows the lie; the pass is
 	// repeated with every file walked, the liar is unreadable, the honest
-	// run wins — under either policy, without an error.
-	for _, policy := range []ErrorPolicy{FailFast, CollectAll} {
+	// run wins, without an error.
+	{
 		dir, paths := withLiar(tiedSecond, func(p *mosdtest.Prelude) { p.Weight++ })
 		want := reference(paths)
 		spans := &decodeSpans{byName: map[string]int{}}
-		got, err := Run(context.Background(), Dir(dir), Options{Workers: 2, Policy: policy, Observer: spans})
+		got, err := Run(context.Background(), Dir(dir), Options{Workers: 2, Observer: spans})
 		if err != nil {
-			t.Fatalf("over-claim, policy %d: %v", policy, err)
+			t.Fatalf("over-claim: %v", err)
 		}
 		if sameAnswer(t, got, want) != tiedFirst || got.Funnel.ByReason["unreadable"] != 2 {
-			t.Fatalf("over-claim, policy %d: funnel %+v, want the liar unreadable beside the junk file and job %d kept", policy, got.Funnel, tiedFirst)
+			t.Fatalf("over-claim: funnel %+v, want the liar unreadable beside the junk file and job %d kept", got.Funnel, tiedFirst)
 		}
 		if spans.passes != 2 {
-			t.Fatalf("over-claim, policy %d: %d Decode passes, want the believing one and the repeat", policy, spans.passes)
+			t.Fatalf("over-claim: %d Decode passes, want the believing one and the repeat", spans.passes)
 		}
 		for _, p := range paths {
 			if n := spans.byName[p]; n < 2 {
-				t.Fatalf("over-claim, policy %d: %s inspected %d times, want once per pass", policy, p, n)
+				t.Fatalf("over-claim: %s inspected %d times, want once per pass", p, n)
 			}
 		}
 	}
@@ -418,54 +418,41 @@ func TestTraceChangedBetweenPasses(t *testing.T) {
 	}{
 		{"lighter", lighter}, {"corrupted", invalid}, {"other key", other}, {"deleted", nil},
 	} {
-		for _, policy := range []ErrorPolicy{FailFast, CollectAll} {
-			t.Run(fmt.Sprintf("%s/policy%d", c.name, policy), func(t *testing.T) {
-				dir := t.TempDir()
-				path := func(i int) string { return filepath.Join(dir, fmt.Sprintf("t%02d.mosd", i)) }
-				for i, j := range jobs {
-					if err := darshan.WriteFile(path(i), j); err != nil {
-						t.Fatal(err)
-					}
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := func(i int) string { return filepath.Join(dir, fmt.Sprintf("t%02d.mosd", i)) }
+			for i, j := range jobs {
+				if err := darshan.WriteFile(path(i), j); err != nil {
+					t.Fatal(err)
 				}
-				swap := &afterScan{n: len(jobs), do: func() {
-					var err error
-					if c.replace == nil {
-						err = os.Remove(path(victim))
-					} else {
-						err = darshan.WriteFile(path(victim), c.replace)
-					}
-					if err != nil {
-						t.Error(err)
-					}
-				}}
-				exec := &seenExec{seen: map[uint64]bool{}}
-				res, err := Run(context.Background(), Dir(dir), Options{
-					Workers: 2, Policy: policy, Observer: swap, Executor: exec,
-				})
-				if !errors.Is(err, ErrTraceChanged) || !containsStr(err.Error(), path(victim)) {
-					t.Fatalf("err = %v, want ErrTraceChanged naming %s", err, path(victim))
+			}
+			swap := &afterScan{n: len(jobs), do: func() {
+				var err error
+				if c.replace == nil {
+					err = os.Remove(path(victim))
+				} else {
+					err = darshan.WriteFile(path(victim), c.replace)
 				}
-				for _, id := range []uint64{jobs[victim].JobID, 777, 778, 779} {
-					if exec.seen[id] {
-						t.Fatalf("job %d was categorized: the funnel never validated what is in that file now", id)
-					}
+				if err != nil {
+					t.Error(err)
 				}
-				if policy == FailFast {
-					if res != nil {
-						t.Fatal("fail-fast returned a partial analysis")
-					}
-					return
-				}
-				if res == nil || len(res.Apps) != len(jobs)-1 || res.Funnel.UniqueApps != len(jobs) {
-					t.Fatalf("collect-all: %+v, want %d of %d apps", res, len(jobs)-1, len(jobs))
-				}
-				for _, a := range res.Apps {
-					if a.User == jobs[victim].User && a.App == jobs[victim].AppName() {
-						t.Fatal("the changed app leaked into the results")
-					}
-				}
+			}}
+			exec := &seenExec{seen: map[uint64]bool{}}
+			res, err := Run(context.Background(), Dir(dir), Options{
+				Workers: 2, Observer: swap, Executor: exec,
 			})
-		}
+			if !errors.Is(err, ErrTraceChanged) || !containsStr(err.Error(), path(victim)) {
+				t.Fatalf("err = %v, want ErrTraceChanged naming %s", err, path(victim))
+			}
+			for _, id := range []uint64{jobs[victim].JobID, 777, 778, 779} {
+				if exec.seen[id] {
+					t.Fatalf("job %d was categorized: the funnel never validated what is in that file now", id)
+				}
+			}
+			if res != nil {
+				t.Fatal("fail-fast returned a partial analysis")
+			}
+		})
 	}
 }
 

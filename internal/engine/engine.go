@@ -25,10 +25,9 @@
 // Stages are joined by bounded channels (real backpressure: a slow
 // categorizer throttles the scanner), with context cancellation plumbed
 // end-to-end (cancelling mid-corpus drains every worker and returns
-// ctx.Err() with no goroutine leaks), a selectable error policy
-// (fail-fast with cancellation of in-flight work, or collect-all via
-// errors.Join), and an Observer exposing per-stage counters and
-// timings.
+// ctx.Err() with no goroutine leaks), fail-fast errors (the first
+// per-item error cancels in-flight work and is returned), and an
+// Observer exposing per-stage counters and timings.
 //
 // Every frontend drives this one graph: the library facade
 // (mosaic.AnalyzeCorpusContext), the mosaic CLI and the bench harness.
@@ -99,21 +98,6 @@ func materialize(j *darshan.Job, g *core.AppGroup) error {
 	return nil
 }
 
-// ErrorPolicy selects how the pipeline reacts to per-item errors
-// (categorization failures, ErrTraceChanged; decode failures during the
-// scan are funnel data, not errors).
-type ErrorPolicy int
-
-const (
-	// FailFast cancels all in-flight work on the first error and
-	// returns it. The default.
-	FailFast ErrorPolicy = iota
-	// CollectAll skips failed items, keeps the pipeline running, and
-	// returns every error joined via errors.Join alongside the partial
-	// analysis.
-	CollectAll
-)
-
 // Options configures one pipeline run.
 type Options struct {
 	// Config holds the detection thresholds. A zero Config (Config.IsZero)
@@ -123,8 +107,6 @@ type Options struct {
 	// Workers is the decode and (local) categorize parallelism
 	// (<= 0: parallel.DefaultWorkers).
 	Workers int
-	// Policy selects the error policy (default FailFast).
-	Policy ErrorPolicy
 	// Observer receives stage lifecycle events (nil: none). Use *Stats
 	// for the built-in counter collector.
 	Observer Observer
@@ -159,19 +141,19 @@ type AppResult struct {
 // Result is the outcome of a pipeline run.
 type Result struct {
 	Funnel core.FunnelStats
-	Apps   []AppResult // sorted by (user, app); errored apps omitted under CollectAll
+	Apps   []AppResult // sorted by (user, app)
 	Agg    *report.Aggregator
 }
 
-// errCollector implements the error policy: under FailFast the first
-// error cancels the pipeline; under CollectAll errors accumulate.
+// errCollector fails the pipeline fast: the first per-item error
+// (categorization failures, ErrTraceChanged; decode failures during the
+// scan are funnel data, not errors) cancels it and is what Run returns.
 type errCollector struct {
 	mu     sync.Mutex
-	policy ErrorPolicy
 	cancel context.CancelFunc
-	errs   []error
+	first  error
 	// mismatch is the error of a kept run whose prelude lied: it ends the
-	// attempt under either policy (see abandon).
+	// attempt and is retried (see abandon).
 	mismatch error
 }
 
@@ -180,19 +162,15 @@ func (c *errCollector) add(err error) {
 		return
 	}
 	c.mu.Lock()
-	if c.policy == FailFast {
-		if len(c.errs) == 0 {
-			c.errs = append(c.errs, err)
-			c.cancel()
-		}
-	} else {
-		c.errs = append(c.errs, err)
+	if c.first == nil {
+		c.first = err
+		c.cancel()
 	}
 	c.mu.Unlock()
 }
 
-// abandon ends the attempt, whatever the policy: what the funnel decided
-// rested on a prelude that lied, so no result of this attempt stands.
+// abandon ends the attempt: what the funnel decided rested on a prelude
+// that lied, so no result of this attempt stands.
 func (c *errCollector) abandon(err error) {
 	c.mu.Lock()
 	if c.mismatch == nil {
@@ -202,15 +180,9 @@ func (c *errCollector) abandon(err error) {
 	c.mu.Unlock()
 }
 
-func (c *errCollector) err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return errors.Join(c.errs...)
-}
-
 // Run executes the five-stage pipeline over src and blocks until every
-// stage goroutine has exited. On cancellation it returns ctx.Err();
-// otherwise it returns the per-item errors according to the policy.
+// stage goroutine has exited. It returns the first per-item error, if
+// any, and otherwise ctx's cause if ctx was cancelled.
 //
 // The pipeline runs once, unless a kept run turns out to carry a prelude
 // that is not the summary of its body: then everything is run again,
@@ -258,7 +230,7 @@ func attempt(ctx context.Context, src Source, opts Options, trust bool) (*Result
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ec := &errCollector{policy: opts.Policy, cancel: cancel}
+	ec := &errCollector{cancel: cancel}
 
 	var wg sync.WaitGroup
 
@@ -443,7 +415,7 @@ func attempt(ctx context.Context, src Source, opts Options, trust bool) (*Result
 							return
 						}
 						ec.add(err)
-						continue
+						return
 					}
 					obs.ItemOut(StageCategorize)
 					out := indexedResult{idx: ig.idx, res: AppResult{
@@ -503,27 +475,15 @@ func attempt(ctx context.Context, src Source, opts Options, trust bool) (*Result
 
 	wg.Wait()
 
-	if ec.mismatch != nil {
+	switch {
+	case ec.mismatch != nil:
 		return nil, ec.mismatch
-	}
-	if err := ctx.Err(); err != nil {
-		// Cancellation (parent cancel, timeout, or fail-fast). Fail-fast
-		// reports the causing item error; external cancellation reports
-		// the context's cause (context.Canceled / DeadlineExceeded).
-		if ierr := ec.err(); opts.Policy == FailFast && ierr != nil {
-			return nil, ierr
-		}
+	case ec.first != nil:
+		return nil, ec.first
+	case ctx.Err() != nil:
+		// External cancellation: the context's cause
+		// (context.Canceled / DeadlineExceeded).
 		return nil, context.Cause(ctx)
 	}
-	err := ec.err()
-	if opts.Policy == FailFast && err != nil {
-		return nil, err
-	}
-	apps := make([]AppResult, 0, len(ordered))
-	for _, r := range ordered {
-		if r.Result != nil {
-			apps = append(apps, r)
-		}
-	}
-	return &Result{Funnel: funnel, Apps: apps, Agg: agg}, err
+	return &Result{Funnel: funnel, Apps: ordered, Agg: agg}, nil
 }

@@ -97,45 +97,17 @@ func TestRunExplainPassesExplainOptions(t *testing.T) {
 }
 
 // TestRunExplainedFailures: a failure on the explained entry point
-// is handled by the error policy exactly as a plain one is.
+// fails the run fast, exactly as a plain one does.
 func TestRunExplainedFailures(t *testing.T) {
-	jobs := testJobs(t, 60)
-	pre := core.NewPreprocessor()
-	for _, j := range jobs {
-		pre.Add(j, nil)
-	}
-	var u0Groups int
-	for _, g := range pre.Groups() {
-		if g.User == "u0" {
-			u0Groups++
-		}
-	}
-	t.Run("fail-fast", func(t *testing.T) {
-		res, err := Run(context.Background(), Jobs(jobs), Options{
-			Explain: true, Executor: failExec{failUser: "u0"},
-		})
-		if err == nil || !containsStr(err.Error(), "synthetic failure") {
-			t.Fatalf("fail-fast error %v does not carry the cause", err)
-		}
-		if res != nil {
-			t.Fatal("fail-fast must not return a partial analysis")
-		}
+	res, err := Run(context.Background(), Jobs(testJobs(t, 60)), Options{
+		Explain: true, Executor: failExec{failUser: "u0"},
 	})
-	t.Run("collect-all", func(t *testing.T) {
-		res, err := Run(context.Background(), Jobs(jobs), Options{
-			Policy: CollectAll, Explain: true, Executor: failExec{failUser: "u0"},
-		})
-		joined, ok := err.(interface{ Unwrap() []error })
-		if !ok {
-			t.Fatalf("collect-all error %T (%v) is not an errors.Join result", err, err)
-		}
-		if got := len(joined.Unwrap()); got != u0Groups {
-			t.Fatalf("collected %d errors, want %d", got, u0Groups)
-		}
-		if res == nil || len(res.Apps)+u0Groups != pre.Stats().UniqueApps {
-			t.Fatalf("partial analysis %v does not hold every surviving group", res)
-		}
-	})
+	if err == nil || !containsStr(err.Error(), "synthetic failure") {
+		t.Fatalf("fail-fast error %v does not carry the cause", err)
+	}
+	if res != nil {
+		t.Fatal("fail-fast must not return a partial analysis")
+	}
 }
 
 // TestLocalCategorizeExplainedMatchesCategorize: Local's two entry

@@ -5,9 +5,8 @@
 //
 // It knows nothing of MOSAIC: it imports no other package of this
 // module. What observes a subsystem lives in that subsystem and
-// registers here — engine.Telemetry (the pipeline's observer and its
-// slow log), cluster.RegisterMetrics, ring.Metrics, the serve tier's
-// instruments. Spans are internal/reqtrace's. It imports no net either,
+// registers here — cluster.RegisterMetrics, ring.Metrics, the serve
+// tier's instruments. Spans are internal/reqtrace's. It imports no net either,
 // since every program that categorizes links it: the HTTP surface over
 // it (/metrics, /healthz, pprof) is internal/debughttp's.
 package telemetry
