@@ -393,7 +393,7 @@ func (cn *clusterNode) placeRest(ctx context.Context, reqID string, group []rout
 }
 
 // pushResult ships a freshly computed result to the trace's other
-// replicas (called by the worker after the result is durable): rec is
+// replicas (called by the worker after the result is stored): rec is
 // the record the worker committed, so the owner reads nothing back.
 func (cn *clusterNode) pushResult(reqID string, id store.TraceID, rec []byte) {
 	var peers []string

@@ -163,8 +163,9 @@ func (s *Store) PutResultCtx(ctx context.Context, id TraceID, fp string, res *co
 // PutOutcomeCtx stores what categorizing one trace produced — its result
 // and, when expl is non-nil, its explanation — as one commit: the result
 // frame and then the explanation frame are staged under one lock,
-// written with one write(2), indexed together and acknowledged by one
-// durable wait. Recovery therefore finds both, neither, or (a tail torn
+// written with one write(2) and indexed together; under Options.Sync
+// they ride the next fsync of their segment. Recovery therefore finds
+// both, neither, or (a tail torn
 // inside the second frame) the result alone — never an explanation
 // without its result. It returns the result record it committed, in
 // served form (what GetResultBytes would read back, for a caller that
