@@ -127,8 +127,6 @@ func main() {
 
 		eventsCap  = flag.Int("events-keep", 1024, "cluster events retained in memory for GET /v1/events")
 		eventsFile = flag.String("events-file", "", "append-only file persisting the event journal across restarts (empty: memory only)")
-		noAlerts   = flag.Bool("no-alerts", false, "disable the SLO burn-rate alert evaluator")
-		diagDir    = flag.String("diag-dir", "", "directory receiving diagnostic bundles (CPU/heap profiles + flight traces) when an alert fires (empty: disabled)")
 
 		nodeID     = flag.String("node", "", "this node's ID; enables cluster mode (must appear in -peers)")
 		rpcAddr    = flag.String("rpc-addr", "", "TCP address for inbound cluster RPCs (required with -node)")
@@ -240,8 +238,6 @@ func main() {
 		DisableTracing: *noTraces,
 		SLO:            time.Duration(*sloMS) * time.Millisecond,
 		Events:         evLog,
-		DisableAlerts:  *noAlerts,
-		DiagDir:        *diagDir,
 	}
 	if *nodeID != "" {
 		if *rpcAddr == "" || *peers == "" {

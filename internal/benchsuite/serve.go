@@ -22,7 +22,6 @@ import (
 	"github.com/mosaic-hpc/mosaic/internal/index"
 	"github.com/mosaic-hpc/mosaic/internal/serve"
 	"github.com/mosaic-hpc/mosaic/internal/store"
-	"github.com/mosaic-hpc/mosaic/internal/telemetry"
 )
 
 // The serve benchmarks pin the request-tracing overhead budget: the
@@ -75,21 +74,17 @@ func shutdown(s *serve.Server, st *store.Store) {
 }
 
 // ServeIngestObserved measures the same warm cache-hit ingest with the
-// full cluster observability plane on versus off. On: the event
-// journal tees every event into a CRC-framed append log, the
-// burn-rate alert evaluator ticks aggressively (100ms, 150× the
-// production rate), and runtime metrics are registered. Off: alerts
-// disabled and the journal left unsunk. Tracing is enabled in both
-// (the production default), so the delta isolates the plane itself.
-// The contract is <5% on this path: events fire on state transitions
-// rather than per request, and the evaluator samples counters on its
-// own ticker, so a healthy request pays nothing.
+// event journal persisted versus not. On: the journal tees every event
+// into a CRC-framed append log. Off: the journal is left unsunk. The
+// two arms differ by the journal sink alone; tracing and the runtime
+// metrics are on in both (the production default). The contract is <5%
+// on this path: events fire on state transitions rather than per
+// request, so a healthy request pays nothing.
 func ServeIngestObserved(on bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		st, blob := resultStore(b, false)
 		scfg := serve.Config{
 			Store: st, Workers: 1, QueueDepth: 16, NoBackfill: true,
-			DisableAlerts: !on,
 		}
 		if on {
 			sink, err := store.OpenAppendLog(filepath.Join(b.TempDir(), "events.log"), false)
@@ -98,7 +93,6 @@ func ServeIngestObserved(on bool) func(b *testing.B) {
 			}
 			defer sink.Close()
 			scfg.Events = events.NewLog(events.Config{Node: "bench", Sink: sink})
-			scfg.AlertOptions = &telemetry.AlertOptions{Interval: 100 * time.Millisecond}
 		}
 		s, err := serve.New(scfg)
 		if err != nil {
@@ -195,7 +189,7 @@ func ServeIngestFresh(b *testing.B) {
 			}
 			s, err = serve.New(serve.Config{
 				Store: st, Workers: 2, QueueDepth: depth, NoBackfill: true,
-				DisableAlerts: true, Executor: instantExec{res: res},
+				Executor: instantExec{res: res},
 			})
 			if err != nil {
 				b.Fatal(err)

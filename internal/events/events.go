@@ -1,7 +1,7 @@
 // Package events provides the cluster event journal: a bounded,
 // concurrency-safe ring buffer of structured operational events (node
 // up/down, hinted-handoff activity, backpressure episodes, crash
-// recovery, alert transitions) with monotonic sequence numbers and
+// recovery, segment rotations) with monotonic sequence numbers and
 // severity levels. Events are mirrored to slog and can optionally be
 // persisted through a Sink so the journal survives restarts.
 //
@@ -90,8 +90,6 @@ const (
 	TypeBackpressure       = "backpressure"
 	TypeRecoveryTruncation = "recovery_truncation"
 	TypeSegmentRotation    = "segment_rotation"
-	TypeAlertFired         = "alert_fired"
-	TypeAlertResolved      = "alert_resolved"
 )
 
 // Event is one structured journal entry. Seq is monotonically

@@ -117,16 +117,6 @@ func (r *Recorder) dump(t *Trace) (string, error) {
 	return path, WriteChromeFile(path, t)
 }
 
-// DumpSnapshot writes every retained trace as one Chrome-trace JSON
-// document at path — the flight-recorder half of an alert's diagnostic
-// bundle: the recent requests side by side on one time axis.
-func (r *Recorder) DumpSnapshot(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return WriteChromeFile(path, r.snapshot()...)
-}
-
 // snapshot returns the retained traces, newest first.
 func (r *Recorder) snapshot() []*Trace {
 	r.mu.Lock()
@@ -169,26 +159,18 @@ type chromeDoc struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeFile writes traces as one Perfetto-loadable Chrome
+// WriteChromeFile writes one trace as a Perfetto-loadable Chrome
 // trace-event document at path: the only writer of that format, under a
-// flight dump, an alert's diagnostic bundle and a corpus run's
-// -trace-out alike. Each trace is a process with one named lane per
-// subsystem and one "X" event per span, span/parent IDs and attributes
-// in args; every ts counts from the earliest trace's start, so traces
-// keep their order and overlap. Write-then-rename: a crash mid-write
-// never leaves a torn JSON file for tooling to trip over.
-func WriteChromeFile(path string, traces ...*Trace) error {
-	var epoch time.Time
-	for _, t := range traces {
-		if epoch.IsZero() || t.start.Before(epoch) {
-			epoch = t.start
-		}
-	}
-	doc := chromeDoc{DisplayTimeUnit: "ms"}
-	for i, t := range traces {
-		doc.TraceEvents = appendChromeEvents(doc.TraceEvents, t, i+1, epoch)
-	}
-	data, err := json.MarshalIndent(doc, "", " ")
+// flight dump and a corpus run's -trace-out alike. The trace is one
+// process with one named lane per subsystem and one "X" event per span,
+// span/parent IDs and attributes in args; every ts counts from the
+// trace's start. Write-then-rename: a crash mid-write never leaves a
+// torn JSON file for tooling to trip over.
+func WriteChromeFile(path string, t *Trace) error {
+	data, err := json.MarshalIndent(chromeDoc{
+		TraceEvents:     chromeEvents(t),
+		DisplayTimeUnit: "ms",
+	}, "", " ")
 	if err != nil {
 		return err
 	}
@@ -199,14 +181,15 @@ func WriteChromeFile(path string, traces ...*Trace) error {
 	return os.Rename(tmp, path)
 }
 
-// appendChromeEvents renders one trace as process pid.
-func appendChromeEvents(events []chromeEvent, t *Trace, pid int, epoch time.Time) []chromeEvent {
+// chromeEvents renders one trace as process 1.
+func chromeEvents(t *Trace) []chromeEvent {
+	const pid = 1
 	spans := t.Spans()
 	lanes := map[string]int{}
-	events = append(events, chromeEvent{
+	events := []chromeEvent{{
 		Name: "process_name", Ph: "M", Pid: pid,
 		Args: map[string]string{"name": t.name() + " " + t.ID().String()},
-	})
+	}}
 	for _, s := range spans {
 		l := laneOf(s.Name)
 		if _, ok := lanes[l]; !ok {
@@ -235,7 +218,7 @@ func appendChromeEvents(events []chromeEvent, t *Trace, pid int, epoch time.Time
 		lane := laneOf(s.Name)
 		events = append(events, chromeEvent{
 			Name: s.Name, Cat: lane, Ph: "X",
-			Ts:  float64(s.Start.Sub(epoch).Nanoseconds()) / 1e3,
+			Ts:  float64(s.Start.Sub(t.start).Nanoseconds()) / 1e3,
 			Dur: float64(s.Dur.Nanoseconds()) / 1e3,
 			Pid: pid, Tid: lanes[lane],
 			Args: args,

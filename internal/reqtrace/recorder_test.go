@@ -184,34 +184,38 @@ func TestWriteChromeFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDumpSnapshotSharesOneEpoch: the merged document of an alert's
-// bundle shows when each retained request ran relative to the others —
-// every ts counts from the earliest retained start, not from its own
-// trace's.
-func TestDumpSnapshotSharesOneEpoch(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{Capacity: 4})
+// TestChromeFileNamesItsRequest: a dump found on disk says which request
+// it is. The one process is named after the route and the trace ID, and
+// the root span carries the request and trace IDs an operator greps the
+// logs and /debug/requests for.
+func TestChromeFileNamesItsRequest(t *testing.T) {
 	base := time.Now().Add(-time.Second)
-	for i, route := range []string{"/first", "/second"} {
-		tr := New(StartOptions{Method: "GET", Route: route, Start: base.Add(time.Duration(i) * 50 * time.Millisecond), OnDone: rec.Complete})
-		tr.FinishRoot(200)
-	}
-	path := filepath.Join(t.TempDir(), "bundle", "alert.trace.json")
-	if err := rec.DumpSnapshot(path); err != nil {
+	tr := New(StartOptions{Method: "POST", Route: "/v1/traces", RequestID: "req-7", Start: base})
+	tr.AddCompleted(tr.Root(), "store.commit", base, time.Millisecond)
+	tr.FinishRoot(202)
+
+	path := filepath.Join(t.TempDir(), "req.trace.json")
+	if err := WriteChromeFile(path, tr); err != nil {
 		t.Fatal(err)
 	}
-	ts := map[string]float64{}
-	pids := map[int]bool{}
+	var process string
+	var root map[string]string
 	for _, e := range readDump(t, path).TraceEvents {
-		if e.Ph == "X" {
-			ts[e.Name] = e.Ts
-			pids[e.Pid] = true
+		if e.Pid != 1 {
+			t.Fatalf("event %q in process %d, want every event in process 1", e.Name, e.Pid)
+		}
+		switch {
+		case e.Ph == "M" && e.Name == "process_name":
+			process = e.Args["name"]
+		case e.Ph == "X" && e.Name == "POST /v1/traces":
+			root = e.Args
 		}
 	}
-	if len(pids) != 2 {
-		t.Fatalf("the two traces share a process: pids %v", pids)
+	if want := "POST /v1/traces " + tr.ID().String(); process != want {
+		t.Fatalf("process name %q, want %q", process, want)
 	}
-	if ts["GET /first"] != 0 || ts["GET /second"]-ts["GET /first"] < 50000 {
-		t.Fatalf("requests started 50 ms apart are at ts %v µs", ts)
+	if root["request_id"] != "req-7" || root["trace_id"] != tr.ID().String() {
+		t.Fatalf("root span args %v, want request_id req-7 and trace_id %s", root, tr.ID())
 	}
 }
 

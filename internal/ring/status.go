@@ -46,7 +46,6 @@ type StatusSnapshot struct {
 	StoreBytes    int64 `json:"store_bytes"`
 
 	LastEventSeq uint64 `json:"last_event_seq"`
-	ActiveAlerts int    `json:"active_alerts"`
 	Goroutines   int    `json:"goroutines"`
 	HeapBytes    uint64 `json:"heap_bytes"`
 }

@@ -648,9 +648,6 @@ func (s *Server) Kill() {
 		return
 	}
 	close(s.quit)
-	if s.alerts != nil {
-		s.alerts.Stop()
-	}
 	if s.cluster != nil {
 		s.cluster.ring.Kill()
 	}

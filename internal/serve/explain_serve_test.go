@@ -282,7 +282,7 @@ func TestServeExplainOnTheRing(t *testing.T) {
 // TestServeExplainConflict: a stored result whose category set is not
 // the recomputation's is never explained — 409, with both label sets.
 func TestServeExplainConflict(t *testing.T) {
-	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true})
+	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true})
 	defer s.Shutdown(context.Background())
 	j := testJob(24)
 	other := archetypeJob(gen.DXTCheckpointerArchetype(true), 25)
@@ -349,7 +349,7 @@ func (g *gatedExplainExec) Concurrency() int { return 1 }
 // the two held ones are then served, and so is the next GET.
 func TestServeExplainBounded(t *testing.T) {
 	exec := &gatedExplainExec{entered: make(chan struct{}, 8), release: make(chan struct{})}
-	s, st := newTestServer(t, Config{Workers: 2, NoBackfill: true, DisableAlerts: true, Executor: exec})
+	s, st := newTestServer(t, Config{Workers: 2, NoBackfill: true, Executor: exec})
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 	j := testJob(27)
@@ -406,7 +406,7 @@ func TestServeExplainBounded(t *testing.T) {
 // explained on read with the body of a fresh one, and an explanation
 // record an earlier server stored is not what is served.
 func TestServeExplainWithoutStoredRecord(t *testing.T) {
-	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true})
+	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true})
 	defer s.Shutdown(context.Background())
 	for _, seed := range []int{23, 26} {
 		j := testJob(seed)

@@ -10,8 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -123,9 +121,9 @@ func holdWorkers(srvs ...*Server) (release func()) {
 	return func() { close(exec.release) }
 }
 
-// traceSpan is one span of a recorded request trace. Span IDs count up
-// from one in every trace, so id and parent carry their trace's place in
-// its recorder in front.
+// traceSpan is one span of a recorded request trace. Every trace draws
+// its span IDs from its own random base, so id and parent name one span
+// across all the recorders of a ring.
 type traceSpan struct {
 	name, id, parent string
 	args             map[string]string
@@ -137,37 +135,17 @@ type traceSpan struct {
 func spansOf(t *testing.T, tid string, recs ...*reqtrace.Recorder) []traceSpan {
 	t.Helper()
 	var out []traceSpan
-	for i, rec := range recs {
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("snap-%d.json", i))
-		if err := rec.DumpSnapshot(path); err != nil {
-			t.Fatal(err)
+	for _, rec := range recs {
+		d, ok := rec.Get(tid)
+		if !ok {
+			continue
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			TraceEvents []struct {
-				Name string            `json:"name"`
-				Ph   string            `json:"ph"`
-				Pid  int               `json:"pid"`
-				Args map[string]string `json:"args"`
-			} `json:"traceEvents"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatal(err)
-		}
-		ours := map[int]bool{}
-		for _, ev := range doc.TraceEvents {
-			if ev.Ph == "M" && ev.Name == "process_name" && strings.HasSuffix(ev.Args["name"], " "+tid) {
-				ours[ev.Pid] = true
+		for _, sp := range d.SpanTree {
+			args := make(map[string]string, len(sp.Attrs))
+			for _, a := range sp.Attrs {
+				args[a.Key] = a.Value
 			}
-		}
-		for _, ev := range doc.TraceEvents {
-			if ev.Ph == "X" && ours[ev.Pid] {
-				tr := fmt.Sprintf("%d.%d/", i, ev.Pid)
-				out = append(out, traceSpan{name: ev.Name, id: tr + ev.Args["span_id"], parent: tr + ev.Args["parent"], args: ev.Args})
-			}
+			out = append(out, traceSpan{name: sp.Name, id: sp.ID, parent: sp.Parent, args: args})
 		}
 	}
 	return out

@@ -33,7 +33,6 @@ var routePatterns = []struct {
 	{http.MethodGet, "/v1/query", "/v1/query"},
 	{http.MethodGet, "/v1/stats", "/v1/stats"},
 	{http.MethodGet, "/v1/events", "/v1/events"},
-	{http.MethodGet, "/v1/alerts", "/v1/alerts"},
 	{http.MethodGet, "/v1/cluster/health", "/v1/cluster/health"},
 	{http.MethodGet, "/v1/cluster/metrics", "/v1/cluster/metrics"},
 	{http.MethodGet, "/v1/cluster", "/v1/cluster"},

@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -17,9 +14,10 @@ import (
 )
 
 // The cluster observability plane, server side: the event journal
-// endpoint, the SLO burn-rate alert endpoint (with diagnostic bundle
-// capture on fire), and the federation endpoints that turn any node
-// into a fleet-wide health and metrics vantage point.
+// endpoint and the federation endpoints that turn any node into a
+// fleet-wide health and metrics vantage point. The server passes no
+// verdict on its own SLOs: examples/observability/alerts.rules.yml
+// computes the burn rates from the series /metrics exports.
 
 // backpressureEventInterval rate-limits backpressure journal entries: a
 // saturated queue rejects thousands of requests per second, and one
@@ -37,127 +35,6 @@ func (s *Server) emitBackpressure(reqID string) {
 		"ingest queue full, rejecting with 429",
 		"request_id", reqID,
 		"queue_capacity", strconv.Itoa(s.queueCap))
-}
-
-// ---- SLO burn-rate alerting ----
-
-// startAlerts wires the burn-rate evaluator over the serve tier's
-// cumulative good/total signals and starts it. Two rules:
-//
-//   - http_slo_burn: requests under the latency SLO vs all requests,
-//     from the per-route RED histograms and breach counters (only when
-//     tracing and an SLO target are configured — the instruments do not
-//     exist otherwise).
-//   - ingest_error_burn: ingested traces that were not rejected or
-//     unreadable vs all ingested traces.
-func (s *Server) startAlerts(opts *telemetry.AlertOptions) {
-	var o telemetry.AlertOptions
-	if opts != nil {
-		o = *opts
-	}
-	emit := o.OnTransition
-	o.OnTransition = func(st telemetry.AlertState) {
-		s.onAlertTransition(st)
-		if emit != nil {
-			emit(st)
-		}
-	}
-	var rules []telemetry.AlertRule
-	if s.traceOn && s.slo > 0 {
-		rules = append(rules, telemetry.AlertRule{
-			Name:      "http_slo_burn",
-			Objective: 0.99,
-			Source:    s.sloBurnSource,
-		})
-	}
-	rules = append(rules, telemetry.AlertRule{
-		Name:      "ingest_error_burn",
-		Objective: 0.99,
-		Source:    s.ingestErrorSource,
-	})
-	s.alerts = telemetry.NewAlertEvaluator(s.reg, o, rules...)
-	s.alerts.Start()
-}
-
-// sloBurnSource sums the per-route request and SLO-breach counts.
-func (s *Server) sloBurnSource() (good, total float64) {
-	var breaches float64
-	for _, ri := range s.routeMetrics {
-		total += float64(ri.latency.Snapshot().Count)
-		breaches += float64(ri.sloBreaches.Value())
-	}
-	return total - breaches, total
-}
-
-// ingestErrorSource counts rejected and unreadable traces as errors;
-// accepted, cached and pending all served the client.
-func (s *Server) ingestErrorSource() (good, total float64) {
-	var bad float64
-	for st, c := range s.ingestStatus {
-		v := float64(c.Value())
-		total += v
-		if st == StatusRejected || st == StatusUnreadable {
-			bad += v
-		}
-	}
-	return total - bad, total
-}
-
-// onAlertTransition journals the transition and, on fire, captures a
-// diagnostic bundle.
-func (s *Server) onAlertTransition(st telemetry.AlertState) {
-	if st.Active {
-		s.events.Emit(events.SevError, events.TypeAlertFired, "SLO burn-rate alert fired",
-			"alert", st.Name,
-			"fast_burn", strconv.FormatFloat(st.FastBurn, 'f', 2, 64),
-			"slow_burn", strconv.FormatFloat(st.SlowBurn, 'f', 2, 64))
-		s.captureDiagBundle(st.Name)
-		return
-	}
-	s.events.Emit(events.SevInfo, events.TypeAlertResolved, "SLO burn-rate alert resolved",
-		"alert", st.Name)
-}
-
-// captureDiagBundle snapshots the process at the moment an alert fired:
-// a CPU profile, a heap profile, and the flight recorder's retained
-// request traces as one Chrome-trace document. Capture runs in a
-// goroutine (the CPU profile takes seconds) and at most one bundle is
-// in flight — a flapping alert cannot stack profilers.
-func (s *Server) captureDiagBundle(alert string) {
-	if s.diagDir == "" || !s.diagBusy.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer s.diagBusy.Store(false)
-		if err := os.MkdirAll(s.diagDir, 0o755); err != nil {
-			if s.log != nil {
-				s.log.Warn("diag bundle: creating dir failed", "dir", s.diagDir, "err", err)
-			}
-			return
-		}
-		prefix := filepath.Join(s.diagDir, fmt.Sprintf("alert-%s-%d", alert, time.Now().Unix()))
-		if f, err := os.Create(prefix + ".cpu.pprof"); err == nil {
-			// StartCPUProfile fails when another profile is running
-			// (e.g. an operator's manual pprof session); skip, keep the rest.
-			if pprof.StartCPUProfile(f) == nil {
-				time.Sleep(s.diagCPU)
-				pprof.StopCPUProfile()
-			}
-			f.Close()
-		}
-		if f, err := os.Create(prefix + ".heap.pprof"); err == nil {
-			_ = pprof.WriteHeapProfile(f)
-			f.Close()
-		}
-		if s.flight != nil {
-			if err := s.flight.DumpSnapshot(prefix + ".trace.json"); err != nil && s.log != nil {
-				s.log.Warn("diag bundle: flight dump failed", "err", err)
-			}
-		}
-		if s.log != nil {
-			s.log.Info("diag bundle captured", "alert", alert, "prefix", prefix)
-		}
-	}()
 }
 
 // ---- local status ----
@@ -189,9 +66,6 @@ func (s *Server) localStatus() ring.StatusSnapshot {
 		Goroutines:    runtime.NumGoroutine(),
 		HeapBytes:     ms.HeapAlloc,
 	}
-	if s.alerts != nil {
-		ss.ActiveAlerts = s.alerts.ActiveCount()
-	}
 	if s.cluster != nil {
 		c := s.cluster.ring
 		ss.Node = c.Self().ID
@@ -208,9 +82,6 @@ func (s *Server) localStatus() ring.StatusSnapshot {
 	}
 	if s.cluster != nil && ss.PeersUp < ss.PeersTotal {
 		reasons = append(reasons, fmt.Sprintf("%d of %d peers down", ss.PeersTotal-ss.PeersUp, ss.PeersTotal))
-	}
-	if ss.ActiveAlerts > 0 {
-		reasons = append(reasons, fmt.Sprintf("%d alerts firing", ss.ActiveAlerts))
 	}
 	if len(reasons) > 0 {
 		ss.Status = ring.StatusHealthDegraded
@@ -276,22 +147,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleAlerts serves the burn-rate evaluator's current state.
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	node := ""
-	if s.cluster != nil {
-		node = s.cluster.ring.Self().ID
-	}
-	alerts := []telemetry.AlertState{}
-	if s.alerts != nil {
-		alerts = s.alerts.Snapshot()
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Node   string                 `json:"node,omitempty"`
-		Alerts []telemetry.AlertState `json:"alerts"`
-	}{Node: node, Alerts: alerts})
-}
-
 // healthResponse is the /v1/cluster/health document.
 type healthResponse struct {
 	Status  string                `json:"status"` // ok | degraded
@@ -328,11 +183,10 @@ func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 // clusterGaugeRules overrides the default sum-merge for gauges whose
 // fleet-wide meaning is not additive.
 var clusterGaugeRules = map[string]telemetry.GaugeMergeRule{
-	"mosaic_slo_target_seconds":   telemetry.MergeMax,
-	"mosaic_build_info":           telemetry.MergeMax,
-	"mosaic_runtime_gomaxprocs":   telemetry.MergeMax,
-	"mosaic_ring_peers_up":        telemetry.MergeMin,
-	"mosaic_cluster_ring_version": telemetry.MergeMax,
+	"mosaic_slo_target_seconds": telemetry.MergeMax,
+	"mosaic_build_info":         telemetry.MergeMax,
+	"mosaic_runtime_gomaxprocs": telemetry.MergeMax,
+	"mosaic_ring_peers_up":      telemetry.MergeMin,
 }
 
 // handleClusterMetrics federates the fleet's metrics into one

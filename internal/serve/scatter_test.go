@@ -127,7 +127,7 @@ func (qr *queryRing) boot(i int, l net.Listener) {
 	nd := qr.nodes[i]
 	nd.flight = reqtrace.NewRecorder(reqtrace.RecorderConfig{Capacity: 64})
 	srv, err := New(Config{
-		Store: nd.st, Workers: 2, QueueDepth: 256, Executor: variedExec{}, Flight: nd.flight, DisableAlerts: true,
+		Store: nd.st, Workers: 2, QueueDepth: 256, Executor: variedExec{}, Flight: nd.flight,
 		Cluster: &ring.Config{
 			Self: nd.id, Nodes: qr.members, Replication: qr.rf, ReplicaAck: min(qr.rf, len(qr.members)) - 1,
 			ProbeInterval: qr.probe, RPCTimeout: 2 * time.Second,
@@ -246,7 +246,7 @@ var scatterQueries = []string{
 // every body compared with its.
 func (qr *queryRing) checkAgainstStandalone(held map[store.TraceID]category.Set, partial bool) {
 	qr.t.Helper()
-	alone, _ := newTestServer(qr.t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true})
+	alone, _ := newTestServer(qr.t, Config{Workers: 1, NoBackfill: true})
 	defer alone.Shutdown(context.Background())
 	or := index.NewOracle()
 	var entries []index.Entry
@@ -547,7 +547,7 @@ func TestQueryThroughPeerItCannotReadIsPartial(t *testing.T) {
 		Nodes:       []ring.Node{{ID: "node-0", Addr: sl.Addr().String()}, {ID: "fake", Addr: fl.Addr().String()}},
 		Replication: 2, RPCTimeout: 2 * time.Second, ProbeInterval: time.Hour,
 	}
-	s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true, Cluster: &rcfg})
+	s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, Cluster: &rcfg})
 	go s.ServeCluster(sl) //nolint:errcheck
 	defer s.Shutdown(context.Background())
 	mine := []string{strings.Repeat("1", 64), strings.Repeat("2", 64)}

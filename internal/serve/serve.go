@@ -114,20 +114,11 @@ type Config struct {
 	// in-memory journal (ring of 1024, no persistence) so the endpoint
 	// always works.
 	Events *events.Log
-	// AlertOptions tunes the SLO burn-rate evaluator (windows, burn
-	// thresholds, cadence). nil selects the multi-window defaults
-	// (5m/1h at 14.4x/6x, evaluated every 15s).
-	AlertOptions *telemetry.AlertOptions
-	// DisableAlerts turns the burn-rate evaluator off entirely. The
-	// zero value evaluates — alerting is the default.
+	// DisableAlerts is ignored: the server evaluates no SLO of its own;
+	// examples/observability/alerts.rules.yml computes the burn rates
+	// from /metrics. The field stays only because bench/layers.go, whose
+	// sources are frozen, still sets it.
 	DisableAlerts bool
-	// DiagDir, when set, receives a diagnostic bundle (CPU profile,
-	// heap profile, flight-recorder trace dump) every time an alert
-	// fires. "" disables capture.
-	DiagDir string
-	// DiagCPUProfile bounds the CPU profile captured into a diagnostic
-	// bundle (<= 0: 2s).
-	DiagCPUProfile time.Duration
 }
 
 // Server is a running analysis service (HTTP handler + worker pool).
@@ -162,11 +153,7 @@ type Server struct {
 	slo         time.Duration
 
 	events    *events.Log
-	alerts    *telemetry.AlertEvaluator
 	startedAt time.Time
-	diagDir   string
-	diagCPU   time.Duration
-	diagBusy  atomic.Bool  // one bundle capture at a time
 	lastBP    atomic.Int64 // unix nanos of the last backpressure event (rate limit)
 
 	mu      sync.Mutex
@@ -242,8 +229,6 @@ func New(cfg Config) (*Server, error) {
 		slo:       cfg.SLO,
 		events:    cfg.Events,
 		startedAt: time.Now(),
-		diagDir:   cfg.DiagDir,
-		diagCPU:   cfg.DiagCPUProfile,
 	}
 	s.explainReaders = make(chan *traceReader, workers)
 	for range workers {
@@ -255,9 +240,6 @@ func New(cfg Config) (*Server, error) {
 			node = cfg.Cluster.Self
 		}
 		s.events = events.NewLog(events.Config{Node: node, Logger: cfg.Log})
-	}
-	if s.diagCPU <= 0 {
-		s.diagCPU = 2 * time.Second
 	}
 	if s.traceOn && s.flight == nil {
 		s.flight = reqtrace.NewRecorder(reqtrace.RecorderConfig{Log: cfg.Log})
@@ -313,9 +295,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.cluster = cn
 	}
-	if !cfg.DisableAlerts {
-		s.startAlerts(cfg.AlertOptions)
-	}
 	for w := 0; w < workers; w++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -329,9 +308,6 @@ func New(cfg Config) (*Server, error) {
 
 // Events returns the server's event journal.
 func (s *Server) Events() *events.Log { return s.events }
-
-// Alerts returns the burn-rate evaluator, nil when alerting is disabled.
-func (s *Server) Alerts() *telemetry.AlertEvaluator { return s.alerts }
 
 func (s *Server) registerMetrics() {
 	// Every binary serving /metrics reports build info and Go runtime
@@ -531,9 +507,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil // already shut down
 	}
 	close(s.quit)
-	if s.alerts != nil {
-		s.alerts.Stop()
-	}
 	if s.cluster != nil {
 		// Stop inbound peer RPCs (and the probe/hint/repair loops)
 		// first: their handlers enqueue into the queue being closed.
@@ -581,7 +554,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
 	mux.HandleFunc("GET /v1/cluster/health", s.handleClusterHealth)
 	mux.HandleFunc("GET /v1/cluster/metrics", s.handleClusterMetrics)
 	if s.cluster != nil {

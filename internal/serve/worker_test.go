@@ -97,7 +97,7 @@ func TestWorkerDirectPathMatchesEngine(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s, _ := newTestServer(t, Config{
-				Workers: 1, NoBackfill: true, DisableAlerts: true, Executor: c.exec,
+				Workers: 1, NoBackfill: true, Executor: c.exec,
 			})
 			defer s.Shutdown(context.Background())
 			ctx := context.Background()
@@ -185,7 +185,7 @@ func TestWorkerExplainSelectsEntryPoint(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			exec := &entryExec{Local: engine.Local{Workers: 1}}
-			s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true, Executor: exec})
+			s, _ := newTestServer(t, Config{Workers: 1, NoBackfill: true, Executor: exec})
 			defer s.Shutdown(context.Background())
 			res, expl, evicted, err := s.categorizeTrace(context.Background(), new(traceReader), storeJob(t, s, testJob(960)), explained)
 			if err != nil || evicted != "" || res == nil {
@@ -225,7 +225,7 @@ func TestCategorizeFailuresCounted(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.why, func(t *testing.T) {
-			s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true, Executor: c.exec})
+			s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, Executor: c.exec})
 			defer s.Shutdown(context.Background())
 			id := storeJob(t, s, c.job)
 			if c.close {
@@ -262,7 +262,7 @@ func TestCategorizeFailuresCounted(t *testing.T) {
 // keeps its Truth, the job's Metadata map at the time: reading the next
 // trace into the job must not rewrite it.
 func TestWorkerJobOutlivesTruth(t *testing.T) {
-	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true, DisableAlerts: true})
+	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true})
 	defer s.Shutdown(context.Background())
 	ctx := context.Background()
 	a := testJob(980)

@@ -1,7 +1,8 @@
 // Package telemetry is MOSAIC's zero-dependency observability layer:
 // a concurrent-safe metrics registry with Prometheus and OpenMetrics
-// text exposition, burn-rate alerts over it, the Go runtime's vitals and
-// structured logging built on log/slog.
+// text exposition, the Go runtime's vitals and structured logging built
+// on log/slog. It passes no verdicts: an SLO's burn rate is a rule over
+// the exported series, evaluated by whoever scrapes them.
 //
 // It knows nothing of MOSAIC: it imports no other package of this
 // module. What observes a subsystem lives in that subsystem and
