@@ -299,7 +299,7 @@ func runCorpus(ctx context.Context, dir string, cfg core.Config, workers int, js
 				co.storeDir, s.Hits, s.Misses, cfg.Fingerprint())
 			st.Close()
 		}()
-		opt.Executor = store.NewCachingExecutor(st, engine.Local{Workers: workers})
+		opt.Executor = warmExec{Local: engine.Local{Workers: workers}, st: st}
 	}
 
 	var tel *engine.Telemetry

@@ -42,7 +42,7 @@ var refDivergences = []refDivergence{
 // 300-application corpus. A run agrees with the paper taken literally, or
 // the smallest set of named departures that makes the reference equal to
 // Categorize, value for value, is what tells them apart; a run no set of
-// departures explains fails.
+// departures accounts for fails.
 func TestReferenceAgrees(t *testing.T) {
 	p := gen.DefaultProfile()
 	p.Apps = 300
@@ -69,7 +69,7 @@ func TestReferenceAgrees(t *testing.T) {
 			return true
 		}
 		if d := refDiff(got, refCategorize(j, depAll)); d != "" {
-			t.Errorf("job %d (%s): no departure explains %s", j.JobID, r.App.Archetype.Name, d)
+			t.Errorf("job %d (%s): no departure accounts for %s", j.JobID, r.App.Archetype.Name, d)
 			return true
 		}
 		need := refDep(depAll)

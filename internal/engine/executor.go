@@ -9,9 +9,9 @@ import (
 )
 
 // Executor runs the Categorize stage for one validated trace. The
-// default Local executor calls the in-process detection chain; the
-// result store's caching executor wraps it — the engine does not know
-// the difference.
+// default Local executor calls the in-process detection chain; `mosaic
+// -store` embeds it in an executor that reads and writes the result
+// store around Categorize — the engine does not know the difference.
 type Executor interface {
 	// Categorize analyzes one validated trace under ctx. Implementations
 	// must return promptly with ctx.Err() once ctx is cancelled.

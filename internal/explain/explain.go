@@ -3,9 +3,11 @@
 //
 // A categorization run normally computes Mean Shift clusters, chunk-ratio
 // comparisons, merge statistics and threshold crossings — and then throws
-// them away, keeping only the labels. When explanation is enabled
-// (core.CategorizeExplained, engine Options.Explain, mosaic-serve
-// -explain), the detection chain additionally emits an Explanation:
+// them away, keeping only the labels. When an explanation is asked for
+// (core.CategorizeExplained, engine Options.Explain, `mosaic -explain`
+// and -explain-json on one trace, GET /v1/explain/{id} on the server,
+// which derives it from the stored trace), the detection chain
+// additionally emits an Explanation:
 // per-direction preprocessing counts, the temporal chunk volumes and the
 // dominance comparisons actually evaluated, every Mean Shift cluster with
 // its size/centroid/spread and the reason it was accepted or rejected,
@@ -16,13 +18,15 @@
 // Evidence entries also flag *near-misses*: comparisons whose operand lay
 // within a configurable relative margin of the threshold, i.e. rules that
 // would flip under a small perturbation of the trace or the
-// configuration. Near-miss rates per corpus are exported as telemetry, so
-// category-flip-prone workloads are visible on /metrics before a
-// threshold change surprises anyone.
+// configuration. The rendered rule trace counts them and marks each one,
+// so a category one threshold away from flipping is visible on the trace
+// that carries it.
 //
 // The package is a leaf: it depends only on the standard library, so
-// every layer (core, engine, store, serve, facade, CLIs) can share the
-// model without import cycles.
+// every layer that builds or renders one (core, engine, serve, facade,
+// CLIs) can share the model without import cycles. The result store
+// keeps no explanation: one is a pure function of the trace and the
+// configuration, derived again whenever it is asked for.
 package explain
 
 import (
@@ -154,7 +158,7 @@ type Cluster struct {
 	// Coverage is the fraction of the runtime spanned by the members.
 	Coverage float64 `json:"coverage"`
 	Accepted bool    `json:"accepted"`
-	// Reason explains acceptance or rejection (see Cluster* constants).
+	// Reason says why it was accepted or rejected (see Cluster* constants).
 	Reason string `json:"reason"`
 }
 

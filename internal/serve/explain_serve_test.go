@@ -179,7 +179,7 @@ func wantExplainBody(t *testing.T, s *Server, j *darshan.Job) string {
 // /debug/budget attributes the route.
 func TestServeExplainDerivedForEveryArchetype(t *testing.T) {
 	rec := reqtrace.NewRecorder(reqtrace.RecorderConfig{Capacity: 64})
-	s, st := newTestServer(t, Config{Workers: 2, QueueDepth: 64, Flight: rec})
+	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 64, Flight: rec})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -193,9 +193,6 @@ func TestServeExplainDerivedForEveryArchetype(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitResult(t, ts.URL, id)
-		if st.HasExplanation(id, s.fp) {
-			t.Fatalf("%s: the worker stored an explanation", arch.Name)
-		}
 		resp, body := getBody(t, ts.URL+"/v1/explain/"+string(id))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: explain status %d: %s", arch.Name, resp.StatusCode, body)
@@ -429,6 +426,41 @@ func TestServeExplainWithoutStoredRecord(t *testing.T) {
 		if want := wantExplainBody(t, s, j); code != http.StatusOK || body != want {
 			t.Fatalf("seed %d: status %d, served\n%s\nwant\n%s", seed, code, body, want)
 		}
+	}
+}
+
+// TestStatsCountNoExplanations: an explanation record in the store, as
+// an older server left one, is neither counted nor exported. /v1/stats
+// has no store.explanations, /metrics no mosaic_store_explanations, and
+// the record changes no other figure.
+func TestStatsCountNoExplanations(t *testing.T) {
+	s, st := newTestServer(t, Config{Workers: 1, NoBackfill: true})
+	defer s.Shutdown(context.Background())
+	j := testJob(27)
+	id := storeJob(t, s, j)
+	res, e, err := core.CategorizeExplained(j, s.cfg, s.exOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutResult(id, s.fp, res); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.PutExplanation(id, s.fp, e); err != nil {
+		t.Fatal(err)
+	}
+	code, body := getBodyFrom(t, s.Handler(), "/v1/stats")
+	var stats struct {
+		Store map[string]json.RawMessage `json:"store"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); code != http.StatusOK || err != nil {
+		t.Fatalf("/v1/stats: status %d, %v: %s", code, err, body)
+	}
+	if _, ok := stats.Store["explanations"]; ok || string(stats.Store["traces"]) != "1" || string(stats.Store["results"]) != "1" {
+		t.Fatalf("/v1/stats store section: %s", body)
+	}
+	_, metrics := getBodyFrom(t, s.Handler(), "/metrics")
+	if strings.Contains(metrics, "mosaic_store_explanations") || !strings.Contains(metrics, "mosaic_store_results 1\n") {
+		t.Fatal("/metrics exports an explanation count, or no result count")
 	}
 }
 

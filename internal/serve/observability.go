@@ -127,8 +127,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	limit := 256
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "limit must be a non-negative integer"})
+		if err != nil || n < 1 {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "limit must be a positive integer"})
 			return
 		}
 		limit = min(n, 4096)

@@ -640,7 +640,7 @@ func TestUnknownRouteCountsAsOther(t *testing.T) {
 
 // TestEventsLimitBounds: /v1/events pages 256 events unless asked, never
 // more than 4096 however many the journal keeps, and refuses a limit
-// that is not a non-negative integer.
+// that is not a positive integer: 0 would read as "no cap" below.
 func TestEventsLimitBounds(t *testing.T) {
 	ev := events.NewLog(events.Config{Capacity: 5000, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	for i := range 4500 {
@@ -659,7 +659,7 @@ func TestEventsLimitBounds(t *testing.T) {
 			t.Errorf("/v1/events%s: %d events, want %d", c.params, got, c.want)
 		}
 	}
-	for _, bad := range []string{"-1", "x", "1.5"} {
+	for _, bad := range []string{"0", "-1", "x", "1.5"} {
 		if resp, _ := getBody(t, ts.URL+"/v1/events?limit="+bad); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("limit=%s: status %d, want 400", bad, resp.StatusCode)
 		}

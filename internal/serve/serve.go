@@ -359,7 +359,6 @@ func (s *Server) registerStoreGauges() {
 	var (
 		traces       = g("traces", "Distinct traces in the store.")
 		results      = g("results", "Stored categorization results (all fingerprints).")
-		explanations = g("explanations", "Stored explanations (all fingerprints).")
 		segments     = g("segments", "Segment files backing the store.")
 		diskBytes    = g("disk_bytes", "Bytes on disk across all segments.")
 		cacheItems   = g("cache_items", "Entries in the read cache.")
@@ -384,7 +383,6 @@ func (s *Server) registerStoreGauges() {
 		results.Set(float64(st.Results))
 		served.Set(float64(st.Results - st.LegacyResults))
 		legacy.Set(float64(st.LegacyResults))
-		explanations.Set(float64(st.Explanations))
 		segments.Set(float64(st.Segments))
 		diskBytes.Set(float64(st.DiskBytes))
 		cacheItems.Set(float64(st.CacheItems))

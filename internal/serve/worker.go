@@ -178,7 +178,7 @@ func (s *Server) process(r *traceReader, item ingestJob) {
 	// /v1/explain/{id} derives the explanation from the blob). A crash
 	// before it lands leaves a trace without a result, which backfill
 	// re-queues.
-	rec, err := s.st.PutOutcomeCtx(ctx, item.id, s.fp, result, nil)
+	rec, err := s.st.PutOutcomeCtx(ctx, item.id, s.fp, result)
 	if err != nil {
 		wsp.SetError(err)
 		s.recordFailure(item.id, failPersist, err.Error())

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,7 +17,6 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
-	"github.com/mosaic-hpc/mosaic/internal/explain"
 )
 
 // The crash enumeration: one fixed schedule of store and journal
@@ -58,24 +56,17 @@ func crashSchedule(t *testing.T) []crashOp {
 	rng := rand.New(rand.NewSource(36))
 	fp := core.DefaultConfig().Fingerprint()
 	type outcome struct {
-		res        *core.Result
-		expl       *explain.Explanation
-		rec, edata []byte
+		res *core.Result
+		rec []byte
 	}
 	var outcomes []outcome
 	for seed := 100; seed < 103; seed++ {
-		res, expl := testExplained(t, seed)
+		res := testResult(t, testJob(seed))
 		rec, err := newResultRecord(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One category's evidence keeps the explanation, and the enumeration, small.
-		expl = expl.FilterCategory("write_on_end")
-		edata, err := json.Marshal(expl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outcomes = append(outcomes, outcome{res, expl, rec, edata})
+		outcomes = append(outcomes, outcome{res, rec})
 	}
 	var blobs [][]byte
 	for i := 0; i < 60; i++ {
@@ -113,18 +104,14 @@ func crashSchedule(t *testing.T) []crashOp {
 			if rng.Intn(4) == 0 {
 				id, ofp = superseded[rng.Intn(len(superseded))], legacyFP
 			}
-			op := crashOp{recs: []kv{{resultKeyOf(id, ofp), o.rec}}, derived: true}
-			expl := o.expl
-			if rng.Intn(3) == 0 {
-				expl = nil
-			} else {
-				op.recs = append(op.recs, kv{explainKeyOf(id, ofp), o.edata})
-			}
-			op.do = func(s *Store, _ *AppendLog) error {
-				_, err := s.PutOutcomeCtx(context.Background(), id, ofp, o.res, expl)
-				return err
-			}
-			ops = append(ops, op)
+			ops = append(ops, crashOp{
+				recs:    []kv{{resultKeyOf(id, ofp), o.rec}},
+				derived: true,
+				do: func(s *Store, _ *AppendLog) error {
+					_, err := s.PutOutcomeCtx(context.Background(), id, ofp, o.res)
+					return err
+				},
+			})
 		default:
 			v := []byte(fmt.Sprintf(`{"seq":%d}`, len(ops)))
 			ops = append(ops, crashOp{event: v, do: func(_ *Store, j *AppendLog) error { return j.Append(v) }})
@@ -407,8 +394,7 @@ func (r *crashRun) check(img *faultFS, inflight boundary, what string) {
 }
 
 // readKey reads the value stored under key as it lies in the segment:
-// what ReadTrace returns, GetResultBytes for a served record, and
-// GetExplanation decodes. A legacy record is not converted: that is
+// what ReadTrace returns, and GetResultBytes for a served record. A legacy record is not converted: that is
 // TestLegacyStoreReads' business.
 func readKey(s *Store, key string) ([]byte, bool, error) {
 	l, ok := s.index[key]

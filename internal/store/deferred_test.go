@@ -21,24 +21,24 @@ func crashImage(t *testing.T, fs *faultFS) *Store {
 }
 
 // TestDerivedPutsCostNoFsync: under Options.Sync every put of a derived
-// record — an outcome pair, a lone result, a replicated result record,
-// an explanation — returns after its write with no fsync, so a crash
+// record — an outcome, a plain result put, a replicated result record —
+// returns after its write with no fsync, so a crash
 // right after it finds the trace and not the record. The next trace
 // put's fsync covers the record too: a crash after that finds it, as it
 // was written.
 func TestDerivedPutsCostNoFsync(t *testing.T) {
 	fp := core.DefaultConfig().Fingerprint()
-	res, expl := testExplained(t, 20)
+	res := testResult(t, testJob(20))
 	for _, c := range []struct {
 		name string
 		put  func(s *Store, id TraceID) ([]string, error)
 	}{
 		{"outcome", func(s *Store, id TraceID) ([]string, error) {
-			_, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
-			return []string{resultKeyOf(id, fp), explainKeyOf(id, fp)}, err
+			_, err := s.PutOutcomeCtx(context.Background(), id, fp, res)
+			return []string{resultKeyOf(id, fp)}, err
 		}},
 		{"result", func(s *Store, id TraceID) ([]string, error) {
-			return []string{resultKeyOf(id, fp)}, s.PutResultCtx(context.Background(), id, fp, res)
+			return []string{resultKeyOf(id, fp)}, s.PutResult(id, fp, res)
 		}},
 		{"result-bytes", func(s *Store, id TraceID) ([]string, error) {
 			rec, err := newResultRecord(res)
@@ -47,10 +47,6 @@ func TestDerivedPutsCostNoFsync(t *testing.T) {
 			}
 			_, err = s.PutResultBytesCtx(context.Background(), id, fp, rec)
 			return []string{resultKeyOf(id, fp)}, err
-		}},
-		{"explanation", func(s *Store, id TraceID) ([]string, error) {
-			_, err := s.PutExplanation(id, fp, expl)
-			return []string{explainKeyOf(id, fp)}, err
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -115,8 +111,7 @@ func TestCloseMakesDeferredFramesDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, expl := testExplained(t, 22)
-	rec, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
+	rec, err := s.PutOutcomeCtx(context.Background(), id, fp, testResult(t, testJob(22)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +121,6 @@ func TestCloseMakesDeferredFramesDurable(t *testing.T) {
 	img := crashImage(t, fs)
 	if got, ok, err := img.GetResultBytes(id, fp); err != nil || !ok || !bytes.Equal(got, rec) {
 		t.Fatalf("the result after Close: ok=%v err=%v, want the committed record", ok, err)
-	}
-	if _, ok, err := img.GetExplanation(id, fp); err != nil || !ok {
-		t.Fatalf("the explanation after Close: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -146,7 +138,7 @@ func TestRotationMakesDeferredFramesDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := testExplained(t, 23)
+	res := testResult(t, testJob(23))
 	segs, before := s.Stats().Segments, s.Stats().GroupSyncs
 	var fps []string
 	for i := 0; s.Stats().Segments == segs; i++ {

@@ -31,7 +31,9 @@ const (
 // lifecycle and is never mixed into the content-addressed segment
 // sequence. A result is written as kindServed (result.go); kindResult,
 // the compact JSON document stores held before that, is still read and
-// never written.
+// never written. kindExplain frames, the explanations older stores kept,
+// are accepted in a segment and never indexed or read; only
+// benchcompat.go's PutExplanation still writes one.
 const (
 	kindTrace   byte = 1
 	kindResult  byte = 2

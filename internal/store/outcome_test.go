@@ -11,16 +11,12 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
-	"github.com/mosaic-hpc/mosaic/internal/explain"
 )
 
 // TestOutcomeTornAtEveryByte cuts a log at every byte inside its last
 // commit and reopens it, for each thing this package commits: recovery
 // must find everything written before the commit, and of the commit's
-// own frames exactly those that lie wholly before the cut — in order, so
-// for a result+explanation pair neither record, or both, or (the cut
-// inside the second frame) the result alone. An explanation without its
-// result would be a record the serve tier can never pair up.
+// own frames exactly those that lie wholly before the cut, in order.
 func TestOutcomeTornAtEveryByte(t *testing.T) {
 	fp := core.DefaultConfig().Fingerprint()
 	var id, id2 TraceID // the trace before every segment commit, and the one that is a commit
@@ -88,48 +84,34 @@ func TestOutcomeTornAtEveryByte(t *testing.T) {
 			},
 		},
 		{
-			name: "result+explanation pair", file: "000001.seg",
+			name: "served result frame", file: "000001.seg",
 			write: func(t *testing.T) ([]byte, int64) {
 				return segment(t, func(s *Store) {
-					res, expl := testExplained(t, 11)
-					// One category's evidence: the property is about the two
-					// frames, and every byte of the pair costs one recovery.
-					expl = expl.FilterCategory("write_on_end")
-					if _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl); err != nil {
+					if _, err := s.PutOutcomeCtx(context.Background(), id, fp, testResult(t, testJob(11))); err != nil {
 						t.Fatalf("PutOutcomeCtx: %v", err)
 					}
-					if st := s.Stats(); st.Results != 1 || st.Explanations != 1 {
-						t.Fatalf("stored %d results, %d explanations, want 1 and 1", st.Results, st.Explanations)
+					if st := s.Stats(); st.Results != 1 {
+						t.Fatalf("stored %d results, want 1", st.Results)
 					}
 				})
 			},
 			survivors: func(t *testing.T, dir string) int {
 				s := reopened(t, dir)
 				defer s.Close()
-				n := 0
-				if s.HasResult(id, fp) {
-					n++
-					if _, ok, err := s.GetResult(id, fp); err != nil || !ok {
-						t.Fatalf("indexed result unreadable (ok=%v err=%v)", ok, err)
-					}
-					// The pair's result is a served record: head, then the body.
-					if l := s.index[resultKeyOf(id, fp)]; l.kind != kindServed {
-						t.Fatalf("result recovered as kind %d", l.kind)
-					}
-					if body, _, ok, err := s.ResultBody(id, fp); err != nil || !ok || !bytes.HasPrefix(body, []byte("{\n  \"job_id\": ")) {
-						t.Fatalf("served body unreadable (ok=%v err=%v): %.40q", ok, err, body)
-					}
+				if !s.HasResult(id, fp) {
+					return 0
 				}
-				if s.HasExplanation(id, fp) {
-					if n == 0 {
-						t.Fatal("explanation recovered without its result")
-					}
-					n++
-					if _, ok, err := s.GetExplanation(id, fp); err != nil || !ok {
-						t.Fatalf("indexed explanation unreadable (ok=%v err=%v)", ok, err)
-					}
+				if _, ok, err := s.GetResult(id, fp); err != nil || !ok {
+					t.Fatalf("indexed result unreadable (ok=%v err=%v)", ok, err)
 				}
-				return n
+				// A served record: head, then the body.
+				if l := s.index[resultKeyOf(id, fp)]; l.kind != kindServed {
+					t.Fatalf("result recovered as kind %d", l.kind)
+				}
+				if body, _, ok, err := s.ResultBody(id, fp); err != nil || !ok || !bytes.HasPrefix(body, []byte("{\n  \"job_id\": ")) {
+					t.Fatalf("served body unreadable (ok=%v err=%v): %.40q", ok, err, body)
+				}
+				return 1
 			},
 		},
 		{
@@ -327,9 +309,9 @@ func TestStreamingReadersStopAtCorruptFrame(t *testing.T) {
 	}
 }
 
-// TestOutcomeOneCommit pins what the pair costs under Options.Sync: one
-// write and no fsync. Its two frames ride the next trace put's fsync,
-// which covers them and the trace's frame at once. The record it hands
+// TestOutcomeOneCommit pins what a result costs under Options.Sync: one
+// write and no fsync. Its frame rides the next trace put's fsync, which
+// covers it and the trace's frame at once. The record it hands
 // back is the one a read finds.
 func TestOutcomeOneCommit(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{Sync: true})
@@ -342,21 +324,20 @@ func TestOutcomeOneCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := core.DefaultConfig().Fingerprint()
-	res, expl := testExplained(t, 12)
 	before := s.Stats()
-	rec, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl)
+	rec, err := s.PutOutcomeCtx(context.Background(), id, fp, testResult(t, testJob(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := s.Stats()
 	if got := after.GroupSyncs - before.GroupSyncs; got != 0 {
-		t.Fatalf("the pair cost %d fsyncs, want 0", got)
+		t.Fatalf("the result cost %d fsyncs, want 0", got)
 	}
 	if got, ok, err := s.GetResultBytes(id, fp); err != nil || !ok || !bytes.Equal(got, rec) {
 		t.Fatalf("PutOutcomeCtx handed back a record the store does not hold (ok=%v err=%v)", ok, err)
 	}
 	// A re-put of a stored trace waits for trace frames only: it forces
-	// no fsync of the pair.
+	// no fsync of the result.
 	if _, dup, err := s.PutTrace(testJob(12)); err != nil || !dup {
 		t.Fatalf("re-put: dup=%v err=%v", dup, err)
 	}
@@ -370,15 +351,14 @@ func TestOutcomeOneCommit(t *testing.T) {
 	if got := next.GroupSyncs - after.GroupSyncs; got != 1 {
 		t.Fatalf("the next trace put cost %d fsyncs, want 1", got)
 	}
-	if got := next.SyncedFrames - after.SyncedFrames; got != 3 {
-		t.Fatalf("that fsync covered %d frames, want 3: the pair's and the trace's", got)
+	if got := next.SyncedFrames - after.SyncedFrames; got != 2 {
+		t.Fatalf("that fsync covered %d frames, want 2: the result's and the trace's", got)
 	}
 }
 
-// TestOutcomeUnencodableExplanation: an explanation JSON cannot carry
-// (NaN) fails the commit before anything is written — the result is not
-// committed without it.
-func TestOutcomeUnencodableExplanation(t *testing.T) {
+// TestOutcomeUnencodableResult: a result JSON cannot carry (NaN) fails
+// the commit before anything is written.
+func TestOutcomeUnencodableResult(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -389,11 +369,13 @@ func TestOutcomeUnencodableExplanation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := core.DefaultConfig().Fingerprint()
-	res, _ := testExplained(t, 13)
-	if _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, &explain.Explanation{Runtime: math.NaN()}); err == nil {
-		t.Fatal("an unencodable explanation was committed")
+	res := testResult(t, testJob(13))
+	res.Runtime = math.NaN()
+	before := s.Stats().DiskBytes
+	if _, err := s.PutOutcomeCtx(context.Background(), id, fp, res); err == nil {
+		t.Fatal("an unencodable result was committed")
 	}
-	if s.HasResult(id, fp) || s.HasExplanation(id, fp) {
-		t.Fatalf("want nothing committed: result=%v explanation=%v", s.HasResult(id, fp), s.HasExplanation(id, fp))
+	if st := s.Stats(); s.HasResult(id, fp) || st.Results != 0 || st.DiskBytes != before {
+		t.Fatalf("want nothing committed: result=%v, %d results, %d of %d bytes", s.HasResult(id, fp), st.Results, st.DiskBytes, before)
 	}
 }

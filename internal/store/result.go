@@ -12,7 +12,6 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/category"
 	"github.com/mosaic-hpc/mosaic/internal/core"
-	"github.com/mosaic-hpc/mosaic/internal/explain"
 )
 
 // A result is stored as it is served. The value of a kindServed frame is
@@ -150,43 +149,23 @@ func CheckResultRecord(data []byte) (rec []byte, set category.Set, err error) {
 // fingerprint). Re-putting the same key appends a new frame and the
 // index moves to it (last write wins, also on recovery replay).
 func (s *Store) PutResult(id TraceID, fp string, res *core.Result) error {
-	return s.PutResultCtx(context.Background(), id, fp, res)
-}
-
-// PutResultCtx is PutResult under a request-trace context: the commit
-// is recorded as a "store.commit" span (kind=result).
-func (s *Store) PutResultCtx(ctx context.Context, id TraceID, fp string, res *core.Result) error {
-	_, err := s.PutOutcomeCtx(ctx, id, fp, res, nil)
+	_, err := s.PutOutcomeCtx(context.Background(), id, fp, res)
 	return err
 }
 
-// PutOutcomeCtx stores what categorizing one trace produced — its result
-// and, when expl is non-nil, its explanation — as one commit: the result
-// frame and then the explanation frame are staged under one lock,
-// written with one write(2) and indexed together; under Options.Sync
-// they ride the next fsync of their segment. Recovery therefore finds
-// both, neither, or (a tail torn
-// inside the second frame) the result alone — never an explanation
-// without its result. It returns the result record it committed, in
-// served form (what GetResultBytes would read back, for a caller that
-// ships it on without a read; the store may share it with its read
-// cache, so nobody writes to it). A result or explanation that cannot be
-// encoded fails the call before anything is written.
-func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *core.Result, expl *explain.Explanation) ([]byte, error) {
+// PutOutcomeCtx is PutResult under a request-trace context: one commit,
+// recorded as a "store.commit" span (kind=result) on a traced ctx; under
+// Options.Sync the frame rides the next fsync of its segment. It returns the record it committed, in served form (what
+// GetResultBytes would read back, for a caller that ships it on without
+// a read; the store may share it with its read cache, so nobody writes
+// to it). A result that cannot be encoded fails the call before anything
+// is written.
+func (s *Store) PutOutcomeCtx(ctx context.Context, id TraceID, fp string, res *core.Result) ([]byte, error) {
 	rec, err := newResultRecord(res)
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding result %s: %w", id, err)
 	}
-	var pair [2]record
-	recs := append(pair[:0], record{kind: kindServed, key: resultKeyOf(id, fp), value: rec})
-	if expl != nil {
-		edata, err := json.Marshal(expl)
-		if err != nil {
-			return nil, fmt.Errorf("store: encoding explanation %s: %w", id, err)
-		}
-		recs = append(recs, record{kind: kindExplain, key: explainKeyOf(id, fp), value: edata})
-	}
-	if err := s.putRecords(ctx, "result", recs...); err != nil {
+	if err := s.putRecords(ctx, "result", record{kind: kindServed, key: resultKeyOf(id, fp), value: rec}); err != nil {
 		return nil, err
 	}
 	return rec, nil

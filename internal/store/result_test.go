@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -60,12 +62,28 @@ func encoderBody(t testing.TB, doc []byte) []byte {
 // TestLegacyStoreReads opens a store the old code wrote and holds every
 // reader to it: each result is served in the bytes the old route sent,
 // decodes to what the old store decoded, and is counted as legacy until
-// something writes its key again.
+// something writes its key again. The fixture's explanation frame, the
+// second of the segment, is skipped, not taken for a torn tail: the
+// segment keeps every byte and every result behind it reads.
 func TestLegacyStoreReads(t *testing.T) {
+	fixture, err := os.Stat("testdata/legacy-store/000001.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cache := range []int64{0, -1} { // default cache, and none: every read converts
 		s := openLegacy(t, Options{CacheBytes: cache})
-		if st := s.Stats(); st.Results != legacyResults+1 || st.LegacyResults != legacyResults+1 || st.Traces != 1 || st.Explanations != 1 {
+		if st := s.Stats(); st.Results != legacyResults+1 || st.LegacyResults != legacyResults+1 || st.Traces != 1 || st.DroppedTailBytes != 0 {
 			t.Fatalf("fixture stats: %+v", st)
+		}
+		if info, err := os.Stat(filepath.Join(s.dir, "000001.seg")); err != nil {
+			t.Fatal(err)
+		} else if info.Size() != fixture.Size() {
+			t.Fatalf("Open left the fixture's segment at %d of %d bytes", info.Size(), fixture.Size())
+		}
+		for key := range s.index {
+			if strings.HasPrefix(key, "e/") {
+				t.Fatalf("explanation frame %q indexed", key)
+			}
 		}
 		seen := 0
 		err := s.eachLive("r/", func(kind byte, key, doc []byte) bool {

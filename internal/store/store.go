@@ -23,10 +23,11 @@
 // Durability (Options.Sync) is group-committed: concurrent writers
 // share one fsync, so a burst of appends costs one disk flush, not
 // one per record — see waitDurable for the leader/follower protocol.
-// Only trace puts wait for it. A result or explanation is derived from a
-// stored trace, so it rides the next fsync of its segment instead of
-// forcing one; a crash that takes it leaves a trace without a result,
-// which the serve tier's startup backfill derives again.
+// Only trace puts wait for it. A result is derived from a stored trace,
+// so it rides the next fsync of its segment instead of forcing one; a
+// crash that takes it leaves a trace without a result, which the serve
+// tier's startup backfill derives again. The store keeps no
+// explanation: one is derived from the trace whenever it is asked for.
 package store
 
 import (
@@ -34,7 +35,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
-	"github.com/mosaic-hpc/mosaic/internal/explain"
 	"github.com/mosaic-hpc/mosaic/internal/reqtrace"
 )
 
@@ -106,11 +105,11 @@ type Options struct {
 	// only acknowledged after an fsync covering it. Syncs are
 	// group-committed — concurrent writers (and every blob of one batch)
 	// share one fsync, so durability costs one disk flush per batch, not
-	// per record. A result or explanation put is not waited on: it returns
-	// after its write, and its frames become durable with the next fsync
-	// of their segment — a later trace put's, a rotation's or Close's. A
-	// crash before that may take them; what they were derived from is
-	// durable, so they can be derived again. Without Sync the log is still
+	// per record. A result put is not waited on: it returns after its
+	// write, and its frame becomes durable with the next fsync of its
+	// segment — a later trace put's, a rotation's or Close's. A
+	// crash before that may take it; what it was derived from is
+	// durable, so it can be derived again. Without Sync the log is still
 	// crash-consistent (torn tails are dropped on recovery).
 	Sync bool
 }
@@ -140,7 +139,6 @@ type Stats struct {
 	Traces           int   `json:"traces"`
 	Results          int   `json:"results"`
 	LegacyResults    int   `json:"legacy_results"` // of Results, still stored as compact JSON (pre-served form)
-	Explanations     int   `json:"explanations"`
 	Segments         int   `json:"segments"`
 	DiskBytes        int64 `json:"disk_bytes"`
 	CacheItems       int   `json:"cache_items"`
@@ -169,10 +167,9 @@ type Store struct {
 
 	gc groupCommit // fsync cohort state; locked after mu, never before
 
-	traces   int
-	results  int
-	legacy   int // of results, those whose live frame is kindResult
-	explains int
+	traces  int
+	results int
+	legacy  int // of results, those whose live frame is kindResult
 
 	cache *lru
 
@@ -284,23 +281,26 @@ func (s *Store) loadSegment(path string, last bool) error {
 func (s *Store) active() *logFile { return s.segs[len(s.segs)-1] }
 
 // segmentFrame reports whether a frame may appear in a segment; one that
-// may not is treated like a torn tail.
+// may not is treated like a torn tail. kindExplain stays accepted: older
+// stores hold such frames, and rejecting one would truncate the segment
+// there. indexPut skips them.
 func segmentFrame(kind byte, key []byte) bool {
 	return (kind >= kindTrace && kind <= kindExplain || kind == kindServed) && len(key) <= maxKeyLen
 }
 
-// indexPut records a key's location, maintaining the
-// trace/result/explanation counters (last write wins, matching log
-// replay order) and how many results are live in the legacy form.
+// indexPut records a key's location, maintaining the trace/result
+// counters (last write wins, matching log replay order) and how many
+// results are live in the legacy form. An explanation frame ("e/") is
+// not indexed: nothing reads it.
 func (s *Store) indexPut(key string, l loc) {
+	if strings.HasPrefix(key, "e/") {
+		return
+	}
 	old, exists := s.index[key]
 	if !exists {
-		switch {
-		case strings.HasPrefix(key, "t/"):
+		if strings.HasPrefix(key, "t/") {
 			s.traces++
-		case strings.HasPrefix(key, "e/"):
-			s.explains++
-		default:
+		} else {
 			s.results++
 		}
 	}
@@ -394,12 +394,12 @@ func (s *Store) appendLocked(recs ...record) (seq, written int64, err error) {
 	return seq, written, nil
 }
 
-// putRecords appends derived records (results, explanations) as one
-// commit — one lock acquisition, one write — and returns without waiting
-// for durability: under Options.Sync the frames ride the next fsync of
-// their segment. A key the read cache holds gets its new value there;
-// the cache admits nothing on a write (readValue and readResult fill
-// it). kind labels the "store.commit" span of a traced ctx.
+// putRecords appends derived records (results) as one commit — one lock
+// acquisition, one write — and returns without waiting for durability:
+// under Options.Sync the frames ride the next fsync of their segment. A
+// key the read cache holds gets its new value there; the cache admits
+// nothing on a write (readResult fills it). kind labels the
+// "store.commit" span of a traced ctx.
 func (s *Store) putRecords(ctx context.Context, kind string, recs ...record) error {
 	start := tracedNow(ctx)
 	s.mu.Lock()
@@ -454,19 +454,6 @@ func (s *Store) waitDurable(seq int64) error {
 	return nil
 }
 
-// readValue fetches a value by location, via the LRU cache.
-func (s *Store) readValue(key string, l loc) ([]byte, error) {
-	if v, ok := s.cache.get(key); ok {
-		return v, nil
-	}
-	buf, err := s.pread(nil, key, l)
-	if err != nil {
-		return nil, err
-	}
-	s.cache.put(key, buf)
-	return buf, nil
-}
-
 // pread reads a value from its segment into dst's storage, growing it
 // when it is too small.
 func (s *Store) pread(dst []byte, key string, l loc) ([]byte, error) {
@@ -484,9 +471,8 @@ func (s *Store) pread(dst []byte, key string, l loc) ([]byte, error) {
 	return buf, nil
 }
 
-func traceKeyOf(id TraceID) string              { return "t/" + string(id) }
-func resultKeyOf(id TraceID, fp string) string  { return "r/" + string(id) + "/" + fp }
-func explainKeyOf(id TraceID, fp string) string { return "e/" + string(id) + "/" + fp }
+func traceKeyOf(id TraceID) string             { return "t/" + string(id) }
+func resultKeyOf(id TraceID, fp string) string { return "r/" + string(id) + "/" + fp }
 
 // PutTraceBytes stores an encoded trace blob under its content
 // address. It returns the address and whether the blob was already
@@ -672,56 +658,6 @@ func (s *Store) ReadTrace(dst []byte, id TraceID) ([]byte, bool, error) {
 	return v, err == nil, err
 }
 
-// PutExplanation stores the decision-provenance record of (trace,
-// config fingerprint) — the same key scheme as results, under its own
-// record kind, so explanation and result always pair up. It returns
-// the serialized size, which feeds the explanation-size telemetry.
-// Writers that hold the result too use PutOutcomeCtx, which commits the
-// pair together.
-func (s *Store) PutExplanation(id TraceID, fp string, e *explain.Explanation) (int, error) {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return 0, fmt.Errorf("store: encoding explanation %s: %w", id, err)
-	}
-	err = s.putRecords(context.Background(), "explanation",
-		record{kind: kindExplain, key: explainKeyOf(id, fp), value: data})
-	if err != nil {
-		return 0, err
-	}
-	return len(data), nil
-}
-
-// GetExplanation returns the stored explanation of (trace,
-// fingerprint), reporting found-ness. Explanation lookups do not feed
-// the result hit/miss counters.
-func (s *Store) GetExplanation(id TraceID, fp string) (*explain.Explanation, bool, error) {
-	key := explainKeyOf(id, fp)
-	s.mu.RLock()
-	l, ok := s.index[key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, false, nil
-	}
-	data, err := s.readValue(key, l)
-	if err != nil {
-		return nil, false, err
-	}
-	var e explain.Explanation
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, false, fmt.Errorf("store: decoding explanation %s: %w", id, err)
-	}
-	return &e, true, nil
-}
-
-// HasExplanation reports whether an explanation is stored without
-// reading it.
-func (s *Store) HasExplanation(id TraceID, fp string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[explainKeyOf(id, fp)]
-	return ok
-}
-
 // eachLive streams, in log order, the kind, key and value of every frame
 // whose key starts with prefix ("t/", "r/": one class of record) and
 // that the index still points at (a frame whose key was later rewritten
@@ -797,7 +733,6 @@ func (s *Store) Stats() Stats {
 		Traces:           s.traces,
 		Results:          s.results,
 		LegacyResults:    s.legacy,
-		Explanations:     s.explains,
 		Segments:         len(s.segs),
 		RecoveredFrames:  s.recoveredFrames,
 		DroppedTailBytes: s.droppedTailBytes,

@@ -13,7 +13,6 @@ import (
 
 	"github.com/mosaic-hpc/mosaic/internal/core"
 	"github.com/mosaic-hpc/mosaic/internal/darshan"
-	"github.com/mosaic-hpc/mosaic/internal/engine"
 )
 
 // testJob builds a small valid trace whose identity varies with seed.
@@ -443,8 +442,8 @@ func TestLRURefreshAdmitsNothing(t *testing.T) {
 	}
 }
 
-// TestCacheFillsOnRead: a write admits nothing — a result, an
-// explanation, a trace blob — the first read of a record is cold and the
+// TestCacheFillsOnRead: a write admits nothing — a result, a trace
+// blob — the first read of a record is cold and the
 // second hot, a write to a cached key serves its new bytes from the
 // cache, and a trace blob is never cached at all.
 func TestCacheFillsOnRead(t *testing.T) {
@@ -459,8 +458,8 @@ func TestCacheFillsOnRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, expl := testExplained(t, 40)
-	if _, err := s.PutOutcomeCtx(context.Background(), id, fp, res, expl); err != nil {
+	res := testResult(t, j)
+	if _, err := s.PutOutcomeCtx(context.Background(), id, fp, res); err != nil {
 		t.Fatal(err)
 	}
 	if items, size := s.cache.stats(); items != 0 || size != 0 {
@@ -470,12 +469,6 @@ func TestCacheFillsOnRead(t *testing.T) {
 		if _, cached, ok, err := s.ResultBody(id, fp); err != nil || !ok || cached != want {
 			t.Fatalf("read %d: cached=%v ok=%v err=%v, want cached=%v", lap, cached, ok, err, want)
 		}
-	}
-	if _, ok, err := s.GetExplanation(id, fp); err != nil || !ok {
-		t.Fatalf("explanation: ok=%v err=%v", ok, err)
-	}
-	if _, ok := s.cache.get(explainKeyOf(id, fp)); !ok {
-		t.Fatal("a read explanation was not cached")
 	}
 	if blob, ok, err := s.GetTraceBytes(id); err != nil || !ok || HashBytes(blob) != id {
 		t.Fatalf("trace: ok=%v err=%v", ok, err)
@@ -534,45 +527,6 @@ func TestStoreBoundedMemory(t *testing.T) {
 	}
 	if n != 30 {
 		t.Fatalf("EachResult visited %d, want 30", n)
-	}
-}
-
-func TestCachingExecutor(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	exec := NewCachingExecutor(s, engine.Local{Workers: 2})
-	cfg := core.DefaultConfig()
-	j := testJob(7)
-
-	res1, err := exec.Categorize(context.Background(), j, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Hits() != 0 || exec.Misses() != 1 {
-		t.Fatalf("after cold run: hits=%d misses=%d", exec.Hits(), exec.Misses())
-	}
-	res2, err := exec.Categorize(context.Background(), j, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Hits() != 1 || exec.Misses() != 1 {
-		t.Fatalf("after warm run: hits=%d misses=%d", exec.Hits(), exec.Misses())
-	}
-	if !res1.Categories.Equal(res2.Categories) {
-		t.Fatal("cached result categories differ from fresh ones")
-	}
-	// A different effective config must recompute.
-	cfg2 := core.DefaultConfig()
-	cfg2.SignificanceBytes = 1 << 20
-	if _, err := exec.Categorize(context.Background(), j, cfg2); err != nil {
-		t.Fatal(err)
-	}
-	if exec.Misses() != 2 {
-		t.Fatalf("changed config should miss: misses=%d", exec.Misses())
 	}
 }
 
